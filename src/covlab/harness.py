@@ -78,6 +78,18 @@ EVOLUTIONS = ("spectral", "stepped")
 LEDGERS = ("resolved", "paper-printed")
 
 
+# bytes the largest spacetime section of action-residual may take; a
+# section holds 8-byte floats on every slice and site: 2 + dim of them
+# for kg (phi, p, beta), 2 + 2 dim for schrodinger
+SECTION_BUDGET_BYTES = 2**30
+
+
+def _el_steps(cfg, dt: float) -> int:
+    """Time intervals of the action-residual Euler-Lagrange section at dt."""
+    el_T_steps = cfg.steps if cfg.steps > 0 else 100
+    return max(2, round(el_T_steps * cfg.dt / dt))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     theory: str
@@ -105,6 +117,12 @@ class ExperimentConfig:
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"invalid field 'n': {n} (power of two >= 4 required)")
+        for name in ("length", "mass", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"invalid field '{name}': {value} (finite required)")
+        if not all(math.isfinite(t) for t in self.times):
+            raise ValueError(f"invalid field 'times': {self.times} (finite required)")
         if self.length <= 0:
             raise ValueError(f"invalid field 'length': {self.length}")
         if self.mass < 0:
@@ -115,10 +133,29 @@ class ExperimentConfig:
             raise ValueError(f"invalid field 'dt': {self.dt} (positive required for stepped)")
         if self.steps < 0:
             raise ValueError(f"invalid field 'steps': {self.steps}")
+        if self.experiment == "action-residual":
+            if self.dt <= 0:
+                raise ValueError(
+                    f"invalid field 'dt': {self.dt} (positive required for action-residual)"
+                )
+            self._check_section_size()
         if self.format not in ("csv", "json"):
             raise ValueError(f"invalid field 'format': {self.format!r}")
         if self.sign_ledger not in LEDGERS:
             raise ValueError(f"invalid field 'sign_ledger': {self.sign_ledger!r}")
+
+    def _check_section_size(self):
+        """The largest section action-residual holds, the one of the
+        dt/2 Euler-Lagrange run, must fit SECTION_BUDGET_BYTES."""
+        slices = _el_steps(self, self.dt / 2) + 1
+        fields = 2 + self.dim if self.theory == "kg" else 2 + 2 * self.dim
+        size = 8 * slices * self.n**self.dim * fields
+        if size > SECTION_BUDGET_BYTES:
+            raise ValueError(
+                f"invalid fields 'steps', 'n', 'dim': steps={self.steps}, n={self.n}, "
+                f"dim={self.dim} need a {slices}-slice section of {size / 2**30:.2f} GiB "
+                f"in action-residual, over the {SECTION_BUDGET_BYTES / 2**30:.0f} GiB budget"
+            )
 
     @property
     def lattice(self) -> Lattice:
@@ -233,6 +270,8 @@ class ReportRow:
     def passed(self) -> bool | None:
         if self.tolerance is None:
             return None
+        if not math.isfinite(self.value):
+            return False
         if self.metric.endswith("-exceeds"):
             return bool(self.value > self.tolerance)
         return bool(self.value <= self.tolerance)
@@ -629,8 +668,9 @@ def _bracket_rows(cfg: ExperimentConfig):
     rows.append(_row(name, "bracket-equivalence", eq.max_mismatch, 1e-9, t.seconds))
 
     slots = ("Phi", "P") if cfg.theory == "kg" else ("PhiR", "PhiI")
-    lin1 = br.mode_real_part(cfg.theory, slots[0], 1, lat)
-    lin2 = br.mode_real_part(cfg.theory, slots[1], 1, lat)
+    first_mode = (1,) + (0,) * (lat.dim - 1)
+    lin1 = br.mode_real_part(cfg.theory, slots[0], first_mode, lat)
+    lin2 = br.mode_real_part(cfg.theory, slots[1], first_mode, lat)
     quad1 = br.quadratic_power(cfg.theory, 0)
     quad2 = br.quadratic_cross(cfg.theory)
     wobs = br.w_coordinate(cfg.theory)
@@ -703,14 +743,13 @@ def _action_rows(cfg: ExperimentConfig):
     rows = []
     name = "action-residual"
     kcfg = cfg.kg_config() if cfg.theory == "kg" else None
-    el_T_steps = cfg.steps if cfg.steps > 0 else 100
     # the de Donder-Weyl residual is a sup over slices, so a long section
     # only repeats the same pointwise truncation error; cap its length
-    ddw_T_steps = min(el_T_steps, 200)
+    ddw_T_steps = min(cfg.steps if cfg.steps > 0 else 100, 200)
 
     def el_residual(dt: float) -> float:
         st = _banded_state(cfg, cfg.seed, band=1)
-        n_steps = max(2, round(el_T_steps * cfg.dt / dt))
+        n_steps = _el_steps(cfg, dt)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed + 7))
         d1 = idft(ModeVector(cfg.lattice, dx.random_hermitian_modes(cfg.lattice, rng, band=1)))
         d2 = idft(ModeVector(cfg.lattice, dx.random_hermitian_modes(cfg.lattice, rng, band=1)))

@@ -20,7 +20,7 @@ its exact drift rather than the degenerate rotation formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,12 +29,17 @@ from .lattice import (
     ModeVector,
     ScalarField,
     VectorField,
+    _bump_stack,
+    _check_variation,
+    _section_origin,
+    _section_stacks,
     dft,
     idft,
     inner,
-    spectral_divergence,
     spectral_gradient,
+    stack_divergence,
     stack_gradient,
+    stack_idft,
     sup_norm,
 )
 
@@ -111,32 +116,61 @@ class KGVariation:
 
 @dataclass(frozen=True)
 class KGSpacetimeSection:
-    """A state per uniform time node; the discrete section chi."""
+    """The discrete section chi on the uniform time grid t0 + i dt.
 
-    states: tuple[KGState, ...]
+    Stored as read-only stacks: phi and p of shape (T, *lattice.shape),
+    beta of shape (T, dim, *lattice.shape).  A variation of a section, a
+    tangent vector to the space of sections, has the same layout and is
+    stored in the same class.
+    """
+
+    phi: np.ndarray
+    p: np.ndarray
+    beta: np.ndarray
     dt: float
     cfg: KGConfig
+    t0: float = 0.0
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if len(states) < 2:
-            raise ValueError("a section needs at least two time slices")
-        lat = self.cfg.lattice
-        for st in states:
-            if st.lattice != lat:
-                raise ValueError("section slice lattice mismatch")
-        t0 = states[0].time
-        for i, st in enumerate(states):
-            if abs(st.time - (t0 + i * self.dt)) > 1e-9 * max(1.0, abs(self.dt)):
-                raise ValueError("section time nodes are not uniform in dt")
-        object.__setattr__(self, "states", states)
+        phi, p, beta = _section_stacks(self.cfg.lattice, (self.phi, self.p), (self.beta,))
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "beta", beta)
+
+    @classmethod
+    def from_states(cls, states, dt: float, cfg: KGConfig) -> KGSpacetimeSection:
+        """Stack slice states that sit on cfg's lattice at uniform steps of dt."""
+        states = tuple(states)
+        t0 = _section_origin(states, dt, cfg.lattice)
+        return cls(
+            phi=np.stack([st.phi.values for st in states]),
+            p=np.stack([st.p.values for st in states]),
+            beta=np.array([[c.values for c in st.beta.components] for st in states]),
+            dt=dt,
+            cfg=cfg,
+            t0=t0,
+        )
 
     @property
     def lattice(self) -> Lattice:
         return self.cfg.lattice
 
     def times(self) -> np.ndarray:
-        return self.states[0].time + self.dt * np.arange(len(self.states))
+        return self.t0 + self.dt * np.arange(len(self.phi))
+
+    @property
+    def states(self) -> tuple[KGState, ...]:
+        """Per-slice view of the stacks, built on each access."""
+        lat = self.lattice
+        return tuple(
+            KGState(
+                phi=ScalarField(lat, phi),
+                p=ScalarField(lat, p),
+                beta=VectorField(lat, tuple(ScalarField(lat, c) for c in beta)),
+                time=float(t),
+            )
+            for phi, p, beta, t in zip(self.phi, self.p, self.beta, self.times())
+        )
 
 
 def kg_hamiltonian(state: KGState, cfg: KGConfig, mass_sign: str = "resolved") -> float:
@@ -171,8 +205,9 @@ def kg_enforce_constraints(phi: ScalarField, p: ScalarField, time: float = 0.0) 
     return KGState(phi=phi, p=p, beta=spectral_gradient(phi), time=time)
 
 
-def _general_rotation(om2: np.ndarray, s: float):
+def _general_rotation(om2: np.ndarray, s):
     """Propagator entries for d2x/ds2 = -om2 x, valid for any sign of om2.
+    ``s`` is a time, or an array of times that broadcasts against om2.
 
     Returns (C, S) with x(s) = C x + S v, v(s) = C v - om2 S x:
     trigonometric for om2 > 0, polynomial drift at om2 = 0, hyperbolic
@@ -193,6 +228,21 @@ def _general_rotation(om2: np.ndarray, s: float):
     return C, S
 
 
+def _kg_om2(cfg: KGConfig, mass_sign: str = "resolved") -> np.ndarray:
+    if mass_sign == "resolved":
+        return cfg.lattice.ksq() + cfg.mass**2
+    if mass_sign == "paper-printed":
+        return cfg.lattice.ksq() - cfg.mass**2
+    raise ValueError(f"unknown mass_sign {mass_sign!r}")
+
+
+def _kg_propagate(phihat, phat, om2, s):
+    """Mode data rotated by time s; s may be an array of times shaped to
+    broadcast against the modes, giving one rotated array per time."""
+    C, S = _general_rotation(om2, s)
+    return phihat * C + phat * S, phat * C - phihat * om2 * S
+
+
 def kg_evolve_spectral(
     state: KGState, s: float, cfg: KGConfig, mass_sign: str = "resolved"
 ) -> KGState:
@@ -203,17 +253,10 @@ def kg_evolve_spectral(
     printed mass sign, k^2 - m^2, whose low modes grow hyperbolically.
     The flag exists for the documented negative controls only.
     """
-    phihat = dft(state.phi).coefficients
-    phat = dft(state.p).coefficients
-    if mass_sign == "resolved":
-        om2 = cfg.lattice.ksq() + cfg.mass**2
-    elif mass_sign == "paper-printed":
-        om2 = cfg.lattice.ksq() - cfg.mass**2
-    else:
-        raise ValueError(f"unknown mass_sign {mass_sign!r}")
-    C, S = _general_rotation(om2, s)
-    phihat_s = phihat * C + phat * S
-    phat_s = phat * C - phihat * om2 * S
+    om2 = _kg_om2(cfg, mass_sign)
+    phihat_s, phat_s = _kg_propagate(
+        dft(state.phi).coefficients, dft(state.p).coefficients, om2, s
+    )
     lat = state.lattice
     phi_s = idft(ModeVector(lat, phihat_s))
     p_s = idft(ModeVector(lat, phat_s))
@@ -250,11 +293,23 @@ def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, cfg: KGConfig) -> 
 def kg_solution_section(
     state: KGState, dt: float, steps: int, cfg: KGConfig
 ) -> KGSpacetimeSection:
-    """Sample the exact flow on a uniform time grid of `steps` intervals."""
+    """Sample the exact flow on a uniform time grid of `steps` intervals:
+    the propagator broadcast over the grid, one batched inverse transform
+    per field and one batched gradient for beta."""
     if steps < 1:
         raise ValueError("need at least one time interval")
-    slices = tuple(kg_evolve_spectral(state, i * dt, cfg) for i in range(steps + 1))
-    return KGSpacetimeSection(states=slices, dt=dt, cfg=cfg)
+    lat = cfg.lattice
+    if state.lattice != lat:
+        raise ValueError("section slice lattice mismatch")
+    s = (np.arange(steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
+    phihat, phat = _kg_propagate(
+        dft(state.phi).coefficients, dft(state.p).coefficients, _kg_om2(cfg), s
+    )
+    phi = stack_idft(lat, phihat)
+    p = stack_idft(lat, phat)
+    return KGSpacetimeSection(
+        phi=phi, p=p, beta=stack_gradient(lat, phi), dt=dt, cfg=cfg, t0=state.time
+    )
 
 
 def _time_derivative(stack: np.ndarray, dt: float) -> np.ndarray:
@@ -268,28 +323,23 @@ def kg_dedonder_weyl_residual(section: KGSpacetimeSection) -> float:
 
     With P^0 = -p the three blocks are d phi/dt - p, grad phi - beta, and
     -dp/dt + div beta - mass^2 phi, checked on interior time nodes with
-    central differences.
+    central differences.  A NaN anywhere makes the residual NaN.
     """
-    if len(section.states) < 3:
+    if len(section.phi) < 3:
         raise ValueError("need at least three time slices for central differences")
     dt = section.dt
+    lat = section.lattice
     msq = section.cfg.mass**2
-    phis = np.stack([st.phi.values for st in section.states])
-    ps = np.stack([st.p.values for st in section.states])
+    phis, ps, betas = section.phi, section.p, section.beta
     dphi_dt = (phis[2:] - phis[:-2]) / (2 * dt)
     dp_dt = (ps[2:] - ps[:-2]) / (2 * dt)
-    worst = 0.0
-    for i, st in enumerate(section.states[1:-1], start=1):
-        r1 = float(np.max(np.abs(dphi_dt[i - 1] - st.p.values)))
-        grad = spectral_gradient(st.phi)
-        r2 = max(
-            sup_norm(st.beta.components[a].values - grad.components[a].values)
-            for a in range(section.lattice.dim)
-        )
-        div = spectral_divergence(st.beta)
-        r3 = float(np.max(np.abs(-dp_dt[i - 1] + div.values - msq * st.phi.values)))
-        worst = max(worst, r1, r2, r3)
-    return worst
+    mid = slice(1, -1)
+    residuals = (
+        dphi_dt - ps[mid],
+        betas[mid] - stack_gradient(lat, phis[mid]),
+        -dp_dt + stack_divergence(lat, betas[mid]) - msq * phis[mid],
+    )
+    return float(np.max([np.max(np.abs(r)) for r in residuals]))
 
 
 def _covariant_lagrangian_density(
@@ -315,54 +365,31 @@ def _covariant_lagrangian_density(
     return h_d * dens.reshape(len(phis), -1).sum(axis=1)
 
 
-def _section_arrays(section: KGSpacetimeSection):
-    phis = np.stack([st.phi.values for st in section.states])
-    ps = np.stack([st.p.values for st in section.states])
-    betas = np.stack(
-        [
-            np.stack([c.values for c in st.beta.components])
-            for st in section.states
-        ]
-    )
-    return phis, ps, betas
+def _stacks(section: KGSpacetimeSection):
+    return section.phi, section.p, section.beta
 
 
 def kg_action(section: KGSpacetimeSection) -> float:
     """Discrete covariant action: trapezoidal in time, exact in space."""
-    phis, ps, betas = _section_arrays(section)
-    lag = _covariant_lagrangian_density(section, phis, ps, betas)
+    lag = _covariant_lagrangian_density(section, *_stacks(section))
     return float(np.trapezoid(lag, dx=section.dt))
 
 
 def kg_el_pairing(
-    section: KGSpacetimeSection, variations: tuple[KGVariation, ...]
+    section: KGSpacetimeSection, variation: KGSpacetimeSection
 ) -> float:
-    """Directional derivative of the action along a per-slice variation.
+    """Directional derivative of the action along a variation of the section.
 
     The action is quadratic, so the symmetric difference quotient at
     epsilon = 1 is the exact directional derivative (no truncation term).
-    Variations must vanish on the first and last slices.
+    The variation must vanish on the first and last slices.
     """
-    if len(variations) != len(section.states):
-        raise ValueError("one variation per time slice required")
-    for idx in (0, -1):
-        v = variations[idx]
-        if (
-            sup_norm(v.dphi) > 0.0
-            or sup_norm(v.dp) > 0.0
-            or any(sup_norm(c) > 0.0 for c in v.dbeta.components)
-        ):
-            raise ValueError("variation must vanish at the temporal endpoints")
-    phis, ps, betas = _section_arrays(section)
-    dphis = np.stack([v.dphi.values for v in variations])
-    dps = np.stack([v.dp.values for v in variations])
-    dbetas = np.stack(
-        [np.stack([c.values for c in v.dbeta.components]) for v in variations]
-    )
+    stacks, dstacks = _stacks(section), _stacks(variation)
+    _check_variation(stacks, dstacks, ends=True)
 
     def action_at(eps):
         lag = _covariant_lagrangian_density(
-            section, phis + eps * dphis, ps + eps * dps, betas + eps * dbetas
+            section, *(a + eps * d for a, d in zip(stacks, dstacks))
         )
         return float(np.trapezoid(lag, dx=section.dt))
 
@@ -370,7 +397,7 @@ def kg_el_pairing(
 
 
 def kg_el_cancellation_scale(
-    section: KGSpacetimeSection, variations: tuple[KGVariation, ...]
+    section: KGSpacetimeSection, variation: KGSpacetimeSection
 ) -> float:
     """Normalization for the EL residual: the L1 mass of the first-order
     terms of the directional derivative.
@@ -381,17 +408,12 @@ def kg_el_cancellation_scale(
     residual a dimensionless, amplitude-invariant measure of how complete
     the cancellation is.
     """
-    if len(variations) != len(section.states):
-        raise ValueError("one variation per time slice required")
+    _check_variation(_stacks(section), _stacks(variation), ends=False)
     lat = section.lattice
     msq = section.cfg.mass**2
     h_d = lat.spacing**lat.dim
-    phis, ps, betas = _section_arrays(section)
-    dphis = np.stack([v.dphi.values for v in variations])
-    dps = np.stack([v.dp.values for v in variations])
-    dbetas = np.stack(
-        [np.stack([c.values for c in v.dbeta.components]) for v in variations]
-    )
+    phis, ps, betas = _stacks(section)
+    dphis, dps, dbetas = _stacks(variation)
     dphi_dt = _time_derivative(phis, section.dt)
     ddphi_dt = _time_derivative(dphis, section.dt)
     grads = stack_gradient(lat, phis)
@@ -411,34 +433,14 @@ def kg_el_cancellation_scale(
 
 def kg_random_variation_profile(
     section: KGSpacetimeSection, dphi0: ScalarField, dp0: ScalarField
-) -> tuple[KGVariation, ...]:
+) -> KGSpacetimeSection:
     """Admissible variation: fixed slice shapes modulated by a smooth time
     bump vanishing at both endpoints; dbeta follows the constraint."""
-    lat = section.lattice
-    times = section.times()
-    span = times[-1] - times[0]
-    bump = np.sin(np.pi * (times - times[0]) / span) ** 2
-    dbeta0 = spectral_gradient(dphi0)
-    out = []
-    for b in bump:
-        out.append(
-            KGVariation(
-                dphi=ScalarField(lat, b * dphi0.values),
-                dp=ScalarField(lat, b * dp0.values),
-                dbeta=VectorField(
-                    lat,
-                    tuple(
-                        ScalarField(lat, b * c.values) for c in dbeta0.components
-                    ),
-                ),
-            )
-        )
-    out[0] = KGVariation(
-        dphi=ScalarField(lat, np.zeros(lat.shape)),
-        dp=ScalarField(lat, np.zeros(lat.shape)),
-        dbeta=VectorField(
-            lat, tuple(ScalarField(lat, np.zeros(lat.shape)) for _ in range(lat.dim))
-        ),
+    count, dt = len(section.phi), section.dt
+    dbeta0 = stack_gradient(section.lattice, dphi0.values[np.newaxis])[0]
+    return replace(
+        section,
+        phi=_bump_stack(count, dt, dphi0.values),
+        p=_bump_stack(count, dt, dp0.values),
+        beta=_bump_stack(count, dt, dbeta0),
     )
-    out[-1] = out[0]
-    return tuple(out)

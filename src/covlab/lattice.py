@@ -31,9 +31,11 @@ __all__ = [
     "inner",
     "dft",
     "idft",
+    "stack_idft",
     "spectral_gradient",
     "stack_gradient",
     "spectral_divergence",
+    "stack_divergence",
     "spectral_laplacian",
     "conjugate_reflection",
     "hermitian_defect",
@@ -105,10 +107,8 @@ class Lattice:
         )
 
     def ksq(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for kg in self.wavenumber_grids():
-            out = out + kg**2
-        return out
+        """|k|^2 per mode, FFT layout; read-only and cached per lattice."""
+        return _ksq(self)
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         x1 = self.spacing * np.arange(self.n)
@@ -118,6 +118,15 @@ class Lattice:
             )
             for axis in range(self.dim)
         )
+
+
+@lru_cache(maxsize=32)
+def _ksq(lattice: Lattice) -> np.ndarray:
+    out = np.zeros(lattice.shape)
+    for kg in lattice.wavenumber_grids():
+        out = out + kg**2
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,15 +207,27 @@ def idft(m: ModeVector, tol: float = 1e-12) -> ScalarField:
     to the coefficient scale, rather than silently discarding an imaginary
     part.
     """
-    defect = hermitian_defect(m.coefficients)
-    scale = max(1.0, float(np.max(np.abs(m.coefficients))))
-    if defect > tol * scale:
+    return ScalarField(m.lattice, stack_idft(m.lattice, m.coefficients, tol))
+
+
+def stack_idft(lattice: Lattice, coeffs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Inverse transform of mode arrays of shape (..., *lattice.shape) to
+    real sample arrays, one batched transform over the spatial axes.
+
+    Each mode array is checked on its own, as idft checks one: its
+    reality symmetry defect must not exceed ``tol * max(1, max|coeff|)``.
+    """
+    axes = tuple(range(coeffs.ndim - lattice.dim, coeffs.ndim))
+    defect = np.max(np.abs(coeffs - conjugate_reflection(coeffs, axes)), axis=axes)
+    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=axes))
+    bad = np.flatnonzero(defect > tol * scale)
+    if bad.size:
+        where = "" if coeffs.ndim == lattice.dim else f" in slice {int(bad[0])}"
         raise ValueError(
-            f"mode vector violates reality symmetry: defect {defect:.3e} "
-            f"exceeds {tol:.1e} * scale"
+            f"mode vector violates reality symmetry{where}: defect "
+            f"{float(np.ravel(defect)[bad[0]]):.3e} exceeds {tol:.1e} * scale"
         )
-    values = np.fft.ifftn(m.coefficients) * m.lattice.site_count
-    return ScalarField(m.lattice, values.real)
+    return (np.fft.ifftn(coeffs, axes=axes) * lattice.site_count).real
 
 
 @lru_cache(maxsize=32)
@@ -250,11 +271,22 @@ def stack_gradient(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
 
 
 def spectral_divergence(v: VectorField) -> ScalarField:
-    out = np.zeros(v.lattice.shape)
-    for axis, kg in enumerate(_gradient_multipliers(v.lattice)):
-        chat = np.fft.fftn(v.components[axis].values)
-        out = out + np.fft.ifftn(1j * kg * chat).real
-    return ScalarField(v.lattice, out)
+    stack = np.stack([c.values for c in v.components])[np.newaxis]
+    return ScalarField(v.lattice, stack_divergence(v.lattice, stack)[0])
+
+
+def stack_divergence(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
+    """Spectral divergence of a stack of vector fields.
+
+    `stack` has shape (count, dim, *lattice.shape); the result has shape
+    (count, *lattice.shape), with the Nyquist rule of stack_gradient.
+    """
+    axes = tuple(range(1, lattice.dim + 1))
+    out = np.zeros((stack.shape[0],) + lattice.shape)
+    for axis, kg in enumerate(_gradient_multipliers(lattice)):
+        chat = np.fft.fftn(stack[:, axis], axes=axes)
+        out = out + np.fft.ifftn(1j * kg[np.newaxis] * chat, axes=axes).real
+    return out
 
 
 def spectral_laplacian(f: ScalarField) -> ScalarField:
@@ -263,10 +295,11 @@ def spectral_laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.lattice, np.fft.ifftn(-f.lattice.ksq() * fhat).real)
 
 
-def conjugate_reflection(arr: np.ndarray) -> np.ndarray:
-    """conj(arr) sampled at -k, in the same FFT layout."""
+def conjugate_reflection(arr: np.ndarray, axes=None) -> np.ndarray:
+    """conj(arr) sampled at -k, in the same FFT layout; `axes` are the
+    mode axes (all of them by default)."""
     out = np.conj(arr)
-    for axis in range(arr.ndim):
+    for axis in range(arr.ndim) if axes is None else axes:
         out = np.flip(out, axis=axis)
         out = np.roll(out, 1, axis=axis)
     return out
@@ -316,3 +349,60 @@ def mode_index_table(lattice: Lattice):
 def sup_norm(f) -> float:
     values = f.values if hasattr(f, "values") else np.asarray(f)
     return float(np.max(np.abs(values)))
+
+
+# ---------------------------------------------------------------------------
+# spacetime sections: stacks of slice fields on a uniform time grid
+
+
+def _section_stacks(lattice: Lattice, scalars, vectors) -> tuple[np.ndarray, ...]:
+    """Read-only float copies of a section's stacks, shape-checked.
+
+    Scalar stacks have shape (T, *lattice.shape) and vector stacks
+    (T, dim, *lattice.shape), with one T >= 2 shared by all of them.
+    """
+    out = [_locked(np.asarray(a, dtype=float)) for a in (*scalars, *vectors)]
+    count = out[0].shape[0] if out[0].ndim else 0
+    if count < 2:
+        raise ValueError("a section needs at least two time slices")
+    wanted = [(count, *lattice.shape)] * len(scalars)
+    wanted += [(count, lattice.dim, *lattice.shape)] * len(vectors)
+    for arr, shape in zip(out, wanted):
+        if arr.shape != shape:
+            raise ValueError(
+                f"section stack shape {arr.shape} does not match {shape}"
+            )
+    return tuple(out)
+
+
+def _section_origin(states, dt: float, lattice: Lattice) -> float:
+    """First node time of slice states that sit on the lattice at uniform
+    steps of dt; rejects anything else."""
+    if len(states) < 2:
+        raise ValueError("a section needs at least two time slices")
+    t0 = states[0].time
+    for i, st in enumerate(states):
+        if st.lattice != lattice:
+            raise ValueError("section slice lattice mismatch")
+        if abs(st.time - (t0 + i * dt)) > 1e-9 * max(1.0, abs(dt)):
+            raise ValueError("section time nodes are not uniform in dt")
+    return t0
+
+
+def _check_variation(stacks, dstacks, ends: bool) -> None:
+    """A variation has the stack shapes of its section; where `ends`, it
+    must also vanish on the first and last slices."""
+    if any(a.shape != d.shape for a, d in zip(stacks, dstacks)):
+        raise ValueError("one variation per time slice required")
+    if ends and any(np.any(d[[0, -1]] != 0.0) for d in dstacks):
+        raise ValueError("variation must vanish at the temporal endpoints")
+
+
+def _bump_stack(count: int, dt: float, field: np.ndarray) -> np.ndarray:
+    """`field` under a sin^2 time bump over `count` nodes of spacing dt,
+    exactly zero on the first and last node: shape (count, *field.shape)."""
+    times = np.arange(count) * dt
+    bump = np.sin(np.pi * times / times[-1]) ** 2
+    out = bump.reshape((-1,) + (1,) * field.ndim) * field
+    out[[0, -1]] = 0.0
+    return out

@@ -17,7 +17,7 @@ representable, but every dynamical operation rejects v != 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,12 +26,17 @@ from .lattice import (
     ModeVector,
     ScalarField,
     VectorField,
+    _bump_stack,
+    _check_variation,
+    _section_origin,
+    _section_stacks,
     dft,
     idft,
     inner,
-    spectral_divergence,
     spectral_gradient,
+    stack_divergence,
     stack_gradient,
+    stack_idft,
     sup_norm,
 )
 
@@ -121,28 +126,76 @@ class SchrVariation:
 
 @dataclass(frozen=True)
 class SchrSpacetimeSection:
-    states: tuple[SchrState, ...]
+    """The discrete section chi on the uniform time grid t0 + i dt, rest
+    frame.
+
+    Stored as read-only stacks: phiR and phiI of shape
+    (T, *lattice.shape), betaR and betaI of shape (T, dim, *lattice.shape).
+    A variation of a section has the same layout and is stored in the
+    same class.
+    """
+
+    phiR: np.ndarray
+    phiI: np.ndarray
+    betaR: np.ndarray
+    betaI: np.ndarray
     dt: float
+    lattice: Lattice
+    t0: float = 0.0
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if len(states) < 2:
-            raise ValueError("a section needs at least two time slices")
-        lat = states[0].lattice
-        t0 = states[0].time
-        for i, st in enumerate(states):
-            if st.lattice != lat:
-                raise ValueError("section slice lattice mismatch")
-            if abs(st.time - (t0 + i * self.dt)) > 1e-9 * max(1.0, abs(self.dt)):
-                raise ValueError("section time nodes are not uniform in dt")
-        object.__setattr__(self, "states", states)
+        stacks = _section_stacks(
+            self.lattice, (self.phiR, self.phiI), (self.betaR, self.betaI)
+        )
+        for name, arr in zip(("phiR", "phiI", "betaR", "betaI"), stacks):
+            object.__setattr__(self, name, arr)
 
-    @property
-    def lattice(self) -> Lattice:
-        return self.states[0].lattice
+    @classmethod
+    def from_states(cls, states, dt: float) -> SchrSpacetimeSection:
+        """Stack rest-frame slice states that share one lattice and sit at
+        uniform steps of dt."""
+        states = tuple(states)
+        lat = states[0].lattice if states else None
+        t0 = _section_origin(states, dt, lat)
+        for st in states:
+            st.frame.require_rest_frame()
+        return cls(
+            phiR=np.stack([st.phiR.values for st in states]),
+            phiI=np.stack([st.phiI.values for st in states]),
+            betaR=np.array([[c.values for c in st.betaR.components] for st in states]),
+            betaI=np.array([[c.values for c in st.betaI.components] for st in states]),
+            dt=dt,
+            lattice=lat,
+            t0=t0,
+        )
 
     def times(self) -> np.ndarray:
-        return self.states[0].time + self.dt * np.arange(len(self.states))
+        return self.t0 + self.dt * np.arange(len(self.phiR))
+
+    @property
+    def states(self) -> tuple[SchrState, ...]:
+        """Per-slice view of the stacks, built on each access."""
+        lat = self.lattice
+
+        def vec(stack):
+            return VectorField(lat, tuple(ScalarField(lat, c) for c in stack))
+
+        return tuple(
+            SchrState(
+                phiR=ScalarField(lat, aR),
+                phiI=ScalarField(lat, aI),
+                betaR=vec(bR),
+                betaI=vec(bI),
+                time=float(t),
+            )
+            for aR, aI, bR, bI, t in zip(
+                self.phiR, self.phiI, self.betaR, self.betaI, self.times()
+            )
+        )
+
+
+def _stacks(section: SchrSpacetimeSection):
+    return section.phiR, section.phiI, section.betaR, section.betaI
 
 
 def schr_hamiltonian(state: SchrState) -> float:
@@ -188,6 +241,13 @@ def schr_enforce_constraints(
     )
 
 
+def _schr_rotate(a, b, theta):
+    """Mode data of (phiR, phiI) rotated by the per-mode angle theta;
+    theta may carry a leading time axis, giving one array per time."""
+    c, sg = np.cos(theta), np.sin(theta)
+    return a * c + b * sg, b * c - a * sg
+
+
 def schr_evolve_spectral(
     state: SchrState, s: float, hamiltonian_sign: str = "resolved"
 ) -> SchrState:
@@ -204,11 +264,7 @@ def schr_evolve_spectral(
     theta = 0.5 * lat.ksq() * s
     if hamiltonian_sign == "paper-printed":
         theta = -theta
-    c, sg = np.cos(theta), np.sin(theta)
-    a = dft(state.phiR).coefficients
-    b = dft(state.phiI).coefficients
-    a_s = a * c + b * sg
-    b_s = b * c - a * sg
+    a_s, b_s = _schr_rotate(dft(state.phiR).coefficients, dft(state.phiI).coefficients, theta)
     return schr_enforce_constraints(
         idft(ModeVector(lat, a_s)), idft(ModeVector(lat, b_s)), time=state.time + s
     )
@@ -231,12 +287,9 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
     state.frame.require_rest_frame()
     lat = state.lattice
     step_angle = 2.0 * np.arctan(0.25 * lat.ksq() * dt)
-    theta = steps * step_angle
-    c, sg = np.cos(theta), np.sin(theta)
-    a = dft(state.phiR).coefficients
-    b = dft(state.phiI).coefficients
-    a_s = a * c + b * sg
-    b_s = b * c - a * sg
+    a_s, b_s = _schr_rotate(
+        dft(state.phiR).coefficients, dft(state.phiI).coefficients, steps * step_angle
+    )
     return schr_enforce_constraints(
         idft(ModeVector(lat, a_s)),
         idft(ModeVector(lat, b_s)),
@@ -245,10 +298,28 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
 
 
 def schr_solution_section(state: SchrState, dt: float, steps: int) -> SchrSpacetimeSection:
+    """Sample the exact flow on a uniform time grid of `steps` intervals:
+    the rotation broadcast over the grid, one batched inverse transform
+    per field and one batched gradient per beta."""
     if steps < 1:
         raise ValueError("need at least one time interval")
-    slices = tuple(schr_evolve_spectral(state, i * dt) for i in range(steps + 1))
-    return SchrSpacetimeSection(states=slices, dt=dt)
+    state.frame.require_rest_frame()
+    lat = state.lattice
+    s = (np.arange(steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
+    a, b = _schr_rotate(
+        dft(state.phiR).coefficients, dft(state.phiI).coefficients, 0.5 * lat.ksq() * s
+    )
+    phiR = stack_idft(lat, a)
+    phiI = stack_idft(lat, b)
+    return SchrSpacetimeSection(
+        phiR=phiR,
+        phiI=phiI,
+        betaR=-stack_gradient(lat, phiR),
+        betaI=-stack_gradient(lat, phiI),
+        dt=dt,
+        lattice=lat,
+        t0=state.time,
+    )
 
 
 def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
@@ -257,44 +328,24 @@ def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
     (i)  d phiI/dt = -1/2 div(P_R)     (ii) grad phiI = -P_I
     (iii) d phiR/dt = +1/2 div(P_I)    (iv) grad phiR = -P_R
     Central time differences on interior nodes, spectral space derivatives.
+    A NaN anywhere makes the residual NaN.
     """
-    if len(section.states) < 3:
+    if len(section.phiR) < 3:
         raise ValueError("need at least three time slices for central differences")
     dt = section.dt
-    aR = np.stack([st.phiR.values for st in section.states])
-    aI = np.stack([st.phiI.values for st in section.states])
+    lat = section.lattice
+    aR, aI = section.phiR, section.phiI
+    mid = slice(1, -1)
+    bR, bI = section.betaR[mid], section.betaI[mid]
     dR_dt = (aR[2:] - aR[:-2]) / (2 * dt)
     dI_dt = (aI[2:] - aI[:-2]) / (2 * dt)
-    worst = 0.0
-    for i, st in enumerate(section.states[1:-1], start=1):
-        divR = spectral_divergence(st.betaR).values
-        divI = spectral_divergence(st.betaI).values
-        r1 = float(np.max(np.abs(dI_dt[i - 1] + 0.5 * divR)))
-        r3 = float(np.max(np.abs(dR_dt[i - 1] - 0.5 * divI)))
-        gradR = spectral_gradient(st.phiR)
-        gradI = spectral_gradient(st.phiI)
-        r2 = max(
-            sup_norm(gradI.components[a].values + st.betaI.components[a].values)
-            for a in range(section.lattice.dim)
-        )
-        r4 = max(
-            sup_norm(gradR.components[a].values + st.betaR.components[a].values)
-            for a in range(section.lattice.dim)
-        )
-        worst = max(worst, r1, r2, r3, r4)
-    return worst
-
-
-def _schr_section_arrays(section: SchrSpacetimeSection):
-    aR = np.stack([st.phiR.values for st in section.states])
-    aI = np.stack([st.phiI.values for st in section.states])
-    bR = np.stack(
-        [np.stack([c.values for c in st.betaR.components]) for st in section.states]
+    residuals = (
+        dI_dt + 0.5 * stack_divergence(lat, bR),
+        stack_gradient(lat, aI[mid]) + bI,
+        dR_dt - 0.5 * stack_divergence(lat, bI),
+        stack_gradient(lat, aR[mid]) + bR,
     )
-    bI = np.stack(
-        [np.stack([c.values for c in st.betaI.components]) for st in section.states]
-    )
-    return aR, aI, bR, bI
+    return float(np.max([np.max(np.abs(r)) for r in residuals]))
 
 
 def _schr_lagrangian(section, aR, aI, bR, bI) -> np.ndarray:
@@ -317,59 +368,35 @@ def _schr_lagrangian(section, aR, aI, bR, bI) -> np.ndarray:
 
 
 def schr_action(section: SchrSpacetimeSection) -> float:
-    aR, aI, bR, bI = _schr_section_arrays(section)
-    lag = _schr_lagrangian(section, aR, aI, bR, bI)
+    lag = _schr_lagrangian(section, *_stacks(section))
     return float(np.trapezoid(lag, dx=section.dt))
 
 
 def schr_el_pairing(
-    section: SchrSpacetimeSection, variations: tuple[SchrVariation, ...]
+    section: SchrSpacetimeSection, variation: SchrSpacetimeSection
 ) -> float:
-    """Exact directional derivative of the (quadratic) discrete action."""
-    if len(variations) != len(section.states):
-        raise ValueError("one variation per time slice required")
-    for idx in (0, -1):
-        v = variations[idx]
-        pieces = [v.dphiR, v.dphiI, *v.dbetaR.components, *v.dbetaI.components]
-        if any(sup_norm(p) > 0.0 for p in pieces):
-            raise ValueError("variation must vanish at the temporal endpoints")
-    aR, aI, bR, bI = _schr_section_arrays(section)
-    dR = np.stack([v.dphiR.values for v in variations])
-    dI = np.stack([v.dphiI.values for v in variations])
-    dbR = np.stack(
-        [np.stack([c.values for c in v.dbetaR.components]) for v in variations]
-    )
-    dbI = np.stack(
-        [np.stack([c.values for c in v.dbetaI.components]) for v in variations]
-    )
+    """Exact directional derivative of the (quadratic) discrete action
+    along a variation that vanishes on the first and last slices."""
+    stacks, dstacks = _stacks(section), _stacks(variation)
+    _check_variation(stacks, dstacks, ends=True)
 
     def action_at(eps):
-        lag = _schr_lagrangian(
-            section, aR + eps * dR, aI + eps * dI, bR + eps * dbR, bI + eps * dbI
-        )
+        lag = _schr_lagrangian(section, *(a + eps * d for a, d in zip(stacks, dstacks)))
         return float(np.trapezoid(lag, dx=section.dt))
 
     return 0.5 * (action_at(1.0) - action_at(-1.0))
 
 
 def schr_el_cancellation_scale(
-    section: SchrSpacetimeSection, variations: tuple[SchrVariation, ...]
+    section: SchrSpacetimeSection, variation: SchrSpacetimeSection
 ) -> float:
     """Normalization for the EL residual: L1 mass of the first-order terms
     of the directional derivative (see kg_el_cancellation_scale)."""
-    if len(variations) != len(section.states):
-        raise ValueError("one variation per time slice required")
+    _check_variation(_stacks(section), _stacks(variation), ends=False)
     lat = section.lattice
     h_d = lat.spacing**lat.dim
-    aR, aI, bR, bI = _schr_section_arrays(section)
-    dR = np.stack([v.dphiR.values for v in variations])
-    dI = np.stack([v.dphiI.values for v in variations])
-    dbR = np.stack(
-        [np.stack([c.values for c in v.dbetaR.components]) for v in variations]
-    )
-    dbI = np.stack(
-        [np.stack([c.values for c in v.dbetaI.components]) for v in variations]
-    )
+    aR, aI, bR, bI = _stacks(section)
+    dR, dI, dbR, dbI = _stacks(variation)
     dR_dt = np.gradient(aR, section.dt, axis=0, edge_order=2)
     dI_dt = np.gradient(aI, section.dt, axis=0, edge_order=2)
     ddR_dt = np.gradient(dR, section.dt, axis=0, edge_order=2)
@@ -396,47 +423,23 @@ def schr_el_cancellation_scale(
 
 def schr_random_variation_profile(
     section: SchrSpacetimeSection, dphiR0: ScalarField, dphiI0: ScalarField
-) -> tuple[SchrVariation, ...]:
+) -> SchrSpacetimeSection:
     """Admissible variation: fixed slice shapes under a sin^2 time bump
     vanishing at both endpoints; dbeta_a = -grad dphi^a follows the
     constraint."""
-    lat = section.states[0].lattice
-    count = len(section.states)
-    times = np.arange(count) * section.dt
-    span = times[-1] - times[0]
-    bump = np.sin(np.pi * (times - times[0]) / span) ** 2
-    dbR0 = spectral_gradient(dphiR0)
-    dbI0 = spectral_gradient(dphiI0)
+    lat = section.lattice
+    count, dt = len(section.phiR), section.dt
 
-    def scaled(f, b):
-        return ScalarField(lat, b * f.values)
+    def neg_grad(f):
+        return -stack_gradient(lat, f.values[np.newaxis])[0]
 
-    def scaled_vec(v, b):
-        return VectorField(lat, tuple(ScalarField(lat, -b * c.values) for c in v.components))
-
-    out = []
-    for b in bump:
-        out.append(
-            SchrVariation(
-                dphiR=scaled(dphiR0, b),
-                dphiI=scaled(dphiI0, b),
-                dbetaR=scaled_vec(dbR0, b),
-                dbetaI=scaled_vec(dbI0, b),
-            )
-        )
-    zero = SchrVariation(
-        dphiR=ScalarField(lat, np.zeros(lat.shape)),
-        dphiI=ScalarField(lat, np.zeros(lat.shape)),
-        dbetaR=VectorField(
-            lat, tuple(ScalarField(lat, np.zeros(lat.shape)) for _ in range(lat.dim))
-        ),
-        dbetaI=VectorField(
-            lat, tuple(ScalarField(lat, np.zeros(lat.shape)) for _ in range(lat.dim))
-        ),
+    return replace(
+        section,
+        phiR=_bump_stack(count, dt, dphiR0.values),
+        phiI=_bump_stack(count, dt, dphiI0.values),
+        betaR=_bump_stack(count, dt, neg_grad(dphiR0)),
+        betaI=_bump_stack(count, dt, neg_grad(dphiI0)),
     )
-    out[0] = zero
-    out[-1] = zero
-    return tuple(out)
 
 
 def to_wavefunction(state: SchrState) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covlab.harness import (
     CSV_HEADER,
+    EXPERIMENTS,
+    THEORIES,
     ExperimentConfig,
     Report,
     ReportRow,
@@ -115,6 +118,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="'dim'"):
             ExperimentConfig(theory="kg", experiment="evolve", dim=4)
 
+    def test_nan_mass_rejected(self, tmp_path):
+        path = write_config(tmp_path, "theory: kg\nexperiment: evolve\nmass: nan\n")
+        with pytest.raises(ValueError, match="'mass'"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("length", math.inf), ("mass", -math.inf), ("dt", math.nan), ("times", (0.0, math.nan))],
+    )
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            ExperimentConfig(theory="schrodinger", experiment="omega-check", **{field: value})
+
+    def test_oversized_section_rejected(self):
+        # the dt/2 run would hold 2001 slices of 64^3 sites, 5 fields each
+        with pytest.raises(ValueError, match="'steps', 'n', 'dim'.*GiB"):
+            ExperimentConfig(theory="kg", experiment="action-residual", dim=3, n=64, steps=1000)
+
+    def test_section_guard_only_applies_to_action_residual(self):
+        ExperimentConfig(theory="kg", experiment="evolve", dim=3, n=64, steps=1000)
+
+    def test_shipped_configs_fit_the_section_budget(self):
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+        assert paths
+        for path in paths:
+            load_config(str(path))
+        assert len(suite_configs()) == 12
+
 
 class TestRandomState:
     CFG = ExperimentConfig(theory="kg", experiment="evolve")
@@ -158,6 +189,17 @@ class TestReportRows:
         assert row.passed is True
         row = ReportRow("e", "spread-exceeds", value=0.0, tolerance=1e-10, seconds=0.0)
         assert row.passed is False
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_gated_rows_do_not_pass(self, value):
+        assert ReportRow("e", "drift", value=value, tolerance=1e-12, seconds=0.0).passed is False
+        row = ReportRow("e", "spread-exceeds", value=value, tolerance=1e-10, seconds=0.0)
+        assert row.passed is False
+        cfg = ExperimentConfig(theory="kg", experiment="evolve")
+        nan_row = ReportRow("e", "drift", value=math.nan, tolerance=1e-12, seconds=0.0)
+        assert not Report(config=cfg, rows=(nan_row,)).all_pass
+        info = ReportRow("e", "mismatch", value=value, tolerance=None, seconds=0.0)
+        assert info.passed is None
 
     def test_informational_rows_do_not_gate(self):
         cfg = ExperimentConfig(theory="kg", experiment="evolve")
@@ -276,3 +318,27 @@ class TestRunner:
         assert report.all_pass
         metrics = {r.metric for r in report.rows}
         assert "slice-spread-frozen-v-exceeds" in metrics
+
+
+# (experiment, evolution) pairs: every experiment, and both evolutions of evolve
+RUNS = [("evolve", "stepped")] + [(e, "spectral") for e in EXPERIMENTS]
+
+
+@pytest.mark.parametrize("experiment, evolution", RUNS)
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("theory", THEORIES)
+def test_every_experiment_runs_at_every_dim(theory, dim, experiment, evolution):
+    cfg = ExperimentConfig(
+        theory=theory,
+        experiment=experiment,
+        evolution=evolution,
+        dim=dim,
+        n=8,
+        dt=1e-2,
+        steps=20,
+        times=(0.0, 1.0, 2.0),
+    )
+    report = run_experiment(cfg)
+    assert report.errors == ()
+    assert report.rows
+    assert all(math.isfinite(r.value) for r in report.rows)

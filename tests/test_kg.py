@@ -1,5 +1,7 @@
 """Klein-Gordon slice dynamics, action, and residuals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,7 +170,7 @@ class TestSectionResiduals:
             beta=bad[mid].beta,
             time=bad[mid].time,
         )
-        worse = type(section)(states=tuple(bad), dt=section.dt, cfg=section.cfg)
+        worse = type(section).from_states(bad, section.dt, section.cfg)
         assert kg_dedonder_weyl_residual(worse) >= 1.0
 
     def test_too_few_slices_rejected(self):
@@ -197,24 +199,24 @@ class TestAction:
 
         def shifted(eps):
             states = []
-            for stt, v in zip(section.states, var):
+            for stt, v in zip(section.states, var.states):
                 states.append(
                     KGState(
-                        phi=ScalarField(LAT, stt.phi.values + eps * v.dphi.values),
-                        p=ScalarField(LAT, stt.p.values + eps * v.dp.values),
+                        phi=ScalarField(LAT, stt.phi.values + eps * v.phi.values),
+                        p=ScalarField(LAT, stt.p.values + eps * v.p.values),
                         beta=VectorField(
                             LAT,
                             tuple(
                                 ScalarField(LAT, b.values + eps * db.values)
                                 for b, db in zip(
-                                    stt.beta.components, v.dbeta.components
+                                    stt.beta.components, v.beta.components
                                 )
                             ),
                         ),
                         time=stt.time,
                     )
                 )
-            return type(section)(states=tuple(states), dt=section.dt, cfg=section.cfg)
+            return type(section).from_states(states, section.dt, section.cfg)
 
         eps = 0.37
         quotient = (kg_action(shifted(eps)) - kg_action(shifted(-eps))) / (2 * eps)
@@ -224,10 +226,20 @@ class TestAction:
         st0 = random_state(9, band=1)
         section = kg_solution_section(st0, 1e-2, 10, CFG)
         var = kg_random_variation_profile(section, st0.phi, st0.p)
-        bad = list(var)
-        bad[0] = var[len(var) // 2]
+
+        def mid_slice_first(stack):
+            out = stack.copy()
+            out[0] = stack[len(stack) // 2]
+            return out
+
+        bad = replace(
+            var,
+            phi=mid_slice_first(var.phi),
+            p=mid_slice_first(var.p),
+            beta=mid_slice_first(var.beta),
+        )
         with pytest.raises(ValueError):
-            kg_el_pairing(section, tuple(bad))
+            kg_el_pairing(section, bad)
 
     def test_cancellation_scale_amplitude_invariance(self):
         st0 = random_state(9, band=1)

@@ -1,5 +1,7 @@
 """Free Schroedinger dynamics: unitarity, propagator phase, action."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,7 +180,7 @@ class TestSectionResiduals:
             time=bad[mid].time,
             frame=bad[mid].frame,
         )
-        worse = type(section)(states=tuple(bad), dt=section.dt)
+        worse = type(section).from_states(bad, section.dt)
         assert schr_dedonder_weyl_residual(worse) >= 0.9
 
 
@@ -208,21 +210,19 @@ class TestAction:
 
         base = random_state(11)
         slices = [schr_evolve_spectral(base, 0.01 * i) for i in range(6)]
-        sec = type(schr_solution_section(base, 0.01, 5))(
-            states=tuple(
-                bare_state(s.phiR, s.phiI, s.time) for s in slices
-            ),
-            dt=0.01,
+        sec = type(schr_solution_section(base, 0.01, 5)).from_states(
+            [bare_state(s.phiR, s.phiI, s.time) for s in slices],
+            0.01,
         )
-        swapped = type(sec)(
-            states=tuple(bare_state(s.phiI, s.phiR, s.time) for s in slices),
-            dt=0.01,
+        swapped = type(sec).from_states(
+            [bare_state(s.phiI, s.phiR, s.time) for s in slices],
+            0.01,
         )
         assert schr_action(swapped) == pytest.approx(-schr_action(sec), rel=1e-12)
 
-        static = type(sec)(
-            states=tuple(bare_state(base.phiR, base.phiI, 0.01 * i) for i in range(6)),
-            dt=0.01,
+        static = type(sec).from_states(
+            [bare_state(base.phiR, base.phiI, 0.01 * i) for i in range(6)],
+            0.01,
         )
         # the one-sided difference stencils leave 3*f rounding residue
         norm = inner(base.phiR, base.phiR) + inner(base.phiI, base.phiI)
@@ -240,17 +240,17 @@ class TestAction:
             from covlab.lattice import VectorField
 
             states = []
-            for stt, v in zip(section.states, var):
+            for stt, v in zip(section.states, var.states):
                 states.append(
                     SchrState(
-                        phiR=ScalarField(LAT, stt.phiR.values + eps * v.dphiR.values),
-                        phiI=ScalarField(LAT, stt.phiI.values + eps * v.dphiI.values),
+                        phiR=ScalarField(LAT, stt.phiR.values + eps * v.phiR.values),
+                        phiI=ScalarField(LAT, stt.phiI.values + eps * v.phiI.values),
                         betaR=VectorField(
                             LAT,
                             tuple(
                                 ScalarField(LAT, b.values + eps * db.values)
                                 for b, db in zip(
-                                    stt.betaR.components, v.dbetaR.components
+                                    stt.betaR.components, v.betaR.components
                                 )
                             ),
                         ),
@@ -259,7 +259,7 @@ class TestAction:
                             tuple(
                                 ScalarField(LAT, b.values + eps * db.values)
                                 for b, db in zip(
-                                    stt.betaI.components, v.dbetaI.components
+                                    stt.betaI.components, v.betaI.components
                                 )
                             ),
                         ),
@@ -267,7 +267,7 @@ class TestAction:
                         frame=stt.frame,
                     )
                 )
-            return type(section)(states=tuple(states), dt=section.dt)
+            return type(section).from_states(states, section.dt)
 
         eps = 0.61
         quotient = (schr_action(shifted(eps)) - schr_action(shifted(-eps))) / (2 * eps)
@@ -277,10 +277,21 @@ class TestAction:
         st0 = random_state(9, band=1)
         section = schr_solution_section(st0, 1e-2, 10)
         var = schr_random_variation_profile(section, st0.phiR, st0.phiI)
-        bad = list(var)
-        bad[-1] = var[len(var) // 2]
+
+        def mid_slice_last(stack):
+            out = stack.copy()
+            out[-1] = stack[len(stack) // 2]
+            return out
+
+        bad = replace(
+            var,
+            phiR=mid_slice_last(var.phiR),
+            phiI=mid_slice_last(var.phiI),
+            betaR=mid_slice_last(var.betaR),
+            betaI=mid_slice_last(var.betaI),
+        )
         with pytest.raises(ValueError):
-            schr_el_pairing(section, tuple(bad))
+            schr_el_pairing(section, bad)
 
     def test_cancellation_scale_positive(self):
         st0 = random_state(9, band=1)
