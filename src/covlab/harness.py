@@ -42,7 +42,7 @@ from .kg import (
     kg_random_variation_profile,
     kg_solution_section,
 )
-from .lattice import Lattice, ModeVector, ScalarField, idft, sup_norm
+from .lattice import Lattice, ModeVector, ScalarField, idft, nan_max, sup_norm
 from .schrodinger import (
     SchrVariation,
     schr_constraint_residual,
@@ -380,11 +380,11 @@ def _evolve_rows(cfg: ExperimentConfig):
             with _Timer() as t:
                 st = random_state(cfg)
                 h0 = kg_hamiltonian(st, kcfg)
-                drift = 0.0
-                final = st
+                drifts = []
                 for s in range(1, 11):
                     final = kg_evolve_spectral(st, float(s), kcfg)
-                    drift = max(drift, abs(kg_hamiltonian(final, kcfg) - h0) / abs(h0))
+                    drifts.append(abs(kg_hamiltonian(final, kcfg) - h0) / abs(h0))
+                drift = nan_max(drifts)
             rows.append(_row(name, "energy-drift-spectral", drift, 1e-12, t.seconds))
             with _Timer() as t:
                 res = kg_constraint_residual(final) / max(1.0, sup_norm(final.phi))
@@ -405,11 +405,11 @@ def _evolve_rows(cfg: ExperimentConfig):
             with _Timer() as t:
                 st = random_state(cfg)
                 n0 = schr_norm_squared(st)
-                drift = 0.0
-                final = st
+                drifts = []
                 for s in range(1, 11):
                     final = schr_evolve_spectral(st, float(s))
-                    drift = max(drift, abs(schr_norm_squared(final) - n0) / abs(n0))
+                    drifts.append(abs(schr_norm_squared(final) - n0) / abs(n0))
+                drift = nan_max(drifts)
             rows.append(_row(name, "norm-drift", drift, 1e-12, t.seconds))
             with _Timer() as t:
                 lat = cfg.lattice
@@ -505,7 +505,7 @@ def _darboux_rows(cfg: ExperimentConfig):
                 [base.PhiRHat.coefficients.ravel(), base.PhiIHat.coefficients.ravel()]
             )
         scale = float(np.max(np.abs(ref)))
-        worst = 0.0
+        spreads = []
         for s in times[1:]:
             if cfg.theory == "kg":
                 ev = kg_evolve_spectral(st, float(s), kcfg, mass_sign=ledger)
@@ -519,8 +519,8 @@ def _darboux_rows(cfg: ExperimentConfig):
                 cur = np.concatenate(
                     [d.PhiRHat.coefficients.ravel(), d.PhiIHat.coefficients.ravel()]
                 )
-            worst = max(worst, float(np.max(np.abs(cur - ref))) / scale)
-        return worst
+            spreads.append(float(np.max(np.abs(cur - ref))) / scale)
+        return nan_max(spreads)
 
     with _Timer() as t:
         spread = invariance_spread(cfg.sign_ledger)
@@ -532,29 +532,19 @@ def _darboux_rows(cfg: ExperimentConfig):
     )
 
     with _Timer() as t:
-        worst = 0.0
+        gaps = []
         rng = np.random.Generator(np.random.Philox(key=cfg.seed + 3))
         for _ in range(5):
             s = float(rng.uniform(-10.0, 10.0))
             m = _darboux_mode_point(cfg, int(rng.integers(0, 2**31)), s)
             if cfg.theory == "kg":
                 m2 = dx.kg_from_darboux(dx.kg_to_darboux(m, kcfg), kcfg)
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(m2.phiHat.coefficients - m.phiHat.coefficients))),
-                    float(np.max(np.abs(m2.pHat.coefficients - m.pHat.coefficients))),
-                )
+                pairs = ((m2.phiHat, m.phiHat), (m2.pHat, m.pHat))
             else:
                 m2 = dx.schr_from_darboux(dx.schr_to_darboux(m))
-                worst = max(
-                    worst,
-                    float(
-                        np.max(np.abs(m2.phiRHat.coefficients - m.phiRHat.coefficients))
-                    ),
-                    float(
-                        np.max(np.abs(m2.phiIHat.coefficients - m.phiIHat.coefficients))
-                    ),
-                )
+                pairs = ((m2.phiRHat, m.phiRHat), (m2.phiIHat, m.phiIHat))
+            gaps += [float(np.max(np.abs(a.coefficients - b.coefficients))) for a, b in pairs]
+        worst = nan_max(gaps)
     rows.append(_row(name, "roundtrip-residual", worst, 1e-13, t.seconds))
 
     oracle_cfg = kcfg if cfg.theory == "kg" else lat
@@ -571,14 +561,15 @@ def _darboux_rows(cfg: ExperimentConfig):
 
     with _Timer() as t:
         oracle = dx.WOracle(cfg.theory, oracle_cfg, seed=cfg.seed + 4)
-        worst = 0.0
+        gaps = []
         for k in range(5):
             m = _darboux_mode_point(cfg, cfg.seed + 10 + k, s=0.3 * (k + 1))
             if cfg.theory == "kg":
                 derived = dx.kg_w_derived(m, kcfg)
             else:
                 derived = dx.schr_w_derived(m)
-            worst = max(worst, abs(oracle.value(m) - derived))
+            gaps.append(abs(oracle.value(m) - derived))
+        worst = nan_max(gaps)
     rows.append(_row(name, "w-oracle-vs-derived", worst, 1e-9, t.seconds))
 
     with _Timer() as t:
@@ -589,26 +580,30 @@ def _darboux_rows(cfg: ExperimentConfig):
     rows.append(_row(name, "w-loop-integral", loop, 1e-9, t.seconds))
 
     with _Timer() as t:
-        worst_oracle = 0.0
-        worst_printed = 0.0
-        for k in range(10):
-            m = _darboux_mode_point(cfg, cfg.seed + 30 + k, s=0.5 * k - 2.0)
-            rep = dx.theta_pullback_residual(
-                cfg.theory, m, kcfg, tangent_count=100, seed=cfg.seed + 40 + k
+        reps = [
+            dx.theta_pullback_residual(
+                cfg.theory,
+                _darboux_mode_point(cfg, cfg.seed + 30 + k, s=0.5 * k - 2.0),
+                kcfg,
+                tangent_count=100,
+                seed=cfg.seed + 40 + k,
             )
-            worst_oracle = max(worst_oracle, rep.oracle_residual)
-            worst_printed = max(worst_printed, rep.printed_residual)
+            for k in range(10)
+        ]
+        worst_oracle = nan_max(r.oracle_residual for r in reps)
+        worst_printed = nan_max(r.printed_residual for r in reps)
     rows.append(_row(name, "theta-pullback-oracle", worst_oracle, 1e-9, t.seconds))
 
     with _Timer() as t:
-        worst_w = 0.0
+        gaps = []
         for k in range(10):
             m = _darboux_mode_point(cfg, cfg.seed + 50 + k, s=0.4 * k - 1.6)
             if cfg.theory == "kg":
                 printed = dx.kg_w_printed(m, kcfg)
             else:
                 printed = dx.schr_w_printed(dx.schr_to_darboux(m))
-            worst_w = max(worst_w, abs(printed - oracle.value(m)))
+            gaps.append(abs(printed - oracle.value(m)))
+        worst_w = nan_max(gaps)
     if cfg.theory == "kg":
         # measured defect of the printed formula; acceptance criterion 5
         # gates it as the cross-term identity printed - oracle =
@@ -678,12 +673,10 @@ def _bracket_rows(cfg: ExperimentConfig):
     wquad = br.product_observable(wobs, quad1)
 
     with _Timer() as t:
-        anti = 0.0
-        for F, G in ((lin1, lin2), (quad1, quad2), (wquad, lin2), (wobs, quad2)):
-            anti = max(
-                anti,
-                abs(br.jacobi_bracket(F, G, point) + br.jacobi_bracket(G, F, point)),
-            )
+        anti = nan_max(
+            abs(br.jacobi_bracket(F, G, point) + br.jacobi_bracket(G, F, point))
+            for F, G in ((lin1, lin2), (quad1, quad2), (wquad, lin2), (wobs, quad2))
+        )
     rows.append(_row(name, "bracket-antisymmetry", anti, 1e-12, t.seconds))
 
     with _Timer() as t:
@@ -696,7 +689,7 @@ def _bracket_rows(cfg: ExperimentConfig):
                 name="nested",
             )
 
-        worst = 0.0
+        defects = []
         triples = (
             (lin1, lin2, quad2),
             (quad1, quad2, wobs),
@@ -709,7 +702,8 @@ def _bracket_rows(cfg: ExperimentConfig):
                 br.jacobi_bracket(C, nested(A, B), point),
             )
             scale = 1.0 + sum(abs(x) for x in terms)
-            worst = max(worst, abs(sum(terms)) / scale)
+            defects.append(abs(sum(terms)) / scale)
+        worst = nan_max(defects)
     rows.append(_row(name, "jacobi-identity-scaled", worst, 1e-8, t.seconds))
 
     with _Timer() as t:
@@ -728,7 +722,7 @@ def _bracket_rows(cfg: ExperimentConfig):
     with _Timer() as t:
         pts = [point, _darboux_point(cfg, cfg.seed + 61, s=0.4, W=-1.0)]
         closure = br.subalgebra_closure_check(quad1, quad2, pts, cfg=kcfg)
-        worst = max(max(closure.reeb_residuals), closure.flow_spread)
+        worst = nan_max((*closure.reeb_residuals, closure.flow_spread))
     rows.append(_row(name, "subalgebra-closure-residual", worst, 1e-10, t.seconds))
 
     with _Timer() as t:

@@ -43,6 +43,7 @@ __all__ = [
     "mode_coefficient",
     "mode_index_table",
     "sup_norm",
+    "nan_max",
 ]
 
 
@@ -349,6 +350,14 @@ def mode_index_table(lattice: Lattice):
 def sup_norm(f) -> float:
     values = f.values if hasattr(f, "values") else np.asarray(f)
     return float(np.max(np.abs(values)))
+
+
+def nan_max(values) -> float:
+    """Largest of the values, 0.0 when there are none.  A NaN anywhere
+    gives NaN; the builtin max drops one that does not come first, which
+    would let a verdict pass on a non-finite term."""
+    arr = np.fromiter(values, dtype=float)
+    return float(np.max(arr)) if arr.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from covlab.brackets import (
     TangentPair,
     bracket_equivalence_check,
     fd_richardson_check,
+    hamiltonian_vector_field,
     jacobi_bracket,
     lambda_pairing,
     mode_real_part,
@@ -355,6 +356,108 @@ class TestJacobiAndLeibniz:
         flipped = rhs - 2.0 * 4.0 * reeb_apply(f, pt)
         assert flipped == -12.0
         assert abs(flipped - lhs) == 8.0
+
+
+def darboux_point(theory, lat, seed, time=1.3, W=0.5):
+    rng = seeded(seed)
+    cls = KGDarbouxState if theory == "kg" else SchrDarbouxState
+    band = lat.n // 4
+    return cls(
+        ModeVector(lat, random_hermitian_modes(lat, rng, band=band)),
+        ModeVector(lat, random_hermitian_modes(lat, rng, band=band)),
+        W=W,
+        time=time,
+    )
+
+
+def contract(g0, g1, GW, tangent):
+    """dG(tangent) from G's g-arrays and W-derivative."""
+    d0, d1, dW = tangent
+    return float(np.real(np.sum(g0 * d0) + np.sum(g1 * d1))) + GW * dW
+
+
+def bracket_families(theory, lat):
+    slots = ("Phi", "P") if theory == "kg" else ("PhiR", "PhiI")
+    first = (1,) + (0,) * (lat.dim - 1)
+    lin1 = mode_real_part(theory, slots[0], first, lat)
+    lin2 = mode_real_part(theory, slots[1], first, lat)
+    quad1 = quadratic_power(theory, 0)
+    quad2 = quadratic_cross(theory)
+    w = w_coordinate(theory)
+    wquad = product_observable(w, quad1)
+    return lin1, lin2, quad1, quad2, w, wquad
+
+
+class TestHamiltonianVectorField:
+    """[F, G] = dG(X_F) - G reeb(F) with X_F = Lambda#(dF) + F R."""
+
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8)])
+    def test_contraction_matches_bivector(self, theory, dim, n):
+        lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+        pt = darboux_point(theory, lat, 70 + dim)
+        lin1, lin2, quad1, quad2, w, wquad = bracket_families(theory, lat)
+        pairs = ((lin1, quad1), (quad1, quad2), (wquad, lin2), (w, quad2), (quad2, wquad))
+        for F, G in pairs:
+            X = hamiltonian_vector_field(F, pt)
+            FW, GW = reeb_apply(F, pt), reeb_apply(G, pt)
+            Fv, Gv = F.evaluate(pt), G.evaluate(pt)
+            lhs = contract(*G.gradient_at(pt), GW, X) - Gv * FW
+            rhs = lambda_pairing(F, G, pt) + Fv * GW - Gv * FW
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (F.name, G.name)
+
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    def test_w_coordinate_field(self, theory):
+        # X_W = Lambda#(dW) + W R: no mode gradient, so only the momentum
+        # correction and the Reeb part remain
+        pt = darboux_point(theory, LAT, 75)
+        d0, d1, dW = hamiltonian_vector_field(w_coordinate(theory), pt)
+        assert np.all(d0 == 0.0)
+        momentum = pt.PHat if theory == "kg" else pt.PhiIHat
+        np.testing.assert_array_equal(d1, momentum.coefficients)
+        assert dW == pt.W
+
+    def test_needs_darboux_chart(self):
+        F = Observable("kg", "mode", lambda p: 0.0)
+        with pytest.raises(ValueError, match="Darboux"):
+            hamiltonian_vector_field(F, kg_point(76))
+
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+    def test_nested_bracket_matches_fd_gradient(self, theory, dim, n):
+        # independent cross-check: the directional derivative along X_A
+        # against the mode-by-mode finite-difference gradient contracted
+        # with X_A
+        lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+        pt = darboux_point(theory, lat, 80 + dim)
+        lin1, lin2, quad1, quad2, w, wquad = bracket_families(theory, lat)
+        for A, B, C in ((lin1, lin2, quad2), (quad1, quad2, w), (wquad, quad1, lin2)):
+            nested = TestJacobiAndLeibniz.nested(B, C, theory)
+            X_A = hamiltonian_vector_field(A, pt)
+            dG = contract(*nested._fd_gradient(pt), nested.w_derivative_at(pt), X_A)
+            fd = dG - nested.evaluate(pt) * reeb_apply(A, pt)
+            value = jacobi_bracket(A, nested, pt)
+            # the mode-by-mode central differences carry the rounding
+            # noise (measured up to 3.5e-8 relative); a wrong field is O(1)
+            assert abs(value - fd) <= 1e-6 * max(1.0, abs(fd)), (A.name, B.name, C.name)
+
+    def test_nested_bracket_cost_is_independent_of_n(self):
+        def calls_at(n):
+            lat = Lattice(dim=1, n=n, length=2 * np.pi)
+            pt = darboux_point("kg", lat, 90)
+            lin1, lin2, quad1, quad2, w, wquad = bracket_families("kg", lat)
+            count = 0
+
+            def evaluate(p):
+                nonlocal count
+                count += 1
+                return jacobi_bracket(wquad, quad2, p)
+
+            nested = Observable("kg", "darboux", evaluate, name="nested")
+            jacobi_bracket(lin1, nested, pt)
+            return count
+
+        assert calls_at(16) == calls_at(256) <= 5
 
 
 class TestPoissonRestriction:

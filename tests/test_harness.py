@@ -4,12 +4,20 @@ import json
 import math
 from pathlib import Path
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covlab import brackets as br
+from covlab import darboux as dx
 from covlab.harness import (
     CSV_HEADER,
+    EVOLUTIONS,
     EXPERIMENTS,
+    LEDGERS,
     THEORIES,
     ExperimentConfig,
     Report,
@@ -22,7 +30,7 @@ from covlab.harness import (
     run_experiment,
     suite_configs,
 )
-from covlab.lattice import dft
+from covlab.lattice import Lattice, dft, nan_max
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -342,3 +350,149 @@ def test_every_experiment_runs_at_every_dim(theory, dim, experiment, evolution):
     assert report.errors == ()
     assert report.rows
     assert all(math.isfinite(r.value) for r in report.rows)
+
+
+# ---------------------------------------------------------------------------
+# a NaN in any term of a verdict's reduction fails the verdict
+
+NAN = float("nan")
+
+
+def test_nan_max_keeps_a_nan_anywhere():
+    assert max(0.0, 1.0, NAN, 2.0) == 2.0  # the builtin drops it
+    assert math.isnan(nan_max([0.0, 1.0, NAN, 2.0]))
+    assert math.isnan(nan_max(iter([1.0, NAN])))
+    assert nan_max([0.5, 3.0, 1.0]) == 3.0
+    assert nan_max([]) == 0.0
+
+
+def nan_on_call(fn, call):
+    """fn, except that its call-th call (counting from 1) returns NaN."""
+    count = 0
+
+    def poisoned(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return NAN if count == call else fn(*args, **kwargs)
+
+    return poisoned
+
+
+def assert_row_fails(report, metric):
+    row = next(r for r in report.rows if r.metric == metric)
+    assert math.isnan(row.value)
+    assert row.passed is False
+    assert not report.all_pass
+
+
+@pytest.mark.parametrize(
+    "poisoned, metric",
+    [
+        # the fourth pair's (W, quad2) term of the antisymmetry row
+        (("W", "Re<slot0, slot1>"), "bracket-antisymmetry"),
+        # the third term of the second Jacobi triple
+        (("W", "nested"), "jacobi-identity-scaled"),
+    ],
+)
+def test_nan_in_a_later_bracket_term_fails_its_row(monkeypatch, poisoned, metric):
+    real = br.jacobi_bracket
+
+    def jacobi(F, G, point):
+        return NAN if (F.name, G.name) == poisoned else real(F, G, point)
+
+    monkeypatch.setattr(br, "jacobi_bracket", jacobi)
+    report = run_experiment(ExperimentConfig(theory="kg", experiment="bracket-check", n=16))
+    assert_row_fails(report, metric)
+
+
+def test_nan_in_a_later_equivalence_pair_fails_the_row(monkeypatch):
+    monkeypatch.setattr(br, "omega_kg", nan_on_call(br.omega_kg, 2))
+    report = run_experiment(ExperimentConfig(theory="kg", experiment="bracket-check", n=16))
+    assert_row_fails(report, "bracket-equivalence")
+
+
+def test_nan_in_a_later_closure_residual_fails_the_row(monkeypatch):
+    real = br.subalgebra_closure_check
+
+    def closure(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, reeb_residuals=(rep.reeb_residuals[0], NAN))
+
+    monkeypatch.setattr(br, "subalgebra_closure_check", closure)
+    report = run_experiment(ExperimentConfig(theory="kg", experiment="bracket-check", n=16))
+    assert_row_fails(report, "subalgebra-closure-residual")
+
+
+def test_nan_in_a_later_darboux_term_fails_the_row(monkeypatch):
+    # the oracle's second value is the second term of w-oracle-vs-derived
+    monkeypatch.setattr(dx.WOracle, "value", nan_on_call(dx.WOracle.value, 2))
+    report = run_experiment(ExperimentConfig(theory="kg", experiment="darboux-check", n=16))
+    assert_row_fails(report, "w-oracle-vs-derived")
+
+
+def test_nan_in_a_later_closedness_probe_refuses_the_oracle(monkeypatch):
+    monkeypatch.setattr(
+        dx.WOracle, "closedness_residual", nan_on_call(dx.WOracle.closedness_residual, 2)
+    )
+    with pytest.raises(dx.WOracleClosednessError, match="nan"):
+        dx.WOracle("schrodinger", Lattice(dim=1, n=8, length=2 * math.pi))
+
+
+# ---------------------------------------------------------------------------
+# property: a config is rejected on load, or every verdict is finite
+
+
+# values that some or all experiments must reject, one at a time on top
+# of an otherwise valid config
+BAD_VALUES = st.sampled_from(
+    [
+        ("dim", 0),
+        ("dim", 4),
+        ("n", 2),
+        ("n", 6),
+        ("length", 0.0),
+        ("length", math.inf),
+        ("mass", -1.0),
+        ("mass", NAN),
+        ("dt", 0.0),
+        ("dt", NAN),
+        ("steps", -1),
+        ("times", (0.0, NAN)),
+    ]
+)
+
+small_configs = st.fixed_dictionaries(
+    {
+        "theory": st.sampled_from(THEORIES),
+        "experiment": st.sampled_from(EXPERIMENTS),
+        "dim": st.integers(1, 3),
+        "n": st.sampled_from((4, 8)),
+        "length": st.floats(1.0, 20.0),
+        "mass": st.floats(0.0, 2.0),
+        "evolution": st.sampled_from(EVOLUTIONS),
+        "dt": st.floats(1e-3, 0.05),
+        "steps": st.integers(0, 40),
+        "times": st.lists(st.floats(-5.0, 5.0), max_size=4).map(tuple),
+        "seed": st.integers(0, 2**31 - 1),
+        "sign_ledger": st.sampled_from(LEDGERS),
+    }
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(small_configs, st.one_of(st.none(), BAD_VALUES))
+def test_generated_configs_are_rejected_or_give_finite_verdicts(fields, bad):
+    if bad is not None:
+        fields = {**fields, bad[0]: bad[1]}
+    try:
+        cfg = ExperimentConfig(**fields)
+    except ValueError:
+        return
+    report = run_experiment(cfg)
+    # a machinery error is a loud failure: it carries no rows and fails
+    # the report, so no verdict can pass on it
+    assert report.errors or report.rows
+    verdicts = [r for r in report.rows if not r.informational]
+    assert all(math.isfinite(r.value) for r in verdicts), [
+        (r.metric, r.value) for r in verdicts if not math.isfinite(r.value)
+    ]
