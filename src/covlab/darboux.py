@@ -23,6 +23,17 @@ the contact one-form Theta and the transformed canonical one-form must
 be exact, Theta - T = dW.  It evaluates that difference form directly
 (via the analytic chart Jacobian), checks it is closed, and integrates
 it from the base point (zero fields, s = 0) along straight segments.
+The pullback check ``theta_pullback_residual`` compares the same form
+with the analytic differential of the derived W over sampled tangents,
+so its gated residual measures how far the chart's W is from the
+oracle's potential, to rounding.
+
+The form is evaluated on blocks: stacks of points (the quadrature nodes
+of ``WOracle.value`` and ``WOracle.loop_integral``) or of tangents (the
+pullback sweep), of at most BLOCK_COEFFS mode coefficients per stacked
+array.  Each block entry is bit-identical to evaluating it alone, and the
+quadratures accumulate in node order, so no sum depends on the block
+size.
 
 Conventions: the contact one-form is Theta = <p, dphi> - Hflow dt with
 the flow Hamiltonian of the resolved ledger.  For Klein-Gordon,
@@ -38,11 +49,12 @@ it the oracle's closedness precondition fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .kg import KGConfig, KGState, kg_enforce_constraints
-from .lattice import Lattice, ModeVector, ScalarField, dft, idft, nan_max
+from .lattice import Lattice, ModeVector, conjugate_reflection, dft, idft, nan_max
 from .schrodinger import SchrState, schr_enforce_constraints
 
 __all__ = [
@@ -71,6 +83,34 @@ __all__ = [
     "theta_pullback_residual",
     "random_hermitian_modes",
 ]
+
+
+# ---------------------------------------------------------------------------
+# blocks: the oracle's form evaluated on stacks of points or tangents
+
+# mode coefficients per stacked (block, *shape) array, 64 KB of complex
+# numbers: it bounds the memory a block's temporaries take, whatever the
+# lattice; 64 tangents or nodes at 1D n=64, one at 3D n=16
+BLOCK_COEFFS = 4096
+
+
+def _block_size(lattice: Lattice) -> int:
+    return max(1, BLOCK_COEFFS // lattice.site_count)
+
+
+def _mode_axes(lattice: Lattice) -> tuple[int, ...]:
+    return tuple(range(-lattice.dim, 0))
+
+
+def _mode_sum(lattice: Lattice, x: np.ndarray):
+    """Sum over the trailing mode axes, one value per leading block index."""
+    return np.sum(x, axis=_mode_axes(lattice))
+
+
+def _col(lattice: Lattice, x):
+    """A per-block scalar of shape (B,) with unit mode axes appended, so
+    it broadcasts against (B, *shape); a plain scalar passes through."""
+    return x if np.ndim(x) == 0 else np.reshape(x, np.shape(x) + (1,) * lattice.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -178,35 +218,60 @@ def random_hermitian_modes(
 ) -> np.ndarray:
     """Standard-normal mode coefficients on |m_j| <= band per axis,
     reality-symmetrized (so self-conjugate modes come out real)."""
-    if band is None:
-        band = lattice.n // 4
     arr = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+    return _hermitian_band(lattice, band, arr)
+
+
+@lru_cache(maxsize=32)
+def _band_mask(lattice: Lattice, band: int) -> np.ndarray:
+    """|m_j| <= band on every axis; read-only and cached per (lattice, band)."""
     m1 = np.fft.fftfreq(lattice.n, 1.0 / lattice.n).astype(int)
     mask = np.ones(lattice.shape, dtype=bool)
     for axis in range(lattice.dim):
         mg = np.moveaxis(np.broadcast_to(m1, lattice.shape), lattice.dim - 1, axis)
         mask &= np.abs(mg) <= band
-    arr = np.where(mask, arr, 0.0)
-    reflected = np.conj(arr)
-    for axis in range(lattice.dim):
-        reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
-    return 0.5 * (arr + reflected)
+    mask.setflags(write=False)
+    return mask
+
+
+def _hermitian_band(lattice: Lattice, band: int | None, arr: np.ndarray) -> np.ndarray:
+    """Mode arrays (..., *lattice.shape) cut to |m_j| <= band (n/4 by
+    default) and reality-symmetrized over the trailing mode axes."""
+    if band is None:
+        band = lattice.n // 4
+    arr = np.where(_band_mask(lattice, band), arr, 0.0)
+    return 0.5 * (arr + conjugate_reflection(arr, _mode_axes(lattice)))
+
+
+def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_scale: float):
+    """count tangents as stacked (d0, d1, ds), shapes (count, *shape) and
+    (count,).  One draw of count rows of 4 N + 1 normals is the same
+    stream as count sequential (random_hermitian_modes,
+    random_hermitian_modes, standard_normal()) triples."""
+    n = lattice.site_count
+    raw = rng.standard_normal((count, 4 * n + 1))
+    re0, im0, re1, im1 = (
+        raw[:, j * n : (j + 1) * n].reshape((count,) + lattice.shape) for j in range(4)
+    )
+    d0 = _hermitian_band(lattice, None, re0 + 1j * im0)
+    d1 = _hermitian_band(lattice, None, re1 + 1j * im1)
+    return d0, d1, raw[:, 4 * n] * s_scale
 
 
 # ---------------------------------------------------------------------------
 # the chart
 
 
-def _kg_rotation(cfg: KGConfig, s: float):
+def _kg_rotation(cfg: KGConfig, s):
     """(cos(omega s), sin(omega s)/omega, omega sin(omega s)) with the
-    omega -> 0 limits (1, s, 0)."""
+    omega -> 0 limits (1, s, 0); s is a time or a (B,) block of times."""
     om = cfg.omega()
+    s = _col(cfg.lattice, s)
     zero = om == 0.0
     om_safe = np.where(zero, 1.0, om)
-    c = np.cos(om * s)
-    sinc = np.where(zero, s, np.sin(om * s) / om_safe)
-    om_sin = om * np.sin(om * s)
-    return c, sinc, om_sin
+    phase = om * s
+    sn = np.sin(phase)
+    return np.cos(phase), np.where(zero, s, sn / om_safe), om * sn
 
 
 def kg_to_darboux(m: KGModeState, cfg: KGConfig) -> KGDarbouxState:
@@ -320,23 +385,36 @@ def kg_w_printed(m: KGModeState, cfg: KGConfig) -> float:
     return _kg_w(m, cfg, 2.0)
 
 
-def _kg_w_printed_differential(m: KGModeState, cfg: KGConfig, t: KGModeTangent) -> float:
+def _kg_w_differential(m: KGModeState, cfg: KGConfig, cross_coeff: float):
+    """The differential at m of the KG W closed form with the given cross
+    coefficient (1 derived, 2 printed), as a function of tangents
+    (dphi, dp, ds), single or stacked.  The factors that depend on m
+    alone are computed here, once."""
     om, c, sg, half_sc_over_om, quad, cross = _kg_w_terms(m, cfg)
+    lat = m.lattice
     phi = m.phiHat.coefficients
     p = m.pHat.coefficients
-    d_quad = 2.0 * np.real(np.conj(p) * t.dp) - om**2 * 2.0 * np.real(
-        np.conj(phi) * t.dphi
-    )
-    d_cross = np.real(t.dp * np.conj(phi)) + np.real(p * np.conj(t.dphi))
+    conj_phi, conj_p = np.conj(phi), np.conj(p)
+    two_om2 = om**2 * 2.0
+    sg2 = sg**2
     # s-derivatives: d(sin cos / (2 omega)) = (cos^2 - sin^2)/2 ds;
     # d(sin^2) = 2 sin cos omega ds
-    d_per = (
-        d_quad * half_sc_over_om
-        + quad * 0.5 * (c**2 - sg**2) * t.ds
-        + 2.0 * d_cross * sg**2
-        + 2.0 * cross * 2.0 * sg * c * om * t.ds
-    )
-    return _measure(m.lattice) * float(np.sum(d_per))
+    quad_rate = quad * 0.5 * (c**2 - sg**2)
+    cross_rate = cross_coeff * cross * 2.0 * sg * c * om
+
+    def dw(dphi, dp, ds):
+        d_quad = 2.0 * np.real(conj_p * dp) - two_om2 * np.real(conj_phi * dphi)
+        d_cross = np.real(dp * conj_phi) + np.real(p * np.conj(dphi))
+        ds = _col(lat, ds)
+        d_per = (
+            d_quad * half_sc_over_om
+            + quad_rate * ds
+            + cross_coeff * d_cross * sg2
+            + cross_rate * ds
+        )
+        return _measure(lat) * _mode_sum(lat, d_per)
+
+    return dw
 
 
 def schr_w_derived(m: SchrModeState) -> float:
@@ -365,88 +443,133 @@ def schr_w_printed(d: SchrDarbouxState) -> float:
     return _measure(d.lattice) * float(np.sum(per_mode))
 
 
-def _schr_w_printed_differential(m: SchrModeState, t: SchrModeTangent) -> float:
-    """Differential of the printed W, chain-ruled through the chart."""
-    ksq = m.lattice.ksq()
-    s = m.time
-    theta = 0.5 * ksq * s
+def _schr_chart(lat: Lattice, a, b, s):
+    """cos and sin of the chart angle k^2 s / 2, the capital coordinate
+    PhiI-hat = cos b + sin a and the s-rate 0.5 k^2 (-sin a - cos b) of
+    PhiR-hat, at points (a, b, s), single or stacked."""
+    ksq = lat.ksq()
+    theta = 0.5 * ksq * _col(lat, s)
     c, sg = np.cos(theta), np.sin(theta)
-    a = m.phiRHat.coefficients
-    b = m.phiIHat.coefficients
-    A = c * a - sg * b
-    B = c * b + sg * a
-    dA = c * t.dphiR - sg * t.dphiI + 0.5 * ksq * (-sg * a - c * b) * t.ds
-    dB = c * t.dphiI + sg * t.dphiR + 0.5 * ksq * (-sg * b + c * a) * t.ds
-    d_per = (
-        0.5 * ksq * np.cos(ksq * s) * t.ds * (np.abs(A) ** 2 - np.abs(B) ** 2)
-        + 0.5 * np.sin(ksq * s) * (2.0 * np.real(np.conj(A) * dA) - 2.0 * np.real(np.conj(B) * dB))
-        + 2.0 * np.real(dA * np.conj(B) + A * np.conj(dB)) * sg
-        + 2.0 * np.real(A * np.conj(B)) * 0.5 * ksq * c * t.ds
-    )
-    return _measure(m.lattice) * float(np.sum(d_per))
+    return c, sg, c * b + sg * a, 0.5 * ksq * (-sg * a - c * b)
 
 
-# ---------------------------------------------------------------------------
-# one-forms: Theta, the transformed canonical form, and their difference
-
-
-def _pairing(lat: Lattice, x: np.ndarray, dy: np.ndarray) -> float:
-    """<x, dy> = L^d Re sum_k x[k] conj(dy[k]), the real Parseval pairing."""
-    return _measure(lat) * float(np.real(np.sum(x * np.conj(dy))))
-
-
-def _kg_hflow(m: KGModeState, cfg: KGConfig, sign_ledger: str) -> float:
-    om2 = cfg.omega() ** 2
-    if sign_ledger == "paper-printed":
-        om2 = om2 - 2.0 * cfg.mass**2  # k^2 - m^2: the printed mass sign
-    phi = m.phiHat.coefficients
-    p = m.pHat.coefficients
-    return 0.5 * _measure(m.lattice) * float(
-        np.sum(np.abs(p) ** 2 + om2 * np.abs(phi) ** 2)
-    )
-
-
-def _kg_theta(m: KGModeState, cfg: KGConfig, t: KGModeTangent, sign_ledger: str) -> float:
-    return _pairing(m.lattice, m.pHat.coefficients, t.dphi) - _kg_hflow(
-        m, cfg, sign_ledger
-    ) * t.ds
-
-
-def _kg_canonical(m: KGModeState, cfg: KGConfig, t: KGModeTangent) -> float:
-    """<P-hat, d Phi-hat> with the analytic chart Jacobian."""
-    c, sinc, om_sin = _kg_rotation(cfg, m.time)
-    phi = m.phiHat.coefficients
-    p = m.pHat.coefficients
-    P = c * p + om_sin * phi
-    dPhi = c * t.dphi - sinc * t.dp + (-om_sin * phi - c * p) * t.ds
-    return _pairing(m.lattice, P, dPhi)
-
-
-def _schr_hflow(m: SchrModeState, sign_ledger: str) -> float:
-    ksq = m.lattice.ksq()
-    a = m.phiRHat.coefficients
-    b = m.phiIHat.coefficients
-    val = 0.5 * _measure(m.lattice) * float(
-        np.sum(ksq * (np.abs(a) ** 2 + np.abs(b) ** 2))
-    )
-    return -val if sign_ledger == "paper-printed" else val
-
-
-def _schr_theta(m: SchrModeState, t: SchrModeTangent, sign_ledger: str) -> float:
-    return 2.0 * _pairing(
-        m.lattice, m.phiIHat.coefficients, t.dphiR
-    ) - _schr_hflow(m, sign_ledger) * t.ds
-
-
-def _schr_canonical(m: SchrModeState, t: SchrModeTangent) -> float:
-    ksq = m.lattice.ksq()
+def _schr_w_derived_differential(m: SchrModeState):
+    """The differential at m of schr_w_derived, as a function of tangents
+    (dphiR, dphiI, ds), single or stacked: with r = 2 Re(a conj b) and
+    q = |a|^2 - |b|^2 per mode, d(sin^2 r - sin cos q) = k^2 sin cos r ds
+    + sin^2 dr - (k^2/2)(cos^2 - sin^2) q ds - sin cos dq."""
+    lat = m.lattice
+    ksq = lat.ksq()
     theta = 0.5 * ksq * m.time
     c, sg = np.cos(theta), np.sin(theta)
     a = m.phiRHat.coefficients
     b = m.phiIHat.coefficients
-    B = c * b + sg * a
-    dA = c * t.dphiR - sg * t.dphiI + 0.5 * ksq * (-sg * a - c * b) * t.ds
-    return 2.0 * _pairing(m.lattice, B, dA)
+    conj_a, conj_b = np.conj(a), np.conj(b)
+    sg2, sc = sg**2, sg * c
+    rate = ksq * sc * 2.0 * np.real(a * conj_b) - 0.5 * ksq * (c**2 - sg2) * (
+        np.abs(a) ** 2 - np.abs(b) ** 2
+    )
+
+    def dw(da, db, ds):
+        dr = 2.0 * np.real(da * conj_b + a * np.conj(db))
+        dq = 2.0 * np.real(conj_a * da) - 2.0 * np.real(conj_b * db)
+        d_per = rate * _col(lat, ds) + sg2 * dr - sc * dq
+        return _measure(lat) * _mode_sum(lat, d_per)
+
+    return dw
+
+
+def _schr_w_printed_differential(m: SchrModeState):
+    """The differential at m of the printed W, chain-ruled through the
+    chart, as a function of tangents (dphiR, dphiI, ds), single or
+    stacked.  The factors that depend on m alone are computed here, once."""
+    lat = m.lattice
+    ksq = lat.ksq()
+    s = m.time
+    a = m.phiRHat.coefficients
+    b = m.phiIHat.coefficients
+    c, sg, B, rate_A = _schr_chart(lat, a, b, s)
+    A = c * a - sg * b
+    rate_B = 0.5 * ksq * (-sg * b + c * a)
+    conj_A, conj_B = np.conj(A), np.conj(B)
+    cos_rate = 0.5 * ksq * np.cos(ksq * s)
+    quad = np.abs(A) ** 2 - np.abs(B) ** 2
+    half_sin = 0.5 * np.sin(ksq * s)
+    cross_rate = 2.0 * np.real(A * conj_B) * 0.5 * ksq * c
+
+    def dw(da, db, ds):
+        ds = _col(lat, ds)
+        dA = c * da - sg * db + rate_A * ds
+        dB = c * db + sg * da + rate_B * ds
+        d_per = (
+            cos_rate * ds * quad
+            + half_sin * (2.0 * np.real(conj_A * dA) - 2.0 * np.real(conj_B * dB))
+            + 2.0 * np.real(dA * conj_B + A * np.conj(dB)) * sg
+            + cross_rate * ds
+        )
+        return _measure(lat) * _mode_sum(lat, d_per)
+
+    return dw
+
+
+# ---------------------------------------------------------------------------
+# one-forms: Theta, the transformed canonical form, and their difference
+#
+# Points (a0, a1, s) are (phi-hat, p-hat, s) for Klein-Gordon and
+# (phiR-hat, phiI-hat, s) for Schrodinger, tangents (d0, d1, ds) alike.
+# Either may be stacked: fields (B, *shape) with times (B,); every sum
+# runs over the trailing mode axes only, so a stack gives one value per
+# block index, each bit-identical to evaluating that index alone.
+
+
+def _pairing(lat: Lattice, x: np.ndarray, dy: np.ndarray):
+    """<x, dy> = L^d Re sum_k x[k] conj(dy[k]), the real Parseval pairing."""
+    return _measure(lat) * np.real(_mode_sum(lat, x * np.conj(dy)))
+
+
+def _kg_hflow(cfg: KGConfig, phi, p, sign_ledger: str):
+    om2 = cfg.omega() ** 2
+    if sign_ledger == "paper-printed":
+        om2 = om2 - 2.0 * cfg.mass**2  # k^2 - m^2: the printed mass sign
+    return 0.5 * _measure(cfg.lattice) * _mode_sum(
+        cfg.lattice, np.abs(p) ** 2 + om2 * np.abs(phi) ** 2
+    )
+
+
+def _schr_hflow(lat: Lattice, a, b, sign_ledger: str):
+    val = 0.5 * _measure(lat) * _mode_sum(lat, lat.ksq() * (np.abs(a) ** 2 + np.abs(b) ** 2))
+    return -val if sign_ledger == "paper-printed" else val
+
+
+def _difference_form(theory: str, cfg, a0, a1, s, sign_ledger: str):
+    """Theta - canonical at the points (a0, a1, s), as a function of the
+    tangents (d0, d1, ds).
+
+    Both theories share one contraction: Theta = w <a1, d0> - Hflow ds
+    and canonical = w <M, c d0 - r d1 + v ds>, with pairing weight w
+    (1 for KG, 2 for Schrodinger), M the chart's second coordinate
+    (P-hat; PhiI-hat), c and r the chart's cos and sin/omega (sin for
+    Schrodinger) and v the s-rate of its first coordinate.  The factors
+    that depend on the points alone are computed here, once.
+    """
+    if theory == "kg":
+        lat = cfg.lattice
+        weight = 1.0
+        c, r, om_sin = _kg_rotation(cfg, s)
+        moment = c * a1 + om_sin * a0
+        rate = -om_sin * a0 - c * a1
+        hflow = _kg_hflow(cfg, a0, a1, sign_ledger)
+    else:
+        lat = cfg
+        weight = 2.0
+        c, r, moment, rate = _schr_chart(lat, a0, a1, s)
+        hflow = _schr_hflow(lat, a0, a1, sign_ledger)
+
+    def form(d0, d1, ds):
+        theta = weight * _pairing(lat, a1, d0) - hflow * ds
+        return theta - weight * _pairing(lat, moment, c * d0 - r * d1 + rate * _col(lat, ds))
+
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -504,80 +627,60 @@ class WOracle:
 
     # -- evaluation ------------------------------------------------------
 
+    def _form(self, a0, a1, s):
+        """The difference form at points (a0, a1, s), single or stacked."""
+        return _difference_form(self.theory, self.cfg, a0, a1, s, self.sign_ledger)
+
+    def _point(self, a0, a1, time: float):
+        state = KGModeState if self.theory == "kg" else SchrModeState
+        return state(ModeVector(self.lattice, a0), ModeVector(self.lattice, a1), time=time)
+
+    def _blocks(self, u: np.ndarray, evaluate):
+        """evaluate(u_block) over the nodes u in blocks of _block_size,
+        yielding one value per node, in order."""
+        size = _block_size(self.lattice)
+        for i in range(0, len(u), size):
+            yield from evaluate(u[i : i + size])
+
     def differential(self, point, tangent) -> float:
         """(Theta - canonical) contracted with the tangent."""
-        if self.theory == "kg":
-            return _kg_theta(point, self.cfg, tangent, self.sign_ledger) - _kg_canonical(
-                point, self.cfg, tangent
-            )
-        return _schr_theta(point, tangent, self.sign_ledger) - _schr_canonical(
-            point, tangent
-        )
+        return float(self._form(*_coords(point))(*_tangent_coords(tangent)))
 
     def value(self, point, order: int = 8) -> float:
         """Line integral of the difference form from (0 fields, s = 0).
 
         Segment one raises s at zero fields (the integrand vanishes there
         but is integrated honestly); segment two is radial in the fields
-        at the target time.
+        at the target time.  Quadrature nodes are evaluated in blocks.
         """
         nodes, weights = np.polynomial.legendre.leggauss(order)
         u = 0.5 * (nodes + 1.0)
         w = 0.5 * weights
-        s_target = point.time
+        a0, a1, s_target = _coords(point)
+        lat = self.lattice
+        zeros = np.zeros_like(a0)
+        rise = self._blocks(
+            u, lambda ub: self._form(zeros, zeros, ub * s_target)(zeros, zeros, 1.0)
+        )
+        radial = self._blocks(
+            u,
+            lambda ub: self._form(_col(lat, ub) * a0, _col(lat, ub) * a1, s_target)(
+                a0, a1, 0.0
+            ),
+        )
         total = 0.0
-        if self.theory == "kg":
-            phi = point.phiHat.coefficients
-            p = point.pHat.coefficients
-            zeros = np.zeros_like(phi)
-            lat = point.lattice
-            for ui, wi in zip(u, w):
-                mid = KGModeState(
-                    ModeVector(lat, zeros), ModeVector(lat, zeros), time=ui * s_target
-                )
-                total += wi * s_target * self.differential(
-                    mid, KGModeTangent(zeros, zeros, 1.0)
-                )
-            for ui, wi in zip(u, w):
-                mid = KGModeState(
-                    ModeVector(lat, ui * phi), ModeVector(lat, ui * p), time=s_target
-                )
-                total += wi * self.differential(mid, KGModeTangent(phi, p, 0.0))
-            return total
-        a = point.phiRHat.coefficients
-        b = point.phiIHat.coefficients
-        zeros = np.zeros_like(a)
-        lat = point.lattice
-        for ui, wi in zip(u, w):
-            mid = SchrModeState(
-                ModeVector(lat, zeros), ModeVector(lat, zeros), time=ui * s_target
-            )
-            total += wi * s_target * self.differential(
-                mid, SchrModeTangent(zeros, zeros, 1.0)
-            )
-        for ui, wi in zip(u, w):
-            mid = SchrModeState(
-                ModeVector(lat, ui * a), ModeVector(lat, ui * b), time=s_target
-            )
-            total += wi * self.differential(mid, SchrModeTangent(a, b, 0.0))
+        for wi, v in zip(w, rise):
+            total += wi * s_target * v
+        for wi, v in zip(w, radial):
+            total += wi * v
         return total
 
     # -- checks ----------------------------------------------------------
 
     def _displace(self, point, tangent, eps: float):
-        if self.theory == "kg":
-            lat = point.lattice
-            return KGModeState(
-                ModeVector(lat, point.phiHat.coefficients + eps * tangent.dphi),
-                ModeVector(lat, point.pHat.coefficients + eps * tangent.dp),
-                time=point.time + eps * tangent.ds,
-            )
-        lat = point.lattice
-        return SchrModeState(
-            ModeVector(lat, point.phiRHat.coefficients + eps * tangent.dphiR),
-            ModeVector(lat, point.phiIHat.coefficients + eps * tangent.dphiI),
-            time=point.time + eps * tangent.ds,
-        )
+        a0, a1, s = _coords(point)
+        d0, d1, ds = _tangent_coords(tangent)
+        return self._point(a0 + eps * d0, a1 + eps * d1, s + eps * ds)
 
     def closedness_residual(self, point, tx, ty, eps: float = 1e-3) -> float:
         """Finite-difference antisymmetrized derivative d(Theta - T)(X, Y).
@@ -605,33 +708,19 @@ class WOracle:
     def _random_point_and_tangents(self, rng):
         lat = self.lattice
         s_scale = self._s_scale()
+        tangent_type = KGModeTangent if self.theory == "kg" else SchrModeTangent
 
         def tangent():
-            if self.theory == "kg":
-                return KGModeTangent(
-                    random_hermitian_modes(lat, rng),
-                    random_hermitian_modes(lat, rng),
-                    float(rng.standard_normal()) * s_scale,
-                )
-            return SchrModeTangent(
+            return tangent_type(
                 random_hermitian_modes(lat, rng),
                 random_hermitian_modes(lat, rng),
                 float(rng.standard_normal()) * s_scale,
             )
 
         s0 = float(rng.uniform(-2.0, 2.0))
-        if self.theory == "kg":
-            point = KGModeState(
-                ModeVector(lat, random_hermitian_modes(lat, rng)),
-                ModeVector(lat, random_hermitian_modes(lat, rng)),
-                time=s0,
-            )
-        else:
-            point = SchrModeState(
-                ModeVector(lat, random_hermitian_modes(lat, rng)),
-                ModeVector(lat, random_hermitian_modes(lat, rng)),
-                time=s0,
-            )
+        point = self._point(
+            random_hermitian_modes(lat, rng), random_hermitian_modes(lat, rng), s0
+        )
         return point, tangent(), tangent()
 
     def _closedness_sweep(self, seed: int, count: int) -> float:
@@ -644,71 +733,57 @@ class WOracle:
         return nan_max(residuals)
 
     def _point_scale(self, point) -> float:
-        if self.theory == "kg":
-            arrs = (point.phiHat.coefficients, point.pHat.coefficients)
-        else:
-            arrs = (point.phiRHat.coefficients, point.phiIHat.coefficients)
-        return max(float(np.max(np.abs(a))) for a in arrs)
+        return max(float(np.max(np.abs(a))) for a in _coords(point)[:2])
 
     def loop_integral(self, p1, p2, p3, order: int = 8) -> float:
         """Circulation of the difference form around the triangle
         p1 -> p2 -> p3 -> p1 (straight segments); closedness makes it
         vanish.  Panel count grows with the oscillation scale along each
         edge so the quadrature error stays below the assertion floor.
+        Each edge's quadrature nodes are evaluated in blocks.
         """
         nodes, weights = np.polynomial.legendre.leggauss(order)
         om_max = float(np.max(np.sqrt(self.lattice.ksq())))
         if self.theory == "kg":
             om_max = float(np.max(self.cfg.omega()))
+        lat = self.lattice
         total = 0.0
         for a, b in ((p1, p2), (p2, p3), (p3, p1)):
-            tangent = self._segment_tangent(a, b)
-            ds_span = abs(b.time - a.time)
-            panels = max(4, int(np.ceil(2.0 * om_max * ds_span)) + 1)
+            a0, a1, sa = _coords(a)
+            b0, b1, sb = _coords(b)
+            tangent = (b0 - a0, b1 - a1, sb - sa)
+            panels = max(4, int(np.ceil(2.0 * om_max * abs(sb - sa))) + 1)
+            u, w = [], []
             for j in range(panels):
                 lo = j / panels
                 hi = (j + 1) / panels
-                u = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-                w = 0.5 * (hi - lo) * weights
-                for ui, wi in zip(u, w):
-                    total += wi * self.differential(
-                        self._interpolate(a, b, ui), tangent
-                    )
+                u.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
+                w.append(0.5 * (hi - lo) * weights)
+
+            def on_edge(ub):
+                left, right = _col(lat, 1 - ub), _col(lat, ub)
+                form = self._form(
+                    left * a0 + right * b0, left * a1 + right * b1, (1 - ub) * sa + ub * sb
+                )
+                return form(*tangent)
+
+            for wi, v in zip(np.concatenate(w), self._blocks(np.concatenate(u), on_edge)):
+                total += wi * v
         return total
 
-    def _segment_tangent(self, a, b):
-        if self.theory == "kg":
-            return KGModeTangent(
-                b.phiHat.coefficients - a.phiHat.coefficients,
-                b.pHat.coefficients - a.pHat.coefficients,
-                b.time - a.time,
-            )
-        return SchrModeTangent(
-            b.phiRHat.coefficients - a.phiRHat.coefficients,
-            b.phiIHat.coefficients - a.phiIHat.coefficients,
-            b.time - a.time,
-        )
 
-    def _interpolate(self, a, b, u: float):
-        lat = self.lattice
-        if self.theory == "kg":
-            return KGModeState(
-                ModeVector(
-                    lat,
-                    (1 - u) * a.phiHat.coefficients + u * b.phiHat.coefficients,
-                ),
-                ModeVector(lat, (1 - u) * a.pHat.coefficients + u * b.pHat.coefficients),
-                time=(1 - u) * a.time + u * b.time,
-            )
-        return SchrModeState(
-            ModeVector(
-                lat, (1 - u) * a.phiRHat.coefficients + u * b.phiRHat.coefficients
-            ),
-            ModeVector(
-                lat, (1 - u) * a.phiIHat.coefficients + u * b.phiIHat.coefficients
-            ),
-            time=(1 - u) * a.time + u * b.time,
-        )
+def _coords(point):
+    """(a0, a1, s) of a KG or Schrodinger mode point."""
+    if isinstance(point, KGModeState):
+        return point.phiHat.coefficients, point.pHat.coefficients, point.time
+    return point.phiRHat.coefficients, point.phiIHat.coefficients, point.time
+
+
+def _tangent_coords(tangent):
+    """(d0, d1, ds) of a KG or Schrodinger mode tangent."""
+    if isinstance(tangent, KGModeTangent):
+        return tangent.dphi, tangent.dp, tangent.ds
+    return tangent.dphiR, tangent.dphiI, tangent.ds
 
 
 def w_oracle(theory: str, cfg, sign_ledger: str = "resolved", **kwargs) -> WOracle:
@@ -729,41 +804,37 @@ def theta_pullback_residual(
 ) -> ThetaPullbackReport:
     """Check Theta = canonical + dW at one point over sampled tangents.
 
-    Runs twice: with dW supplied by the oracle's difference form, and
-    with the analytic differential of the printed W hypothesis; returns
-    the sup mismatch of each.  The printed Schrodinger W is known not to
-    satisfy the identity; its residual is a measurement, not a failure.
+    Theta - canonical comes from the contact form and the chart Jacobian
+    (the oracle's difference form); dW is the analytic differential of a
+    W closed form.  Runs twice: with the chart's derived W, whose sup
+    mismatch is ``oracle_residual`` (a gate: the derived W must be the
+    oracle's potential), and with the printed W hypothesis, whose sup
+    mismatch is ``printed_residual``.  The printed Schrodinger W is known
+    not to satisfy the identity; its residual is a measurement, not a
+    failure.  Tangents are drawn and evaluated in blocks.
     """
     lat = point.lattice
     rng = np.random.Generator(np.random.Philox(key=seed))
     oracle = WOracle(theory, cfg if theory == "kg" else lat, check_points=0)
     s_scale = oracle._s_scale()
-    oracle_gaps = []
+    form = oracle._form(*_coords(point))
+    if theory == "kg":
+        dw_derived = _kg_w_differential(point, cfg, 1.0)
+        dw_printed = _kg_w_differential(point, cfg, 2.0)
+    else:
+        dw_derived = _schr_w_derived_differential(point)
+        dw_printed = _schr_w_printed_differential(point)
+    size = _block_size(lat)
+    derived_gaps = []
     printed_gaps = []
-    for _ in range(tangent_count):
-        if theory == "kg":
-            t = KGModeTangent(
-                random_hermitian_modes(lat, rng),
-                random_hermitian_modes(lat, rng),
-                float(rng.standard_normal()) * s_scale,
-            )
-            theta = _kg_theta(point, cfg, t, "resolved")
-            canon = _kg_canonical(point, cfg, t)
-            dw_printed = _kg_w_printed_differential(point, cfg, t)
-        else:
-            t = SchrModeTangent(
-                random_hermitian_modes(lat, rng),
-                random_hermitian_modes(lat, rng),
-                float(rng.standard_normal()) * s_scale,
-            )
-            theta = _schr_theta(point, t, "resolved")
-            canon = _schr_canonical(point, t)
-            dw_printed = _schr_w_printed_differential(point, t)
-        dw_oracle = oracle.differential(point, t)
-        oracle_gaps.append(abs(theta - canon - dw_oracle))
-        printed_gaps.append(abs(theta - canon - dw_printed))
+    for start in range(0, tangent_count, size):
+        t = _tangent_block(lat, rng, min(size, tangent_count - start), s_scale)
+        gap = form(*t)
+        # np.max keeps a NaN, so each block's worst does
+        derived_gaps.append(np.max(np.abs(gap - dw_derived(*t))))
+        printed_gaps.append(np.max(np.abs(gap - dw_printed(*t))))
     return ThetaPullbackReport(
         theory=theory,
-        oracle_residual=nan_max(oracle_gaps),
+        oracle_residual=nan_max(derived_gaps),
         printed_residual=nan_max(printed_gaps),
     )

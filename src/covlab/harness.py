@@ -83,6 +83,14 @@ LEDGERS = ("resolved", "paper-printed")
 # for kg (phi, p, beta), 2 + 2 dim for schrodinger
 SECTION_BUDGET_BYTES = 2**30
 
+# steps x sites a stepped evolve run may take.  kg takes 1/dt leapfrog
+# steps whatever `steps` says, at about 10 us a step plus 10-20 ns a
+# site on 2 cores, so the smallest lattice (n=4, 1D) runs at most about
+# 6 minutes at the budget.  schrodinger takes `steps` midpoint steps,
+# which its stepper composes into one rotation, so its time does not
+# grow with them; the same bound keeps both theories to the same counts
+STEPPED_BUDGET_SITE_STEPS = 2**27
+
 
 def _el_steps(cfg, dt: float) -> int:
     """Time intervals of the action-residual Euler-Lagrange section at dt."""
@@ -133,6 +141,8 @@ class ExperimentConfig:
             raise ValueError(f"invalid field 'dt': {self.dt} (positive required for stepped)")
         if self.steps < 0:
             raise ValueError(f"invalid field 'steps': {self.steps}")
+        if self.experiment == "evolve" and self.evolution == "stepped":
+            self._check_stepped_work()
         if self.experiment == "action-residual":
             if self.dt <= 0:
                 raise ValueError(
@@ -155,6 +165,17 @@ class ExperimentConfig:
                 f"invalid fields 'steps', 'n', 'dim': steps={self.steps}, n={self.n}, "
                 f"dim={self.dim} need a {slices}-slice section of {size / 2**30:.2f} GiB "
                 f"in action-residual, over the {SECTION_BUDGET_BYTES / 2**30:.0f} GiB budget"
+            )
+
+    def _check_stepped_work(self):
+        """A stepped evolve run must fit STEPPED_BUDGET_SITE_STEPS."""
+        sites = self.n**self.dim
+        field, steps = ("dt", 1.0 / self.dt) if self.theory == "kg" else ("steps", self.steps)
+        if steps * sites > STEPPED_BUDGET_SITE_STEPS:
+            raise ValueError(
+                f"invalid field '{field}': {field}={getattr(self, field)} needs {steps:.3g} "
+                f"steps x {sites} sites = {steps * sites:.3g} site-steps in stepped "
+                f"evolve, over the budget of {STEPPED_BUDGET_SITE_STEPS:.3g}"
             )
 
     @property
@@ -803,7 +824,20 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         rows = tuple(_EXPERIMENT_TABLE[cfg.experiment](cfg))
         return Report(config=cfg, rows=rows)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        return Report(config=cfg, rows=(), errors=(f"{type(exc).__name__}: {exc}",))
+        return Report(config=cfg, rows=(), errors=(_describe(exc),))
+
+
+def _describe(exc: Exception) -> str:
+    """'Type: message (at covlab/<module>.py:<line>)', located at the
+    innermost frame of the traceback that lies in this package."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    tb, where = exc.__traceback__, ""
+    while tb is not None:
+        path = tb.tb_frame.f_code.co_filename
+        if os.path.dirname(os.path.abspath(path)) == package:
+            where = f"covlab/{os.path.basename(path)}:{tb.tb_lineno}"
+        tb = tb.tb_next
+    return f"{type(exc).__name__}: {exc} (at {where})"
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ its exact drift rather than the degenerate rotation formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,8 +73,16 @@ class KGConfig:
             raise ValueError(f"mass must be nonnegative, got {self.mass}")
 
     def omega(self) -> np.ndarray:
-        """Per-mode oscillator frequency sqrt(k^2 + mass^2), FFT layout."""
-        return np.sqrt(self.lattice.ksq() + self.mass**2)
+        """Per-mode oscillator frequency sqrt(k^2 + mass^2), FFT layout;
+        read-only and cached per (lattice, mass)."""
+        return _omega(self.lattice, self.mass)
+
+
+@lru_cache(maxsize=32)
+def _omega(lattice: Lattice, mass: float) -> np.ndarray:
+    out = np.sqrt(lattice.ksq() + mass**2)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)

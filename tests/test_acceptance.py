@@ -245,10 +245,11 @@ def kg_cross_term(m):
 
 
 def test_criterion_05_theta_pullback_identity():
-    # the oracle supplies the difference form directly, so its pullback
-    # residual measures wiring; the substance is the form's closedness
-    # (construction sweep plus the loop circulations below) and the match
-    # of its potential to the derived W that the chart stores
+    # the pullback residual compares Theta - canonical, from the contact
+    # form and the chart Jacobian, with the analytic differential of the
+    # chart's derived W; the form's closedness (construction sweep plus
+    # the loop circulations below) and the match of its potential to the
+    # derived W that the chart stores complete the identity
     worst_oracle = 0.0
     for theory in ("kg", "schrodinger"):
         kcfg = KCFG if theory == "kg" else None

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covlab import darboux
 from covlab.darboux import (
+    BLOCK_COEFFS,
     KGModeState,
     KGModeTangent,
     SchrModeState,
+    SchrModeTangent,
     WOracle,
     WOracleClosednessError,
     kg_from_darboux,
@@ -276,3 +279,271 @@ class TestValidation:
     def test_unknown_theory_rejected(self):
         with pytest.raises(ValueError):
             w_oracle("dirac", CFG)
+
+
+# ---------------------------------------------------------------------------
+# blocks: the oracle evaluated per point and per tangent, as it was before
+# the difference form took stacks, is the reference the blocked
+# evaluation must match bit for bit
+
+
+def ref_sampler(lat, rng):
+    arr = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+    m1 = np.fft.fftfreq(lat.n, 1.0 / lat.n).astype(int)
+    mask = np.ones(lat.shape, dtype=bool)
+    for axis in range(lat.dim):
+        mg = np.moveaxis(np.broadcast_to(m1, lat.shape), lat.dim - 1, axis)
+        mask &= np.abs(mg) <= lat.n // 4
+    arr = np.where(mask, arr, 0.0)
+    reflected = np.conj(arr)
+    for axis in range(lat.dim):
+        reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
+    return 0.5 * (arr + reflected)
+
+
+def ref_pairing(lat, x, dy):
+    return lat.volume * float(np.real(np.sum(x * np.conj(dy))))
+
+
+def ref_form(theory, cfg, a0, a1, s, d0, d1, ds):
+    """Theta - canonical at one point along one tangent (resolved ledger)."""
+    if theory == "kg":
+        lat = cfg.lattice
+        om = cfg.omega()
+        hflow = 0.5 * lat.volume * float(np.sum(np.abs(a1) ** 2 + om**2 * np.abs(a0) ** 2))
+        theta = ref_pairing(lat, a1, d0) - hflow * ds
+        zero = om == 0.0
+        c = np.cos(om * s)
+        sinc = np.where(zero, s, np.sin(om * s) / np.where(zero, 1.0, om))
+        om_sin = om * np.sin(om * s)
+        P = c * a1 + om_sin * a0
+        dPhi = c * d0 - sinc * d1 + (-om_sin * a0 - c * a1) * ds
+        return theta - ref_pairing(lat, P, dPhi)
+    lat = cfg
+    ksq = lat.ksq()
+    hflow = 0.5 * lat.volume * float(np.sum(ksq * (np.abs(a0) ** 2 + np.abs(a1) ** 2)))
+    theta = 2.0 * ref_pairing(lat, a1, d0) - hflow * ds
+    c, sg = np.cos(0.5 * ksq * s), np.sin(0.5 * ksq * s)
+    B = c * a1 + sg * a0
+    dA = c * d0 - sg * d1 + 0.5 * ksq * (-sg * a0 - c * a1) * ds
+    return theta - 2.0 * ref_pairing(lat, B, dA)
+
+
+def ref_value(theory, cfg, a0, a1, s, order=8):
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    u = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
+    zeros = np.zeros_like(a0)
+    total = 0.0
+    for ui, wi in zip(u, w):
+        total += wi * s * ref_form(theory, cfg, zeros, zeros, ui * s, zeros, zeros, 1.0)
+    for ui, wi in zip(u, w):
+        total += wi * ref_form(theory, cfg, ui * a0, ui * a1, s, a0, a1, 0.0)
+    return total
+
+
+def ref_loop(theory, cfg, points, om_max, order=8):
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    for (a0, a1, sa), (b0, b1, sb) in zip(points, points[1:] + points[:1]):
+        panels = max(4, int(np.ceil(2.0 * om_max * abs(sb - sa))) + 1)
+        for j in range(panels):
+            lo, hi = j / panels, (j + 1) / panels
+            for ui, wi in zip(
+                0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights
+            ):
+                total += wi * ref_form(
+                    theory,
+                    cfg,
+                    (1 - ui) * a0 + ui * b0,
+                    (1 - ui) * a1 + ui * b1,
+                    (1 - ui) * sa + ui * sb,
+                    b0 - a0,
+                    b1 - a1,
+                    sb - sa,
+                )
+    return total
+
+
+def ref_kg_dw(cfg, a0, a1, s, d0, d1, ds, cross_coeff):
+    om = cfg.omega()
+    zero = om == 0.0
+    c, sg = np.cos(om * s), np.sin(om * s)
+    half_sc_over_om = np.where(zero, 0.5 * s, 0.5 * sg * c / np.where(zero, 1.0, om))
+    quad = np.abs(a1) ** 2 - om**2 * np.abs(a0) ** 2
+    cross = np.real(a1 * np.conj(a0))
+    d_quad = 2.0 * np.real(np.conj(a1) * d1) - om**2 * 2.0 * np.real(np.conj(a0) * d0)
+    d_cross = np.real(d1 * np.conj(a0)) + np.real(a1 * np.conj(d0))
+    d_per = (
+        d_quad * half_sc_over_om
+        + quad * 0.5 * (c**2 - sg**2) * ds
+        + cross_coeff * d_cross * sg**2
+        + cross_coeff * cross * 2.0 * sg * c * om * ds
+    )
+    return cfg.lattice.volume * float(np.sum(d_per))
+
+
+def ref_schr_dw_derived(lat, a, b, s, da, db, ds):
+    ksq = lat.ksq()
+    c, sg = np.cos(0.5 * ksq * s), np.sin(0.5 * ksq * s)
+    rate = ksq * (sg * c) * 2.0 * np.real(a * np.conj(b)) - 0.5 * ksq * (c**2 - sg**2) * (
+        np.abs(a) ** 2 - np.abs(b) ** 2
+    )
+    dr = 2.0 * np.real(da * np.conj(b) + a * np.conj(db))
+    dq = 2.0 * np.real(np.conj(a) * da) - 2.0 * np.real(np.conj(b) * db)
+    return lat.volume * float(np.sum(rate * ds + sg**2 * dr - (sg * c) * dq))
+
+
+def ref_schr_dw_printed(lat, a, b, s, da, db, ds):
+    ksq = lat.ksq()
+    c, sg = np.cos(0.5 * ksq * s), np.sin(0.5 * ksq * s)
+    A, B = c * a - sg * b, c * b + sg * a
+    dA = c * da - sg * db + 0.5 * ksq * (-sg * a - c * b) * ds
+    dB = c * db + sg * da + 0.5 * ksq * (-sg * b + c * a) * ds
+    d_per = (
+        0.5 * ksq * np.cos(ksq * s) * ds * (np.abs(A) ** 2 - np.abs(B) ** 2)
+        + 0.5 * np.sin(ksq * s) * (2.0 * np.real(np.conj(A) * dA) - 2.0 * np.real(np.conj(B) * dB))
+        + 2.0 * np.real(dA * np.conj(B) + A * np.conj(dB)) * sg
+        + 2.0 * np.real(A * np.conj(B)) * 0.5 * ksq * c * ds
+    )
+    return lat.volume * float(np.sum(d_per))
+
+
+def ref_pullback(theory, cfg, a0, a1, s, tangent_count, seed):
+    lat = cfg.lattice if theory == "kg" else cfg
+    if theory == "kg":
+        s_scale = 1.0 / (1.0 + 2.0 * float(np.max(cfg.omega())))
+    else:
+        s_scale = 1.0 / (1.0 + float(np.max(lat.ksq())))
+    rng = seeded(seed)
+    derived, printed = [], []
+    for _ in range(tangent_count):
+        t = (ref_sampler(lat, rng), ref_sampler(lat, rng), float(rng.standard_normal()) * s_scale)
+        gap = ref_form(theory, cfg, a0, a1, s, *t)
+        if theory == "kg":
+            dw_derived = ref_kg_dw(cfg, a0, a1, s, *t, 1.0)
+            dw_printed = ref_kg_dw(cfg, a0, a1, s, *t, 2.0)
+        else:
+            dw_derived = ref_schr_dw_derived(lat, a0, a1, s, *t)
+            dw_printed = ref_schr_dw_printed(lat, a0, a1, s, *t)
+        derived.append(abs(gap - dw_derived))
+        printed.append(abs(gap - dw_printed))
+    return max(derived), max(printed)
+
+
+SHAPES = [(1, 64), (2, 8), (3, 4)]
+
+
+def block_setup(theory, dim, n):
+    lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+    cfg = KGConfig(mass=1.0, lattice=lat) if theory == "kg" else lat
+    state = KGModeState if theory == "kg" else SchrModeState
+
+    def point(seed, s):
+        rng = seeded(seed)
+        a0 = random_hermitian_modes(lat, rng)
+        a1 = random_hermitian_modes(lat, rng)
+        return state(ModeVector(lat, a0), ModeVector(lat, a1), time=s), (a0, a1, s)
+
+    return lat, cfg, point
+
+
+def block_sizes(lat):
+    """The module's block, one point per block, and a block that does not
+    divide the node or tangent counts."""
+    return (BLOCK_COEFFS, lat.site_count, 3 * lat.site_count)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    @pytest.mark.parametrize("dim,n", SHAPES)
+    def test_value_and_differential_match_per_node_reference(self, monkeypatch, theory, dim, n):
+        lat, cfg, point = block_setup(theory, dim, n)
+        oracle = WOracle(theory, cfg, check_points=0)
+        m, coords = point(11, 1.7)
+        want = ref_value(theory, cfg, *coords)
+        for coeffs in block_sizes(lat):
+            monkeypatch.setattr(darboux, "BLOCK_COEFFS", coeffs)
+            assert oracle.value(m) == want
+        _, (d0, d1, _) = point(12, 0.0)
+        tangent = (KGModeTangent if theory == "kg" else SchrModeTangent)(d0, d1, 0.3)
+        assert oracle.differential(m, tangent) == ref_form(theory, cfg, *coords, d0, d1, 0.3)
+
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    @pytest.mark.parametrize("dim,n", SHAPES)
+    def test_loop_integral_matches_per_node_reference(self, monkeypatch, theory, dim, n):
+        lat, cfg, point = block_setup(theory, dim, n)
+        oracle = WOracle(theory, cfg, check_points=0)
+        pts = [point(seed, s) for seed, s in ((21, 0.8), (22, -1.1), (23, 2.4))]
+        om_max = float(np.max(cfg.omega() if theory == "kg" else np.sqrt(lat.ksq())))
+        want = ref_loop(theory, cfg, [c for _, c in pts], om_max)
+        for coeffs in block_sizes(lat):
+            monkeypatch.setattr(darboux, "BLOCK_COEFFS", coeffs)
+            assert oracle.loop_integral(*(m for m, _ in pts)) == want
+
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    @pytest.mark.parametrize("dim,n", SHAPES)
+    def test_pullback_matches_per_tangent_reference(self, monkeypatch, theory, dim, n):
+        lat, cfg, point = block_setup(theory, dim, n)
+        m, coords = point(31, -1.3)
+        kcfg = cfg if theory == "kg" else None
+        # 100 tangents: blocks of 64 and 36 at 1D n=64
+        want = ref_pullback(theory, cfg, *coords, tangent_count=100, seed=41)
+        for coeffs in block_sizes(lat):
+            monkeypatch.setattr(darboux, "BLOCK_COEFFS", coeffs)
+            rep = theta_pullback_residual(theory, m, kcfg, tangent_count=100, seed=41)
+            assert (rep.oracle_residual, rep.printed_residual) == want
+        assert want[0] <= 1e-9 < want[1]
+
+    @pytest.mark.parametrize("dim,n", SHAPES)
+    def test_block_sampler_reproduces_sequential_draws(self, dim, n):
+        lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+        d0, d1, ds = darboux._tangent_block(lat, seeded(5), 7, 0.25)
+        rng = seeded(5)
+        for k in range(7):
+            assert np.array_equal(d0[k], random_hermitian_modes(lat, rng))
+            assert np.array_equal(d1[k], random_hermitian_modes(lat, rng))
+            assert ds[k] == float(rng.standard_normal()) * 0.25
+        rng = seeded(6)
+        assert np.array_equal(random_hermitian_modes(lat, rng), ref_sampler(lat, seeded(6)))
+
+    def test_nan_in_one_block_gives_nan_residuals(self, monkeypatch):
+        calls = []
+        sample = darboux._tangent_block
+
+        def poisoned(*args):
+            d0, d1, ds = sample(*args)
+            calls.append(len(ds))
+            if len(calls) == 2:
+                ds = ds.copy()
+                ds[-1] = np.nan
+            return d0, d1, ds
+
+        monkeypatch.setattr(darboux, "_tangent_block", poisoned)
+        rep = theta_pullback_residual("kg", kg_point(4, time=1.3), cfg=CFG, tangent_count=100)
+        assert calls == [64, 36]
+        assert np.isnan(rep.oracle_residual) and np.isnan(rep.printed_residual)
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+@pytest.mark.parametrize("dim,n", SHAPES)
+def test_derived_w_differential_matches_five_point_difference(theory, dim, n):
+    lat, cfg, point = block_setup(theory, dim, n)
+    m, (a0, a1, s) = point(51, 0.9)
+    _, (d0, d1, _) = point(52, 0.0)
+    ds = 0.05
+    if theory == "kg":
+        w = lambda x: kg_w_derived(x, cfg)
+        dw = darboux._kg_w_differential(m, cfg, 1.0)(d0, d1, ds)
+    else:
+        w = schr_w_derived
+        dw = darboux._schr_w_derived_differential(m)(d0, d1, ds)
+    state = type(m)
+
+    def f(h):
+        return w(state(ModeVector(lat, a0 + h * d0), ModeVector(lat, a1 + h * d1), time=s + h * ds))
+
+    h = 1e-3
+    fd = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
+    assert abs(dw - fd) <= 1e-7 * (1.0 + abs(dw))
+    assert abs(dw) > 1.0

@@ -1,7 +1,9 @@
 """Config parsing, report plumbing, and the experiment matrix."""
 
+import inspect
 import json
 import math
+import time
 from pathlib import Path
 
 import dataclasses
@@ -31,6 +33,12 @@ from covlab.harness import (
     suite_configs,
 )
 from covlab.lattice import Lattice, dft, nan_max
+
+
+def line_of(fn, text):
+    """Line number in fn's file of the first source line of fn holding text."""
+    lines, first = inspect.getsourcelines(fn)
+    return first + next(i for i, line in enumerate(lines) if text in line)
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -153,6 +161,34 @@ class TestConfig:
         for path in paths:
             load_config(str(path))
         assert len(suite_configs()) == 12
+
+    def test_tiny_stepped_dt_rejected_quickly(self, tmp_path):
+        # 1e9 leapfrog steps on 64 sites: rejected on load instead of
+        # running for hours
+        path = write_config(
+            tmp_path, "theory: kg\nexperiment: evolve\nevolution: stepped\ndt: 1e-9\n"
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="invalid field 'dt'.*site-steps"):
+            load_config(path)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_long_stepped_schrodinger_names_steps(self):
+        with pytest.raises(ValueError, match="invalid field 'steps'.*site-steps"):
+            ExperimentConfig(
+                theory="schrodinger", experiment="evolve", evolution="stepped", steps=10**7
+            )
+
+    def test_subnormal_stepped_dt_rejected(self):
+        with pytest.raises(ValueError, match="invalid field 'dt'"):
+            ExperimentConfig(theory="kg", experiment="evolve", evolution="stepped", dt=5e-324)
+
+    def test_stepped_guard_only_applies_to_stepped_evolve(self):
+        for fields in (
+            {"experiment": "evolve", "evolution": "spectral"},
+            {"experiment": "omega-check", "evolution": "stepped"},
+        ):
+            ExperimentConfig(theory="kg", dt=1e-9, **fields)
 
 
 class TestRandomState:
@@ -310,8 +346,28 @@ class TestRunner:
 
         monkeypatch.setitem(harness._EXPERIMENT_TABLE, "evolve", explode)
         report = run_experiment(ExperimentConfig(theory="kg", experiment="evolve"))
-        assert report.errors == ("RuntimeError: synthetic failure",)
+        # explode lies outside the package, so the innermost package frame
+        # is the runner's call
+        call = line_of(harness.run_experiment, "_EXPERIMENT_TABLE[cfg.experiment](cfg)")
+        assert report.errors == (
+            f"RuntimeError: synthetic failure (at covlab/harness.py:{call})",
+        )
         assert not report.all_pass
+
+    def test_error_names_the_innermost_package_frame(self, monkeypatch):
+        from covlab import harness, lattice
+
+        monkeypatch.setitem(
+            harness._EXPERIMENT_TABLE, "evolve", lambda cfg: Lattice(dim=4, n=8, length=1.0)
+        )
+        cfg = ExperimentConfig(theory="kg", experiment="evolve")
+        report = run_experiment(cfg)
+        raise_line = line_of(lattice.Lattice.__post_init__, 'f"dim must be')
+        assert report.errors == (
+            f"ValueError: dim must be 1, 2, or 3, got 4 (at covlab/lattice.py:{raise_line})",
+        )
+        csv = emit_report(report, None, "csv")
+        assert "error: ValueError: dim must be 1; 2; or 3; got 4 (at covlab/lattice.py:" in csv
 
     def test_evolve_experiment_smoke(self):
         report = run_experiment(ExperimentConfig(theory="kg", experiment="evolve"))

@@ -171,3 +171,13 @@ def test_dedonder_weyl_residuals_keep_nan():
         dt=schr.dt, lattice=schr.lattice,
     )
     assert np.isnan(schr_dedonder_weyl_residual(bad))
+
+
+def test_omega_is_cached_and_read_only():
+    cfg = KGConfig(mass=0.7, lattice=lattice(2))
+    om = cfg.omega()
+    assert om is KGConfig(mass=0.7, lattice=Lattice(dim=2, n=8, length=2 * np.pi)).omega()
+    assert np.array_equal(om, np.sqrt(cfg.lattice.ksq() + 0.7**2))
+    with pytest.raises(ValueError):
+        om[0, 0] = 1.0
+    assert KGConfig(mass=0.8, lattice=cfg.lattice).omega() is not om
