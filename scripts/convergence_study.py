@@ -7,79 +7,21 @@ observed order log2(r(dt) / r(dt/2)).  Both integrator families are
 second order, so the orders should settle near 2 until the residual
 hits the rounding floor of the cancellation.
 
-The physical windows are fixed (the EL window is steps * dt of the
-acceptance configuration; the dDW window is capped because the sup over
-slices just repeats the same pointwise truncation), so each halving
-doubles the step count.
+The configurations are the action-residual ones of the acceptance
+suite, and the residuals are the harness's own: the physical windows
+are fixed (the EL window is steps * dt; the dDW window is capped
+because the sup over slices just repeats the same pointwise
+truncation), so each halving doubles the step count.
 """
 
 import argparse
 import math
 import sys
 
-import numpy as np
-
-from covlab.harness import ExperimentConfig, _banded_state
-from covlab import darboux as dx
-from covlab.kg import (
-    kg_dedonder_weyl_residual,
-    kg_el_cancellation_scale,
-    kg_el_pairing,
-    kg_random_variation_profile,
-    kg_solution_section,
-)
-from covlab.lattice import ModeVector, idft
-from covlab.schrodinger import (
-    schr_dedonder_weyl_residual,
-    schr_el_cancellation_scale,
-    schr_el_pairing,
-    schr_random_variation_profile,
-    schr_solution_section,
-)
-
-DDW_WINDOW_STEPS = 200
+from covlab.harness import DDW_WINDOW_STEPS, ddw_residual, el_residual, suite_configs
 
 
-def acceptance_config(theory: str, seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        theory=theory,
-        experiment="action-residual",
-        n=64,
-        length=64.0 if theory == "kg" else 4 * math.pi,
-        mass=0.15,
-        dt=1e-3,
-        steps=8000 if theory == "kg" else 6000,
-        seed=seed,
-    )
-
-
-def el_residual(cfg: ExperimentConfig, dt: float) -> float:
-    kcfg = cfg.kg_config() if cfg.theory == "kg" else None
-    st = _banded_state(cfg, cfg.seed, band=1)
-    n_steps = max(2, round(cfg.steps * cfg.dt / dt))
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed + 7))
-    d1 = idft(ModeVector(cfg.lattice, dx.random_hermitian_modes(cfg.lattice, rng, band=1)))
-    d2 = idft(ModeVector(cfg.lattice, dx.random_hermitian_modes(cfg.lattice, rng, band=1)))
-    if cfg.theory == "kg":
-        section = kg_solution_section(st, dt, n_steps, kcfg)
-        var = kg_random_variation_profile(section, d1, d2)
-        return abs(kg_el_pairing(section, var)) / kg_el_cancellation_scale(section, var)
-    section = schr_solution_section(st, dt, n_steps)
-    var = schr_random_variation_profile(section, d1, d2)
-    return abs(schr_el_pairing(section, var)) / schr_el_cancellation_scale(section, var)
-
-
-def ddw_residual(cfg: ExperimentConfig, dt: float) -> float:
-    st = _banded_state(cfg, cfg.seed + 8, band=2)
-    n_steps = max(2, round(DDW_WINDOW_STEPS * cfg.dt / dt))
-    if cfg.theory == "kg":
-        section = kg_solution_section(st, dt, n_steps, cfg.kg_config())
-        return kg_dedonder_weyl_residual(section)
-    section = schr_solution_section(st, dt, n_steps)
-    return schr_dedonder_weyl_residual(section)
-
-
-def sweep(cfg: ExperimentConfig, levels: int) -> None:
+def sweep(cfg, levels: int) -> None:
     dts = [cfg.dt / 2**j for j in range(levels)]
     el = [el_residual(cfg, dt) for dt in dts]
     ddw = [ddw_residual(cfg, dt) for dt in dts]
@@ -102,8 +44,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     theories = ("kg", "schrodinger") if args.theory == "both" else (args.theory,)
-    for theory in theories:
-        sweep(acceptance_config(theory, args.seed), args.levels)
+    for cfg in suite_configs(seed=args.seed):
+        if cfg.experiment == "action-residual" and cfg.theory in theories:
+            sweep(cfg, args.levels)
     return 0
 
 

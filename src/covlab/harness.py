@@ -65,6 +65,8 @@ __all__ = [
     "load_config",
     "dump_config",
     "random_state",
+    "el_residual",
+    "ddw_residual",
     "run_experiment",
     "emit_report",
     "format_float",
@@ -84,12 +86,19 @@ LEDGERS = ("resolved", "paper-printed")
 SECTION_BUDGET_BYTES = 2**30
 
 # steps x sites a stepped evolve run may take.  kg takes 1/dt leapfrog
-# steps whatever `steps` says, at about 10 us a step plus 10-20 ns a
-# site on 2 cores, so the smallest lattice (n=4, 1D) runs at most about
-# 6 minutes at the budget.  schrodinger takes `steps` midpoint steps,
-# which its stepper composes into one rotation, so its time does not
-# grow with them; the same bound keeps both theories to the same counts
+# steps whatever `steps` says, schrodinger takes `steps` midpoint
+# rotations; both step in mode space at about 10 us a step plus 10-20 ns
+# a site on 2 cores, so the smallest lattice (n=4, 1D) runs at most about
+# 6 minutes at the budget
 STEPPED_BUDGET_SITE_STEPS = 2**27
+
+# tolerance of stepped-vs-composed per midpoint step, relative to the
+# largest mode coefficient: each rotation rounds by a few ulps
+STEPPED_EPS_PER_STEP = 4 * np.finfo(float).eps
+
+# the de Donder-Weyl residual is a sup over slices, so a long section
+# only repeats the same pointwise truncation error; cap its window
+DDW_WINDOW_STEPS = 200
 
 
 def _el_steps(cfg, dt: float) -> int:
@@ -247,28 +256,33 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _seeded_modes(cfg: ExperimentConfig, seed: int, band: int | None = None):
+    """The two mode vectors every seeded sample is built from: drawn in
+    turn from one Philox stream keyed by seed, standard-normal on
+    |m_j| <= band (n/4 by default), reality-symmetrized."""
+    lat = cfg.lattice
+    band = lat.n // 4 if band is None else band
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return tuple(
+        ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)) for _ in range(2)
+    )
+
+
+def _seeded_fields(cfg: ExperimentConfig, seed: int, band: int | None = None):
+    """The two seeded mode vectors as real fields."""
+    return tuple(idft(m) for m in _seeded_modes(cfg, seed, band))
+
+
 def random_state(cfg: ExperimentConfig, seed: int | None = None):
     """Seeded band-limited Gaussian Cauchy data for the configured theory."""
-    lat = cfg.lattice
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed if seed is None else seed))
-    band = lat.n // 4
-    f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
-    f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
-    if cfg.theory == "kg":
-        return kg_enforce_constraints(f1, f2)
-    return schr_enforce_constraints(f1, f2)
+    return _banded_state(cfg, cfg.seed if seed is None else seed)
 
 
-def _banded_state(cfg: ExperimentConfig, seed: int, band: int):
+def _banded_state(cfg: ExperimentConfig, seed: int, band: int | None = None):
     """Seeded data restricted to |m_j| <= band (experiment-specific
-    low-frequency data; random_state keeps the standard n/4 band)."""
-    lat = cfg.lattice
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
-    f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
-    if cfg.theory == "kg":
-        return kg_enforce_constraints(f1, f2)
-    return schr_enforce_constraints(f1, f2)
+    low-frequency data; the default is the standard n/4 band)."""
+    enforce = kg_enforce_constraints if cfg.theory == "kg" else schr_enforce_constraints
+    return enforce(*_seeded_fields(cfg, seed, band))
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +406,11 @@ def _row(experiment, metric, value, tolerance, seconds):
     )
 
 
+def _psi_hat(state) -> np.ndarray:
+    """Mode coefficients of the wavefunction phiR + i phiI."""
+    return np.fft.fftn(to_wavefunction(state)) / state.lattice.site_count
+
+
 def _evolve_rows(cfg: ExperimentConfig):
     rows = []
     name = "evolve"
@@ -439,9 +458,8 @@ def _evolve_rows(cfg: ExperimentConfig):
                     ScalarField(lat, np.cos(x)), ScalarField(lat, np.sin(x))
                 )
                 evolved = schr_evolve_spectral(plane, math.pi)
-                psi_hat = np.fft.fftn(to_wavefunction(evolved)) / lat.site_count
-                target = -1j * (np.fft.fftn(to_wavefunction(plane)) / lat.site_count)
-                err = float(np.max(np.abs(psi_hat - target)))
+                target = -1j * _psi_hat(plane)
+                err = float(np.max(np.abs(_psi_hat(evolved) - target)))
             rows.append(_row(name, "propagator-phase-error", err, 1e-12, t.seconds))
             with _Timer() as t:
                 res = schr_constraint_residual(final) / max(
@@ -456,6 +474,14 @@ def _evolve_rows(cfg: ExperimentConfig):
                 drift = abs(schr_norm_squared(final) - n0) / abs(n0)
             rows.append(_row(name, "midpoint-norm-drift", drift, 1e-13, t.seconds))
             with _Timer() as t:
+                # the steps against their composition into one rotation,
+                # psi-hat exp(-2i steps atan(k^2 dt / 4)) per mode
+                angle = 2.0 * cfg.steps * np.arctan(0.25 * cfg.lattice.ksq() * cfg.dt)
+                composed = _psi_hat(st) * np.exp(-1j * angle)
+                gap = np.max(np.abs(_psi_hat(final) - composed)) / np.max(np.abs(composed))
+            tol = STEPPED_EPS_PER_STEP * cfg.steps
+            rows.append(_row(name, "stepped-vs-composed", gap, tol, t.seconds))
+            with _Timer() as t:
                 res = schr_constraint_residual(final) / max(
                     1.0, sup_norm(final.phiR), sup_norm(final.phiI)
                 )
@@ -464,15 +490,9 @@ def _evolve_rows(cfg: ExperimentConfig):
 
 
 def _random_variation(cfg: ExperimentConfig, seed: int):
-    lat = cfg.lattice
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    band = lat.n // 4
-    f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
-    f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
+    st = _banded_state(cfg, seed)
     if cfg.theory == "kg":
-        st = kg_enforce_constraints(f1, f2)
         return KGVariation(dphi=st.phi, dp=st.p, dbeta=st.beta)
-    st = schr_enforce_constraints(f1, f2)
     return SchrVariation(dphiR=st.phiR, dphiI=st.phiI, dbetaR=st.betaR, dbetaI=st.betaI)
 
 
@@ -496,14 +516,8 @@ def _omega_rows(cfg: ExperimentConfig):
 
 
 def _darboux_mode_point(cfg: ExperimentConfig, seed: int, s: float):
-    lat = cfg.lattice
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    band = lat.n // 4
-    a = dx.random_hermitian_modes(lat, rng, band=band)
-    b = dx.random_hermitian_modes(lat, rng, band=band)
-    if cfg.theory == "kg":
-        return dx.KGModeState(ModeVector(lat, a), ModeVector(lat, b), time=s)
-    return dx.SchrModeState(ModeVector(lat, a), ModeVector(lat, b), time=s)
+    cls = dx.KGModeState if cfg.theory == "kg" else dx.SchrModeState
+    return cls(*_seeded_modes(cfg, seed), time=s)
 
 
 def _darboux_rows(cfg: ExperimentConfig):
@@ -655,14 +669,8 @@ def _darboux_rows(cfg: ExperimentConfig):
 
 
 def _darboux_point(cfg: ExperimentConfig, seed: int, s: float, W: float):
-    lat = cfg.lattice
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    band = lat.n // 4
-    a = dx.random_hermitian_modes(lat, rng, band=band)
-    b = dx.random_hermitian_modes(lat, rng, band=band)
-    if cfg.theory == "kg":
-        return dx.KGDarbouxState(ModeVector(lat, a), ModeVector(lat, b), W=W, time=s)
-    return dx.SchrDarbouxState(ModeVector(lat, a), ModeVector(lat, b), W=W, time=s)
+    cls = dx.KGDarbouxState if cfg.theory == "kg" else dx.SchrDarbouxState
+    return cls(*_seeded_modes(cfg, seed), W=W, time=s)
 
 
 def _bracket_rows(cfg: ExperimentConfig):
@@ -755,54 +763,48 @@ def _bracket_rows(cfg: ExperimentConfig):
     return rows
 
 
+def el_residual(cfg: ExperimentConfig, dt: float) -> float:
+    """|EL pairing| / cancellation scale of action-residual's band-1
+    solution section at step dt, varied along a seeded time-bump profile."""
+    st = _banded_state(cfg, cfg.seed, band=1)
+    d1, d2 = _seeded_fields(cfg, cfg.seed + 7, band=1)
+    n_steps = _el_steps(cfg, dt)
+    if cfg.theory == "kg":
+        section = kg_solution_section(st, dt, n_steps, cfg.kg_config())
+        var = kg_random_variation_profile(section, d1, d2)
+        return abs(kg_el_pairing(section, var)) / kg_el_cancellation_scale(section, var)
+    section = schr_solution_section(st, dt, n_steps)
+    var = schr_random_variation_profile(section, d1, d2)
+    return abs(schr_el_pairing(section, var)) / schr_el_cancellation_scale(section, var)
+
+
+def ddw_residual(cfg: ExperimentConfig, dt: float) -> float:
+    """Sup de Donder-Weyl residual of action-residual's band-2 solution
+    section at step dt."""
+    st = _banded_state(cfg, cfg.seed + 8, band=2)
+    ddw_T_steps = min(cfg.steps if cfg.steps > 0 else 100, DDW_WINDOW_STEPS)
+    n_steps = max(2, round(ddw_T_steps * cfg.dt / dt))
+    if cfg.theory == "kg":
+        return kg_dedonder_weyl_residual(kg_solution_section(st, dt, n_steps, cfg.kg_config()))
+    return schr_dedonder_weyl_residual(schr_solution_section(st, dt, n_steps))
+
+
 def _action_rows(cfg: ExperimentConfig):
     rows = []
     name = "action-residual"
-    kcfg = cfg.kg_config() if cfg.theory == "kg" else None
-    # the de Donder-Weyl residual is a sup over slices, so a long section
-    # only repeats the same pointwise truncation error; cap its length
-    ddw_T_steps = min(cfg.steps if cfg.steps > 0 else 100, 200)
-
-    def el_residual(dt: float) -> float:
-        st = _banded_state(cfg, cfg.seed, band=1)
-        n_steps = _el_steps(cfg, dt)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed + 7))
-        d1 = idft(ModeVector(cfg.lattice, dx.random_hermitian_modes(cfg.lattice, rng, band=1)))
-        d2 = idft(ModeVector(cfg.lattice, dx.random_hermitian_modes(cfg.lattice, rng, band=1)))
-        if cfg.theory == "kg":
-            section = kg_solution_section(st, dt, n_steps, kcfg)
-            var = kg_random_variation_profile(section, d1, d2)
-            raw = kg_el_pairing(section, var)
-            scale = kg_el_cancellation_scale(section, var)
-        else:
-            section = schr_solution_section(st, dt, n_steps)
-            var = schr_random_variation_profile(section, d1, d2)
-            raw = schr_el_pairing(section, var)
-            scale = schr_el_cancellation_scale(section, var)
-        return abs(raw) / scale
-
     with _Timer() as t:
-        r1 = el_residual(cfg.dt)
+        r1 = el_residual(cfg, cfg.dt)
     rows.append(_row(name, "el-pairing-scaled", r1, 1e-8, t.seconds))
     with _Timer() as t:
-        r2 = el_residual(cfg.dt / 2)
+        r2 = el_residual(cfg, cfg.dt / 2)
         ratio = r1 / r2 if r2 > 0 else float("inf")
     rows.append(_row(name, "el-convergence-ratio-error", abs(ratio - 4.0), 0.8, t.seconds))
 
-    def ddw_residual(dt: float) -> float:
-        st = _banded_state(cfg, cfg.seed + 8, band=2)
-        n_steps = max(2, round(ddw_T_steps * cfg.dt / dt))
-        if cfg.theory == "kg":
-            section = kg_solution_section(st, dt, n_steps, kcfg)
-            return kg_dedonder_weyl_residual(section)
-        section = schr_solution_section(st, dt, n_steps)
-        return schr_dedonder_weyl_residual(section)
-
     with _Timer() as t:
-        d1v = ddw_residual(cfg.dt)
+        d1v = ddw_residual(cfg, cfg.dt)
     rows.append(_row(name, "ddw-residual", d1v, 1e-5, t.seconds))
     with _Timer() as t:
-        d2v = ddw_residual(cfg.dt / 2)
+        d2v = ddw_residual(cfg, cfg.dt / 2)
         ratio = d1v / d2v if d2v > 0 else float("inf")
     rows.append(_row(name, "ddw-convergence-ratio-error", abs(ratio - 4.0), 0.8, t.seconds))
     return rows

@@ -12,7 +12,8 @@ ledger (see README):
   comparison runs and is flagged in harness reports;
 * the covariant temporal momentum is P^0 = -p (index lowering with
   eta = diag(-1, +1, ...)), which is what makes the action integrand
-  P^mu d_mu phi - H stationary exactly on solution sections.
+  P^mu d_mu phi - H stationary exactly on solution sections; that
+  integrand is stated once, as the bilinear table _kg_lagrangian.
 
 The massless zero mode (omega = 0) is a free particle and is evolved by
 its exact drift rather than the degenerate rotation formulas.
@@ -31,7 +32,7 @@ from .lattice import (
     ScalarField,
     VectorField,
     _bump_stack,
-    _check_variation,
+    _lagrangian_form,
     _section_origin,
     _section_stacks,
     dft,
@@ -321,12 +322,6 @@ def kg_solution_section(
     )
 
 
-def _time_derivative(stack: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time derivative along axis 0 (central inside,
-    one-sided at the ends)."""
-    return np.gradient(stack, dt, axis=0, edge_order=2)
-
-
 def kg_dedonder_weyl_residual(section: KGSpacetimeSection) -> float:
     """Sup residual of the covariant first-order equations on the section.
 
@@ -351,93 +346,39 @@ def kg_dedonder_weyl_residual(section: KGSpacetimeSection) -> float:
     return float(np.max([np.max(np.abs(r)) for r in residuals]))
 
 
-def _covariant_lagrangian_density(
-    section: KGSpacetimeSection, phis: np.ndarray, ps: np.ndarray,
-    betas: np.ndarray,
-) -> np.ndarray:
-    """P^mu d_mu phi - H at each node, integrated over the slice.
-
-    Returns a 1-D array over time nodes.  Uses P^0 = -p and the covariant
-    H = (1/2)(eta_mn P^m P^n - mass^2 phi^2) = (1/2)(-p^2 + |beta|^2
-    - mass^2 phi^2).
-    """
-    lat = section.lattice
-    msq = section.cfg.mass**2
-    h_d = lat.spacing**lat.dim
-    dphi_dt = _time_derivative(phis, section.dt)
-    grads = stack_gradient(lat, phis)
-    temporal = -ps * dphi_dt
-    spatial = np.einsum("ta...,ta...->t...", betas, grads)
-    beta_sq = np.einsum("ta...,ta...->t...", betas, betas)
-    ham = 0.5 * (-(ps**2) + beta_sq - msq * phis**2)
-    dens = temporal + spatial - ham
-    return h_d * dens.reshape(len(phis), -1).sum(axis=1)
-
-
-def _stacks(section: KGSpacetimeSection):
-    return section.phi, section.p, section.beta
+def _kg_lagrangian(mass: float) -> tuple:
+    """P^mu d_mu phi - H with P^0 = -p and covariant H = (1/2)(eta_mn P^m P^n
+    - mass^2 phi^2) = (1/2)(-p^2 + |beta|^2 - mass^2 phi^2), as bilinear
+    terms (coeff, a, op, b) for lattice._lagrangian_form."""
+    return (
+        (-1.0, "p", "dt", "phi"),
+        (1.0, "beta", "grad", "phi"),
+        (0.5, "p", "id", "p"),
+        (-0.5, "beta", "id", "beta"),
+        (0.5 * mass**2, "phi", "id", "phi"),
+    )
 
 
 def kg_action(section: KGSpacetimeSection) -> float:
     """Discrete covariant action: trapezoidal in time, exact in space."""
-    lag = _covariant_lagrangian_density(section, *_stacks(section))
-    return float(np.trapezoid(lag, dx=section.dt))
+    return _lagrangian_form(_kg_lagrangian(section.cfg.mass), section)
 
 
 def kg_el_pairing(
     section: KGSpacetimeSection, variation: KGSpacetimeSection
 ) -> float:
-    """Directional derivative of the action along a variation of the section.
-
-    The action is quadratic, so the symmetric difference quotient at
-    epsilon = 1 is the exact directional derivative (no truncation term).
-    The variation must vanish on the first and last slices.
-    """
-    stacks, dstacks = _stacks(section), _stacks(variation)
-    _check_variation(stacks, dstacks, ends=True)
-
-    def action_at(eps):
-        lag = _covariant_lagrangian_density(
-            section, *(a + eps * d for a, d in zip(stacks, dstacks))
-        )
-        return float(np.trapezoid(lag, dx=section.dt))
-
-    return 0.5 * (action_at(1.0) - action_at(-1.0))
+    """Directional derivative of the action along a variation of the
+    section, which must vanish on the first and last slices."""
+    return _lagrangian_form(_kg_lagrangian(section.cfg.mass), section, variation)
 
 
 def kg_el_cancellation_scale(
     section: KGSpacetimeSection, variation: KGSpacetimeSection
 ) -> float:
-    """Normalization for the EL residual: the L1 mass of the first-order
-    terms of the directional derivative.
-
-    The pairing is a signed sum of bilinear terms (p against d_t dphi, dp
-    against d_t phi, beta against grad dphi, ...) that cancels on solution
-    sections.  Dividing by the total magnitude of those terms makes the
-    residual a dimensionless, amplitude-invariant measure of how complete
-    the cancellation is.
-    """
-    _check_variation(_stacks(section), _stacks(variation), ends=False)
-    lat = section.lattice
-    msq = section.cfg.mass**2
-    h_d = lat.spacing**lat.dim
-    phis, ps, betas = _stacks(section)
-    dphis, dps, dbetas = _stacks(variation)
-    dphi_dt = _time_derivative(phis, section.dt)
-    ddphi_dt = _time_derivative(dphis, section.dt)
-    grads = stack_gradient(lat, phis)
-    dgrads = stack_gradient(lat, dphis)
-    total = (
-        np.abs(ps * ddphi_dt)
-        + np.abs(dps * dphi_dt)
-        + np.abs(ps * dps)
-        + msq * np.abs(phis * dphis)
-        + np.einsum("ta...,ta...->t...", np.abs(betas), np.abs(dgrads))
-        + np.einsum("ta...,ta...->t...", np.abs(dbetas), np.abs(grads))
-        + np.einsum("ta...,ta...->t...", np.abs(betas), np.abs(dbetas))
-    )
-    dens = h_d * total.reshape(len(phis), -1).sum(axis=1)
-    return float(np.trapezoid(dens, dx=section.dt))
+    """Normalization for the EL residual: the L1 mass of the terms of the
+    pairing (p against d_t dphi, dp against d_t phi, beta against grad
+    dphi, ...), which cancel on solution sections."""
+    return _lagrangian_form(_kg_lagrangian(section.cfg.mass), section, variation, magnitude=True)
 
 
 def kg_random_variation_profile(

@@ -398,15 +398,6 @@ def _section_origin(states, dt: float, lattice: Lattice) -> float:
     return t0
 
 
-def _check_variation(stacks, dstacks, ends: bool) -> None:
-    """A variation has the stack shapes of its section; where `ends`, it
-    must also vanish on the first and last slices."""
-    if any(a.shape != d.shape for a, d in zip(stacks, dstacks)):
-        raise ValueError("one variation per time slice required")
-    if ends and any(np.any(d[[0, -1]] != 0.0) for d in dstacks):
-        raise ValueError("variation must vanish at the temporal endpoints")
-
-
 def _bump_stack(count: int, dt: float, field: np.ndarray) -> np.ndarray:
     """`field` under a sin^2 time bump over `count` nodes of spacing dt,
     exactly zero on the first and last node: shape (count, *field.shape)."""
@@ -415,3 +406,50 @@ def _bump_stack(count: int, dt: float, field: np.ndarray) -> np.ndarray:
     out = bump.reshape((-1,) + (1,) * field.ndim) * field
     out[[0, -1]] = 0.0
     return out
+
+
+def _table_op(op: str, stack: np.ndarray, lattice: Lattice, dt: float) -> np.ndarray:
+    """op of a Lagrangian table applied to a stack: "id", "dt" (second
+    order in time, one-sided at the ends) or "grad" (stack_gradient)."""
+    if op == "dt":
+        return np.gradient(stack, dt, axis=0, edge_order=2)
+    return stack_gradient(lattice, stack) if op == "grad" else stack
+
+
+def _node_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum of u * v over every axis but the leading time axis."""
+    return np.einsum("ti,ti->t", u.reshape(len(u), -1), v.reshape(len(v), -1))
+
+
+def _lagrangian_form(table, section, variation=None, magnitude=False) -> float:
+    """Integral of a bilinear Lagrangian table over a section, trapezoidal
+    in time and exact in space.  A term (c, a, op, b) adds c a . op(b) to
+    the density, with a and b names of section stacks.
+
+    Without a variation: the action, half the pairing of the section with
+    itself.  With one: the EL pairing sum c int (da . op(b) + a . op(db)),
+    the exact directional derivative, for a variation that vanishes on the
+    end slices.  With `magnitude`: the cancellation scale
+    sum |c| int (|da| . |op(b)| + |a| . |op(db)|), the L1 mass of the same
+    products, against which the pairing's cancellation on solution
+    sections is measured independently of the amplitude.
+    """
+    if variation is None:
+        variation, half = section, 0.5
+    else:
+        half = 1.0
+        for name in {name for _, a, _, b in table for name in (a, b)}:
+            stack, dstack = getattr(section, name), getattr(variation, name)
+            if stack.shape != dstack.shape:
+                raise ValueError("one variation per time slice required")
+            if not magnitude and np.any(dstack[[0, -1]] != 0.0):
+                raise ValueError("variation must vanish at the temporal endpoints")
+    lat, dt = section.lattice, section.dt
+    dens = 0.0
+    for c, a, op, b in table:
+        x, dx = getattr(section, a), getattr(variation, a)
+        y, dy = (_table_op(op, getattr(s, b), lat, dt) for s in (section, variation))
+        if magnitude:
+            c, x, dx, y, dy = abs(c), np.abs(x), np.abs(dx), np.abs(y), np.abs(dy)
+        dens = dens + c * (_node_sums(dx, y) + _node_sums(x, dy))
+    return half * float(np.trapezoid(lat.spacing**lat.dim * dens, dx=dt))

@@ -8,6 +8,8 @@ they are computed on demand where the action needs them.
 
 Mode dynamics: each Fourier mode rotates by the angle k^2 s / 2,
 equivalently psi-hat -> exp(-i k^2 s / 2) psi-hat for psi = phiR + i phiI.
+The covariant Lagrangian is stated once, as the bilinear table
+_SCHR_LAGRANGIAN that lattice._lagrangian_form evaluates.
 
 The slice Hamiltonian keeps its printed sign, -1/2 integral |grad psi|^2,
 which is nonpositive; it is conserved by the flow either way.  FrameSpec
@@ -27,7 +29,7 @@ from .lattice import (
     ScalarField,
     VectorField,
     _bump_stack,
-    _check_variation,
+    _lagrangian_form,
     _section_origin,
     _section_stacks,
     dft,
@@ -194,10 +196,6 @@ class SchrSpacetimeSection:
         )
 
 
-def _stacks(section: SchrSpacetimeSection):
-    return section.phiR, section.phiI, section.betaR, section.betaI
-
-
 def schr_hamiltonian(state: SchrState) -> float:
     """-1/2 integral (|grad phiR|^2 + |grad phiI|^2); printed sign, <= 0."""
     state.frame.require_rest_frame()
@@ -241,11 +239,13 @@ def schr_enforce_constraints(
     )
 
 
-def _schr_rotate(a, b, theta):
-    """Mode data of (phiR, phiI) rotated by the per-mode angle theta;
-    theta may carry a leading time axis, giving one array per time."""
+def _schr_rotate(a, b, theta, steps: int = 1):
+    """Mode data of (phiR, phiI) rotated `steps` times by the per-mode angle
+    theta; a leading time axis on theta gives one array per time."""
     c, sg = np.cos(theta), np.sin(theta)
-    return a * c + b * sg, b * c - a * sg
+    for _ in range(steps):
+        a, b = a * c + b * sg, b * c - a * sg
+    return a, b
 
 
 def schr_evolve_spectral(
@@ -275,8 +275,8 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
 
     On a single mode the implicit midpoint rule for the rotation
     generator is the Cayley transform, an exact rotation by the angle
-    2*atan(k^2 dt / 4) per step; composing N steps multiplies the angle.
-    Unitary per mode by construction (|psi-hat| exactly preserved).
+    2*atan(k^2 dt / 4) per step.  The steps are taken one at a time, so
+    the norm drift shows their accumulated rounding.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -288,7 +288,7 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
     lat = state.lattice
     step_angle = 2.0 * np.arctan(0.25 * lat.ksq() * dt)
     a_s, b_s = _schr_rotate(
-        dft(state.phiR).coefficients, dft(state.phiI).coefficients, steps * step_angle
+        dft(state.phiR).coefficients, dft(state.phiI).coefficients, step_angle, steps
     )
     return schr_enforce_constraints(
         idft(ModeVector(lat, a_s)),
@@ -348,28 +348,21 @@ def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
     return float(np.max([np.max(np.abs(r)) for r in residuals]))
 
 
-def _schr_lagrangian(section, aR, aI, bR, bI) -> np.ndarray:
-    """Slice integral of phiI d_t phiR - phiR d_t phiI + P^j_a d_j phi^a - H
-    per time node, with covariant H = -1/2 (|P_R|^2 + |P_I|^2)."""
-    lat = section.lattice
-    h_d = lat.spacing**lat.dim
-    dR_dt = np.gradient(aR, section.dt, axis=0, edge_order=2)
-    dI_dt = np.gradient(aI, section.dt, axis=0, edge_order=2)
-    temporal = aI * dR_dt - aR * dI_dt
-    gradR = stack_gradient(lat, aR)
-    gradI = stack_gradient(lat, aI)
-    spatial = np.einsum("ta...,ta...->t...", bR, gradR)
-    spatial += np.einsum("ta...,ta...->t...", bI, gradI)
-    beta_sq = np.einsum("ta...,ta...->t...", bR, bR)
-    beta_sq += np.einsum("ta...,ta...->t...", bI, bI)
-    ham = -0.5 * beta_sq
-    dens = temporal + spatial - ham
-    return h_d * dens.reshape(len(aR), -1).sum(axis=1)
+# phiI d_t phiR - phiR d_t phiI + P^j_a d_j phi^a - H with covariant
+# H = -1/2 (|P_R|^2 + |P_I|^2), as bilinear terms (coeff, a, op, b) for
+# lattice._lagrangian_form
+_SCHR_LAGRANGIAN = (
+    (1.0, "phiI", "dt", "phiR"),
+    (-1.0, "phiR", "dt", "phiI"),
+    (1.0, "betaR", "grad", "phiR"),
+    (1.0, "betaI", "grad", "phiI"),
+    (0.5, "betaR", "id", "betaR"),
+    (0.5, "betaI", "id", "betaI"),
+)
 
 
 def schr_action(section: SchrSpacetimeSection) -> float:
-    lag = _schr_lagrangian(section, *_stacks(section))
-    return float(np.trapezoid(lag, dx=section.dt))
+    return _lagrangian_form(_SCHR_LAGRANGIAN, section)
 
 
 def schr_el_pairing(
@@ -377,14 +370,7 @@ def schr_el_pairing(
 ) -> float:
     """Exact directional derivative of the (quadratic) discrete action
     along a variation that vanishes on the first and last slices."""
-    stacks, dstacks = _stacks(section), _stacks(variation)
-    _check_variation(stacks, dstacks, ends=True)
-
-    def action_at(eps):
-        lag = _schr_lagrangian(section, *(a + eps * d for a, d in zip(stacks, dstacks)))
-        return float(np.trapezoid(lag, dx=section.dt))
-
-    return 0.5 * (action_at(1.0) - action_at(-1.0))
+    return _lagrangian_form(_SCHR_LAGRANGIAN, section, variation)
 
 
 def schr_el_cancellation_scale(
@@ -392,33 +378,7 @@ def schr_el_cancellation_scale(
 ) -> float:
     """Normalization for the EL residual: L1 mass of the first-order terms
     of the directional derivative (see kg_el_cancellation_scale)."""
-    _check_variation(_stacks(section), _stacks(variation), ends=False)
-    lat = section.lattice
-    h_d = lat.spacing**lat.dim
-    aR, aI, bR, bI = _stacks(section)
-    dR, dI, dbR, dbI = _stacks(variation)
-    dR_dt = np.gradient(aR, section.dt, axis=0, edge_order=2)
-    dI_dt = np.gradient(aI, section.dt, axis=0, edge_order=2)
-    ddR_dt = np.gradient(dR, section.dt, axis=0, edge_order=2)
-    ddI_dt = np.gradient(dI, section.dt, axis=0, edge_order=2)
-    gradR = stack_gradient(lat, aR)
-    gradI = stack_gradient(lat, aI)
-    dgradR = stack_gradient(lat, dR)
-    dgradI = stack_gradient(lat, dI)
-    total = (
-        np.abs(aI * ddR_dt)
-        + np.abs(dI * dR_dt)
-        + np.abs(aR * ddI_dt)
-        + np.abs(dR * dI_dt)
-        + np.einsum("ta...,ta...->t...", np.abs(bR), np.abs(dgradR))
-        + np.einsum("ta...,ta...->t...", np.abs(dbR), np.abs(gradR))
-        + np.einsum("ta...,ta...->t...", np.abs(bI), np.abs(dgradI))
-        + np.einsum("ta...,ta...->t...", np.abs(dbI), np.abs(gradI))
-        + np.einsum("ta...,ta...->t...", np.abs(bR), np.abs(dbR))
-        + np.einsum("ta...,ta...->t...", np.abs(bI), np.abs(dbI))
-    )
-    dens = h_d * total.reshape(len(aR), -1).sum(axis=1)
-    return float(np.trapezoid(dens, dx=section.dt))
+    return _lagrangian_form(_SCHR_LAGRANGIAN, section, variation, magnitude=True)
 
 
 def schr_random_variation_profile(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from covlab import brackets as br
 from covlab import darboux as dx
+from covlab import harness
 from covlab.harness import (
     CSV_HEADER,
     EVOLUTIONS,
@@ -32,7 +33,9 @@ from covlab.harness import (
     run_experiment,
     suite_configs,
 )
-from covlab.lattice import Lattice, dft, nan_max
+from covlab.kg import KGVariation, kg_enforce_constraints
+from covlab.lattice import Lattice, ModeVector, ScalarField, VectorField, dft, idft, nan_max
+from covlab.schrodinger import SchrVariation, schr_enforce_constraints
 
 
 def line_of(fn, text):
@@ -552,3 +555,132 @@ def test_generated_configs_are_rejected_or_give_finite_verdicts(fields, bad):
     assert all(math.isfinite(r.value) for r in verdicts), [
         (r.metric, r.value) for r in verdicts if not math.isfinite(r.value)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the seeded samplers, against the five separate samplers they replace
+
+
+def old_random_state(cfg, seed=None):
+    lat = cfg.lattice
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed if seed is None else seed))
+    band = lat.n // 4
+    f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
+    f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
+    if cfg.theory == "kg":
+        return kg_enforce_constraints(f1, f2)
+    return schr_enforce_constraints(f1, f2)
+
+
+def old_banded_state(cfg, seed, band):
+    lat = cfg.lattice
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
+    f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
+    if cfg.theory == "kg":
+        return kg_enforce_constraints(f1, f2)
+    return schr_enforce_constraints(f1, f2)
+
+
+def old_random_variation(cfg, seed):
+    lat = cfg.lattice
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    band = lat.n // 4
+    f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
+    f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
+    if cfg.theory == "kg":
+        st = kg_enforce_constraints(f1, f2)
+        return KGVariation(dphi=st.phi, dp=st.p, dbeta=st.beta)
+    st = schr_enforce_constraints(f1, f2)
+    return SchrVariation(dphiR=st.phiR, dphiI=st.phiI, dbetaR=st.betaR, dbetaI=st.betaI)
+
+
+def old_darboux_mode_point(cfg, seed, s):
+    lat = cfg.lattice
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    band = lat.n // 4
+    a = dx.random_hermitian_modes(lat, rng, band=band)
+    b = dx.random_hermitian_modes(lat, rng, band=band)
+    if cfg.theory == "kg":
+        return dx.KGModeState(ModeVector(lat, a), ModeVector(lat, b), time=s)
+    return dx.SchrModeState(ModeVector(lat, a), ModeVector(lat, b), time=s)
+
+
+def old_darboux_point(cfg, seed, s, W):
+    lat = cfg.lattice
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    band = lat.n // 4
+    a = dx.random_hermitian_modes(lat, rng, band=band)
+    b = dx.random_hermitian_modes(lat, rng, band=band)
+    if cfg.theory == "kg":
+        return dx.KGDarbouxState(ModeVector(lat, a), ModeVector(lat, b), W=W, time=s)
+    return dx.SchrDarbouxState(ModeVector(lat, a), ModeVector(lat, b), W=W, time=s)
+
+
+def leaves(obj):
+    """The arrays and numbers of a sample, field by field."""
+    if isinstance(obj, ScalarField):
+        return [obj.values]
+    if isinstance(obj, ModeVector):
+        return [obj.coefficients]
+    if isinstance(obj, VectorField):
+        return [c.values for c in obj.components]
+    if dataclasses.is_dataclass(obj):
+        return [x for f in dataclasses.fields(obj) for x in leaves(getattr(obj, f.name))]
+    return [obj]
+
+
+def assert_bit_identical(new, old):
+    assert type(new) is type(old)
+    a, b = leaves(new), leaves(old)
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_seeded_samplers_draw_what_the_old_samplers_drew(theory, dim, n, seed):
+    cfg = ExperimentConfig(theory=theory, experiment="evolve", dim=dim, n=n, seed=seed)
+    assert_bit_identical(random_state(cfg), old_random_state(cfg))
+    assert_bit_identical(random_state(cfg, seed + 5), old_random_state(cfg, seed + 5))
+    for band in (1, 2):
+        assert_bit_identical(
+            harness._banded_state(cfg, seed + 8, band), old_banded_state(cfg, seed + 8, band)
+        )
+    assert_bit_identical(
+        harness._random_variation(cfg, seed + 1), old_random_variation(cfg, seed + 1)
+    )
+    assert_bit_identical(
+        harness._darboux_mode_point(cfg, seed + 10, 0.3),
+        old_darboux_mode_point(cfg, seed + 10, 0.3),
+    )
+    assert_bit_identical(
+        harness._darboux_point(cfg, seed + 60, 1.3, 0.5),
+        old_darboux_point(cfg, seed + 60, 1.3, 0.5),
+    )
+
+
+# ---------------------------------------------------------------------------
+# stepped Schrodinger evolution
+
+
+STEPPED = ExperimentConfig(theory="schrodinger", experiment="evolve", evolution="stepped")
+
+
+def test_stepped_rows_pass_with_a_tolerance_per_step():
+    report = run_experiment(STEPPED)
+    assert report.all_pass
+    row = {r.metric: r for r in report.rows}["stepped-vs-composed"]
+    assert row.tolerance == harness.STEPPED_EPS_PER_STEP * STEPPED.steps
+    assert 0.0 < row.value <= row.tolerance
+
+
+def test_a_stepper_that_ignores_steps_fails_stepped_vs_composed(monkeypatch):
+    real = harness.schr_evolve_stepped
+    monkeypatch.setattr(harness, "schr_evolve_stepped", lambda st, dt, steps: real(st, dt, 1))
+    report = run_experiment(STEPPED)
+    row = {r.metric: r for r in report.rows}["stepped-vs-composed"]
+    assert row.passed is False
+    assert row.value > 1e-3

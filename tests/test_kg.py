@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from covlab.kg import (
     KGConfig,
+    KGSpacetimeSection,
     KGState,
     KGVariation,
     kg_action,
@@ -30,6 +31,7 @@ from covlab.lattice import (
     VectorField,
     hermitize,
     idft,
+    stack_gradient,
     sup_norm,
 )
 
@@ -269,3 +271,102 @@ class TestAction:
 
         diff = kg_hamiltonian(st0, CFG) - kg_hamiltonian(st0, CFG, mass_sign="paper-printed")
         assert diff == pytest.approx(CFG.mass**2 * inner(st0.phi, st0.phi), rel=1e-12)
+
+
+# The real-space Lagrangian density and cancellation scale as they were
+# written before the bilinear table, kept verbatim as independent
+# references for lattice._lagrangian_form.
+
+
+def _time_derivative(stack: np.ndarray, dt: float) -> np.ndarray:
+    """Second-order time derivative along axis 0 (central inside,
+    one-sided at the ends)."""
+    return np.gradient(stack, dt, axis=0, edge_order=2)
+
+
+def _covariant_lagrangian_density(
+    section: KGSpacetimeSection, phis: np.ndarray, ps: np.ndarray,
+    betas: np.ndarray,
+) -> np.ndarray:
+    """P^mu d_mu phi - H at each node, integrated over the slice.
+
+    Returns a 1-D array over time nodes.  Uses P^0 = -p and the covariant
+    H = (1/2)(eta_mn P^m P^n - mass^2 phi^2) = (1/2)(-p^2 + |beta|^2
+    - mass^2 phi^2).
+    """
+    lat = section.lattice
+    msq = section.cfg.mass**2
+    h_d = lat.spacing**lat.dim
+    dphi_dt = _time_derivative(phis, section.dt)
+    grads = stack_gradient(lat, phis)
+    temporal = -ps * dphi_dt
+    spatial = np.einsum("ta...,ta...->t...", betas, grads)
+    beta_sq = np.einsum("ta...,ta...->t...", betas, betas)
+    ham = 0.5 * (-(ps**2) + beta_sq - msq * phis**2)
+    dens = temporal + spatial - ham
+    return h_d * dens.reshape(len(phis), -1).sum(axis=1)
+
+
+def _stacks(section: KGSpacetimeSection):
+    return section.phi, section.p, section.beta
+
+
+def ref_action(section):
+    lag = _covariant_lagrangian_density(section, *_stacks(section))
+    return float(np.trapezoid(lag, dx=section.dt))
+
+
+def ref_pairing(section, variation):
+    stacks, dstacks = _stacks(section), _stacks(variation)
+
+    def action_at(eps):
+        lag = _covariant_lagrangian_density(
+            section, *(a + eps * d for a, d in zip(stacks, dstacks))
+        )
+        return float(np.trapezoid(lag, dx=section.dt))
+
+    return 0.5 * (action_at(1.0) - action_at(-1.0))
+
+
+def ref_scale(section, variation):
+    lat = section.lattice
+    msq = section.cfg.mass**2
+    h_d = lat.spacing**lat.dim
+    phis, ps, betas = _stacks(section)
+    dphis, dps, dbetas = _stacks(variation)
+    dphi_dt = _time_derivative(phis, section.dt)
+    ddphi_dt = _time_derivative(dphis, section.dt)
+    grads = stack_gradient(lat, phis)
+    dgrads = stack_gradient(lat, dphis)
+    total = (
+        np.abs(ps * ddphi_dt)
+        + np.abs(dps * dphi_dt)
+        + np.abs(ps * dps)
+        + msq * np.abs(phis * dphis)
+        + np.einsum("ta...,ta...->t...", np.abs(betas), np.abs(dgrads))
+        + np.einsum("ta...,ta...->t...", np.abs(dbetas), np.abs(grads))
+        + np.einsum("ta...,ta...->t...", np.abs(betas), np.abs(dbetas))
+    )
+    dens = h_d * total.reshape(len(phis), -1).sum(axis=1)
+    return float(np.trapezoid(dens, dx=section.dt))
+
+
+class TestLagrangianTable:
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 8), (3, 8)])
+    @pytest.mark.parametrize("solution", [True, False])
+    def test_matches_real_space_reference(self, dim, n, solution):
+        lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+        cfg = KGConfig(mass=0.7, lattice=lat)
+        section = kg_solution_section(random_state(31, lat=lat), 1e-2, 24, cfg)
+        if not solution:
+            # off shell: the pairing no longer cancels
+            section = replace(section, p=section.p + 0.3 * section.phi)
+        var = kg_random_variation_profile(
+            section, random_state(32, lat=lat).phi, random_state(33, lat=lat).p
+        )
+        scale = kg_el_cancellation_scale(section, var)
+        assert kg_action(section) == pytest.approx(ref_action(section), rel=1e-12)
+        assert scale == pytest.approx(ref_scale(section, var), rel=1e-12)
+        assert abs(kg_el_pairing(section, var) - ref_pairing(section, var)) <= 1e-13 * scale
+        if not solution:
+            assert abs(ref_pairing(section, var)) > 1e-3 * scale

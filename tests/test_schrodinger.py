@@ -14,10 +14,12 @@ from covlab.lattice import (
     hermitize,
     idft,
     inner,
+    stack_gradient,
     sup_norm,
 )
 from covlab.schrodinger import (
     FrameSpec,
+    SchrSpacetimeSection,
     SchrState,
     from_wavefunction,
     schr_action,
@@ -298,3 +300,95 @@ class TestAction:
         section = schr_solution_section(st0, 1e-2, 20)
         var = schr_random_variation_profile(section, st0.phiR, st0.phiI)
         assert schr_el_cancellation_scale(section, var) > 0.0
+
+
+# The real-space Lagrangian and cancellation scale as they were written
+# before the bilinear table, kept verbatim as independent references for
+# lattice._lagrangian_form.
+
+
+def _stacks(section: SchrSpacetimeSection):
+    return section.phiR, section.phiI, section.betaR, section.betaI
+
+
+def _schr_lagrangian(section, aR, aI, bR, bI) -> np.ndarray:
+    """Slice integral of phiI d_t phiR - phiR d_t phiI + P^j_a d_j phi^a - H
+    per time node, with covariant H = -1/2 (|P_R|^2 + |P_I|^2)."""
+    lat = section.lattice
+    h_d = lat.spacing**lat.dim
+    dR_dt = np.gradient(aR, section.dt, axis=0, edge_order=2)
+    dI_dt = np.gradient(aI, section.dt, axis=0, edge_order=2)
+    temporal = aI * dR_dt - aR * dI_dt
+    gradR = stack_gradient(lat, aR)
+    gradI = stack_gradient(lat, aI)
+    spatial = np.einsum("ta...,ta...->t...", bR, gradR)
+    spatial += np.einsum("ta...,ta...->t...", bI, gradI)
+    beta_sq = np.einsum("ta...,ta...->t...", bR, bR)
+    beta_sq += np.einsum("ta...,ta...->t...", bI, bI)
+    ham = -0.5 * beta_sq
+    dens = temporal + spatial - ham
+    return h_d * dens.reshape(len(aR), -1).sum(axis=1)
+
+
+def ref_action(section):
+    lag = _schr_lagrangian(section, *_stacks(section))
+    return float(np.trapezoid(lag, dx=section.dt))
+
+
+def ref_pairing(section, variation):
+    stacks, dstacks = _stacks(section), _stacks(variation)
+
+    def action_at(eps):
+        lag = _schr_lagrangian(section, *(a + eps * d for a, d in zip(stacks, dstacks)))
+        return float(np.trapezoid(lag, dx=section.dt))
+
+    return 0.5 * (action_at(1.0) - action_at(-1.0))
+
+
+def ref_scale(section, variation):
+    lat = section.lattice
+    h_d = lat.spacing**lat.dim
+    aR, aI, bR, bI = _stacks(section)
+    dR, dI, dbR, dbI = _stacks(variation)
+    dR_dt = np.gradient(aR, section.dt, axis=0, edge_order=2)
+    dI_dt = np.gradient(aI, section.dt, axis=0, edge_order=2)
+    ddR_dt = np.gradient(dR, section.dt, axis=0, edge_order=2)
+    ddI_dt = np.gradient(dI, section.dt, axis=0, edge_order=2)
+    gradR = stack_gradient(lat, aR)
+    gradI = stack_gradient(lat, aI)
+    dgradR = stack_gradient(lat, dR)
+    dgradI = stack_gradient(lat, dI)
+    total = (
+        np.abs(aI * ddR_dt)
+        + np.abs(dI * dR_dt)
+        + np.abs(aR * ddI_dt)
+        + np.abs(dR * dI_dt)
+        + np.einsum("ta...,ta...->t...", np.abs(bR), np.abs(dgradR))
+        + np.einsum("ta...,ta...->t...", np.abs(dbR), np.abs(gradR))
+        + np.einsum("ta...,ta...->t...", np.abs(bI), np.abs(dgradI))
+        + np.einsum("ta...,ta...->t...", np.abs(dbI), np.abs(gradI))
+        + np.einsum("ta...,ta...->t...", np.abs(bR), np.abs(dbR))
+        + np.einsum("ta...,ta...->t...", np.abs(bI), np.abs(dbI))
+    )
+    dens = h_d * total.reshape(len(aR), -1).sum(axis=1)
+    return float(np.trapezoid(dens, dx=section.dt))
+
+
+class TestLagrangianTable:
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 8), (3, 8)])
+    @pytest.mark.parametrize("solution", [True, False])
+    def test_matches_real_space_reference(self, dim, n, solution):
+        lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+        section = schr_solution_section(random_state(31, lat=lat), 1e-2, 24)
+        if not solution:
+            # off shell: the pairing no longer cancels
+            section = replace(section, phiI=section.phiI + 0.3 * section.phiR)
+        var = schr_random_variation_profile(
+            section, random_state(32, lat=lat).phiR, random_state(33, lat=lat).phiI
+        )
+        scale = schr_el_cancellation_scale(section, var)
+        assert schr_action(section) == pytest.approx(ref_action(section), rel=1e-12)
+        assert scale == pytest.approx(ref_scale(section, var), rel=1e-12)
+        assert abs(schr_el_pairing(section, var) - ref_pairing(section, var)) <= 1e-13 * scale
+        if not solution:
+            assert abs(ref_pairing(section, var)) > 1e-3 * scale
