@@ -21,7 +21,7 @@ its exact drift rather than the degenerate rotation formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +35,7 @@ from .lattice import (
     _lagrangian_form,
     _section_origin,
     _section_stacks,
+    _seed_derived,
     dft,
     idft,
     inner,
@@ -132,6 +133,11 @@ class KGSpacetimeSection:
     beta of shape (T, dim, *lattice.shape).  A variation of a section, a
     tangent vector to the space of sections, has the same layout and is
     stored in the same class.
+
+    The stacks a Lagrangian table derives, d/dt and the spatial gradient
+    of a named stack, are built at most once per instance and kept
+    read-only in a private memo.  dataclasses.replace gives the new
+    section an empty memo of its own.
     """
 
     phi: np.ndarray
@@ -140,6 +146,7 @@ class KGSpacetimeSection:
     dt: float
     cfg: KGConfig
     t0: float = 0.0
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         phi, p, beta = _section_stacks(self.cfg.lattice, (self.phi, self.p), (self.beta,))
@@ -305,7 +312,8 @@ def kg_solution_section(
 ) -> KGSpacetimeSection:
     """Sample the exact flow on a uniform time grid of `steps` intervals:
     the propagator broadcast over the grid, one batched inverse transform
-    per field and one batched gradient for beta."""
+    per field and one batched gradient for beta, which is also the
+    section's derived gradient of phi."""
     if steps < 1:
         raise ValueError("need at least one time interval")
     lat = cfg.lattice
@@ -317,9 +325,11 @@ def kg_solution_section(
     )
     phi = stack_idft(lat, phihat)
     p = stack_idft(lat, phat)
-    return KGSpacetimeSection(
+    section = KGSpacetimeSection(
         phi=phi, p=p, beta=stack_gradient(lat, phi), dt=dt, cfg=cfg, t0=state.time
     )
+    _seed_derived(section, "grad", "phi", section.beta)
+    return section
 
 
 def kg_dedonder_weyl_residual(section: KGSpacetimeSection) -> float:
@@ -385,12 +395,16 @@ def kg_random_variation_profile(
     section: KGSpacetimeSection, dphi0: ScalarField, dp0: ScalarField
 ) -> KGSpacetimeSection:
     """Admissible variation: fixed slice shapes modulated by a smooth time
-    bump vanishing at both endpoints; dbeta follows the constraint."""
+    bump vanishing at both endpoints; dbeta follows the constraint and is
+    also the variation's derived gradient of dphi (the bump commutes with
+    the gradient up to rounding)."""
     count, dt = len(section.phi), section.dt
     dbeta0 = stack_gradient(section.lattice, dphi0.values[np.newaxis])[0]
-    return replace(
+    variation = replace(
         section,
         phi=_bump_stack(count, dt, dphi0.values),
         p=_bump_stack(count, dt, dp0.values),
         beta=_bump_stack(count, dt, dbeta0),
     )
+    _seed_derived(variation, "grad", "phi", variation.beta)
+    return variation

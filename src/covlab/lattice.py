@@ -408,12 +408,29 @@ def _bump_stack(count: int, dt: float, field: np.ndarray) -> np.ndarray:
     return out
 
 
-def _table_op(op: str, stack: np.ndarray, lattice: Lattice, dt: float) -> np.ndarray:
-    """op of a Lagrangian table applied to a stack: "id", "dt" (second
-    order in time, one-sided at the ends) or "grad" (stack_gradient)."""
-    if op == "dt":
-        return np.gradient(stack, dt, axis=0, edge_order=2)
-    return stack_gradient(lattice, stack) if op == "grad" else stack
+def _table_op(op: str, section, name: str) -> np.ndarray:
+    """op of a Lagrangian table applied to the section's stack `name`:
+    "id", "dt" (second order in time, one-sided at the ends) or "grad"
+    (stack_gradient).  A derived stack is built at most once per section
+    and kept read-only in its memo."""
+    stack = getattr(section, name)
+    if op == "id":
+        return stack
+    memo = section._derived
+    if (op, name) not in memo:
+        if op == "dt":
+            out = np.gradient(stack, section.dt, axis=0, edge_order=2)
+        else:
+            out = stack_gradient(section.lattice, stack)
+        _seed_derived(section, op, name, out)
+    return memo[(op, name)]
+
+
+def _seed_derived(section, op: str, name: str, stack: np.ndarray) -> None:
+    """Store `stack` as the section's derived stack (op, name), locked in
+    place: a builder that already holds op(name) saves the transform."""
+    stack.setflags(write=False)
+    section._derived[(op, name)] = stack
 
 
 def _node_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -433,6 +450,10 @@ def _lagrangian_form(table, section, variation=None, magnitude=False) -> float:
     sum |c| int (|da| . |op(b)| + |a| . |op(db)|), the L1 mass of the same
     products, against which the pairing's cancellation on solution
     sections is measured independently of the amplitude.
+
+    Every op(b) comes from the memo of the section or variation it is
+    taken on (_table_op), so the pairing and the scale on one pair, and
+    the two halves of the action, transform each stack once between them.
     """
     if variation is None:
         variation, half = section, 0.5
@@ -444,12 +465,18 @@ def _lagrangian_form(table, section, variation=None, magnitude=False) -> float:
                 raise ValueError("one variation per time slice required")
             if not magnitude and np.any(dstack[[0, -1]] != 0.0):
                 raise ValueError("variation must vanish at the temporal endpoints")
-    lat, dt = section.lattice, section.dt
+    lat = section.lattice
     dens = 0.0
     for c, a, op, b in table:
         x, dx = getattr(section, a), getattr(variation, a)
-        y, dy = (_table_op(op, getattr(s, b), lat, dt) for s in (section, variation))
         if magnitude:
-            c, x, dx, y, dy = abs(c), np.abs(x), np.abs(dx), np.abs(y), np.abs(dy)
+            c, x, dx = abs(c), np.abs(x), np.abs(dx)
+        if (op, a) == ("id", b):
+            # da . a and a . da are one sum
+            dens = dens + c * (2.0 * _node_sums(dx, x))
+            continue
+        y, dy = (_table_op(op, s, b) for s in (section, variation))
+        if magnitude:
+            y, dy = np.abs(y), np.abs(dy)
         dens = dens + c * (_node_sums(dx, y) + _node_sums(x, dy))
-    return half * float(np.trapezoid(lat.spacing**lat.dim * dens, dx=dt))
+    return half * float(np.trapezoid(lat.spacing**lat.dim * dens, dx=section.dt))

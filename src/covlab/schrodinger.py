@@ -32,6 +32,7 @@ from .lattice import (
     _lagrangian_form,
     _section_origin,
     _section_stacks,
+    _seed_derived,
     dft,
     idft,
     inner,
@@ -135,6 +136,11 @@ class SchrSpacetimeSection:
     (T, *lattice.shape), betaR and betaI of shape (T, dim, *lattice.shape).
     A variation of a section has the same layout and is stored in the
     same class.
+
+    The stacks a Lagrangian table derives, d/dt and the spatial gradient
+    of a named stack, are built at most once per instance and kept
+    read-only in a private memo.  dataclasses.replace gives the new
+    section an empty memo of its own.
     """
 
     phiR: np.ndarray
@@ -144,6 +150,7 @@ class SchrSpacetimeSection:
     dt: float
     lattice: Lattice
     t0: float = 0.0
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         stacks = _section_stacks(
@@ -300,7 +307,8 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
 def schr_solution_section(state: SchrState, dt: float, steps: int) -> SchrSpacetimeSection:
     """Sample the exact flow on a uniform time grid of `steps` intervals:
     the rotation broadcast over the grid, one batched inverse transform
-    per field and one batched gradient per beta."""
+    per field and one batched gradient per beta; the gradients are also
+    the section's derived gradients of phiR and phiI."""
     if steps < 1:
         raise ValueError("need at least one time interval")
     state.frame.require_rest_frame()
@@ -311,15 +319,13 @@ def schr_solution_section(state: SchrState, dt: float, steps: int) -> SchrSpacet
     )
     phiR = stack_idft(lat, a)
     phiI = stack_idft(lat, b)
-    return SchrSpacetimeSection(
-        phiR=phiR,
-        phiI=phiI,
-        betaR=-stack_gradient(lat, phiR),
-        betaI=-stack_gradient(lat, phiI),
-        dt=dt,
-        lattice=lat,
-        t0=state.time,
+    gradR, gradI = stack_gradient(lat, phiR), stack_gradient(lat, phiI)
+    section = SchrSpacetimeSection(
+        phiR=phiR, phiI=phiI, betaR=-gradR, betaI=-gradI, dt=dt, lattice=lat, t0=state.time
     )
+    _seed_derived(section, "grad", "phiR", gradR)
+    _seed_derived(section, "grad", "phiI", gradI)
+    return section
 
 
 def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
@@ -386,20 +392,25 @@ def schr_random_variation_profile(
 ) -> SchrSpacetimeSection:
     """Admissible variation: fixed slice shapes under a sin^2 time bump
     vanishing at both endpoints; dbeta_a = -grad dphi^a follows the
-    constraint."""
+    constraint, and the bumped grad dphi^a is seeded as the variation's
+    derived gradient (the bump commutes with the gradient up to
+    rounding)."""
     lat = section.lattice
     count, dt = len(section.phiR), section.dt
-
-    def neg_grad(f):
-        return -stack_gradient(lat, f.values[np.newaxis])[0]
-
-    return replace(
+    gradR, gradI = (
+        _bump_stack(count, dt, stack_gradient(lat, f.values[np.newaxis])[0])
+        for f in (dphiR0, dphiI0)
+    )
+    variation = replace(
         section,
         phiR=_bump_stack(count, dt, dphiR0.values),
         phiI=_bump_stack(count, dt, dphiI0.values),
-        betaR=_bump_stack(count, dt, neg_grad(dphiR0)),
-        betaI=_bump_stack(count, dt, neg_grad(dphiI0)),
+        betaR=-gradR,
+        betaI=-gradI,
     )
+    _seed_derived(variation, "grad", "phiR", gradR)
+    _seed_derived(variation, "grad", "phiI", gradI)
+    return variation
 
 
 def to_wavefunction(state: SchrState) -> np.ndarray:

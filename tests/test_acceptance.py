@@ -424,14 +424,16 @@ def test_criterion_09_variational_principle(action_reports):
     for theory, rep in action_reports.items():
         el = metric(rep, "el-pairing-scaled")
         ratio = metric(rep, "el-convergence-ratio-error")
-        vals[theory] = (el.value, 4.0 + ratio.value)
-        ok = ok and el.passed and ratio.passed
+        ext = metric(rep, "el-pairing-extrapolated")
+        vals[theory] = (el.value, 4.0 + ratio.value, ext.value)
+        ok = ok and el.passed and ratio.passed and ext.passed
     assert verdict(
         9,
         ok,
         f"el pairing scaled kg {vals['kg'][0]:.2e}, schr {vals['schrodinger'][0]:.2e} "
         f"(tol 1e-8 at dt=1e-3); halving ratios {vals['kg'][1]:.3f}, "
-        f"{vals['schrodinger'][1]:.3f} (4 +/- 0.8)",
+        f"{vals['schrodinger'][1]:.3f} (4 +/- 0.8); extrapolated "
+        f"{vals['kg'][2]:.2e}, {vals['schrodinger'][2]:.2e} (tol 1e-13)",
     )
 
 

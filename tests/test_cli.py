@@ -28,6 +28,10 @@ def test_run_json_format(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_pass"] is True
     assert doc["config"]["theory"] == "schrodinger"
+    run = doc["run"]
+    assert run["covlab"] and run["numpy"] and run["python"]
+    assert run["wall_s"] >= max(row["seconds"] for row in doc["rows"]) > 0
+    assert run["git_revision"] is None or len(run["git_revision"]) == 40
 
 
 def test_run_seed_override(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import platform
 import time
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covlab
 from covlab import brackets as br
 from covlab import darboux as dx
 from covlab import harness
@@ -275,13 +277,21 @@ class TestEmission:
         )
 
     def test_csv_json_field_parity(self):
-        report = Report(config=self.CFG, rows=self.rows())
+        report = Report(config=self.CFG, rows=self.rows(), wall_s=1.5)
         csv_text = emit_report(report, None, "csv")
         doc = json.loads(emit_report(report, None, "json"))
         lines = csv_text.strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
-        assert set(doc) == {"all_pass", "config", "errors", "rows"}
+        # the run block is JSON-only: the CSV does not see the wall time
+        assert csv_text == emit_report(Report(config=self.CFG, rows=self.rows()), None, "csv")
+        assert set(doc) == {"all_pass", "config", "errors", "rows", "run"}
+        run = doc["run"]
+        assert set(run) == {"covlab", "numpy", "python", "git_revision", "wall_s"}
+        assert run["covlab"] == covlab.__version__
+        assert run["numpy"] == np.__version__
+        assert run["python"] == platform.python_version()
+        assert run["wall_s"] == 1.5
         for line, jrow in zip(lines[1:], doc["rows"]):
             cells = line.split(",")
             assert cells[0] == jrow["experiment"]
@@ -290,6 +300,24 @@ class TestEmission:
         assert doc["rows"][1]["tolerance"] is None
         assert doc["rows"][1]["pass"] is None
         assert doc["all_pass"] is True
+
+    def test_git_revision_from_the_checkout_files(self, tmp_path, monkeypatch):
+        revision = harness._git_revision.__wrapped__
+        package = tmp_path / "src" / "covlab"
+        package.mkdir(parents=True)
+        monkeypatch.setattr(harness, "__file__", str(package / "harness.py"))
+        assert revision() is None
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/main\n", encoding="utf-8")
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled\n" + "a" * 40 + " refs/heads/main\n", encoding="utf-8"
+        )
+        assert revision() == "a" * 40
+        (git / "refs" / "heads" / "main").write_text("b" * 40 + "\n", encoding="utf-8")
+        assert revision() == "b" * 40
+        (git / "HEAD").write_text("c" * 40 + "\n", encoding="utf-8")
+        assert revision() == "c" * 40
 
     def test_float_round_trip_precision(self):
         assert format_float(math.pi) == "3.1415926535897931"
@@ -315,6 +343,33 @@ class TestEmission:
         report = Report(config=self.CFG, rows=())
         with pytest.raises(ValueError):
             emit_report(report, None, "xml")
+
+
+def flip_first_gradient_term(table):
+    """The table with the sign of its first gradient term flipped."""
+    i = next(i for i, term in enumerate(table) if term[2] == "grad")
+    c, a, op, b = table[i]
+    return table[:i] + ((-c, a, op, b),) + table[i + 1:]
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_el_pairing_extrapolated_sees_a_wrong_sign(theory, monkeypatch):
+    from covlab import kg, schrodinger
+
+    cfg = next(
+        c for c in suite_configs() if c.theory == theory and c.experiment == "action-residual"
+    )
+    rows = {r.metric: r for r in run_experiment(cfg).rows}
+    assert rows["el-pairing-extrapolated"].value < harness.EL_EXTRAPOLATED_TOL
+    if theory == "kg":
+        table = kg._kg_lagrangian
+        monkeypatch.setattr(kg, "_kg_lagrangian", lambda mass: flip_first_gradient_term(table(mass)))
+    else:
+        table = schrodinger._SCHR_LAGRANGIAN
+        monkeypatch.setattr(schrodinger, "_SCHR_LAGRANGIAN", flip_first_gradient_term(table))
+    rows = {r.metric: r for r in run_experiment(cfg).rows}
+    assert rows["el-pairing-extrapolated"].value > 1e-2
+    assert rows["el-pairing-extrapolated"].passed is False
 
 
 class TestRunner:

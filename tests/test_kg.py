@@ -49,8 +49,8 @@ def random_state(seed, lat=LAT, band=None):
 
     def field():
         coeff = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
-        mask = np.abs(np.fft.fftfreq(lat.n, d=1.0 / lat.n)) <= band
-        coeff[~mask] = 0.0
+        m = np.fft.fftfreq(lat.n, d=1.0 / lat.n)
+        coeff[np.max(np.abs(m[np.indices(lat.shape)]), axis=0) > band] = 0.0
         return idft(ModeVector(lat, hermitize(coeff)))
 
     return kg_enforce_constraints(field(), field())

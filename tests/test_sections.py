@@ -1,5 +1,8 @@
 """Spacetime sections stored as stacked arrays: the batched build against
-the slice-by-slice flow, hand-built sections, and the batched checks."""
+the slice-by-slice flow, hand-built sections, the batched checks, and the
+memo of derived stacks."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,22 +11,30 @@ from covlab.kg import (
     KGConfig,
     KGSpacetimeSection,
     kg_dedonder_weyl_residual,
+    kg_el_cancellation_scale,
+    kg_el_pairing,
     kg_enforce_constraints,
     kg_evolve_spectral,
+    kg_random_variation_profile,
     kg_solution_section,
 )
 from covlab.lattice import (
     Lattice,
     ModeVector,
+    _table_op,
     hermitize,
     idft,
+    stack_gradient,
     stack_idft,
 )
 from covlab.schrodinger import (
     SchrSpacetimeSection,
     schr_dedonder_weyl_residual,
+    schr_el_cancellation_scale,
+    schr_el_pairing,
     schr_enforce_constraints,
     schr_evolve_spectral,
+    schr_random_variation_profile,
     schr_solution_section,
 )
 
@@ -181,3 +192,98 @@ def test_omega_is_cached_and_read_only():
     with pytest.raises(ValueError):
         om[0, 0] = 1.0
     assert KGConfig(mass=0.8, lattice=cfg.lattice).omega() is not om
+
+
+# ---------------------------------------------------------------------------
+# derived stacks: built once per section, seeded where a builder holds them
+
+
+def kg_pair(dim):
+    st0, cfg = kg_setup(dim)
+    section = kg_solution_section(st0, DT, STEPS, cfg)
+    d1, d2 = random_fields(cfg.lattice, 20 + dim)
+    return section, kg_random_variation_profile(section, d1, d2)
+
+
+def schr_pair(dim):
+    section = schr_solution_section(schr_setup(dim), DT, STEPS)
+    d1, d2 = random_fields(section.lattice, 30 + dim)
+    return section, schr_random_variation_profile(section, d1, d2)
+
+
+PAIRS = {
+    "kg": (kg_pair, ("phi",), kg_el_pairing, kg_el_cancellation_scale),
+    "schrodinger": (schr_pair, ("phiR", "phiI"), schr_el_pairing, schr_el_cancellation_scale),
+}
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("theory", PAIRS)
+def test_seeded_gradients_match_fresh_ones(theory, dim):
+    build, names, _, _ = PAIRS[theory]
+    section, var = build(dim)
+    for name in names:
+        fresh = stack_gradient(section.lattice, getattr(section, name))
+        assert np.array_equal(section._derived[("grad", name)], fresh)
+        fresh = stack_gradient(var.lattice, getattr(var, name))
+        seeded = var._derived[("grad", name)]
+        assert np.max(np.abs(seeded - fresh)) <= 1e-15 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("theory", PAIRS)
+def test_derived_stacks_are_read_only_and_built_once(theory):
+    build, names, pairing, _ = PAIRS[theory]
+    section, var = build(2)
+    pairing(section, var)
+    assert {("dt", name) for name in names} <= set(var._derived)
+    for owner in (section, var):
+        for (op, name), stack in owner._derived.items():
+            assert _table_op(op, owner, name) is stack
+            with pytest.raises(ValueError):
+                stack[(0,) * stack.ndim] = 1.0
+
+
+@pytest.mark.parametrize("theory", PAIRS)
+def test_replace_starts_an_empty_memo(theory):
+    build, names, pairing, _ = PAIRS[theory]
+    section, var = build(1)
+    pairing(section, var)
+    moved = replace(section, **{n: 2 * getattr(section, n) for n in names})
+    assert moved._derived == {} and section._derived
+    for name in names:
+        doubled = _table_op("grad", moved, name)
+        assert np.array_equal(doubled, stack_gradient(moved.lattice, getattr(moved, name)))
+        assert not np.array_equal(doubled, section._derived[("grad", name)])
+
+
+def count_ffts(monkeypatch):
+    calls = []
+    for fname in ("fftn", "ifftn"):
+        raw = getattr(np.fft, fname)
+
+        def counted(*args, _raw=raw, **kwargs):
+            calls.append(1)
+            return _raw(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, fname, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("theory", PAIRS)
+def test_el_pairing_and_scale_transform_nothing_twice(theory, dim, monkeypatch):
+    build, names, pairing, scale = PAIRS[theory]
+    section, var = build(dim)
+    calls = count_ffts(monkeypatch)
+    # a builder section and a profile variation hold every gradient
+    first = (pairing(section, var), scale(section, var))
+    assert calls == []
+    # a hand-built variation transforms its stacks once
+    hand = replace(var, **{n: getattr(var, n).copy() for n in names})
+    pairing(section, hand)
+    built = len(calls)
+    assert built > 0
+    assert (pairing(section, var), scale(section, var)) == first
+    scale(section, hand)
+    pairing(section, hand)
+    assert len(calls) == built
