@@ -30,10 +30,15 @@ oracle's potential, to rounding.
 
 The form is evaluated on blocks: stacks of points (the quadrature nodes
 of ``WOracle.value`` and ``WOracle.loop_integral``) or of tangents (the
-pullback sweep), of at most BLOCK_COEFFS mode coefficients per stacked
-array.  Each block entry is bit-identical to evaluating it alone, and the
-quadratures accumulate in node order, so no sum depends on the block
-size.
+pullback sweep), of at most BLOCK_COEFFS full-lattice mode coefficients
+per stacked array.  Each block entry is bit-identical to evaluating it
+alone, and the quadratures accumulate in node order, so no sum depends
+on the block size.  The per-mode work runs on a support: the modes
+where the evaluation's data are nonzero (a NaN counts), read from the
+data of each call (a point, an edge's two end points, a point and a
+tangent block), never assumed from a sampling band.  Each mode sum
+scatters its compact values into zeros on the full lattice and sums
+that, so every value is the one a full-lattice evaluation gives.
 
 Conventions: the contact one-form is Theta = <p, dphi> - Hflow dt with
 the flow Hamiltonian of the resolved ledger.  For Klein-Gordon,
@@ -54,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kg import KGConfig, KGState, kg_enforce_constraints
-from .lattice import Lattice, ModeVector, conjugate_reflection, dft, idft, nan_max
+from .lattice import Lattice, ModeVector, dft, idft, mode_index_table, nan_max
 from .schrodinger import SchrState, schr_enforce_constraints
 
 __all__ = [
@@ -86,11 +91,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# blocks: the oracle's form evaluated on stacks of points or tangents
+# blocks and supports: the oracle's form evaluated on stacks of points or
+# tangents, on the modes their data occupy
 
-# mode coefficients per stacked (block, *shape) array, 64 KB of complex
-# numbers: it bounds the memory a block's temporaries take, whatever the
-# lattice; 64 tangents or nodes at 1D n=64, one at 3D n=16
+# full-lattice mode coefficients per stacked (block, *shape) array, 64 KB
+# of complex numbers: it bounds the memory a block's temporaries take,
+# whatever the lattice; 64 tangents or nodes at 1D n=64, one at 3D n=16
 BLOCK_COEFFS = 4096
 
 
@@ -102,15 +108,43 @@ def _mode_axes(lattice: Lattice) -> tuple[int, ...]:
     return tuple(range(-lattice.dim, 0))
 
 
-def _mode_sum(lattice: Lattice, x: np.ndarray):
-    """Sum over the trailing mode axes, one value per leading block index."""
-    return np.sum(x, axis=_mode_axes(lattice))
+class _Support:
+    """The flat mode indices one evaluation works on (every mode by default).
+
+    Per-mode arithmetic runs on compact (..., M) arrays, the columns
+    ``index`` of (..., *shape) ones.  Sums go through ``_mode_sum``.
+    """
+
+    def __init__(self, lattice: Lattice, index: np.ndarray | None = None):
+        self.lattice = lattice
+        self.index = np.arange(lattice.site_count) if index is None else index
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        """(..., *shape) restricted to the support: (..., M)."""
+        lead = x.shape[: x.ndim - self.lattice.dim]
+        return x.reshape(lead + (self.lattice.site_count,)).take(self.index, axis=-1)
+
+    def sum(self, x: np.ndarray):
+        return _mode_sum(self.lattice, self.index, x)
 
 
-def _col(lattice: Lattice, x):
-    """A per-block scalar of shape (B,) with unit mode axes appended, so
-    it broadcasts against (B, *shape); a plain scalar passes through."""
-    return x if np.ndim(x) == 0 else np.reshape(x, np.shape(x) + (1,) * lattice.dim)
+def _mode_sum(lattice: Lattice, index: np.ndarray, x: np.ndarray):
+    """Sum of compact per-mode values x (..., M) over the whole lattice,
+    one value per leading block index.  x is scattered into zeros of
+    shape (..., *shape), which np.sum reduces over the mode axes: off the
+    support a full-lattice evaluation multiplies exact zeros, so this is
+    the array it would sum, and the sum rounds alike."""
+    lead = x.shape[:-1]
+    full = np.zeros(lead + (lattice.site_count,), dtype=x.dtype)
+    full[..., index] = x
+    return np.sum(full.reshape(lead + lattice.shape), axis=_mode_axes(lattice))
+
+
+def _col(x):
+    """A per-block scalar of shape (B,) with a unit mode axis appended, so
+    it broadcasts against compact (B, M) arrays; a plain scalar passes
+    through."""
+    return x if np.ndim(x) == 0 else np.reshape(x, np.shape(x) + (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +252,40 @@ def random_hermitian_modes(
 ) -> np.ndarray:
     """Standard-normal mode coefficients on |m_j| <= band per axis,
     reality-symmetrized (so self-conjugate modes come out real)."""
-    arr = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-    return _hermitian_band(lattice, band, arr)
+    re = rng.standard_normal(lattice.site_count)
+    im = rng.standard_normal(lattice.site_count)
+    return _hermitian_band(lattice, band, re, im)
 
 
 @lru_cache(maxsize=32)
-def _band_mask(lattice: Lattice, band: int) -> np.ndarray:
-    """|m_j| <= band on every axis; read-only and cached per (lattice, band)."""
-    m1 = np.fft.fftfreq(lattice.n, 1.0 / lattice.n).astype(int)
+def _band_pairs(lattice: Lattice, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the modes m with |m_j| <= band on every axis, and
+    the position in that list of each conjugate -m (in the band too);
+    read-only and cached per (lattice, band)."""
+    m1 = np.abs(np.fft.fftfreq(lattice.n, 1.0 / lattice.n).astype(int))
     mask = np.ones(lattice.shape, dtype=bool)
     for axis in range(lattice.dim):
         mg = np.moveaxis(np.broadcast_to(m1, lattice.shape), lattice.dim - 1, axis)
-        mask &= np.abs(mg) <= band
-    mask.setflags(write=False)
-    return mask
+        mask &= mg <= band
+    index = np.flatnonzero(mask)
+    pair = np.searchsorted(index, mode_index_table(lattice)[0][index])
+    index.setflags(write=False)
+    pair.setflags(write=False)
+    return index, pair
 
 
-def _hermitian_band(lattice: Lattice, band: int | None, arr: np.ndarray) -> np.ndarray:
-    """Mode arrays (..., *lattice.shape) cut to |m_j| <= band (n/4 by
-    default) and reality-symmetrized over the trailing mode axes."""
+def _hermitian_band(lattice: Lattice, band: int | None, re: np.ndarray, im: np.ndarray):
+    """Mode arrays z = re + i im, given flat as (..., N), cut to
+    |m_j| <= band (n/4 by default) and reality-symmetrized: each band mode
+    m gets (z[m] + conj(z[-m])) / 2, every other mode 0.  Returns
+    (..., *lattice.shape)."""
     if band is None:
         band = lattice.n // 4
-    arr = np.where(_band_mask(lattice, band), arr, 0.0)
-    return 0.5 * (arr + conjugate_reflection(arr, _mode_axes(lattice)))
+    index, pair = _band_pairs(lattice, band)
+    z = re.take(index, axis=-1) + 1j * im.take(index, axis=-1)
+    out = np.zeros(re.shape, dtype=z.dtype)
+    out[..., index] = 0.5 * (z + np.conj(z.take(pair, axis=-1)))
+    return out.reshape(re.shape[:-1] + lattice.shape)
 
 
 def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_scale: float):
@@ -250,11 +295,9 @@ def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_sca
     random_hermitian_modes, standard_normal()) triples."""
     n = lattice.site_count
     raw = rng.standard_normal((count, 4 * n + 1))
-    re0, im0, re1, im1 = (
-        raw[:, j * n : (j + 1) * n].reshape((count,) + lattice.shape) for j in range(4)
-    )
-    d0 = _hermitian_band(lattice, None, re0 + 1j * im0)
-    d1 = _hermitian_band(lattice, None, re1 + 1j * im1)
+    re0, im0, re1, im1 = (raw[:, j * n : (j + 1) * n] for j in range(4))
+    d0 = _hermitian_band(lattice, None, re0, im0)
+    d1 = _hermitian_band(lattice, None, re1, im1)
     return d0, d1, raw[:, 4 * n] * s_scale
 
 
@@ -262,11 +305,11 @@ def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_sca
 # the chart
 
 
-def _kg_rotation(cfg: KGConfig, s):
+def _kg_rotation(om: np.ndarray, s):
     """(cos(omega s), sin(omega s)/omega, omega sin(omega s)) with the
-    omega -> 0 limits (1, s, 0); s is a time or a (B,) block of times."""
-    om = cfg.omega()
-    s = _col(cfg.lattice, s)
+    omega -> 0 limits (1, s, 0), for the frequencies om (on the lattice
+    or a support); s is a time or a (B,) block of times."""
+    s = _col(s)
     zero = om == 0.0
     om_safe = np.where(zero, 1.0, om)
     phase = om * s
@@ -278,7 +321,7 @@ def kg_to_darboux(m: KGModeState, cfg: KGConfig) -> KGDarbouxState:
     """Phi-hat = cos phi-hat - (sin/omega) p-hat, P-hat = cos p-hat
     + omega sin phi-hat; the massless zero mode uses the shear limit
     Phi0 = phi0 - s p0, P0 = p0.  W from the derived closed form."""
-    c, sinc, om_sin = _kg_rotation(cfg, m.time)
+    c, sinc, om_sin = _kg_rotation(cfg.omega(), m.time)
     phi = m.phiHat.coefficients
     p = m.pHat.coefficients
     Phi = c * phi - sinc * p
@@ -294,7 +337,7 @@ def kg_to_darboux(m: KGModeState, cfg: KGConfig) -> KGDarbouxState:
 
 def kg_from_darboux(d: KGDarbouxState, cfg: KGConfig) -> KGModeState:
     """Inverse rotation; W is discarded (it is a function of the rest)."""
-    c, sinc, om_sin = _kg_rotation(cfg, d.time)
+    c, sinc, om_sin = _kg_rotation(cfg.omega(), d.time)
     Phi = d.PhiHat.coefficients
     P = d.PHat.coefficients
     phi = c * Phi + sinc * P
@@ -347,14 +390,11 @@ def _measure(lat: Lattice) -> float:
     return lat.volume
 
 
-def _kg_w_terms(m: KGModeState, cfg: KGConfig):
-    """Per-mode pieces of the KG W closed forms at the state's time s:
-    omega, cos(omega s), sin(omega s), sin cos / (2 omega) (s/2 at
-    omega = 0), |p|^2 - omega^2 |phi|^2 and Re(p conj(phi))."""
-    om = cfg.omega()
-    s = m.time
-    phi = m.phiHat.coefficients
-    p = m.pHat.coefficients
+def _kg_w_terms(om: np.ndarray, s: float, phi: np.ndarray, p: np.ndarray):
+    """Per-mode pieces of the KG W closed forms at the time s, for the
+    frequencies om and fields on the lattice or a support: cos(omega s),
+    sin(omega s), sin cos / (2 omega) (s/2 at omega = 0),
+    |p|^2 - omega^2 |phi|^2 and Re(p conj(phi))."""
     zero = om == 0.0
     om_safe = np.where(zero, 1.0, om)
     c = np.cos(om * s)
@@ -362,11 +402,13 @@ def _kg_w_terms(m: KGModeState, cfg: KGConfig):
     half_sc_over_om = np.where(zero, 0.5 * s, 0.5 * sg * c / om_safe)
     quad = np.abs(p) ** 2 - om**2 * np.abs(phi) ** 2
     cross = np.real(p * np.conj(phi))
-    return om, c, sg, half_sc_over_om, quad, cross
+    return c, sg, half_sc_over_om, quad, cross
 
 
 def _kg_w(m: KGModeState, cfg: KGConfig, cross_coeff: float) -> float:
-    _, _, sg, half_sc_over_om, quad, cross = _kg_w_terms(m, cfg)
+    _, sg, half_sc_over_om, quad, cross = _kg_w_terms(
+        cfg.omega(), m.time, m.phiHat.coefficients, m.pHat.coefficients
+    )
     per_mode = quad * half_sc_over_om + cross_coeff * cross * sg**2
     return _measure(m.lattice) * float(np.sum(per_mode))
 
@@ -385,15 +427,20 @@ def kg_w_printed(m: KGModeState, cfg: KGConfig) -> float:
     return _kg_w(m, cfg, 2.0)
 
 
-def _kg_w_differential(m: KGModeState, cfg: KGConfig, cross_coeff: float):
+def _kg_w_differential(
+    m: KGModeState, cfg: KGConfig, cross_coeff: float, support: _Support | None = None
+):
     """The differential at m of the KG W closed form with the given cross
     coefficient (1 derived, 2 printed), as a function of tangents
-    (dphi, dp, ds), single or stacked.  The factors that depend on m
-    alone are computed here, once."""
-    om, c, sg, half_sc_over_om, quad, cross = _kg_w_terms(m, cfg)
-    lat = m.lattice
-    phi = m.phiHat.coefficients
-    p = m.pHat.coefficients
+    (dphi, dp, ds), single or stacked.  Its per-mode work runs on the
+    support (every mode by default), which must hold every mode where m
+    or a tangent is nonzero.  The factors that depend on m alone are
+    computed here, once."""
+    sup = _Support(m.lattice) if support is None else support
+    om = sup.take(cfg.omega())
+    phi = sup.take(m.phiHat.coefficients)
+    p = sup.take(m.pHat.coefficients)
+    c, sg, half_sc_over_om, quad, cross = _kg_w_terms(om, m.time, phi, p)
     conj_phi, conj_p = np.conj(phi), np.conj(p)
     two_om2 = om**2 * 2.0
     sg2 = sg**2
@@ -403,16 +450,17 @@ def _kg_w_differential(m: KGModeState, cfg: KGConfig, cross_coeff: float):
     cross_rate = cross_coeff * cross * 2.0 * sg * c * om
 
     def dw(dphi, dp, ds):
+        dphi, dp = sup.take(dphi), sup.take(dp)
         d_quad = 2.0 * np.real(conj_p * dp) - two_om2 * np.real(conj_phi * dphi)
         d_cross = np.real(dp * conj_phi) + np.real(p * np.conj(dphi))
-        ds = _col(lat, ds)
+        ds = _col(ds)
         d_per = (
             d_quad * half_sc_over_om
             + quad_rate * ds
             + cross_coeff * d_cross * sg2
             + cross_rate * ds
         )
-        return _measure(lat) * _mode_sum(lat, d_per)
+        return _measure(m.lattice) * sup.sum(d_per)
 
     return dw
 
@@ -443,27 +491,28 @@ def schr_w_printed(d: SchrDarbouxState) -> float:
     return _measure(d.lattice) * float(np.sum(per_mode))
 
 
-def _schr_chart(lat: Lattice, a, b, s):
+def _schr_chart(ksq: np.ndarray, a, b, s):
     """cos and sin of the chart angle k^2 s / 2, the capital coordinate
     PhiI-hat = cos b + sin a and the s-rate 0.5 k^2 (-sin a - cos b) of
-    PhiR-hat, at points (a, b, s), single or stacked."""
-    ksq = lat.ksq()
-    theta = 0.5 * ksq * _col(lat, s)
+    PhiR-hat, at points (a, b, s), single or stacked, for the k^2 and
+    fields on the lattice or a support."""
+    theta = 0.5 * ksq * _col(s)
     c, sg = np.cos(theta), np.sin(theta)
     return c, sg, c * b + sg * a, 0.5 * ksq * (-sg * a - c * b)
 
 
-def _schr_w_derived_differential(m: SchrModeState):
+def _schr_w_derived_differential(m: SchrModeState, support: _Support | None = None):
     """The differential at m of schr_w_derived, as a function of tangents
-    (dphiR, dphiI, ds), single or stacked: with r = 2 Re(a conj b) and
+    (dphiR, dphiI, ds), single or stacked, with its per-mode work on the
+    support as in _kg_w_differential: with r = 2 Re(a conj b) and
     q = |a|^2 - |b|^2 per mode, d(sin^2 r - sin cos q) = k^2 sin cos r ds
     + sin^2 dr - (k^2/2)(cos^2 - sin^2) q ds - sin cos dq."""
-    lat = m.lattice
-    ksq = lat.ksq()
+    sup = _Support(m.lattice) if support is None else support
+    ksq = sup.take(m.lattice.ksq())
     theta = 0.5 * ksq * m.time
     c, sg = np.cos(theta), np.sin(theta)
-    a = m.phiRHat.coefficients
-    b = m.phiIHat.coefficients
+    a = sup.take(m.phiRHat.coefficients)
+    b = sup.take(m.phiIHat.coefficients)
     conj_a, conj_b = np.conj(a), np.conj(b)
     sg2, sc = sg**2, sg * c
     rate = ksq * sc * 2.0 * np.real(a * conj_b) - 0.5 * ksq * (c**2 - sg2) * (
@@ -471,24 +520,27 @@ def _schr_w_derived_differential(m: SchrModeState):
     )
 
     def dw(da, db, ds):
+        da, db = sup.take(da), sup.take(db)
         dr = 2.0 * np.real(da * conj_b + a * np.conj(db))
         dq = 2.0 * np.real(conj_a * da) - 2.0 * np.real(conj_b * db)
-        d_per = rate * _col(lat, ds) + sg2 * dr - sc * dq
-        return _measure(lat) * _mode_sum(lat, d_per)
+        d_per = rate * _col(ds) + sg2 * dr - sc * dq
+        return _measure(m.lattice) * sup.sum(d_per)
 
     return dw
 
 
-def _schr_w_printed_differential(m: SchrModeState):
+def _schr_w_printed_differential(m: SchrModeState, support: _Support | None = None):
     """The differential at m of the printed W, chain-ruled through the
     chart, as a function of tangents (dphiR, dphiI, ds), single or
-    stacked.  The factors that depend on m alone are computed here, once."""
-    lat = m.lattice
-    ksq = lat.ksq()
+    stacked, with its per-mode work on the support as in
+    _kg_w_differential.  The factors that depend on m alone are computed
+    here, once."""
+    sup = _Support(m.lattice) if support is None else support
+    ksq = sup.take(m.lattice.ksq())
     s = m.time
-    a = m.phiRHat.coefficients
-    b = m.phiIHat.coefficients
-    c, sg, B, rate_A = _schr_chart(lat, a, b, s)
+    a = sup.take(m.phiRHat.coefficients)
+    b = sup.take(m.phiIHat.coefficients)
+    c, sg, B, rate_A = _schr_chart(ksq, a, b, s)
     A = c * a - sg * b
     rate_B = 0.5 * ksq * (-sg * b + c * a)
     conj_A, conj_B = np.conj(A), np.conj(B)
@@ -498,7 +550,8 @@ def _schr_w_printed_differential(m: SchrModeState):
     cross_rate = 2.0 * np.real(A * conj_B) * 0.5 * ksq * c
 
     def dw(da, db, ds):
-        ds = _col(lat, ds)
+        da, db = sup.take(da), sup.take(db)
+        ds = _col(ds)
         dA = c * da - sg * db + rate_A * ds
         dB = c * db + sg * da + rate_B * ds
         d_per = (
@@ -507,7 +560,7 @@ def _schr_w_printed_differential(m: SchrModeState):
             + 2.0 * np.real(dA * conj_B + A * np.conj(dB)) * sg
             + cross_rate * ds
         )
-        return _measure(lat) * _mode_sum(lat, d_per)
+        return _measure(m.lattice) * sup.sum(d_per)
 
     return dw
 
@@ -517,33 +570,34 @@ def _schr_w_printed_differential(m: SchrModeState):
 #
 # Points (a0, a1, s) are (phi-hat, p-hat, s) for Klein-Gordon and
 # (phiR-hat, phiI-hat, s) for Schrodinger, tangents (d0, d1, ds) alike.
-# Either may be stacked: fields (B, *shape) with times (B,); every sum
-# runs over the trailing mode axes only, so a stack gives one value per
-# block index, each bit-identical to evaluating that index alone.
+# Either may be stacked: fields (B, ...) with times (B,); every sum runs
+# over the mode axis only, so a stack gives one value per block index,
+# each bit-identical to evaluating that index alone.  Points come as
+# compact fields on a support, tangents in the lattice layout.
 
 
-def _pairing(lat: Lattice, x: np.ndarray, dy: np.ndarray):
-    """<x, dy> = L^d Re sum_k x[k] conj(dy[k]), the real Parseval pairing."""
-    return _measure(lat) * np.real(_mode_sum(lat, x * np.conj(dy)))
+def _pairing(sup: _Support, x: np.ndarray, dy: np.ndarray):
+    """<x, dy> = L^d Re sum_k x[k] conj(dy[k]), the real Parseval pairing
+    of compact fields."""
+    return _measure(sup.lattice) * np.real(sup.sum(x * np.conj(dy)))
 
 
-def _kg_hflow(cfg: KGConfig, phi, p, sign_ledger: str):
-    om2 = cfg.omega() ** 2
+def _kg_hflow(cfg: KGConfig, sup: _Support, om, phi, p, sign_ledger: str):
+    om2 = om**2
     if sign_ledger == "paper-printed":
         om2 = om2 - 2.0 * cfg.mass**2  # k^2 - m^2: the printed mass sign
-    return 0.5 * _measure(cfg.lattice) * _mode_sum(
-        cfg.lattice, np.abs(p) ** 2 + om2 * np.abs(phi) ** 2
-    )
+    return 0.5 * _measure(sup.lattice) * sup.sum(np.abs(p) ** 2 + om2 * np.abs(phi) ** 2)
 
 
-def _schr_hflow(lat: Lattice, a, b, sign_ledger: str):
-    val = 0.5 * _measure(lat) * _mode_sum(lat, lat.ksq() * (np.abs(a) ** 2 + np.abs(b) ** 2))
+def _schr_hflow(sup: _Support, ksq, a, b, sign_ledger: str):
+    val = 0.5 * _measure(sup.lattice) * sup.sum(ksq * (np.abs(a) ** 2 + np.abs(b) ** 2))
     return -val if sign_ledger == "paper-printed" else val
 
 
-def _difference_form(theory: str, cfg, a0, a1, s, sign_ledger: str):
-    """Theta - canonical at the points (a0, a1, s), as a function of the
-    tangents (d0, d1, ds).
+def _difference_form(theory: str, cfg, sup: _Support, a0, a1, s, sign_ledger: str):
+    """Theta - canonical at the points (a0, a1, s), compact on sup, as a
+    function of the tangents (d0, d1, ds); sup must hold every mode
+    where a point or a tangent is nonzero.
 
     Both theories share one contraction: Theta = w <a1, d0> - Hflow ds
     and canonical = w <M, c d0 - r d1 + v ds>, with pairing weight w
@@ -553,21 +607,22 @@ def _difference_form(theory: str, cfg, a0, a1, s, sign_ledger: str):
     that depend on the points alone are computed here, once.
     """
     if theory == "kg":
-        lat = cfg.lattice
         weight = 1.0
-        c, r, om_sin = _kg_rotation(cfg, s)
+        om = sup.take(cfg.omega())
+        c, r, om_sin = _kg_rotation(om, s)
         moment = c * a1 + om_sin * a0
         rate = -om_sin * a0 - c * a1
-        hflow = _kg_hflow(cfg, a0, a1, sign_ledger)
+        hflow = _kg_hflow(cfg, sup, om, a0, a1, sign_ledger)
     else:
-        lat = cfg
         weight = 2.0
-        c, r, moment, rate = _schr_chart(lat, a0, a1, s)
-        hflow = _schr_hflow(lat, a0, a1, sign_ledger)
+        ksq = sup.take(cfg.ksq())
+        c, r, moment, rate = _schr_chart(ksq, a0, a1, s)
+        hflow = _schr_hflow(sup, ksq, a0, a1, sign_ledger)
 
     def form(d0, d1, ds):
-        theta = weight * _pairing(lat, a1, d0) - hflow * ds
-        return theta - weight * _pairing(lat, moment, c * d0 - r * d1 + rate * _col(lat, ds))
+        d0, d1 = sup.take(d0), sup.take(d1)
+        theta = weight * _pairing(sup, a1, d0) - hflow * ds
+        return theta - weight * _pairing(sup, moment, c * d0 - r * d1 + rate * _col(ds))
 
     return form
 
@@ -616,6 +671,12 @@ class WOracle:
         self.cfg = cfg
         self.sign_ledger = sign_ledger
         self.lattice = cfg.lattice if theory == "kg" else cfg
+        # one plus the form's top oscillation frequency in s (2 omega for
+        # the rotation quadratics; k^2 for Schrodinger)
+        if theory == "kg":
+            self._top = 1.0 + 2.0 * float(np.max(cfg.omega()))
+        else:
+            self._top = 1.0 + float(np.max(self.lattice.ksq()))
         if check_points > 0:
             worst = self._closedness_sweep(seed, check_points)
             if not worst <= tol:
@@ -627,9 +688,23 @@ class WOracle:
 
     # -- evaluation ------------------------------------------------------
 
-    def _form(self, a0, a1, s):
-        """The difference form at points (a0, a1, s), single or stacked."""
-        return _difference_form(self.theory, self.cfg, a0, a1, s, self.sign_ledger)
+    def _support(self, fields, times) -> _Support:
+        """The modes where some of the fields (single or stacked) is
+        nonzero, a NaN included; every mode when a time times the top
+        frequency is not finite, since the chart's factors are then NaN
+        where the fields vanish too."""
+        if not all(np.all(np.isfinite(np.multiply(t, self._top))) for t in times):
+            return _Support(self.lattice)
+        n = self.lattice.site_count
+        hit = np.zeros(n, dtype=bool)
+        for a in fields:
+            hit |= np.logical_or.reduce(np.reshape(a, (-1, n)), axis=0)
+        return _Support(self.lattice, np.flatnonzero(hit))
+
+    def _form(self, sup: _Support, a0, a1, s):
+        """The difference form at points (a0, a1, s), compact on sup,
+        single or stacked."""
+        return _difference_form(self.theory, self.cfg, sup, a0, a1, s, self.sign_ledger)
 
     def _point(self, a0, a1, time: float):
         state = KGModeState if self.theory == "kg" else SchrModeState
@@ -644,29 +719,33 @@ class WOracle:
 
     def differential(self, point, tangent) -> float:
         """(Theta - canonical) contracted with the tangent."""
-        return float(self._form(*_coords(point))(*_tangent_coords(tangent)))
+        a0, a1, s = _coords(point)
+        d0, d1, ds = _tangent_coords(tangent)
+        sup = self._support((a0, a1, d0, d1), (s, ds))
+        return float(self._form(sup, sup.take(a0), sup.take(a1), s)(d0, d1, ds))
 
     def value(self, point, order: int = 8) -> float:
         """Line integral of the difference form from (0 fields, s = 0).
 
         Segment one raises s at zero fields (the integrand vanishes there
         but is integrated honestly); segment two is radial in the fields
-        at the target time.  Quadrature nodes are evaluated in blocks.
+        at the target time.  Quadrature nodes are evaluated in blocks, on
+        the point's support.
         """
         nodes, weights = np.polynomial.legendre.leggauss(order)
         u = 0.5 * (nodes + 1.0)
         w = 0.5 * weights
         a0, a1, s_target = _coords(point)
-        lat = self.lattice
+        sup = self._support((a0, a1), (s_target,))
         zeros = np.zeros_like(a0)
+        c0, c1 = sup.take(a0), sup.take(a1)
+        cz = np.zeros_like(c0)
         rise = self._blocks(
-            u, lambda ub: self._form(zeros, zeros, ub * s_target)(zeros, zeros, 1.0)
+            u, lambda ub: self._form(sup, cz, cz, ub * s_target)(zeros, zeros, 1.0)
         )
         radial = self._blocks(
             u,
-            lambda ub: self._form(_col(lat, ub) * a0, _col(lat, ub) * a1, s_target)(
-                a0, a1, 0.0
-            ),
+            lambda ub: self._form(sup, _col(ub) * c0, _col(ub) * c1, s_target)(a0, a1, 0.0),
         )
         total = 0.0
         for wi, v in zip(w, rise):
@@ -699,29 +778,18 @@ class WOracle:
         return abs(deriv(tx, ty) - deriv(ty, tx))
 
     def _s_scale(self) -> float:
-        """Reciprocal of the form's top oscillation frequency in s
-        (2 omega for the rotation quadratics; k^2 for Schrodinger)."""
-        if self.theory == "kg":
-            return 1.0 / (1.0 + 2.0 * float(np.max(self.cfg.omega())))
-        return 1.0 / (1.0 + float(np.max(self.lattice.ksq())))
+        """Reciprocal of one plus the form's top oscillation frequency in s."""
+        return 1.0 / self._top
 
     def _random_point_and_tangents(self, rng):
+        """A point and two (d0, d1, ds) tangents, drawn in that order."""
         lat = self.lattice
-        s_scale = self._s_scale()
-        tangent_type = KGModeTangent if self.theory == "kg" else SchrModeTangent
-
-        def tangent():
-            return tangent_type(
-                random_hermitian_modes(lat, rng),
-                random_hermitian_modes(lat, rng),
-                float(rng.standard_normal()) * s_scale,
-            )
-
         s0 = float(rng.uniform(-2.0, 2.0))
         point = self._point(
             random_hermitian_modes(lat, rng), random_hermitian_modes(lat, rng), s0
         )
-        return point, tangent(), tangent()
+        tx, ty = zip(*_tangent_block(lat, rng, 2, self._s_scale()))
+        return point, tx, ty
 
     def _closedness_sweep(self, seed: int, count: int) -> float:
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -740,18 +808,20 @@ class WOracle:
         p1 -> p2 -> p3 -> p1 (straight segments); closedness makes it
         vanish.  Panel count grows with the oscillation scale along each
         edge so the quadrature error stays below the assertion floor.
-        Each edge's quadrature nodes are evaluated in blocks.
+        Each edge's quadrature nodes are evaluated in blocks, on the
+        support of its two end points.
         """
         nodes, weights = np.polynomial.legendre.leggauss(order)
         om_max = float(np.max(np.sqrt(self.lattice.ksq())))
         if self.theory == "kg":
             om_max = float(np.max(self.cfg.omega()))
-        lat = self.lattice
         total = 0.0
         for a, b in ((p1, p2), (p2, p3), (p3, p1)):
             a0, a1, sa = _coords(a)
             b0, b1, sb = _coords(b)
             tangent = (b0 - a0, b1 - a1, sb - sa)
+            sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
+            a0, a1, b0, b1 = (sup.take(x) for x in (a0, a1, b0, b1))
             panels = max(4, int(np.ceil(2.0 * om_max * abs(sb - sa))) + 1)
             u, w = [], []
             for j in range(panels):
@@ -761,9 +831,9 @@ class WOracle:
                 w.append(0.5 * (hi - lo) * weights)
 
             def on_edge(ub):
-                left, right = _col(lat, 1 - ub), _col(lat, ub)
+                left, right = _col(1 - ub), _col(ub)
                 form = self._form(
-                    left * a0 + right * b0, left * a1 + right * b1, (1 - ub) * sa + ub * sb
+                    sup, left * a0 + right * b0, left * a1 + right * b1, (1 - ub) * sa + ub * sb
                 )
                 return form(*tangent)
 
@@ -780,10 +850,13 @@ def _coords(point):
 
 
 def _tangent_coords(tangent):
-    """(d0, d1, ds) of a KG or Schrodinger mode tangent."""
+    """(d0, d1, ds) of a KG or Schrodinger mode tangent; a (d0, d1, ds)
+    triple passes through."""
     if isinstance(tangent, KGModeTangent):
         return tangent.dphi, tangent.dp, tangent.ds
-    return tangent.dphiR, tangent.dphiI, tangent.ds
+    if isinstance(tangent, SchrModeTangent):
+        return tangent.dphiR, tangent.dphiI, tangent.ds
+    return tangent
 
 
 def w_oracle(theory: str, cfg, sign_ledger: str = "resolved", **kwargs) -> WOracle:
@@ -811,24 +884,31 @@ def theta_pullback_residual(
     oracle's potential), and with the printed W hypothesis, whose sup
     mismatch is ``printed_residual``.  The printed Schrodinger W is known
     not to satisfy the identity; its residual is a measurement, not a
-    failure.  Tangents are drawn and evaluated in blocks.
+    failure.  Tangents are drawn and evaluated in blocks, each on the
+    support of the point and the block.
     """
     lat = point.lattice
     rng = np.random.Generator(np.random.Philox(key=seed))
     oracle = WOracle(theory, cfg if theory == "kg" else lat, check_points=0)
     s_scale = oracle._s_scale()
-    form = oracle._form(*_coords(point))
-    if theory == "kg":
-        dw_derived = _kg_w_differential(point, cfg, 1.0)
-        dw_printed = _kg_w_differential(point, cfg, 2.0)
-    else:
-        dw_derived = _schr_w_derived_differential(point)
-        dw_printed = _schr_w_printed_differential(point)
+    a0, a1, s = _coords(point)
     size = _block_size(lat)
+    sup = None
     derived_gaps = []
     printed_gaps = []
     for start in range(0, tangent_count, size):
         t = _tangent_block(lat, rng, min(size, tangent_count - start), s_scale)
+        block = oracle._support((a0, a1, t[0], t[1]), (s, t[2]))
+        if sup is None or not np.array_equal(block.index, sup.index):
+            # the factors that depend on the point alone, on this support
+            sup = block
+            form = oracle._form(sup, sup.take(a0), sup.take(a1), s)
+            if theory == "kg":
+                dw_derived = _kg_w_differential(point, cfg, 1.0, sup)
+                dw_printed = _kg_w_differential(point, cfg, 2.0, sup)
+            else:
+                dw_derived = _schr_w_derived_differential(point, sup)
+                dw_printed = _schr_w_printed_differential(point, sup)
         gap = form(*t)
         # np.max keeps a NaN, so each block's worst does
         derived_gaps.append(np.max(np.abs(gap - dw_derived(*t))))

@@ -370,6 +370,13 @@ def _section_stacks(lattice: Lattice, scalars, vectors) -> tuple[np.ndarray, ...
     Scalar stacks have shape (T, *lattice.shape) and vector stacks
     (T, dim, *lattice.shape), with one T >= 2 shared by all of them.
     """
+    # The copy stays, though the builders never reuse what they pass in.
+    # Without it a stack_idft result stays a strided .real view of its
+    # complex buffer, and the sums over it round differently: the KG
+    # el-pairing-scaled row at seed 42 moves from 4.5120079787548944e-09
+    # to 4.5120079851279934e-09.  Copies made elsewhere to keep the stacks
+    # contiguous kept every value but raised the suite's peak RSS by
+    # about 7 %, which depends on the order of allocations.
     out = [_locked(np.asarray(a, dtype=float)) for a in (*scalars, *vectors)]
     count = out[0].shape[0] if out[0].ndim else 0
     if count < 2:

@@ -431,7 +431,8 @@ def ref_pullback(theory, cfg, a0, a1, s, tangent_count, seed):
     return max(derived), max(printed)
 
 
-SHAPES = [(1, 64), (2, 8), (3, 4)]
+# 3D n=8 evaluates on the band, 125 of 512 modes
+SHAPES = [(1, 64), (2, 8), (3, 4), (3, 8)]
 
 
 def block_setup(theory, dim, n):
@@ -547,3 +548,153 @@ def test_derived_w_differential_matches_five_point_difference(theory, dim, n):
     fd = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
     assert abs(dw - fd) <= 1e-7 * (1.0 + abs(dw))
     assert abs(dw) > 1.0
+
+
+# ---------------------------------------------------------------------------
+# supports: the oracle works on the modes its data occupy, read from the
+# data; an entry outside the sampling band must count like any other
+
+
+def off_band(lat):
+    """The flat index of the Nyquist mode on the first axis, outside
+    |m_j| <= n/4."""
+    return np.ravel_multi_index((lat.n // 2,) + (0,) * (lat.dim - 1), lat.shape)
+
+
+def poisoned(a, lat, entry):
+    a = a.copy()
+    a.reshape(-1)[off_band(lat)] = entry
+    return a
+
+
+ENTRIES = {"nan": np.nan, "nonzero": 0.3 - 0.2j}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (3, 8)])
+def test_off_band_point_entry_counts(theory, dim, n, entry):
+    lat, cfg, point = block_setup(theory, dim, n)
+    oracle = WOracle(theory, cfg, check_points=0)
+    state = type(point(1, 0.0)[0])
+
+    def bad_point(seed, s):
+        _, (a0, a1, _) = point(seed, s)
+        a0 = poisoned(a0, lat, ENTRIES[entry])
+        return state(ModeVector(lat, a0), ModeVector(lat, a1), time=s), (a0, a1, s)
+
+    m, coords = bad_point(11, 1.7)
+    # only p2 carries the entry: the edges p1 -> p2 and p2 -> p3 see it
+    pts = [point(21, 0.8), bad_point(22, -1.1), point(23, 2.4)]
+    om_max = float(np.max(cfg.omega() if theory == "kg" else np.sqrt(lat.ksq())))
+    kcfg = cfg if theory == "kg" else None
+    got = (
+        oracle.value(m),
+        oracle.loop_integral(*(p for p, _ in pts)),
+        theta_pullback_residual(theory, m, kcfg, tangent_count=20, seed=41),
+    )
+    if entry == "nan":
+        assert np.isnan(got[0]) and np.isnan(got[1])
+        assert np.isnan(got[2].oracle_residual) and np.isnan(got[2].printed_residual)
+    else:
+        assert got[0] == ref_value(theory, cfg, *coords)
+        assert got[1] == ref_loop(theory, cfg, [c for _, c in pts], om_max)
+        want = ref_pullback(theory, cfg, *coords, tangent_count=20, seed=41)
+        assert (got[2].oracle_residual, got[2].printed_residual) == want
+
+
+def ref_block_gaps(theory, cfg, a0, a1, s, blocks):
+    """Dense (derived, printed) sup gaps over the tangents of the blocks."""
+    lat = cfg.lattice if theory == "kg" else cfg
+    derived, printed = [], []
+    for block in blocks:
+        for d0, d1, ds in zip(*block):
+            gap = ref_form(theory, cfg, a0, a1, s, d0, d1, ds)
+            if theory == "kg":
+                dws = [ref_kg_dw(cfg, a0, a1, s, d0, d1, ds, c) for c in (1.0, 2.0)]
+            else:
+                dws = [f(lat, a0, a1, s, d0, d1, ds) for f in (ref_schr_dw_derived, ref_schr_dw_printed)]
+            derived.append(abs(gap - dws[0]))
+            printed.append(abs(gap - dws[1]))
+    return max(derived), max(printed)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (3, 8)])
+def test_off_band_tangent_entry_counts(monkeypatch, theory, dim, n, entry):
+    lat, cfg, point = block_setup(theory, dim, n)
+    m, coords = point(31, -1.3)
+    blocks = []
+    sample = darboux._tangent_block
+
+    def drawn(*args):
+        d0, d1, ds = sample(*args)
+        if len(blocks) == 1:
+            d1 = poisoned(d1, lat, ENTRIES[entry])
+        blocks.append((d0, d1, ds))
+        return d0, d1, ds
+
+    monkeypatch.setattr(darboux, "BLOCK_COEFFS", 4 * lat.site_count)
+    monkeypatch.setattr(darboux, "_tangent_block", drawn)
+    kcfg = cfg if theory == "kg" else None
+    rep = theta_pullback_residual(theory, m, kcfg, tangent_count=10, seed=41)
+    assert len(blocks) == 3
+    got = (rep.oracle_residual, rep.printed_residual)
+    if entry == "nan":
+        assert np.isnan(got[0]) and np.isnan(got[1])
+    else:
+        assert got == ref_block_gaps(theory, cfg, *coords, blocks)
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_non_finite_time_keeps_nan_on_zero_fields(theory):
+    # the chart's factors are NaN at every mode, so no support may drop one
+    _, cfg, _ = block_setup(theory, 2, 8)
+    oracle = WOracle(theory, cfg, check_points=0)
+    lat = oracle.lattice
+    zeros = np.zeros(lat.shape, dtype=complex)
+    state = KGModeState if theory == "kg" else SchrModeState
+    tangent = KGModeTangent if theory == "kg" else SchrModeTangent
+    with np.errstate(invalid="ignore"):
+        for s in (np.nan, np.inf):
+            m = state(ModeVector(lat, zeros), ModeVector(lat, zeros), time=s)
+            assert np.isnan(oracle.differential(m, tangent(zeros, zeros, 0.0)))
+        m = state(ModeVector(lat, zeros), ModeVector(lat, zeros), time=0.5)
+        assert np.isnan(oracle.differential(m, tangent(zeros, zeros, np.nan)))
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_mode_sums_run_on_the_support(monkeypatch, theory):
+    # 3D n=16: points and tangents on |m_j| <= 4 occupy 729 of 4096 modes
+    lat, cfg, point = block_setup(theory, 3, 16)
+    oracle = WOracle(theory, cfg, check_points=0)
+    lengths = []
+    mode_sum = darboux._mode_sum
+
+    def recorded(lattice, index, x):
+        lengths.append(x.shape[-1])
+        return mode_sum(lattice, index, x)
+
+    monkeypatch.setattr(darboux, "_mode_sum", recorded)
+    m, (a0, a1, _) = point(11, 1.7)
+    pts = [point(seed, t)[0] for seed, t in ((21, 0.8), (22, -1.1), (23, 2.4))]
+    kcfg = cfg if theory == "kg" else None
+    oracle.value(m)
+    oracle.loop_integral(*pts)
+    oracle.differential(m, (a1, a0, 0.3))
+    theta_pullback_residual(theory, m, kcfg, tangent_count=3)
+    assert lengths and set(lengths) == {729}
+    # the support is read from the data, not from the sampling band
+    rng = seeded(7)
+    narrow = type(m)(
+        ModeVector(lat, random_hermitian_modes(lat, rng, band=1)),
+        ModeVector(lat, random_hermitian_modes(lat, rng, band=1)),
+        time=0.4,
+    )
+    lengths.clear()
+    oracle.value(narrow)
+    assert set(lengths) == {27}
+    lengths.clear()
+    oracle.differential(narrow, (random_hermitian_modes(lat, rng, band=2), np.zeros_like(a0), 0.1))
+    assert set(lengths) == {125}

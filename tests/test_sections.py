@@ -230,6 +230,20 @@ def test_seeded_gradients_match_fresh_ones(theory, dim):
         assert np.max(np.abs(seeded - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
 
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("theory", PAIRS)
+def test_builder_and_profile_stacks_are_contiguous_owned_and_read_only(theory, dim):
+    # _section_stacks copies on purpose: a strided view of a transform's
+    # complex buffer would round the EL sums differently
+    build = PAIRS[theory][0]
+    for owner in build(dim):
+        names = ("phi", "p", "beta") if theory == "kg" else ("phiR", "phiI", "betaR", "betaI")
+        for name in names:
+            stack = getattr(owner, name)
+            assert stack.flags.c_contiguous and stack.flags.owndata, name
+            assert not stack.flags.writeable, name
+
+
 @pytest.mark.parametrize("theory", PAIRS)
 def test_derived_stacks_are_read_only_and_built_once(theory):
     build, names, pairing, _ = PAIRS[theory]
