@@ -11,20 +11,22 @@ The configurations are the action-residual ones of the acceptance
 suite, and the residuals are the harness's own: the physical windows
 are fixed (the EL window is steps * dt; the dDW window is capped
 because the sup over slices just repeats the same pointwise
-truncation), so each halving doubles the step count.
+truncation), so each halving doubles the step count.  Each residual
+builds one section, at the finest step; the coarser steps are its even
+slices.
 """
 
 import argparse
 import math
 import sys
 
-from covlab.harness import DDW_WINDOW_STEPS, ddw_residual, el_residual, suite_configs
+from covlab.harness import DDW_WINDOW_STEPS, ddw_residuals, el_residuals, suite_configs
 
 
 def sweep(cfg, levels: int) -> None:
     dts = [cfg.dt / 2**j for j in range(levels)]
-    el = [el_residual(cfg, dt) for dt in dts]
-    ddw = [ddw_residual(cfg, dt) for dt in dts]
+    el = [abs(r) for r in el_residuals(cfg, levels)]
+    ddw = ddw_residuals(cfg, levels)
     print(f"theory {cfg.theory}: n={cfg.n} L={cfg.length:g} "
           f"T_el={cfg.steps * cfg.dt:g} T_ddw={DDW_WINDOW_STEPS * cfg.dt:g}")
     print(f"{'dt':>10}  {'el-pairing-scaled':>18}  {'order':>6}  "

@@ -100,6 +100,13 @@ __all__ = [
 BLOCK_COEFFS = 4096
 
 
+# Gauss panels one edge of WOracle.loop_integral may take.  An edge needs
+# about 2 om_max |ds| of them, a few hundred for the harness's times at
+# 1D n=64; the budget stops a huge finite time from asking for a number of
+# panels no run could finish
+LOOP_PANEL_BUDGET = 2**16
+
+
 def _block_size(lattice: Lattice) -> int:
     return max(1, BLOCK_COEFFS // lattice.site_count)
 
@@ -810,19 +817,31 @@ class WOracle:
         edge so the quadrature error stays below the assertion floor.
         Each edge's quadrature nodes are evaluated in blocks, on the
         support of its two end points.
+
+        A time that is not finite gives NaN, as it does for ``value``; an
+        edge that would need more than LOOP_PANEL_BUDGET panels raises
+        ValueError.
         """
         nodes, weights = np.polynomial.legendre.leggauss(order)
         om_max = float(np.max(np.sqrt(self.lattice.ksq())))
         if self.theory == "kg":
             om_max = float(np.max(self.cfg.omega()))
+        if not all(np.isfinite(_coords(p)[2]) for p in (p1, p2, p3)):
+            return float("nan")
         total = 0.0
         for a, b in ((p1, p2), (p2, p3), (p3, p1)):
             a0, a1, sa = _coords(a)
             b0, b1, sb = _coords(b)
+            need = np.ceil(2.0 * om_max * abs(sb - sa)) + 1
+            if need > LOOP_PANEL_BUDGET:
+                raise ValueError(
+                    f"loop_integral edge from s={float(sa)!r} to s={float(sb)!r} needs "
+                    f"{need:.3g} panels, over the budget of {LOOP_PANEL_BUDGET}"
+                )
+            panels = max(4, int(need))
             tangent = (b0 - a0, b1 - a1, sb - sa)
             sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
             a0, a1, b0, b1 = (sup.take(x) for x in (a0, a1, b0, b1))
-            panels = max(4, int(np.ceil(2.0 * om_max * abs(sb - sa))) + 1)
             u, w = [], []
             for j in range(panels):
                 lo = j / panels

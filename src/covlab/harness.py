@@ -46,7 +46,7 @@ from .kg import (
     kg_random_variation_profile,
     kg_solution_section,
 )
-from .lattice import Lattice, ModeVector, ScalarField, idft, nan_max, sup_norm
+from .lattice import Lattice, ModeVector, ScalarField, _even_slices, idft, nan_max, sup_norm
 from .schrodinger import (
     SchrVariation,
     schr_constraint_residual,
@@ -69,8 +69,8 @@ __all__ = [
     "load_config",
     "dump_config",
     "random_state",
-    "el_residual",
-    "ddw_residual",
+    "el_residuals",
+    "ddw_residuals",
     "run_experiment",
     "emit_report",
     "format_float",
@@ -86,7 +86,10 @@ LEDGERS = ("resolved", "paper-printed")
 
 # bytes the largest spacetime section of action-residual may take; a
 # section holds 8-byte floats on every slice and site: 2 + dim of them
-# for kg (phi, p, beta), 2 + 2 dim for schrodinger
+# for kg (phi, p, beta), 2 + 2 dim for schrodinger.  The largest is the
+# dt/2 Euler-Lagrange section, the only one built at that size; while
+# the dt level is evaluated its even-slice copy, half the size, is held
+# beside it
 SECTION_BUDGET_BYTES = 2**30
 
 # steps x sites a stepped evolve run may take.  kg takes 1/dt leapfrog
@@ -807,47 +810,85 @@ def _bracket_rows(cfg: ExperimentConfig):
     return rows
 
 
-def el_residual(cfg: ExperimentConfig, dt: float) -> float:
-    """|EL pairing| / cancellation scale of action-residual's band-1
-    solution section at step dt, varied along a seeded time-bump profile."""
-    return abs(_signed_el_residual(cfg, dt))
+def _ladder(cfg: ExperimentConfig, levels: int, steps_at, build, evaluate) -> list:
+    """evaluate(section) for the sections of build(dt, steps) at
+    dt = cfg.dt / 2**j, j = 0 .. levels - 1, with steps_at(cfg, dt) time
+    intervals each, in that order.
+
+    Only the finest section is built: a level with half the intervals
+    of the next finer one is that one's even slices, bit for bit the
+    section build would give (a clamped step count gets its own build).
+    Coarser levels are evaluated first, each dropped before the next
+    finer one is evaluated, so the derived stacks an evaluation keeps on
+    a finer section never sit beside a coarser section.
+    """
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
+    dts = [cfg.dt / 2**j for j in range(levels)]
+    steps = [steps_at(cfg, dt) for dt in dts]
+    sections = [build(dts[-1], steps[-1])]
+    for j in range(levels - 2, -1, -1):
+        nested = steps[j + 1] == 2 * steps[j]
+        sections.append(_even_slices(sections[-1]) if nested else build(dts[j], steps[j]))
+    values = []
+    while sections:
+        values.append(evaluate(sections.pop()))
+    return values
 
 
-def _signed_el_residual(cfg: ExperimentConfig, dt: float) -> float:
-    """el_residual with the sign of the pairing kept."""
-    st = _banded_state(cfg, cfg.seed, band=1)
-    d1, d2 = _seeded_fields(cfg, cfg.seed + 7, band=1)
-    n_steps = _el_steps(cfg, dt)
+def _solution_sections(cfg: ExperimentConfig, state):
+    """build(dt, steps): the exact solution section through state."""
     if cfg.theory == "kg":
-        section = kg_solution_section(st, dt, n_steps, cfg.kg_config())
-        var = kg_random_variation_profile(section, d1, d2)
-        return kg_el_pairing(section, var) / kg_el_cancellation_scale(section, var)
-    section = schr_solution_section(st, dt, n_steps)
-    var = schr_random_variation_profile(section, d1, d2)
-    return schr_el_pairing(section, var) / schr_el_cancellation_scale(section, var)
+        kcfg = cfg.kg_config()
+        return lambda dt, steps: kg_solution_section(state, dt, steps, kcfg)
+    return lambda dt, steps: schr_solution_section(state, dt, steps)
 
 
-def ddw_residual(cfg: ExperimentConfig, dt: float) -> float:
-    """Sup de Donder-Weyl residual of action-residual's band-2 solution
-    section at step dt."""
-    st = _banded_state(cfg, cfg.seed + 8, band=2)
+def _ddw_steps(cfg, dt: float) -> int:
+    """Time intervals of the action-residual de Donder-Weyl section at dt."""
     ddw_T_steps = min(cfg.steps if cfg.steps > 0 else 100, DDW_WINDOW_STEPS)
-    n_steps = max(2, round(ddw_T_steps * cfg.dt / dt))
+    return max(2, round(ddw_T_steps * cfg.dt / dt))
+
+
+def el_residuals(cfg: ExperimentConfig, levels: int = 2) -> list[float]:
+    """EL pairing / cancellation scale, sign kept, of action-residual's
+    band-1 solution section at dt = cfg.dt / 2**j for j < levels, varied
+    along a seeded time-bump profile."""
+    d1, d2 = _seeded_fields(cfg, cfg.seed + 7, band=1)
     if cfg.theory == "kg":
-        return kg_dedonder_weyl_residual(kg_solution_section(st, dt, n_steps, cfg.kg_config()))
-    return schr_dedonder_weyl_residual(schr_solution_section(st, dt, n_steps))
+        profile, pairing, scale = (
+            kg_random_variation_profile, kg_el_pairing, kg_el_cancellation_scale
+        )
+    else:
+        profile, pairing, scale = (
+            schr_random_variation_profile, schr_el_pairing, schr_el_cancellation_scale
+        )
+
+    def evaluate(section):
+        var = profile(section, d1, d2)
+        return pairing(section, var) / scale(section, var)
+
+    build = _solution_sections(cfg, _banded_state(cfg, cfg.seed, band=1))
+    return _ladder(cfg, levels, _el_steps, build, evaluate)
+
+
+def ddw_residuals(cfg: ExperimentConfig, levels: int = 2) -> list[float]:
+    """Sup de Donder-Weyl residual of action-residual's band-2 solution
+    section at dt = cfg.dt / 2**j for j < levels."""
+    residual = kg_dedonder_weyl_residual if cfg.theory == "kg" else schr_dedonder_weyl_residual
+    build = _solution_sections(cfg, _banded_state(cfg, cfg.seed + 8, band=2))
+    return _ladder(cfg, levels, _ddw_steps, build, residual)
 
 
 def _action_rows(cfg: ExperimentConfig):
     rows = []
     name = "action-residual"
+    # each ladder's time goes to its first row, which builds the sections
     with _Timer() as t:
-        s1 = _signed_el_residual(cfg, cfg.dt)
-        r1 = abs(s1)
+        s1, s2 = el_residuals(cfg)
+        r1, r2 = abs(s1), abs(s2)
     rows.append(_row(name, "el-pairing-scaled", r1, 1e-8, t.seconds))
     with _Timer() as t:
-        s2 = _signed_el_residual(cfg, cfg.dt / 2)
-        r2 = abs(s2)
         ratio = r1 / r2 if r2 > 0 else float("inf")
     rows.append(_row(name, "el-convergence-ratio-error", abs(ratio - 4.0), 0.8, t.seconds))
     with _Timer() as t:
@@ -857,10 +898,9 @@ def _action_rows(cfg: ExperimentConfig):
     )
 
     with _Timer() as t:
-        d1v = ddw_residual(cfg, cfg.dt)
+        d1v, d2v = ddw_residuals(cfg)
     rows.append(_row(name, "ddw-residual", d1v, 1e-5, t.seconds))
     with _Timer() as t:
-        d2v = ddw_residual(cfg, cfg.dt / 2)
         ratio = d1v / d2v if d2v > 0 else float("inf")
     rows.append(_row(name, "ddw-convergence-ratio-error", abs(ratio - 4.0), 0.8, t.seconds))
     return rows

@@ -32,6 +32,7 @@ from .lattice import (
     ScalarField,
     VectorField,
     _bump_stack,
+    _by_distinct,
     _lagrangian_form,
     _section_origin,
     _section_stacks,
@@ -224,25 +225,28 @@ def kg_enforce_constraints(phi: ScalarField, p: ScalarField, time: float = 0.0) 
 
 def _general_rotation(om2: np.ndarray, s):
     """Propagator entries for d2x/ds2 = -om2 x, valid for any sign of om2.
-    ``s`` is a time, or an array of times that broadcasts against om2.
+    ``s`` is a time, or an array of times shaped (T, 1, ..., 1) to lead
+    om2's axes, giving one pair of entries per time.
 
     Returns (C, S) with x(s) = C x + S v, v(s) = C v - om2 S x:
     trigonometric for om2 > 0, polynomial drift at om2 = 0, hyperbolic
     for om2 < 0 (the tachyonic branch reachable through the printed
-    mass-sign ledger flag).
+    mass-sign ledger flag).  Each branch is evaluated only on its own
+    entries, once per distinct om2.
     """
-    om2 = np.asarray(om2, dtype=float)
-    pos = om2 > 0
-    neg = om2 < 0
-    om = np.sqrt(np.where(pos, om2, 1.0))
-    mu = np.sqrt(np.where(neg, -om2, 1.0))
-    C = np.where(pos, np.cos(om * s), np.where(neg, np.cosh(mu * s), 1.0))
-    S = np.where(
-        pos,
-        np.sin(om * s) / om,
-        np.where(neg, np.sinh(mu * s) / mu, s),
-    )
-    return C, S
+
+    def entries(om2, s):
+        C = np.ones(np.broadcast_shapes(om2.shape, s.shape))
+        S = np.empty_like(C)
+        pos, neg = om2 > 0, om2 < 0
+        om, mu = np.sqrt(om2[pos]), np.sqrt(-om2[neg])
+        x, y = om * s, mu * s
+        C[..., pos], S[..., pos] = np.cos(x), np.sin(x) / om
+        C[..., neg], S[..., neg] = np.cosh(y), np.sinh(y) / mu
+        S[..., ~(pos | neg)] = s
+        return C, S
+
+    return _by_distinct(np.asarray(om2, dtype=float), s, entries)
 
 
 def _kg_om2(cfg: KGConfig, mass_sign: str = "resolved") -> np.ndarray:

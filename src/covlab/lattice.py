@@ -18,7 +18,7 @@ full k^2 multiplier.  Band-limited data never meets the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -440,6 +440,51 @@ def _seed_derived(section, op: str, name: str, stack: np.ndarray) -> None:
     section._derived[(op, name)] = stack
 
 
+def _even_slices(section):
+    """The section on its even nodes, at step 2 dt: every stack and every
+    derived gradient taken [::2], as contiguous read-only copies.
+
+    A builder's section at dt / 2 sliced this way is its section at dt
+    bit for bit, gradients included, so one build serves both steps and
+    an EL pass on the result still transforms nothing.  A gradient that
+    is one of the section's own stacks stays that stack; d/dt stacks
+    depend on the step and are not carried.
+    """
+    stacks = {
+        f.name: getattr(section, f.name)
+        for f in fields(section)
+        if isinstance(getattr(section, f.name), np.ndarray)
+    }
+    out = replace(section, dt=2 * section.dt, **{n: a[::2] for n, a in stacks.items()})
+    for (op, name), stack in section._derived.items():
+        if op == "grad":
+            own = next((n for n, a in stacks.items() if a is stack), None)
+            _seed_derived(out, op, name, stack[::2].copy() if own is None else getattr(out, own))
+    return out
+
+
+def _by_distinct(keys: np.ndarray, s, fn) -> tuple[np.ndarray, ...]:
+    """fn(key, s) for every element of the mode array `keys`, evaluated
+    once per distinct key (keys that compare equal share one evaluation)
+    and gathered back onto the modes.
+
+    ``s`` is a time, or an array of times shaped (..., 1, ..., 1) with one
+    trailing 1 per axis of keys; fn receives the distinct keys as a 1-D
+    array and s as (..., 1), must act elementwise, and returns a tuple of
+    arrays shaped (..., distinct).  Each result has shape
+    (..., *keys.shape) and is C-ordered: np.take keeps the layout, where
+    fancy indexing on the last axis would give an F-ordered array whose
+    sums round differently.
+    """
+    s = np.asarray(s, dtype=float)
+    lead = s.shape[: max(0, s.ndim - keys.ndim)]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    inverse = inverse.reshape(keys.shape)
+    return tuple(
+        np.take(out, inverse, axis=-1) for out in fn(distinct, s.reshape(lead + (1,)))
+    )
+
+
 def _node_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sum of u * v over every axis but the leading time axis."""
     return np.einsum("ti,ti->t", u.reshape(len(u), -1), v.reshape(len(v), -1))
@@ -473,17 +518,17 @@ def _lagrangian_form(table, section, variation=None, magnitude=False) -> float:
             if not magnitude and np.any(dstack[[0, -1]] != 0.0):
                 raise ValueError("variation must vanish at the temporal endpoints")
     lat = section.lattice
+    # magnitudes are taken as each sum needs them, so no more than two
+    # stack-sized temporaries are alive at once
+    mag = np.abs if magnitude else (lambda stack: stack)
     dens = 0.0
     for c, a, op, b in table:
+        c = abs(c) if magnitude else c
         x, dx = getattr(section, a), getattr(variation, a)
-        if magnitude:
-            c, x, dx = abs(c), np.abs(x), np.abs(dx)
         if (op, a) == ("id", b):
             # da . a and a . da are one sum
-            dens = dens + c * (2.0 * _node_sums(dx, x))
+            dens = dens + c * (2.0 * _node_sums(mag(dx), mag(x)))
             continue
         y, dy = (_table_op(op, s, b) for s in (section, variation))
-        if magnitude:
-            y, dy = np.abs(y), np.abs(dy)
-        dens = dens + c * (_node_sums(dx, y) + _node_sums(x, dy))
+        dens = dens + c * (_node_sums(mag(dx), mag(y)) + _node_sums(mag(x), mag(dy)))
     return half * float(np.trapezoid(lat.spacing**lat.dim * dens, dx=section.dt))

@@ -29,6 +29,7 @@ from .lattice import (
     ScalarField,
     VectorField,
     _bump_stack,
+    _by_distinct,
     _lagrangian_form,
     _section_origin,
     _section_stacks,
@@ -246,10 +247,10 @@ def schr_enforce_constraints(
     )
 
 
-def _schr_rotate(a, b, theta, steps: int = 1):
-    """Mode data of (phiR, phiI) rotated `steps` times by the per-mode angle
-    theta; a leading time axis on theta gives one array per time."""
-    c, sg = np.cos(theta), np.sin(theta)
+def _schr_rotate(a, b, c, sg, steps: int = 1):
+    """Mode data of (phiR, phiI) rotated `steps` times by the per-mode
+    angle whose cosine and sine are c and sg; a leading time axis on them
+    gives one array per time."""
     for _ in range(steps):
         a, b = a * c + b * sg, b * c - a * sg
     return a, b
@@ -271,7 +272,9 @@ def schr_evolve_spectral(
     theta = 0.5 * lat.ksq() * s
     if hamiltonian_sign == "paper-printed":
         theta = -theta
-    a_s, b_s = _schr_rotate(dft(state.phiR).coefficients, dft(state.phiI).coefficients, theta)
+    a_s, b_s = _schr_rotate(
+        dft(state.phiR).coefficients, dft(state.phiI).coefficients, np.cos(theta), np.sin(theta)
+    )
     return schr_enforce_constraints(
         idft(ModeVector(lat, a_s)), idft(ModeVector(lat, b_s)), time=state.time + s
     )
@@ -295,7 +298,11 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
     lat = state.lattice
     step_angle = 2.0 * np.arctan(0.25 * lat.ksq() * dt)
     a_s, b_s = _schr_rotate(
-        dft(state.phiR).coefficients, dft(state.phiI).coefficients, step_angle, steps
+        dft(state.phiR).coefficients,
+        dft(state.phiI).coefficients,
+        np.cos(step_angle),
+        np.sin(step_angle),
+        steps,
     )
     return schr_enforce_constraints(
         idft(ModeVector(lat, a_s)),
@@ -304,18 +311,27 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
     )
 
 
+def _half_angle_trig(ksq, s):
+    """cos and sin of the rotation angle k^2 s / 2."""
+    theta = 0.5 * ksq * s
+    return np.cos(theta), np.sin(theta)
+
+
 def schr_solution_section(state: SchrState, dt: float, steps: int) -> SchrSpacetimeSection:
     """Sample the exact flow on a uniform time grid of `steps` intervals:
-    the rotation broadcast over the grid, one batched inverse transform
-    per field and one batched gradient per beta; the gradients are also
-    the section's derived gradients of phiR and phiI."""
+    the rotation broadcast over the grid, its cosine and sine evaluated
+    once per distinct k^2, one batched inverse transform per field and
+    one batched gradient per beta; the gradients are also the section's
+    derived gradients of phiR and phiI."""
     if steps < 1:
         raise ValueError("need at least one time interval")
     state.frame.require_rest_frame()
     lat = state.lattice
     s = (np.arange(steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
     a, b = _schr_rotate(
-        dft(state.phiR).coefficients, dft(state.phiI).coefficients, 0.5 * lat.ksq() * s
+        dft(state.phiR).coefficients,
+        dft(state.phiI).coefficients,
+        *_by_distinct(lat.ksq(), s, _half_angle_trig),
     )
     phiR = stack_idft(lat, a)
     phiI = stack_idft(lat, b)

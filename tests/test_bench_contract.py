@@ -63,3 +63,12 @@ def test_every_keyed_entry_point_records_a_traced_pass(spans):
     metrics = spans.pass_metrics(rec, pass_no)
     for name in ("kg.el_s", "schrodinger.el_s", "kg.section_slices", "darboux.chart_calls"):
         assert metrics[name] > 0, name
+    # each action-residual run builds one section per quantity, at dt / 2:
+    # the EL window over _el_steps and the de Donder-Weyl window capped at
+    # DDW_WINDOW_STEPS, doubled; the sections at dt are their even slices
+    cfg = configs[-1]
+    assert cfg.experiment == "action-residual" and cfg.steps > harness.DDW_WINDOW_STEPS
+    el = harness._el_steps(cfg, cfg.dt / 2) + 1
+    ddw = 2 * harness.DDW_WINDOW_STEPS + 1
+    for theory in THEORIES:
+        assert metrics[f"{theory}.section_slices"] == el + ddw, theory

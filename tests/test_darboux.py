@@ -1,5 +1,7 @@
 """Rectifying mode transforms and the W bookkeeping coordinate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -698,3 +700,35 @@ def test_mode_sums_run_on_the_support(monkeypatch, theory):
     lengths.clear()
     oracle.differential(narrow, (random_hermitian_modes(lat, rng, band=2), np.zeros_like(a0), 0.1))
     assert set(lengths) == {125}
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_loop_integral_with_a_non_finite_time_is_nan(theory):
+    _, cfg, point = block_setup(theory, 1, 16)
+    oracle = WOracle(theory, cfg, check_points=0)
+    p1, p2 = point(21, 0.8)[0], point(22, -1.1)[0]
+    assert np.isfinite(oracle.loop_integral(p1, p2, point(23, 2.4)[0]))
+    for s in (np.nan, np.inf, -np.inf):
+        assert np.isnan(oracle.loop_integral(p1, p2, point(23, s)[0]))
+        assert np.isnan(oracle.loop_integral(point(23, s)[0], p1, p2))
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_loop_integral_refuses_an_edge_over_the_panel_budget(theory, monkeypatch):
+    _, cfg, point = block_setup(theory, 1, 16)
+    oracle = WOracle(theory, cfg, check_points=0)
+    p1, p2 = point(21, 0.8)[0], point(22, -1.1)[0]
+    for s in (1e300, -1.7e308):
+        with pytest.raises(ValueError, match=re.escape(f"s=-1.1 to s={s!r} needs ")):
+            oracle.loop_integral(p1, p2, point(23, s)[0])
+    # the budget is the module constant: the longest edge, from s=-1.1 to
+    # s=2.4, runs at a budget of its exact panel count and is refused one
+    # panel below it
+    om_max = float(np.max(cfg.omega() if theory == "kg" else np.sqrt(cfg.ksq())))
+    need = int(np.ceil(2.0 * om_max * 3.5)) + 1
+    p3 = point(23, 2.4)[0]
+    monkeypatch.setattr(darboux, "LOOP_PANEL_BUDGET", need)
+    oracle.loop_integral(p1, p2, p3)
+    monkeypatch.setattr(darboux, "LOOP_PANEL_BUDGET", need - 1)
+    with pytest.raises(ValueError, match="s=-1.1 to s=2.4 needs"):
+        oracle.loop_integral(p1, p2, p3)

@@ -372,6 +372,73 @@ def test_el_pairing_extrapolated_sees_a_wrong_sign(theory, monkeypatch):
     assert rows["el-pairing-extrapolated"].passed is False
 
 
+def fresh_residuals(cfg, levels):
+    """el_residuals and ddw_residuals with a fresh section built at every
+    step, the reference for the ladder's even slices."""
+    from covlab import kg, schrodinger
+
+    el_state = harness._banded_state(cfg, cfg.seed, band=1)
+    ddw_state = harness._banded_state(cfg, cfg.seed + 8, band=2)
+    d1, d2 = harness._seeded_fields(cfg, cfg.seed + 7, band=1)
+    ddw_window = min(cfg.steps if cfg.steps > 0 else 100, harness.DDW_WINDOW_STEPS)
+    el, ddw = [], []
+    for j in range(levels):
+        dt = cfg.dt / 2**j
+        el_steps = harness._el_steps(cfg, dt)
+        ddw_steps = max(2, round(ddw_window * cfg.dt / dt))
+        if cfg.theory == "kg":
+            kcfg = cfg.kg_config()
+            sec = kg.kg_solution_section(el_state, dt, el_steps, kcfg)
+            var = kg.kg_random_variation_profile(sec, d1, d2)
+            el.append(kg.kg_el_pairing(sec, var) / kg.kg_el_cancellation_scale(sec, var))
+            sec = kg.kg_solution_section(ddw_state, dt, ddw_steps, kcfg)
+            ddw.append(kg.kg_dedonder_weyl_residual(sec))
+        else:
+            sec = schrodinger.schr_solution_section(el_state, dt, el_steps)
+            var = schrodinger.schr_random_variation_profile(sec, d1, d2)
+            pairing = schrodinger.schr_el_pairing(sec, var)
+            el.append(pairing / schrodinger.schr_el_cancellation_scale(sec, var))
+            sec = schrodinger.schr_solution_section(ddw_state, dt, ddw_steps)
+            ddw.append(schrodinger.schr_dedonder_weyl_residual(sec))
+    return el, ddw
+
+
+@pytest.mark.parametrize(
+    "dim,steps,levels",
+    [(1, 1, 2), (1, 50, 3), (2, 1, 2), (2, 2, 2), (2, 50, 2), (3, 1, 2), (3, 2, 2), (3, 50, 2)],
+)
+@pytest.mark.parametrize("theory", THEORIES)
+def test_ladder_matches_a_fresh_build_at_every_step(theory, dim, steps, levels):
+    # steps=1 clamps both EL levels to 2 intervals, so no level is the
+    # even slices of another and each gets its own build
+    cfg = ExperimentConfig(
+        theory=theory, experiment="action-residual", dim=dim, n=8, steps=steps, seed=5
+    )
+    got = harness.el_residuals(cfg, levels), harness.ddw_residuals(cfg, levels)
+    assert got == fresh_residuals(cfg, levels)
+
+
+@pytest.mark.parametrize("steps,builds", [(1000, 2), (2, 2), (1, 4)])
+@pytest.mark.parametrize("theory", THEORIES)
+def test_action_residual_builds_each_section_once(theory, steps, builds, monkeypatch):
+    name = "kg_solution_section" if theory == "kg" else "schr_solution_section"
+    builder = getattr(harness, name)
+    calls = []
+
+    def counted(state, dt, steps, *args):
+        calls.append((dt, steps))
+        return builder(state, dt, steps, *args)
+
+    monkeypatch.setattr(harness, name, counted)
+    cfg = ExperimentConfig(theory=theory, experiment="action-residual", n=8, steps=steps)
+    report = run_experiment(cfg)
+    assert report.errors == ()
+    # one EL and one de Donder-Weyl section, each at the finer step
+    assert len(calls) == builds
+    if builds == 2:
+        assert [dt for dt, _ in calls] == [cfg.dt / 2] * 2
+
+
 class TestRunner:
     def test_matrix_shape_and_order(self):
         cfgs = suite_configs()

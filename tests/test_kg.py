@@ -370,3 +370,56 @@ class TestLagrangianTable:
         assert abs(kg_el_pairing(section, var) - ref_pairing(section, var)) <= 1e-13 * scale
         if not solution:
             assert abs(ref_pairing(section, var)) > 1e-3 * scale
+
+
+def reference_general_rotation(om2: np.ndarray, s):
+    """The propagator entries with every branch evaluated on every element
+    and picked by np.where: the reference for _general_rotation, which
+    evaluates each branch once per distinct om2 on its own entries."""
+    om2 = np.asarray(om2, dtype=float)
+    pos = om2 > 0
+    neg = om2 < 0
+    om = np.sqrt(np.where(pos, om2, 1.0))
+    mu = np.sqrt(np.where(neg, -om2, 1.0))
+    C = np.where(pos, np.cos(om * s), np.where(neg, np.cosh(mu * s), 1.0))
+    S = np.where(
+        pos,
+        np.sin(om * s) / om,
+        np.where(neg, np.sinh(mu * s) / mu, s),
+    )
+    return C, S
+
+
+def same_bits(a, b):
+    """Equal values, NaN in the same places, and the same signed zeros."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+class TestRotationPerDistinctFrequency:
+    # the resolved sign, and the printed one with a mass between two
+    # lattice wavenumbers, so that om2 has positive and negative entries;
+    # mass 0 puts om2 = 0 on the zero mode
+    @pytest.mark.parametrize(
+        "mass_sign,mass",
+        [("resolved", 0.7), ("resolved", 0.0), ("paper-printed", 1.5), ("paper-printed", 1.0)],
+    )
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (3, 8)])
+    def test_matches_the_np_where_reference(self, dim, n, mass_sign, mass):
+        from covlab.kg import _general_rotation, _kg_om2
+
+        lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+        om2 = _kg_om2(KGConfig(mass=mass, lattice=lat), mass_sign)
+        grid = np.array([0.0, -0.0, 1e-3, -0.37, 2.5, 40.0]).reshape((-1,) + (1,) * dim)
+        for s in (0.0, -0.0, 0.83, -1.7, 1e-3 * np.arange(7).reshape((-1,) + (1,) * dim), grid):
+            got, want = _general_rotation(om2, s), reference_general_rotation(om2, s)
+            for g, w in zip(got, want):
+                assert same_bits(g, w)
+                assert g.flags.c_contiguous
+        if mass_sign == "paper-printed" and mass == 1.5:
+            assert np.any(om2 < 0) and np.any(om2 > 0)
+        if mass == 0.0:
+            assert np.any(om2 == 0)

@@ -392,3 +392,36 @@ class TestLagrangianTable:
         assert abs(schr_el_pairing(section, var) - ref_pairing(section, var)) <= 1e-13 * scale
         if not solution:
             assert abs(ref_pairing(section, var)) > 1e-3 * scale
+
+
+def reference_schr_rotate(a, b, theta, steps: int = 1):
+    """The mode rotation with its cosine and sine taken on the full angle
+    grid: the reference for the section's per-distinct-k^2 trig."""
+    c, sg = np.cos(theta), np.sin(theta)
+    for _ in range(steps):
+        a, b = a * c + b * sg, b * c - a * sg
+    return a, b
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (3, 8)])
+def test_section_rotation_matches_the_full_angle_grid(dim, n):
+    from covlab.lattice import _by_distinct
+    from covlab.schrodinger import _half_angle_trig, _schr_rotate
+
+    lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+    rng = seeded(dim)
+    a, b = (
+        hermitize(rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape))
+        for _ in range(2)
+    )
+    grid = np.array([0.0, -0.0, 1e-3, -0.37, 2.5, 40.0]).reshape((-1,) + (1,) * dim)
+    for s in (0.0, -0.0, 0.83, 1e-3 * np.arange(7).reshape((-1,) + (1,) * dim), grid):
+        theta = 0.5 * lat.ksq() * s
+        trig = _by_distinct(lat.ksq(), s, _half_angle_trig)
+        for got, want in zip(trig, (np.cos(theta), np.sin(theta))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.flags.c_contiguous
+        for got, want in zip(_schr_rotate(a, b, *trig), reference_schr_rotate(a, b, theta)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert got.flags.c_contiguous

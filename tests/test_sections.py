@@ -1,8 +1,9 @@
 """Spacetime sections stored as stacked arrays: the batched build against
-the slice-by-slice flow, hand-built sections, the batched checks, and the
-memo of derived stacks."""
+the slice-by-slice flow, hand-built sections, the batched checks, the
+memo of derived stacks, and the even slices of a finer build."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from covlab.kg import (
     kg_random_variation_profile,
     kg_solution_section,
 )
+from covlab.darboux import random_hermitian_modes
 from covlab.lattice import (
     Lattice,
     ModeVector,
+    _even_slices,
     _table_op,
     hermitize,
     idft,
@@ -198,15 +201,24 @@ def test_omega_is_cached_and_read_only():
 # derived stacks: built once per section, seeded where a builder holds them
 
 
-def kg_pair(dim):
+def kg_pair(dim, nested=False):
+    """A builder section and its profile variation; with `nested`, the
+    section is the even slices of the build at DT / 2."""
     st0, cfg = kg_setup(dim)
-    section = kg_solution_section(st0, DT, STEPS, cfg)
+    if nested:
+        section = _even_slices(kg_solution_section(st0, DT / 2, 2 * STEPS, cfg))
+    else:
+        section = kg_solution_section(st0, DT, STEPS, cfg)
     d1, d2 = random_fields(cfg.lattice, 20 + dim)
     return section, kg_random_variation_profile(section, d1, d2)
 
 
-def schr_pair(dim):
-    section = schr_solution_section(schr_setup(dim), DT, STEPS)
+def schr_pair(dim, nested=False):
+    st0 = schr_setup(dim)
+    if nested:
+        section = _even_slices(schr_solution_section(st0, DT / 2, 2 * STEPS))
+    else:
+        section = schr_solution_section(st0, DT, STEPS)
     d1, d2 = random_fields(section.lattice, 30 + dim)
     return section, schr_random_variation_profile(section, d1, d2)
 
@@ -215,6 +227,14 @@ PAIRS = {
     "kg": (kg_pair, ("phi",), kg_el_pairing, kg_el_cancellation_scale),
     "schrodinger": (schr_pair, ("phiR", "phiI"), schr_el_pairing, schr_el_cancellation_scale),
 }
+# the same pairs with the section taken as the even slices of the build
+# at DT / 2
+PAIRS.update(
+    {
+        f"{theory}-even-slices": (partial(build, nested=True), *rest)
+        for theory, (build, *rest) in list(PAIRS.items())
+    }
+)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -234,12 +254,14 @@ def test_seeded_gradients_match_fresh_ones(theory, dim):
 @pytest.mark.parametrize("theory", PAIRS)
 def test_builder_and_profile_stacks_are_contiguous_owned_and_read_only(theory, dim):
     # _section_stacks copies on purpose: a strided view of a transform's
-    # complex buffer would round the EL sums differently
+    # complex buffer would round the EL sums differently; the even slices
+    # of a finer build are copied the same way, seeded gradients included
     build = PAIRS[theory][0]
     for owner in build(dim):
-        names = ("phi", "p", "beta") if theory == "kg" else ("phiR", "phiI", "betaR", "betaI")
-        for name in names:
-            stack = getattr(owner, name)
+        stacks = [(f.name, getattr(owner, f.name)) for f in fields(owner)]
+        stacks = [(name, a) for name, a in stacks if isinstance(a, np.ndarray)]
+        stacks += [(key, stack) for key, stack in owner._derived.items()]
+        for name, stack in stacks:
             assert stack.flags.c_contiguous and stack.flags.owndata, name
             assert not stack.flags.writeable, name
 
@@ -289,7 +311,8 @@ def test_el_pairing_and_scale_transform_nothing_twice(theory, dim, monkeypatch):
     build, names, pairing, scale = PAIRS[theory]
     section, var = build(dim)
     calls = count_ffts(monkeypatch)
-    # a builder section and a profile variation hold every gradient
+    # a builder section, its even slices and a profile variation hold
+    # every gradient
     first = (pairing(section, var), scale(section, var))
     assert calls == []
     # a hand-built variation transforms its stacks once
@@ -301,3 +324,89 @@ def test_el_pairing_and_scale_transform_nothing_twice(theory, dim, monkeypatch):
     scale(section, hand)
     pairing(section, hand)
     assert len(calls) == built
+
+
+# ---------------------------------------------------------------------------
+# even slices: the section at dt served by the build at dt / 2
+
+
+def banded_fields(lat, seed, band):
+    """Two real fields on |m_j| <= band, as action-residual draws them."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return [idft(ModeVector(lat, random_hermitian_modes(lat, rng, band=band))) for _ in range(2)]
+
+
+def kg_build(dim, band):
+    lat = Lattice(dim=dim, n=8, length=2 * np.pi)
+    cfg = KGConfig(mass=0.15, lattice=lat)
+    st0 = kg_enforce_constraints(*banded_fields(lat, 40 + dim, band), time=0.25)
+    return lambda dt, steps: kg_solution_section(st0, dt, steps, cfg)
+
+
+def schr_build(dim, band):
+    lat = Lattice(dim=dim, n=8, length=2 * np.pi)
+    st0 = schr_enforce_constraints(*banded_fields(lat, 50 + dim, band), time=0.25)
+    return lambda dt, steps: schr_solution_section(st0, dt, steps)
+
+
+BUILDS = {"kg": kg_build, "schrodinger": schr_build}
+
+
+# (band, dt, steps): the band-1 EL data over a long window and the
+# band-2 de Donder-Weyl data over a short one, at the suite's step
+@pytest.mark.parametrize("band,dt,steps", [(1, 1e-3, 600), (2, 1e-3, 200), (2, 0.05, 3)])
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("theory", BUILDS)
+def test_even_slices_are_the_coarse_build_bit_for_bit(theory, dim, band, dt, steps):
+    build = BUILDS[theory](dim, band)
+    coarse = build(dt, steps)
+    fine = build(dt / 2, 2 * steps)
+    sliced = _even_slices(fine)
+    assert type(sliced) is type(coarse)
+    assert (sliced.dt, sliced.t0) == (coarse.dt, coarse.t0)
+    assert np.array_equal(sliced.times(), coarse.times())
+    names = ("phi", "p", "beta") if theory == "kg" else ("phiR", "phiI", "betaR", "betaI")
+    for name in names:
+        assert np.array_equal(getattr(sliced, name), getattr(coarse, name)), name
+    # every builder-seeded gradient comes along, equal to the coarse one
+    assert sliced._derived.keys() == coarse._derived.keys() == fine._derived.keys()
+    for key, stack in coarse._derived.items():
+        assert np.array_equal(sliced._derived[key], stack), key
+    if theory == "kg":
+        assert sliced._derived[("grad", "phi")] is sliced.beta
+    # the finer section is left as it was
+    assert len(fine.times()) == 2 * steps + 1 and fine.dt == dt / 2
+
+
+def test_even_slices_drop_time_derivatives():
+    build = kg_build(1, 1)
+    fine = build(DT / 2, 2 * STEPS)
+    _table_op("dt", fine, "phi")
+    sliced = _even_slices(fine)
+    assert set(sliced._derived) == {("grad", "phi")}
+    expected = np.gradient(sliced.phi, sliced.dt, axis=0, edge_order=2)
+    assert np.array_equal(_table_op("dt", sliced, "phi"), expected)
+
+
+@pytest.mark.parametrize("theory", BUILDS)
+def test_cancellation_scale_holds_two_magnitude_stacks_at_most(theory):
+    # the scale takes each |stack| just before its sum: the live memory it
+    # adds stays within two of the largest stacks, not the four factors of
+    # a term's two products
+    import tracemalloc
+
+    _, _, pairing, scale = PAIRS[theory]
+    section = BUILDS[theory](2, 2)(1e-3, 400)
+    profile = kg_random_variation_profile if theory == "kg" else schr_random_variation_profile
+    var = profile(section, *random_fields(section.lattice, 60))
+    pairing(section, var)  # fills the memos the scale reads
+    # the gradients, (T, dim, *shape), are the largest stacks
+    largest = max(stack.nbytes for stack in section._derived.values())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scale(section, var)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2 * largest + 2**16
