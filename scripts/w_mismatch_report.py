@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from covlab import darboux as dx
-from covlab.kg import KGConfig
 from covlab.lattice import Lattice, ModeVector
 
 
@@ -32,29 +31,23 @@ def seeded(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def mode_point(theory, lat, seed, s):
+def mode_point(lat, seed, s):
     rng = seeded(seed)
     band = lat.n // 4
     a = ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band))
     b = ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band))
-    if theory == "kg":
-        return dx.KGModeState(a, b, time=s)
-    return dx.SchrModeState(a, b, time=s)
+    return dx.ModeState(a, b, time=s)
 
 
-def kg_cross_term(m, cfg) -> float:
-    om = cfg.omega()
-    cross = np.real(m.pHat.coefficients * np.conj(m.phiHat.coefficients))
-    return m.lattice.volume * float(np.sum(cross * np.sin(om * m.time) ** 2))
+def kg_cross_term(m, th) -> float:
+    phi, p = m.arrays
+    cross = np.real(p * np.conj(phi))
+    return m.lattice.volume * float(np.sum(cross * np.sin(th.freq * m.time) ** 2))
 
 
 def report(theory: str, lat: Lattice, mass: float, seed: int, count: int) -> None:
-    cfg = KGConfig(mass=mass, lattice=lat) if theory == "kg" else None
-    oracle = (
-        dx.WOracle("kg", cfg, seed=seed)
-        if theory == "kg"
-        else dx.WOracle("schrodinger", lat, seed=seed)
-    )
+    th = dx.Theory.of(theory, lat, mass)
+    oracle = dx.WOracle(th, seed=seed)
     print(f"theory {theory}: n={lat.n} L={lat.length:g}"
           + (f" m={mass:g}" if theory == "kg" else ""))
     header = f"{'s':>6}  {'derived':>12}  {'printed':>12}  {'oracle':>12}  " \
@@ -65,13 +58,8 @@ def report(theory: str, lat: Lattice, mass: float, seed: int, count: int) -> Non
     worst_derived = 0.0
     for k in range(count):
         s = 0.4 * k - 1.6
-        m = mode_point(theory, lat, seed + 50 + k, s)
-        if theory == "kg":
-            derived = dx.kg_w_derived(m, cfg)
-            printed = dx.kg_w_printed(m, cfg)
-        else:
-            derived = dx.schr_w_derived(m)
-            printed = dx.schr_w_printed(dx.schr_to_darboux(m))
+        m = mode_point(lat, seed + 50 + k, s)
+        derived, printed = th.w(m), th.w(m, printed=True)
         value = oracle.value(m)
         gap_p = abs(printed - value)
         gap_d = abs(derived - value)
@@ -79,7 +67,7 @@ def report(theory: str, lat: Lattice, mass: float, seed: int, count: int) -> Non
         line = f"{s:6.1f}  {derived:12.4e}  {printed:12.4e}  {value:12.4e}  " \
                f"{gap_p:16.3e}  {gap_d:16.3e}"
         if theory == "kg":
-            cross = kg_cross_term(m, cfg)
+            cross = kg_cross_term(m, th)
             line += f"  {cross:12.4e}  {abs((printed - value) - cross):14.3e}"
         print(line)
     print(f"worst |derived - oracle| over {count} states: {worst_derived:.3e}")

@@ -1,9 +1,9 @@
 """Brackets on the space of solutions: the two-form Omega, the bivector,
 the Jacobi bracket, and the induced Poisson bracket.
 
-Observables live on the Darboux chart: a point is a KGDarbouxState or
-SchrDarbouxState, whose coordinates are the rectified modes plus the
-scalar W.  Functional derivatives are carried as "g-arrays": a gradient
+Observables live on the Darboux chart of one theory record (see
+darboux.Theory): a point is a DarbouxState, whose coordinates are the
+rectified modes (A0, A1) plus the scalar W.  Functional derivatives are carried as "g-arrays": a gradient
 g assigns to each mode k a complex number such that
 
     dF(delta) = sum_k g[k] delta[k]
@@ -15,12 +15,12 @@ redundant conjugate half keeps the bookkeeping to plain array sums.
 
 The bivector implemented here is
 
-    Lambda(dF, dG) = (1/vol) sum_k [gP_F conj(gPhi_G) - gPhi_F conj(gP_G)]
-                     + F_W sum_k P[k] gP_G[k] - G_W sum_k P[k] gP_F[k]
+    Lambda(dF, dG) = (1/(w vol)) sum_k [g1_F conj(g0_G) - g0_F conj(g1_G)]
+                     + F_W sum_k A1[k] g1_G[k] - G_W sum_k A1[k] g1_F[k]
 
-(KG; vol = L^dim is the dual-lattice measure per mode), and the
-Schrodinger analogue with (PhiR, PhiI) in place of (Phi, P), measure
-2*vol, and PhiI in the correction terms.  This is the unique orientation
+with the record's pairing weight w and vol = L^dim the dual-lattice
+measure per mode: (A0, A1) = (Phi, P) and w = 1 for KG, (PhiR, PhiI)
+and w = 2 for Schrodinger.  This is the unique orientation
 of the printed bivector that satisfies the Jacobi identity; with the
 printed orientation the cyclic sum fails at O(1).  A consequence is
 that the canonical pair constant {Re Phi(k0), Re P(k0)} comes out
@@ -42,38 +42,21 @@ of G instead of a finite-difference gradient over every mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .darboux import (
-    KGDarbouxState,
-    KGModeState,
-    SchrDarbouxState,
-    SchrModeState,
-    kg_from_darboux,
-    kg_mode_state,
-    kg_slice_state,
-    kg_to_darboux,
-    schr_from_darboux,
-    schr_mode_state,
-    schr_slice_state,
-    schr_to_darboux,
-)
-from .kg import KGConfig, KGVariation, kg_enforce_constraints, kg_evolve_spectral
+from .darboux import DarbouxState, ModeState, SchrTheory, Theory
 from .lattice import Lattice, ModeVector, dft, inner, mode_index_table, nan_max
-from .schrodinger import SchrVariation, schr_enforce_constraints, schr_evolve_spectral
 
 __all__ = [
     "Observable",
     "TangentPair",
-    "omega_kg",
-    "omega_schr",
+    "omega",
     "omega_schr_expansion_check",
     "SliceReport",
     "omega_slice_report",
-    "reeb_apply",
     "lambda_pairing",
     "hamiltonian_vector_field",
     "jacobi_bracket",
@@ -96,34 +79,22 @@ __all__ = [
 # observables
 
 
-def _arrays_of(point):
-    if isinstance(point, KGDarbouxState):
-        return point.PhiHat.coefficients, point.PHat.coefficients
-    if isinstance(point, SchrDarbouxState):
-        return point.PhiRHat.coefficients, point.PhiIHat.coefficients
-    raise TypeError(f"not a Darboux point: {type(point).__name__}")
-
-
-def _with_coordinates(point, a0, a1, W=None):
-    lat = point.lattice
-    w = point.W if W is None else W
-    if isinstance(point, KGDarbouxState):
-        return KGDarbouxState(
-            ModeVector(lat, a0), ModeVector(lat, a1), W=w, time=point.time
-        )
-    return SchrDarbouxState(
-        ModeVector(lat, a0), ModeVector(lat, a1), W=w, time=point.time
-    )
-
-
-def _point_scale(point) -> float:
-    a0, a1 = _arrays_of(point)
+def _point_scale(point: DarbouxState) -> float:
+    a0, a1 = point.arrays
     return max(1.0, float(np.max(np.abs(a0))), float(np.max(np.abs(a1))))
+
+
+def _w_slope(evaluate, point: DarbouxState, step: float) -> float:
+    """d evaluate / dW at the point, by a central difference of relative
+    step `step`."""
+    h = step * max(1.0, abs(point.W))
+    up, dn = replace(point, W=point.W + h), replace(point, W=point.W - h)
+    return (evaluate(up) - evaluate(dn)) / (2 * h)
 
 
 @dataclass(frozen=True)
 class Observable:
-    """A real-valued functional of a Darboux point.
+    """A real-valued functional of a Darboux point of the theory record.
 
     ``gradient``, when given, returns the pair of hermitian g-arrays
     (one per coordinate array of the point); ``w_derivative`` returns
@@ -132,8 +103,7 @@ class Observable:
     sampled analytic-vs-finite-difference cross-check at construction.
     """
 
-    theory: str
-    representation: str
+    theory: Theory
     evaluate: Callable
     gradient: Optional[Callable] = None
     w_derivative: Optional[Callable] = None
@@ -142,10 +112,8 @@ class Observable:
     name: str = ""
 
     def __post_init__(self):
-        if self.theory not in ("kg", "schrodinger"):
-            raise ValueError(f"unknown theory {self.theory!r}")
-        if self.representation not in ("position", "mode", "darboux"):
-            raise ValueError(f"unknown representation {self.representation!r}")
+        if not isinstance(self.theory, Theory):
+            raise TypeError(f"theory must be a Theory record, got {self.theory!r}")
         if self.check_point is not None:
             self._construction_crosscheck(self.check_point)
 
@@ -160,36 +128,24 @@ class Observable:
     def w_derivative_at(self, point) -> float:
         if self.w_derivative is not None:
             return float(self.w_derivative(point))
-        h = self.fd_step * max(1.0, abs(point.W))
-        up = _with_coordinates(point, *_arrays_of(point), W=point.W + h)
-        dn = _with_coordinates(point, *_arrays_of(point), W=point.W - h)
-        return (self.evaluate(up) - self.evaluate(dn)) / (2 * h)
+        return _w_slope(self.evaluate, point, self.fd_step)
 
     def _fd_gradient(self, point):
-        a0, a1 = _arrays_of(point)
         h = self.fd_step * _point_scale(point)
         conj_map, self_conj, rep = mode_index_table(point.lattice)
         out = []
-        for slot, base in ((0, a0), (1, a1)):
+        for slot, base in zip(("a0", "a1"), point.arrays):
             g = np.zeros(base.size, dtype=complex)
 
             def probe(idx, unit):
-                d0 = a0.copy().ravel()
-                d1 = a1.copy().ravel()
-                tgt = d0 if slot == 0 else d1
-                plus = tgt.copy()
+                plus, minus = base.ravel().copy(), base.ravel().copy()
                 for j, v in unit:
                     plus[j] += h * v
-                minus = tgt.copy()
-                for j, v in unit:
                     minus[j] -= h * v
-                shape = base.shape
-                if slot == 0:
-                    pp = _with_coordinates(point, plus.reshape(shape), a1)
-                    mm = _with_coordinates(point, minus.reshape(shape), a1)
-                else:
-                    pp = _with_coordinates(point, a0, plus.reshape(shape))
-                    mm = _with_coordinates(point, a0, minus.reshape(shape))
+                pp, mm = (
+                    replace(point, **{slot: ModeVector(point.lattice, x.reshape(base.shape))})
+                    for x in (plus, minus)
+                )
                 return (self.evaluate(pp) - self.evaluate(mm)) / (2 * h)
 
             for idx in np.nonzero(rep)[0]:
@@ -225,10 +181,7 @@ class Observable:
                         )
         if self.w_derivative is not None:
             ana_w = float(self.w_derivative(point))
-            h = self.fd_step * max(1.0, abs(point.W))
-            up = _with_coordinates(point, *_arrays_of(point), W=point.W + h)
-            dn = _with_coordinates(point, *_arrays_of(point), W=point.W - h)
-            fd_w = (self.evaluate(up) - self.evaluate(dn)) / (2 * h)
+            fd_w = _w_slope(self.evaluate, point, self.fd_step)
             if abs(ana_w - fd_w) > 1e-6 * max(1.0, abs(ana_w), abs(fd_w)):
                 raise ValueError(
                     f"analytic and finite-difference W-derivatives disagree: "
@@ -240,9 +193,7 @@ def fd_richardson_check(obs: Observable, point, coords: int = 20, seed: int = 17
     """Confirm the finite-difference machinery is in its convergent regime:
     compare steps h and h/2 at random coordinates, return the worst
     Richardson discrepancy (should be orders below the h-step error)."""
-    import dataclasses
-
-    half = dataclasses.replace(obs, fd_step=obs.fd_step / 2, check_point=None)
+    half = replace(obs, fd_step=obs.fd_step / 2, check_point=None)
     g_h = obs._fd_gradient(point)
     g_h2 = half._fd_gradient(point)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -266,9 +217,7 @@ class TangentPair:
     time: float = 0.0
 
     def __post_init__(self):
-        lat_u = self.U.dphi.lattice if hasattr(self.U, "dphi") else self.U.dphiR.lattice
-        lat_v = self.V.dphi.lattice if hasattr(self.V, "dphi") else self.V.dphiR.lattice
-        if lat_u != lat_v:
+        if self.U.lattice != self.V.lattice:
             raise ValueError("tangent pair lattices differ")
 
 
@@ -276,27 +225,23 @@ class TangentPair:
 # the two-form on solutions
 
 
-def omega_kg(U: KGVariation, V: KGVariation, lattice: Lattice) -> float:
-    """Omega(U, V) = integral (dp_U dphi_V - dphi_U dp_V) over the slice."""
-    if U.dphi.lattice != lattice or V.dphi.lattice != lattice:
+def omega(theory: Theory, U, V) -> float:
+    """Omega(U, V) = w integral (d1_U d0_V - d0_U d1_V) over the slice,
+    with the pairing weight w and (d0, d1) the variations' fields:
+    (dphi, dp) for Klein-Gordon, 2 (dphiR, dphiI) for Schrodinger."""
+    (u0, u1), (v0, v1) = theory.variation_fields(U), theory.variation_fields(V)
+    if u0.lattice != theory.lattice or v0.lattice != theory.lattice:
         raise ValueError("variation lattice does not match")
-    return inner(U.dp, V.dphi) - inner(U.dphi, V.dp)
+    return theory.weight * (inner(u1, v0) - inner(u0, v1))
 
 
-def omega_schr(U: SchrVariation, V: SchrVariation, lattice: Lattice) -> float:
-    """Omega(U, V) = 2 integral (dphiI_U dphiR_V - dphiR_U dphiI_V)."""
-    if U.dphiR.lattice != lattice or V.dphiR.lattice != lattice:
-        raise ValueError("variation lattice does not match")
-    return 2.0 * (inner(U.dphiI, V.dphiR) - inner(U.dphiR, V.dphiI))
-
-
-def omega_schr_expansion_check(U: SchrVariation, V: SchrVariation, lattice: Lattice) -> float:
+def omega_schr_expansion_check(U, V, lattice: Lattice) -> float:
     """Direct per-site evaluation of the contraction i_V i_U dtheta on the
     constrained sub-bundle coordinates, against the closed form.
 
     dtheta restricted to the slice is 2 sum_x h^d dphiI(x) wedge dphiR(x);
     contracting two variations gives the site sum below.  Returns the
-    absolute difference from omega_schr.
+    absolute difference from omega.
     """
     h_cell = lattice.volume / lattice.site_count
     direct = 2.0 * h_cell * float(
@@ -304,7 +249,7 @@ def omega_schr_expansion_check(U: SchrVariation, V: SchrVariation, lattice: Latt
             U.dphiI.values * V.dphiR.values - U.dphiR.values * V.dphiI.values
         )
     )
-    return abs(direct - omega_schr(U, V, lattice))
+    return abs(direct - omega(SchrTheory(lattice), U, V))
 
 
 @dataclass(frozen=True)
@@ -315,12 +260,11 @@ class SliceReport:
 
 
 def omega_slice_report(
-    theory: str,
+    theory: Theory,
     solution,
     U0,
     V0,
     times: Sequence[float],
-    cfg: KGConfig | None = None,
     freeze: str | None = None,
 ) -> SliceReport:
     """Evaluate Omega on each listed slice, evolving the solution and both
@@ -329,22 +273,23 @@ def omega_slice_report(
 
     ``freeze`` ("u" or "v") deliberately leaves one variation at its
     initial data, the documented negative control: the resulting spread
-    is O(1) instead of conservation-limited.
+    is O(1) instead of conservation-limited.  The spread is 0 only when
+    every value is exactly 0; a NaN value gives a NaN spread.
     """
+
+    def evolved(U, span):
+        state = theory.enforce(*theory.variation_fields(U))
+        return theory.variation(theory.evolve(state, span))
+
     values = []
     for t in times:
         span = t - solution.time
-        if theory == "kg":
-            u = _kg_evolved_variation(U0, span, cfg) if freeze != "u" else U0
-            v = _kg_evolved_variation(V0, span, cfg) if freeze != "v" else V0
-            values.append(omega_kg(u, v, u.dphi.lattice))
-        else:
-            u = _schr_evolved_variation(U0, span) if freeze != "u" else U0
-            v = _schr_evolved_variation(V0, span) if freeze != "v" else V0
-            values.append(omega_schr(u, v, u.dphiR.lattice))
+        u = evolved(U0, span) if freeze != "u" else U0
+        v = evolved(V0, span) if freeze != "v" else V0
+        values.append(omega(theory, u, v))
     arr = np.array(values)
     denom = float(np.max(np.abs(arr)))
-    spread = float(arr.max() - arr.min()) / denom if denom > 0 else 0.0
+    spread = 0.0 if denom == 0.0 else float(arr.max() - arr.min()) / denom
     return SliceReport(
         times=tuple(float(t) for t in times),
         values=tuple(float(v) for v in values),
@@ -352,45 +297,20 @@ def omega_slice_report(
     )
 
 
-def _kg_evolved_variation(U: KGVariation, span: float, cfg: KGConfig) -> KGVariation:
-    state = kg_enforce_constraints(U.dphi, U.dp)
-    out = kg_evolve_spectral(state, span, cfg)
-    return KGVariation(dphi=out.phi, dp=out.p, dbeta=out.beta)
-
-
-def _schr_evolved_variation(U: SchrVariation, span: float) -> SchrVariation:
-    state = schr_enforce_constraints(U.dphiR, U.dphiI)
-    out = schr_evolve_spectral(state, span)
-    return SchrVariation(
-        dphiR=out.phiR, dphiI=out.phiI, dbetaR=out.betaR, dbetaI=out.betaI
-    )
-
-
 # ---------------------------------------------------------------------------
 # Reeb field, bivector, brackets
 
 
-def reeb_apply(F: Observable, point) -> float:
-    """The Reeb field is d/dW in the Darboux chart."""
-    if F.representation != "darboux":
-        raise ValueError("reeb_apply needs a Darboux-representation observable")
-    return F.w_derivative_at(point)
-
-
 def _check_pair(F: Observable, G: Observable):
-    if F.representation != "darboux" or G.representation != "darboux":
-        raise ValueError("bivector needs Darboux-representation observables")
-    if F.theory != G.theory:
+    if F.theory.name != G.theory.name:
         raise ValueError("observables belong to different theories")
 
 
-def _bivector_weights(point):
-    """(measure, momentum) of the bivector: 1/vol and P-hat for KG,
-    1/(2 vol) and PhiI-hat for Schrodinger."""
-    vol = point.lattice.volume
-    if isinstance(point, KGDarbouxState):
-        return 1.0 / vol, point.PHat.coefficients
-    return 1.0 / (2.0 * vol), point.PhiIHat.coefficients
+def _bivector_weights(theory: Theory, point: DarbouxState):
+    """(measure, momentum) of the bivector: 1/(w vol) with the pairing
+    weight w, and the chart's second coordinate (P-hat; PhiI-hat).  The
+    Reeb field is d/dW in the chart, an observable's w_derivative_at."""
+    return 1.0 / (theory.weight * point.lattice.volume), point.a1.coefficients
 
 
 def _lambda_terms(F: Observable, G: Observable, point):
@@ -399,7 +319,7 @@ def _lambda_terms(F: Observable, G: Observable, point):
     g0_G, g1_G = G.gradient_at(point)
     FW = F.w_derivative_at(point)
     GW = G.w_derivative_at(point)
-    measure, momentum = _bivector_weights(point)
+    measure, momentum = _bivector_weights(F.theory, point)
     pair = measure * np.sum(g1_F * np.conj(g0_G) - g0_F * np.conj(g1_G))
     corr = FW * np.sum(momentum * g1_G) - GW * np.sum(momentum * g1_F)
     return float(np.real(pair)), float(np.real(corr)), FW, GW
@@ -416,13 +336,11 @@ def hamiltonian_vector_field(F: Observable, point):
     (d0, d1, dW): hermitian arrays for the two coordinate arrays and a
     scalar for W.  Contracting any dG with it gives Lambda(dF, dG) + F G_W.
 
-    KG: d0 = conj(g1_F)/vol, d1 = -conj(g0_F)/vol + F_W P-hat,
-    dW = F - Re sum P-hat g1_F; Schrodinger has 1/(2 vol) and PhiI-hat.
+    d0 = conj(g1_F)/(w vol), d1 = -conj(g0_F)/(w vol) + F_W A1,
+    dW = F - Re sum A1 g1_F, with A1 = P-hat (KG) or PhiI-hat.
     """
-    if F.representation != "darboux":
-        raise ValueError("hamiltonian_vector_field needs a Darboux-representation observable")
     g0, g1 = F.gradient_at(point)
-    measure, momentum = _bivector_weights(point)
+    measure, momentum = _bivector_weights(F.theory, point)
     d0 = measure * np.conj(g1)
     d1 = -measure * np.conj(g0) + F.w_derivative_at(point) * momentum
     dW = F.evaluate(point) - float(np.real(np.sum(momentum * g1)))
@@ -442,16 +360,17 @@ def _directional_derivative(G: Observable, point, tangent) -> float:
     if size == 0.0:
         return 0.0
     h = 1e-1 * max(_point_scale(point), abs(point.W)) / size
-    a0, a1 = _arrays_of(point)
+    (a0, a1), lat = point.arrays, point.lattice
 
     def at(t):
-        return G.evaluate(_with_coordinates(point, a0 + t * d0, a1 + t * d1, W=point.W + t * dW))
+        moved = (ModeVector(lat, a0 + t * d0), ModeVector(lat, a1 + t * d1))
+        return G.evaluate(DarbouxState(*moved, W=point.W + t * dW, time=point.time))
 
     return (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12.0 * h)
 
 
 def jacobi_bracket(F: Observable, G: Observable, point) -> float:
-    """[F, G] = Lambda(dF, dG) + F reeb(G) - G reeb(F) = dG(X_F) - G reeb(F).
+    """[F, G] = Lambda(dF, dG) + F G_W - G F_W = dG(X_F) - G F_W.
 
     With an analytic gradient of G the bivector is contracted directly;
     otherwise dG(X_F) is one directional derivative of G along X_F.
@@ -506,7 +425,6 @@ def subalgebra_closure_check(
     F: Observable,
     G: Observable,
     points: Sequence,
-    cfg: KGConfig | None = None,
     times: Sequence[float] = (0.0, 0.7, 1.9, 3.3),
     tol: float = 1e-10,
 ) -> ClosureReport:
@@ -517,31 +435,19 @@ def subalgebra_closure_check(
     the bracket value is s-independent.
     """
     for pt in points:
-        if abs(reeb_apply(F, pt)) > tol or abs(reeb_apply(G, pt)) > tol:
+        if abs(F.w_derivative_at(pt)) > tol or abs(G.w_derivative_at(pt)) > tol:
             raise ValueError("closure check requires W-independent observables")
 
     def bracket_value(pt):
         return jacobi_bracket(F, G, pt)
 
-    reeb_residuals = []
-    for pt in points:
-        h = 1e-6 * max(1.0, abs(pt.W))
-        up = _with_coordinates(pt, *_arrays_of(pt), W=pt.W + h)
-        dn = _with_coordinates(pt, *_arrays_of(pt), W=pt.W - h)
-        reeb_residuals.append(abs((bracket_value(up) - bracket_value(dn)) / (2 * h)))
-
-    base = points[0]
+    reeb_residuals = [abs(_w_slope(bracket_value, pt, 1e-6)) for pt in points]
+    th = F.theory
+    state0 = th.slice_state(th.from_darboux(points[0]))
     flow_values = []
-    if isinstance(base, KGDarbouxState):
-        state0 = kg_slice_state(kg_from_darboux(base, cfg))
-        for t in times:
-            st = kg_evolve_spectral(state0, t - state0.time, cfg)
-            flow_values.append(bracket_value(kg_to_darboux(kg_mode_state(st), cfg)))
-    else:
-        state0 = schr_slice_state(schr_from_darboux(base))
-        for t in times:
-            st = schr_evolve_spectral(state0, t - state0.time)
-            flow_values.append(bracket_value(schr_to_darboux(schr_mode_state(st))))
+    for t in times:
+        st = th.evolve(state0, t - state0.time)
+        flow_values.append(bracket_value(th.to_darboux(th.mode_state(st))))
     arr = np.array(flow_values)
     scale = max(1.0, float(np.max(np.abs(arr))))
     spread = float(arr.max() - arr.min()) / scale
@@ -559,70 +465,33 @@ def subalgebra_closure_check(
 # smeared observables and the bracket / two-form identification
 
 
-def _kg_chart_push(U: KGVariation, time: float, cfg: KGConfig):
-    """Mode transform of a variation followed by the Darboux rotation at
-    the given time (variations ride the same chart as states)."""
-    m = KGModeState(dft(U.dphi), dft(U.dp), time=time)
-    d = kg_to_darboux(m, cfg)
-    return d.PhiHat.coefficients, d.PHat.coefficients
-
-
-def _schr_chart_push(U: SchrVariation, time: float):
-    m = SchrModeState(dft(U.dphiR), dft(U.dphiI), time=time)
-    d = schr_to_darboux(m)
-    return d.PhiRHat.coefficients, d.PhiIHat.coefficients
-
-
 def smeared_observable(
-    theory: str,
+    theory: Theory,
     U,
     time: float = 0.0,
-    cfg: KGConfig | None = None,
     check_point=None,
 ) -> Observable:
     """The linear observable F_U = Omega(U, .) in the Darboux chart.
 
-    KG: F_U(state) = integral (dp_U phi - dphi_U p); the per-mode
-    rotation is symplectic, so the same pairing against the pushed
-    variation evaluates it on Darboux points.  W-independent.
+    F_U(state) = w integral (d1_U a0 - d0_U a1) with the pairing weight
+    w; the per-mode rotation is symplectic, so the same pairing against
+    the variation pushed through the chart at the given time (variations
+    ride the same chart as states) evaluates it on Darboux points.
+    W-independent.
     """
-    if theory == "kg":
-        dPhi, dP = _kg_chart_push(U, time, cfg)
-        vol = U.dphi.lattice.volume
+    m = ModeState(*(dft(f) for f in theory.variation_fields(U)), time=time)
+    d0, d1 = theory.to_darboux(m).arrays
+    measure = theory.weight * U.lattice.volume
 
-        def evaluate(pt: KGDarbouxState) -> float:
-            return vol * float(
-                np.real(
-                    np.sum(
-                        dP * np.conj(pt.PhiHat.coefficients)
-                        - dPhi * np.conj(pt.PHat.coefficients)
-                    )
-                )
-            )
+    def evaluate(pt: DarbouxState) -> float:
+        A0, A1 = pt.arrays
+        return measure * float(np.real(np.sum(d1 * np.conj(A0) - d0 * np.conj(A1))))
 
-        def gradient(pt):
-            return vol * np.conj(dP), -vol * np.conj(dPhi)
-
-    else:
-        dR, dI = _schr_chart_push(U, time)
-        vol = U.dphiR.lattice.volume
-
-        def evaluate(pt: SchrDarbouxState) -> float:
-            return 2.0 * vol * float(
-                np.real(
-                    np.sum(
-                        dI * np.conj(pt.PhiRHat.coefficients)
-                        - dR * np.conj(pt.PhiIHat.coefficients)
-                    )
-                )
-            )
-
-        def gradient(pt):
-            return 2.0 * vol * np.conj(dI), -2.0 * vol * np.conj(dR)
+    def gradient(pt):
+        return measure * np.conj(d1), -measure * np.conj(d0)
 
     return Observable(
         theory=theory,
-        representation="darboux",
         evaluate=evaluate,
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
@@ -638,22 +507,17 @@ class EquivalenceReport:
 
 
 def bracket_equivalence_check(
-    theory: str,
+    theory: Theory,
     pairs: Sequence[TangentPair],
-    point,
-    cfg: KGConfig | None = None,
+    point: DarbouxState,
 ) -> EquivalenceReport:
     """{F_U, G_V} computed through the Darboux chart against Omega(U, V)."""
     mismatches = []
     for pair in pairs:
-        F = smeared_observable(theory, pair.U, time=pair.time, cfg=cfg)
-        G = smeared_observable(theory, pair.V, time=pair.time, cfg=cfg)
+        F = smeared_observable(theory, pair.U, time=pair.time)
+        G = smeared_observable(theory, pair.V, time=pair.time)
         lhs = poisson_bracket(F, G, point)
-        if theory == "kg":
-            rhs = omega_kg(pair.U, pair.V, pair.U.dphi.lattice)
-        else:
-            rhs = omega_schr(pair.U, pair.V, pair.U.dphiR.lattice)
-        mismatches.append(abs(lhs - rhs))
+        mismatches.append(abs(lhs - omega(theory, pair.U, pair.V)))
     return EquivalenceReport(
         mismatches=tuple(mismatches), max_mismatch=nan_max(mismatches)
     )
@@ -663,39 +527,37 @@ def bracket_equivalence_check(
 # observable factories (the linear and quadratic test families)
 
 
-def mode_real_part(theory: str, slot: str, multi_index, lattice: Lattice) -> Observable:
+def mode_real_part(theory: Theory, slot: str, multi_index) -> Observable:
     """Re of one mode coefficient of the chosen coordinate array.
 
-    ``slot``: "Phi" or "P" (KG), "PhiR" or "PhiI" (Schrodinger).
+    ``slot``: one of the record's slots, "Phi" or "P" (KG), "PhiR" or
+    "PhiI" (Schrodinger).
     """
-    slots = {"Phi": 0, "P": 1, "PhiR": 0, "PhiI": 1}
-    if slot not in slots:
+    if slot not in theory.slots:
         raise ValueError(f"unknown slot {slot!r}")
-    which = slots[slot]
+    which = theory.slots.index(slot)
+    lattice = theory.lattice
     idx = tuple(int(m) % lattice.n for m in np.atleast_1d(multi_index))
     flat = int(np.ravel_multi_index(idx, lattice.shape))
     conj_map, self_conj, _ = mode_index_table(lattice)
     jdx = int(conj_map[flat])
 
     def evaluate(pt) -> float:
-        arr = _arrays_of(pt)[which]
-        return float(np.real(arr.ravel()[flat]))
+        return float(np.real(pt.arrays[which].ravel()[flat]))
 
     def gradient(pt):
-        arr0, arr1 = _arrays_of(pt)
-        g = np.zeros(arr0.size, dtype=complex)
+        g = np.zeros(lattice.site_count, dtype=complex)
         if self_conj[flat]:
             g[flat] = 1.0
         else:
             g[flat] = 0.5
             g[jdx] = 0.5
-        g = g.reshape(arr0.shape)
+        g = g.reshape(lattice.shape)
         zero = np.zeros_like(g)
         return (g, zero) if which == 0 else (zero, g)
 
     return Observable(
         theory=theory,
-        representation="darboux",
         evaluate=evaluate,
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
@@ -703,15 +565,13 @@ def mode_real_part(theory: str, slot: str, multi_index, lattice: Lattice) -> Obs
     )
 
 
-def w_coordinate(theory: str) -> Observable:
+def w_coordinate(theory: Theory) -> Observable:
     def gradient(pt):
-        a0, _ = _arrays_of(pt)
-        z = np.zeros_like(a0)
+        z = np.zeros_like(pt.a0.coefficients)
         return z, z
 
     return Observable(
         theory=theory,
-        representation="darboux",
         evaluate=lambda pt: float(pt.W),
         gradient=gradient,
         w_derivative=lambda pt: 1.0,
@@ -719,23 +579,19 @@ def w_coordinate(theory: str) -> Observable:
     )
 
 
-def quadratic_power(theory: str, which: int = 0) -> Observable:
+def quadratic_power(theory: Theory, which: int = 0) -> Observable:
     """integral |coordinate|^2 over the dual lattice (vol per mode)."""
 
     def evaluate(pt) -> float:
-        arr = _arrays_of(pt)[which]
-        return pt.lattice.volume * float(np.sum(np.abs(arr) ** 2))
+        return pt.lattice.volume * float(np.sum(np.abs(pt.arrays[which]) ** 2))
 
     def gradient(pt):
-        a0, a1 = _arrays_of(pt)
-        vol = pt.lattice.volume
-        g = 2.0 * vol * np.conj((a0, a1)[which])
+        g = 2.0 * pt.lattice.volume * np.conj(pt.arrays[which])
         zero = np.zeros_like(g)
         return (g, zero) if which == 0 else (zero, g)
 
     return Observable(
         theory=theory,
-        representation="darboux",
         evaluate=evaluate,
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
@@ -743,21 +599,20 @@ def quadratic_power(theory: str, which: int = 0) -> Observable:
     )
 
 
-def quadratic_cross(theory: str) -> Observable:
+def quadratic_cross(theory: Theory) -> Observable:
     """integral Re(first conj(second)) over the dual lattice."""
 
     def evaluate(pt) -> float:
-        a0, a1 = _arrays_of(pt)
+        a0, a1 = pt.arrays
         return pt.lattice.volume * float(np.real(np.sum(a0 * np.conj(a1))))
 
     def gradient(pt):
-        a0, a1 = _arrays_of(pt)
+        a0, a1 = pt.arrays
         vol = pt.lattice.volume
         return vol * np.conj(a1), vol * np.conj(a0)
 
     return Observable(
         theory=theory,
-        representation="darboux",
         evaluate=evaluate,
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
@@ -768,8 +623,8 @@ def quadratic_cross(theory: str) -> Observable:
 def product_observable(F: Observable, G: Observable) -> Observable:
     """Pointwise product, with product-rule derivatives when both factors
     carry analytic ones."""
-    if F.theory != G.theory or F.representation != G.representation:
-        raise ValueError("product factors live on different spaces")
+    if F.theory.name != G.theory.name:
+        raise ValueError("product factors live on different theories")
 
     def evaluate(pt):
         return F.evaluate(pt) * G.evaluate(pt)
@@ -794,7 +649,6 @@ def product_observable(F: Observable, G: Observable) -> Observable:
 
     return Observable(
         theory=F.theory,
-        representation=F.representation,
         evaluate=evaluate,
         gradient=gradient,
         w_derivative=w_derivative,

@@ -1,18 +1,33 @@
 """Generalized Darboux coordinates on mode space, and the W coordinate.
 
-For each theory the chart applies the inverse-flow rotation per mode, so
-that along solutions the new coordinates (Phi-hat, P-hat) are constant
-("the chart rectifies the flow") and the leftover motion is carried by
-the scalar W.  W itself is treated as a derived function of
-(phi-hat, p-hat, s), not an independent coordinate; that is the only
-reading under which the transform is invertible.
+Both theories are linear flows, a rotation per mode, and one ``Theory``
+record per theory holds everything that differs between them: the
+pairing weight, the slot names, the chart rotation, the flow
+Hamiltonian, the closed forms of W and the slice-level entry points of
+its module.  ``Theory.of(name, lattice, mass)`` builds one; the chart,
+the oracle and the pullback check below are written once against it.
+
+Points are ``ModeState(a0, a1, time)``, (phi-hat, p-hat, s) for
+Klein-Gordon and (phiR-hat, phiI-hat, s) for Schrodinger.  The chart
+applies the inverse-flow rotation per mode,
+
+    A0 = c a0 - r a1,    A1 = c a1 + q a0,
+
+with (c, r, q) = (cos ws, sin ws / w, w sin ws) for Klein-Gordon (the
+shear (1, s, 0) at w = 0) and (cos, sin, sin) of k^2 s / 2 for
+Schrodinger, so that along solutions the coordinates (A0, A1) of a
+``DarbouxState(A0, A1, W, time)`` are constant ("the chart rectifies
+the flow") and the leftover motion is carried by the scalar W.  W
+itself is treated as a derived function of (a0, a1, s), not an
+independent coordinate; that is the only reading under which the
+transform is invertible.
 
 Two W expressions are carried side by side:
 
 * the derived closed form (default, used by the transforms), validated
   against the line-integral oracle below;
-* the printed hypothesis formulas (``kg_w_printed``, ``schr_w_printed``),
-  kept verbatim so the harness can measure how far they fall from
+* the printed hypothesis formulas (``Theory.w(m, printed=True)``), kept
+  verbatim so the harness can measure how far they fall from
   satisfying the pullback identity.  Acceptance criterion 5 pins the
   printed KG density's gap to the oracle as exactly one extra momentum
   cross term; ``scripts/w_mismatch_report.py`` tabulates the measured
@@ -40,15 +55,15 @@ tangent block), never assumed from a sampling band.  Each mode sum
 scatters its compact values into zeros on the full lattice and sums
 that, so every value is the one a full-lattice evaluation gives.
 
-Conventions: the contact one-form is Theta = <p, dphi> - Hflow dt with
-the flow Hamiltonian of the resolved ledger.  For Klein-Gordon,
-Hflow = (1/2) L^d sum (|p-hat|^2 + omega^2 |phi-hat|^2), the positive
-slice energy.  For Schrodinger, Theta = 2<phiI, dphiR> - Hflow dt with
-Hflow = +(1/2) integral |grad psi|^2; this positive sign is the one
-whose contact flow is the propagator exp(-i k^2 s / 2), and the only
-one for which Theta - T is closed.  The printed (negative) sign is kept
-behind the ``sign_ledger`` flag as a documented negative control: with
-it the oracle's closedness precondition fails.
+Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
+with the pairing weight w and the flow Hamiltonian of the resolved
+ledger.  For Klein-Gordon, w = 1 and Hflow = (1/2) L^d sum (|p-hat|^2 +
+omega^2 |phi-hat|^2), the positive slice energy.  For Schrodinger,
+w = 2 and Hflow = +(1/2) integral |grad psi|^2; this positive sign is
+the one whose contact flow is the propagator exp(-i k^2 s / 2), and the
+only one for which Theta - T is closed.  The printed (negative) sign is
+kept behind the ``sign_ledger`` flag as a documented negative control:
+with it the oracle's closedness precondition fails.
 """
 
 from __future__ import annotations
@@ -58,32 +73,41 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kg import KGConfig, KGState, kg_enforce_constraints
+from .kg import (
+    KGConfig,
+    KGVariation,
+    kg_dedonder_weyl_residual,
+    kg_el_cancellation_scale,
+    kg_el_pairing,
+    kg_enforce_constraints,
+    kg_evolve_spectral,
+    kg_random_variation_profile,
+    kg_solution_section,
+)
 from .lattice import Lattice, ModeVector, dft, idft, mode_index_table, nan_max
-from .schrodinger import SchrState, schr_enforce_constraints
+from .schrodinger import (
+    SchrVariation,
+    schr_dedonder_weyl_residual,
+    schr_el_cancellation_scale,
+    schr_el_pairing,
+    schr_enforce_constraints,
+    schr_evolve_spectral,
+    schr_random_variation_profile,
+    schr_solution_section,
+)
 
 __all__ = [
-    "KGModeState",
-    "KGDarbouxState",
-    "SchrModeState",
-    "SchrDarbouxState",
-    "KGModeTangent",
-    "SchrModeTangent",
-    "kg_mode_state",
-    "kg_slice_state",
-    "schr_mode_state",
-    "schr_slice_state",
+    "Theory",
+    "KGTheory",
+    "SchrTheory",
+    "ModeState",
+    "DarbouxState",
     "kg_to_darboux",
     "kg_from_darboux",
     "schr_to_darboux",
     "schr_from_darboux",
-    "kg_w_derived",
-    "kg_w_printed",
-    "schr_w_derived",
-    "schr_w_printed",
     "WOracle",
     "WOracleClosednessError",
-    "w_oracle",
     "ThetaPullbackReport",
     "theta_pullback_residual",
     "random_hermitian_modes",
@@ -155,103 +179,43 @@ def _col(x):
 
 
 # ---------------------------------------------------------------------------
-# mode-space state containers
+# points: mode states and Darboux states of either theory
 
 
-@dataclass(frozen=True)
-class KGModeState:
-    phiHat: ModeVector
-    pHat: ModeVector
-    time: float = 0.0
+class _ModePair:
+    """The two coordinate arrays of a point, on one lattice."""
 
     def __post_init__(self):
-        if self.pHat.lattice != self.phiHat.lattice:
+        if self.a1.lattice != self.a0.lattice:
             raise ValueError("mode vectors live on different lattices")
 
     @property
     def lattice(self) -> Lattice:
-        return self.phiHat.lattice
+        return self.a0.lattice
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.a0.coefficients, self.a1.coefficients
 
 
 @dataclass(frozen=True)
-class KGDarbouxState:
-    PhiHat: ModeVector
-    PHat: ModeVector
+class ModeState(_ModePair):
+    """Mode data (a0, a1) at the time s: (phi-hat, p-hat) for
+    Klein-Gordon, (phiR-hat, phiI-hat) for Schrodinger."""
+
+    a0: ModeVector
+    a1: ModeVector
+    time: float = 0.0
+
+
+@dataclass(frozen=True)
+class DarbouxState(_ModePair):
+    """Chart coordinates (A0, A1) and W at the time s."""
+
+    a0: ModeVector
+    a1: ModeVector
     W: float
     time: float = 0.0
-
-    def __post_init__(self):
-        if self.PHat.lattice != self.PhiHat.lattice:
-            raise ValueError("mode vectors live on different lattices")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.PhiHat.lattice
-
-
-@dataclass(frozen=True)
-class SchrModeState:
-    phiRHat: ModeVector
-    phiIHat: ModeVector
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.phiIHat.lattice != self.phiRHat.lattice:
-            raise ValueError("mode vectors live on different lattices")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.phiRHat.lattice
-
-
-@dataclass(frozen=True)
-class SchrDarbouxState:
-    PhiRHat: ModeVector
-    PhiIHat: ModeVector
-    W: float
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.PhiIHat.lattice != self.PhiRHat.lattice:
-            raise ValueError("mode vectors live on different lattices")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.PhiRHat.lattice
-
-
-@dataclass(frozen=True)
-class KGModeTangent:
-    """Tangent vector (dphi-hat, dp-hat, ds) at a KG mode point."""
-
-    dphi: np.ndarray
-    dp: np.ndarray
-    ds: float = 0.0
-
-
-@dataclass(frozen=True)
-class SchrModeTangent:
-    dphiR: np.ndarray
-    dphiI: np.ndarray
-    ds: float = 0.0
-
-
-def kg_mode_state(state: KGState) -> KGModeState:
-    return KGModeState(dft(state.phi), dft(state.p), time=state.time)
-
-
-def kg_slice_state(m: KGModeState) -> KGState:
-    return kg_enforce_constraints(idft(m.phiHat), idft(m.pHat), time=m.time)
-
-
-def schr_mode_state(state: SchrState) -> SchrModeState:
-    return SchrModeState(dft(state.phiR), dft(state.phiI), time=state.time)
-
-
-def schr_slice_state(m: SchrModeState) -> SchrState:
-    return schr_enforce_constraints(
-        idft(m.phiRHat), idft(m.phiIHat), time=m.time
-    )
 
 
 def random_hermitian_modes(
@@ -309,7 +273,7 @@ def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_sca
 
 
 # ---------------------------------------------------------------------------
-# the chart
+# the chart: one rotation, four traced entry points
 
 
 def _kg_rotation(om: np.ndarray, s):
@@ -324,77 +288,54 @@ def _kg_rotation(om: np.ndarray, s):
     return np.cos(phase), np.where(zero, s, sn / om_safe), om * sn
 
 
-def kg_to_darboux(m: KGModeState, cfg: KGConfig) -> KGDarbouxState:
+def _schr_rotation(ksq: np.ndarray, s):
+    """(cos, sin, sin) of the angle k^2 s / 2, for the k^2 on the lattice
+    or a support; s is a time or a (B,) block of times."""
+    theta = 0.5 * ksq * _col(s)
+    sg = np.sin(theta)
+    return np.cos(theta), sg, sg
+
+
+def _to_darboux(m: ModeState, rotation, W: float) -> DarbouxState:
+    """A0 = c a0 - r a1, A1 = c a1 + q a0 for the rotation (c, r, q)."""
+    c, r, q = rotation
+    a0, a1 = m.arrays
+    lat = m.lattice
+    return DarbouxState(
+        ModeVector(lat, c * a0 - r * a1), ModeVector(lat, c * a1 + q * a0), W=W, time=m.time
+    )
+
+
+def _from_darboux(d: DarbouxState, rotation) -> ModeState:
+    """The inverse rotation; W is discarded (it is a function of the rest)."""
+    c, r, q = rotation
+    A0, A1 = d.arrays
+    lat = d.lattice
+    return ModeState(ModeVector(lat, c * A0 + r * A1), ModeVector(lat, c * A1 - q * A0), time=d.time)
+
+
+def kg_to_darboux(m: ModeState, cfg: KGConfig) -> DarbouxState:
     """Phi-hat = cos phi-hat - (sin/omega) p-hat, P-hat = cos p-hat
     + omega sin phi-hat; the massless zero mode uses the shear limit
     Phi0 = phi0 - s p0, P0 = p0.  W from the derived closed form."""
-    c, sinc, om_sin = _kg_rotation(cfg.omega(), m.time)
-    phi = m.phiHat.coefficients
-    p = m.pHat.coefficients
-    Phi = c * phi - sinc * p
-    P = c * p + om_sin * phi
-    lat = m.lattice
-    return KGDarbouxState(
-        PhiHat=ModeVector(lat, Phi),
-        PHat=ModeVector(lat, P),
-        W=kg_w_derived(m, cfg),
-        time=m.time,
-    )
+    return _to_darboux(m, _kg_rotation(cfg.omega(), m.time), _kg_w(m, cfg, 1.0))
 
 
-def kg_from_darboux(d: KGDarbouxState, cfg: KGConfig) -> KGModeState:
-    """Inverse rotation; W is discarded (it is a function of the rest)."""
-    c, sinc, om_sin = _kg_rotation(cfg.omega(), d.time)
-    Phi = d.PhiHat.coefficients
-    P = d.PHat.coefficients
-    phi = c * Phi + sinc * P
-    p = c * P - om_sin * Phi
-    lat = d.lattice
-    return KGModeState(
-        phiHat=ModeVector(lat, phi), pHat=ModeVector(lat, p), time=d.time
-    )
+def kg_from_darboux(d: DarbouxState, cfg: KGConfig) -> ModeState:
+    return _from_darboux(d, _kg_rotation(cfg.omega(), d.time))
 
 
-def schr_to_darboux(m: SchrModeState, frame=None) -> SchrDarbouxState:
-    if frame is not None:
-        frame.require_rest_frame()
-    theta = 0.5 * m.lattice.ksq() * m.time
-    c, sg = np.cos(theta), np.sin(theta)
-    a = m.phiRHat.coefficients
-    b = m.phiIHat.coefficients
-    A = c * a - sg * b
-    B = c * b + sg * a
-    lat = m.lattice
-    return SchrDarbouxState(
-        PhiRHat=ModeVector(lat, A),
-        PhiIHat=ModeVector(lat, B),
-        W=schr_w_derived(m),
-        time=m.time,
-    )
+def schr_to_darboux(m: ModeState) -> DarbouxState:
+    """The rotation by k^2 s / 2; W from the derived closed form."""
+    return _to_darboux(m, _schr_rotation(m.lattice.ksq(), m.time), _schr_w(m))
 
 
-def schr_from_darboux(d: SchrDarbouxState, frame=None) -> SchrModeState:
-    if frame is not None:
-        frame.require_rest_frame()
-    theta = 0.5 * d.lattice.ksq() * d.time
-    c, sg = np.cos(theta), np.sin(theta)
-    A = d.PhiRHat.coefficients
-    B = d.PhiIHat.coefficients
-    a = c * A + sg * B
-    b = c * B - sg * A
-    lat = d.lattice
-    return SchrModeState(
-        phiRHat=ModeVector(lat, a), phiIHat=ModeVector(lat, b), time=d.time
-    )
+def schr_from_darboux(d: DarbouxState) -> ModeState:
+    return _from_darboux(d, _schr_rotation(d.lattice.ksq(), d.time))
 
 
 # ---------------------------------------------------------------------------
 # W: derived closed forms and printed hypotheses
-
-
-def _measure(lat: Lattice) -> float:
-    """Dual-lattice measure: L^dim per mode (Parseval convention)."""
-    return lat.volume
 
 
 def _kg_w_terms(om: np.ndarray, s: float, phi: np.ndarray, p: np.ndarray):
@@ -412,219 +353,315 @@ def _kg_w_terms(om: np.ndarray, s: float, phi: np.ndarray, p: np.ndarray):
     return c, sg, half_sc_over_om, quad, cross
 
 
-def _kg_w(m: KGModeState, cfg: KGConfig, cross_coeff: float) -> float:
-    _, sg, half_sc_over_om, quad, cross = _kg_w_terms(
-        cfg.omega(), m.time, m.phiHat.coefficients, m.pHat.coefficients
-    )
+def _kg_w(m: ModeState, cfg: KGConfig, cross_coeff: float) -> float:
+    """The KG W closed form with the given cross coefficient: 1 gives the
+    derived W, (1/2)(<p, phi> - <P-hat, Phi-hat>) with the real Parseval
+    pairing (the omega -> 0 mode contributes (s/2)|p0|^2); 2 gives the
+    printed hypothesis, the same quadratic term with a doubled cross
+    term."""
+    _, sg, half_sc_over_om, quad, cross = _kg_w_terms(cfg.omega(), m.time, *m.arrays)
     per_mode = quad * half_sc_over_om + cross_coeff * cross * sg**2
-    return _measure(m.lattice) * float(np.sum(per_mode))
+    return m.lattice.volume * float(np.sum(per_mode))
 
 
-def kg_w_derived(m: KGModeState, cfg: KGConfig) -> float:
-    """Per-mode closed form of the line-integral W.
-
-    Equal to (1/2)(<p, phi> - <P-hat, Phi-hat>) with the real Parseval
-    pairing; the omega -> 0 mode contributes (s/2)|p0|^2.
-    """
-    return _kg_w(m, cfg, 1.0)
-
-
-def kg_w_printed(m: KGModeState, cfg: KGConfig) -> float:
-    """The printed W hypothesis: same quadratic term, doubled cross term."""
-    return _kg_w(m, cfg, 2.0)
-
-
-def _kg_w_differential(
-    m: KGModeState, cfg: KGConfig, cross_coeff: float, support: _Support | None = None
-):
-    """The differential at m of the KG W closed form with the given cross
-    coefficient (1 derived, 2 printed), as a function of tangents
-    (dphi, dp, ds), single or stacked.  Its per-mode work runs on the
-    support (every mode by default), which must hold every mode where m
-    or a tangent is nonzero.  The factors that depend on m alone are
-    computed here, once."""
-    sup = _Support(m.lattice) if support is None else support
-    om = sup.take(cfg.omega())
-    phi = sup.take(m.phiHat.coefficients)
-    p = sup.take(m.pHat.coefficients)
-    c, sg, half_sc_over_om, quad, cross = _kg_w_terms(om, m.time, phi, p)
-    conj_phi, conj_p = np.conj(phi), np.conj(p)
-    two_om2 = om**2 * 2.0
-    sg2 = sg**2
-    # s-derivatives: d(sin cos / (2 omega)) = (cos^2 - sin^2)/2 ds;
-    # d(sin^2) = 2 sin cos omega ds
-    quad_rate = quad * 0.5 * (c**2 - sg**2)
-    cross_rate = cross_coeff * cross * 2.0 * sg * c * om
-
-    def dw(dphi, dp, ds):
-        dphi, dp = sup.take(dphi), sup.take(dp)
-        d_quad = 2.0 * np.real(conj_p * dp) - two_om2 * np.real(conj_phi * dphi)
-        d_cross = np.real(dp * conj_phi) + np.real(p * np.conj(dphi))
-        ds = _col(ds)
-        d_per = (
-            d_quad * half_sc_over_om
-            + quad_rate * ds
-            + cross_coeff * d_cross * sg2
-            + cross_rate * ds
-        )
-        return _measure(m.lattice) * sup.sum(d_per)
-
-    return dw
-
-
-def schr_w_derived(m: SchrModeState) -> float:
+def _schr_w(m: ModeState) -> float:
     """Closed-form W = <phiR, phiI> - <PhiR, PhiI> (real Parseval pairing)."""
     ksq = m.lattice.ksq()
-    s = m.time
-    theta = 0.5 * ksq * s
+    theta = 0.5 * ksq * m.time
     c, sg = np.cos(theta), np.sin(theta)
-    a = m.phiRHat.coefficients
-    b = m.phiIHat.coefficients
+    a, b = m.arrays
     per_mode = sg**2 * 2.0 * np.real(a * np.conj(b)) - sg * c * (
         np.abs(a) ** 2 - np.abs(b) ** 2
     )
-    return _measure(m.lattice) * float(np.sum(per_mode))
+    return m.lattice.volume * float(np.sum(per_mode))
 
 
-def schr_w_printed(d: SchrDarbouxState) -> float:
-    """The printed W hypothesis, stated in the capital coordinates."""
-    ksq = d.lattice.ksq()
-    s = d.time
-    A = d.PhiRHat.coefficients
-    B = d.PhiIHat.coefficients
-    per_mode = 0.5 * np.sin(ksq * s) * (np.abs(A) ** 2 - np.abs(B) ** 2) + 2.0 * np.real(
-        A * np.conj(B)
-    ) * np.sin(0.5 * ksq * s)
-    return _measure(d.lattice) * float(np.sum(per_mode))
+# ---------------------------------------------------------------------------
+# the theory record
 
 
-def _schr_chart(ksq: np.ndarray, a, b, s):
-    """cos and sin of the chart angle k^2 s / 2, the capital coordinate
-    PhiI-hat = cos b + sin a and the s-rate 0.5 k^2 (-sin a - cos b) of
-    PhiR-hat, at points (a, b, s), single or stacked, for the k^2 and
-    fields on the lattice or a support."""
-    theta = 0.5 * ksq * _col(s)
-    c, sg = np.cos(theta), np.sin(theta)
-    return c, sg, c * b + sg * a, 0.5 * ksq * (-sg * a - c * b)
+class Theory:
+    """What differs between the two theories, for one lattice and mass.
+
+    ``weight`` is the pairing weight w (1 for Klein-Gordon, 2 for
+    Schrodinger) of Theta, Omega, the bivector and the smeared
+    observables; ``fields`` names the slice-state fields behind (a0, a1),
+    a variation's being the same with a leading "d"; ``slots`` names the
+    chart coordinates.  ``freq`` is the per-mode array the rotation reads
+    (omega; k^2).  The methods that reach kg.py, schrodinger.py or the
+    four chart functions call them by module-level name at call time.
+    """
+
+    name: str
+    weight: float
+    fields: tuple[str, str]
+    slots: tuple[str, str]
+
+    def __init__(self, lattice: Lattice, mass: float = 0.0):
+        self.lattice = lattice
+        self.mass = mass
+
+    @staticmethod
+    def of(name: str, lattice: Lattice, mass: float = 0.0) -> Theory:
+        if name not in _RECORDS:
+            raise ValueError(f"unknown theory {name!r}")
+        return _RECORDS[name](lattice, mass)
+
+    def mode_state(self, state) -> ModeState:
+        return ModeState(*(dft(getattr(state, f)) for f in self.fields), time=state.time)
+
+    def slice_state(self, m: ModeState):
+        return self.enforce(idft(m.a0), idft(m.a1), time=m.time)
+
+    def variation_fields(self, U) -> tuple:
+        return tuple(getattr(U, "d" + f) for f in self.fields)
 
 
-def _schr_w_derived_differential(m: SchrModeState, support: _Support | None = None):
-    """The differential at m of schr_w_derived, as a function of tangents
-    (dphiR, dphiI, ds), single or stacked, with its per-mode work on the
-    support as in _kg_w_differential: with r = 2 Re(a conj b) and
-    q = |a|^2 - |b|^2 per mode, d(sin^2 r - sin cos q) = k^2 sin cos r ds
-    + sin^2 dr - (k^2/2)(cos^2 - sin^2) q ds - sin cos dq."""
-    sup = _Support(m.lattice) if support is None else support
-    ksq = sup.take(m.lattice.ksq())
-    theta = 0.5 * ksq * m.time
-    c, sg = np.cos(theta), np.sin(theta)
-    a = sup.take(m.phiRHat.coefficients)
-    b = sup.take(m.phiIHat.coefficients)
-    conj_a, conj_b = np.conj(a), np.conj(b)
-    sg2, sc = sg**2, sg * c
-    rate = ksq * sc * 2.0 * np.real(a * conj_b) - 0.5 * ksq * (c**2 - sg2) * (
-        np.abs(a) ** 2 - np.abs(b) ** 2
-    )
+class KGTheory(Theory):
+    name, weight, fields, slots = "kg", 1.0, ("phi", "p"), ("Phi", "P")
 
-    def dw(da, db, ds):
-        da, db = sup.take(da), sup.take(db)
-        dr = 2.0 * np.real(da * conj_b + a * np.conj(db))
-        dq = 2.0 * np.real(conj_a * da) - 2.0 * np.real(conj_b * db)
-        d_per = rate * _col(ds) + sg2 * dr - sc * dq
-        return _measure(m.lattice) * sup.sum(d_per)
+    def __init__(self, lattice: Lattice, mass: float = 0.0):
+        super().__init__(lattice, mass)
+        self.cfg = KGConfig(mass=mass, lattice=lattice)
 
-    return dw
+    @property
+    def freq(self) -> np.ndarray:
+        return self.cfg.omega()
+
+    def rotation(self, om, s):
+        return _kg_rotation(om, s)
+
+    def rate(self, om, c, q, a0, a1):
+        """d/ds of the chart's A0, from its rotation (c, r, q)."""
+        return -q * a0 - c * a1
+
+    def hflow(self, sup: _Support, om, a0, a1, sign_ledger: str):
+        om2 = om**2
+        if sign_ledger == "paper-printed":
+            om2 = om2 - 2.0 * self.mass**2  # k^2 - m^2: the printed mass sign
+        return 0.5 * sup.lattice.volume * sup.sum(np.abs(a1) ** 2 + om2 * np.abs(a0) ** 2)
+
+    def top_frequency(self) -> float:
+        """The difference form's top oscillation frequency in s: 2 omega
+        for the rotation quadratics."""
+        return 2.0 * float(np.max(self.freq))
+
+    def om_max(self) -> float:
+        return float(np.max(self.freq))
+
+    def to_darboux(self, m: ModeState) -> DarbouxState:
+        return kg_to_darboux(m, self.cfg)
+    def from_darboux(self, d: DarbouxState) -> ModeState:
+        return kg_from_darboux(d, self.cfg)
+
+    def w(self, m: ModeState, printed: bool = False) -> float:
+        return _kg_w(m, self.cfg, 2.0 if printed else 1.0)
+
+    def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
+        """The differential at m of the W closed form (cross coefficient
+        1 derived, 2 printed), as a function of tangents (d0, d1, ds),
+        single or stacked.  Its per-mode work runs on the support (every
+        mode by default), which must hold every mode where m or a
+        tangent is nonzero.  The factors that depend on m alone are
+        computed here, once."""
+        cross_coeff = 2.0 if printed else 1.0
+        sup = _Support(m.lattice) if support is None else support
+        om = sup.take(self.freq)
+        phi, p = (sup.take(a) for a in m.arrays)
+        c, sg, half_sc_over_om, quad, cross = _kg_w_terms(om, m.time, phi, p)
+        conj_phi, conj_p = np.conj(phi), np.conj(p)
+        two_om2 = om**2 * 2.0
+        sg2 = sg**2
+        # s-derivatives: d(sin cos / (2 omega)) = (cos^2 - sin^2)/2 ds;
+        # d(sin^2) = 2 sin cos omega ds
+        quad_rate = quad * 0.5 * (c**2 - sg**2)
+        cross_rate = cross_coeff * cross * 2.0 * sg * c * om
+
+        def dw(dphi, dp, ds):
+            dphi, dp = sup.take(dphi), sup.take(dp)
+            d_quad = 2.0 * np.real(conj_p * dp) - two_om2 * np.real(conj_phi * dphi)
+            d_cross = np.real(dp * conj_phi) + np.real(p * np.conj(dphi))
+            ds = _col(ds)
+            d_per = (
+                d_quad * half_sc_over_om
+                + quad_rate * ds
+                + cross_coeff * d_cross * sg2
+                + cross_rate * ds
+            )
+            return m.lattice.volume * sup.sum(d_per)
+
+        return dw
+
+    # the slice-level entry points of kg.py
+    def evolve(self, state, s: float, ledger: str = "resolved"):
+        return kg_evolve_spectral(state, s, self.cfg, mass_sign=ledger)
+    def enforce(self, phi, p, time: float = 0.0):
+        return kg_enforce_constraints(phi, p, time=time)
+    def variation(self, state) -> KGVariation:
+        return KGVariation(dphi=state.phi, dp=state.p, dbeta=state.beta)
+    def section(self, state, dt: float, steps: int):
+        return kg_solution_section(state, dt, steps, self.cfg)
+    def profile(self, section, d0, d1):
+        return kg_random_variation_profile(section, d0, d1)
+    def el_pairing(self, section, variation) -> float:
+        return kg_el_pairing(section, variation)
+    def el_scale(self, section, variation) -> float:
+        return kg_el_cancellation_scale(section, variation)
+    def ddw(self, section) -> float:
+        return kg_dedonder_weyl_residual(section)
 
 
-def _schr_w_printed_differential(m: SchrModeState, support: _Support | None = None):
-    """The differential at m of the printed W, chain-ruled through the
-    chart, as a function of tangents (dphiR, dphiI, ds), single or
-    stacked, with its per-mode work on the support as in
-    _kg_w_differential.  The factors that depend on m alone are computed
-    here, once."""
-    sup = _Support(m.lattice) if support is None else support
-    ksq = sup.take(m.lattice.ksq())
-    s = m.time
-    a = sup.take(m.phiRHat.coefficients)
-    b = sup.take(m.phiIHat.coefficients)
-    c, sg, B, rate_A = _schr_chart(ksq, a, b, s)
-    A = c * a - sg * b
-    rate_B = 0.5 * ksq * (-sg * b + c * a)
-    conj_A, conj_B = np.conj(A), np.conj(B)
-    cos_rate = 0.5 * ksq * np.cos(ksq * s)
-    quad = np.abs(A) ** 2 - np.abs(B) ** 2
-    half_sin = 0.5 * np.sin(ksq * s)
-    cross_rate = 2.0 * np.real(A * conj_B) * 0.5 * ksq * c
+class SchrTheory(Theory):
+    name, weight, fields, slots = "schrodinger", 2.0, ("phiR", "phiI"), ("PhiR", "PhiI")
 
-    def dw(da, db, ds):
-        da, db = sup.take(da), sup.take(db)
-        ds = _col(ds)
-        dA = c * da - sg * db + rate_A * ds
-        dB = c * db + sg * da + rate_B * ds
-        d_per = (
-            cos_rate * ds * quad
-            + half_sin * (2.0 * np.real(conj_A * dA) - 2.0 * np.real(conj_B * dB))
-            + 2.0 * np.real(dA * conj_B + A * np.conj(dB)) * sg
-            + cross_rate * ds
-        )
-        return _measure(m.lattice) * sup.sum(d_per)
+    @property
+    def freq(self) -> np.ndarray:
+        return self.lattice.ksq()
 
-    return dw
+    def rotation(self, ksq, s):
+        return _schr_rotation(ksq, s)
+
+    def rate(self, ksq, c, q, a0, a1):
+        """d/ds of the chart's A0, from its rotation (c, r, q)."""
+        return 0.5 * ksq * (-q * a0 - c * a1)
+
+    def hflow(self, sup: _Support, ksq, a0, a1, sign_ledger: str):
+        val = 0.5 * sup.lattice.volume * sup.sum(ksq * (np.abs(a0) ** 2 + np.abs(a1) ** 2))
+        return -val if sign_ledger == "paper-printed" else val
+
+    def top_frequency(self) -> float:
+        """The difference form's top oscillation frequency in s: k^2."""
+        return float(np.max(self.lattice.ksq()))
+
+    def om_max(self) -> float:
+        return float(np.max(np.sqrt(self.lattice.ksq())))
+
+    def to_darboux(self, m: ModeState) -> DarbouxState:
+        return schr_to_darboux(m)
+    def from_darboux(self, d: DarbouxState) -> ModeState:
+        return schr_from_darboux(d)
+
+    def w(self, m: ModeState, printed: bool = False) -> float:
+        """The derived W, or the printed hypothesis, which is stated in
+        the chart's coordinates."""
+        if not printed:
+            return _schr_w(m)
+        d = schr_to_darboux(m)
+        ksq = d.lattice.ksq()
+        s = d.time
+        A, B = d.arrays
+        per_mode = 0.5 * np.sin(ksq * s) * (np.abs(A) ** 2 - np.abs(B) ** 2) + 2.0 * np.real(
+            A * np.conj(B)
+        ) * np.sin(0.5 * ksq * s)
+        return d.lattice.volume * float(np.sum(per_mode))
+
+    def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
+        """The differential at m of the derived W or of the printed one
+        (chain-ruled through the chart), as a function of tangents
+        (dphiR, dphiI, ds), single or stacked, with its per-mode work on
+        the support as in KGTheory.dw.  With r = 2 Re(a conj b) and
+        q = |a|^2 - |b|^2 per mode, the derived one is
+        d(sin^2 r - sin cos q) = k^2 sin cos r ds + sin^2 dr
+        - (k^2/2)(cos^2 - sin^2) q ds - sin cos dq."""
+        sup = _Support(m.lattice) if support is None else support
+        ksq = sup.take(self.freq)
+        s = m.time
+        a, b = (sup.take(x) for x in m.arrays)
+        c, sg, _ = _schr_rotation(ksq, s)
+        vol = m.lattice.volume
+        if not printed:
+            conj_a, conj_b = np.conj(a), np.conj(b)
+            sg2, sc = sg**2, sg * c
+            rate = ksq * sc * 2.0 * np.real(a * conj_b) - 0.5 * ksq * (c**2 - sg2) * (
+                np.abs(a) ** 2 - np.abs(b) ** 2
+            )
+
+            def dw(da, db, ds):
+                da, db = sup.take(da), sup.take(db)
+                dr = 2.0 * np.real(da * conj_b + a * np.conj(db))
+                dq = 2.0 * np.real(conj_a * da) - 2.0 * np.real(conj_b * db)
+                return vol * sup.sum(rate * _col(ds) + sg2 * dr - sc * dq)
+
+            return dw
+
+        A, B = c * a - sg * b, c * b + sg * a
+        rate_A, rate_B = self.rate(ksq, c, sg, a, b), 0.5 * ksq * (-sg * b + c * a)
+        conj_A, conj_B = np.conj(A), np.conj(B)
+        cos_rate = 0.5 * ksq * np.cos(ksq * s)
+        quad = np.abs(A) ** 2 - np.abs(B) ** 2
+        half_sin = 0.5 * np.sin(ksq * s)
+        cross_rate = 2.0 * np.real(A * conj_B) * 0.5 * ksq * c
+
+        def dw_printed(da, db, ds):
+            da, db = sup.take(da), sup.take(db)
+            ds = _col(ds)
+            dA = c * da - sg * db + rate_A * ds
+            dB = c * db + sg * da + rate_B * ds
+            d_per = (
+                cos_rate * ds * quad
+                + half_sin * (2.0 * np.real(conj_A * dA) - 2.0 * np.real(conj_B * dB))
+                + 2.0 * np.real(dA * conj_B + A * np.conj(dB)) * sg
+                + cross_rate * ds
+            )
+            return vol * sup.sum(d_per)
+
+        return dw_printed
+
+    # the slice-level entry points of schrodinger.py
+    def evolve(self, state, s: float, ledger: str = "resolved"):
+        return schr_evolve_spectral(state, s, hamiltonian_sign=ledger)
+    def enforce(self, phiR, phiI, time: float = 0.0):
+        return schr_enforce_constraints(phiR, phiI, time=time)
+    def variation(self, s) -> SchrVariation:
+        return SchrVariation(dphiR=s.phiR, dphiI=s.phiI, dbetaR=s.betaR, dbetaI=s.betaI)
+    def section(self, state, dt: float, steps: int):
+        return schr_solution_section(state, dt, steps)
+    def profile(self, section, d0, d1):
+        return schr_random_variation_profile(section, d0, d1)
+    def el_pairing(self, section, variation) -> float:
+        return schr_el_pairing(section, variation)
+    def el_scale(self, section, variation) -> float:
+        return schr_el_cancellation_scale(section, variation)
+    def ddw(self, section) -> float:
+        return schr_dedonder_weyl_residual(section)
+
+
+_RECORDS = {cls.name: cls for cls in (KGTheory, SchrTheory)}
 
 
 # ---------------------------------------------------------------------------
 # one-forms: Theta, the transformed canonical form, and their difference
 #
-# Points (a0, a1, s) are (phi-hat, p-hat, s) for Klein-Gordon and
-# (phiR-hat, phiI-hat, s) for Schrodinger, tangents (d0, d1, ds) alike.
-# Either may be stacked: fields (B, ...) with times (B,); every sum runs
-# over the mode axis only, so a stack gives one value per block index,
-# each bit-identical to evaluating that index alone.  Points come as
-# compact fields on a support, tangents in the lattice layout.
+# Points (a0, a1, s) and tangents (d0, d1, ds) may be stacked: fields
+# (B, ...) with times (B,); every sum runs over the mode axis only, so a
+# stack gives one value per block index, each bit-identical to evaluating
+# that index alone.  Points come as compact fields on a support, tangents
+# in the lattice layout.
 
 
 def _pairing(sup: _Support, x: np.ndarray, dy: np.ndarray):
     """<x, dy> = L^d Re sum_k x[k] conj(dy[k]), the real Parseval pairing
     of compact fields."""
-    return _measure(sup.lattice) * np.real(sup.sum(x * np.conj(dy)))
+    return sup.lattice.volume * np.real(sup.sum(x * np.conj(dy)))
 
 
-def _kg_hflow(cfg: KGConfig, sup: _Support, om, phi, p, sign_ledger: str):
-    om2 = om**2
-    if sign_ledger == "paper-printed":
-        om2 = om2 - 2.0 * cfg.mass**2  # k^2 - m^2: the printed mass sign
-    return 0.5 * _measure(sup.lattice) * sup.sum(np.abs(p) ** 2 + om2 * np.abs(phi) ** 2)
-
-
-def _schr_hflow(sup: _Support, ksq, a, b, sign_ledger: str):
-    val = 0.5 * _measure(sup.lattice) * sup.sum(ksq * (np.abs(a) ** 2 + np.abs(b) ** 2))
-    return -val if sign_ledger == "paper-printed" else val
-
-
-def _difference_form(theory: str, cfg, sup: _Support, a0, a1, s, sign_ledger: str):
+def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str):
     """Theta - canonical at the points (a0, a1, s), compact on sup, as a
     function of the tangents (d0, d1, ds); sup must hold every mode
     where a point or a tangent is nonzero.
 
     Both theories share one contraction: Theta = w <a1, d0> - Hflow ds
-    and canonical = w <M, c d0 - r d1 + v ds>, with pairing weight w
-    (1 for KG, 2 for Schrodinger), M the chart's second coordinate
-    (P-hat; PhiI-hat), c and r the chart's cos and sin/omega (sin for
-    Schrodinger) and v the s-rate of its first coordinate.  The factors
-    that depend on the points alone are computed here, once.
+    and canonical = w <A1, c d0 - r d1 + v ds>, with the record's
+    pairing weight w, its rotation (c, r, q), the chart's second
+    coordinate A1 = c a1 + q a0 and v the s-rate of its first.  The
+    factors that depend on the points alone are computed here, once.
     """
-    if theory == "kg":
-        weight = 1.0
-        om = sup.take(cfg.omega())
-        c, r, om_sin = _kg_rotation(om, s)
-        moment = c * a1 + om_sin * a0
-        rate = -om_sin * a0 - c * a1
-        hflow = _kg_hflow(cfg, sup, om, a0, a1, sign_ledger)
-    else:
-        weight = 2.0
-        ksq = sup.take(cfg.ksq())
-        c, r, moment, rate = _schr_chart(ksq, a0, a1, s)
-        hflow = _schr_hflow(sup, ksq, a0, a1, sign_ledger)
+    weight = theory.weight
+    f = sup.take(theory.freq)
+    c, r, q = theory.rotation(f, s)
+    moment = c * a1 + q * a0
+    rate = theory.rate(f, c, q, a0, a1)
+    hflow = theory.hflow(sup, f, a0, a1, sign_ledger)
 
     def form(d0, d1, ds):
         d0, d1 = sup.take(d0), sup.take(d1)
@@ -658,39 +695,35 @@ class WOracle:
     from the base point (zero fields, s = 0) along two straight
     segments.  Construction checks closedness of the difference form at
     seeded random points and refuses to build an oracle for a
-    non-closed form.
+    non-closed form.  ``theory`` is a Theory record, or a theory name
+    with the KGConfig or Lattice to build one from as ``cfg``.
     """
 
     def __init__(
         self,
-        theory: str,
-        cfg,
+        theory: Theory | str,
+        cfg=None,
         sign_ledger: str = "resolved",
         seed: int = 1337,
         check_points: int = 4,
         tol: float = 1e-8,
     ):
-        if theory not in ("kg", "schrodinger"):
-            raise ValueError(f"unknown theory {theory!r}")
+        if not isinstance(theory, Theory):
+            theory = Theory.of(theory, getattr(cfg, "lattice", cfg), getattr(cfg, "mass", 0.0))
         if sign_ledger not in ("resolved", "paper-printed"):
             raise ValueError(f"unknown sign_ledger {sign_ledger!r}")
         self.theory = theory
-        self.cfg = cfg
         self.sign_ledger = sign_ledger
-        self.lattice = cfg.lattice if theory == "kg" else cfg
-        # one plus the form's top oscillation frequency in s (2 omega for
-        # the rotation quadratics; k^2 for Schrodinger)
-        if theory == "kg":
-            self._top = 1.0 + 2.0 * float(np.max(cfg.omega()))
-        else:
-            self._top = 1.0 + float(np.max(self.lattice.ksq()))
+        self.lattice = theory.lattice
+        # one plus the form's top oscillation frequency in s
+        self._top = 1.0 + theory.top_frequency()
         if check_points > 0:
             worst = self._closedness_sweep(seed, check_points)
             if not worst <= tol:
                 raise WOracleClosednessError(
                     f"difference form is not closed (residual {worst:.3e} > "
                     f"{tol:.1e}); the sign ledger upstream is inconsistent "
-                    f"(theory={theory}, sign_ledger={sign_ledger})"
+                    f"(theory={theory.name}, sign_ledger={sign_ledger})"
                 )
 
     # -- evaluation ------------------------------------------------------
@@ -711,11 +744,10 @@ class WOracle:
     def _form(self, sup: _Support, a0, a1, s):
         """The difference form at points (a0, a1, s), compact on sup,
         single or stacked."""
-        return _difference_form(self.theory, self.cfg, sup, a0, a1, s, self.sign_ledger)
+        return _difference_form(self.theory, sup, a0, a1, s, self.sign_ledger)
 
-    def _point(self, a0, a1, time: float):
-        state = KGModeState if self.theory == "kg" else SchrModeState
-        return state(ModeVector(self.lattice, a0), ModeVector(self.lattice, a1), time=time)
+    def _point(self, a0, a1, time: float) -> ModeState:
+        return ModeState(ModeVector(self.lattice, a0), ModeVector(self.lattice, a1), time=time)
 
     def _blocks(self, u: np.ndarray, evaluate):
         """evaluate(u_block) over the nodes u in blocks of _block_size,
@@ -724,14 +756,14 @@ class WOracle:
         for i in range(0, len(u), size):
             yield from evaluate(u[i : i + size])
 
-    def differential(self, point, tangent) -> float:
-        """(Theta - canonical) contracted with the tangent."""
-        a0, a1, s = _coords(point)
-        d0, d1, ds = _tangent_coords(tangent)
-        sup = self._support((a0, a1, d0, d1), (s, ds))
-        return float(self._form(sup, sup.take(a0), sup.take(a1), s)(d0, d1, ds))
+    def differential(self, point: ModeState, tangent) -> float:
+        """(Theta - canonical) contracted with the tangent (d0, d1, ds)."""
+        a0, a1 = point.arrays
+        d0, d1, ds = tangent
+        sup = self._support((a0, a1, d0, d1), (point.time, ds))
+        return float(self._form(sup, sup.take(a0), sup.take(a1), point.time)(d0, d1, ds))
 
-    def value(self, point, order: int = 8) -> float:
+    def value(self, point: ModeState, order: int = 8) -> float:
         """Line integral of the difference form from (0 fields, s = 0).
 
         Segment one raises s at zero fields (the integrand vanishes there
@@ -742,7 +774,8 @@ class WOracle:
         nodes, weights = np.polynomial.legendre.leggauss(order)
         u = 0.5 * (nodes + 1.0)
         w = 0.5 * weights
-        a0, a1, s_target = _coords(point)
+        a0, a1 = point.arrays
+        s_target = point.time
         sup = self._support((a0, a1), (s_target,))
         zeros = np.zeros_like(a0)
         c0, c1 = sup.take(a0), sup.take(a1)
@@ -763,10 +796,9 @@ class WOracle:
 
     # -- checks ----------------------------------------------------------
 
-    def _displace(self, point, tangent, eps: float):
-        a0, a1, s = _coords(point)
-        d0, d1, ds = _tangent_coords(tangent)
-        return self._point(a0 + eps * d0, a1 + eps * d1, s + eps * ds)
+    def _displace(self, point: ModeState, tangent, eps: float) -> ModeState:
+        (a0, a1), (d0, d1, ds) = point.arrays, tangent
+        return self._point(a0 + eps * d0, a1 + eps * d1, point.time + eps * ds)
 
     def closedness_residual(self, point, tx, ty, eps: float = 1e-3) -> float:
         """Finite-difference antisymmetrized derivative d(Theta - T)(X, Y).
@@ -803,14 +835,11 @@ class WOracle:
         residuals = []
         for _ in range(count):
             point, tx, ty = self._random_point_and_tangents(rng)
-            scale = 1.0 + self._point_scale(point) ** 2
+            scale = 1.0 + max(float(np.max(np.abs(a))) for a in point.arrays) ** 2
             residuals.append(self.closedness_residual(point, tx, ty) / scale)
         return nan_max(residuals)
 
-    def _point_scale(self, point) -> float:
-        return max(float(np.max(np.abs(a))) for a in _coords(point)[:2])
-
-    def loop_integral(self, p1, p2, p3, order: int = 8) -> float:
+    def loop_integral(self, p1: ModeState, p2: ModeState, p3: ModeState, order: int = 8) -> float:
         """Circulation of the difference form around the triangle
         p1 -> p2 -> p3 -> p1 (straight segments); closedness makes it
         vanish.  Panel count grows with the oscillation scale along each
@@ -823,15 +852,13 @@ class WOracle:
         ValueError.
         """
         nodes, weights = np.polynomial.legendre.leggauss(order)
-        om_max = float(np.max(np.sqrt(self.lattice.ksq())))
-        if self.theory == "kg":
-            om_max = float(np.max(self.cfg.omega()))
-        if not all(np.isfinite(_coords(p)[2]) for p in (p1, p2, p3)):
+        om_max = self.theory.om_max()
+        if not all(np.isfinite(p.time) for p in (p1, p2, p3)):
             return float("nan")
         total = 0.0
         for a, b in ((p1, p2), (p2, p3), (p3, p1)):
-            a0, a1, sa = _coords(a)
-            b0, b1, sb = _coords(b)
+            (a0, a1), sa = a.arrays, a.time
+            (b0, b1), sb = b.arrays, b.time
             need = np.ceil(2.0 * om_max * abs(sb - sa)) + 1
             if need > LOOP_PANEL_BUDGET:
                 raise ValueError(
@@ -861,36 +888,13 @@ class WOracle:
         return total
 
 
-def _coords(point):
-    """(a0, a1, s) of a KG or Schrodinger mode point."""
-    if isinstance(point, KGModeState):
-        return point.phiHat.coefficients, point.pHat.coefficients, point.time
-    return point.phiRHat.coefficients, point.phiIHat.coefficients, point.time
-
-
-def _tangent_coords(tangent):
-    """(d0, d1, ds) of a KG or Schrodinger mode tangent; a (d0, d1, ds)
-    triple passes through."""
-    if isinstance(tangent, KGModeTangent):
-        return tangent.dphi, tangent.dp, tangent.ds
-    if isinstance(tangent, SchrModeTangent):
-        return tangent.dphiR, tangent.dphiI, tangent.ds
-    return tangent
-
-
-def w_oracle(theory: str, cfg, sign_ledger: str = "resolved", **kwargs) -> WOracle:
-    """Build the line-integral W oracle; see :class:`WOracle`."""
-    return WOracle(theory, cfg, sign_ledger=sign_ledger, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # the pullback identity
 
 
 def theta_pullback_residual(
-    theory: str,
-    point,
-    cfg=None,
+    theory: Theory,
+    point: ModeState,
     tangent_count: int = 100,
     seed: int = 2024,
 ) -> ThetaPullbackReport:
@@ -908,9 +912,9 @@ def theta_pullback_residual(
     """
     lat = point.lattice
     rng = np.random.Generator(np.random.Philox(key=seed))
-    oracle = WOracle(theory, cfg if theory == "kg" else lat, check_points=0)
+    oracle = WOracle(theory, check_points=0)
     s_scale = oracle._s_scale()
-    a0, a1, s = _coords(point)
+    (a0, a1), s = point.arrays, point.time
     size = _block_size(lat)
     sup = None
     derived_gaps = []
@@ -922,18 +926,14 @@ def theta_pullback_residual(
             # the factors that depend on the point alone, on this support
             sup = block
             form = oracle._form(sup, sup.take(a0), sup.take(a1), s)
-            if theory == "kg":
-                dw_derived = _kg_w_differential(point, cfg, 1.0, sup)
-                dw_printed = _kg_w_differential(point, cfg, 2.0, sup)
-            else:
-                dw_derived = _schr_w_derived_differential(point, sup)
-                dw_printed = _schr_w_printed_differential(point, sup)
+            dw_derived = theory.dw(point, False, sup)
+            dw_printed = theory.dw(point, True, sup)
         gap = form(*t)
         # np.max keeps a NaN, so each block's worst does
         derived_gaps.append(np.max(np.abs(gap - dw_derived(*t))))
         printed_gaps.append(np.max(np.abs(gap - dw_printed(*t))))
     return ThetaPullbackReport(
-        theory=theory,
+        theory=theory.name,
         oracle_residual=nan_max(derived_gaps),
         printed_residual=nan_max(printed_gaps),
     )

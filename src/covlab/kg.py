@@ -40,6 +40,7 @@ from .lattice import (
     dft,
     idft,
     inner,
+    nan_max,
     spectral_gradient,
     stack_divergence,
     stack_gradient,
@@ -210,11 +211,11 @@ def kg_hamiltonian(state: KGState, cfg: KGConfig, mass_sign: str = "resolved") -
 
 
 def kg_constraint_residual(state: KGState) -> float:
-    """Sup-norm of beta - grad(phi)."""
+    """Sup-norm of beta - grad(phi) over all axes; a NaN anywhere gives
+    NaN."""
     grad = spectral_gradient(state.phi)
-    return max(
-        sup_norm(state.beta.components[a].values - grad.components[a].values)
-        for a in range(state.lattice.dim)
+    return nan_max(
+        sup_norm(b.values - g.values) for b, g in zip(state.beta.components, grad.components)
     )
 
 

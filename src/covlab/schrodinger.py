@@ -12,9 +12,7 @@ The covariant Lagrangian is stated once, as the bilinear table
 _SCHR_LAGRANGIAN that lattice._lagrangian_form evaluates.
 
 The slice Hamiltonian keeps its printed sign, -1/2 integral |grad psi|^2,
-which is nonpositive; it is conserved by the flow either way.  FrameSpec
-records the frame data (velocity v) so that frame dependence is at least
-representable, but every dynamical operation rejects v != 0.
+which is nonpositive; it is conserved by the flow either way.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from .lattice import (
     dft,
     idft,
     inner,
+    nan_max,
     spectral_gradient,
     stack_divergence,
     stack_gradient,
@@ -45,7 +44,6 @@ from .lattice import (
 )
 
 __all__ = [
-    "FrameSpec",
     "SchrState",
     "SchrSpacetimeSection",
     "SchrVariation",
@@ -67,33 +65,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FrameSpec:
-    """Galilean frame data Gamma = d/dt + v^j d/dx^j.
-
-    Only the rest frame v = 0 is dynamical; nonzero v is storable for
-    documentation of the frame tensor but rejected by evolution.
-    """
-
-    v: tuple[float, ...] = ()
-
-    def require_rest_frame(self):
-        if any(abs(vj) > 0.0 for vj in self.v):
-            raise ValueError(
-                "only the rest frame (v = 0) is supported by the dynamics"
-            )
-
-
-REST_FRAME = FrameSpec()
-
-
-@dataclass(frozen=True)
 class SchrState:
     phiR: ScalarField
     phiI: ScalarField
     betaR: VectorField
     betaI: VectorField
     time: float = 0.0
-    frame: FrameSpec = field(default=REST_FRAME)
 
     def __post_init__(self):
         lat = self.phiR.lattice
@@ -104,10 +81,6 @@ class SchrState:
     @property
     def lattice(self) -> Lattice:
         return self.phiR.lattice
-
-    def temporal_momenta(self) -> tuple[ScalarField, ScalarField]:
-        """(P0_R, P0_I) from the sub-bundle constraints."""
-        return self.phiI, ScalarField(self.lattice, -self.phiR.values)
 
 
 @dataclass(frozen=True)
@@ -162,13 +135,11 @@ class SchrSpacetimeSection:
 
     @classmethod
     def from_states(cls, states, dt: float) -> SchrSpacetimeSection:
-        """Stack rest-frame slice states that share one lattice and sit at
-        uniform steps of dt."""
+        """Stack slice states that share one lattice and sit at uniform
+        steps of dt."""
         states = tuple(states)
         lat = states[0].lattice if states else None
         t0 = _section_origin(states, dt, lat)
-        for st in states:
-            st.frame.require_rest_frame()
         return cls(
             phiR=np.stack([st.phiR.values for st in states]),
             phiI=np.stack([st.phiI.values for st in states]),
@@ -206,7 +177,6 @@ class SchrSpacetimeSection:
 
 def schr_hamiltonian(state: SchrState) -> float:
     """-1/2 integral (|grad phiR|^2 + |grad phiI|^2); printed sign, <= 0."""
-    state.frame.require_rest_frame()
     total = 0.0
     for phi in (state.phiR, state.phiI):
         grad = spectral_gradient(phi)
@@ -216,16 +186,13 @@ def schr_hamiltonian(state: SchrState) -> float:
 
 
 def schr_constraint_residual(state: SchrState) -> float:
-    """Sup-norm of beta_a + grad(phi^a) over both parts and all axes."""
-    worst = 0.0
-    for phi, beta in ((state.phiR, state.betaR), (state.phiI, state.betaI)):
-        grad = spectral_gradient(phi)
-        for a in range(state.lattice.dim):
-            worst = max(
-                worst,
-                sup_norm(beta.components[a].values + grad.components[a].values),
-            )
-    return worst
+    """Sup-norm of beta_a + grad(phi^a) over both parts and all axes; a
+    NaN anywhere gives NaN."""
+    return nan_max(
+        sup_norm(b.values + g.values)
+        for phi, beta in ((state.phiR, state.betaR), (state.phiI, state.betaI))
+        for b, g in zip(beta.components, spectral_gradient(phi).components)
+    )
 
 
 def schr_enforce_constraints(
@@ -265,7 +232,6 @@ def schr_evolve_spectral(
     printed (negative) Hamiltonian instead, which is the time-reversed
     propagator; it exists for the documented negative controls only.
     """
-    state.frame.require_rest_frame()
     if hamiltonian_sign not in ("resolved", "paper-printed"):
         raise ValueError(f"unknown hamiltonian_sign {hamiltonian_sign!r}")
     lat = state.lattice
@@ -294,7 +260,6 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if steps == 0:
         return state
-    state.frame.require_rest_frame()
     lat = state.lattice
     step_angle = 2.0 * np.arctan(0.25 * lat.ksq() * dt)
     a_s, b_s = _schr_rotate(
@@ -325,7 +290,6 @@ def schr_solution_section(state: SchrState, dt: float, steps: int) -> SchrSpacet
     derived gradients of phiR and phiI."""
     if steps < 1:
         raise ValueError("need at least one time interval")
-    state.frame.require_rest_frame()
     lat = state.lattice
     s = (np.arange(steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
     a, b = _schr_rotate(

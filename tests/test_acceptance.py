@@ -12,9 +12,9 @@ the gaps per state.
 """
 
 import math
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +30,6 @@ from covlab.brackets import (
     product_observable,
     quadratic_cross,
     quadratic_power,
-    reeb_apply,
     subalgebra_closure_check,
     w_coordinate,
 )
@@ -57,6 +56,7 @@ KG_CFG = ExperimentConfig(theory="kg", experiment="evolve", seed=SEED)
 SCHR_CFG = ExperimentConfig(theory="schrodinger", experiment="evolve", seed=SEED)
 LAT = KG_CFG.lattice
 KCFG = KG_CFG.kg_config()
+TH = {t: dx.Theory.of(t, LAT, KG_CFG.mass) for t in ("kg", "schrodinger")}
 
 
 def verdict(num: int, ok: bool, detail: str) -> bool:
@@ -83,24 +83,18 @@ def banded_schr_state(seed, band):
     return schr_enforce_constraints(banded_field(rng, band), banded_field(rng, band))
 
 
-def mode_point(theory, seed, s):
+def mode_pair(seed):
     rng = seeded(seed)
     band = LAT.n // 4
-    a = ModeVector(LAT, dx.random_hermitian_modes(LAT, rng, band=band))
-    b = ModeVector(LAT, dx.random_hermitian_modes(LAT, rng, band=band))
-    if theory == "kg":
-        return dx.KGModeState(a, b, time=s)
-    return dx.SchrModeState(a, b, time=s)
+    return tuple(ModeVector(LAT, dx.random_hermitian_modes(LAT, rng, band=band)) for _ in range(2))
 
 
-def darboux_point(theory, seed, s, W):
-    rng = seeded(seed)
-    band = LAT.n // 4
-    a = ModeVector(LAT, dx.random_hermitian_modes(LAT, rng, band=band))
-    b = ModeVector(LAT, dx.random_hermitian_modes(LAT, rng, band=band))
-    if theory == "kg":
-        return dx.KGDarbouxState(a, b, W=W, time=s)
-    return dx.SchrDarbouxState(a, b, W=W, time=s)
+def mode_point(seed, s):
+    return dx.ModeState(*mode_pair(seed), time=s)
+
+
+def darboux_point(seed, s, W):
+    return dx.DarbouxState(*mode_pair(seed), W=W, time=s)
 
 
 def variation(theory, seed):
@@ -182,14 +176,13 @@ def test_criterion_03_omega_slice_independence():
     times = [float(t) for t in range(11)]
     spreads = {}
     controls = {}
-    for theory, cfg, kcfg in (("kg", KG_CFG, KCFG), ("schrodinger", SCHR_CFG, None)):
+    for theory, cfg in (("kg", KG_CFG), ("schrodinger", SCHR_CFG)):
         sol = random_state(cfg)
         U = variation(theory, SEED + 1)
         V = variation(theory, SEED + 2)
-        spreads[theory] = omega_slice_report(theory, sol, U, V, times, cfg=kcfg).max_rel_spread
-        controls[theory] = omega_slice_report(
-            theory, sol, U, V, times, cfg=kcfg, freeze="v"
-        ).max_rel_spread
+        th = TH[theory]
+        spreads[theory] = omega_slice_report(th, sol, U, V, times).max_rel_spread
+        controls[theory] = omega_slice_report(th, sol, U, V, times, freeze="v").max_rel_spread
     ok = max(spreads.values()) <= 1e-10 and min(controls.values()) > 1e-10
     assert verdict(
         3,
@@ -203,23 +196,16 @@ def test_criterion_03_omega_slice_independence():
 def _invariance_spread(theory, ledger):
     cfg = KG_CFG if theory == "kg" else SCHR_CFG
     st = random_state(cfg)
-    if theory == "kg":
-        base = dx.kg_to_darboux(dx.kg_mode_state(st), KCFG)
-        ref = np.concatenate([base.PhiHat.coefficients, base.PHat.coefficients])
-    else:
-        base = dx.schr_to_darboux(dx.schr_mode_state(st))
-        ref = np.concatenate([base.PhiRHat.coefficients, base.PhiIHat.coefficients])
+    th = TH[theory]
+    ref = np.concatenate(th.to_darboux(th.mode_state(st)).arrays)
     scale = float(np.max(np.abs(ref)))
     worst = 0.0
     for s in range(1, 11):
         if theory == "kg":
             ev = kg_evolve_spectral(st, float(s), KCFG, mass_sign=ledger)
-            d = dx.kg_to_darboux(dx.kg_mode_state(ev), KCFG)
-            cur = np.concatenate([d.PhiHat.coefficients, d.PHat.coefficients])
         else:
             ev = schr_evolve_spectral(st, float(s), hamiltonian_sign=ledger)
-            d = dx.schr_to_darboux(dx.schr_mode_state(ev))
-            cur = np.concatenate([d.PhiRHat.coefficients, d.PhiIHat.coefficients])
+        cur = np.concatenate(th.to_darboux(th.mode_state(ev)).arrays)
         worst = max(worst, float(np.max(np.abs(cur - ref))) / scale)
     return worst
 
@@ -240,7 +226,8 @@ def test_criterion_04_darboux_invariance():
 def kg_cross_term(m):
     """L^d sum_k Re(p-hat_k conj(phi-hat_k)) sin^2(omega_k s): the term the
     printed KG W density counts twice and the derived closed form once."""
-    cross = np.real(m.pHat.coefficients * np.conj(m.phiHat.coefficients))
+    phi, p = m.arrays
+    cross = np.real(p * np.conj(phi))
     return m.lattice.volume * float(np.sum(cross * np.sin(KCFG.omega() * m.time) ** 2))
 
 
@@ -251,41 +238,34 @@ def test_criterion_05_theta_pullback_identity():
     # the loop circulations below) and the match of its potential to the
     # derived W that the chart stores complete the identity
     worst_oracle = 0.0
-    for theory in ("kg", "schrodinger"):
-        kcfg = KCFG if theory == "kg" else None
+    for th in TH.values():
         for k in range(10):
-            m = mode_point(theory, SEED + 30 + k, s=0.5 * k - 2.0)
-            rep = dx.theta_pullback_residual(
-                theory, m, kcfg, tangent_count=100, seed=SEED + 40 + k
-            )
+            m = mode_point(SEED + 30 + k, s=0.5 * k - 2.0)
+            rep = dx.theta_pullback_residual(th, m, tangent_count=100, seed=SEED + 40 + k)
             worst_oracle = max(worst_oracle, rep.oracle_residual)
 
-    kg_oracle = dx.WOracle("kg", KCFG, seed=SEED + 4)
-    schr_oracle = dx.WOracle("schrodinger", LAT, seed=SEED + 4)
-    loop = 0.0
-    for theory, oracle in (("kg", kg_oracle), ("schrodinger", schr_oracle)):
-        p1 = mode_point(theory, SEED + 20, s=0.8)
-        p2 = mode_point(theory, SEED + 21, s=-1.1)
-        p3 = mode_point(theory, SEED + 22, s=2.4)
-        loop = max(loop, abs(oracle.loop_integral(p1, p2, p3)))
+    kg_oracle = dx.WOracle(TH["kg"], seed=SEED + 4)
+    schr_oracle = dx.WOracle(TH["schrodinger"], seed=SEED + 4)
+    p1 = mode_point(SEED + 20, s=0.8)
+    p2 = mode_point(SEED + 21, s=-1.1)
+    p3 = mode_point(SEED + 22, s=2.4)
+    loop = max(abs(oracle.loop_integral(p1, p2, p3)) for oracle in (kg_oracle, schr_oracle))
 
-    kg_states = [mode_point("kg", SEED + 50 + k, s=0.4 * k - 1.6) for k in range(10)]
-    schr_states = [
-        mode_point("schrodinger", SEED + 50 + k, s=0.4 * k - 1.6) for k in range(10)
-    ]
+    # both theories read the same mode data
+    states = [mode_point(SEED + 50 + k, s=0.4 * k - 1.6) for k in range(10)]
     # np.max keeps a NaN, so a non-finite W cannot pass these clauses
-    kg_values = np.array([kg_oracle.value(m) for m in kg_states])
-    schr_values = np.array([schr_oracle.value(m) for m in schr_states])
-    kg_derived = np.array([dx.kg_w_derived(m, KCFG) for m in kg_states])
-    schr_derived = np.array([dx.schr_w_derived(m) for m in schr_states])
+    kg_values = np.array([kg_oracle.value(m) for m in states])
+    schr_values = np.array([schr_oracle.value(m) for m in states])
+    kg_derived = np.array([TH["kg"].w(m) for m in states])
+    schr_derived = np.array([TH["schrodinger"].w(m) for m in states])
     derived = np.max(
         np.abs(np.concatenate([kg_derived - kg_values, schr_derived - schr_values]))
     )
-    gaps = np.array([dx.kg_w_printed(m, KCFG) for m in kg_states]) - kg_values
-    crosses = np.array([kg_cross_term(m) for m in kg_states])
+    gaps = np.array([TH["kg"].w(m, printed=True) for m in states]) - kg_values
+    crosses = np.array([kg_cross_term(m) for m in states])
     cross_residual = np.max(np.abs(gaps - crosses) / (1.0 + np.abs(kg_values)))
     printed_gap = np.max(np.abs(gaps))
-    schr_printed = np.array([dx.schr_w_printed(dx.schr_to_darboux(m)) for m in schr_states])
+    schr_printed = np.array([TH["schrodinger"].w(m, printed=True) for m in states])
     schr_gap = np.max(np.abs(schr_printed - schr_values))
 
     ok = (
@@ -318,9 +298,8 @@ def test_criterion_05_theta_pullback_identity():
 
 def test_criterion_06_bracket_equivalence():
     worst = 0.0
-    for theory in ("kg", "schrodinger"):
-        kcfg = KCFG if theory == "kg" else None
-        point = darboux_point(theory, SEED + 60, s=1.3, W=0.5)
+    for theory, th in TH.items():
+        point = darboux_point(SEED + 60, s=1.3, W=0.5)
         pairs = [
             TangentPair(
                 variation(theory, SEED + 100 + 2 * k),
@@ -329,7 +308,7 @@ def test_criterion_06_bracket_equivalence():
             )
             for k in range(20)
         ]
-        eq = bracket_equivalence_check(theory, pairs, point, cfg=kcfg)
+        eq = bracket_equivalence_check(th, pairs, point)
         worst = max(worst, eq.max_mismatch)
     ok = worst <= 1e-9
     assert verdict(
@@ -342,24 +321,20 @@ def test_criterion_07_jacobi_algebra():
     jac = 0.0
     leib = 0.0
     closure = 0.0
-    for theory in ("kg", "schrodinger"):
-        kcfg = KCFG if theory == "kg" else None
-        point = darboux_point(theory, SEED + 60, s=1.3, W=0.5)
-        slots = ("Phi", "P") if theory == "kg" else ("PhiR", "PhiI")
-        lin1 = mode_real_part(theory, slots[0], 1, LAT)
-        lin2 = mode_real_part(theory, slots[1], 1, LAT)
-        quad1 = quadratic_power(theory, 0)
-        quad2 = quadratic_cross(theory)
-        wobs = w_coordinate(theory)
+    for th in TH.values():
+        point = darboux_point(SEED + 60, s=1.3, W=0.5)
+        lin1 = mode_real_part(th, th.slots[0], 1)
+        lin2 = mode_real_part(th, th.slots[1], 1)
+        quad1 = quadratic_power(th, 0)
+        quad2 = quadratic_cross(th)
+        wobs = w_coordinate(th)
         wquad = product_observable(wobs, quad1)
 
         for F, G in ((lin1, quad1), (quad1, quad2), (wquad, lin2), (wobs, quad2)):
             anti = max(anti, abs(jacobi_bracket(F, G, point) + jacobi_bracket(G, F, point)))
 
-        def nested(F, G):
-            return Observable(
-                theory, "darboux", lambda p: jacobi_bracket(F, G, p), name="nested"
-            )
+        def nested(F, G, th=th):
+            return Observable(th, lambda p: jacobi_bracket(F, G, p), name="nested")
 
         for A, B, C in ((lin1, lin2, quad2), (quad1, quad2, wobs), (lin1, wquad, quad1)):
             terms = (
@@ -375,12 +350,12 @@ def test_criterion_07_jacobi_algebra():
             jacobi_bracket(f, gh, point)
             - jacobi_bracket(f, g, point) * h.evaluate(point)
             - g.evaluate(point) * jacobi_bracket(f, h, point)
-            - g.evaluate(point) * h.evaluate(point) * reeb_apply(f, point)
+            - g.evaluate(point) * h.evaluate(point) * f.w_derivative_at(point)
         )
         leib = max(leib, abs(lhs) / (1.0 + abs(jacobi_bracket(f, gh, point))))
 
-        pts = [point, darboux_point(theory, SEED + 61, s=0.4, W=-1.0)]
-        rep = subalgebra_closure_check(quad1, quad2, pts, cfg=kcfg)
+        pts = [point, darboux_point(SEED + 61, s=0.4, W=-1.0)]
+        rep = subalgebra_closure_check(quad1, quad2, pts)
         closure = max(closure, max(rep.reeb_residuals), rep.flow_spread)
 
     ok = anti <= 1e-12 and jac <= 1e-8 and leib <= 1e-9 and closure <= 1e-10
@@ -454,31 +429,36 @@ def test_criterion_10_dedonder_weyl_residuals(action_reports):
     )
 
 
+# covlab suite --all --seed 42 per ledger, the seconds column stripped
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+def strip_seconds(text):
+    """The report's lines without their last cell, the seconds column."""
+    return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
+
+
 def test_criterion_11_suite_determinism():
-    env = dict(os.environ, COVLAB_THREADS="4")
+    # two runs with the resolved ledger and one with the printed one, each
+    # against the golden report of its ledger: no CSV value may move
+    # unless CHANGES.md explains it and the golden file moves with it
     runs = []
-    for _ in range(2):
+    for ledger in ("resolved", "resolved", "paper"):
         proc = subprocess.run(
-            [sys.executable, "-m", "covlab.cli", "suite", "--all", "--seed", "42"],
+            [sys.executable, "-m", "covlab.cli", "suite", "--all", "--seed", "42", "--ledger", ledger],
             capture_output=True,
             text=True,
-            env=env,
             timeout=600,
         )
-        runs.append(proc)
-
-    def strip_seconds(text):
-        rows = []
-        for line in text.strip().splitlines()[1:]:
-            cells = line.split(",")
-            rows.append(cells[:-1])
-        return rows
-
-    same = strip_seconds(runs[0].stdout) == strip_seconds(runs[1].stdout)
-    ok = same and runs[0].returncode == 0 and runs[1].returncode == 0
+        golden = (GOLDEN / f"suite_seed42_{ledger}.csv").read_text(encoding="utf-8")
+        runs.append((ledger, proc, strip_seconds(proc.stdout) == golden.strip().splitlines()))
+    codes = [proc.returncode for _, proc, _ in runs]
+    # the printed ledger's negative controls make that suite exit 1
+    ok = all(same for _, _, same in runs) and codes == [0, 0, 1]
     assert verdict(
         11,
         ok,
-        f"two suite runs: exit codes {runs[0].returncode}/{runs[1].returncode}, "
-        f"{len(strip_seconds(runs[0].stdout))} rows identical modulo timings",
-    ), runs[0].stderr[-2000:]
+        f"suite runs (resolved, resolved, paper): exit codes {codes}, "
+        f"{len(strip_seconds(runs[0][1].stdout)) - 1} rows each identical modulo timings "
+        f"to tests/data: {[same for _, _, same in runs]}",
+    ), runs[0][1].stderr[-2000:]

@@ -4,7 +4,10 @@ bench/spans.py wraps the public functions of each layer module and the
 methods it lists, and its per-layer metrics look spans up by name: a
 renamed entry point, or one aliased to a function another module
 defines, makes it raise instead of reading 0.  This runs one small
-config of every experiment for both theories under its wrappers.
+config of every experiment for both theories under its wrappers.  A
+count that reads 0 means the entry point is no longer on the call path:
+for instance a theory record that keeps the function objects it calls,
+taken at import, instead of calling them by module-level name.
 """
 
 import importlib.util
@@ -14,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covlab import harness
+from covlab import darboux, harness
 from covlab.harness import EXPERIMENTS, THEORIES, ExperimentConfig
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -54,14 +57,29 @@ def test_every_keyed_entry_point_records_a_traced_pass(spans):
     before = bindings(spans)
     rec = spans.Recorder()
     with spans.installed(rec):
-        assert harness.kg_el_pairing is not before[("covlab.harness", "kg_el_pairing")]
+        assert darboux.kg_el_pairing is not before[("covlab.darboux", "kg_el_pairing")]
         with rec.traced_pass() as pass_no:
             reports = [harness.run_experiment(cfg) for cfg in configs]
     assert bindings(spans) == before
 
     assert [r.errors for r in reports] == [()] * len(configs)
     metrics = spans.pass_metrics(rec, pass_no)
-    for name in ("kg.el_s", "schrodinger.el_s", "kg.section_slices", "darboux.chart_calls"):
+    counted = (
+        "kg.el_s",
+        "schrodinger.el_s",
+        "kg.section_slices",
+        "darboux.chart_calls",
+        "kg.evolve_calls",
+        "schrodinger.evolve_calls",
+        "darboux.oracle_value_calls",
+        "darboux.oracle_differential_calls",
+        "darboux.sampler_calls",
+        "brackets.jacobi_calls",
+        "brackets.gradient_calls",
+        "lattice.ksq_builds",
+        "lattice.fft_calls",
+    )
+    for name in counted:
         assert metrics[name] > 0, name
     # each action-residual run builds one section per quantity, at dt / 2:
     # the EL window over _el_steps and the de Donder-Weyl window capped at

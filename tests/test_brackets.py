@@ -14,26 +14,25 @@ from covlab.brackets import (
     jacobi_bracket,
     lambda_pairing,
     mode_real_part,
-    omega_kg,
-    omega_schr,
+    omega,
     omega_schr_expansion_check,
     omega_slice_report,
     poisson_bracket,
     product_observable,
     quadratic_cross,
     quadratic_power,
-    reeb_apply,
     smeared_observable,
     subalgebra_closure_check,
     w_coordinate,
 )
-from covlab.darboux import KGDarbouxState, SchrDarbouxState, random_hermitian_modes
-from covlab.kg import KGConfig, KGVariation, kg_enforce_constraints
+from covlab.darboux import DarbouxState, Theory, random_hermitian_modes
+from covlab.kg import KGVariation, kg_enforce_constraints
 from covlab.lattice import Lattice, ModeVector, ScalarField, hermitize, idft
 from covlab.schrodinger import SchrVariation, schr_enforce_constraints
 
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
-CFG = KGConfig(mass=1.0, lattice=LAT)
+KG = Theory.of("kg", LAT, 1.0)
+SCHR = Theory.of("schrodinger", LAT)
 VOL = LAT.volume
 
 
@@ -74,7 +73,7 @@ def schr_slice_variation(dphiR, dphiI):
 
 def kg_point(seed, time=1.3, W=0.5, band=None):
     rng = seeded(seed)
-    return KGDarbouxState(
+    return DarbouxState(
         ModeVector(LAT, random_hermitian_modes(LAT, rng, band=band)),
         ModeVector(LAT, random_hermitian_modes(LAT, rng, band=band)),
         W=W,
@@ -84,7 +83,7 @@ def kg_point(seed, time=1.3, W=0.5, band=None):
 
 def schr_point(seed, time=1.3, W=0.5, band=None):
     rng = seeded(seed)
-    return SchrDarbouxState(
+    return DarbouxState(
         ModeVector(LAT, random_hermitian_modes(LAT, rng, band=band)),
         ModeVector(LAT, random_hermitian_modes(LAT, rng, band=band)),
         W=W,
@@ -99,7 +98,6 @@ def constant_observable(theory, value):
 
     return Observable(
         theory=theory,
-        representation="darboux",
         evaluate=lambda pt: float(value),
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
@@ -115,7 +113,7 @@ class TestOmega:
         zero = np.zeros(LAT.shape)
         U = kg_slice_variation(np.sin(x), zero)
         V = kg_slice_variation(zero, np.sin(x))
-        assert omega_kg(U, V, LAT) == pytest.approx(-np.pi, abs=1e-12)
+        assert omega(KG, U, V) == pytest.approx(-np.pi, abs=1e-12)
 
     def test_schr_sine_pair_value(self):
         # the doubled pairing gives 2 integral sin^2 dx = 2 pi
@@ -123,15 +121,15 @@ class TestOmega:
         zero = np.zeros(LAT.shape)
         U = schr_slice_variation(zero, np.sin(x))
         V = schr_slice_variation(np.sin(x), zero)
-        assert omega_schr(U, V, LAT) == pytest.approx(2 * np.pi, abs=1e-12)
+        assert omega(SCHR, U, V) == pytest.approx(2 * np.pi, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_antisymmetry(self, seed):
         U = kg_variation(seed)
         V = kg_variation(seed + 77)
-        a = omega_kg(U, V, LAT)
-        assert abs(a + omega_kg(V, U, LAT)) <= 1e-13 * max(1.0, abs(a))
+        a = omega(KG, U, V)
+        assert abs(a + omega(KG, V, U)) <= 1e-13 * max(1.0, abs(a))
 
     def test_schr_site_expansion_matches_closed_form(self):
         U = schr_variation(11)
@@ -142,12 +140,11 @@ class TestOmega:
         rng = seeded(5)
         sol = kg_enforce_constraints(banded_field(rng), banded_field(rng))
         rep = omega_slice_report(
-            "kg",
+            KG,
             sol,
             kg_variation(6),
             kg_variation(7),
             times=np.linspace(0.0, 5.0, 6),
-            cfg=CFG,
         )
         assert rep.max_rel_spread <= 1e-10
         assert len(rep.values) == 6
@@ -155,7 +152,7 @@ class TestOmega:
     def test_slice_independence_schr(self):
         sol = schr_enforce_constraints(banded_field(seeded(8)), banded_field(seeded(9)))
         rep = omega_slice_report(
-            "schrodinger",
+            SCHR,
             sol,
             schr_variation(6),
             schr_variation(7),
@@ -168,12 +165,11 @@ class TestOmega:
         rng = seeded(5)
         sol = kg_enforce_constraints(banded_field(rng), banded_field(rng))
         rep = omega_slice_report(
-            "kg",
+            KG,
             sol,
             kg_variation(6),
             kg_variation(7),
             times=np.linspace(0.0, 5.0, 6),
-            cfg=CFG,
             freeze="v",
         )
         assert rep.max_rel_spread > 0.1
@@ -181,7 +177,7 @@ class TestOmega:
     def test_lattice_mismatch_rejected(self):
         other = Lattice(dim=1, n=32, length=2 * np.pi)
         with pytest.raises(ValueError):
-            omega_kg(kg_variation(1), kg_variation(2), other)
+            omega(Theory.of("kg", other, 1.0), kg_variation(1), kg_variation(2))
 
     def test_tangent_pair_checks_lattices(self):
         other = Lattice(dim=1, n=32, length=2 * np.pi)
@@ -195,50 +191,50 @@ class TestStructureConstants:
     def test_kg_canonical_pair_paired_modes(self, k0):
         # a non-self-conjugate mode splits its weight between k0 and -k0,
         # so the canonical pair bracket is -1/(2 vol)
-        F = mode_real_part("kg", "Phi", k0, LAT)
-        G = mode_real_part("kg", "P", k0, LAT)
+        F = mode_real_part(KG, "Phi", k0)
+        G = mode_real_part(KG, "P", k0)
         assert jacobi_bracket(F, G, kg_point(21)) == pytest.approx(
             -1.0 / (2 * VOL), rel=1e-13
         )
 
     def test_kg_canonical_pair_self_conjugate_modes(self):
         for k0 in (0, LAT.n // 2):
-            F = mode_real_part("kg", "Phi", k0, LAT)
-            G = mode_real_part("kg", "P", k0, LAT)
+            F = mode_real_part(KG, "Phi", k0)
+            G = mode_real_part(KG, "P", k0)
             assert jacobi_bracket(F, G, kg_point(21)) == pytest.approx(
                 -1.0 / VOL, rel=1e-13
             )
 
     def test_schr_canonical_pair(self):
         pt = schr_point(22)
-        F = mode_real_part("schrodinger", "PhiR", 3, LAT)
-        G = mode_real_part("schrodinger", "PhiI", 3, LAT)
+        F = mode_real_part(SCHR, "PhiR", 3)
+        G = mode_real_part(SCHR, "PhiI", 3)
         assert jacobi_bracket(F, G, pt) == pytest.approx(-1.0 / (4 * VOL), rel=1e-13)
-        F0 = mode_real_part("schrodinger", "PhiR", 0, LAT)
-        G0 = mode_real_part("schrodinger", "PhiI", 0, LAT)
+        F0 = mode_real_part(SCHR, "PhiR", 0)
+        G0 = mode_real_part(SCHR, "PhiI", 0)
         assert jacobi_bracket(F0, G0, pt) == pytest.approx(-1.0 / (2 * VOL), rel=1e-13)
 
     def test_negative_mode_index_wraps(self):
-        F = mode_real_part("kg", "Phi", -1, LAT)
-        G = mode_real_part("kg", "P", -1, LAT)
+        F = mode_real_part(KG, "Phi", -1)
+        G = mode_real_part(KG, "P", -1)
         assert jacobi_bracket(F, G, kg_point(26)) == pytest.approx(
             -1.0 / (2 * VOL), rel=1e-13
         )
 
     def test_distinct_modes_commute(self):
         pt = kg_point(23)
-        F = mode_real_part("kg", "Phi", 1, LAT)
+        F = mode_real_part(KG, "Phi", 1)
         others = (
-            mode_real_part("kg", "P", 2, LAT),
-            mode_real_part("kg", "Phi", 2, LAT),
-            mode_real_part("kg", "Phi", 1, LAT),
+            mode_real_part(KG, "P", 2),
+            mode_real_part(KG, "Phi", 2),
+            mode_real_part(KG, "Phi", 1),
         )
         for G in others:
             assert abs(jacobi_bracket(F, G, pt)) <= 1e-15
 
     def test_linear_brackets_are_point_independent(self):
-        F = mode_real_part("kg", "Phi", 4, LAT)
-        G = mode_real_part("kg", "P", 4, LAT)
+        F = mode_real_part(KG, "Phi", 4)
+        G = mode_real_part(KG, "P", 4)
         assert jacobi_bracket(F, G, kg_point(24)) == jacobi_bracket(
             F, G, kg_point(25, time=0.2, W=-2.0)
         )
@@ -247,40 +243,35 @@ class TestStructureConstants:
         # contracting dW picks out the momentum-slot coordinate itself:
         # Lambda(dW, dRe P(k0)) = Re P(k0), and the Phi slot pairs to zero
         pt = kg_point(27)
-        w = w_coordinate("kg")
+        w = w_coordinate(KG)
         for k0 in (0, 1, 5):
-            G = mode_real_part("kg", "P", k0, LAT)
+            G = mode_real_part(KG, "P", k0)
             want = G.evaluate(pt)
             assert lambda_pairing(w, G, pt) == pytest.approx(want, rel=1e-12)
             assert lambda_pairing(G, w, pt) == pytest.approx(-want, rel=1e-12)
-            H = mode_real_part("kg", "Phi", k0, LAT)
+            H = mode_real_part(KG, "Phi", k0)
             assert abs(lambda_pairing(w, H, pt)) <= 1e-15
 
     def test_bivector_against_w_schr(self):
         pt = schr_point(28)
-        w = w_coordinate("schrodinger")
-        G = mode_real_part("schrodinger", "PhiI", 2, LAT)
+        w = w_coordinate(SCHR)
+        G = mode_real_part(SCHR, "PhiI", 2)
         assert lambda_pairing(w, G, pt) == pytest.approx(G.evaluate(pt), rel=1e-12)
-        H = mode_real_part("schrodinger", "PhiR", 2, LAT)
+        H = mode_real_part(SCHR, "PhiR", 2)
         assert abs(lambda_pairing(w, H, pt)) <= 1e-15
 
 
 class TestJacobiAndLeibniz:
     @staticmethod
-    def nested(F, G, theory="kg"):
-        return Observable(
-            theory,
-            "darboux",
-            lambda p: jacobi_bracket(F, G, p),
-            name="nested",
-        )
+    def nested(F, G, theory=KG):
+        return Observable(theory, lambda p: jacobi_bracket(F, G, p), name="nested")
 
     def test_bracket_antisymmetry(self):
         pt = kg_point(31, band=LAT.n // 4)
-        w = w_coordinate("kg")
-        quad1 = quadratic_power("kg", 0)
-        quad2 = quadratic_cross("kg")
-        lin = mode_real_part("kg", "P", 1, LAT)
+        w = w_coordinate(KG)
+        quad1 = quadratic_power(KG, 0)
+        quad2 = quadratic_cross(KG)
+        lin = mode_real_part(KG, "P", 1)
         wquad = product_observable(w, quad1)
         worst = 0.0
         for F, G in ((lin, quad1), (quad1, quad2), (wquad, lin), (w, quad2)):
@@ -291,9 +282,9 @@ class TestJacobiAndLeibniz:
 
     def test_jacobi_identity_quadratics(self):
         pt = kg_point(32, band=LAT.n // 4)
-        F = quadratic_power("kg", 0)
-        G = quadratic_cross("kg")
-        H = quadratic_power("kg", 1)
+        F = quadratic_power(KG, 0)
+        G = quadratic_cross(KG)
+        H = quadratic_power(KG, 1)
         terms = (
             jacobi_bracket(F, self.nested(G, H), pt),
             jacobi_bracket(G, self.nested(H, F), pt),
@@ -304,10 +295,10 @@ class TestJacobiAndLeibniz:
 
     def test_jacobi_identity_with_w(self):
         pt = schr_point(33, band=LAT.n // 4)
-        th = "schrodinger"
+        th = SCHR
         F = w_coordinate(th)
         G = quadratic_power(th, 0)
-        H = mode_real_part(th, "PhiI", 1, LAT)
+        H = mode_real_part(th, "PhiI", 1)
         terms = (
             jacobi_bracket(F, self.nested(G, H, th), pt),
             jacobi_bracket(G, self.nested(H, F, th), pt),
@@ -320,12 +311,12 @@ class TestJacobiAndLeibniz:
         # first order in each slot only up to the Reeb correction:
         # [f, gh] = [f, g] h + g [f, h] + g h reeb(f)
         pt = kg_point(34, band=LAT.n // 4)
-        f = product_observable(w_coordinate("kg"), quadratic_power("kg", 0))
-        g = quadratic_cross("kg")
-        h = quadratic_power("kg", 1)
+        f = product_observable(w_coordinate(KG), quadratic_power(KG, 0))
+        g = quadratic_cross(KG)
+        h = quadratic_power(KG, 1)
         gh = product_observable(g, h)
         gv, hv = g.evaluate(pt), h.evaluate(pt)
-        reeb_f = reeb_apply(f, pt)
+        reeb_f = f.w_derivative_at(pt)
         lhs = jacobi_bracket(f, gh, pt)
         rhs = (
             jacobi_bracket(f, g, pt) * hv
@@ -340,9 +331,9 @@ class TestJacobiAndLeibniz:
     def test_leibniz_constants_example(self):
         # f = W, g = h = 2: [W, 4] = -4 while the flipped correction gives
         # -12, a defect of exactly 2 g h reeb(W) = 8
-        f = w_coordinate("kg")
-        g = constant_observable("kg", 2.0)
-        h = constant_observable("kg", 2.0)
+        f = w_coordinate(KG)
+        g = constant_observable(KG, 2.0)
+        h = constant_observable(KG, 2.0)
         gh = product_observable(g, h)
         pt = kg_point(35)
         lhs = jacobi_bracket(f, gh, pt)
@@ -350,19 +341,18 @@ class TestJacobiAndLeibniz:
         rhs = (
             jacobi_bracket(f, g, pt) * 2.0
             + 2.0 * jacobi_bracket(f, h, pt)
-            + 4.0 * reeb_apply(f, pt)
+            + 4.0 * f.w_derivative_at(pt)
         )
         assert rhs == -4.0
-        flipped = rhs - 2.0 * 4.0 * reeb_apply(f, pt)
+        flipped = rhs - 2.0 * 4.0 * f.w_derivative_at(pt)
         assert flipped == -12.0
         assert abs(flipped - lhs) == 8.0
 
 
-def darboux_point(theory, lat, seed, time=1.3, W=0.5):
+def darboux_point(lat, seed, time=1.3, W=0.5):
     rng = seeded(seed)
-    cls = KGDarbouxState if theory == "kg" else SchrDarbouxState
     band = lat.n // 4
-    return cls(
+    return DarbouxState(
         ModeVector(lat, random_hermitian_modes(lat, rng, band=band)),
         ModeVector(lat, random_hermitian_modes(lat, rng, band=band)),
         W=W,
@@ -376,11 +366,10 @@ def contract(g0, g1, GW, tangent):
     return float(np.real(np.sum(g0 * d0) + np.sum(g1 * d1))) + GW * dW
 
 
-def bracket_families(theory, lat):
-    slots = ("Phi", "P") if theory == "kg" else ("PhiR", "PhiI")
-    first = (1,) + (0,) * (lat.dim - 1)
-    lin1 = mode_real_part(theory, slots[0], first, lat)
-    lin2 = mode_real_part(theory, slots[1], first, lat)
+def bracket_families(theory):
+    first = (1,) + (0,) * (theory.lattice.dim - 1)
+    lin1 = mode_real_part(theory, theory.slots[0], first)
+    lin2 = mode_real_part(theory, theory.slots[1], first)
     quad1 = quadratic_power(theory, 0)
     quad2 = quadratic_cross(theory)
     w = w_coordinate(theory)
@@ -395,12 +384,12 @@ class TestHamiltonianVectorField:
     @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8)])
     def test_contraction_matches_bivector(self, theory, dim, n):
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-        pt = darboux_point(theory, lat, 70 + dim)
-        lin1, lin2, quad1, quad2, w, wquad = bracket_families(theory, lat)
+        pt = darboux_point(lat, 70 + dim)
+        lin1, lin2, quad1, quad2, w, wquad = bracket_families(Theory.of(theory, lat, 1.0))
         pairs = ((lin1, quad1), (quad1, quad2), (wquad, lin2), (w, quad2), (quad2, wquad))
         for F, G in pairs:
             X = hamiltonian_vector_field(F, pt)
-            FW, GW = reeb_apply(F, pt), reeb_apply(G, pt)
+            FW, GW = F.w_derivative_at(pt), G.w_derivative_at(pt)
             Fv, Gv = F.evaluate(pt), G.evaluate(pt)
             lhs = contract(*G.gradient_at(pt), GW, X) - Gv * FW
             rhs = lambda_pairing(F, G, pt) + Fv * GW - Gv * FW
@@ -410,17 +399,11 @@ class TestHamiltonianVectorField:
     def test_w_coordinate_field(self, theory):
         # X_W = Lambda#(dW) + W R: no mode gradient, so only the momentum
         # correction and the Reeb part remain
-        pt = darboux_point(theory, LAT, 75)
-        d0, d1, dW = hamiltonian_vector_field(w_coordinate(theory), pt)
+        pt = darboux_point(LAT, 75)
+        d0, d1, dW = hamiltonian_vector_field(w_coordinate(Theory.of(theory, LAT, 1.0)), pt)
         assert np.all(d0 == 0.0)
-        momentum = pt.PHat if theory == "kg" else pt.PhiIHat
-        np.testing.assert_array_equal(d1, momentum.coefficients)
+        np.testing.assert_array_equal(d1, pt.a1.coefficients)
         assert dW == pt.W
-
-    def test_needs_darboux_chart(self):
-        F = Observable("kg", "mode", lambda p: 0.0)
-        with pytest.raises(ValueError, match="Darboux"):
-            hamiltonian_vector_field(F, kg_point(76))
 
     @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
     @pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
@@ -429,13 +412,14 @@ class TestHamiltonianVectorField:
         # against the mode-by-mode finite-difference gradient contracted
         # with X_A
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-        pt = darboux_point(theory, lat, 80 + dim)
-        lin1, lin2, quad1, quad2, w, wquad = bracket_families(theory, lat)
+        pt = darboux_point(lat, 80 + dim)
+        th = Theory.of(theory, lat, 1.0)
+        lin1, lin2, quad1, quad2, w, wquad = bracket_families(th)
         for A, B, C in ((lin1, lin2, quad2), (quad1, quad2, w), (wquad, quad1, lin2)):
-            nested = TestJacobiAndLeibniz.nested(B, C, theory)
+            nested = TestJacobiAndLeibniz.nested(B, C, th)
             X_A = hamiltonian_vector_field(A, pt)
             dG = contract(*nested._fd_gradient(pt), nested.w_derivative_at(pt), X_A)
-            fd = dG - nested.evaluate(pt) * reeb_apply(A, pt)
+            fd = dG - nested.evaluate(pt) * A.w_derivative_at(pt)
             value = jacobi_bracket(A, nested, pt)
             # the mode-by-mode central differences carry the rounding
             # noise (measured up to 3.5e-8 relative); a wrong field is O(1)
@@ -444,8 +428,9 @@ class TestHamiltonianVectorField:
     def test_nested_bracket_cost_is_independent_of_n(self):
         def calls_at(n):
             lat = Lattice(dim=1, n=n, length=2 * np.pi)
-            pt = darboux_point("kg", lat, 90)
-            lin1, lin2, quad1, quad2, w, wquad = bracket_families("kg", lat)
+            pt = darboux_point(lat, 90)
+            th = Theory.of("kg", lat, 1.0)
+            lin1, lin2, quad1, quad2, w, wquad = bracket_families(th)
             count = 0
 
             def evaluate(p):
@@ -453,7 +438,7 @@ class TestHamiltonianVectorField:
                 count += 1
                 return jacobi_bracket(wquad, quad2, p)
 
-            nested = Observable("kg", "darboux", evaluate, name="nested")
+            nested = Observable(th, evaluate, name="nested")
             jacobi_bracket(lin1, nested, pt)
             return count
 
@@ -463,12 +448,12 @@ class TestHamiltonianVectorField:
 class TestPoissonRestriction:
     def test_poisson_rejects_w_dependence(self):
         with pytest.raises(ValueError, match="subalgebra"):
-            poisson_bracket(w_coordinate("kg"), quadratic_power("kg", 0), kg_point(41))
+            poisson_bracket(w_coordinate(KG), quadratic_power(KG, 0), kg_point(41))
 
     def test_poisson_matches_jacobi_on_subalgebra(self):
         pt = kg_point(42)
-        F = quadratic_power("kg", 0)
-        G = quadratic_cross("kg")
+        F = quadratic_power(KG, 0)
+        G = quadratic_cross(KG)
         assert abs(poisson_bracket(F, G, pt) - jacobi_bracket(F, G, pt)) <= 1e-12
 
     def test_closure_kg(self):
@@ -476,9 +461,7 @@ class TestPoissonRestriction:
             kg_point(43, band=LAT.n // 4),
             kg_point(44, time=0.4, W=-1.0, band=LAT.n // 4),
         ]
-        rep = subalgebra_closure_check(
-            quadratic_power("kg", 0), quadratic_cross("kg"), pts, cfg=CFG
-        )
+        rep = subalgebra_closure_check(quadratic_power(KG, 0), quadratic_cross(KG), pts)
         assert rep.passed
         assert rep.flow_spread <= 1e-10
         assert max(rep.reeb_residuals) <= 1e-10
@@ -486,14 +469,14 @@ class TestPoissonRestriction:
     def test_closure_schr(self):
         pts = [schr_point(45, band=LAT.n // 4)]
         rep = subalgebra_closure_check(
-            quadratic_power("schrodinger", 0), quadratic_cross("schrodinger"), pts
+            quadratic_power(SCHR, 0), quadratic_cross(SCHR), pts
         )
         assert rep.passed
 
     def test_closure_rejects_w_dependence(self):
         with pytest.raises(ValueError):
             subalgebra_closure_check(
-                w_coordinate("kg"), quadratic_cross("kg"), [kg_point(46)], cfg=CFG
+                w_coordinate(KG), quadratic_cross(KG), [kg_point(46)]
             )
 
 
@@ -503,7 +486,7 @@ class TestEquivalence:
             TangentPair(kg_variation(100 + 2 * k), kg_variation(101 + 2 * k), time=0.7)
             for k in range(6)
         ]
-        eq = bracket_equivalence_check("kg", pairs, kg_point(51), cfg=CFG)
+        eq = bracket_equivalence_check(KG, pairs, kg_point(51))
         assert eq.max_mismatch <= 1e-9
         assert len(eq.mismatches) == 6
 
@@ -514,20 +497,20 @@ class TestEquivalence:
             )
             for k in range(6)
         ]
-        eq = bracket_equivalence_check("schrodinger", pairs, schr_point(52))
+        eq = bracket_equivalence_check(SCHR, pairs, schr_point(52))
         assert eq.max_mismatch <= 1e-9
 
     def test_smeared_observable_passes_construction_check(self):
         pt = kg_point(54)
-        obs = smeared_observable("kg", kg_variation(53), time=0.3, cfg=CFG, check_point=pt)
-        assert reeb_apply(obs, pt) == 0.0
+        obs = smeared_observable(KG, kg_variation(53), time=0.3, check_point=pt)
+        assert obs.w_derivative_at(pt) == 0.0
 
 
 class TestDerivativeMachinery:
     def test_fd_gradient_matches_analytic(self):
         pt = kg_point(61)
-        analytic = quadratic_cross("kg")
-        probe = Observable("kg", "darboux", analytic.evaluate, name="fd probe")
+        analytic = quadratic_cross(KG)
+        probe = Observable(KG, analytic.evaluate, name="fd probe")
         ga = analytic.gradient_at(pt)
         gf = probe.gradient_at(pt)
         for slot in (0, 1):
@@ -538,13 +521,11 @@ class TestDerivativeMachinery:
         # quadratic evaluate, so the h-step truncation error vanishes and
         # the check bounds pure rounding amplification
         pt = kg_point(62)
-        probe = Observable(
-            "kg", "darboux", quadratic_power("kg", 0).evaluate, name="fd probe"
-        )
+        probe = Observable(KG, quadratic_power(KG, 0).evaluate, name="fd probe")
         assert fd_richardson_check(probe, pt) <= 1e-6
 
     def test_construction_check_catches_wrong_gradient(self):
-        base = quadratic_power("kg", 0)
+        base = quadratic_power(KG, 0)
 
         def inflated(pt):
             g0, g1 = base.gradient(pt)
@@ -552,8 +533,7 @@ class TestDerivativeMachinery:
 
         with pytest.raises(ValueError, match="gradients disagree"):
             Observable(
-                "kg",
-                "darboux",
+                KG,
                 base.evaluate,
                 gradient=inflated,
                 w_derivative=lambda pt: 0.0,
@@ -563,8 +543,7 @@ class TestDerivativeMachinery:
     def test_construction_check_catches_wrong_w_slope(self):
         with pytest.raises(ValueError, match="W-derivatives disagree"):
             Observable(
-                "kg",
-                "darboux",
+                KG,
                 lambda pt: float(pt.W) ** 2,
                 w_derivative=lambda pt: 3.0,
                 check_point=kg_point(64, W=0.8),
@@ -572,33 +551,33 @@ class TestDerivativeMachinery:
 
     def test_product_rule_derivatives(self):
         pt = kg_point(65)
-        quad = quadratic_power("kg", 0)
-        prod = product_observable(w_coordinate("kg"), quad)
-        assert reeb_apply(prod, pt) == pytest.approx(quad.evaluate(pt), rel=1e-13)
+        quad = quadratic_power(KG, 0)
+        prod = product_observable(w_coordinate(KG), quad)
+        assert prod.w_derivative_at(pt) == pytest.approx(quad.evaluate(pt), rel=1e-13)
         g_prod = prod.gradient_at(pt)[0]
         g_quad = quad.gradient_at(pt)[0]
         assert float(np.max(np.abs(g_prod - pt.W * g_quad))) <= 1e-13 * float(
             np.max(np.abs(g_quad))
         )
 
-    def test_reeb_needs_darboux_chart(self):
-        obs = Observable("kg", "mode", lambda pt: 0.0, name="slice functional")
-        with pytest.raises(ValueError):
-            reeb_apply(obs, kg_point(66))
-
     def test_w_coordinate_reeb_is_unit(self):
-        assert reeb_apply(w_coordinate("kg"), kg_point(67)) == 1.0
+        assert w_coordinate(KG).w_derivative_at(kg_point(67)) == 1.0
 
     def test_theory_mismatch_rejected(self):
-        F = mode_real_part("kg", "Phi", 1, LAT)
-        G = mode_real_part("schrodinger", "PhiR", 1, LAT)
+        F = mode_real_part(KG, "Phi", 1)
+        G = mode_real_part(SCHR, "PhiR", 1)
         with pytest.raises(ValueError, match="different theories"):
             jacobi_bracket(F, G, kg_point(68))
 
+    def test_theory_mismatch_rejected_in_products(self):
+        with pytest.raises(ValueError, match="different theories"):
+            product_observable(quadratic_power(KG, 0), quadratic_power(SCHR, 0))
+
     def test_unknown_labels_rejected(self):
         with pytest.raises(ValueError):
-            mode_real_part("kg", "Q", 1, LAT)
+            mode_real_part(KG, "Q", 1)
+        # each record names its own slots only
         with pytest.raises(ValueError):
-            Observable("dirac", "darboux", lambda pt: 0.0)
-        with pytest.raises(ValueError):
-            Observable("kg", "spectral", lambda pt: 0.0)
+            mode_real_part(KG, "PhiR", 1)
+        with pytest.raises(TypeError, match="Theory record"):
+            Observable("kg", lambda pt: 0.0)

@@ -10,27 +10,18 @@ from hypothesis import strategies as st
 from covlab import darboux
 from covlab.darboux import (
     BLOCK_COEFFS,
-    KGModeState,
-    KGModeTangent,
-    SchrModeState,
-    SchrModeTangent,
+    KGTheory,
+    ModeState,
+    SchrTheory,
+    Theory,
     WOracle,
     WOracleClosednessError,
     kg_from_darboux,
-    kg_mode_state,
-    kg_slice_state,
     kg_to_darboux,
-    kg_w_derived,
-    kg_w_printed,
     random_hermitian_modes,
     schr_from_darboux,
-    schr_mode_state,
-    schr_slice_state,
     schr_to_darboux,
-    schr_w_derived,
-    schr_w_printed,
     theta_pullback_residual,
-    w_oracle,
 )
 from covlab.kg import KGConfig, kg_evolve_spectral
 from covlab.lattice import Lattice, ModeVector, sup_norm
@@ -38,6 +29,8 @@ from covlab.schrodinger import schr_evolve_spectral
 
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
 CFG = KGConfig(mass=1.0, lattice=LAT)
+KG = Theory.of("kg", LAT, 1.0)
+SCHR = Theory.of("schrodinger", LAT)
 
 
 def seeded(seed):
@@ -46,7 +39,7 @@ def seeded(seed):
 
 def kg_point(seed, time=0.0, band=None):
     rng = seeded(seed)
-    return KGModeState(
+    return ModeState(
         ModeVector(LAT, random_hermitian_modes(LAT, rng, band=band)),
         ModeVector(LAT, random_hermitian_modes(LAT, rng, band=band)),
         time=time,
@@ -55,7 +48,7 @@ def kg_point(seed, time=0.0, band=None):
 
 def schr_point(seed, time=0.0, band=None):
     rng = seeded(seed)
-    return SchrModeState(
+    return ModeState(
         ModeVector(LAT, random_hermitian_modes(LAT, rng, band=band)),
         ModeVector(LAT, random_hermitian_modes(LAT, rng, band=band)),
         time=time,
@@ -69,12 +62,12 @@ class TestChart:
         m = kg_point(5, time=s)
         back = kg_from_darboux(kg_to_darboux(m, CFG), CFG)
         err = max(
-            np.max(np.abs(back.phiHat.coefficients - m.phiHat.coefficients)),
-            np.max(np.abs(back.pHat.coefficients - m.pHat.coefficients)),
+            np.max(np.abs(back.a0.coefficients - m.a0.coefficients)),
+            np.max(np.abs(back.a1.coefficients - m.a1.coefficients)),
         )
         scale = max(
-            np.max(np.abs(m.phiHat.coefficients)),
-            np.max(np.abs(m.pHat.coefficients)),
+            np.max(np.abs(m.a0.coefficients)),
+            np.max(np.abs(m.a1.coefficients)),
         )
         assert err <= 1e-13 * max(scale, 1.0)
 
@@ -84,8 +77,8 @@ class TestChart:
         m = schr_point(6, time=s)
         back = schr_from_darboux(schr_to_darboux(m))
         err = max(
-            np.max(np.abs(back.phiRHat.coefficients - m.phiRHat.coefficients)),
-            np.max(np.abs(back.phiIHat.coefficients - m.phiIHat.coefficients)),
+            np.max(np.abs(back.a0.coefficients - m.a0.coefficients)),
+            np.max(np.abs(back.a1.coefficients - m.a1.coefficients)),
         )
         assert err <= 1e-13
 
@@ -94,18 +87,18 @@ class TestChart:
 
         hc = ExperimentConfig(theory="kg", experiment="darboux-check")
         st0 = random_state(hc)
-        d0 = kg_to_darboux(kg_mode_state(st0), CFG)
+        d0 = kg_to_darboux(KG.mode_state(st0), CFG)
         worst = 0.0
         scale = max(
-            np.max(np.abs(d0.PhiHat.coefficients)),
-            np.max(np.abs(d0.PHat.coefficients)),
+            np.max(np.abs(d0.a0.coefficients)),
+            np.max(np.abs(d0.a1.coefficients)),
         )
         for s in np.linspace(0.0, 10.0, 9):
-            ds = kg_to_darboux(kg_mode_state(kg_evolve_spectral(st0, s, CFG)), CFG)
+            ds = kg_to_darboux(KG.mode_state(kg_evolve_spectral(st0, s, CFG)), CFG)
             worst = max(
                 worst,
-                np.max(np.abs(ds.PhiHat.coefficients - d0.PhiHat.coefficients)),
-                np.max(np.abs(ds.PHat.coefficients - d0.PHat.coefficients)),
+                np.max(np.abs(ds.a0.coefficients - d0.a0.coefficients)),
+                np.max(np.abs(ds.a1.coefficients - d0.a1.coefficients)),
             )
         assert worst <= 1e-12 * scale
 
@@ -114,14 +107,14 @@ class TestChart:
 
         hc = ExperimentConfig(theory="schrodinger", experiment="darboux-check")
         st0 = random_state(hc)
-        d0 = schr_to_darboux(schr_mode_state(st0))
+        d0 = schr_to_darboux(SCHR.mode_state(st0))
         worst = 0.0
         for s in np.linspace(0.0, 10.0, 9):
-            ds = schr_to_darboux(schr_mode_state(schr_evolve_spectral(st0, s)))
+            ds = schr_to_darboux(SCHR.mode_state(schr_evolve_spectral(st0, s)))
             worst = max(
                 worst,
-                np.max(np.abs(ds.PhiRHat.coefficients - d0.PhiRHat.coefficients)),
-                np.max(np.abs(ds.PhiIHat.coefficients - d0.PhiIHat.coefficients)),
+                np.max(np.abs(ds.a0.coefficients - d0.a0.coefficients)),
+                np.max(np.abs(ds.a1.coefficients - d0.a1.coefficients)),
             )
         assert worst <= 1e-12
 
@@ -133,13 +126,13 @@ class TestChart:
         coeff_p = np.zeros(LAT.shape, dtype=complex)
         coeff_phi[k] = coeff_phi[-k] = 0.4
         coeff_p[k] = coeff_p[-k] = -0.7
-        m = KGModeState(
+        m = ModeState(
             ModeVector(LAT, coeff_phi), ModeVector(LAT, coeff_p),
             time=np.pi / (2 * om),
         )
         d = kg_to_darboux(m, CFG)
-        assert abs(d.PhiHat.coefficients[k] - (-(-0.7) / om)) < 1e-13
-        assert abs(d.PHat.coefficients[k] - om * 0.4) < 1e-13
+        assert abs(d.a0.coefficients[k] - (-(-0.7) / om)) < 1e-13
+        assert abs(d.a1.coefficients[k] - om * 0.4) < 1e-13
 
     def test_kg_massless_zero_mode_shear(self):
         cfg0 = KGConfig(mass=0.0, lattice=LAT)
@@ -147,12 +140,12 @@ class TestChart:
         coeff_p = np.zeros(LAT.shape, dtype=complex)
         coeff_phi[0] = 0.3
         coeff_p[0] = 0.9
-        m = KGModeState(
+        m = ModeState(
             ModeVector(LAT, coeff_phi), ModeVector(LAT, coeff_p), time=2.0
         )
         d = kg_to_darboux(m, cfg0)
-        assert abs(d.PhiHat.coefficients[0] - (0.3 - 2.0 * 0.9)) < 1e-13
-        assert abs(d.PHat.coefficients[0] - 0.9) < 1e-13
+        assert abs(d.a0.coefficients[0] - (0.3 - 2.0 * 0.9)) < 1e-13
+        assert abs(d.a1.coefficients[0] - 0.9) < 1e-13
 
     def test_schr_quarter_turn_single_mode(self):
         # theta = k^2 s / 2 = pi/2 at k = 1, s = pi: PhiR -> -b, PhiI -> a
@@ -161,17 +154,17 @@ class TestChart:
         ci = np.zeros(LAT.shape, dtype=complex)
         cr[1] = cr[-1] = a
         ci[1] = ci[-1] = b
-        m = SchrModeState(ModeVector(LAT, cr), ModeVector(LAT, ci), time=np.pi)
+        m = ModeState(ModeVector(LAT, cr), ModeVector(LAT, ci), time=np.pi)
         d = schr_to_darboux(m)
-        assert abs(d.PhiRHat.coefficients[1] - (-b)) < 1e-13
-        assert abs(d.PhiIHat.coefficients[1] - a) < 1e-13
+        assert abs(d.a0.coefficients[1] - (-b)) < 1e-13
+        assert abs(d.a1.coefficients[1] - a) < 1e-13
 
     def test_mode_state_round_trips_slice_state(self):
         from covlab.harness import ExperimentConfig, random_state
 
         hc = ExperimentConfig(theory="kg", experiment="darboux-check")
         st0 = random_state(hc)
-        back = kg_slice_state(kg_mode_state(st0))
+        back = KG.slice_state(KG.mode_state(st0))
         assert sup_norm(back.phi.values - st0.phi.values) < 1e-13
         assert sup_norm(back.p.values - st0.p.values) < 1e-13
 
@@ -187,24 +180,24 @@ class TestChart:
 class TestW:
     def test_w_zero_at_time_zero(self):
         m = kg_point(8, time=0.0)
-        assert kg_w_derived(m, CFG) == 0.0
+        assert KG.w(m) == 0.0
         sm = schr_point(9, time=0.0)
-        assert schr_w_derived(sm) == 0.0
+        assert SCHR.w(sm) == 0.0
 
     def test_kg_w_matches_oracle_line_integral(self):
-        oracle = w_oracle("kg", CFG)
+        oracle = WOracle(KG)
         for seed in (1, 2, 3):
             m = kg_point(seed, time=1.7)
-            assert abs(oracle.value(m) - kg_w_derived(m, CFG)) <= 1e-9
+            assert abs(oracle.value(m) - KG.w(m)) <= 1e-9
 
     def test_schr_w_matches_oracle_line_integral(self):
-        oracle = w_oracle("schrodinger", LAT)
+        oracle = WOracle(SCHR)
         for seed in (1, 2, 3):
             m = schr_point(seed, time=2.3)
-            assert abs(oracle.value(m) - schr_w_derived(m)) <= 1e-9
+            assert abs(oracle.value(m) - SCHR.w(m)) <= 1e-9
 
     def test_oracle_loop_integral_vanishes(self):
-        oracle = w_oracle("kg", CFG)
+        oracle = WOracle(KG)
         pts = [kg_point(seed, time=t) for seed, t in ((1, 0.4), (2, 1.1), (3, 2.9))]
         assert abs(oracle.loop_integral(*pts)) <= 1e-9
 
@@ -216,71 +209,120 @@ class TestW:
 
     def test_theta_pullback_oracle_identity(self):
         m = kg_point(4, time=1.3)
-        rep = theta_pullback_residual("kg", m, cfg=CFG, tangent_count=50)
+        rep = theta_pullback_residual(KG, m, tangent_count=50)
         assert rep.oracle_residual <= 1e-9
         sm = schr_point(5, time=0.8)
-        rep_s = theta_pullback_residual("schrodinger", sm, tangent_count=50)
+        rep_s = theta_pullback_residual(SCHR, sm, tangent_count=50)
         assert rep_s.oracle_residual <= 1e-9
 
     def test_kg_printed_w_departs_at_generic_points(self):
         # the doubled cross term shows up in the differential: keep the
         # measured departure pinned so a silent "fix" cannot creep in
         m = kg_point(4, time=1.3)
-        rep = theta_pullback_residual("kg", m, cfg=CFG, tangent_count=50)
+        rep = theta_pullback_residual(KG, m, tangent_count=50)
         assert rep.printed_residual > 1e-3
 
     def test_kg_printed_w_agrees_without_cross_term(self):
         coeff = np.zeros(LAT.shape, dtype=complex)
         coeff[1] = coeff[-1] = 0.37
-        m = KGModeState(
+        m = ModeState(
             ModeVector(LAT, coeff),
             ModeVector(LAT, np.zeros(LAT.shape, dtype=complex)),
             time=2.2,
         )
-        assert abs(kg_w_printed(m, CFG) - kg_w_derived(m, CFG)) <= 1e-12
+        assert abs(KG.w(m, printed=True) - KG.w(m)) <= 1e-12
 
     def test_schr_printed_w_departs(self):
         sm = schr_point(5, time=0.8)
-        d = schr_to_darboux(sm)
-        assert abs(schr_w_printed(d) - schr_w_derived(sm)) > 1e-3
+        assert abs(SCHR.w(sm, printed=True) - SCHR.w(sm)) > 1e-3
 
     def test_chart_w_consistency(self):
         # kg_to_darboux stores exactly the derived W
         m = kg_point(10, time=3.1)
-        assert kg_to_darboux(m, CFG).W == pytest.approx(
-            kg_w_derived(m, CFG), abs=1e-15
-        )
+        assert kg_to_darboux(m, CFG).W == pytest.approx(KG.w(m), abs=1e-15)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_oracle_differential_antisymmetry_free(self, seed):
         # the difference form is linear in the tangent
         m = kg_point(7, time=0.9)
-        oracle = w_oracle("kg", CFG, check_points=0)
+        oracle = WOracle(KG, check_points=0)
         rng = seeded(seed)
-        t1 = KGModeTangent(
+        t1 = (
             random_hermitian_modes(LAT, rng),
             random_hermitian_modes(LAT, rng),
             float(rng.standard_normal()),
         )
-        t2 = KGModeTangent(2.0 * t1.dphi, 2.0 * t1.dp, 2.0 * t1.ds)
+        t2 = tuple(2.0 * x for x in t1)
         assert oracle.differential(m, t2) == pytest.approx(
             2.0 * oracle.differential(m, t1), rel=1e-12
         )
+
+
+class TestTheoryRecord:
+    def test_records_per_theory(self):
+        assert isinstance(KG, KGTheory) and isinstance(SCHR, SchrTheory)
+        assert (KG.name, KG.weight, KG.fields, KG.slots) == ("kg", 1.0, ("phi", "p"), ("Phi", "P"))
+        assert (SCHR.name, SCHR.weight, SCHR.fields, SCHR.slots) == (
+            "schrodinger", 2.0, ("phiR", "phiI"), ("PhiR", "PhiI")
+        )
+        assert KG.cfg == CFG
+        assert KG.freq is CFG.omega()
+
+    @pytest.mark.parametrize("th, to, back", [
+        (KG, lambda m: kg_to_darboux(m, CFG), lambda d: kg_from_darboux(d, CFG)),
+        (SCHR, schr_to_darboux, schr_from_darboux),
+    ])
+    def test_record_chart_is_the_entry_points(self, th, to, back):
+        m = kg_point(3, time=1.9)
+        d, want = th.to_darboux(m), to(m)
+        assert d.W == want.W and d.time == want.time
+        for got, ref in zip(d.arrays + back(d).arrays, want.arrays + back(want).arrays):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(th.from_darboux(d).a0.coefficients, back(d).a0.coefficients)
+
+    @pytest.mark.parametrize("th, names", [
+        (KG, ("kg_to_darboux", "kg_from_darboux", "kg_evolve_spectral", "kg_solution_section")),
+        (SCHR, ("schr_to_darboux", "schr_from_darboux", "schr_evolve_spectral",
+                "schr_solution_section")),
+    ])
+    def test_record_calls_entry_points_by_module_name(self, monkeypatch, th, names):
+        # a record that kept the function objects would skip a name rebound
+        # after import, as tracing wrappers are
+        calls = []
+        for name in names:
+            real = getattr(darboux, name)
+            monkeypatch.setattr(
+                darboux, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k)
+            )
+        state = th.slice_state(kg_point(2, time=0.4))
+        th.from_darboux(th.to_darboux(th.mode_state(th.evolve(state, 0.3))))
+        th.section(state, 0.1, 2)
+        assert sorted(calls) == sorted(names)
+
+    def test_mode_state_round_trips_for_both_theories(self):
+        m = kg_point(12, time=0.6)
+        for th in (KG, SCHR):
+            back = th.mode_state(th.slice_state(m))
+            assert back.time == m.time
+            for got, want in zip(back.arrays, m.arrays):
+                assert np.max(np.abs(got - want)) < 1e-14
 
 
 class TestValidation:
     def test_mismatched_lattices_rejected(self):
         other = Lattice(dim=1, n=32, length=2 * np.pi)
         with pytest.raises(ValueError):
-            KGModeState(
+            ModeState(
                 ModeVector(LAT, np.zeros(LAT.shape, dtype=complex)),
                 ModeVector(other, np.zeros(other.shape, dtype=complex)),
             )
 
     def test_unknown_theory_rejected(self):
-        with pytest.raises(ValueError):
-            w_oracle("dirac", CFG)
+        with pytest.raises(ValueError, match="unknown theory 'dirac'"):
+            Theory.of("dirac", LAT)
+        with pytest.raises(ValueError, match="unknown theory 'dirac'"):
+            WOracle("dirac", CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +482,19 @@ SHAPES = [(1, 64), (2, 8), (3, 4), (3, 8)]
 def block_setup(theory, dim, n):
     lat = Lattice(dim=dim, n=n, length=2 * np.pi)
     cfg = KGConfig(mass=1.0, lattice=lat) if theory == "kg" else lat
-    state = KGModeState if theory == "kg" else SchrModeState
 
     def point(seed, s):
         rng = seeded(seed)
         a0 = random_hermitian_modes(lat, rng)
         a1 = random_hermitian_modes(lat, rng)
-        return state(ModeVector(lat, a0), ModeVector(lat, a1), time=s), (a0, a1, s)
+        return ModeState(ModeVector(lat, a0), ModeVector(lat, a1), time=s), (a0, a1, s)
 
     return lat, cfg, point
+
+
+def record(theory, lat):
+    """The theory record block_setup's configs describe."""
+    return Theory.of(theory, lat, 1.0)
 
 
 def block_sizes(lat):
@@ -469,8 +515,7 @@ class TestBlocks:
             monkeypatch.setattr(darboux, "BLOCK_COEFFS", coeffs)
             assert oracle.value(m) == want
         _, (d0, d1, _) = point(12, 0.0)
-        tangent = (KGModeTangent if theory == "kg" else SchrModeTangent)(d0, d1, 0.3)
-        assert oracle.differential(m, tangent) == ref_form(theory, cfg, *coords, d0, d1, 0.3)
+        assert oracle.differential(m, (d0, d1, 0.3)) == ref_form(theory, cfg, *coords, d0, d1, 0.3)
 
     @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
     @pytest.mark.parametrize("dim,n", SHAPES)
@@ -489,12 +534,11 @@ class TestBlocks:
     def test_pullback_matches_per_tangent_reference(self, monkeypatch, theory, dim, n):
         lat, cfg, point = block_setup(theory, dim, n)
         m, coords = point(31, -1.3)
-        kcfg = cfg if theory == "kg" else None
         # 100 tangents: blocks of 64 and 36 at 1D n=64
         want = ref_pullback(theory, cfg, *coords, tangent_count=100, seed=41)
         for coeffs in block_sizes(lat):
             monkeypatch.setattr(darboux, "BLOCK_COEFFS", coeffs)
-            rep = theta_pullback_residual(theory, m, kcfg, tangent_count=100, seed=41)
+            rep = theta_pullback_residual(record(theory, lat), m, tangent_count=100, seed=41)
             assert (rep.oracle_residual, rep.printed_residual) == want
         assert want[0] <= 1e-9 < want[1]
 
@@ -523,7 +567,7 @@ class TestBlocks:
             return d0, d1, ds
 
         monkeypatch.setattr(darboux, "_tangent_block", poisoned)
-        rep = theta_pullback_residual("kg", kg_point(4, time=1.3), cfg=CFG, tangent_count=100)
+        rep = theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=100)
         assert calls == [64, 36]
         assert np.isnan(rep.oracle_residual) and np.isnan(rep.printed_residual)
 
@@ -535,16 +579,11 @@ def test_derived_w_differential_matches_five_point_difference(theory, dim, n):
     m, (a0, a1, s) = point(51, 0.9)
     _, (d0, d1, _) = point(52, 0.0)
     ds = 0.05
-    if theory == "kg":
-        w = lambda x: kg_w_derived(x, cfg)
-        dw = darboux._kg_w_differential(m, cfg, 1.0)(d0, d1, ds)
-    else:
-        w = schr_w_derived
-        dw = darboux._schr_w_derived_differential(m)(d0, d1, ds)
-    state = type(m)
+    th = record(theory, lat)
+    dw = th.dw(m)(d0, d1, ds)
 
     def f(h):
-        return w(state(ModeVector(lat, a0 + h * d0), ModeVector(lat, a1 + h * d1), time=s + h * ds))
+        return th.w(ModeState(ModeVector(lat, a0 + h * d0), ModeVector(lat, a1 + h * d1), time=s + h * ds))
 
     h = 1e-3
     fd = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
@@ -578,22 +617,20 @@ ENTRIES = {"nan": np.nan, "nonzero": 0.3 - 0.2j}
 def test_off_band_point_entry_counts(theory, dim, n, entry):
     lat, cfg, point = block_setup(theory, dim, n)
     oracle = WOracle(theory, cfg, check_points=0)
-    state = type(point(1, 0.0)[0])
 
     def bad_point(seed, s):
         _, (a0, a1, _) = point(seed, s)
         a0 = poisoned(a0, lat, ENTRIES[entry])
-        return state(ModeVector(lat, a0), ModeVector(lat, a1), time=s), (a0, a1, s)
+        return ModeState(ModeVector(lat, a0), ModeVector(lat, a1), time=s), (a0, a1, s)
 
     m, coords = bad_point(11, 1.7)
     # only p2 carries the entry: the edges p1 -> p2 and p2 -> p3 see it
     pts = [point(21, 0.8), bad_point(22, -1.1), point(23, 2.4)]
     om_max = float(np.max(cfg.omega() if theory == "kg" else np.sqrt(lat.ksq())))
-    kcfg = cfg if theory == "kg" else None
     got = (
         oracle.value(m),
         oracle.loop_integral(*(p for p, _ in pts)),
-        theta_pullback_residual(theory, m, kcfg, tangent_count=20, seed=41),
+        theta_pullback_residual(record(theory, lat), m, tangent_count=20, seed=41),
     )
     if entry == "nan":
         assert np.isnan(got[0]) and np.isnan(got[1])
@@ -639,8 +676,7 @@ def test_off_band_tangent_entry_counts(monkeypatch, theory, dim, n, entry):
 
     monkeypatch.setattr(darboux, "BLOCK_COEFFS", 4 * lat.site_count)
     monkeypatch.setattr(darboux, "_tangent_block", drawn)
-    kcfg = cfg if theory == "kg" else None
-    rep = theta_pullback_residual(theory, m, kcfg, tangent_count=10, seed=41)
+    rep = theta_pullback_residual(record(theory, lat), m, tangent_count=10, seed=41)
     assert len(blocks) == 3
     got = (rep.oracle_residual, rep.printed_residual)
     if entry == "nan":
@@ -656,14 +692,12 @@ def test_non_finite_time_keeps_nan_on_zero_fields(theory):
     oracle = WOracle(theory, cfg, check_points=0)
     lat = oracle.lattice
     zeros = np.zeros(lat.shape, dtype=complex)
-    state = KGModeState if theory == "kg" else SchrModeState
-    tangent = KGModeTangent if theory == "kg" else SchrModeTangent
     with np.errstate(invalid="ignore"):
         for s in (np.nan, np.inf):
-            m = state(ModeVector(lat, zeros), ModeVector(lat, zeros), time=s)
-            assert np.isnan(oracle.differential(m, tangent(zeros, zeros, 0.0)))
-        m = state(ModeVector(lat, zeros), ModeVector(lat, zeros), time=0.5)
-        assert np.isnan(oracle.differential(m, tangent(zeros, zeros, np.nan)))
+            m = ModeState(ModeVector(lat, zeros), ModeVector(lat, zeros), time=s)
+            assert np.isnan(oracle.differential(m, (zeros, zeros, 0.0)))
+        m = ModeState(ModeVector(lat, zeros), ModeVector(lat, zeros), time=0.5)
+        assert np.isnan(oracle.differential(m, (zeros, zeros, np.nan)))
 
 
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
@@ -681,11 +715,10 @@ def test_mode_sums_run_on_the_support(monkeypatch, theory):
     monkeypatch.setattr(darboux, "_mode_sum", recorded)
     m, (a0, a1, _) = point(11, 1.7)
     pts = [point(seed, t)[0] for seed, t in ((21, 0.8), (22, -1.1), (23, 2.4))]
-    kcfg = cfg if theory == "kg" else None
     oracle.value(m)
     oracle.loop_integral(*pts)
     oracle.differential(m, (a1, a0, 0.3))
-    theta_pullback_residual(theory, m, kcfg, tangent_count=3)
+    theta_pullback_residual(record(theory, lat), m, tangent_count=3)
     assert lengths and set(lengths) == {729}
     # the support is read from the data, not from the sampling band
     rng = seeded(7)

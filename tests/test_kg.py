@@ -102,6 +102,16 @@ class TestEnergyAndConstraints:
         st0 = random_state(3)
         assert kg_constraint_residual(st0) <= 1e-12 * max(sup_norm(st0.phi), 1e-30)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nan_on_any_axis_gives_nan(self, axis):
+        # the builtin max over the axes dropped a NaN after the first
+        lat = Lattice(dim=2, n=8, length=2 * np.pi)
+        st0 = random_state(6, lat=lat)
+        comps = [c.values.copy() for c in st0.beta.components]
+        comps[axis][3, 5] = np.nan
+        bad = replace(st0, beta=VectorField(lat, tuple(ScalarField(lat, c) for c in comps)))
+        assert np.isnan(kg_constraint_residual(bad))
+
     def test_evolve_zero_steps_is_identity(self):
         st0 = random_state(8)
         out = kg_evolve_leapfrog(st0, 1e-3, 0, CFG)

@@ -11,6 +11,7 @@ from covlab.lattice import (
     Lattice,
     ModeVector,
     ScalarField,
+    VectorField,
     hermitize,
     idft,
     inner,
@@ -18,7 +19,6 @@ from covlab.lattice import (
     sup_norm,
 )
 from covlab.schrodinger import (
-    FrameSpec,
     SchrSpacetimeSection,
     SchrState,
     from_wavefunction,
@@ -110,7 +110,7 @@ class TestUnitarity:
         assert out is st0
 
 
-class TestConstraintsAndFrames:
+class TestConstraints:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_constraints_preserved(self, seed):
@@ -119,18 +119,16 @@ class TestConstraintsAndFrames:
         scale = max(sup_norm(out.phiR), sup_norm(out.phiI), 1e-30)
         assert schr_constraint_residual(out) <= 1e-10 * scale
 
-    def test_moving_frame_rejected(self):
-        st0 = random_state(4)
-        moving = SchrState(
-            phiR=st0.phiR,
-            phiI=st0.phiI,
-            betaR=st0.betaR,
-            betaI=st0.betaI,
-            time=0.0,
-            frame=FrameSpec(v=(0.5,)),
-        )
-        with pytest.raises(ValueError):
-            schr_evolve_spectral(moving, 1.0)
+    @pytest.mark.parametrize("part", ["betaR", "betaI"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nan_on_any_part_and_axis_gives_nan(self, part, axis):
+        # a fold with the builtin max from 0.0 dropped every NaN
+        lat = Lattice(dim=2, n=8, length=2 * np.pi)
+        st0 = random_state(6, lat=lat)
+        comps = [c.values.copy() for c in getattr(st0, part).components]
+        comps[axis][3, 5] = np.nan
+        bad = replace(st0, **{part: VectorField(lat, tuple(ScalarField(lat, c) for c in comps))})
+        assert np.isnan(schr_constraint_residual(bad))
 
     def test_hamiltonian_printed_sign_nonpositive(self):
         st0 = random_state(5)
@@ -180,7 +178,6 @@ class TestSectionResiduals:
             betaR=VectorField(LAT, comps),
             betaI=bad[mid].betaI,
             time=bad[mid].time,
-            frame=bad[mid].frame,
         )
         worse = type(section).from_states(bad, section.dt)
         assert schr_dedonder_weyl_residual(worse) >= 0.9
@@ -266,7 +263,6 @@ class TestAction:
                             ),
                         ),
                         time=stt.time,
-                        frame=stt.frame,
                     )
                 )
             return type(section).from_states(states, section.dt)

@@ -19,12 +19,34 @@ def load(name):
     "name,argv,first",
     [
         ("convergence_study", ["--theory", "kg", "--levels", "1"], "theory kg: n=64 L=64"),
-        ("w_mismatch_report", ["--n", "8", "--count", "2"], "theory kg: n=8"),
     ],
 )
 def test_script_runs(name, argv, first, capsys):
     assert load(name).main(argv) == 0
     assert capsys.readouterr().out.startswith(first)
+
+
+# the full table at n=8, two states per theory: each derived W meets the
+# oracle to rounding, and the printed KG W's gap is the cross term
+W_MISMATCH_N8 = """\
+theory kg: n=8 L=6.28319 m=1
+     s       derived       printed        oracle  |printed-oracle|  |derived-oracle|    cross term   |(p-o)-cross|
+  -1.6    1.0700e+01    2.1555e+01    1.0700e+01         1.085e+01         1.776e-15    1.0854e+01       1.776e-15
+  -1.2   -4.2477e+00   -6.9052e+00   -4.2477e+00         2.657e+00         1.776e-15   -2.6575e+00       4.441e-16
+worst |derived - oracle| over 2 states: 1.776e-15
+
+theory schrodinger: n=8 L=6.28319
+     s       derived       printed        oracle  |printed-oracle|  |derived-oracle|
+  -1.6    2.6628e+00   -2.7400e+01    2.6628e+00         3.006e+01         2.665e-15
+  -1.2   -7.8612e+00    1.2111e+01   -7.8612e+00         1.997e+01         8.882e-16
+worst |derived - oracle| over 2 states: 2.665e-15
+
+"""
+
+
+def test_w_mismatch_report_output(capsys):
+    assert load("w_mismatch_report").main(["--n", "8", "--count", "2"]) == 0
+    assert capsys.readouterr().out == W_MISMATCH_N8
 
 
 # the study's full output: each residual builds one section per theory,
