@@ -3,8 +3,9 @@ the Jacobi bracket, and the induced Poisson bracket.
 
 Observables live on the Darboux chart of one theory record (see
 darboux.Theory): a point is a DarbouxState, whose coordinates are the
-rectified modes (A0, A1) plus the scalar W.  Functional derivatives are carried as "g-arrays": a gradient
-g assigns to each mode k a complex number such that
+rectified modes (A0, A1) plus the scalar W.  Functional derivatives are
+carried as "g-arrays": a gradient g assigns to each mode k a complex
+number such that
 
     dF(delta) = sum_k g[k] delta[k]
 
@@ -398,14 +399,13 @@ def poisson_bracket(F: Observable, G: Observable, point, reeb_tol: float = 1e-10
             f"({FW:.3e}, {GW:.3e}) exceed {reeb_tol:.1e}; "
             "observable not in the W-independent subalgebra"
         )
-    value = pair
     full = pair + corr + F.evaluate(point) * GW - G.evaluate(point) * FW
-    if abs(value - full) > 1e-12 * max(1.0, abs(value)):
+    if abs(pair - full) > 1e-12 * max(1.0, abs(pair)):
         raise RuntimeError(
             f"poisson and Jacobi brackets disagree on the subalgebra: "
-            f"{value} vs {full}"
+            f"{pair} vs {full}"
         )
-    return value
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -540,26 +540,20 @@ def mode_real_part(theory: Theory, slot: str, multi_index) -> Observable:
     idx = tuple(int(m) % lattice.n for m in np.atleast_1d(multi_index))
     flat = int(np.ravel_multi_index(idx, lattice.shape))
     conj_map, self_conj, _ = mode_index_table(lattice)
-    jdx = int(conj_map[flat])
+    # the g-arrays do not depend on the point: half a unit on k and -k, a
+    # whole one on a self-conjugate mode
+    g = np.zeros((2, lattice.site_count), dtype=complex)
+    g[which, [flat, conj_map[flat]]] = 1.0 if self_conj[flat] else 0.5
+    g = g.reshape((2,) + lattice.shape)
+    g.setflags(write=False)
 
     def evaluate(pt) -> float:
         return float(np.real(pt.arrays[which].ravel()[flat]))
 
-    def gradient(pt):
-        g = np.zeros(lattice.site_count, dtype=complex)
-        if self_conj[flat]:
-            g[flat] = 1.0
-        else:
-            g[flat] = 0.5
-            g[jdx] = 0.5
-        g = g.reshape(lattice.shape)
-        zero = np.zeros_like(g)
-        return (g, zero) if which == 0 else (zero, g)
-
     return Observable(
         theory=theory,
         evaluate=evaluate,
-        gradient=gradient,
+        gradient=lambda pt: (g[0], g[1]),
         w_derivative=lambda pt: 0.0,
         name=f"Re {slot}({idx})",
     )

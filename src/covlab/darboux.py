@@ -1,26 +1,17 @@
 """Generalized Darboux coordinates on mode space, and the W coordinate.
 
-Both theories are linear flows, a rotation per mode, and one ``Theory``
-record per theory holds everything that differs between them: the
-pairing weight, the slot names, the chart rotation, the flow
-Hamiltonian, the closed forms of W and the slice-level entry points of
-its module.  ``Theory.of(name, lattice, mass)`` builds one; the chart,
-the oracle and the pullback check below are written once against it.
-
-Points are ``ModeState(a0, a1, time)``, (phi-hat, p-hat, s) for
-Klein-Gordon and (phiR-hat, phiI-hat, s) for Schrodinger.  The chart
-applies the inverse-flow rotation per mode,
-
-    A0 = c a0 - r a1,    A1 = c a1 + q a0,
-
-with (c, r, q) = (cos ws, sin ws / w, w sin ws) for Klein-Gordon (the
-shear (1, s, 0) at w = 0) and (cos, sin, sin) of k^2 s / 2 for
-Schrodinger, so that along solutions the coordinates (A0, A1) of a
-``DarbouxState(A0, A1, W, time)`` are constant ("the chart rectifies
-the flow") and the leftover motion is carried by the scalar W.  W
-itself is treated as a derived function of (a0, a1, s), not an
-independent coordinate; that is the only reading under which the
-transform is invertible.
+Both theories are linear flows, a rotation per mode.  One ``Theory``
+record per theory, ``Theory.of(name, lattice, mass)``, holds what
+differs between them; the chart, the oracle and the pullback check are
+written once against it.  A point ``ModeState(a0, a1, time)`` holds
+(phi-hat, p-hat) for Klein-Gordon, (phiR-hat, phiI-hat) for
+Schrodinger.  The chart applies the inverse-flow rotation (c, r, q) per
+mode, A0 = c a0 - r a1 and A1 = c a1 + q a0, so that along solutions
+the coordinates (A0, A1) of a ``DarbouxState(A0, A1, W, time)`` are
+constant ("the chart rectifies the flow") and the leftover motion is
+carried by the scalar W.  W itself is treated as a derived function of
+(a0, a1, s), not an independent coordinate; that is the only reading
+under which the transform is invertible.
 
 Two W expressions are carried side by side:
 
@@ -135,10 +126,6 @@ def _block_size(lattice: Lattice) -> int:
     return max(1, BLOCK_COEFFS // lattice.site_count)
 
 
-def _mode_axes(lattice: Lattice) -> tuple[int, ...]:
-    return tuple(range(-lattice.dim, 0))
-
-
 class _Support:
     """The flat mode indices one evaluation works on (every mode by default).
 
@@ -168,7 +155,7 @@ def _mode_sum(lattice: Lattice, index: np.ndarray, x: np.ndarray):
     lead = x.shape[:-1]
     full = np.zeros(lead + (lattice.site_count,), dtype=x.dtype)
     full[..., index] = x
-    return np.sum(full.reshape(lead + lattice.shape), axis=_mode_axes(lattice))
+    return np.sum(full.reshape(lead + lattice.shape), axis=tuple(range(-lattice.dim, 0)))
 
 
 def _col(x):
@@ -311,7 +298,9 @@ def _from_darboux(d: DarbouxState, rotation) -> ModeState:
     c, r, q = rotation
     A0, A1 = d.arrays
     lat = d.lattice
-    return ModeState(ModeVector(lat, c * A0 + r * A1), ModeVector(lat, c * A1 - q * A0), time=d.time)
+    return ModeState(
+        ModeVector(lat, c * A0 + r * A1), ModeVector(lat, c * A1 - q * A0), time=d.time
+    )
 
 
 def kg_to_darboux(m: ModeState, cfg: KGConfig) -> DarbouxState:
@@ -366,9 +355,7 @@ def _kg_w(m: ModeState, cfg: KGConfig, cross_coeff: float) -> float:
 
 def _schr_w(m: ModeState) -> float:
     """Closed-form W = <phiR, phiI> - <PhiR, PhiI> (real Parseval pairing)."""
-    ksq = m.lattice.ksq()
-    theta = 0.5 * ksq * m.time
-    c, sg = np.cos(theta), np.sin(theta)
+    c, sg, _ = _schr_rotation(m.lattice.ksq(), m.time)
     a, b = m.arrays
     per_mode = sg**2 * 2.0 * np.real(a * np.conj(b)) - sg * c * (
         np.abs(a) ** 2 - np.abs(b) ** 2
@@ -383,26 +370,24 @@ def _schr_w(m: ModeState) -> float:
 class Theory:
     """What differs between the two theories, for one lattice and mass.
 
-    ``weight`` is the pairing weight w (1 for Klein-Gordon, 2 for
-    Schrodinger) of Theta, Omega, the bivector and the smeared
-    observables; ``fields`` names the slice-state fields behind (a0, a1),
-    a variation's being the same with a leading "d"; ``slots`` names the
-    chart coordinates.  ``freq`` is the per-mode array the rotation reads
-    (omega; k^2).  The methods that reach kg.py, schrodinger.py or the
-    four chart functions call them by module-level name at call time.
+    Each subclass sets ``name``, the config's theory; ``weight``, the
+    pairing weight w (1 for Klein-Gordon, 2 for Schrodinger) of Theta,
+    Omega, the bivector and the smeared observables; ``fields``, the
+    slice-state fields behind (a0, a1), a variation's being the same with
+    a leading "d"; and ``slots``, the names of the chart coordinates.
+    ``freq`` is the per-mode array the rotation reads (omega; k^2).  The
+    methods that reach kg.py, schrodinger.py or the four chart functions
+    call them by module-level name at call time.
     """
-
-    name: str
-    weight: float
-    fields: tuple[str, str]
-    slots: tuple[str, str]
 
     def __init__(self, lattice: Lattice, mass: float = 0.0):
         self.lattice = lattice
         self.mass = mass
 
     @staticmethod
+    @lru_cache(maxsize=32)
     def of(name: str, lattice: Lattice, mass: float = 0.0) -> Theory:
+        """The record of the named theory, one per (name, lattice, mass)."""
         if name not in _RECORDS:
             raise ValueError(f"unknown theory {name!r}")
         return _RECORDS[name](lattice, mass)
@@ -423,13 +408,9 @@ class KGTheory(Theory):
     def __init__(self, lattice: Lattice, mass: float = 0.0):
         super().__init__(lattice, mass)
         self.cfg = KGConfig(mass=mass, lattice=lattice)
+        self.freq = self.cfg.omega()
 
-    @property
-    def freq(self) -> np.ndarray:
-        return self.cfg.omega()
-
-    def rotation(self, om, s):
-        return _kg_rotation(om, s)
+    rotation = staticmethod(_kg_rotation)
 
     def rate(self, om, c, q, a0, a1):
         """d/ds of the chart's A0, from its rotation (c, r, q)."""
@@ -441,13 +422,11 @@ class KGTheory(Theory):
             om2 = om2 - 2.0 * self.mass**2  # k^2 - m^2: the printed mass sign
         return 0.5 * sup.lattice.volume * sup.sum(np.abs(a1) ** 2 + om2 * np.abs(a0) ** 2)
 
-    def top_frequency(self) -> float:
-        """The difference form's top oscillation frequency in s: 2 omega
-        for the rotation quadratics."""
-        return 2.0 * float(np.max(self.freq))
-
-    def om_max(self) -> float:
-        return float(np.max(self.freq))
+    def frequencies(self) -> tuple[float, float]:
+        """The difference form's top oscillation frequency in s, 2 omega
+        for the rotation quadratics, and the top omega."""
+        om_max = float(np.max(self.freq))
+        return 2.0 * om_max, om_max
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
         return kg_to_darboux(m, self.cfg)
@@ -518,8 +497,7 @@ class SchrTheory(Theory):
     def freq(self) -> np.ndarray:
         return self.lattice.ksq()
 
-    def rotation(self, ksq, s):
-        return _schr_rotation(ksq, s)
+    rotation = staticmethod(_schr_rotation)
 
     def rate(self, ksq, c, q, a0, a1):
         """d/ds of the chart's A0, from its rotation (c, r, q)."""
@@ -529,12 +507,12 @@ class SchrTheory(Theory):
         val = 0.5 * sup.lattice.volume * sup.sum(ksq * (np.abs(a0) ** 2 + np.abs(a1) ** 2))
         return -val if sign_ledger == "paper-printed" else val
 
-    def top_frequency(self) -> float:
-        """The difference form's top oscillation frequency in s: k^2."""
-        return float(np.max(self.lattice.ksq()))
-
-    def om_max(self) -> float:
-        return float(np.max(np.sqrt(self.lattice.ksq())))
+    def frequencies(self) -> tuple[float, float]:
+        """The difference form's top oscillation frequency in s, k^2, and
+        the top |k| (sqrt is monotone and correctly rounded, so it is the
+        square root of the top k^2 exactly)."""
+        top = float(np.max(self.lattice.ksq()))
+        return top, float(np.sqrt(top))
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
         return schr_to_darboux(m)
@@ -716,7 +694,11 @@ class WOracle:
         self.sign_ledger = sign_ledger
         self.lattice = theory.lattice
         # one plus the form's top oscillation frequency in s
-        self._top = 1.0 + theory.top_frequency()
+        top, self._om_max = theory.frequencies()
+        self._top = 1.0 + top
+        # the ds scale of sampled tangents: the reciprocal of one plus the
+        # form's top oscillation frequency in s
+        self._s_scale = 1.0 / self._top
         if check_points > 0:
             worst = self._closedness_sweep(seed, check_points)
             if not worst <= tol:
@@ -774,8 +756,7 @@ class WOracle:
         nodes, weights = np.polynomial.legendre.leggauss(order)
         u = 0.5 * (nodes + 1.0)
         w = 0.5 * weights
-        a0, a1 = point.arrays
-        s_target = point.time
+        (a0, a1), s_target = point.arrays, point.time
         sup = self._support((a0, a1), (s_target,))
         zeros = np.zeros_like(a0)
         c0, c1 = sup.take(a0), sup.take(a1)
@@ -796,10 +777,6 @@ class WOracle:
 
     # -- checks ----------------------------------------------------------
 
-    def _displace(self, point: ModeState, tangent, eps: float) -> ModeState:
-        (a0, a1), (d0, d1, ds) = point.arrays, tangent
-        return self._point(a0 + eps * d0, a1 + eps * d1, point.time + eps * ds)
-
     def closedness_residual(self, point, tx, ty, eps: float = 1e-3) -> float:
         """Finite-difference antisymmetrized derivative d(Theta - T)(X, Y).
 
@@ -809,32 +786,25 @@ class WOracle:
         the roundoff floor provided tangent ds components are scaled to
         the form's oscillation frequency (see _s_scale).
         """
+        (a0, a1), s = point.arrays, point.time
 
         def deriv(ta, tb):
-            f = lambda e: self.differential(self._displace(point, ta, e), tb)
+            d0, d1, ds = ta
+            f = lambda e: self.differential(self._point(a0 + e * d0, a1 + e * d1, s + e * ds), tb)
             return (-f(2 * eps) + 8 * f(eps) - 8 * f(-eps) + f(-2 * eps)) / (12 * eps)
 
         return abs(deriv(tx, ty) - deriv(ty, tx))
 
-    def _s_scale(self) -> float:
-        """Reciprocal of one plus the form's top oscillation frequency in s."""
-        return 1.0 / self._top
-
-    def _random_point_and_tangents(self, rng):
-        """A point and two (d0, d1, ds) tangents, drawn in that order."""
-        lat = self.lattice
-        s0 = float(rng.uniform(-2.0, 2.0))
-        point = self._point(
-            random_hermitian_modes(lat, rng), random_hermitian_modes(lat, rng), s0
-        )
-        tx, ty = zip(*_tangent_block(lat, rng, 2, self._s_scale()))
-        return point, tx, ty
-
     def _closedness_sweep(self, seed: int, count: int) -> float:
         rng = np.random.Generator(np.random.Philox(key=seed))
+        lat = self.lattice
         residuals = []
         for _ in range(count):
-            point, tx, ty = self._random_point_and_tangents(rng)
+            # a point and two (d0, d1, ds) tangents, drawn in that order
+            s0 = float(rng.uniform(-2.0, 2.0))
+            a0, a1 = random_hermitian_modes(lat, rng), random_hermitian_modes(lat, rng)
+            point = self._point(a0, a1, s0)
+            tx, ty = zip(*_tangent_block(lat, rng, 2, self._s_scale))
             scale = 1.0 + max(float(np.max(np.abs(a))) for a in point.arrays) ** 2
             residuals.append(self.closedness_residual(point, tx, ty) / scale)
         return nan_max(residuals)
@@ -852,7 +822,7 @@ class WOracle:
         ValueError.
         """
         nodes, weights = np.polynomial.legendre.leggauss(order)
-        om_max = self.theory.om_max()
+        om_max = self._om_max
         if not all(np.isfinite(p.time) for p in (p1, p2, p3)):
             return float("nan")
         total = 0.0
@@ -869,12 +839,10 @@ class WOracle:
             tangent = (b0 - a0, b1 - a1, sb - sa)
             sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
             a0, a1, b0, b1 = (sup.take(x) for x in (a0, a1, b0, b1))
-            u, w = [], []
-            for j in range(panels):
-                lo = j / panels
-                hi = (j + 1) / panels
-                u.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
-                w.append(0.5 * (hi - lo) * weights)
+            j = np.arange(panels)[:, np.newaxis]
+            lo, hi = j / panels, (j + 1) / panels
+            u = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).ravel()
+            w = (0.5 * (hi - lo) * weights).ravel()
 
             def on_edge(ub):
                 left, right = _col(1 - ub), _col(ub)
@@ -883,7 +851,7 @@ class WOracle:
                 )
                 return form(*tangent)
 
-            for wi, v in zip(np.concatenate(w), self._blocks(np.concatenate(u), on_edge)):
+            for wi, v in zip(w, self._blocks(u, on_edge)):
                 total += wi * v
         return total
 
@@ -913,7 +881,7 @@ def theta_pullback_residual(
     lat = point.lattice
     rng = np.random.Generator(np.random.Philox(key=seed))
     oracle = WOracle(theory, check_points=0)
-    s_scale = oracle._s_scale()
+    s_scale = oracle._s_scale
     (a0, a1), s = point.arrays, point.time
     size = _block_size(lat)
     sup = None

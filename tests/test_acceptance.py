@@ -444,8 +444,9 @@ def test_criterion_11_suite_determinism():
     # unless CHANGES.md explains it and the golden file moves with it
     runs = []
     for ledger in ("resolved", "resolved", "paper"):
+        cmd = [sys.executable, "-m", "covlab.cli", "suite", "--all", "--seed", "42"]
         proc = subprocess.run(
-            [sys.executable, "-m", "covlab.cli", "suite", "--all", "--seed", "42", "--ledger", ledger],
+            cmd + ["--ledger", ledger],
             capture_output=True,
             text=True,
             timeout=600,

@@ -649,7 +649,7 @@ def test_slice_spread_is_zero_only_on_zero_values(monkeypatch, values, spread):
     monkeypatch.setattr(br, "omega", lambda theory, u, v: next(calls))
     cfg = ExperimentConfig(theory="kg", experiment="omega-check", n=8)
     th = harness._theory(cfg)
-    U = harness._random_variation(cfg, th, 1)
+    U = th.variation(harness._banded_state(cfg, 1))
     rep = br.omega_slice_report(th, random_state(cfg), U, U, (0.0, 1.0))
     assert np.array_equal(rep.max_rel_spread, spread, equal_nan=True)
 
@@ -803,7 +803,7 @@ def test_seeded_samplers_draw_what_the_old_samplers_drew(theory, dim, n, seed):
             harness._banded_state(cfg, seed + 8, band), old_banded_state(cfg, seed + 8, band)
         )
     assert_bit_identical(
-        harness._random_variation(cfg, harness._theory(cfg), seed + 1),
+        harness._theory(cfg).variation(harness._banded_state(cfg, seed + 1)),
         old_random_variation(cfg, seed + 1),
     )
     assert_bit_identical(
