@@ -493,9 +493,9 @@ class KGTheory(Theory):
 class SchrTheory(Theory):
     name, weight, fields, slots = "schrodinger", 2.0, ("phiR", "phiI"), ("PhiR", "PhiI")
 
-    @property
-    def freq(self) -> np.ndarray:
-        return self.lattice.ksq()
+    def __init__(self, lattice: Lattice, mass: float = 0.0):
+        super().__init__(lattice, mass)
+        self.freq = lattice.ksq()
 
     rotation = staticmethod(_schr_rotation)
 
@@ -511,7 +511,7 @@ class SchrTheory(Theory):
         """The difference form's top oscillation frequency in s, k^2, and
         the top |k| (sqrt is monotone and correctly rounded, so it is the
         square root of the top k^2 exactly)."""
-        top = float(np.max(self.lattice.ksq()))
+        top = float(np.max(self.freq))
         return top, float(np.sqrt(top))
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
