@@ -387,7 +387,8 @@ class Theory:
     @staticmethod
     @lru_cache(maxsize=32)
     def of(name: str, lattice: Lattice, mass: float = 0.0) -> Theory:
-        """The record of the named theory, one per (name, lattice, mass)."""
+        """The record of the named theory: one per (name, lattice, mass),
+        shared by every caller, so nothing changes a record once built."""
         if name not in _RECORDS:
             raise ValueError(f"unknown theory {name!r}")
         return _RECORDS[name](lattice, mass)
