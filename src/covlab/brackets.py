@@ -211,7 +211,13 @@ def fd_richardson_check(obs: Observable, point, coords: int = 20, seed: int = 17
 
 @dataclass(frozen=True)
 class TangentPair:
-    """Two variations attached to solutions at a common time."""
+    """Two variations attached to solutions at a common time.
+
+    A variation of a solution of a linear theory is itself a solution, so
+    U and V are slice states; ``time`` is the chart time at which their
+    smeared observables are built, not the states' own ``time``, which
+    nothing here reads.
+    """
 
     U: object
     V: object
@@ -228,9 +234,10 @@ class TangentPair:
 
 def omega(theory: Theory, U, V) -> float:
     """Omega(U, V) = w integral (d1_U d0_V - d0_U d1_V) over the slice,
-    with the pairing weight w and (d0, d1) the variations' fields:
-    (dphi, dp) for Klein-Gordon, 2 (dphiR, dphiI) for Schrodinger."""
-    (u0, u1), (v0, v1) = theory.variation_fields(U), theory.variation_fields(V)
+    with the pairing weight w and (d0, d1) the fields of the variations,
+    which are slice states: (phi, p) for Klein-Gordon, 2 (phiR, phiI) for
+    Schrodinger.  A state's own ``time`` is not read."""
+    (u0, u1), (v0, v1) = theory.slice_fields(U), theory.slice_fields(V)
     if u0.lattice != theory.lattice or v0.lattice != theory.lattice:
         raise ValueError("variation lattice does not match")
     return theory.weight * (inner(u1, v0) - inner(u0, v1))
@@ -246,9 +253,7 @@ def omega_schr_expansion_check(U, V, lattice: Lattice) -> float:
     """
     h_cell = lattice.volume / lattice.site_count
     direct = 2.0 * h_cell * float(
-        np.sum(
-            U.dphiI.values * V.dphiR.values - U.dphiR.values * V.dphiI.values
-        )
+        np.sum(U.phiI.values * V.phiR.values - U.phiR.values * V.phiI.values)
     )
     return abs(direct - omega(SchrTheory(lattice), U, V))
 
@@ -268,25 +273,19 @@ def omega_slice_report(
     times: Sequence[float],
     freeze: str | None = None,
 ) -> SliceReport:
-    """Evaluate Omega on each listed slice, evolving the solution and both
-    variations there by the exact flow (variations of a linear theory
-    evolve like states).
+    """Evaluate Omega on each listed slice, evolving both variations,
+    slice states like the solution, there by the exact flow.
 
     ``freeze`` ("u" or "v") deliberately leaves one variation at its
     initial data, the documented negative control: the resulting spread
     is O(1) instead of conservation-limited.  The spread is 0 only when
     every value is exactly 0; a NaN value gives a NaN spread.
     """
-
-    def evolved(U, span):
-        state = theory.enforce(*theory.variation_fields(U))
-        return theory.variation(theory.evolve(state, span))
-
     values = []
     for t in times:
         span = t - solution.time
-        u = evolved(U0, span) if freeze != "u" else U0
-        v = evolved(V0, span) if freeze != "v" else V0
+        u = theory.evolve(U0, span) if freeze != "u" else U0
+        v = theory.evolve(V0, span) if freeze != "v" else V0
         values.append(omega(theory, u, v))
     arr = np.array(values)
     denom = float(np.max(np.abs(arr)))
@@ -355,9 +354,10 @@ def _directional_derivative(G: Observable, point, tangent) -> float:
     along the line, which covers every bracket of the test families, so
     the step only sets the rounding error: 1e-1 of the point's size over
     the tangent's largest component.  At 3D n=32 the Jacobi-identity
-    defect is about ten times lower than with 1e-2."""
+    defect is about ten times lower than with 1e-2.  A NaN in the tangent
+    gives NaN, not the 0 of a zero tangent."""
     d0, d1, dW = tangent
-    size = max(float(np.max(np.abs(d0))), float(np.max(np.abs(d1))), abs(dW))
+    size = nan_max((float(np.max(np.abs(d0))), float(np.max(np.abs(d1))), abs(dW)))
     if size == 0.0:
         return 0.0
     h = 1e-1 * max(_point_scale(point), abs(point.W)) / size
@@ -475,11 +475,10 @@ def smeared_observable(
 
     F_U(state) = w integral (d1_U a0 - d0_U a1) with the pairing weight
     w; the per-mode rotation is symplectic, so the same pairing against
-    the variation pushed through the chart at the given time (variations
-    ride the same chart as states) evaluates it on Darboux points.
-    W-independent.
+    the variation U, a slice state, pushed through the chart at the given
+    time (not U's own) evaluates it on Darboux points.  W-independent.
     """
-    m = ModeState(*(dft(f) for f in theory.variation_fields(U)), time=time)
+    m = ModeState(*(dft(f) for f in theory.slice_fields(U)), time=time)
     d0, d1 = theory.to_darboux(m).arrays
     measure = theory.weight * U.lattice.volume
 

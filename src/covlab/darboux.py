@@ -66,7 +66,6 @@ import numpy as np
 
 from .kg import (
     KGConfig,
-    KGVariation,
     kg_dedonder_weyl_residual,
     kg_el_cancellation_scale,
     kg_el_pairing,
@@ -77,7 +76,6 @@ from .kg import (
 )
 from .lattice import Lattice, ModeVector, dft, idft, mode_index_table, nan_max
 from .schrodinger import (
-    SchrVariation,
     schr_dedonder_weyl_residual,
     schr_el_cancellation_scale,
     schr_el_pairing,
@@ -373,8 +371,9 @@ class Theory:
     Each subclass sets ``name``, the config's theory; ``weight``, the
     pairing weight w (1 for Klein-Gordon, 2 for Schrodinger) of Theta,
     Omega, the bivector and the smeared observables; ``fields``, the
-    slice-state fields behind (a0, a1), a variation's being the same with
-    a leading "d"; and ``slots``, the names of the chart coordinates.
+    slice-state fields behind (a0, a1), which a variation, being a slice
+    state too, carries under the same names; and ``slots``, the names of
+    the chart coordinates.
     ``freq`` is the per-mode array the rotation reads (omega; k^2).  The
     methods that reach kg.py, schrodinger.py or the four chart functions
     call them by module-level name at call time.
@@ -393,14 +392,15 @@ class Theory:
             raise ValueError(f"unknown theory {name!r}")
         return _RECORDS[name](lattice, mass)
 
+    def slice_fields(self, state) -> tuple:
+        """The fields of a slice state (or variation) behind (a0, a1)."""
+        return tuple(getattr(state, f) for f in self.fields)
+
     def mode_state(self, state) -> ModeState:
-        return ModeState(*(dft(getattr(state, f)) for f in self.fields), time=state.time)
+        return ModeState(*(dft(f) for f in self.slice_fields(state)), time=state.time)
 
     def slice_state(self, m: ModeState):
         return self.enforce(idft(m.a0), idft(m.a1), time=m.time)
-
-    def variation_fields(self, U) -> tuple:
-        return tuple(getattr(U, "d" + f) for f in self.fields)
 
 
 class KGTheory(Theory):
@@ -477,8 +477,6 @@ class KGTheory(Theory):
         return kg_evolve_spectral(state, s, self.cfg, mass_sign=ledger)
     def enforce(self, phi, p, time: float = 0.0):
         return kg_enforce_constraints(phi, p, time=time)
-    def variation(self, state) -> KGVariation:
-        return KGVariation(dphi=state.phi, dp=state.p, dbeta=state.beta)
     def section(self, state, dt: float, steps: int):
         return kg_solution_section(state, dt, steps, self.cfg)
     def profile(self, section, d0, d1):
@@ -591,8 +589,6 @@ class SchrTheory(Theory):
         return schr_evolve_spectral(state, s, hamiltonian_sign=ledger)
     def enforce(self, phiR, phiI, time: float = 0.0):
         return schr_enforce_constraints(phiR, phiI, time=time)
-    def variation(self, s) -> SchrVariation:
-        return SchrVariation(dphiR=s.phiR, dphiI=s.phiI, dbetaR=s.betaR, dbetaI=s.betaI)
     def section(self, state, dt: float, steps: int):
         return schr_solution_section(state, dt, steps)
     def profile(self, section, d0, d1):

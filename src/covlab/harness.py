@@ -86,6 +86,11 @@ STEPPED_EPS_PER_STEP = 4 * np.finfo(float).eps
 # only repeats the same pointwise truncation error; cap its window
 DDW_WINDOW_STEPS = 200
 
+# the largest offset a run adds to its config's seed to key a Philox
+# stream: bracket-check's seed + 101 + 2 k for k < 20.  Philox keys must
+# lie in [0, 2**128)
+SEED_OFFSET_MAX = 139
+
 # tolerance of el-pairing-extrapolated.  The scaled EL pairing is c dt^2
 # plus rounding, so the Richardson combination (4 r(dt/2) - r(dt)) / 3
 # of the signed values cancels the truncation and leaves the rounding
@@ -142,6 +147,11 @@ class ExperimentConfig:
             raise ValueError(f"invalid field 'dt': {self.dt} (positive required for stepped)")
         if self.steps < 0:
             raise ValueError(f"invalid field 'steps': {self.steps}")
+        if not 0 <= self.seed < 2**128 - SEED_OFFSET_MAX:
+            raise ValueError(
+                f"invalid field 'seed': {self.seed} (0 <= seed < 2**128 - "
+                f"{SEED_OFFSET_MAX} required)"
+            )
         if self.experiment == "evolve" and self.evolution == "stepped":
             self._check_stepped_work()
         if self.experiment == "action-residual":
@@ -504,8 +514,8 @@ def _omega_rows(cfg: ExperimentConfig):
     times = list(cfg.times) if cfg.times else [float(t) for t in range(11)]
     with _Timer() as t:
         sol = random_state(cfg)
-        U = th.variation(_banded_state(cfg, cfg.seed + 1))
-        V = th.variation(_banded_state(cfg, cfg.seed + 2))
+        U = _banded_state(cfg, cfg.seed + 1)
+        V = _banded_state(cfg, cfg.seed + 2)
         rep = br.omega_slice_report(th, sol, U, V, times)
     rows.append(_row(name, "slice-spread", rep.max_rel_spread, 1e-10, t.seconds))
     with _Timer() as t:
@@ -641,8 +651,8 @@ def _bracket_rows(cfg: ExperimentConfig):
     with _Timer() as t:
         pairs = [
             br.TangentPair(
-                th.variation(_banded_state(cfg, cfg.seed + 100 + 2 * k)),
-                th.variation(_banded_state(cfg, cfg.seed + 101 + 2 * k)),
+                _banded_state(cfg, cfg.seed + 100 + 2 * k),
+                _banded_state(cfg, cfg.seed + 101 + 2 * k),
                 time=0.7,
             )
             for k in range(20)

@@ -1,19 +1,23 @@
 """Free Klein-Gordon theory on a periodic lattice slice.
 
 Cauchy data lives on the slice as (phi, p, beta) with the constraint
-beta = grad(phi).  The dynamical conventions follow the resolved sign
+beta = grad(phi).  The flow is linear, so a variation of a solution is
+a solution: a slice variation is a KGState, a section variation a
+KGSpacetimeSection.  The dynamical conventions follow the resolved sign
 ledger (see README):
 
 * dphi/ds = p, dp/ds = laplacian(phi) - mass^2 phi, so each Fourier mode
   is a harmonic oscillator with omega_k = sqrt(k^2 + mass^2);
 * the slice Hamiltonian is the conserved positive energy
-  (1/2) integral (p^2 + |grad phi|^2 + mass^2 phi^2); the printed variant
-  with the opposite mass-term sign is available behind ``mass_sign`` for
-  comparison runs and is flagged in harness reports;
+  (1/2) integral (p^2 + |grad phi|^2 + mass^2 phi^2); the flow of the
+  printed variant, with the opposite mass-term sign, is available behind
+  ``kg_evolve_spectral``'s ``mass_sign`` for the negative controls;
 * the covariant temporal momentum is P^0 = -p (index lowering with
   eta = diag(-1, +1, ...)), which is what makes the action integrand
-  P^mu d_mu phi - H stationary exactly on solution sections; that
-  integrand is stated once, as the bilinear table _kg_lagrangian.
+  P^mu d_mu phi - H stationary exactly on solution sections.  That
+  integrand is stated once, as the bilinear table _kg_lagrangian; the
+  action, the EL pairing and the de Donder-Weyl equations are all read
+  off it by the kernels of lattice.py.
 
 The massless zero mode (omega = 0) is a free particle and is evolved by
 its exact drift rather than the degenerate rotation formulas.
@@ -33,16 +37,15 @@ from .lattice import (
     VectorField,
     _bump_stack,
     _by_distinct,
+    _first_order_residual,
     _lagrangian_form,
-    _section_origin,
-    _section_stacks,
+    _Section,
     _seed_derived,
     dft,
     idft,
     inner,
     nan_max,
     spectral_gradient,
-    stack_divergence,
     stack_gradient,
     stack_idft,
     sup_norm,
@@ -52,7 +55,6 @@ __all__ = [
     "KGConfig",
     "KGState",
     "KGSpacetimeSection",
-    "KGVariation",
     "kg_hamiltonian",
     "kg_constraint_residual",
     "kg_enforce_constraints",
@@ -108,39 +110,12 @@ class KGState:
 
 
 @dataclass(frozen=True)
-class KGVariation:
-    """Tangent data (dphi, dp, dbeta) attached to a slice."""
+class KGSpacetimeSection(_Section):
+    """The Klein-Gordon section (see lattice._Section): phi and p of shape
+    (T, *lattice.shape), beta of shape (T, dim, *lattice.shape), on the
+    lattice of cfg, which also carries the mass."""
 
-    dphi: ScalarField
-    dp: ScalarField
-    dbeta: VectorField
-
-    def __post_init__(self):
-        if (
-            self.dp.lattice != self.dphi.lattice
-            or self.dbeta.lattice != self.dphi.lattice
-        ):
-            raise ValueError("variation fields live on different lattices")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.dphi.lattice
-
-
-@dataclass(frozen=True)
-class KGSpacetimeSection:
-    """The discrete section chi on the uniform time grid t0 + i dt.
-
-    Stored as read-only stacks: phi and p of shape (T, *lattice.shape),
-    beta of shape (T, dim, *lattice.shape).  A variation of a section, a
-    tangent vector to the space of sections, has the same layout and is
-    stored in the same class.
-
-    The stacks a Lagrangian table derives, d/dt and the spatial gradient
-    of a named stack, are built at most once per instance and kept
-    read-only in a private memo.  dataclasses.replace gives the new
-    section an empty memo of its own.
-    """
+    SCALARS, VECTORS, STATE = ("phi", "p"), ("beta",), KGState
 
     phi: np.ndarray
     p: np.ndarray
@@ -150,63 +125,23 @@ class KGSpacetimeSection:
     t0: float = 0.0
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        phi, p, beta = _section_stacks(self.cfg.lattice, (self.phi, self.p), (self.beta,))
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "beta", beta)
-
     @classmethod
     def from_states(cls, states, dt: float, cfg: KGConfig) -> KGSpacetimeSection:
         """Stack slice states that sit on cfg's lattice at uniform steps of dt."""
-        states = tuple(states)
-        t0 = _section_origin(states, dt, cfg.lattice)
-        return cls(
-            phi=np.stack([st.phi.values for st in states]),
-            p=np.stack([st.p.values for st in states]),
-            beta=np.array([[c.values for c in st.beta.components] for st in states]),
-            dt=dt,
-            cfg=cfg,
-            t0=t0,
-        )
+        return cls._stacked(states, dt, cfg.lattice, cfg=cfg)
 
     @property
     def lattice(self) -> Lattice:
         return self.cfg.lattice
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.phi))
 
-    @property
-    def states(self) -> tuple[KGState, ...]:
-        """Per-slice view of the stacks, built on each access."""
-        lat = self.lattice
-        return tuple(
-            KGState(
-                phi=ScalarField(lat, phi),
-                p=ScalarField(lat, p),
-                beta=VectorField(lat, tuple(ScalarField(lat, c) for c in beta)),
-                time=float(t),
-            )
-            for phi, p, beta, t in zip(self.phi, self.p, self.beta, self.times())
-        )
-
-
-def kg_hamiltonian(state: KGState, cfg: KGConfig, mass_sign: str = "resolved") -> float:
-    """Slice energy (1/2) integral (p^2 + |grad phi|^2 +- mass^2 phi^2).
-
-    mass_sign "resolved" gives the conserved positive energy; the
-    "paper-printed" variant flips the mass term and is kept only so the
-    harness can demonstrate that its flow is tachyonic.
-    """
-    if mass_sign not in ("resolved", "paper-printed"):
-        raise ValueError(f"unknown mass_sign {mass_sign!r}")
+def kg_hamiltonian(state: KGState, cfg: KGConfig) -> float:
+    """Slice energy (1/2) integral (p^2 + |grad phi|^2 + mass^2 phi^2)."""
     grad = spectral_gradient(state.phi)
     total = inner(state.p, state.p)
     for comp in grad.components:
         total += inner(comp, comp)
-    msq = cfg.mass**2 if mass_sign == "resolved" else -cfg.mass**2
-    total += msq * inner(state.phi, state.phi)
+    total += cfg.mass**2 * inner(state.phi, state.phi)
     return 0.5 * total
 
 
@@ -338,33 +273,18 @@ def kg_solution_section(
 
 
 def kg_dedonder_weyl_residual(section: KGSpacetimeSection) -> float:
-    """Sup residual of the covariant first-order equations on the section.
-
-    With P^0 = -p the three blocks are d phi/dt - p, grad phi - beta, and
-    -dp/dt + div beta - mass^2 phi, checked on interior time nodes with
-    central differences.  A NaN anywhere makes the residual NaN.
-    """
-    if len(section.phi) < 3:
-        raise ValueError("need at least three time slices for central differences")
-    dt = section.dt
-    lat = section.lattice
-    msq = section.cfg.mass**2
-    phis, ps, betas = section.phi, section.p, section.beta
-    dphi_dt = (phis[2:] - phis[:-2]) / (2 * dt)
-    dp_dt = (ps[2:] - ps[:-2]) / (2 * dt)
-    mid = slice(1, -1)
-    residuals = (
-        dphi_dt - ps[mid],
-        betas[mid] - stack_gradient(lat, phis[mid]),
-        -dp_dt + stack_divergence(lat, betas[mid]) - msq * phis[mid],
-    )
-    return float(np.max([np.max(np.abs(r)) for r in residuals]))
+    """Sup residual of the covariant first-order equations on the section,
+    the Euler-Lagrange equations of _kg_lagrangian: with P^0 = -p,
+    dphi/dt = p, beta = grad phi and dp/dt = div beta - mass^2 phi, on the
+    interior time nodes (lattice._first_order_residual)."""
+    return _first_order_residual(_kg_lagrangian(section.cfg.mass), section)
 
 
 def _kg_lagrangian(mass: float) -> tuple:
     """P^mu d_mu phi - H with P^0 = -p and covariant H = (1/2)(eta_mn P^m P^n
     - mass^2 phi^2) = (1/2)(-p^2 + |beta|^2 - mass^2 phi^2), as bilinear
-    terms (coeff, a, op, b) for lattice._lagrangian_form."""
+    terms (coeff, a, op, b) for lattice._lagrangian_form and
+    lattice._first_order_residual."""
     return (
         (-1.0, "p", "dt", "phi"),
         (1.0, "beta", "grad", "phi"),

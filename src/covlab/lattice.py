@@ -40,7 +40,6 @@ __all__ = [
     "conjugate_reflection",
     "hermitian_defect",
     "hermitize",
-    "mode_coefficient",
     "mode_index_table",
     "sup_norm",
     "nan_max",
@@ -316,16 +315,6 @@ def hermitize(arr: np.ndarray) -> np.ndarray:
     return 0.5 * (arr + conjugate_reflection(arr))
 
 
-def mode_coefficient(m: ModeVector, multi_index) -> complex:
-    """Coefficient at integer mode multi-index (negative entries allowed)."""
-    if np.isscalar(multi_index):
-        multi_index = (int(multi_index),)
-    idx = tuple(int(mi) % m.lattice.n for mi in multi_index)
-    if len(idx) != m.lattice.dim:
-        raise ValueError("multi-index rank does not match lattice dimension")
-    return complex(m.coefficients[idx])
-
-
 @lru_cache(maxsize=32)
 def mode_index_table(lattice: Lattice):
     """Bookkeeping for conjugate mode pairs, cached per lattice.
@@ -364,45 +353,87 @@ def nan_max(values) -> float:
 # spacetime sections: stacks of slice fields on a uniform time grid
 
 
-def _section_stacks(lattice: Lattice, scalars, vectors) -> tuple[np.ndarray, ...]:
-    """Read-only float copies of a section's stacks, shape-checked.
+class _Section:
+    """The body of a theory's spacetime section: the discrete section chi
+    on the uniform time grid t0 + i dt, stored as read-only stacks.
 
-    Scalar stacks have shape (T, *lattice.shape) and vector stacks
-    (T, dim, *lattice.shape), with one T >= 2 shared by all of them.
+    A subclass is a frozen dataclass that declares its stacks, ``dt``,
+    ``t0``, its lattice (as a ``lattice`` field or property) and the
+    private ``_derived`` memo, and names them in class attributes:
+    ``SCALARS``, stacks of shape (T, *lattice.shape); ``VECTORS``, stacks
+    of shape (T, dim, *lattice.shape); ``STATE``, the slice state whose
+    fields are the stacks' names plus ``time``.  A variation of a
+    section, a tangent vector to the space of sections, has the same
+    layout and is stored in the same class.
+
+    The stacks a Lagrangian table derives, d/dt and the spatial gradient
+    of a named stack, are built at most once per instance and kept
+    read-only in the memo.  dataclasses.replace gives the new section an
+    empty memo of its own.
     """
-    # The copy stays, though the builders never reuse what they pass in.
-    # Without it a stack_idft result stays a strided .real view of its
-    # complex buffer, and the sums over it round differently: the KG
-    # el-pairing-scaled row at seed 42 moves from 4.5120079787548944e-09
-    # to 4.5120079851279934e-09.  Copies made elsewhere to keep the stacks
-    # contiguous kept every value but raised the suite's peak RSS by
-    # about 7 %, which depends on the order of allocations.
-    out = [_locked(np.asarray(a, dtype=float)) for a in (*scalars, *vectors)]
-    count = out[0].shape[0] if out[0].ndim else 0
-    if count < 2:
-        raise ValueError("a section needs at least two time slices")
-    wanted = [(count, *lattice.shape)] * len(scalars)
-    wanted += [(count, lattice.dim, *lattice.shape)] * len(vectors)
-    for arr, shape in zip(out, wanted):
-        if arr.shape != shape:
-            raise ValueError(
-                f"section stack shape {arr.shape} does not match {shape}"
+
+    def __post_init__(self):
+        """Replace the stacks by read-only float copies, shape-checked: one
+        T >= 2 shared by all of them."""
+        # The copy stays, though the builders never reuse what they pass in.
+        # Without it a stack_idft result stays a strided .real view of its
+        # complex buffer, and the sums over it round differently: the KG
+        # el-pairing-scaled row at seed 42 moves from 4.5120079787548944e-09
+        # to 4.5120079851279934e-09.  Copies made elsewhere to keep the stacks
+        # contiguous kept every value but raised the suite's peak RSS by
+        # about 7 %, which depends on the order of allocations.
+        names = self.SCALARS + self.VECTORS
+        out = [_locked(np.asarray(getattr(self, n), dtype=float)) for n in names]
+        count = out[0].shape[0] if out[0].ndim else 0
+        if count < 2:
+            raise ValueError("a section needs at least two time slices")
+        lat = self.lattice
+        wanted = [(count, *lat.shape)] * len(self.SCALARS)
+        wanted += [(count, lat.dim, *lat.shape)] * len(self.VECTORS)
+        for name, arr, shape in zip(names, out, wanted):
+            if arr.shape != shape:
+                raise ValueError(f"section stack shape {arr.shape} does not match {shape}")
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _stacked(cls, states, dt: float, lat: Lattice, **source):
+        """The section of slice states that sit on the lattice lat at
+        uniform steps of dt, built with the fields `source` that give the
+        section its lattice; rejects anything else."""
+        states = tuple(states)
+        if len(states) < 2:
+            raise ValueError("a section needs at least two time slices")
+        t0 = states[0].time
+        for i, st in enumerate(states):
+            if st.lattice != lat:
+                raise ValueError("section slice lattice mismatch")
+            if abs(st.time - (t0 + i * dt)) > 1e-9 * max(1.0, abs(dt)):
+                raise ValueError("section time nodes are not uniform in dt")
+        scalars = {n: np.stack([getattr(st, n).values for st in states]) for n in cls.SCALARS}
+        vectors = {
+            n: np.array([[c.values for c in getattr(st, n).components] for st in states])
+            for n in cls.VECTORS
+        }
+        return cls(**scalars, **vectors, dt=dt, t0=t0, **source)
+
+    def times(self) -> np.ndarray:
+        return self.t0 + self.dt * np.arange(len(getattr(self, self.SCALARS[0])))
+
+    @property
+    def states(self) -> tuple:
+        """Per-slice view of the stacks, built on each access."""
+        lat = self.lattice
+        return tuple(
+            self.STATE(
+                **{n: ScalarField(lat, getattr(self, n)[i]) for n in self.SCALARS},
+                **{
+                    n: VectorField(lat, tuple(ScalarField(lat, c) for c in getattr(self, n)[i]))
+                    for n in self.VECTORS
+                },
+                time=float(t),
             )
-    return tuple(out)
-
-
-def _section_origin(states, dt: float, lattice: Lattice) -> float:
-    """First node time of slice states that sit on the lattice at uniform
-    steps of dt; rejects anything else."""
-    if len(states) < 2:
-        raise ValueError("a section needs at least two time slices")
-    t0 = states[0].time
-    for i, st in enumerate(states):
-        if st.lattice != lattice:
-            raise ValueError("section slice lattice mismatch")
-        if abs(st.time - (t0 + i * dt)) > 1e-9 * max(1.0, abs(dt)):
-            raise ValueError("section time nodes are not uniform in dt")
-    return t0
+            for i, t in enumerate(self.times())
+        )
 
 
 def _bump_stack(count: int, dt: float, field: np.ndarray) -> np.ndarray:
@@ -532,3 +563,44 @@ def _lagrangian_form(table, section, variation=None, magnitude=False) -> float:
         y, dy = (_table_op(op, s, b) for s in (section, variation))
         dens = dens + c * (_node_sums(mag(dx), mag(y)) + _node_sums(mag(x), mag(dy)))
     return half * float(np.trapezoid(lat.spacing**lat.dim * dens, dx=section.dt))
+
+
+# op -> -op^T for the derivatives of a table: d/dt is skew-adjoint, and
+# the adjoint of grad is minus the divergence
+_ADJOINT = {"dt": "dt", "grad": "div"}
+
+
+def _first_order_residual(table, section) -> float:
+    """Sup residual of the first-order (de Donder-Weyl) equations of a
+    bilinear Lagrangian table on a section: for each stack x the table
+    names, dL/dx on the interior time nodes, with central differences
+    in time and spectral derivatives in space.
+
+    A term (c, a, op, b) adds c op(b) to the equation of a and
+    c op^T(a) to that of b, where the adjoint op^T of d/dt is minus
+    the central difference and that of grad is minus the divergence; a
+    term (c, x, "id", x) adds 2 c x.  A NaN anywhere makes the residual
+    NaN.
+    """
+    if len(getattr(section, table[0][1])) < 3:
+        raise ValueError("need at least three time slices for central differences")
+    lat, mid = section.lattice, slice(1, -1)
+
+    def apply(op, name):
+        stack = getattr(section, name)
+        if op == "dt":
+            return (stack[2:] - stack[:-2]) / (2 * section.dt)
+        if op == "grad":
+            return stack_gradient(lat, stack[mid])
+        if op == "div":
+            return stack_divergence(lat, stack[mid])
+        return stack[mid]
+
+    eqs = {}
+    for c, a, op, b in table:
+        if (op, a) == ("id", b):
+            eqs[a] = eqs.get(a, 0.0) + 2.0 * c * apply("id", a)
+        else:
+            eqs[a] = eqs.get(a, 0.0) + c * apply(op, b)
+            eqs[b] = eqs.get(b, 0.0) - c * apply(_ADJOINT[op], a)
+    return nan_max(np.max(np.abs(eq)) for eq in eqs.values())

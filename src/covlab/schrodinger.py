@@ -4,12 +4,15 @@ The wavefunction is carried as its real and imaginary parts (phiR, phiI)
 together with the spatial momenta (betaR, betaI), constrained by
 beta_a = -grad(phi^a).  The covariant temporal momenta are not stored:
 the sub-bundle constraints fix them as P0_R = phi^I, P0_I = -phi^R and
-they are computed on demand where the action needs them.
+they are computed on demand where the action needs them.  The flow is
+linear, so a slice variation is a SchrState and a section variation a
+SchrSpacetimeSection.
 
 Mode dynamics: each Fourier mode rotates by the angle k^2 s / 2,
 equivalently psi-hat -> exp(-i k^2 s / 2) psi-hat for psi = phiR + i phiI.
 The covariant Lagrangian is stated once, as the bilinear table
-_SCHR_LAGRANGIAN that lattice._lagrangian_form evaluates.
+_SCHR_LAGRANGIAN; the action, the EL pairing and the de Donder-Weyl
+equations are all read off it by the kernels of lattice.py.
 
 The slice Hamiltonian keeps its printed sign, -1/2 integral |grad psi|^2,
 which is nonpositive; it is conserved by the flow either way.
@@ -28,16 +31,15 @@ from .lattice import (
     VectorField,
     _bump_stack,
     _by_distinct,
+    _first_order_residual,
     _lagrangian_form,
-    _section_origin,
-    _section_stacks,
+    _Section,
     _seed_derived,
     dft,
     idft,
     inner,
     nan_max,
     spectral_gradient,
-    stack_divergence,
     stack_gradient,
     stack_idft,
     sup_norm,
@@ -46,7 +48,6 @@ from .lattice import (
 __all__ = [
     "SchrState",
     "SchrSpacetimeSection",
-    "SchrVariation",
     "schr_hamiltonian",
     "schr_constraint_residual",
     "schr_enforce_constraints",
@@ -59,7 +60,6 @@ __all__ = [
     "schr_el_cancellation_scale",
     "schr_random_variation_profile",
     "to_wavefunction",
-    "from_wavefunction",
     "schr_norm_squared",
 ]
 
@@ -84,38 +84,12 @@ class SchrState:
 
 
 @dataclass(frozen=True)
-class SchrVariation:
-    dphiR: ScalarField
-    dphiI: ScalarField
-    dbetaR: VectorField
-    dbetaI: VectorField
+class SchrSpacetimeSection(_Section):
+    """The rest-frame Schrodinger section (see lattice._Section): phiR and
+    phiI of shape (T, *lattice.shape), betaR and betaI of shape
+    (T, dim, *lattice.shape)."""
 
-    def __post_init__(self):
-        lat = self.dphiR.lattice
-        for f in (self.dphiI, self.dbetaR, self.dbetaI):
-            if f.lattice != lat:
-                raise ValueError("variation fields live on different lattices")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.dphiR.lattice
-
-
-@dataclass(frozen=True)
-class SchrSpacetimeSection:
-    """The discrete section chi on the uniform time grid t0 + i dt, rest
-    frame.
-
-    Stored as read-only stacks: phiR and phiI of shape
-    (T, *lattice.shape), betaR and betaI of shape (T, dim, *lattice.shape).
-    A variation of a section has the same layout and is stored in the
-    same class.
-
-    The stacks a Lagrangian table derives, d/dt and the spatial gradient
-    of a named stack, are built at most once per instance and kept
-    read-only in a private memo.  dataclasses.replace gives the new
-    section an empty memo of its own.
-    """
+    SCALARS, VECTORS, STATE = ("phiR", "phiI"), ("betaR", "betaI"), SchrState
 
     phiR: np.ndarray
     phiI: np.ndarray
@@ -126,53 +100,13 @@ class SchrSpacetimeSection:
     t0: float = 0.0
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        stacks = _section_stacks(
-            self.lattice, (self.phiR, self.phiI), (self.betaR, self.betaI)
-        )
-        for name, arr in zip(("phiR", "phiI", "betaR", "betaI"), stacks):
-            object.__setattr__(self, name, arr)
-
     @classmethod
     def from_states(cls, states, dt: float) -> SchrSpacetimeSection:
         """Stack slice states that share one lattice and sit at uniform
         steps of dt."""
         states = tuple(states)
         lat = states[0].lattice if states else None
-        t0 = _section_origin(states, dt, lat)
-        return cls(
-            phiR=np.stack([st.phiR.values for st in states]),
-            phiI=np.stack([st.phiI.values for st in states]),
-            betaR=np.array([[c.values for c in st.betaR.components] for st in states]),
-            betaI=np.array([[c.values for c in st.betaI.components] for st in states]),
-            dt=dt,
-            lattice=lat,
-            t0=t0,
-        )
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.phiR))
-
-    @property
-    def states(self) -> tuple[SchrState, ...]:
-        """Per-slice view of the stacks, built on each access."""
-        lat = self.lattice
-
-        def vec(stack):
-            return VectorField(lat, tuple(ScalarField(lat, c) for c in stack))
-
-        return tuple(
-            SchrState(
-                phiR=ScalarField(lat, aR),
-                phiI=ScalarField(lat, aI),
-                betaR=vec(bR),
-                betaI=vec(bI),
-                time=float(t),
-            )
-            for aR, aI, bR, bI, t in zip(
-                self.phiR, self.phiI, self.betaR, self.betaI, self.times()
-            )
-        )
+        return cls._stacked(states, dt, lat, lattice=lat)
 
 
 def schr_hamiltonian(state: SchrState) -> float:
@@ -309,34 +243,22 @@ def schr_solution_section(state: SchrState, dt: float, steps: int) -> SchrSpacet
 
 
 def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
-    """Sup residual of the four covariant first-order equations.
+    """Sup residual of the covariant first-order equations on the section,
+    the Euler-Lagrange equations of _SCHR_LAGRANGIAN, on the interior
+    time nodes (lattice._first_order_residual):
 
-    (i)  d phiI/dt = -1/2 div(P_R)     (ii) grad phiI = -P_I
-    (iii) d phiR/dt = +1/2 div(P_I)    (iv) grad phiR = -P_R
-    Central time differences on interior nodes, spectral space derivatives.
-    A NaN anywhere makes the residual NaN.
+    2 d phiR/dt = div(P_I)     grad phiR = -P_R
+    2 d phiI/dt = -div(P_R)    grad phiI = -P_I
+
+    The factor 2 is the table's: phiI d_t phiR - phiR d_t phiI varies
+    to 2 d_t.
     """
-    if len(section.phiR) < 3:
-        raise ValueError("need at least three time slices for central differences")
-    dt = section.dt
-    lat = section.lattice
-    aR, aI = section.phiR, section.phiI
-    mid = slice(1, -1)
-    bR, bI = section.betaR[mid], section.betaI[mid]
-    dR_dt = (aR[2:] - aR[:-2]) / (2 * dt)
-    dI_dt = (aI[2:] - aI[:-2]) / (2 * dt)
-    residuals = (
-        dI_dt + 0.5 * stack_divergence(lat, bR),
-        stack_gradient(lat, aI[mid]) + bI,
-        dR_dt - 0.5 * stack_divergence(lat, bI),
-        stack_gradient(lat, aR[mid]) + bR,
-    )
-    return float(np.max([np.max(np.abs(r)) for r in residuals]))
+    return _first_order_residual(_SCHR_LAGRANGIAN, section)
 
 
 # phiI d_t phiR - phiR d_t phiI + P^j_a d_j phi^a - H with covariant
 # H = -1/2 (|P_R|^2 + |P_I|^2), as bilinear terms (coeff, a, op, b) for
-# lattice._lagrangian_form
+# lattice._lagrangian_form and lattice._first_order_residual
 _SCHR_LAGRANGIAN = (
     (1.0, "phiI", "dt", "phiR"),
     (-1.0, "phiR", "dt", "phiI"),
@@ -396,13 +318,6 @@ def schr_random_variation_profile(
 def to_wavefunction(state: SchrState) -> np.ndarray:
     """psi = phiR + i phiI as a complex sample array."""
     return state.phiR.values + 1j * state.phiI.values
-
-
-def from_wavefunction(lat: Lattice, psi: np.ndarray, time: float = 0.0) -> SchrState:
-    psi = np.asarray(psi, dtype=complex)
-    return schr_enforce_constraints(
-        ScalarField(lat, psi.real), ScalarField(lat, psi.imag), time=time
-    )
 
 
 def schr_norm_squared(state: SchrState) -> float:

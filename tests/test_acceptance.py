@@ -98,18 +98,13 @@ def darboux_point(seed, s, W):
 
 
 def variation(theory, seed):
-    from covlab.kg import KGVariation
-    from covlab.schrodinger import SchrVariation
-
+    """A seeded variation: a slice state, as every variation is."""
     rng = seeded(seed)
     band = LAT.n // 4
     f1 = banded_field(rng, band)
     f2 = banded_field(rng, band)
-    if theory == "kg":
-        st = kg_enforce_constraints(f1, f2)
-        return KGVariation(dphi=st.phi, dp=st.p, dbeta=st.beta)
-    st = schr_enforce_constraints(f1, f2)
-    return SchrVariation(dphiR=st.phiR, dphiI=st.phiI, dbetaR=st.betaR, dbetaI=st.betaI)
+    enforce = kg_enforce_constraints if theory == "kg" else schr_enforce_constraints
+    return enforce(f1, f2)
 
 
 @pytest.fixture(scope="module")
@@ -438,6 +433,23 @@ def strip_seconds(text):
     return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
 
 
+def changed_rows(lines, golden):
+    """'metric: golden -> new' for each row of a stripped report that
+    differs from its golden file, the metric named with its experiment;
+    a row on one side only reads 'missing' on the other.  Empty when
+    the rows agree but their order or the header does not."""
+
+    def rows(report):
+        return {" ".join(ln.split(",")[:2]): ",".join(ln.split(",")[2:]) for ln in report[1:]}
+
+    old, new = rows(golden), rows(lines)
+    return [
+        f"{key}: {old.get(key, 'missing')} -> {new.get(key, 'missing')}"
+        for key in {**old, **new}
+        if old.get(key) != new.get(key)
+    ]
+
+
 def test_criterion_11_suite_determinism():
     # two runs with the resolved ledger and one with the printed one, each
     # against the golden report of its ledger: no CSV value may move
@@ -452,14 +464,20 @@ def test_criterion_11_suite_determinism():
             timeout=600,
         )
         golden = (GOLDEN / f"suite_seed42_{ledger}.csv").read_text(encoding="utf-8")
-        runs.append((ledger, proc, strip_seconds(proc.stdout) == golden.strip().splitlines()))
-    codes = [proc.returncode for _, proc, _ in runs]
+        lines, golden = strip_seconds(proc.stdout), golden.strip().splitlines()
+        runs.append((ledger, proc, lines == golden, changed_rows(lines, golden)))
+    codes = [proc.returncode for _, proc, _, _ in runs]
     # the printed ledger's negative controls make that suite exit 1
-    ok = all(same for _, _, same in runs) and codes == [0, 0, 1]
+    ok = all(same for _, _, same, _ in runs) and codes == [0, 0, 1]
     assert verdict(
         11,
         ok,
         f"suite runs (resolved, resolved, paper): exit codes {codes}, "
         f"{len(strip_seconds(runs[0][1].stdout)) - 1} rows each identical modulo timings "
-        f"to tests/data: {[same for _, _, same in runs]}",
-    ), runs[0][1].stderr[-2000:]
+        f"to tests/data: {[same for _, _, same, _ in runs]}",
+    ), "\n".join(
+        f"{ledger} run, rows that differ: {'; '.join(changes) or 'none (order or header)'}"
+        f"\n{proc.stderr[-2000:]}"
+        for ledger, proc, same, changes in runs
+        if not same or proc.stderr
+    )

@@ -1,5 +1,7 @@
 """The two-form on solutions, the bivector, and the bracket algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,9 @@ from covlab.brackets import (
     w_coordinate,
 )
 from covlab.darboux import DarbouxState, Theory, random_hermitian_modes
-from covlab.kg import KGVariation, kg_enforce_constraints
+from covlab.kg import kg_enforce_constraints
 from covlab.lattice import Lattice, ModeVector, ScalarField, hermitize, idft
-from covlab.schrodinger import SchrVariation, schr_enforce_constraints
+from covlab.schrodinger import schr_enforce_constraints
 
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
 KG = Theory.of("kg", LAT, 1.0)
@@ -47,28 +49,25 @@ def banded_field(rng, band=8, lat=LAT):
     return idft(ModeVector(lat, hermitize(coeff)))
 
 
+# variations of the linear theories are slice states
+
+
 def kg_variation(seed, lat=LAT):
     rng = seeded(seed)
-    st0 = kg_enforce_constraints(banded_field(rng, lat=lat), banded_field(rng, lat=lat))
-    return KGVariation(st0.phi, st0.p, st0.beta)
+    return kg_enforce_constraints(banded_field(rng, lat=lat), banded_field(rng, lat=lat))
 
 
 def schr_variation(seed, lat=LAT):
     rng = seeded(seed)
-    st0 = schr_enforce_constraints(
-        banded_field(rng, lat=lat), banded_field(rng, lat=lat)
-    )
-    return SchrVariation(st0.phiR, st0.phiI, st0.betaR, st0.betaI)
+    return schr_enforce_constraints(banded_field(rng, lat=lat), banded_field(rng, lat=lat))
 
 
 def kg_slice_variation(dphi, dp):
-    st0 = kg_enforce_constraints(ScalarField(LAT, dphi), ScalarField(LAT, dp))
-    return KGVariation(st0.phi, st0.p, st0.beta)
+    return kg_enforce_constraints(ScalarField(LAT, dphi), ScalarField(LAT, dp))
 
 
 def schr_slice_variation(dphiR, dphiI):
-    st0 = schr_enforce_constraints(ScalarField(LAT, dphiR), ScalarField(LAT, dphiI))
-    return SchrVariation(st0.phiR, st0.phiI, st0.betaR, st0.betaI)
+    return schr_enforce_constraints(ScalarField(LAT, dphiR), ScalarField(LAT, dphiI))
 
 
 def kg_point(seed, time=1.3, W=0.5, band=None):
@@ -183,6 +182,18 @@ class TestOmega:
         other = Lattice(dim=1, n=32, length=2 * np.pi)
         with pytest.raises(ValueError):
             TangentPair(kg_variation(1), kg_variation(2, lat=other))
+
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    def test_variation_time_is_not_read(self, theory):
+        # omega and the smeared observables take the chart time as an
+        # argument; the time a variation carries as a slice state is unused
+        th, var = (KG, kg_variation) if theory == "kg" else (SCHR, schr_variation)
+        U, V = var(3), var(4)
+        late = replace(U, time=2.5)
+        assert omega(th, late, V) == omega(th, U, V)
+        pt = darboux_point(LAT, 5)
+        F, G = (smeared_observable(th, u, time=0.4) for u in (U, late))
+        assert F.evaluate(pt) == G.evaluate(pt)
 
 
 class TestStructureConstants:
@@ -424,6 +435,21 @@ class TestHamiltonianVectorField:
             # the mode-by-mode central differences carry the rounding
             # noise (measured up to 3.5e-8 relative); a wrong field is O(1)
             assert abs(value - fd) <= 1e-6 * max(1.0, abs(fd)), (A.name, B.name, C.name)
+
+    def test_nan_tangent_gives_nan_bracket(self):
+        # F = |a0|^2 with a NaN in a0 at the modes +-1: X_F has d0 = 0 and
+        # NaN in d1 and dW, so the directional derivative of a G without
+        # gradient is NaN, not the 0 of a zero tangent
+        lat = Lattice(dim=1, n=8, length=2 * np.pi)
+        th = Theory.of("kg", lat, 1.0)
+        ok = darboux_point(lat, 95)
+        a0 = ok.a0.coefficients.copy()
+        a0[[1, -1]] = np.nan
+        pt = replace(ok, a0=ModeVector(lat, a0))
+        F = quadratic_power(th, 0)
+        G = Observable(th, lambda p: float(np.real(p.a1.coefficients[1])), name="Re a1(1)")
+        assert np.isnan(F.evaluate(pt)) and np.isfinite(G.evaluate(pt))
+        assert np.isnan(jacobi_bracket(F, G, pt))
 
     def test_nested_bracket_cost_is_independent_of_n(self):
         def calls_at(n):

@@ -55,6 +55,14 @@ def test_run_bad_config_exits_two(tmp_path, capsys):
     assert "covlab: error:" in err and "'n'" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**130)])
+def test_run_out_of_range_seed_exits_two(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, f"theory: kg\nexperiment: evolve\nn: 8\nseed: {seed}\n")
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "covlab: error:" in err and "'seed'" in err
+
+
 def test_run_missing_config_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "covlab: error:" in capsys.readouterr().err

@@ -35,9 +35,9 @@ from covlab.harness import (
     run_experiment,
     suite_configs,
 )
-from covlab.kg import KGVariation, kg_enforce_constraints
+from covlab.kg import kg_enforce_constraints
 from covlab.lattice import Lattice, ModeVector, ScalarField, VectorField, dft, idft, nan_max
-from covlab.schrodinger import SchrVariation, schr_enforce_constraints
+from covlab.schrodinger import schr_enforce_constraints
 
 
 def line_of(fn, text):
@@ -194,6 +194,13 @@ class TestConfig:
             {"experiment": "omega-check", "evolution": "stepped"},
         ):
             ExperimentConfig(theory="kg", dt=1e-9, **fields)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128 - harness.SEED_OFFSET_MAX, 2**130])
+    def test_out_of_range_seed_rejected(self, seed):
+        # a run keys Philox streams with seed + offset, which must lie in
+        # [0, 2**128); out of it the run used to fail with no field named
+        with pytest.raises(ValueError, match="invalid field 'seed'"):
+            ExperimentConfig(theory="kg", experiment="evolve", n=8, seed=seed)
 
 
 class TestRandomState:
@@ -534,6 +541,19 @@ def test_every_experiment_runs_at_every_dim(theory, dim, experiment, evolution):
     assert all(math.isfinite(r.value) for r in report.rows)
 
 
+@pytest.mark.parametrize("experiment, evolution", RUNS)
+@pytest.mark.parametrize("theory", THEORIES)
+def test_every_experiment_runs_at_the_largest_seed(theory, experiment, evolution):
+    # every key a run derives from the largest accepted seed is a valid
+    # Philox key, so no run keys past seed + SEED_OFFSET_MAX
+    seed = 2**128 - 1 - harness.SEED_OFFSET_MAX
+    cfg = ExperimentConfig(
+        theory=theory, experiment=experiment, evolution=evolution, n=8, dt=1e-2, steps=20,
+        times=(0.0, 1.0), seed=seed,
+    )
+    assert run_experiment(cfg).errors == ()
+
+
 # ---------------------------------------------------------------------------
 # a NaN in any term of a verdict's reduction fails the verdict
 
@@ -649,7 +669,7 @@ def test_slice_spread_is_zero_only_on_zero_values(monkeypatch, values, spread):
     monkeypatch.setattr(br, "omega", lambda theory, u, v: next(calls))
     cfg = ExperimentConfig(theory="kg", experiment="omega-check", n=8)
     th = harness._theory(cfg)
-    U = th.variation(harness._banded_state(cfg, 1))
+    U = harness._banded_state(cfg, 1)
     rep = br.omega_slice_report(th, random_state(cfg), U, U, (0.0, 1.0))
     assert np.array_equal(rep.max_rel_spread, spread, equal_nan=True)
 
@@ -740,16 +760,16 @@ def old_banded_state(cfg, seed, band):
 
 
 def old_random_variation(cfg, seed):
+    """The old variation sampler's draw, as the slice state a variation
+    now is."""
     lat = cfg.lattice
     rng = np.random.Generator(np.random.Philox(key=seed))
     band = lat.n // 4
     f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
     f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
     if cfg.theory == "kg":
-        st = kg_enforce_constraints(f1, f2)
-        return KGVariation(dphi=st.phi, dp=st.p, dbeta=st.beta)
-    st = schr_enforce_constraints(f1, f2)
-    return SchrVariation(dphiR=st.phiR, dphiI=st.phiI, dbetaR=st.betaR, dbetaI=st.betaI)
+        return kg_enforce_constraints(f1, f2)
+    return schr_enforce_constraints(f1, f2)
 
 
 def old_darboux_mode_point(cfg, seed, s):
@@ -803,8 +823,7 @@ def test_seeded_samplers_draw_what_the_old_samplers_drew(theory, dim, n, seed):
             harness._banded_state(cfg, seed + 8, band), old_banded_state(cfg, seed + 8, band)
         )
     assert_bit_identical(
-        harness._theory(cfg).variation(harness._banded_state(cfg, seed + 1)),
-        old_random_variation(cfg, seed + 1),
+        harness._banded_state(cfg, seed + 1), old_random_variation(cfg, seed + 1)
     )
     assert_bit_identical(
         harness._darboux_mode_point(cfg, seed + 10, 0.3),

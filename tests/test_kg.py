@@ -11,7 +11,6 @@ from covlab.kg import (
     KGConfig,
     KGSpacetimeSection,
     KGState,
-    KGVariation,
     kg_action,
     kg_constraint_residual,
     kg_dedonder_weyl_residual,
@@ -274,13 +273,6 @@ class TestAction:
         )
         r2 = abs(kg_el_pairing(big, var_big)) / kg_el_cancellation_scale(big, var_big)
         assert r1 == pytest.approx(r2, rel=1e-9)
-
-    def test_hamiltonian_mass_sign_difference(self):
-        st0 = random_state(21)
-        from covlab.lattice import inner
-
-        diff = kg_hamiltonian(st0, CFG) - kg_hamiltonian(st0, CFG, mass_sign="paper-printed")
-        assert diff == pytest.approx(CFG.mass**2 * inner(st0.phi, st0.phi), rel=1e-12)
 
 
 # The real-space Lagrangian density and cancellation scale as they were

@@ -15,7 +15,6 @@ from covlab.lattice import (
     hermitize,
     idft,
     inner,
-    mode_coefficient,
     mode_index_table,
     spectral_divergence,
     spectral_gradient,
@@ -169,13 +168,6 @@ class TestModeBookkeeping:
         # representatives pick one slot per conjugate pair
         assert representative[1] != representative[LAT.n - 1] or 1 == LAT.n - 1
         assert representative[1] or representative[LAT.n - 1]
-
-    def test_mode_coefficient_lookup(self):
-        x = LAT.coordinates()[0]
-        f = ScalarField(LAT, np.cos(2 * x))
-        m = dft(f)
-        assert abs(mode_coefficient(m, 2) - 0.5) < 1e-14
-        assert abs(mode_coefficient(m, -2) - 0.5) < 1e-14
 
     def test_sup_norm_accepts_field_or_array(self):
         f = ScalarField(LAT, np.full(LAT.shape, -3.0))

@@ -21,7 +21,6 @@ from covlab.lattice import (
 from covlab.schrodinger import (
     SchrSpacetimeSection,
     SchrState,
-    from_wavefunction,
     schr_action,
     schr_constraint_residual,
     schr_dedonder_weyl_residual,
@@ -137,13 +136,15 @@ class TestConstraints:
 
 class TestWavefunctionBridge:
     def test_unit_wavefunction(self):
-        st0 = from_wavefunction(LAT, np.ones(LAT.shape, dtype=complex))
-        assert sup_norm(st0.phiR.values - 1.0) == 0.0
-        assert sup_norm(st0.phiI) == 0.0
+        st0 = schr_enforce_constraints(
+            ScalarField(LAT, np.ones(LAT.shape)), ScalarField(LAT, np.zeros(LAT.shape))
+        )
+        assert np.array_equal(to_wavefunction(st0), np.ones(LAT.shape, dtype=complex))
 
     def test_bijection(self):
         st0 = random_state(6)
-        back = from_wavefunction(LAT, to_wavefunction(st0))
+        psi = to_wavefunction(st0)
+        back = schr_enforce_constraints(ScalarField(LAT, psi.real), ScalarField(LAT, psi.imag))
         assert sup_norm(back.phiR.values - st0.phiR.values) == 0.0
         assert sup_norm(back.phiI.values - st0.phiI.values) == 0.0
 

@@ -61,9 +61,9 @@ theory kg: n=64 L=64 T_el=8 T_ddw=0.2
 
 theory schrodinger: n=64 L=12.5664 T_el=6 T_ddw=0.2
         dt   el-pairing-scaled   order   ddw-residual   order
-  1.00e-03           1.959e-09       -      4.666e-08       -
-  5.00e-04           4.897e-10    2.00      1.167e-08    2.00
-  2.50e-04           1.224e-10    2.00      2.918e-09    2.00
+  1.00e-03           1.959e-09       -      9.333e-08       -
+  5.00e-04           4.897e-10    2.00      2.333e-08    2.00
+  2.50e-04           1.224e-10    2.00      5.836e-09    2.00
 
 """
 

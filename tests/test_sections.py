@@ -1,6 +1,7 @@
 """Spacetime sections stored as stacked arrays: the batched build against
 the slice-by-slice flow, hand-built sections, the batched checks, the
-memo of derived stacks, and the even slices of a finer build."""
+de Donder-Weyl residual read off each Lagrangian table, the memo of
+derived stacks, and the even slices of a finer build."""
 
 from dataclasses import fields, replace
 from functools import partial
@@ -11,6 +12,7 @@ import pytest
 from covlab.kg import (
     KGConfig,
     KGSpacetimeSection,
+    _kg_lagrangian,
     kg_dedonder_weyl_residual,
     kg_el_cancellation_scale,
     kg_el_pairing,
@@ -24,13 +26,16 @@ from covlab.lattice import (
     Lattice,
     ModeVector,
     _even_slices,
+    _first_order_residual,
     _table_op,
     hermitize,
     idft,
+    stack_divergence,
     stack_gradient,
     stack_idft,
 )
 from covlab.schrodinger import (
+    _SCHR_LAGRANGIAN,
     SchrSpacetimeSection,
     schr_dedonder_weyl_residual,
     schr_el_cancellation_scale,
@@ -187,6 +192,101 @@ def test_dedonder_weyl_residuals_keep_nan():
     assert np.isnan(schr_dedonder_weyl_residual(bad))
 
 
+# ---------------------------------------------------------------------------
+# the de Donder-Weyl residual read off each Lagrangian table, against the
+# first-order equations as they were written by hand before it
+
+
+def kg_ddw_reference(section):
+    """With P^0 = -p: d phi/dt - p, beta - grad phi and
+    -dp/dt + div beta - mass^2 phi on the interior time nodes."""
+    dt, lat, msq = section.dt, section.lattice, section.cfg.mass**2
+    phis, ps, betas = section.phi, section.p, section.beta
+    dphi_dt = (phis[2:] - phis[:-2]) / (2 * dt)
+    dp_dt = (ps[2:] - ps[:-2]) / (2 * dt)
+    mid = slice(1, -1)
+    return (
+        dphi_dt - ps[mid],
+        betas[mid] - stack_gradient(lat, phis[mid]),
+        -dp_dt + stack_divergence(lat, betas[mid]) - msq * phis[mid],
+    )
+
+
+def schr_ddw_reference(section):
+    """(i) d phiI/dt + div(P_R)/2, (ii) grad phiI + P_I,
+    (iii) d phiR/dt - div(P_I)/2, (iv) grad phiR + P_R on the interior
+    time nodes."""
+    dt, lat = section.dt, section.lattice
+    aR, aI = section.phiR, section.phiI
+    mid = slice(1, -1)
+    bR, bI = section.betaR[mid], section.betaI[mid]
+    dR_dt = (aR[2:] - aR[:-2]) / (2 * dt)
+    dI_dt = (aI[2:] - aI[:-2]) / (2 * dt)
+    return (
+        dI_dt + 0.5 * stack_divergence(lat, bR),
+        stack_gradient(lat, aI[mid]) + bI,
+        dR_dt - 0.5 * stack_divergence(lat, bI),
+        stack_gradient(lat, aR[mid]) + bR,
+    )
+
+
+def sup_of(residuals):
+    return float(np.max([np.max(np.abs(r)) for r in residuals]))
+
+
+def perturbed(section, name, seed):
+    """The section with O(1) noise added to one stack (None: as built),
+    so that the equations that stack enters dominate the sup."""
+    if name is None:
+        return section
+    stack = getattr(section, name)
+    noise = np.random.Generator(np.random.Philox(key=seed)).standard_normal(stack.shape)
+    return replace(section, **{name: stack + 0.3 * noise})
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("name", [None, "phi", "p", "beta"])
+def test_kg_ddw_residual_is_the_hand_written_one_bit_for_bit(dim, name):
+    # the table's equations are exactly minus the hand-written ones
+    st0, cfg = kg_setup(dim)
+    section = perturbed(kg_solution_section(st0, DT, STEPS, cfg), name, dim)
+    assert kg_dedonder_weyl_residual(section) == sup_of(kg_ddw_reference(section))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("name", [None, "phiR", "phiI", "betaR", "betaI"])
+def test_schr_ddw_residual_is_the_hand_written_one_with_doubled_time_equations(dim, name):
+    # phiI d_t phiR - phiR d_t phiI varies to 2 d_t: the table's equations
+    # of phiR and phiI are exactly -2 (i) and 2 (iii), those of betaR and
+    # betaI exactly (iv) and (ii)
+    section = perturbed(schr_solution_section(schr_setup(dim), DT, STEPS), name, dim)
+    i, ii, iii, iv = schr_ddw_reference(section)
+    assert schr_dedonder_weyl_residual(section) == sup_of((2 * i, ii, 2 * iii, iv))
+
+
+TABLES = {"kg": lambda cfg: _kg_lagrangian(cfg.mass), "schrodinger": lambda cfg: _SCHR_LAGRANGIAN}
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("theory", TABLES)
+def test_a_flipped_table_term_lifts_the_ddw_residual(theory, dim):
+    # on an exact section the table's equations hold to the truncation
+    # of the central differences; with the sign of any one term flipped
+    # they fail at O(1)
+    lat = lattice(dim)
+    cfg = KGConfig(mass=0.7, lattice=lat)
+    fields = banded_fields(lat, 70 + dim, band=1)
+    if theory == "kg":
+        section = kg_solution_section(kg_enforce_constraints(*fields), 5e-4, 20, cfg)
+    else:
+        section = schr_solution_section(schr_enforce_constraints(*fields), 5e-4, 20)
+    table = TABLES[theory](cfg)
+    assert _first_order_residual(table, section) <= 1e-5
+    for k, (c, *rest) in enumerate(table):
+        flipped = table[:k] + ((-c, *rest),) + table[k + 1 :]
+        assert _first_order_residual(flipped, section) > 1e-2, table[k]
+
+
 def test_omega_is_cached_and_read_only():
     cfg = KGConfig(mass=0.7, lattice=lattice(2))
     om = cfg.omega()
@@ -253,7 +353,7 @@ def test_seeded_gradients_match_fresh_ones(theory, dim):
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("theory", PAIRS)
 def test_builder_and_profile_stacks_are_contiguous_owned_and_read_only(theory, dim):
-    # _section_stacks copies on purpose: a strided view of a transform's
+    # a section copies its stacks on purpose: a strided view of a transform's
     # complex buffer would round the EL sums differently; the even slices
     # of a finer build are copied the same way, seeded gradients included
     build = PAIRS[theory][0]
