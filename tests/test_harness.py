@@ -198,7 +198,7 @@ class TestConfig:
     @pytest.mark.parametrize("seed", [-1, 2**128 - harness.SEED_OFFSET_MAX, 2**130])
     def test_out_of_range_seed_rejected(self, seed):
         # a run keys Philox streams with seed + offset, which must lie in
-        # [0, 2**128); out of it the run used to fail with no field named
+        # [0, 2**128), so such a config is rejected on load, field named
         with pytest.raises(ValueError, match="invalid field 'seed'"):
             ExperimentConfig(theory="kg", experiment="evolve", n=8, seed=seed)
 
