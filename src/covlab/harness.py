@@ -4,11 +4,15 @@ and CSV/JSON reports.
 Config files are flat ``key: value`` text (one key per line, ``#``
 comments allowed); the schema is the field list of ExperimentConfig.
 Reports are rows of (experiment, metric, value, tolerance, pass,
-seconds).  Rows whose tolerance is blank are informational
-measurements: they carry no pass verdict and do not affect the exit
-status.  Metrics named ``*-exceeds`` are negative controls and pass
-when the value is strictly greater than the tolerance; everything else
-passes when value <= tolerance.
+seconds).  Each experiment yields its (metric, value, tolerance)
+triples and run_experiment reads the one clock: a row's seconds are
+the time since the previous row of the same report, or since the
+start, so a report's seconds add up to its wall_s.  Rows whose
+tolerance is blank are informational measurements: they carry no
+pass verdict and do not affect the exit status.  Metrics named
+``*-exceeds`` are negative controls and pass when the value is
+strictly greater than the tolerance; everything else passes when
+value <= tolerance.
 
 Random data uses the counter-based Philox generator keyed by the seed
 (numpy.random.Philox), so streams are reproducible across platforms and
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import platform
 import time
@@ -126,6 +131,10 @@ class ExperimentConfig:
             raise ValueError(f"invalid field 'theory': {self.theory!r}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"invalid field 'experiment': {self.experiment!r}")
+        for name in _INT_KEYS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"invalid field '{name}': {value!r} (integer required)")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"invalid field 'dim': {self.dim}")
         n = self.n
@@ -137,6 +146,8 @@ class ExperimentConfig:
                 raise ValueError(f"invalid field '{name}': {value} (finite required)")
         if not all(math.isfinite(t) for t in self.times):
             raise ValueError(f"invalid field 'times': {self.times} (finite required)")
+        if self.experiment in ("omega-check", "darboux-check") and len(set(self.times)) == 1:
+            raise ValueError(f"invalid field 'times': {self.times} (two distinct required)")
         if self.length <= 0:
             raise ValueError(f"invalid field 'length': {self.length}")
         if self.mass < 0:
@@ -202,7 +213,7 @@ def _theory(cfg: ExperimentConfig) -> dx.Theory:
     return dx.Theory.of(cfg.theory, cfg.lattice, cfg.mass)
 
 
-_INT_KEYS = {"dim", "n", "steps", "seed"}
+_INT_KEYS = ("dim", "n", "steps", "seed")
 _FLOAT_KEYS = {"length", "mass", "dt"}
 _STR_KEYS = {"theory", "experiment", "evolution", "out", "format", "sign_ledger"}
 
@@ -225,6 +236,8 @@ def load_config(path: str) -> ExperimentConfig:
         key, _, val = line.partition(":")
         key = key.strip().replace("-", "_")
         val = val.strip()
+        if key in values:
+            raise ValueError(f"invalid field '{key}': given twice ({path}:{lineno})")
         if key in _INT_KEYS:
             try:
                 values[key] = int(val)
@@ -426,26 +439,6 @@ def emit_report(report: Report, path: str | None, fmt: str = "csv") -> str:
 # experiments
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.t0
-        return False
-
-
-def _row(experiment, metric, value, tolerance, seconds):
-    return ReportRow(
-        experiment=experiment,
-        metric=metric,
-        value=float(value),
-        tolerance=tolerance,
-        seconds=seconds,
-    )
-
-
 def _psi_hat(state) -> np.ndarray:
     """Mode coefficients of the wavefunction phiR + i phiI."""
     return np.fft.fftn(to_wavefunction(state)) / state.lattice.site_count
@@ -456,74 +449,57 @@ def _evolve_rows(cfg: ExperimentConfig):
     the norm for Schrodinger) over the configured evolution, the rows of
     Schrodinger's propagator and stepper, and the constraint residual of
     the final state."""
-    rows = []
-    name = "evolve"
     th = _theory(cfg)
     kg = cfg.theory == "kg"
     conserved = (lambda st: kg_hamiltonian(st, th.cfg)) if kg else schr_norm_squared
     spectral = cfg.evolution == "spectral"
-    with _Timer() as t:
-        st = _banded_state(cfg, cfg.seed, band=1) if kg and not spectral else random_state(cfg)
-        q0 = conserved(st)
-        if spectral:
-            finals = (th.evolve(st, float(s)) for s in range(1, 11))
-            metric, tol = ("energy-drift-spectral" if kg else "norm-drift"), 1e-12
-        elif kg:
-            finals = (kg_evolve_leapfrog(st, cfg.dt, max(1, round(1.0 / cfg.dt)), th.cfg),)
-            metric, tol = "energy-drift-leapfrog", 1e-6
-        else:
-            finals = (schr_evolve_stepped(st, cfg.dt, cfg.steps),)
-            metric, tol = "midpoint-norm-drift", 1e-13
-        drifts = []
-        for final in finals:
-            drifts.append(abs(conserved(final) - q0) / abs(q0))
-        drift = nan_max(drifts)
-    rows.append(_row(name, metric, drift, tol, t.seconds))
+    st = _banded_state(cfg, cfg.seed, band=1) if kg and not spectral else random_state(cfg)
+    q0 = conserved(st)
+    if spectral:
+        finals = (th.evolve(st, float(s)) for s in range(1, 11))
+        metric, tol = ("energy-drift-spectral" if kg else "norm-drift"), 1e-12
+    elif kg:
+        finals = (kg_evolve_leapfrog(st, cfg.dt, max(1, round(1.0 / cfg.dt)), th.cfg),)
+        metric, tol = "energy-drift-leapfrog", 1e-6
+    else:
+        finals = (schr_evolve_stepped(st, cfg.dt, cfg.steps),)
+        metric, tol = "midpoint-norm-drift", 1e-13
+    drifts = []
+    for final in finals:
+        drifts.append(abs(conserved(final) - q0) / abs(q0))
+    yield metric, nan_max(drifts), tol
     if not kg and spectral:
-        with _Timer() as t:
-            lat = cfg.lattice
-            x = lat.coordinates()[0]
-            plane = th.enforce(ScalarField(lat, np.cos(x)), ScalarField(lat, np.sin(x)))
-            evolved = th.evolve(plane, math.pi)
-            target = -1j * _psi_hat(plane)
-            err = float(np.max(np.abs(_psi_hat(evolved) - target)))
-        rows.append(_row(name, "propagator-phase-error", err, 1e-12, t.seconds))
+        lat = cfg.lattice
+        x = lat.coordinates()[0]
+        plane = th.enforce(ScalarField(lat, np.cos(x)), ScalarField(lat, np.sin(x)))
+        evolved = th.evolve(plane, math.pi)
+        target = -1j * _psi_hat(plane)
+        yield "propagator-phase-error", np.max(np.abs(_psi_hat(evolved) - target)), 1e-12
     elif not kg:
-        with _Timer() as t:
-            # the steps against their composition into one rotation,
-            # psi-hat exp(-2i steps atan(k^2 dt / 4)) per mode
-            angle = 2.0 * cfg.steps * np.arctan(0.25 * cfg.lattice.ksq() * cfg.dt)
-            composed = _psi_hat(st) * np.exp(-1j * angle)
-            gap = np.max(np.abs(_psi_hat(final) - composed)) / np.max(np.abs(composed))
-        tol = STEPPED_EPS_PER_STEP * cfg.steps
-        rows.append(_row(name, "stepped-vs-composed", gap, tol, t.seconds))
-    with _Timer() as t:
-        if kg:
-            res = kg_constraint_residual(final) / max(1.0, sup_norm(final.phi))
-        else:
-            scale = max(1.0, sup_norm(final.phiR), sup_norm(final.phiI))
-            res = schr_constraint_residual(final) / scale
-    rows.append(_row(name, "constraint-residual-scaled", res, 1e-10, t.seconds))
-    return rows
+        # the steps against their composition into one rotation,
+        # psi-hat exp(-2i steps atan(k^2 dt / 4)) per mode
+        angle = 2.0 * cfg.steps * np.arctan(0.25 * cfg.lattice.ksq() * cfg.dt)
+        composed = _psi_hat(st) * np.exp(-1j * angle)
+        gap = np.max(np.abs(_psi_hat(final) - composed)) / np.max(np.abs(composed))
+        yield "stepped-vs-composed", gap, STEPPED_EPS_PER_STEP * cfg.steps
+    if kg:
+        res = kg_constraint_residual(final) / max(1.0, sup_norm(final.phi))
+    else:
+        scale = max(1.0, sup_norm(final.phiR), sup_norm(final.phiI))
+        res = schr_constraint_residual(final) / scale
+    yield "constraint-residual-scaled", res, 1e-10
 
 
 def _omega_rows(cfg: ExperimentConfig):
-    rows = []
-    name = "omega-check"
     th = _theory(cfg)
     times = list(cfg.times) if cfg.times else [float(t) for t in range(11)]
-    with _Timer() as t:
-        sol = random_state(cfg)
-        U = _banded_state(cfg, cfg.seed + 1)
-        V = _banded_state(cfg, cfg.seed + 2)
-        rep = br.omega_slice_report(th, sol, U, V, times)
-    rows.append(_row(name, "slice-spread", rep.max_rel_spread, 1e-10, t.seconds))
-    with _Timer() as t:
-        neg = br.omega_slice_report(th, sol, U, V, times, freeze="v")
-    rows.append(
-        _row(name, "slice-spread-frozen-v-exceeds", neg.max_rel_spread, 1e-10, t.seconds)
-    )
-    return rows
+    sol = random_state(cfg)
+    U = _banded_state(cfg, cfg.seed + 1)
+    V = _banded_state(cfg, cfg.seed + 2)
+    rep = br.omega_slice_report(th, sol, U, V, times)
+    yield "slice-spread", rep.max_rel_spread, 1e-10
+    neg = br.omega_slice_report(th, sol, U, V, times, freeze="v")
+    yield "slice-spread-frozen-v-exceeds", neg.max_rel_spread, 1e-10
 
 
 def _darboux_mode_point(cfg: ExperimentConfig, seed: int, s: float):
@@ -531,8 +507,6 @@ def _darboux_mode_point(cfg: ExperimentConfig, seed: int, s: float):
 
 
 def _darboux_rows(cfg: ExperimentConfig):
-    rows = []
-    name = "darboux-check"
     lat = cfg.lattice
     th = _theory(cfg)
     times = list(cfg.times) if cfg.times else [float(t) for t in range(11)]
@@ -550,92 +524,70 @@ def _darboux_rows(cfg: ExperimentConfig):
             spreads.append(float(np.max(np.abs(cur - ref))) / scale)
         return nan_max(spreads)
 
-    with _Timer() as t:
-        spread = invariance_spread(cfg.sign_ledger)
-    rows.append(_row(name, "darboux-invariance-rel-spread", spread, 1e-12, t.seconds))
-    with _Timer() as t:
-        neg = invariance_spread("paper-printed")
-    rows.append(
-        _row(name, "darboux-invariance-printed-ledger-exceeds", neg, 1e-12, t.seconds)
-    )
+    yield "darboux-invariance-rel-spread", invariance_spread(cfg.sign_ledger), 1e-12
+    yield "darboux-invariance-printed-ledger-exceeds", invariance_spread("paper-printed"), 1e-12
 
-    with _Timer() as t:
-        gaps = []
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed + 3))
-        for _ in range(5):
-            s = float(rng.uniform(-10.0, 10.0))
-            m = _darboux_mode_point(cfg, int(rng.integers(0, 2**31)), s)
-            m2 = th.from_darboux(th.to_darboux(m))
-            gaps += [float(np.max(np.abs(a - b))) for a, b in zip(m2.arrays, m.arrays)]
-        worst = nan_max(gaps)
-    rows.append(_row(name, "roundtrip-residual", worst, 1e-13, t.seconds))
+    gaps = []
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed + 3))
+    for _ in range(5):
+        s = float(rng.uniform(-10.0, 10.0))
+        m = _darboux_mode_point(cfg, int(rng.integers(0, 2**31)), s)
+        m2 = th.from_darboux(th.to_darboux(m))
+        gaps += [float(np.max(np.abs(a - b))) for a, b in zip(m2.arrays, m.arrays)]
+    yield "roundtrip-residual", nan_max(gaps), 1e-13
 
     if cfg.sign_ledger == "paper-printed":
         # the oracle refuses to build under the printed conventions; report
         # the measured closedness violation instead of the oracle metrics
-        with _Timer() as t:
-            probe = dx.WOracle(th, sign_ledger="paper-printed", check_points=0)
-            residual = probe._closedness_sweep(cfg.seed + 4, 3)
-        rows.append(
-            _row(name, "printed-ledger-closedness-residual-exceeds", residual, 1e-8, t.seconds)
+        probe = dx.WOracle(th, sign_ledger="paper-printed", check_points=0)
+        residual = probe._closedness_sweep(cfg.seed + 4, 3)
+        yield "printed-ledger-closedness-residual-exceeds", residual, 1e-8
+        return
+
+    oracle = dx.WOracle(th, seed=cfg.seed + 4)
+    gaps = []
+    for k in range(5):
+        m = _darboux_mode_point(cfg, cfg.seed + 10 + k, s=0.3 * (k + 1))
+        gaps.append(abs(oracle.value(m) - th.w(m)))
+    yield "w-oracle-vs-derived", nan_max(gaps), 1e-9
+
+    p1 = _darboux_mode_point(cfg, cfg.seed + 20, s=0.8)
+    p2 = _darboux_mode_point(cfg, cfg.seed + 21, s=-1.1)
+    p3 = _darboux_mode_point(cfg, cfg.seed + 22, s=2.4)
+    yield "w-loop-integral", abs(oracle.loop_integral(p1, p2, p3)), 1e-9
+
+    reps = [
+        dx.theta_pullback_residual(
+            th,
+            _darboux_mode_point(cfg, cfg.seed + 30 + k, s=0.5 * k - 2.0),
+            tangent_count=100,
+            seed=cfg.seed + 40 + k,
         )
-        return rows
+        for k in range(10)
+    ]
+    yield "theta-pullback-oracle", nan_max(r.oracle_residual for r in reps), 1e-9
 
-    with _Timer() as t:
-        oracle = dx.WOracle(th, seed=cfg.seed + 4)
-        gaps = []
-        for k in range(5):
-            m = _darboux_mode_point(cfg, cfg.seed + 10 + k, s=0.3 * (k + 1))
-            gaps.append(abs(oracle.value(m) - th.w(m)))
-        worst = nan_max(gaps)
-    rows.append(_row(name, "w-oracle-vs-derived", worst, 1e-9, t.seconds))
-
-    with _Timer() as t:
-        p1 = _darboux_mode_point(cfg, cfg.seed + 20, s=0.8)
-        p2 = _darboux_mode_point(cfg, cfg.seed + 21, s=-1.1)
-        p3 = _darboux_mode_point(cfg, cfg.seed + 22, s=2.4)
-        loop = abs(oracle.loop_integral(p1, p2, p3))
-    rows.append(_row(name, "w-loop-integral", loop, 1e-9, t.seconds))
-
-    with _Timer() as t:
-        reps = [
-            dx.theta_pullback_residual(
-                th,
-                _darboux_mode_point(cfg, cfg.seed + 30 + k, s=0.5 * k - 2.0),
-                tangent_count=100,
-                seed=cfg.seed + 40 + k,
-            )
-            for k in range(10)
-        ]
-        worst_oracle = nan_max(r.oracle_residual for r in reps)
-        worst_printed = nan_max(r.printed_residual for r in reps)
-    rows.append(_row(name, "theta-pullback-oracle", worst_oracle, 1e-9, t.seconds))
-
-    with _Timer() as t:
-        gaps = []
-        for k in range(10):
-            m = _darboux_mode_point(cfg, cfg.seed + 50 + k, s=0.4 * k - 1.6)
-            gaps.append(abs(th.w(m, printed=True) - oracle.value(m)))
-        worst_w = nan_max(gaps)
+    gaps = []
+    for k in range(10):
+        m = _darboux_mode_point(cfg, cfg.seed + 50 + k, s=0.4 * k - 1.6)
+        gaps.append(abs(th.w(m, printed=True) - oracle.value(m)))
     if cfg.theory == "kg":
         # measured defect of the printed formula; acceptance criterion 5
         # gates it as the cross-term identity printed - oracle =
         # L^d sum Re(p-hat conj(phi-hat)) sin^2(omega s)
-        rows.append(_row(name, "kg-printed-w-mismatch", worst_w, None, t.seconds))
-        with _Timer() as t:
-            coeff = np.zeros(lat.shape, dtype=complex)
-            idx = (1,) + (0,) * (lat.dim - 1)
-            coeff[idx] = 0.37
-            ridx = tuple(-i % lat.n for i in idx)
-            coeff[ridx] = 0.37
-            zeros = ModeVector(lat, np.zeros(lat.shape, dtype=complex))
-            m1 = dx.ModeState(ModeVector(lat, coeff), zeros, time=2.2)
-            agree = abs(th.w(m1, printed=True) - oracle.value(m1))
-        rows.append(_row(name, "kg-single-mode-printed-w-agreement", agree, 1e-9, t.seconds))
+        yield "kg-printed-w-mismatch", nan_max(gaps), None
+        coeff = np.zeros(lat.shape, dtype=complex)
+        idx = (1,) + (0,) * (lat.dim - 1)
+        coeff[idx] = 0.37
+        ridx = tuple(-i % lat.n for i in idx)
+        coeff[ridx] = 0.37
+        zeros = ModeVector(lat, np.zeros(lat.shape, dtype=complex))
+        m1 = dx.ModeState(ModeVector(lat, coeff), zeros, time=2.2)
+        agree = abs(th.w(m1, printed=True) - oracle.value(m1))
+        yield "kg-single-mode-printed-w-agreement", agree, 1e-9
     else:
-        rows.append(_row(name, "schr-printed-w-mismatch", worst_w, None, t.seconds))
-    rows.append(_row(name, "theta-pullback-printed-w", worst_printed, None, t.seconds))
-    return rows
+        yield "schr-printed-w-mismatch", nan_max(gaps), None
+    yield "theta-pullback-printed-w", nan_max(r.printed_residual for r in reps), None
 
 
 def _darboux_point(cfg: ExperimentConfig, seed: int, s: float, W: float):
@@ -643,22 +595,19 @@ def _darboux_point(cfg: ExperimentConfig, seed: int, s: float, W: float):
 
 
 def _bracket_rows(cfg: ExperimentConfig):
-    rows = []
-    name = "bracket-check"
     th = _theory(cfg)
     point = _darboux_point(cfg, cfg.seed + 60, s=1.3, W=0.5)
 
-    with _Timer() as t:
-        pairs = [
-            br.TangentPair(
-                _banded_state(cfg, cfg.seed + 100 + 2 * k),
-                _banded_state(cfg, cfg.seed + 101 + 2 * k),
-                time=0.7,
-            )
-            for k in range(20)
-        ]
-        eq = br.bracket_equivalence_check(th, pairs, point)
-    rows.append(_row(name, "bracket-equivalence", eq.max_mismatch, 1e-9, t.seconds))
+    pairs = [
+        br.TangentPair(
+            _banded_state(cfg, cfg.seed + 100 + 2 * k),
+            _banded_state(cfg, cfg.seed + 101 + 2 * k),
+            time=0.7,
+        )
+        for k in range(20)
+    ]
+    eq = br.bracket_equivalence_check(th, pairs, point)
+    yield "bracket-equivalence", eq.max_mismatch, 1e-9
 
     first_mode = (1,) + (0,) * (cfg.dim - 1)
     lin1 = br.mode_real_part(th, th.slots[0], first_mode)
@@ -668,61 +617,44 @@ def _bracket_rows(cfg: ExperimentConfig):
     wobs = br.w_coordinate(th)
     wquad = br.product_observable(wobs, quad1)
 
-    with _Timer() as t:
-        anti = nan_max(
-            abs(br.jacobi_bracket(F, G, point) + br.jacobi_bracket(G, F, point))
-            for F, G in ((lin1, lin2), (quad1, quad2), (wquad, lin2), (wobs, quad2))
+    anti = nan_max(
+        abs(br.jacobi_bracket(F, G, point) + br.jacobi_bracket(G, F, point))
+        for F, G in ((lin1, lin2), (quad1, quad2), (wquad, lin2), (wobs, quad2))
+    )
+    yield "bracket-antisymmetry", anti, 1e-12
+
+    def nested(F, G):
+        return br.Observable(th, lambda p: br.jacobi_bracket(F, G, p), name="nested")
+
+    defects = []
+    for A, B, C in ((lin1, lin2, quad2), (quad1, quad2, wobs), (lin1, wquad, quad1)):
+        terms = (
+            br.jacobi_bracket(A, nested(B, C), point),
+            br.jacobi_bracket(B, nested(C, A), point),
+            br.jacobi_bracket(C, nested(A, B), point),
         )
-    rows.append(_row(name, "bracket-antisymmetry", anti, 1e-12, t.seconds))
+        scale = 1.0 + sum(abs(x) for x in terms)
+        defects.append(abs(sum(terms)) / scale)
+    yield "jacobi-identity-scaled", nan_max(defects), 1e-8
 
-    with _Timer() as t:
+    f, g, h = wquad, quad2, lin1
+    gh = br.product_observable(g, h)
+    lhs = (
+        br.jacobi_bracket(f, gh, point)
+        - br.jacobi_bracket(f, g, point) * h.evaluate(point)
+        - g.evaluate(point) * br.jacobi_bracket(f, h, point)
+        - g.evaluate(point) * h.evaluate(point) * f.w_derivative_at(point)
+    )
+    scale = 1.0 + abs(br.jacobi_bracket(f, gh, point))
+    yield "generalized-leibniz-scaled", abs(lhs) / scale, 1e-9
 
-        def nested(F, G):
-            return br.Observable(th, lambda p: br.jacobi_bracket(F, G, p), name="nested")
+    pts = [point, _darboux_point(cfg, cfg.seed + 61, s=0.4, W=-1.0)]
+    closure = br.subalgebra_closure_check(quad1, quad2, pts)
+    worst = nan_max((*closure.reeb_residuals, closure.flow_spread))
+    yield "subalgebra-closure-residual", worst, 1e-10
 
-        defects = []
-        triples = (
-            (lin1, lin2, quad2),
-            (quad1, quad2, wobs),
-            (lin1, wquad, quad1),
-        )
-        for A, B, C in triples:
-            terms = (
-                br.jacobi_bracket(A, nested(B, C), point),
-                br.jacobi_bracket(B, nested(C, A), point),
-                br.jacobi_bracket(C, nested(A, B), point),
-            )
-            scale = 1.0 + sum(abs(x) for x in terms)
-            defects.append(abs(sum(terms)) / scale)
-        worst = nan_max(defects)
-    rows.append(_row(name, "jacobi-identity-scaled", worst, 1e-8, t.seconds))
-
-    with _Timer() as t:
-        f, g, h = wquad, quad2, lin1
-        gh = br.product_observable(g, h)
-        lhs = (
-            br.jacobi_bracket(f, gh, point)
-            - br.jacobi_bracket(f, g, point) * h.evaluate(point)
-            - g.evaluate(point) * br.jacobi_bracket(f, h, point)
-            - g.evaluate(point) * h.evaluate(point) * f.w_derivative_at(point)
-        )
-        scale = 1.0 + abs(br.jacobi_bracket(f, gh, point))
-        leib = abs(lhs) / scale
-    rows.append(_row(name, "generalized-leibniz-scaled", leib, 1e-9, t.seconds))
-
-    with _Timer() as t:
-        pts = [point, _darboux_point(cfg, cfg.seed + 61, s=0.4, W=-1.0)]
-        closure = br.subalgebra_closure_check(quad1, quad2, pts)
-        worst = nan_max((*closure.reeb_residuals, closure.flow_spread))
-    rows.append(_row(name, "subalgebra-closure-residual", worst, 1e-10, t.seconds))
-
-    with _Timer() as t:
-        rc = abs(
-            br.jacobi_bracket(quad1, quad2, point)
-            - br.poisson_bracket(quad1, quad2, point)
-        )
-    rows.append(_row(name, "restriction-consistency", rc, 1e-12, t.seconds))
-    return rows
+    rc = abs(br.jacobi_bracket(quad1, quad2, point) - br.poisson_bracket(quad1, quad2, point))
+    yield "restriction-consistency", rc, 1e-12
 
 
 def _ladder(cfg: ExperimentConfig, levels: int, steps_at, build, evaluate) -> list:
@@ -781,29 +713,18 @@ def ddw_residuals(cfg: ExperimentConfig, levels: int = 2) -> list[float]:
 
 
 def _action_rows(cfg: ExperimentConfig):
-    rows = []
-    name = "action-residual"
     # each ladder's time goes to its first row, which builds the sections
-    with _Timer() as t:
-        s1, s2 = el_residuals(cfg)
-        r1, r2 = abs(s1), abs(s2)
-    rows.append(_row(name, "el-pairing-scaled", r1, 1e-8, t.seconds))
-    with _Timer() as t:
-        ratio = r1 / r2 if r2 > 0 else float("inf")
-    rows.append(_row(name, "el-convergence-ratio-error", abs(ratio - 4.0), 0.8, t.seconds))
-    with _Timer() as t:
-        extrapolated = abs(4.0 * s2 - s1) / 3.0
-    rows.append(
-        _row(name, "el-pairing-extrapolated", extrapolated, EL_EXTRAPOLATED_TOL, t.seconds)
-    )
+    s1, s2 = el_residuals(cfg)
+    r1, r2 = abs(s1), abs(s2)
+    yield "el-pairing-scaled", r1, 1e-8
+    ratio = r1 / r2 if r2 > 0 else float("inf")
+    yield "el-convergence-ratio-error", abs(ratio - 4.0), 0.8
+    yield "el-pairing-extrapolated", abs(4.0 * s2 - s1) / 3.0, EL_EXTRAPOLATED_TOL
 
-    with _Timer() as t:
-        d1v, d2v = ddw_residuals(cfg)
-    rows.append(_row(name, "ddw-residual", d1v, 1e-5, t.seconds))
-    with _Timer() as t:
-        ratio = d1v / d2v if d2v > 0 else float("inf")
-    rows.append(_row(name, "ddw-convergence-ratio-error", abs(ratio - 4.0), 0.8, t.seconds))
-    return rows
+    d1v, d2v = ddw_residuals(cfg)
+    yield "ddw-residual", d1v, 1e-5
+    ratio = d1v / d2v if d2v > 0 else float("inf")
+    yield "ddw-convergence-ratio-error", abs(ratio - 4.0), 0.8
 
 
 _EXPERIMENT_TABLE = {
@@ -818,12 +739,16 @@ _EXPERIMENT_TABLE = {
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run one experiment suite; failures of the machinery itself are
     captured as report errors (nonzero exit), not crashes."""
-    t0 = time.perf_counter()
+    t0 = last = time.perf_counter()
+    rows, errors = [], ()
     try:
-        rows, errors = tuple(_EXPERIMENT_TABLE[cfg.experiment](cfg)), ()
+        for metric, value, tolerance in _EXPERIMENT_TABLE[cfg.experiment](cfg):
+            now = time.perf_counter()
+            rows.append(ReportRow(cfg.experiment, metric, float(value), tolerance, now - last))
+            last = now
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        rows, errors = (), (_describe(exc),)
-    return Report(config=cfg, rows=rows, errors=errors, wall_s=time.perf_counter() - t0)
+        rows, errors = [], (_describe(exc),)
+    return Report(config=cfg, rows=tuple(rows), errors=errors, wall_s=time.perf_counter() - t0)
 
 
 def _describe(exc: Exception) -> str:

@@ -202,6 +202,47 @@ class TestConfig:
         with pytest.raises(ValueError, match="invalid field 'seed'"):
             ExperimentConfig(theory="kg", experiment="evolve", n=8, seed=seed)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 8.0), ("dim", 1.0), ("dim", True), ("steps", 2.5), ("seed", 1.5), ("n", "8")],
+    )
+    def test_non_integer_int_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"invalid field '{field}'.*integer required"):
+            ExperimentConfig(theory="kg", experiment="action-residual", **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        ExperimentConfig(
+            theory="kg",
+            experiment="evolve",
+            dim=np.int64(2),
+            n=np.int32(8),
+            steps=np.uint8(3),
+            seed=np.int64(7),
+        )
+
+    @pytest.mark.parametrize("experiment", ["omega-check", "darboux-check"])
+    @pytest.mark.parametrize("times", [(5.0,), (1.0, 1.0), (0.0, -0.0)])
+    def test_times_need_two_distinct_values(self, experiment, times):
+        # one time compares a slice with itself, so the spread reads 0
+        # and the gate would pass on no comparison
+        with pytest.raises(ValueError, match="invalid field 'times'"):
+            ExperimentConfig(theory="kg", experiment=experiment, n=16, times=times)
+
+    def test_times_rule_leaves_the_default_and_other_experiments(self):
+        ExperimentConfig(theory="kg", experiment="omega-check", times=())
+        ExperimentConfig(theory="kg", experiment="darboux-check", times=(0.0, 0.0, 1.0))
+        ExperimentConfig(theory="kg", experiment="evolve", times=(5.0,))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("seed: 1", "seed: 2"), ("sign-ledger: resolved", "sign_ledger: resolved")],
+    )
+    def test_repeated_key_rejected(self, tmp_path, first, second):
+        path = write_config(tmp_path, f"theory: kg\nexperiment: evolve\n{first}\n{second}\n")
+        key = first.split(":")[0].replace("-", "_")
+        with pytest.raises(ValueError, match=f"invalid field '{key}': given twice"):
+            load_config(path)
+
 
 class TestRandomState:
     CFG = ExperimentConfig(theory="kg", experiment="evolve")
@@ -487,6 +528,18 @@ class TestRunner:
         )
         assert not report.all_pass
 
+    def test_a_failure_after_some_rows_keeps_no_rows(self, monkeypatch):
+        from covlab import harness
+
+        def fail_late(cfg):
+            yield "drift", 0.0, 1e-12
+            raise RuntimeError("late failure")
+
+        monkeypatch.setitem(harness._EXPERIMENT_TABLE, "evolve", fail_late)
+        report = run_experiment(ExperimentConfig(theory="kg", experiment="evolve"))
+        assert report.rows == ()
+        assert len(report.errors) == 1 and report.errors[0].startswith("RuntimeError: late")
+
     def test_error_names_the_innermost_package_frame(self, monkeypatch):
         from covlab import harness, lattice
 
@@ -507,6 +560,18 @@ class TestRunner:
         assert report.all_pass
         metrics = [r.metric for r in report.rows]
         assert metrics == ["energy-drift-spectral", "constraint-residual-scaled"]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        suite_configs()
+        + [ExperimentConfig(theory=t, experiment=e, n=8) for t in THEORIES for e in EXPERIMENTS],
+        ids=lambda cfg: f"{cfg.theory}-{cfg.experiment}-n{cfg.n}-{cfg.evolution}",
+    )
+    def test_row_seconds_partition_the_wall_time(self, cfg):
+        report = run_experiment(cfg)
+        assert report.rows and not report.errors
+        assert all(r.seconds >= 0 for r in report.rows)
+        assert sum(r.seconds for r in report.rows) <= report.wall_s + 1e-9
 
     def test_omega_experiment_includes_negative_control(self):
         report = run_experiment(
