@@ -34,17 +34,21 @@ with the analytic differential of the derived W over sampled tangents,
 so its gated residual measures how far the chart's W is from the
 oracle's potential, to rounding.
 
-The form is evaluated on blocks: stacks of points (the quadrature nodes
-of ``WOracle.value`` and ``WOracle.loop_integral``) or of tangents (the
-pullback sweep), of at most BLOCK_COEFFS full-lattice mode coefficients
-per stacked array.  Each block entry is bit-identical to evaluating it
-alone, and the quadratures accumulate in node order, so no sum depends
-on the block size.  The per-mode work runs on a support: the modes
-where the evaluation's data are nonzero (a NaN counts), read from the
-data of each call (a point, an edge's two end points, a point and a
-tangent block), never assumed from a sampling band.  Each mode sum
-scatters its compact values into zeros on the full lattice and sums
-that, so every value is the one a full-lattice evaluation gives.
+The per-mode work runs on a support: the modes where the evaluation's
+data are nonzero (a NaN counts), read from the data of each call (a
+point, an edge's two end points, a point and a tangent), never assumed
+from a sampling band; the pullback's support is its point's united with
+the band its tangent draws write.  Points and tangents are compact
+arrays on the support.  The form is evaluated on blocks: stacks of
+points (the quadrature nodes of ``WOracle.value`` and
+``WOracle.loop_integral``) or of tangents (the pullback sweep), of at
+most BLOCK_COEFFS compact mode coefficients per stacked array.  Each
+block entry is bit-identical to evaluating it alone, and the
+quadratures accumulate in node order, so no sum depends on the block
+size.  Each mode sum scatters its compact values into zeros on the
+full lattice and sums that, so every value is the one a full-lattice
+evaluation gives.  Tangents are drawn as compact rows on the band, at
+most BLOCK_COEFFS // N full-lattice rows of normals per draw.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
 with the pairing weight w and the flow Hamiltonian of the resolved
@@ -107,9 +111,13 @@ __all__ = [
 # blocks and supports: the oracle's form evaluated on stacks of points or
 # tangents, on the modes their data occupy
 
-# full-lattice mode coefficients per stacked (block, *shape) array, 64 KB
-# of complex numbers: it bounds the memory a block's temporaries take,
-# whatever the lattice; 64 tangents or nodes at 1D n=64, one at 3D n=16
+# compact mode coefficients per stacked (block, M) array on a support of
+# M modes, 64 KB of complex numbers, and full-lattice rows of 4 N + 1
+# normals per tangent draw, BLOCK_COEFFS // N of them: it bounds the memory
+# a block's compact temporaries and a draw take, whatever the lattice (each
+# mode sum still scatters its block onto the full lattice).  On the n/4
+# band a block holds 124 nodes or tangents at 1D n=64 and 5 at 3D n=16,
+# drawn 64 rows and 1 row at a time
 BLOCK_COEFFS = 4096
 
 
@@ -120,8 +128,8 @@ BLOCK_COEFFS = 4096
 LOOP_PANEL_BUDGET = 2**16
 
 
-def _block_size(lattice: Lattice) -> int:
-    return max(1, BLOCK_COEFFS // lattice.site_count)
+def _block_size(sup: _Support) -> int:
+    return max(1, BLOCK_COEFFS // len(sup.index))
 
 
 class _Support:
@@ -143,6 +151,25 @@ class _Support:
     def sum(self, x: np.ndarray):
         return _mode_sum(self.lattice, self.index, x)
 
+    def place(self, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Compact rows (..., K) on the flat mode indices index, all of
+        them in the support, as compact (..., M) rows on the support."""
+        return _scatter(rows, np.searchsorted(self.index, index), len(self.index))
+
+
+def _scatter(rows: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """rows (..., K) written at the positions at of zeros (..., size)."""
+    out = np.zeros(rows.shape[:-1] + (size,), dtype=rows.dtype)
+    out[..., at] = rows
+    return out
+
+
+def _on_lattice(lattice: Lattice, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Compact rows (..., M) on the flat mode indices index, scattered
+    into zeros of shape (..., *shape)."""
+    full = _scatter(rows, index, lattice.site_count)
+    return full.reshape(rows.shape[:-1] + lattice.shape)
+
 
 def _mode_sum(lattice: Lattice, index: np.ndarray, x: np.ndarray):
     """Sum of compact per-mode values x (..., M) over the whole lattice,
@@ -150,10 +177,7 @@ def _mode_sum(lattice: Lattice, index: np.ndarray, x: np.ndarray):
     shape (..., *shape), which np.sum reduces over the mode axes: off the
     support a full-lattice evaluation multiplies exact zeros, so this is
     the array it would sum, and the sum rounds alike."""
-    lead = x.shape[:-1]
-    full = np.zeros(lead + (lattice.site_count,), dtype=x.dtype)
-    full[..., index] = x
-    return np.sum(full.reshape(lead + lattice.shape), axis=tuple(range(-lattice.dim, 0)))
+    return np.sum(_on_lattice(lattice, index, x), axis=tuple(range(-lattice.dim, 0)))
 
 
 def _col(x):
@@ -210,14 +234,17 @@ def random_hermitian_modes(
     reality-symmetrized (so self-conjugate modes come out real)."""
     re = rng.standard_normal(lattice.site_count)
     im = rng.standard_normal(lattice.site_count)
-    return _hermitian_band(lattice, band, re, im)
+    index, pair = _band_pairs(lattice, band)
+    return _on_lattice(lattice, index, _band_rows(index, pair, re, im))
 
 
 @lru_cache(maxsize=32)
-def _band_pairs(lattice: Lattice, band: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the modes m with |m_j| <= band on every axis, and
-    the position in that list of each conjugate -m (in the band too);
-    read-only and cached per (lattice, band)."""
+def _band_pairs(lattice: Lattice, band: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the modes m with |m_j| <= band (n/4 for None) on
+    every axis, and the position in that list of each conjugate -m (in
+    the band too); read-only and cached per (lattice, band)."""
+    if band is None:
+        band = lattice.n // 4
     m1 = np.abs(np.fft.fftfreq(lattice.n, 1.0 / lattice.n).astype(int))
     mask = np.ones(lattice.shape, dtype=bool)
     for axis in range(lattice.dim):
@@ -230,31 +257,34 @@ def _band_pairs(lattice: Lattice, band: int) -> tuple[np.ndarray, np.ndarray]:
     return index, pair
 
 
-def _hermitian_band(lattice: Lattice, band: int | None, re: np.ndarray, im: np.ndarray):
-    """Mode arrays z = re + i im, given flat as (..., N), cut to
-    |m_j| <= band (n/4 by default) and reality-symmetrized: each band mode
-    m gets (z[m] + conj(z[-m])) / 2, every other mode 0.  Returns
-    (..., *lattice.shape)."""
-    if band is None:
-        band = lattice.n // 4
-    index, pair = _band_pairs(lattice, band)
+def _band_rows(index: np.ndarray, pair: np.ndarray, re: np.ndarray, im: np.ndarray):
+    """Mode arrays z = re + i im, given flat as (..., N), as compact
+    (..., M) rows on the band of _band_pairs' (index, pair),
+    reality-symmetrized: each band mode m gets (z[m] + conj(z[-m])) / 2;
+    every other mode is 0."""
     z = re.take(index, axis=-1) + 1j * im.take(index, axis=-1)
-    out = np.zeros(re.shape, dtype=z.dtype)
-    out[..., index] = 0.5 * (z + np.conj(z.take(pair, axis=-1)))
-    return out.reshape(re.shape[:-1] + lattice.shape)
+    return 0.5 * (z + np.conj(z.take(pair, axis=-1)))
 
 
 def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_scale: float):
-    """count tangents as stacked (d0, d1, ds), shapes (count, *shape) and
-    (count,).  One draw of count rows of 4 N + 1 normals is the same
-    stream as count sequential (random_hermitian_modes,
-    random_hermitian_modes, standard_normal()) triples."""
+    """count tangents as compact rows on the n/4 band: (index, d0, d1,
+    ds), with d0 and d1 of shape (count, M) on the M flat mode indices
+    index and ds of shape (count,).  The normals come in draws of at most
+    BLOCK_COEFFS // N rows of 4 N + 1, the same stream as count
+    sequential (random_hermitian_modes, random_hermitian_modes,
+    standard_normal()) triples."""
     n = lattice.site_count
-    raw = rng.standard_normal((count, 4 * n + 1))
-    re0, im0, re1, im1 = (raw[:, j * n : (j + 1) * n] for j in range(4))
-    d0 = _hermitian_band(lattice, None, re0, im0)
-    d1 = _hermitian_band(lattice, None, re1, im1)
-    return d0, d1, raw[:, 4 * n] * s_scale
+    per_draw = max(1, BLOCK_COEFFS // n)
+    index, pair = _band_pairs(lattice, None)
+    d0, d1 = (np.empty((count, len(index)), dtype=complex) for _ in range(2))
+    ds = np.empty(count)
+    for start in range(0, count, per_draw):
+        raw = rng.standard_normal((min(per_draw, count - start), 4 * n + 1))
+        rows = slice(start, start + len(raw))
+        d0[rows] = _band_rows(index, pair, raw[:, :n], raw[:, n : 2 * n])
+        d1[rows] = _band_rows(index, pair, raw[:, 2 * n : 3 * n], raw[:, 3 * n : 4 * n])
+        ds[rows] = raw[:, 4 * n] * s_scale
+    return index, d0, d1, ds
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +470,10 @@ class KGTheory(Theory):
     def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
         """The differential at m of the W closed form (cross coefficient
         1 derived, 2 printed), as a function of tangents (d0, d1, ds),
-        single or stacked.  Its per-mode work runs on the support (every
-        mode by default), which must hold every mode where m or a
-        tangent is nonzero.  The factors that depend on m alone are
-        computed here, once."""
+        single or stacked, compact on the support (every mode by
+        default), which must hold every mode where m or a tangent is
+        nonzero.  The factors that depend on m alone are computed here,
+        once."""
         cross_coeff = 2.0 if printed else 1.0
         sup = _Support(m.lattice) if support is None else support
         om = sup.take(self.freq)
@@ -458,7 +488,6 @@ class KGTheory(Theory):
         cross_rate = cross_coeff * cross * 2.0 * sg * c * om
 
         def dw(dphi, dp, ds):
-            dphi, dp = sup.take(dphi), sup.take(dp)
             d_quad = 2.0 * np.real(conj_p * dp) - two_om2 * np.real(conj_phi * dphi)
             d_cross = np.real(dp * conj_phi) + np.real(p * np.conj(dphi))
             ds = _col(ds)
@@ -535,8 +564,8 @@ class SchrTheory(Theory):
     def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
         """The differential at m of the derived W or of the printed one
         (chain-ruled through the chart), as a function of tangents
-        (dphiR, dphiI, ds), single or stacked, with its per-mode work on
-        the support as in KGTheory.dw.  With r = 2 Re(a conj b) and
+        (dphiR, dphiI, ds), single or stacked, compact on the support as
+        in KGTheory.dw.  With r = 2 Re(a conj b) and
         q = |a|^2 - |b|^2 per mode, the derived one is
         d(sin^2 r - sin cos q) = k^2 sin cos r ds + sin^2 dr
         - (k^2/2)(cos^2 - sin^2) q ds - sin cos dq."""
@@ -554,7 +583,6 @@ class SchrTheory(Theory):
             )
 
             def dw(da, db, ds):
-                da, db = sup.take(da), sup.take(db)
                 dr = 2.0 * np.real(da * conj_b + a * np.conj(db))
                 dq = 2.0 * np.real(conj_a * da) - 2.0 * np.real(conj_b * db)
                 return vol * sup.sum(rate * _col(ds) + sg2 * dr - sc * dq)
@@ -570,7 +598,6 @@ class SchrTheory(Theory):
         cross_rate = 2.0 * np.real(A * conj_B) * 0.5 * ksq * c
 
         def dw_printed(da, db, ds):
-            da, db = sup.take(da), sup.take(db)
             ds = _col(ds)
             dA = c * da - sg * db + rate_A * ds
             dB = c * db + sg * da + rate_B * ds
@@ -610,8 +637,8 @@ _RECORDS = {cls.name: cls for cls in (KGTheory, SchrTheory)}
 # Points (a0, a1, s) and tangents (d0, d1, ds) may be stacked: fields
 # (B, ...) with times (B,); every sum runs over the mode axis only, so a
 # stack gives one value per block index, each bit-identical to evaluating
-# that index alone.  Points come as compact fields on a support, tangents
-# in the lattice layout.
+# that index alone.  Points and tangents come as compact fields on a
+# support.
 
 
 def _pairing(sup: _Support, x: np.ndarray, dy: np.ndarray):
@@ -621,9 +648,9 @@ def _pairing(sup: _Support, x: np.ndarray, dy: np.ndarray):
 
 
 def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str):
-    """Theta - canonical at the points (a0, a1, s), compact on sup, as a
-    function of the tangents (d0, d1, ds); sup must hold every mode
-    where a point or a tangent is nonzero.
+    """Theta - canonical at the points (a0, a1, s) as a function of the
+    tangents (d0, d1, ds), both compact on sup, which must hold every
+    mode where a point or a tangent is nonzero.
 
     Both theories share one contraction: Theta = w <a1, d0> - Hflow ds
     and canonical = w <A1, c d0 - r d1 + v ds>, with the record's
@@ -639,7 +666,6 @@ def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str)
     hflow = theory.hflow(sup, f, a0, a1, sign_ledger)
 
     def form(d0, d1, ds):
-        d0, d1 = sup.take(d0), sup.take(d1)
         theta = weight * _pairing(sup, a1, d0) - hflow * ds
         return theta - weight * _pairing(sup, moment, c * d0 - r * d1 + rate * _col(ds))
 
@@ -687,6 +713,8 @@ class WOracle:
             theory = Theory.of(theory, getattr(cfg, "lattice", cfg), getattr(cfg, "mass", 0.0))
         if sign_ledger not in ("resolved", "paper-printed"):
             raise ValueError(f"unknown sign_ledger {sign_ledger!r}")
+        if check_points < 0:
+            raise ValueError(f"check_points must be at least 0, got {check_points!r}")
         self.theory = theory
         self.sign_ledger = sign_ledger
         self.lattice = theory.lattice
@@ -707,15 +735,17 @@ class WOracle:
 
     # -- evaluation ------------------------------------------------------
 
-    def _support(self, fields, times) -> _Support:
+    def _support(self, fields, times, index=None) -> _Support:
         """The modes where some of the fields (single or stacked) is
-        nonzero, a NaN included; every mode when a time times the top
-        frequency is not finite, since the chart's factors are then NaN
-        where the fields vanish too."""
+        nonzero, a NaN included, and the flat mode indices index; every
+        mode when a time times the top frequency is not finite, since the
+        chart's factors are then NaN where the fields vanish too."""
         if not all(np.all(np.isfinite(np.multiply(t, self._top))) for t in times):
             return _Support(self.lattice)
         n = self.lattice.site_count
         hit = np.zeros(n, dtype=bool)
+        if index is not None:
+            hit[index] = True
         for a in fields:
             hit |= np.logical_or.reduce(np.reshape(a, (-1, n)), axis=0)
         return _Support(self.lattice, np.flatnonzero(hit))
@@ -728,10 +758,10 @@ class WOracle:
     def _point(self, a0, a1, time: float) -> ModeState:
         return ModeState(ModeVector(self.lattice, a0), ModeVector(self.lattice, a1), time=time)
 
-    def _blocks(self, u: np.ndarray, evaluate):
-        """evaluate(u_block) over the nodes u in blocks of _block_size,
-        yielding one value per node, in order."""
-        size = _block_size(self.lattice)
+    def _blocks(self, sup: _Support, u: np.ndarray, evaluate):
+        """evaluate(u_block) over the nodes u in blocks of _block_size on
+        sup, yielding one value per node, in order."""
+        size = _block_size(sup)
         for i in range(0, len(u), size):
             yield from evaluate(u[i : i + size])
 
@@ -740,7 +770,8 @@ class WOracle:
         a0, a1 = point.arrays
         d0, d1, ds = tangent
         sup = self._support((a0, a1, d0, d1), (point.time, ds))
-        return float(self._form(sup, sup.take(a0), sup.take(a1), point.time)(d0, d1, ds))
+        form = self._form(sup, sup.take(a0), sup.take(a1), point.time)
+        return float(form(sup.take(d0), sup.take(d1), ds))
 
     def value(self, point: ModeState, order: int = 8) -> float:
         """Line integral of the difference form from (0 fields, s = 0).
@@ -755,15 +786,15 @@ class WOracle:
         w = 0.5 * weights
         (a0, a1), s_target = point.arrays, point.time
         sup = self._support((a0, a1), (s_target,))
-        zeros = np.zeros_like(a0)
         c0, c1 = sup.take(a0), sup.take(a1)
         cz = np.zeros_like(c0)
         rise = self._blocks(
-            u, lambda ub: self._form(sup, cz, cz, ub * s_target)(zeros, zeros, 1.0)
+            sup, u, lambda ub: self._form(sup, cz, cz, ub * s_target)(cz, cz, 1.0)
         )
         radial = self._blocks(
+            sup,
             u,
-            lambda ub: self._form(sup, _col(ub) * c0, _col(ub) * c1, s_target)(a0, a1, 0.0),
+            lambda ub: self._form(sup, _col(ub) * c0, _col(ub) * c1, s_target)(c0, c1, 0.0),
         )
         total = 0.0
         for wi, v in zip(w, rise):
@@ -801,7 +832,8 @@ class WOracle:
             s0 = float(rng.uniform(-2.0, 2.0))
             a0, a1 = random_hermitian_modes(lat, rng), random_hermitian_modes(lat, rng)
             point = self._point(a0, a1, s0)
-            tx, ty = zip(*_tangent_block(lat, rng, 2, self._s_scale))
+            index, d0, d1, ds = _tangent_block(lat, rng, 2, self._s_scale)
+            tx, ty = zip(_on_lattice(lat, index, d0), _on_lattice(lat, index, d1), ds)
             scale = 1.0 + max(float(np.max(np.abs(a))) for a in point.arrays) ** 2
             residuals.append(self.closedness_residual(point, tx, ty) / scale)
         return nan_max(residuals)
@@ -833,9 +865,9 @@ class WOracle:
                     f"{need:.3g} panels, over the budget of {LOOP_PANEL_BUDGET}"
                 )
             panels = max(4, int(need))
-            tangent = (b0 - a0, b1 - a1, sb - sa)
             sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
             a0, a1, b0, b1 = (sup.take(x) for x in (a0, a1, b0, b1))
+            tangent = (b0 - a0, b1 - a1, sb - sa)
             j = np.arange(panels)[:, np.newaxis]
             lo, hi = j / panels, (j + 1) / panels
             u = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).ravel()
@@ -848,7 +880,7 @@ class WOracle:
                 )
                 return form(*tangent)
 
-            for wi, v in zip(w, self._blocks(u, on_edge)):
+            for wi, v in zip(w, self._blocks(sup, u, on_edge)):
                 total += wi * v
         return total
 
@@ -872,27 +904,29 @@ def theta_pullback_residual(
     oracle's potential), and with the printed W hypothesis, whose sup
     mismatch is ``printed_residual``.  The printed Schrodinger W is known
     not to satisfy the identity; its residual is a measurement, not a
-    failure.  Tangents are drawn and evaluated in blocks, each on the
-    support of the point and the block.
+    failure.  tangent_count must be at least 1.  Everything runs on one
+    support, the point's united with the band the tangents are drawn
+    on; the tangents are drawn as compact band rows and evaluated in
+    blocks of _block_size on it.
     """
+    if tangent_count < 1:
+        raise ValueError(f"tangent_count must be at least 1, got {tangent_count!r}")
     lat = point.lattice
     rng = np.random.Generator(np.random.Philox(key=seed))
     oracle = WOracle(theory, check_points=0)
-    s_scale = oracle._s_scale
     (a0, a1), s = point.arrays, point.time
-    size = _block_size(lat)
-    sup = None
+    sup = oracle._support((a0, a1), (s,), _band_pairs(lat, None)[0])
+    form = oracle._form(sup, sup.take(a0), sup.take(a1), s)
+    dw_derived = theory.dw(point, False, sup)
+    dw_printed = theory.dw(point, True, sup)
+    size = _block_size(sup)
     derived_gaps = []
     printed_gaps = []
     for start in range(0, tangent_count, size):
-        t = _tangent_block(lat, rng, min(size, tangent_count - start), s_scale)
-        block = oracle._support((a0, a1, t[0], t[1]), (s, t[2]))
-        if sup is None or not np.array_equal(block.index, sup.index):
-            # the factors that depend on the point alone, on this support
-            sup = block
-            form = oracle._form(sup, sup.take(a0), sup.take(a1), s)
-            dw_derived = theory.dw(point, False, sup)
-            dw_printed = theory.dw(point, True, sup)
+        index, d0, d1, ds = _tangent_block(
+            lat, rng, min(size, tangent_count - start), oracle._s_scale
+        )
+        t = sup.place(index, d0), sup.place(index, d1), ds
         gap = form(*t)
         # np.max keeps a NaN, so each block's worst does
         derived_gaps.append(np.max(np.abs(gap - dw_derived(*t))))

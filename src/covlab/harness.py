@@ -28,6 +28,7 @@ import numbers
 import os
 import platform
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from pathlib import Path
@@ -140,11 +141,22 @@ class ExperimentConfig:
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"invalid field 'n': {n} (power of two >= 4 required)")
-        for name in ("length", "mass", "dt"):
+        for name in _FLOAT_KEYS:
             value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"invalid field '{name}': {value!r} (real number required)")
             if not math.isfinite(value):
                 raise ValueError(f"invalid field '{name}': {value} (finite required)")
-        if not all(math.isfinite(t) for t in self.times):
+        times = self.times.tolist() if isinstance(self.times, np.ndarray) else self.times
+        if (
+            isinstance(times, (str, bytes))
+            or not isinstance(times, Sequence)
+            or not all(map(_is_real, times))
+        ):
+            raise ValueError(
+                f"invalid field 'times': {self.times!r} (sequence of real numbers required)"
+            )
+        if not all(math.isfinite(t) for t in times):
             raise ValueError(f"invalid field 'times': {self.times} (finite required)")
         if self.experiment in ("omega-check", "darboux-check") and len(set(self.times)) == 1:
             raise ValueError(f"invalid field 'times': {self.times} (two distinct required)")
@@ -208,13 +220,18 @@ class ExperimentConfig:
         return KGConfig(mass=self.mass, lattice=self.lattice)
 
 
+def _is_real(value) -> bool:
+    """A real number, numpy's included; not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _theory(cfg: ExperimentConfig) -> dx.Theory:
     """The theory record of the config."""
     return dx.Theory.of(cfg.theory, cfg.lattice, cfg.mass)
 
 
 _INT_KEYS = ("dim", "n", "steps", "seed")
-_FLOAT_KEYS = {"length", "mass", "dt"}
+_FLOAT_KEYS = ("length", "mass", "dt")
 _STR_KEYS = {"theory", "experiment", "evolution", "out", "format", "sign_ledger"}
 
 

@@ -33,7 +33,13 @@ from covlab.brackets import (
     subalgebra_closure_check,
     w_coordinate,
 )
-from covlab.harness import ExperimentConfig, random_state, run_experiment, suite_configs
+from covlab.harness import (
+    ExperimentConfig,
+    emit_report,
+    random_state,
+    run_experiment,
+    suite_configs,
+)
 from covlab.kg import (
     kg_constraint_residual,
     kg_enforce_constraints,
@@ -481,3 +487,24 @@ def test_criterion_11_suite_determinism():
         for ledger, proc, same, changes in runs
         if not same or proc.stderr
     )
+
+
+@pytest.mark.parametrize("ledger", ["resolved", "paper"])
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_darboux_check_3d_matches_golden(theory, ledger):
+    # the 3D oracle path, which the 1D suite does not reach: at n=8 the
+    # support is 125 of 512 modes, so the W oracle's blocks hold many
+    # nodes and tangents; no value may move, as in criterion 11
+    cfg = ExperimentConfig(
+        theory=theory,
+        experiment="darboux-check",
+        dim=3,
+        n=8,
+        seed=42,
+        sign_ledger="resolved" if ledger == "resolved" else "paper-printed",
+    )
+    lines = strip_seconds(emit_report(run_experiment(cfg), None, "csv"))
+    golden = (GOLDEN / f"darboux3d_n8_seed42_{theory}_{ledger}.csv").read_text(encoding="utf-8")
+    golden = golden.strip().splitlines()
+    assert lines == golden, changed_rows(lines, golden)
+

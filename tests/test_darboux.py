@@ -1,6 +1,7 @@
 """Rectifying mode transforms and the W bookkeeping coordinate."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown theory 'dirac'"):
             WOracle("dirac", CFG)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_pullback_needs_a_tangent(self, count):
+        # with no tangent the residuals would read 0.0, and pass the gate
+        # without a comparison
+        with pytest.raises(ValueError, match="tangent_count"):
+            theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=count)
+
+    def test_negative_check_points_rejected(self):
+        with pytest.raises(ValueError, match="check_points"):
+            WOracle(KG, check_points=-1)
+        WOracle(KG, check_points=0)
+
 
 # ---------------------------------------------------------------------------
 # blocks: the oracle evaluated per point and per tangent, as it was before
@@ -502,10 +515,24 @@ def record(theory, lat):
     return Theory.of(theory, lat, 1.0)
 
 
+def band_modes(lat):
+    """The modes on |m_j| <= n/4, the support of block_setup's points and
+    of the sampled tangents."""
+    return len(darboux._band_pairs(lat, None)[0])
+
+
 def block_sizes(lat):
-    """The module's block, one point per block, and a block that does not
-    divide the node or tangent counts."""
-    return (BLOCK_COEFFS, lat.site_count, 3 * lat.site_count)
+    """The module's block, one point per block, and three points per
+    block, which divides neither the 8 nodes of a segment nor 100
+    tangents."""
+    return (BLOCK_COEFFS, 1, 3 * band_modes(lat))
+
+
+def on_lattice(lat, index, rows):
+    """Compact rows (B, M) on the flat mode indices index as (B, *shape)."""
+    full = np.zeros((len(rows), lat.site_count), dtype=rows.dtype)
+    full[:, index] = rows
+    return full.reshape((len(rows),) + lat.shape)
 
 
 class TestBlocks:
@@ -539,7 +566,8 @@ class TestBlocks:
     def test_pullback_matches_per_tangent_reference(self, monkeypatch, theory, dim, n):
         lat, cfg, point = block_setup(theory, dim, n)
         m, coords = point(31, -1.3)
-        # 100 tangents: blocks of 64 and 36 at 1D n=64
+        # 100 tangents: one block at the module's size on the 33 band
+        # modes at 1D n=64
         want = ref_pullback(theory, cfg, *coords, tangent_count=100, seed=41)
         for coeffs in block_sizes(lat):
             monkeypatch.setattr(darboux, "BLOCK_COEFFS", coeffs)
@@ -548,14 +576,19 @@ class TestBlocks:
         assert want[0] <= 1e-9 < want[1]
 
     @pytest.mark.parametrize("dim,n", SHAPES)
-    def test_block_sampler_reproduces_sequential_draws(self, dim, n):
+    def test_block_sampler_reproduces_sequential_draws(self, monkeypatch, dim, n):
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-        d0, d1, ds = darboux._tangent_block(lat, seeded(5), 7, 0.25)
-        rng = seeded(5)
-        for k in range(7):
-            assert np.array_equal(d0[k], random_hermitian_modes(lat, rng))
-            assert np.array_equal(d1[k], random_hermitian_modes(lat, rng))
-            assert ds[k] == float(rng.standard_normal()) * 0.25
+        # the module's draw size, then draws of 2 rows: 7 tangents in 4 draws
+        for coeffs in (BLOCK_COEFFS, 2 * lat.site_count):
+            monkeypatch.setattr(darboux, "BLOCK_COEFFS", coeffs)
+            index, d0, d1, ds = darboux._tangent_block(lat, seeded(5), 7, 0.25)
+            assert d0.shape == d1.shape == (7, band_modes(lat)) and ds.shape == (7,)
+            d0, d1 = on_lattice(lat, index, d0), on_lattice(lat, index, d1)
+            rng = seeded(5)
+            for k in range(7):
+                assert np.array_equal(d0[k], random_hermitian_modes(lat, rng))
+                assert np.array_equal(d1[k], random_hermitian_modes(lat, rng))
+                assert ds[k] == float(rng.standard_normal()) * 0.25
         rng = seeded(6)
         assert np.array_equal(random_hermitian_modes(lat, rng), ref_sampler(lat, seeded(6)))
 
@@ -564,16 +597,16 @@ class TestBlocks:
         sample = darboux._tangent_block
 
         def poisoned(*args):
-            d0, d1, ds = sample(*args)
+            index, d0, d1, ds = sample(*args)
             calls.append(len(ds))
             if len(calls) == 2:
-                ds = ds.copy()
                 ds[-1] = np.nan
-            return d0, d1, ds
+            return index, d0, d1, ds
 
         monkeypatch.setattr(darboux, "_tangent_block", poisoned)
-        rep = theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=100)
-        assert calls == [64, 36]
+        rep = theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=300)
+        # blocks of 4096 // 33 tangents on the band at 1D n=64
+        assert calls == [124, 124, 52]
         assert np.isnan(rep.oracle_residual) and np.isnan(rep.printed_residual)
 
 
@@ -585,7 +618,7 @@ def test_derived_w_differential_matches_five_point_difference(theory, dim, n):
     _, (d0, d1, _) = point(52, 0.0)
     ds = 0.05
     th = record(theory, lat)
-    dw = th.dw(m)(d0, d1, ds)
+    dw = th.dw(m)(d0.reshape(-1), d1.reshape(-1), ds)
 
     def f(h):
         moved = (ModeVector(lat, a0 + h * d0), ModeVector(lat, a1 + h * d1))
@@ -668,22 +701,27 @@ def ref_block_gaps(theory, cfg, a0, a1, s, blocks):
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
 @pytest.mark.parametrize("dim,n", [(1, 64), (3, 8)])
 def test_off_band_tangent_entry_counts(monkeypatch, theory, dim, n, entry):
+    # tangents drawn on |m_j| <= n/2, every mode: the pullback's support
+    # is its point's united with the modes the draw writes, so an entry
+    # off the n/4 band of the point counts like any other
     lat, cfg, point = block_setup(theory, dim, n)
     m, coords = point(31, -1.3)
     blocks = []
-    sample = darboux._tangent_block
+    sample, band_pairs = darboux._tangent_block, darboux._band_pairs
 
     def drawn(*args):
-        d0, d1, ds = sample(*args)
+        index, d0, d1, ds = sample(*args)
         if len(blocks) == 1:
-            d1 = poisoned(d1, lat, ENTRIES[entry])
-        blocks.append((d0, d1, ds))
-        return d0, d1, ds
+            d1[0, np.searchsorted(index, off_band(lat))] = ENTRIES[entry]
+        blocks.append((on_lattice(lat, index, d0), on_lattice(lat, index, d1), ds))
+        return index, d0, d1, ds
 
+    monkeypatch.setattr(darboux, "_band_pairs", lambda lattice, band: band_pairs(lattice, n // 2))
+    # blocks of 4 tangents on the full lattice, each one draw of 4 rows
     monkeypatch.setattr(darboux, "BLOCK_COEFFS", 4 * lat.site_count)
     monkeypatch.setattr(darboux, "_tangent_block", drawn)
     rep = theta_pullback_residual(record(theory, lat), m, tangent_count=10, seed=41)
-    assert len(blocks) == 3
+    assert [len(ds) for _, _, ds in blocks] == [4, 4, 2]
     got = (rep.oracle_residual, rep.printed_residual)
     if entry == "nan":
         assert np.isnan(got[0]) and np.isnan(got[1])
@@ -771,3 +809,38 @@ def test_loop_integral_refuses_an_edge_over_the_panel_budget(theory, monkeypatch
     monkeypatch.setattr(darboux, "LOOP_PANEL_BUDGET", need - 1)
     with pytest.raises(ValueError, match="s=-1.1 to s=2.4 needs"):
         oracle.loop_integral(p1, p2, p3)
+
+
+# the tracemalloc peak of a warm call at 3D n=16, where the lattice holds
+# 4096 modes and the band 729: 0.65, 0.73 and 0.85 MiB for value,
+# loop_integral and the pullback with compact band tangents.  The
+# pullback reads 1.66 MiB when its blocks of 5 tangents are held as
+# full-lattice (5, N) stacks, and 1.36 MiB when a block is one
+# (5, 4 N + 1) draw of normals
+LIVE_PEAK_BOUND = 1.25 * 2**20
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_oracle_live_memory_at_3d(theory):
+    lat, _, point = block_setup(theory, 3, 16)
+    th = record(theory, lat)
+    oracle = WOracle(th, check_points=0)
+    m = point(11, 1.7)[0]
+    # a short triangle: few panels, the same blocks
+    tri = [point(seed, s)[0] for seed, s in ((21, 0.1), (22, -0.1), (23, 0.2))]
+    calls = {
+        "value": lambda: oracle.value(m),
+        "loop_integral": lambda: oracle.loop_integral(*tri),
+        "pullback": lambda: theta_pullback_residual(th, m, tangent_count=20, seed=41),
+    }
+    peaks = {}
+    for name, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= LIVE_PEAK_BOUND, peaks
+

@@ -220,6 +220,37 @@ class TestConfig:
             seed=np.int64(7),
         )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("length", "2"),
+            ("mass", None),
+            ("dt", True),
+            ("mass", 1 + 0j),
+            ("times", 5.0),
+            ("times", "0,1"),
+            ("times", (0.0, "1")),
+            ("times", (0.0, None)),
+            ("times", (False, True)),
+            ("times", np.array(1.0)),
+        ],
+    )
+    def test_non_real_float_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"invalid field '{field}'.*real numbers? required"):
+            ExperimentConfig(theory="kg", experiment="darboux-check", **{field: value})
+
+    def test_ints_and_numpy_reals_accepted_in_float_fields(self):
+        cfg = ExperimentConfig(
+            theory="kg",
+            experiment="darboux-check",
+            length=np.float32(2.0),
+            mass=1,
+            dt=np.float64(1e-3),
+            times=[0, np.float64(0.5), 1.5],
+        )
+        assert cfg.mass == 1 and list(cfg.times) == [0.0, 0.5, 1.5]
+        ExperimentConfig(theory="kg", experiment="darboux-check", times=np.array([0.0, 1.0]))
+
     @pytest.mark.parametrize("experiment", ["omega-check", "darboux-check"])
     @pytest.mark.parametrize("times", [(5.0,), (1.0, 1.0), (0.0, -0.0)])
     def test_times_need_two_distinct_values(self, experiment, times):
