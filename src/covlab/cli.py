@@ -96,11 +96,9 @@ def _cmd_suite(args) -> int:
     if args.format == "csv":
         text = _combined_csv(reports)
     else:
-        import json
+        from .harness import _json_doc, _json_text
 
-        from .harness import _json_doc
-
-        text = json.dumps([_json_doc(r) for r in reports], indent=2) + "\n"
+        text = _json_text([_json_doc(r) for r in reports])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -70,22 +70,20 @@ import numpy as np
 
 from .kg import (
     KGConfig,
+    KGState,
     kg_dedonder_weyl_residual,
     kg_el_cancellation_scale,
     kg_el_pairing,
-    kg_enforce_constraints,
     kg_evolve_spectral,
-    kg_random_variation_profile,
     kg_solution_section,
 )
 from .lattice import Lattice, ModeVector, dft, idft, mode_index_table, nan_max
 from .schrodinger import (
+    SchrState,
     schr_dedonder_weyl_residual,
     schr_el_cancellation_scale,
     schr_el_pairing,
-    schr_enforce_constraints,
     schr_evolve_spectral,
-    schr_random_variation_profile,
     schr_solution_section,
 )
 
@@ -400,13 +398,14 @@ class Theory:
 
     Each subclass sets ``name``, the config's theory; ``weight``, the
     pairing weight w (1 for Klein-Gordon, 2 for Schrodinger) of Theta,
-    Omega, the bivector and the smeared observables; ``fields``, the
-    slice-state fields behind (a0, a1), which a variation, being a slice
-    state too, carries under the same names; and ``slots``, the names of
-    the chart coordinates.
+    Omega, the bivector and the smeared observables; ``state``, the slice
+    state class, whose ``SCALARS`` are the record's ``fields`` behind
+    (a0, a1) (a variation, being a slice state too, carries them under
+    the same names); and ``slots``, the names of the chart coordinates.
     ``freq`` is the per-mode array the rotation reads (omega; k^2).  The
     methods that reach kg.py, schrodinger.py or the four chart functions
-    call them by module-level name at call time.
+    call them by module-level name at call time; constraint enforcement
+    and the variation profile are the shared bodies of lattice.py.
     """
 
     def __init__(self, lattice: Lattice, mass: float = 0.0):
@@ -422,6 +421,14 @@ class Theory:
             raise ValueError(f"unknown theory {name!r}")
         return _RECORDS[name](lattice, mass)
 
+    fields = property(lambda self: self.state.SCALARS)
+
+    # the slice layer's shared bodies (lattice._Slice, lattice._Section)
+    def enforce(self, a0, a1, time: float = 0.0):
+        return self.state._enforced(a0, a1, time)
+    def profile(self, section, d0, d1):
+        return section._bumped(d0, d1)
+
     def slice_fields(self, state) -> tuple:
         """The fields of a slice state (or variation) behind (a0, a1)."""
         return tuple(getattr(state, f) for f in self.fields)
@@ -434,7 +441,7 @@ class Theory:
 
 
 class KGTheory(Theory):
-    name, weight, fields, slots = "kg", 1.0, ("phi", "p"), ("Phi", "P")
+    name, weight, state, slots = "kg", 1.0, KGState, ("Phi", "P")
 
     def __init__(self, lattice: Lattice, mass: float = 0.0):
         super().__init__(lattice, mass)
@@ -504,12 +511,8 @@ class KGTheory(Theory):
     # the slice-level entry points of kg.py
     def evolve(self, state, s: float, ledger: str = "resolved"):
         return kg_evolve_spectral(state, s, self.cfg, mass_sign=ledger)
-    def enforce(self, phi, p, time: float = 0.0):
-        return kg_enforce_constraints(phi, p, time=time)
     def section(self, state, dt: float, steps: int):
         return kg_solution_section(state, dt, steps, self.cfg)
-    def profile(self, section, d0, d1):
-        return kg_random_variation_profile(section, d0, d1)
     def el_pairing(self, section, variation) -> float:
         return kg_el_pairing(section, variation)
     def el_scale(self, section, variation) -> float:
@@ -519,7 +522,7 @@ class KGTheory(Theory):
 
 
 class SchrTheory(Theory):
-    name, weight, fields, slots = "schrodinger", 2.0, ("phiR", "phiI"), ("PhiR", "PhiI")
+    name, weight, state, slots = "schrodinger", 2.0, SchrState, ("PhiR", "PhiI")
 
     def __init__(self, lattice: Lattice, mass: float = 0.0):
         super().__init__(lattice, mass)
@@ -614,12 +617,8 @@ class SchrTheory(Theory):
     # the slice-level entry points of schrodinger.py
     def evolve(self, state, s: float, ledger: str = "resolved"):
         return schr_evolve_spectral(state, s, hamiltonian_sign=ledger)
-    def enforce(self, phiR, phiI, time: float = 0.0):
-        return schr_enforce_constraints(phiR, phiI, time=time)
     def section(self, state, dt: float, steps: int):
         return schr_solution_section(state, dt, steps)
-    def profile(self, section, d0, d1):
-        return schr_random_variation_profile(section, d0, d1)
     def el_pairing(self, section, variation) -> float:
         return schr_el_pairing(section, variation)
     def el_scale(self, section, variation) -> float:

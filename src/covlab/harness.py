@@ -38,14 +38,9 @@ import numpy as np
 from . import __version__
 from . import brackets as br
 from . import darboux as dx
-from .kg import KGConfig, kg_constraint_residual, kg_evolve_leapfrog, kg_hamiltonian
-from .lattice import Lattice, ModeVector, ScalarField, _even_slices, idft, nan_max, sup_norm
-from .schrodinger import (
-    schr_constraint_residual,
-    schr_evolve_stepped,
-    schr_norm_squared,
-    to_wavefunction,
-)
+from .kg import KGConfig, kg_evolve_leapfrog, kg_hamiltonian
+from .lattice import Lattice, ModeVector, ScalarField, _even_slices, idft, nan_max
+from .schrodinger import schr_evolve_stepped, schr_norm_squared, to_wavefunction
 
 __all__ = [
     "ExperimentConfig",
@@ -396,10 +391,10 @@ def _json_doc(report: Report) -> dict:
             {
                 "experiment": r.experiment,
                 "metric": r.metric,
-                "value": r.value,
-                "tolerance": r.tolerance,
+                "value": _json_float(r.value),
+                "tolerance": _json_float(r.tolerance),
                 "pass": r.passed,
-                "seconds": r.seconds,
+                "seconds": _json_float(r.seconds),
             }
             for r in report.rows
         ],
@@ -410,9 +405,21 @@ def _json_doc(report: Report) -> dict:
             "numpy": np.__version__,
             "python": platform.python_version(),
             "git_revision": _git_revision(),
-            "wall_s": report.wall_s,
+            "wall_s": _json_float(report.wall_s),
         },
     }
+
+
+def _json_float(x):
+    """x as a JSON value: itself when finite (or None), else its CSV
+    spelling as a string ("nan", "inf", "-inf"), since RFC 8259 has no
+    non-finite numbers."""
+    return x if x is None or math.isfinite(x) else format_float(x)
+
+
+def _json_text(doc) -> str:
+    """Strict JSON: a non-finite float that _json_float missed raises."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 @lru_cache(maxsize=1)
@@ -443,7 +450,7 @@ def emit_report(report: Report, path: str | None, fmt: str = "csv") -> str:
     if fmt == "csv":
         text = "\n".join(_csv_lines(report)) + "\n"
     elif fmt == "json":
-        text = json.dumps(_json_doc(report), indent=2) + "\n"
+        text = _json_text(_json_doc(report))
     else:
         raise ValueError(f"invalid field 'format': {fmt!r}")
     if path:
@@ -499,11 +506,7 @@ def _evolve_rows(cfg: ExperimentConfig):
         composed = _psi_hat(st) * np.exp(-1j * angle)
         gap = np.max(np.abs(_psi_hat(final) - composed)) / np.max(np.abs(composed))
         yield "stepped-vs-composed", gap, STEPPED_EPS_PER_STEP * cfg.steps
-    if kg:
-        res = kg_constraint_residual(final) / max(1.0, sup_norm(final.phi))
-    else:
-        scale = max(1.0, sup_norm(final.phiR), sup_norm(final.phiI))
-        res = schr_constraint_residual(final) / scale
+    res = final.constraint_residual() / final.constraint_scale()
     yield "constraint-residual-scaled", res, 1e-10
 
 

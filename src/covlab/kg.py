@@ -1,8 +1,11 @@
 """Free Klein-Gordon theory on a periodic lattice slice.
 
 Cauchy data lives on the slice as (phi, p, beta) with the constraint
-beta = grad(phi).  The flow is linear, so a variation of a solution is
-a solution: a slice variation is a KGState, a section variation a
+beta = grad(phi), which KGState declares; the bodies of lattice.py
+(_Slice, _Section) enforce and measure it, evolve a state, build a
+section and its variations from those declarations and the propagator
+here.  The flow is linear, so a variation of a solution is a solution:
+a slice variation is a KGState, a section variation a
 KGSpacetimeSection.  The dynamical conventions follow the resolved sign
 ledger (see README):
 
@@ -25,30 +28,22 @@ its exact drift rather than the degenerate rotation formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .lattice import (
     Lattice,
-    ModeVector,
     ScalarField,
     VectorField,
-    _bump_stack,
     _by_distinct,
     _first_order_residual,
     _lagrangian_form,
     _Section,
-    _seed_derived,
-    dft,
-    idft,
+    _Slice,
     inner,
-    nan_max,
     spectral_gradient,
-    stack_gradient,
-    stack_idft,
-    sup_norm,
 )
 
 __all__ = [
@@ -56,7 +51,6 @@ __all__ = [
     "KGState",
     "KGSpacetimeSection",
     "kg_hamiltonian",
-    "kg_constraint_residual",
     "kg_enforce_constraints",
     "kg_evolve_spectral",
     "kg_evolve_leapfrog",
@@ -65,7 +59,6 @@ __all__ = [
     "kg_action",
     "kg_el_pairing",
     "kg_el_cancellation_scale",
-    "kg_random_variation_profile",
 ]
 
 
@@ -92,21 +85,16 @@ def _omega(lattice: Lattice, mass: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KGState:
-    """Cauchy data (phi, p, beta) on the slice at time s."""
+class KGState(_Slice):
+    """Cauchy data (phi, p, beta) on the slice at time s, constrained by
+    beta = grad(phi) (see lattice._Slice)."""
+
+    SCALARS, CONSTRAINTS = ("phi", "p"), (("beta", "phi", +1),)
 
     phi: ScalarField
     p: ScalarField
     beta: VectorField
     time: float = 0.0
-
-    def __post_init__(self):
-        if self.p.lattice != self.phi.lattice or self.beta.lattice != self.phi.lattice:
-            raise ValueError("state fields live on different lattices")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.phi.lattice
 
 
 @dataclass(frozen=True)
@@ -115,7 +103,7 @@ class KGSpacetimeSection(_Section):
     (T, *lattice.shape), beta of shape (T, dim, *lattice.shape), on the
     lattice of cfg, which also carries the mass."""
 
-    SCALARS, VECTORS, STATE = ("phi", "p"), ("beta",), KGState
+    STATE = KGState
 
     phi: np.ndarray
     p: np.ndarray
@@ -145,18 +133,9 @@ def kg_hamiltonian(state: KGState, cfg: KGConfig) -> float:
     return 0.5 * total
 
 
-def kg_constraint_residual(state: KGState) -> float:
-    """Sup-norm of beta - grad(phi) over all axes; a NaN anywhere gives
-    NaN."""
-    grad = spectral_gradient(state.phi)
-    return nan_max(
-        sup_norm(b.values - g.values) for b, g in zip(state.beta.components, grad.components)
-    )
-
-
 def kg_enforce_constraints(phi: ScalarField, p: ScalarField, time: float = 0.0) -> KGState:
     """Build a state with beta := grad(phi)."""
-    return KGState(phi=phi, p=p, beta=spectral_gradient(phi), time=time)
+    return KGState._enforced(phi, p, time)
 
 
 def _general_rotation(om2: np.ndarray, s):
@@ -193,31 +172,30 @@ def _kg_om2(cfg: KGConfig, mass_sign: str = "resolved") -> np.ndarray:
     raise ValueError(f"unknown mass_sign {mass_sign!r}")
 
 
-def _kg_propagate(phihat, phat, om2, s):
-    """Mode data rotated by time s; s may be an array of times shaped to
-    broadcast against the modes, giving one rotated array per time."""
-    C, S = _general_rotation(om2, s)
-    return phihat * C + phat * S, phat * C - phihat * om2 * S
+def _kg_propagator(cfg: KGConfig, mass_sign: str = "resolved"):
+    """propagate(phihat, phat, s) for lattice._Slice on cfg's lattice: the
+    mode data rotated by time s, or by each time of an array of them."""
+    om2 = _kg_om2(cfg, mass_sign)
+
+    def propagate(phihat, phat, s):
+        C, S = _general_rotation(om2, s)
+        return phihat * C + phat * S, phat * C - phihat * om2 * S
+
+    return propagate
 
 
 def kg_evolve_spectral(
     state: KGState, s: float, cfg: KGConfig, mass_sign: str = "resolved"
 ) -> KGState:
-    """Exact per-mode rotation by time s; constraints re-enforced.
+    """Exact per-mode rotation by time s; constraints re-enforced.  The
+    state must sit on cfg's lattice.
 
     ``mass_sign`` selects the Hamiltonian whose flow is integrated:
     "resolved" uses omega_k^2 = k^2 + m^2; "paper-printed" uses the
     printed mass sign, k^2 - m^2, whose low modes grow hyperbolically.
     The flag exists for the documented negative controls only.
     """
-    om2 = _kg_om2(cfg, mass_sign)
-    phihat_s, phat_s = _kg_propagate(
-        dft(state.phi).coefficients, dft(state.p).coefficients, om2, s
-    )
-    lat = state.lattice
-    phi_s = idft(ModeVector(lat, phihat_s))
-    p_s = idft(ModeVector(lat, phat_s))
-    return kg_enforce_constraints(phi_s, p_s, time=state.time + s)
+    return state._evolved(s, _kg_propagator(cfg, mass_sign), cfg.lattice)
 
 
 def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, cfg: KGConfig) -> KGState:
@@ -228,48 +206,28 @@ def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, cfg: KGConfig) -> 
     position-space leapfrog with spectral Laplacian force, without the
     per-step transform round trips.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    if steps == 0:
-        return state
-    lat = state.lattice
-    om2 = lat.ksq() + cfg.mass**2
-    phihat = dft(state.phi).coefficients.copy()
-    phat = dft(state.p).coefficients.copy()
-    for _ in range(steps):
-        phat -= 0.5 * dt * om2 * phihat
-        phihat += dt * phat
-        phat -= 0.5 * dt * om2 * phihat
-    phi_s = idft(ModeVector(lat, phihat))
-    p_s = idft(ModeVector(lat, phat))
-    return kg_enforce_constraints(phi_s, p_s, time=state.time + dt * steps)
+    om2 = state.lattice.ksq() + cfg.mass**2
+
+    def kick_drift_kick(phihat, phat):
+        phihat, phat = phihat.copy(), phat.copy()
+        for _ in range(steps):
+            phat -= 0.5 * dt * om2 * phihat
+            phihat += dt * phat
+            phat -= 0.5 * dt * om2 * phihat
+        return phihat, phat
+
+    return state._stepped(dt, steps, kick_drift_kick)
 
 
 def kg_solution_section(
     state: KGState, dt: float, steps: int, cfg: KGConfig
 ) -> KGSpacetimeSection:
-    """Sample the exact flow on a uniform time grid of `steps` intervals:
-    the propagator broadcast over the grid, one batched inverse transform
-    per field and one batched gradient for beta, which is also the
-    section's derived gradient of phi."""
-    if steps < 1:
-        raise ValueError("need at least one time interval")
-    lat = cfg.lattice
-    if state.lattice != lat:
-        raise ValueError("section slice lattice mismatch")
-    s = (np.arange(steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
-    phihat, phat = _kg_propagate(
-        dft(state.phi).coefficients, dft(state.p).coefficients, _kg_om2(cfg), s
+    """Sample the exact flow on a uniform time grid of `steps` intervals
+    (lattice._Section._solution); beta is also the section's derived
+    gradient of phi."""
+    return KGSpacetimeSection._solution(
+        state, dt, steps, _kg_propagator(cfg), cfg.lattice, cfg=cfg
     )
-    phi = stack_idft(lat, phihat)
-    p = stack_idft(lat, phat)
-    section = KGSpacetimeSection(
-        phi=phi, p=p, beta=stack_gradient(lat, phi), dt=dt, cfg=cfg, t0=state.time
-    )
-    _seed_derived(section, "grad", "phi", section.beta)
-    return section
 
 
 def kg_dedonder_weyl_residual(section: KGSpacetimeSection) -> float:
@@ -315,21 +273,3 @@ def kg_el_cancellation_scale(
     dphi, ...), which cancel on solution sections."""
     return _lagrangian_form(_kg_lagrangian(section.cfg.mass), section, variation, magnitude=True)
 
-
-def kg_random_variation_profile(
-    section: KGSpacetimeSection, dphi0: ScalarField, dp0: ScalarField
-) -> KGSpacetimeSection:
-    """Admissible variation: fixed slice shapes modulated by a smooth time
-    bump vanishing at both endpoints; dbeta follows the constraint and is
-    also the variation's derived gradient of dphi (the bump commutes with
-    the gradient up to rounding)."""
-    count, dt = len(section.phi), section.dt
-    dbeta0 = stack_gradient(section.lattice, dphi0.values[np.newaxis])[0]
-    variation = replace(
-        section,
-        phi=_bump_stack(count, dt, dphi0.values),
-        p=_bump_stack(count, dt, dp0.values),
-        beta=_bump_stack(count, dt, dbeta0),
-    )
-    _seed_derived(variation, "grad", "phi", variation.beta)
-    return variation

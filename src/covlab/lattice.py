@@ -14,12 +14,18 @@ fixed once here and relied on everywhere:
 Odd-order spectral derivatives zero the Nyquist mode (its lattice derivative
 is not representable as a real band-limited field); the Laplacian keeps the
 full k^2 multiplier.  Band-limited data never meets the difference.
+
+The slice layer of both theories is written here once: _Slice (constraint
+enforcement and residual, spectral evolution) and _Section (the section
+builder, the variation profile, the stacks' checks) read what a theory's
+state declares, its two scalar fields and its constraints, and take the
+theory's propagator; the kernels below read its Lagrangian table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -350,7 +356,82 @@ def nan_max(values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spacetime sections: stacks of slice fields on a uniform time grid
+# slice states and spacetime sections: one body for both theories
+
+
+class _Slice:
+    """The body of a theory's slice state, Cauchy data at one time.
+
+    A subclass is a frozen dataclass of two scalar fields, one vector
+    field per constraint and ``time``, declared once: ``SCALARS`` names
+    the scalars behind the mode data (a0, a1); ``CONSTRAINTS`` holds
+    triples (vector, scalar, sign), vector = sign * grad(scalar), and
+    gives ``VECTORS``.  The physics comes as ``propagate(a0_hat, a1_hat,
+    s)``, built for one lattice: the mode data rotated by time s, or by
+    each time of an array shaped (T, 1, ..., 1) ahead of the mode axes.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.VECTORS = tuple(vector for vector, _, _ in cls.CONSTRAINTS)
+
+    def __post_init__(self):
+        lat = self.lattice
+        for name in self.SCALARS[1:] + self.VECTORS:
+            if getattr(self, name).lattice != lat:
+                raise ValueError("state fields live on different lattices")
+
+    @property
+    def lattice(self) -> Lattice:
+        return getattr(self, self.SCALARS[0]).lattice
+
+    @classmethod
+    def _enforced(cls, a0: ScalarField, a1: ScalarField, time: float = 0.0):
+        """The state of the scalar fields (a0, a1) with every constrained
+        field set to sign * grad(scalar)."""
+        data, lat = dict(zip(cls.SCALARS, (a0, a1))), a0.lattice
+        for vector, scalar, sign in cls.CONSTRAINTS:
+            grad = spectral_gradient(data[scalar])
+            if sign < 0:
+                grad = VectorField(lat, tuple(ScalarField(lat, -c.values) for c in grad.components))
+            data[vector] = grad
+        return cls(**data, time=time)
+
+    def _evolved(self, s: float, propagate, lat: Lattice):
+        """The state at time + s under propagate, which is built for the
+        lattice lat; constraints re-enforced."""
+        if self.lattice != lat:
+            raise ValueError("state lattice does not match the propagator's")
+        hats = propagate(*(dft(getattr(self, n)).coefficients for n in self.SCALARS), s)
+        return self._enforced(*(idft(ModeVector(lat, h)) for h in hats), time=self.time + s)
+
+    def _stepped(self, dt: float, steps: int, advance):
+        """The state after `steps` steps of dt of a stepper, advance(a0_hat,
+        a1_hat) taking the mode data through all of them."""
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if steps < 0:
+            raise ValueError(f"steps must be nonnegative, got {steps}")
+        if steps == 0:
+            return self
+        return self._evolved(dt * steps, lambda a0, a1, _: advance(a0, a1), self.lattice)
+
+    def constraint_residual(self) -> float:
+        """Sup-norm of vector - sign * grad(scalar) over every constraint
+        and axis; a NaN anywhere gives NaN."""
+        return nan_max(
+            sup_norm(b.values - g.values if sign > 0 else b.values + g.values)
+            for vector, scalar, sign in self.CONSTRAINTS
+            for b, g in zip(
+                getattr(self, vector).components,
+                spectral_gradient(getattr(self, scalar)).components,
+            )
+        )
+
+    def constraint_scale(self) -> float:
+        """max(1, sup |scalar|) over the constrained scalar fields, the
+        scale a constraint residual is measured against."""
+        return max(1.0, *(sup_norm(getattr(self, s)) for _, s, _ in self.CONSTRAINTS))
 
 
 class _Section:
@@ -359,12 +440,11 @@ class _Section:
 
     A subclass is a frozen dataclass that declares its stacks, ``dt``,
     ``t0``, its lattice (as a ``lattice`` field or property) and the
-    private ``_derived`` memo, and names them in class attributes:
-    ``SCALARS``, stacks of shape (T, *lattice.shape); ``VECTORS``, stacks
-    of shape (T, dim, *lattice.shape); ``STATE``, the slice state whose
-    fields are the stacks' names plus ``time``.  A variation of a
-    section, a tangent vector to the space of sections, has the same
-    layout and is stored in the same class.
+    private ``_derived`` memo, and names its slice state (a ``_Slice``)
+    in ``STATE``: one stack per state field, the scalars of shape
+    (T, *lattice.shape) and the vectors of shape (T, dim, *lattice.shape).
+    A variation of a section, a tangent vector to the space of sections,
+    has the same layout and is stored in the same class.
 
     The stacks a Lagrangian table derives, d/dt and the spatial gradient
     of a named stack, are built at most once per instance and kept
@@ -382,14 +462,14 @@ class _Section:
         # to 4.5120079851279934e-09.  Copies made elsewhere to keep the stacks
         # contiguous kept every value but raised the suite's peak RSS by
         # about 7 %, which depends on the order of allocations.
-        names = self.SCALARS + self.VECTORS
+        names = self.STATE.SCALARS + self.STATE.VECTORS
         out = [_locked(np.asarray(getattr(self, n), dtype=float)) for n in names]
         count = out[0].shape[0] if out[0].ndim else 0
         if count < 2:
             raise ValueError("a section needs at least two time slices")
         lat = self.lattice
-        wanted = [(count, *lat.shape)] * len(self.SCALARS)
-        wanted += [(count, lat.dim, *lat.shape)] * len(self.VECTORS)
+        wanted = [(count, *lat.shape)] * len(self.STATE.SCALARS)
+        wanted += [(count, lat.dim, *lat.shape)] * len(self.STATE.VECTORS)
         for name, arr, shape in zip(names, out, wanted):
             if arr.shape != shape:
                 raise ValueError(f"section stack shape {arr.shape} does not match {shape}")
@@ -409,15 +489,65 @@ class _Section:
                 raise ValueError("section slice lattice mismatch")
             if abs(st.time - (t0 + i * dt)) > 1e-9 * max(1.0, abs(dt)):
                 raise ValueError("section time nodes are not uniform in dt")
-        scalars = {n: np.stack([getattr(st, n).values for st in states]) for n in cls.SCALARS}
+        scalars = {
+            n: np.stack([getattr(st, n).values for st in states]) for n in cls.STATE.SCALARS
+        }
         vectors = {
             n: np.array([[c.values for c in getattr(st, n).components] for st in states])
-            for n in cls.VECTORS
+            for n in cls.STATE.VECTORS
         }
         return cls(**scalars, **vectors, dt=dt, t0=t0, **source)
 
+    @classmethod
+    def _solution(cls, state, dt: float, steps: int, propagate, lat: Lattice, **source):
+        """The flow of state on a uniform grid of `steps` intervals of dt:
+        propagate (see _Slice), built for lat, broadcast over the grid, one
+        batched inverse transform per scalar and one batched gradient per
+        constraint.  `source` gives the section its lattice (_stacked)."""
+        if steps < 1:
+            raise ValueError("need at least one time interval")
+        if state.lattice != lat:
+            raise ValueError("section slice lattice mismatch")
+        s = (np.arange(steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
+        hats = propagate(*(dft(getattr(state, n)).coefficients for n in cls.STATE.SCALARS), s)
+        scalars = {n: stack_idft(lat, h) for n, h in zip(cls.STATE.SCALARS, hats)}
+        grads = {n: stack_gradient(lat, scalars[n]) for _, n, _ in cls.STATE.CONSTRAINTS}
+        make = partial(cls, dt=dt, t0=state.time, **source)
+        return cls._constrained(make, scalars, grads)
+
+    def _bumped(self, d0: ScalarField, d1: ScalarField):
+        """Admissible variation: slice fields (d0, d1) of the scalars under
+        a sin^2 time bump vanishing at both endpoints, the constrained
+        stacks from the bumped slice gradients (the bump commutes with the
+        gradient up to rounding)."""
+        lat = self.lattice
+        if d0.lattice != lat or d1.lattice != lat:
+            raise ValueError("variation field lattice mismatch")
+        slices = dict(zip(self.STATE.SCALARS, (d0, d1)))
+        bump = partial(_bump_stack, len(self.times()), self.dt)
+        grads = {
+            n: bump(stack_gradient(lat, slices[n].values[np.newaxis])[0])
+            for _, n, _ in self.STATE.CONSTRAINTS
+        }
+        scalars = {n: bump(f.values) for n, f in slices.items()}
+        return self._constrained(partial(replace, self), scalars, grads)
+
+    @classmethod
+    def _constrained(cls, make, scalars: dict, grads: dict):
+        """make(**stacks) of the scalar stacks and each constrained stack
+        sign * grads[scalar], with grads[scalar] seeded as the derived
+        gradient of its scalar: for sign +1 the section's own stack, so no
+        stack is multiplied by +1 or held twice."""
+        constraints = cls.STATE.CONSTRAINTS
+        section = make(
+            **scalars, **{v: grads[n] if sign > 0 else -grads[n] for v, n, sign in constraints}
+        )
+        for v, n, sign in constraints:
+            _seed_derived(section, "grad", n, getattr(section, v) if sign > 0 else grads[n])
+        return section
+
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(getattr(self, self.SCALARS[0])))
+        return self.t0 + self.dt * np.arange(len(getattr(self, self.STATE.SCALARS[0])))
 
     @property
     def states(self) -> tuple:
@@ -425,10 +555,10 @@ class _Section:
         lat = self.lattice
         return tuple(
             self.STATE(
-                **{n: ScalarField(lat, getattr(self, n)[i]) for n in self.SCALARS},
+                **{n: ScalarField(lat, getattr(self, n)[i]) for n in self.STATE.SCALARS},
                 **{
                     n: VectorField(lat, tuple(ScalarField(lat, c) for c in getattr(self, n)[i]))
-                    for n in self.VECTORS
+                    for n in self.STATE.VECTORS
                 },
                 time=float(t),
             )

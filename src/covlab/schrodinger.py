@@ -2,11 +2,14 @@
 
 The wavefunction is carried as its real and imaginary parts (phiR, phiI)
 together with the spatial momenta (betaR, betaI), constrained by
-beta_a = -grad(phi^a).  The covariant temporal momenta are not stored:
-the sub-bundle constraints fix them as P0_R = phi^I, P0_I = -phi^R and
-they are computed on demand where the action needs them.  The flow is
-linear, so a slice variation is a SchrState and a section variation a
-SchrSpacetimeSection.
+beta_a = -grad(phi^a), which SchrState declares; the bodies of
+lattice.py (_Slice, _Section) enforce and measure the constraints,
+evolve a state, build a section and its variations from those
+declarations and the propagator here.  The covariant temporal momenta
+are not stored: the sub-bundle constraints fix them as P0_R = phi^I,
+P0_I = -phi^R and they are computed on demand where the action needs
+them.  The flow is linear, so a slice variation is a SchrState and a
+section variation a SchrSpacetimeSection.
 
 Mode dynamics: each Fourier mode rotates by the angle k^2 s / 2,
 equivalently psi-hat -> exp(-i k^2 s / 2) psi-hat for psi = phiR + i phiI.
@@ -20,36 +23,27 @@ which is nonpositive; it is conserved by the flow either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lattice import (
     Lattice,
-    ModeVector,
     ScalarField,
     VectorField,
-    _bump_stack,
     _by_distinct,
     _first_order_residual,
     _lagrangian_form,
     _Section,
-    _seed_derived,
-    dft,
-    idft,
+    _Slice,
     inner,
-    nan_max,
     spectral_gradient,
-    stack_gradient,
-    stack_idft,
-    sup_norm,
 )
 
 __all__ = [
     "SchrState",
     "SchrSpacetimeSection",
     "schr_hamiltonian",
-    "schr_constraint_residual",
     "schr_enforce_constraints",
     "schr_evolve_spectral",
     "schr_evolve_stepped",
@@ -58,29 +52,24 @@ __all__ = [
     "schr_action",
     "schr_el_pairing",
     "schr_el_cancellation_scale",
-    "schr_random_variation_profile",
     "to_wavefunction",
     "schr_norm_squared",
 ]
 
 
 @dataclass(frozen=True)
-class SchrState:
+class SchrState(_Slice):
+    """Cauchy data (phiR, phiI, betaR, betaI) on the slice at time s,
+    constrained by beta_a = -grad(phi^a) (see lattice._Slice)."""
+
+    SCALARS = ("phiR", "phiI")
+    CONSTRAINTS = (("betaR", "phiR", -1), ("betaI", "phiI", -1))
+
     phiR: ScalarField
     phiI: ScalarField
     betaR: VectorField
     betaI: VectorField
     time: float = 0.0
-
-    def __post_init__(self):
-        lat = self.phiR.lattice
-        for f in (self.phiI, self.betaR, self.betaI):
-            if f.lattice != lat:
-                raise ValueError("state fields live on different lattices")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.phiR.lattice
 
 
 @dataclass(frozen=True)
@@ -89,7 +78,7 @@ class SchrSpacetimeSection(_Section):
     phiI of shape (T, *lattice.shape), betaR and betaI of shape
     (T, dim, *lattice.shape)."""
 
-    SCALARS, VECTORS, STATE = ("phiR", "phiI"), ("betaR", "betaI"), SchrState
+    STATE = SchrState
 
     phiR: np.ndarray
     phiI: np.ndarray
@@ -119,33 +108,11 @@ def schr_hamiltonian(state: SchrState) -> float:
     return -0.5 * total
 
 
-def schr_constraint_residual(state: SchrState) -> float:
-    """Sup-norm of beta_a + grad(phi^a) over both parts and all axes; a
-    NaN anywhere gives NaN."""
-    return nan_max(
-        sup_norm(b.values + g.values)
-        for phi, beta in ((state.phiR, state.betaR), (state.phiI, state.betaI))
-        for b, g in zip(beta.components, spectral_gradient(phi).components)
-    )
-
-
 def schr_enforce_constraints(
     phiR: ScalarField, phiI: ScalarField, time: float = 0.0
 ) -> SchrState:
     """Build a state with beta_a := -grad(phi^a)."""
-    lat = phiR.lattice
-
-    def neg_grad(phi):
-        g = spectral_gradient(phi)
-        return VectorField(lat, tuple(ScalarField(lat, -c.values) for c in g.components))
-
-    return SchrState(
-        phiR=phiR,
-        phiI=phiI,
-        betaR=neg_grad(phiR),
-        betaI=neg_grad(phiI),
-        time=time,
-    )
+    return SchrState._enforced(phiR, phiI, time)
 
 
 def _schr_rotate(a, b, c, sg, steps: int = 1):
@@ -169,15 +136,8 @@ def schr_evolve_spectral(
     if hamiltonian_sign not in ("resolved", "paper-printed"):
         raise ValueError(f"unknown hamiltonian_sign {hamiltonian_sign!r}")
     lat = state.lattice
-    theta = 0.5 * lat.ksq() * s
-    if hamiltonian_sign == "paper-printed":
-        theta = -theta
-    a_s, b_s = _schr_rotate(
-        dft(state.phiR).coefficients, dft(state.phiI).coefficients, np.cos(theta), np.sin(theta)
-    )
-    return schr_enforce_constraints(
-        idft(ModeVector(lat, a_s)), idft(ModeVector(lat, b_s)), time=state.time + s
-    )
+    sign = -1.0 if hamiltonian_sign == "paper-printed" else 1.0
+    return state._evolved(s, _schr_propagator(lat, sign), lat)
 
 
 def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
@@ -188,26 +148,9 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
     2*atan(k^2 dt / 4) per step.  The steps are taken one at a time, so
     the norm drift shows their accumulated rounding.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    if steps == 0:
-        return state
-    lat = state.lattice
-    step_angle = 2.0 * np.arctan(0.25 * lat.ksq() * dt)
-    a_s, b_s = _schr_rotate(
-        dft(state.phiR).coefficients,
-        dft(state.phiI).coefficients,
-        np.cos(step_angle),
-        np.sin(step_angle),
-        steps,
-    )
-    return schr_enforce_constraints(
-        idft(ModeVector(lat, a_s)),
-        idft(ModeVector(lat, b_s)),
-        time=state.time + dt * steps,
-    )
+    angle = 2.0 * np.arctan(0.25 * state.lattice.ksq() * dt)
+    c, sg = np.cos(angle), np.sin(angle)
+    return state._stepped(dt, steps, lambda a, b: _schr_rotate(a, b, c, sg, steps))
 
 
 def _half_angle_trig(ksq, s):
@@ -216,30 +159,27 @@ def _half_angle_trig(ksq, s):
     return np.cos(theta), np.sin(theta)
 
 
+def _schr_propagator(lat: Lattice, sign: float = 1.0):
+    """propagate(a, b, s) for lattice._Slice on lat: the mode data of
+    (phiR, phiI) rotated by the angle k^2 (sign s) / 2, or by that of
+    each time of an array of them, the cosine and sine evaluated once
+    per distinct k^2."""
+    ksq = lat.ksq()
+
+    def propagate(a, b, s):
+        return _schr_rotate(a, b, *_by_distinct(ksq, sign * s, _half_angle_trig))
+
+    return propagate
+
+
 def schr_solution_section(state: SchrState, dt: float, steps: int) -> SchrSpacetimeSection:
-    """Sample the exact flow on a uniform time grid of `steps` intervals:
-    the rotation broadcast over the grid, its cosine and sine evaluated
-    once per distinct k^2, one batched inverse transform per field and
-    one batched gradient per beta; the gradients are also the section's
-    derived gradients of phiR and phiI."""
-    if steps < 1:
-        raise ValueError("need at least one time interval")
+    """Sample the exact flow on a uniform time grid of `steps` intervals
+    (lattice._Section._solution); the gradients of phiR and phiI are also
+    the section's derived gradients, and betaR, betaI their negatives."""
     lat = state.lattice
-    s = (np.arange(steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
-    a, b = _schr_rotate(
-        dft(state.phiR).coefficients,
-        dft(state.phiI).coefficients,
-        *_by_distinct(lat.ksq(), s, _half_angle_trig),
+    return SchrSpacetimeSection._solution(
+        state, dt, steps, _schr_propagator(lat), lat, lattice=lat
     )
-    phiR = stack_idft(lat, a)
-    phiI = stack_idft(lat, b)
-    gradR, gradI = stack_gradient(lat, phiR), stack_gradient(lat, phiI)
-    section = SchrSpacetimeSection(
-        phiR=phiR, phiI=phiI, betaR=-gradR, betaI=-gradI, dt=dt, lattice=lat, t0=state.time
-    )
-    _seed_derived(section, "grad", "phiR", gradR)
-    _seed_derived(section, "grad", "phiI", gradI)
-    return section
 
 
 def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
@@ -287,32 +227,6 @@ def schr_el_cancellation_scale(
     """Normalization for the EL residual: L1 mass of the first-order terms
     of the directional derivative (see kg_el_cancellation_scale)."""
     return _lagrangian_form(_SCHR_LAGRANGIAN, section, variation, magnitude=True)
-
-
-def schr_random_variation_profile(
-    section: SchrSpacetimeSection, dphiR0: ScalarField, dphiI0: ScalarField
-) -> SchrSpacetimeSection:
-    """Admissible variation: fixed slice shapes under a sin^2 time bump
-    vanishing at both endpoints; dbeta_a = -grad dphi^a follows the
-    constraint, and the bumped grad dphi^a is seeded as the variation's
-    derived gradient (the bump commutes with the gradient up to
-    rounding)."""
-    lat = section.lattice
-    count, dt = len(section.phiR), section.dt
-    gradR, gradI = (
-        _bump_stack(count, dt, stack_gradient(lat, f.values[np.newaxis])[0])
-        for f in (dphiR0, dphiI0)
-    )
-    variation = replace(
-        section,
-        phiR=_bump_stack(count, dt, dphiR0.values),
-        phiI=_bump_stack(count, dt, dphiI0.values),
-        betaR=-gradR,
-        betaI=-gradI,
-    )
-    _seed_derived(variation, "grad", "phiR", gradR)
-    _seed_derived(variation, "grad", "phiI", gradI)
-    return variation
 
 
 def to_wavefunction(state: SchrState) -> np.ndarray:

@@ -41,7 +41,6 @@ from covlab.harness import (
     suite_configs,
 )
 from covlab.kg import (
-    kg_constraint_residual,
     kg_enforce_constraints,
     kg_evolve_leapfrog,
     kg_evolve_spectral,
@@ -49,7 +48,6 @@ from covlab.kg import (
 )
 from covlab.lattice import Lattice, ModeVector, ScalarField, hermitize, idft, sup_norm
 from covlab.schrodinger import (
-    schr_constraint_residual,
     schr_enforce_constraints,
     schr_evolve_spectral,
     schr_evolve_stepped,
@@ -153,19 +151,19 @@ def test_criterion_02_constraint_preservation():
     worst = 0.0
     st = random_state(KG_CFG)
     ev = kg_evolve_spectral(st, 10.0, KCFG)
-    worst = max(worst, kg_constraint_residual(ev) / sup_norm(ev.phi))
+    worst = max(worst, ev.constraint_residual() / sup_norm(ev.phi))
     lf = kg_evolve_leapfrog(banded_kg_state(SEED, band=1), 1e-3, 1000, KCFG)
-    worst = max(worst, kg_constraint_residual(lf) / sup_norm(lf.phi))
+    worst = max(worst, lf.constraint_residual() / sup_norm(lf.phi))
     ss = random_state(SCHR_CFG)
     ev_s = schr_evolve_spectral(ss, 10.0)
     worst = max(
         worst,
-        schr_constraint_residual(ev_s) / max(sup_norm(ev_s.phiR), sup_norm(ev_s.phiI)),
+        ev_s.constraint_residual() / max(sup_norm(ev_s.phiR), sup_norm(ev_s.phiI)),
     )
     sp = schr_evolve_stepped(ss, 1e-3, 1000)
     worst = max(
         worst,
-        schr_constraint_residual(sp) / max(sup_norm(sp.phiR), sup_norm(sp.phiI)),
+        sp.constraint_residual() / max(sup_norm(sp.phiR), sup_norm(sp.phiI)),
     )
     ok = worst <= 1e-10
     assert verdict(

@@ -1,6 +1,7 @@
 """Exit codes and report plumbing of the covlab command."""
 
 import json
+import math
 
 import pytest
 
@@ -83,3 +84,21 @@ def test_ledger_alias_paper(tmp_path, capsys):
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_suite_json_is_strict(monkeypatch, capsys):
+    # the suite's JSON list goes through the same strict writer as one
+    # report: a non-finite value is a string, never a bare NaN/Infinity
+    from covlab import cli
+    from covlab.harness import ExperimentConfig, Report, ReportRow
+
+    cfg = ExperimentConfig(theory="kg", experiment="action-residual")
+    row = ReportRow("action-residual", "el-convergence-ratio-error", math.inf, 0.8, 0.0)
+    monkeypatch.setattr(cli, "run_suite", lambda **kw: [Report(config=cfg, rows=(row,))])
+    assert main(["suite", "--all", "--format", "json"]) == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    (doc,) = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["rows"][0]["value"] == "inf" and float(doc["rows"][0]["value"]) == math.inf

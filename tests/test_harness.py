@@ -380,6 +380,29 @@ class TestEmission:
         assert doc["rows"][1]["pass"] is None
         assert doc["all_pass"] is True
 
+    def test_json_is_strict_with_non_finite_values(self):
+        # RFC 8259 has no NaN or Infinity token: a non-finite float is
+        # written as its CSV spelling in a string
+        values = (math.nan, math.inf, -math.inf)
+        rows = tuple(
+            ReportRow("action-residual", f"m{i}", value=v, tolerance=0.8, seconds=0.0)
+            for i, v in enumerate(values)
+        )
+        report = Report(config=self.CFG, rows=rows, wall_s=math.inf)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(emit_report(report, None, "json"), parse_constant=reject)
+        assert [row["value"] for row in doc["rows"]] == ["nan", "inf", "-inf"]
+        csv_values = [line.split(",")[2] for line in emit_report(report, None).splitlines()[1:]]
+        assert csv_values == ["nan", "inf", "-inf"]
+        for row, v in zip(doc["rows"], values):
+            assert float(row["value"]) == v or (math.isnan(v) and math.isnan(float(row["value"])))
+        assert doc["run"]["wall_s"] == "inf"
+        with pytest.raises(ValueError):
+            harness._json_text({"value": math.nan})
+
     def test_git_revision_from_the_checkout_files(self, tmp_path, monkeypatch):
         revision = harness._git_revision.__wrapped__
         package = tmp_path / "src" / "covlab"
@@ -468,13 +491,13 @@ def fresh_residuals(cfg, levels):
         if cfg.theory == "kg":
             kcfg = cfg.kg_config()
             sec = kg.kg_solution_section(el_state, dt, el_steps, kcfg)
-            var = kg.kg_random_variation_profile(sec, d1, d2)
+            var = harness._theory(cfg).profile(sec, d1, d2)
             el.append(kg.kg_el_pairing(sec, var) / kg.kg_el_cancellation_scale(sec, var))
             sec = kg.kg_solution_section(ddw_state, dt, ddw_steps, kcfg)
             ddw.append(kg.kg_dedonder_weyl_residual(sec))
         else:
             sec = schrodinger.schr_solution_section(el_state, dt, el_steps)
-            var = schrodinger.schr_random_variation_profile(sec, d1, d2)
+            var = harness._theory(cfg).profile(sec, d1, d2)
             pairing = schrodinger.schr_el_pairing(sec, var)
             el.append(pairing / schrodinger.schr_el_cancellation_scale(sec, var))
             sec = schrodinger.schr_solution_section(ddw_state, dt, ddw_steps)

@@ -12,7 +12,6 @@ from covlab.kg import (
     KGSpacetimeSection,
     KGState,
     kg_action,
-    kg_constraint_residual,
     kg_dedonder_weyl_residual,
     kg_el_cancellation_scale,
     kg_el_pairing,
@@ -20,9 +19,9 @@ from covlab.kg import (
     kg_evolve_leapfrog,
     kg_evolve_spectral,
     kg_hamiltonian,
-    kg_random_variation_profile,
     kg_solution_section,
 )
+from covlab.darboux import Theory
 from covlab.lattice import (
     Lattice,
     ModeVector,
@@ -36,6 +35,11 @@ from covlab.lattice import (
 
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
 CFG = KGConfig(mass=1.0, lattice=LAT)
+
+
+def profile(section, d0, d1):
+    """The time-bump variation through the theory record."""
+    return Theory.of("kg", section.lattice).profile(section, d0, d1)
 
 
 def seeded(seed):
@@ -95,11 +99,11 @@ class TestEnergyAndConstraints:
     def test_constraints_preserved(self, seed):
         st0 = random_state(seed)
         out = kg_evolve_spectral(st0, 2.7, CFG)
-        assert kg_constraint_residual(out) <= 1e-10 * max(sup_norm(out.phi), 1e-30)
+        assert out.constraint_residual() <= 1e-10 * max(sup_norm(out.phi), 1e-30)
 
     def test_enforce_constraints_residual(self):
         st0 = random_state(3)
-        assert kg_constraint_residual(st0) <= 1e-12 * max(sup_norm(st0.phi), 1e-30)
+        assert st0.constraint_residual() <= 1e-12 * max(sup_norm(st0.phi), 1e-30)
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_nan_on_any_axis_gives_nan(self, axis):
@@ -109,7 +113,7 @@ class TestEnergyAndConstraints:
         comps = [c.values.copy() for c in st0.beta.components]
         comps[axis][3, 5] = np.nan
         bad = replace(st0, beta=VectorField(lat, tuple(ScalarField(lat, c) for c in comps)))
-        assert np.isnan(kg_constraint_residual(bad))
+        assert np.isnan(bad.constraint_residual())
 
     def test_evolve_zero_steps_is_identity(self):
         st0 = random_state(8)
@@ -154,6 +158,18 @@ class TestEvolution:
     def test_unknown_mass_sign_rejected(self):
         with pytest.raises(ValueError):
             kg_evolve_spectral(random_state(1), 1.0, CFG, mass_sign="wat")
+
+    def test_config_on_another_lattice_rejected(self):
+        # the frequencies come from cfg's lattice: on the box of length
+        # 4 pi the mode cos x would rotate as cos(s / 2)
+        lat = Lattice(dim=1, n=8, length=2 * np.pi)
+        x = lat.coordinates()[0]
+        st0 = kg_enforce_constraints(ScalarField(lat, np.cos(x)), ScalarField(lat, 0 * x))
+        out = kg_evolve_spectral(st0, 1.0, KGConfig(mass=0.0, lattice=lat))
+        assert out.phi.values[0] == pytest.approx(np.cos(1.0), abs=1e-14)
+        other = KGConfig(mass=0.0, lattice=Lattice(dim=1, n=8, length=4 * np.pi))
+        with pytest.raises(ValueError, match="lattice"):
+            kg_evolve_spectral(st0, 1.0, other)
 
 
 class TestSectionResiduals:
@@ -205,7 +221,7 @@ class TestAction:
         rng = seeded(10)
         d1 = random_state(11, band=1).phi
         d2 = random_state(12, band=1).p
-        var = kg_random_variation_profile(section, d1, d2)
+        var = profile(section, d1, d2)
         pairing = kg_el_pairing(section, var)
 
         def shifted(eps):
@@ -236,7 +252,7 @@ class TestAction:
     def test_pairing_rejects_nonvanishing_endpoints(self):
         st0 = random_state(9, band=1)
         section = kg_solution_section(st0, 1e-2, 10, CFG)
-        var = kg_random_variation_profile(section, st0.phi, st0.p)
+        var = profile(section, st0.phi, st0.p)
 
         def mid_slice_first(stack):
             out = stack.copy()
@@ -256,7 +272,7 @@ class TestAction:
         st0 = random_state(9, band=1)
         section = kg_solution_section(st0, 1e-2, 40, CFG)
         d1, d2 = random_state(13, band=1).phi, random_state(14, band=1).p
-        var = kg_random_variation_profile(section, d1, d2)
+        var = profile(section, d1, d2)
         r1 = abs(kg_el_pairing(section, var)) / kg_el_cancellation_scale(section, var)
 
         big = kg_solution_section(
@@ -268,7 +284,7 @@ class TestAction:
             40,
             CFG,
         )
-        var_big = kg_random_variation_profile(
+        var_big = profile(
             big, ScalarField(LAT, 10 * d1.values), ScalarField(LAT, 10 * d2.values)
         )
         r2 = abs(kg_el_pairing(big, var_big)) / kg_el_cancellation_scale(big, var_big)
@@ -363,7 +379,7 @@ class TestLagrangianTable:
         if not solution:
             # off shell: the pairing no longer cancels
             section = replace(section, p=section.p + 0.3 * section.phi)
-        var = kg_random_variation_profile(
+        var = profile(
             section, random_state(32, lat=lat).phi, random_state(33, lat=lat).p
         )
         scale = kg_el_cancellation_scale(section, var)

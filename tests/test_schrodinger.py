@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covlab.darboux import Theory
 from covlab.lattice import (
     Lattice,
     ModeVector,
@@ -22,7 +23,6 @@ from covlab.schrodinger import (
     SchrSpacetimeSection,
     SchrState,
     schr_action,
-    schr_constraint_residual,
     schr_dedonder_weyl_residual,
     schr_el_cancellation_scale,
     schr_el_pairing,
@@ -31,12 +31,16 @@ from covlab.schrodinger import (
     schr_evolve_stepped,
     schr_hamiltonian,
     schr_norm_squared,
-    schr_random_variation_profile,
     schr_solution_section,
     to_wavefunction,
 )
 
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
+
+
+def profile(section, d0, d1):
+    """The time-bump variation through the theory record."""
+    return Theory.of("schrodinger", section.lattice).profile(section, d0, d1)
 
 
 def seeded(seed):
@@ -116,7 +120,7 @@ class TestConstraints:
         st0 = random_state(seed)
         out = schr_evolve_spectral(st0, 1.9)
         scale = max(sup_norm(out.phiR), sup_norm(out.phiI), 1e-30)
-        assert schr_constraint_residual(out) <= 1e-10 * scale
+        assert out.constraint_residual() <= 1e-10 * scale
 
     @pytest.mark.parametrize("part", ["betaR", "betaI"])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -127,7 +131,7 @@ class TestConstraints:
         comps = [c.values.copy() for c in getattr(st0, part).components]
         comps[axis][3, 5] = np.nan
         bad = replace(st0, **{part: VectorField(lat, tuple(ScalarField(lat, c) for c in comps))})
-        assert np.isnan(schr_constraint_residual(bad))
+        assert np.isnan(bad.constraint_residual())
 
     def test_hamiltonian_printed_sign_nonpositive(self):
         st0 = random_state(5)
@@ -233,7 +237,7 @@ class TestAction:
         section = schr_solution_section(st0, 1e-2, 30)
         d1 = random_state(12, band=1).phiR
         d2 = random_state(13, band=1).phiI
-        var = schr_random_variation_profile(section, d1, d2)
+        var = profile(section, d1, d2)
         pairing = schr_el_pairing(section, var)
 
         def shifted(eps):
@@ -275,7 +279,7 @@ class TestAction:
     def test_pairing_rejects_nonvanishing_endpoints(self):
         st0 = random_state(9, band=1)
         section = schr_solution_section(st0, 1e-2, 10)
-        var = schr_random_variation_profile(section, st0.phiR, st0.phiI)
+        var = profile(section, st0.phiR, st0.phiI)
 
         def mid_slice_last(stack):
             out = stack.copy()
@@ -295,7 +299,7 @@ class TestAction:
     def test_cancellation_scale_positive(self):
         st0 = random_state(9, band=1)
         section = schr_solution_section(st0, 1e-2, 20)
-        var = schr_random_variation_profile(section, st0.phiR, st0.phiI)
+        var = profile(section, st0.phiR, st0.phiI)
         assert schr_el_cancellation_scale(section, var) > 0.0
 
 
@@ -380,7 +384,7 @@ class TestLagrangianTable:
         if not solution:
             # off shell: the pairing no longer cancels
             section = replace(section, phiI=section.phiI + 0.3 * section.phiR)
-        var = schr_random_variation_profile(
+        var = profile(
             section, random_state(32, lat=lat).phiR, random_state(33, lat=lat).phiI
         )
         scale = schr_el_cancellation_scale(section, var)

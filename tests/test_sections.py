@@ -18,10 +18,9 @@ from covlab.kg import (
     kg_el_pairing,
     kg_enforce_constraints,
     kg_evolve_spectral,
-    kg_random_variation_profile,
     kg_solution_section,
 )
-from covlab.darboux import random_hermitian_modes
+from covlab.darboux import Theory, random_hermitian_modes
 from covlab.lattice import (
     Lattice,
     ModeVector,
@@ -42,7 +41,6 @@ from covlab.schrodinger import (
     schr_el_pairing,
     schr_enforce_constraints,
     schr_evolve_spectral,
-    schr_random_variation_profile,
     schr_solution_section,
 )
 
@@ -310,7 +308,7 @@ def kg_pair(dim, nested=False):
     else:
         section = kg_solution_section(st0, DT, STEPS, cfg)
     d1, d2 = random_fields(cfg.lattice, 20 + dim)
-    return section, kg_random_variation_profile(section, d1, d2)
+    return section, Theory.of("kg", cfg.lattice).profile(section, d1, d2)
 
 
 def schr_pair(dim, nested=False):
@@ -320,7 +318,7 @@ def schr_pair(dim, nested=False):
     else:
         section = schr_solution_section(st0, DT, STEPS)
     d1, d2 = random_fields(section.lattice, 30 + dim)
-    return section, schr_random_variation_profile(section, d1, d2)
+    return section, Theory.of("schrodinger", section.lattice).profile(section, d1, d2)
 
 
 PAIRS = {
@@ -348,6 +346,18 @@ def test_seeded_gradients_match_fresh_ones(theory, dim):
         fresh = stack_gradient(var.lattice, getattr(var, name))
         seeded = var._derived[("grad", name)]
         assert np.max(np.abs(seeded - fresh)) <= 1e-15 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("theory", ("kg", "schrodinger"))
+def test_profile_rejects_fields_on_another_lattice(theory):
+    # the slice gradient would be taken with the section's wavenumbers
+    section, _ = PAIRS[theory][0](1)
+    other = Lattice(dim=1, n=8, length=4 * np.pi)
+    profile = Theory.of(theory, section.lattice).profile
+    good = random_fields(section.lattice, 70)
+    for d0, d1 in ((random_fields(other, 71)[0], good[1]), (good[0], random_fields(other, 72)[1])):
+        with pytest.raises(ValueError, match="lattice"):
+            profile(section, d0, d1)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -497,7 +507,7 @@ def test_cancellation_scale_holds_two_magnitude_stacks_at_most(theory):
 
     _, _, pairing, scale = PAIRS[theory]
     section = BUILDS[theory](2, 2)(1e-3, 400)
-    profile = kg_random_variation_profile if theory == "kg" else schr_random_variation_profile
+    profile = Theory.of(theory, section.lattice).profile
     var = profile(section, *random_fields(section.lattice, 60))
     pairing(section, var)  # fills the memos the scale reads
     # the gradients, (T, dim, *shape), are the largest stacks
@@ -510,3 +520,46 @@ def test_cancellation_scale_holds_two_magnitude_stacks_at_most(theory):
     finally:
         tracemalloc.stop()
     assert peak - base <= 2 * largest + 2**16
+
+
+def test_the_slice_layer_is_written_once():
+    # the section builder and the variation profile have one body,
+    # lattice._Section: neither theory module binds the pieces of it
+    import dataclasses
+
+    from covlab import kg, schrodinger
+
+    for module in (kg, schrodinger):
+        bound = vars(module)
+        for name in ("stack_idft", "stack_gradient", "_bump_stack", "_seed_derived"):
+            assert name not in bound, (module.__name__, name)
+        assert dataclasses.replace not in bound.values(), module.__name__
+
+
+# tracemalloc peaks of the suite's action-residual runs at steps=2000
+# (numpy 2.4, x86-64 Linux), when this bound was set: the live memory of
+# the section builds, the profiles and the EL and dDW passes
+ACTION_RESIDUAL_PEAK_MIB = {"kg": 27.39, "schrodinger": 35.27}
+
+
+@pytest.mark.parametrize("theory", ("kg", "schrodinger"))
+def test_action_residual_live_peak(theory):
+    # 1 MiB of slack: one more (T, n) stack held at the peak, 1.95 MiB
+    # at this size, breaks the bound
+    import tracemalloc
+
+    from covlab.harness import run_experiment, suite_configs
+
+    (cfg,) = (
+        c for c in suite_configs() if c.experiment == "action-residual" and c.theory == theory
+    )
+    cfg = replace(cfg, steps=2000)
+    run_experiment(cfg)  # fills the per-lattice caches outside the trace
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.errors
+    assert peak <= (ACTION_RESIDUAL_PEAK_MIB[theory] + 1.0) * 2**20, peak / 2**20
