@@ -72,8 +72,6 @@ from .kg import (
     KGConfig,
     KGState,
     kg_dedonder_weyl_residual,
-    kg_el_cancellation_scale,
-    kg_el_pairing,
     kg_evolve_spectral,
     kg_solution_section,
 )
@@ -81,8 +79,6 @@ from .lattice import Lattice, ModeVector, dft, idft, mode_index_table, nan_max
 from .schrodinger import (
     SchrState,
     schr_dedonder_weyl_residual,
-    schr_el_cancellation_scale,
-    schr_el_pairing,
     schr_evolve_spectral,
     schr_solution_section,
 )
@@ -426,8 +422,8 @@ class Theory:
     # the slice layer's shared bodies (lattice._Slice, lattice._Section)
     def enforce(self, a0, a1, time: float = 0.0):
         return self.state._enforced(a0, a1, time)
-    def profile(self, section, d0, d1):
-        return section._bumped(d0, d1)
+    def profile(self, section, variation, first: int = 0, count: int | None = None):
+        return section._bumped(variation, first, count)
 
     def slice_fields(self, state) -> tuple:
         """The fields of a slice state (or variation) behind (a0, a1)."""
@@ -511,12 +507,8 @@ class KGTheory(Theory):
     # the slice-level entry points of kg.py
     def evolve(self, state, s: float, ledger: str = "resolved"):
         return kg_evolve_spectral(state, s, self.cfg, mass_sign=ledger)
-    def section(self, state, dt: float, steps: int):
-        return kg_solution_section(state, dt, steps, self.cfg)
-    def el_pairing(self, section, variation) -> float:
-        return kg_el_pairing(section, variation)
-    def el_scale(self, section, variation) -> float:
-        return kg_el_cancellation_scale(section, variation)
+    def section(self, state, dt: float, steps: int, first: int = 0):
+        return kg_solution_section(state, dt, steps, self.cfg, first)
     def ddw(self, section) -> float:
         return kg_dedonder_weyl_residual(section)
 
@@ -617,12 +609,8 @@ class SchrTheory(Theory):
     # the slice-level entry points of schrodinger.py
     def evolve(self, state, s: float, ledger: str = "resolved"):
         return schr_evolve_spectral(state, s, hamiltonian_sign=ledger)
-    def section(self, state, dt: float, steps: int):
-        return schr_solution_section(state, dt, steps)
-    def el_pairing(self, section, variation) -> float:
-        return schr_el_pairing(section, variation)
-    def el_scale(self, section, variation) -> float:
-        return schr_el_cancellation_scale(section, variation)
+    def section(self, state, dt: float, steps: int, first: int = 0):
+        return schr_solution_section(state, dt, steps, first)
     def ddw(self, section) -> float:
         return schr_dedonder_weyl_residual(section)
 

@@ -18,6 +18,10 @@ Random data uses the counter-based Philox generator keyed by the seed
 (numpy.random.Philox), so streams are reproducible across platforms and
 reimplementations: band-limited standard-normal mode coefficients on
 |m_j| <= n/4 per axis, reality-symmetrized, constraints enforced.
+
+action-residual streams its ladders (_stream): each pass builds chunks
+of the finest section in turn and adds their per-node densities into
+every level, so no whole section is held.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from . import __version__
 from . import brackets as br
 from . import darboux as dx
 from .kg import KGConfig, kg_evolve_leapfrog, kg_hamiltonian
-from .lattice import Lattice, ModeVector, ScalarField, _even_slices, idft, nan_max
+from .lattice import Lattice, ModeVector, ScalarField, _el_densities, _time_integral, idft, nan_max
 from .schrodinger import schr_evolve_stepped, schr_norm_squared, to_wavefunction
 
 __all__ = [
@@ -64,13 +68,14 @@ EVOLUTIONS = ("spectral", "stepped")
 LEDGERS = ("resolved", "paper-printed")
 
 
-# bytes the largest spacetime section of action-residual may take; a
-# section holds 8-byte floats on every slice and site: 2 + dim of them
-# for kg (phi, p, beta), 2 + 2 dim for schrodinger.  The largest is the
-# dt/2 Euler-Lagrange section, the only one built at that size; while
-# the dt level is evaluated its even-slice copy, half the size, is held
-# beside it
-SECTION_BUDGET_BYTES = 2**30
+# slices x sites x floats per site (one per scalar, dim per constraint of
+# the theory's state) the largest action-residual pass, the dt/2 Euler-
+# Lagrange one, may build and transform; it streams, so this bounds work
+SECTION_BUDGET_SITE_FLOATS = 2**27
+
+# fine slices x sites a chunk of a streamed action-residual pass owns,
+# besides its halo: 512 slices of the suite's 1D n=64 lattice
+STREAM_SLICE_SITES = 2**15
 
 # steps x sites a stepped evolve run may take.  kg takes 1/dt leapfrog
 # steps whatever `steps` says, schrodinger takes `steps` midpoint
@@ -184,16 +189,17 @@ class ExperimentConfig:
             raise ValueError(f"invalid field 'sign_ledger': {self.sign_ledger!r}")
 
     def _check_section_size(self):
-        """The largest section action-residual holds, the one of the
-        dt/2 Euler-Lagrange run, must fit SECTION_BUDGET_BYTES."""
-        slices = _el_steps(self, self.dt / 2) + 1
-        fields = 2 + self.dim if self.theory == "kg" else 2 + 2 * self.dim
-        size = 8 * slices * self.n**self.dim * fields
-        if size > SECTION_BUDGET_BYTES:
+        """The slices x sites x floats the dt/2 Euler-Lagrange pass of
+        action-residual builds must fit SECTION_BUDGET_SITE_FLOATS; the
+        floats per site are read off the theory's state declarations."""
+        state = dx._RECORDS[self.theory].state
+        slices, sites = _el_steps(self, self.dt / 2) + 1, self.n**self.dim
+        floats = len(state.SCALARS) + self.dim * len(state.CONSTRAINTS)
+        if slices * sites * floats > SECTION_BUDGET_SITE_FLOATS:
             raise ValueError(
                 f"invalid fields 'steps', 'n', 'dim': steps={self.steps}, n={self.n}, "
-                f"dim={self.dim} need a {slices}-slice section of {size / 2**30:.2f} GiB "
-                f"in action-residual, over the {SECTION_BUDGET_BYTES / 2**30:.0f} GiB budget"
+                f"dim={self.dim} need {slices} slices x {sites} sites x {floats} floats in "
+                f"action-residual, over the budget of {SECTION_BUDGET_SITE_FLOATS:.3g}"
             )
 
     def _check_stepped_work(self):
@@ -677,30 +683,42 @@ def _bracket_rows(cfg: ExperimentConfig):
     yield "restriction-consistency", rc, 1e-12
 
 
-def _ladder(cfg: ExperimentConfig, levels: int, steps_at, build, evaluate) -> list:
-    """evaluate(section) for the sections of build(dt, steps) at
-    dt = cfg.dt / 2**j, j = 0 .. levels - 1, with steps_at(cfg, dt) time
-    intervals each, in that order.
-
-    Only the finest section is built: a level with half the intervals
-    of the next finer one is that one's even slices, bit for bit the
-    section build would give (a clamped step count gets its own build).
-    Coarser levels are evaluated first, each dropped before the next
-    finer one is evaluated, so the derived stacks an evaluation keeps on
-    a finer section never sit beside a coarser section.
-    """
+def _stream(cfg: ExperimentConfig, levels: int, steps_at, build):
+    """Level j < levels of a ladder (dt = cfg.dt / 2**j, steps_at(cfg, dt)
+    intervals) chunk by chunk: yields (j, count, first, section, own), the
+    level's nodes first, first + 1, ... of its `count`, of which the chunk
+    accounts for the rows `own`.  A level with half the intervals of the
+    next finer one is its even nodes, so one pass over the finest grid
+    serves such a nest (a clamped step count gets its own).  A chunk owns
+    STREAM_SLICE_SITES // sites fine nodes, or 8 halos if more, built by
+    build(dt, steps, first=...) with a halo of two nodes of the nest's
+    coarsest level on each side."""
     if levels < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
     dts = [cfg.dt / 2**j for j in range(levels)]
     steps = [steps_at(cfg, dt) for dt in dts]
-    sections = [build(dts[-1], steps[-1])]
+    nests = [[levels - 1]]
     for j in range(levels - 2, -1, -1):
-        nested = steps[j + 1] == 2 * steps[j]
-        sections.append(_even_slices(sections[-1]) if nested else build(dts[j], steps[j]))
-    values = []
-    while sections:
-        values.append(evaluate(sections.pop()))
-    return values
+        if steps[j + 1] == 2 * steps[j]:
+            nests[-1].append(j)
+        else:
+            nests.append([j])
+    for nest in nests:
+        fine, count, halo = nest[0], steps[nest[0]] + 1, 2 ** len(nest)
+        # eight halos a chunk at least: the halos add at most a quarter
+        rows = max(8 * halo, STREAM_SLICE_SITES // cfg.lattice.site_count)
+        for g0 in range(0, count, rows):
+            g1 = min(count, g0 + rows)
+            h0, h1 = max(0, g0 - halo), min(count, g1 + halo)
+            chunk = build(dts[fine], h1 - h0 - 1, first=h0)
+            for j in nest:
+                stride = 2 ** (fine - j)
+                # the level's nodes among the chunk's, and those it owns
+                first, lo, hi = (-(-g // stride) for g in (h0, g0, g1))
+                if lo < hi:
+                    pick = slice(first * stride - h0, h1 - h0, stride)
+                    section = chunk if stride == 1 else chunk._sampled(pick, dts[j])
+                    yield j, steps[j] + 1, first, section, slice(lo - first, hi - first)
 
 
 def _ddw_steps(cfg, dt: float) -> int:
@@ -712,28 +730,37 @@ def _ddw_steps(cfg, dt: float) -> int:
 def el_residuals(cfg: ExperimentConfig, levels: int = 2) -> list[float]:
     """EL pairing / cancellation scale, sign kept, of action-residual's
     band-1 solution section at dt = cfg.dt / 2**j for j < levels, varied
-    along a seeded time-bump profile."""
+    along a seeded time-bump profile: per-node densities streamed chunk
+    by chunk (_stream), one trapezoid per level."""
     th = _theory(cfg)
-    d1, d2 = _seeded_fields(cfg, cfg.seed + 7, band=1)
-
-    def evaluate(section):
-        var = th.profile(section, d1, d2)
-        return th.el_pairing(section, var) / th.el_scale(section, var)
-
+    variation = th.enforce(*_seeded_fields(cfg, cfg.seed + 7, band=1))
     build = partial(th.section, _banded_state(cfg, cfg.seed, band=1))
-    return _ladder(cfg, levels, _el_steps, build, evaluate)
+    densities = {}
+    for j, count, first, section, own in _stream(cfg, levels, _el_steps, build):
+        var = th.profile(section, variation, first, count)
+        out = densities.setdefault(j, np.empty((2, count)))[:, first + own.start : first + own.stop]
+        out[...] = [dens[own] for dens in _el_densities(section.lagrangian, section, var)]
+    lat = cfg.lattice
+    return [
+        _time_integral(lat, cfg.dt / 2**j, pairing) / _time_integral(lat, cfg.dt / 2**j, scale)
+        for j, (pairing, scale) in sorted(densities.items())
+    ]
 
 
 def ddw_residuals(cfg: ExperimentConfig, levels: int = 2) -> list[float]:
     """Sup de Donder-Weyl residual of action-residual's band-2 solution
-    section at dt = cfg.dt / 2**j for j < levels."""
+    section at dt = cfg.dt / 2**j for j < levels, streamed chunk by chunk
+    (_stream): the sup over the chunks' interior nodes."""
     th = _theory(cfg)
     build = partial(th.section, _banded_state(cfg, cfg.seed + 8, band=2))
-    return _ladder(cfg, levels, _ddw_steps, build, th.ddw)
+    sups = [[] for _ in range(levels)]
+    for j, _, _, section, _ in _stream(cfg, levels, _ddw_steps, build):
+        sups[j].append(th.ddw(section))
+    return [nan_max(level) for level in sups]
 
 
 def _action_rows(cfg: ExperimentConfig):
-    # each ladder's time goes to its first row, which builds the sections
+    # each ladder's time goes to its first row, which streams the sections
     s1, s2 = el_residuals(cfg)
     r1, r2 = abs(s1), abs(s2)
     yield "el-pairing-scaled", r1, 1e-8

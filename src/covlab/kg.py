@@ -28,7 +28,7 @@ its exact drift rather than the degenerate rotation formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -111,7 +111,7 @@ class KGSpacetimeSection(_Section):
     dt: float
     cfg: KGConfig
     t0: float = 0.0
-    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    lagrangian = property(lambda self: _kg_lagrangian(self.cfg.mass))
 
     @classmethod
     def from_states(cls, states, dt: float, cfg: KGConfig) -> KGSpacetimeSection:
@@ -220,13 +220,13 @@ def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, cfg: KGConfig) -> 
 
 
 def kg_solution_section(
-    state: KGState, dt: float, steps: int, cfg: KGConfig
+    state: KGState, dt: float, steps: int, cfg: KGConfig, first: int = 0
 ) -> KGSpacetimeSection:
-    """Sample the exact flow on a uniform time grid of `steps` intervals
-    (lattice._Section._solution); beta is also the section's derived
-    gradient of phi."""
+    """Sample the exact flow on `steps` intervals of the uniform time grid
+    of spacing dt from state.time, from its node `first` on
+    (lattice._Section._solution)."""
     return KGSpacetimeSection._solution(
-        state, dt, steps, _kg_propagator(cfg), cfg.lattice, cfg=cfg
+        state, dt, steps, _kg_propagator(cfg), cfg.lattice, first, cfg=cfg
     )
 
 
@@ -235,7 +235,7 @@ def kg_dedonder_weyl_residual(section: KGSpacetimeSection) -> float:
     the Euler-Lagrange equations of _kg_lagrangian: with P^0 = -p,
     dphi/dt = p, beta = grad phi and dp/dt = div beta - mass^2 phi, on the
     interior time nodes (lattice._first_order_residual)."""
-    return _first_order_residual(_kg_lagrangian(section.cfg.mass), section)
+    return _first_order_residual(section.lagrangian, section)
 
 
 def _kg_lagrangian(mass: float) -> tuple:
@@ -254,7 +254,7 @@ def _kg_lagrangian(mass: float) -> tuple:
 
 def kg_action(section: KGSpacetimeSection) -> float:
     """Discrete covariant action: trapezoidal in time, exact in space."""
-    return _lagrangian_form(_kg_lagrangian(section.cfg.mass), section)
+    return _lagrangian_form(section.lagrangian, section)
 
 
 def kg_el_pairing(
@@ -262,7 +262,7 @@ def kg_el_pairing(
 ) -> float:
     """Directional derivative of the action along a variation of the
     section, which must vanish on the first and last slices."""
-    return _lagrangian_form(_kg_lagrangian(section.cfg.mass), section, variation)
+    return _lagrangian_form(section.lagrangian, section, variation)
 
 
 def kg_el_cancellation_scale(
@@ -271,5 +271,5 @@ def kg_el_cancellation_scale(
     """Normalization for the EL residual: the L1 mass of the terms of the
     pairing (p against d_t dphi, dp against d_t phi, beta against grad
     dphi, ...), which cancel on solution sections."""
-    return _lagrangian_form(_kg_lagrangian(section.cfg.mass), section, variation, magnitude=True)
+    return _lagrangian_form(section.lagrangian, section, variation, magnitude=True)
 

@@ -19,13 +19,15 @@ The slice layer of both theories is written here once: _Slice (constraint
 enforcement and residual, spectral evolution) and _Section (the section
 builder, the variation profile, the stacks' checks) read what a theory's
 state declares, its two scalar fields and its constraints, and take the
-theory's propagator; the kernels below read its Lagrangian table.
+theory's propagator; the kernels below read its Lagrangian table.  The
+builder and the profile also give any chunk of a section's rows, and the
+kernels act per node, so a pass can stream a long section chunk by chunk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from functools import lru_cache, partial
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -439,18 +441,18 @@ class _Section:
     on the uniform time grid t0 + i dt, stored as read-only stacks.
 
     A subclass is a frozen dataclass that declares its stacks, ``dt``,
-    ``t0``, its lattice (as a ``lattice`` field or property) and the
-    private ``_derived`` memo, and names its slice state (a ``_Slice``)
-    in ``STATE``: one stack per state field, the scalars of shape
-    (T, *lattice.shape) and the vectors of shape (T, dim, *lattice.shape).
-    A variation of a section, a tangent vector to the space of sections,
-    has the same layout and is stored in the same class.
-
-    The stacks a Lagrangian table derives, d/dt and the spatial gradient
-    of a named stack, are built at most once per instance and kept
-    read-only in the memo.  dataclasses.replace gives the new section an
-    empty memo of its own.
+    ``t0`` and its lattice (as a ``lattice`` field or property), names its
+    slice state (a ``_Slice``) in ``STATE`` and its bilinear Lagrangian
+    table as the property ``lagrangian``: one stack per state field, the
+    scalars of shape (T, *lattice.shape) and the vectors of shape
+    (T, dim, *lattice.shape).  A variation of a section, a tangent vector
+    to the space of sections, has the same layout and is stored in the
+    same class.  Nothing derived is kept.
     """
+
+    # True where each constraint stack is sign * grad(scalar) by construction
+    # (builder, profile, their rows); dataclasses.replace gives a section without
+    _exact = False
 
     def __post_init__(self):
         """Replace the stacks by read-only float copies, shape-checked: one
@@ -459,9 +461,7 @@ class _Section:
         # Without it a stack_idft result stays a strided .real view of its
         # complex buffer, and the sums over it round differently: the KG
         # el-pairing-scaled row at seed 42 moves from 4.5120079787548944e-09
-        # to 4.5120079851279934e-09.  Copies made elsewhere to keep the stacks
-        # contiguous kept every value but raised the suite's peak RSS by
-        # about 7 %, which depends on the order of allocations.
+        # to 4.5120079851279934e-09.
         names = self.STATE.SCALARS + self.STATE.VECTORS
         out = [_locked(np.asarray(getattr(self, n), dtype=float)) for n in names]
         count = out[0].shape[0] if out[0].ndim else 0
@@ -499,52 +499,61 @@ class _Section:
         return cls(**scalars, **vectors, dt=dt, t0=t0, **source)
 
     @classmethod
-    def _solution(cls, state, dt: float, steps: int, propagate, lat: Lattice, **source):
-        """The flow of state on a uniform grid of `steps` intervals of dt:
-        propagate (see _Slice), built for lat, broadcast over the grid, one
-        batched inverse transform per scalar and one batched gradient per
-        constraint.  `source` gives the section its lattice (_stacked)."""
+    def _solution(cls, state, dt: float, steps: int, propagate, lat: Lattice, first, **source):
+        """The flow of state on the nodes first .. first + steps of the
+        grid of spacing dt from state.time: propagate (see _Slice), built
+        for lat, broadcast over those times, one batched inverse transform
+        per scalar and one batched gradient per constraint, none of which
+        mixes nodes.  `source` gives the section its lattice (_stacked)."""
         if steps < 1:
             raise ValueError("need at least one time interval")
         if state.lattice != lat:
             raise ValueError("section slice lattice mismatch")
-        s = (np.arange(steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
+        s = (np.arange(first, first + steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
         hats = propagate(*(dft(getattr(state, n)).coefficients for n in cls.STATE.SCALARS), s)
         scalars = {n: stack_idft(lat, h) for n, h in zip(cls.STATE.SCALARS, hats)}
         grads = {n: stack_gradient(lat, scalars[n]) for _, n, _ in cls.STATE.CONSTRAINTS}
-        make = partial(cls, dt=dt, t0=state.time, **source)
-        return cls._constrained(make, scalars, grads)
+        vectors = {v: grads[n] if sign > 0 else -grads[n] for v, n, sign in cls.STATE.CONSTRAINTS}
+        t0 = state.time + first * dt
+        return cls(**scalars, **vectors, dt=dt, t0=t0, **source)._marked(True)
 
-    def _bumped(self, d0: ScalarField, d1: ScalarField):
-        """Admissible variation: slice fields (d0, d1) of the scalars under
-        a sin^2 time bump vanishing at both endpoints, the constrained
-        stacks from the bumped slice gradients (the bump commutes with the
-        gradient up to rounding)."""
+    def _bumped(self, slice_state, first: int = 0, count: int | None = None):
+        """Admissible variation: the fields of a slice state whose
+        constraints hold (_enforced) under a sin^2 time bump over a grid of
+        `count` nodes (the section's by default), zero on its end nodes;
+        the section's rows are the grid's nodes from `first` on.  The
+        constrained stacks, bumped slice gradients, equal the gradients of
+        the bumped fields up to rounding."""
         lat = self.lattice
-        if d0.lattice != lat or d1.lattice != lat:
+        if slice_state.lattice != lat:
             raise ValueError("variation field lattice mismatch")
-        slices = dict(zip(self.STATE.SCALARS, (d0, d1)))
-        bump = partial(_bump_stack, len(self.times()), self.dt)
-        grads = {
-            n: bump(stack_gradient(lat, slices[n].values[np.newaxis])[0])
-            for _, n, _ in self.STATE.CONSTRAINTS
-        }
-        scalars = {n: bump(f.values) for n, f in slices.items()}
-        return self._constrained(partial(replace, self), scalars, grads)
+        rows = len(self.times())
+        count = rows if count is None else count
+        times = np.arange(first, first + rows) * self.dt
+        profile = np.sin(np.pi * times / ((count - 1) * self.dt)) ** 2
+        ends = [i - first for i in (0, count - 1) if first <= i < first + rows]
 
-    @classmethod
-    def _constrained(cls, make, scalars: dict, grads: dict):
-        """make(**stacks) of the scalar stacks and each constrained stack
-        sign * grads[scalar], with grads[scalar] seeded as the derived
-        gradient of its scalar: for sign +1 the section's own stack, so no
-        stack is multiplied by +1 or held twice."""
-        constraints = cls.STATE.CONSTRAINTS
-        section = make(
-            **scalars, **{v: grads[n] if sign > 0 else -grads[n] for v, n, sign in constraints}
-        )
-        for v, n, sign in constraints:
-            _seed_derived(section, "grad", n, getattr(section, v) if sign > 0 else grads[n])
-        return section
+        def bump(field: np.ndarray) -> np.ndarray:
+            out = profile.reshape((-1,) + (1,) * field.ndim) * field
+            out[ends] = 0.0
+            return out
+
+        stacks = {n: bump(getattr(slice_state, n).values) for n in self.STATE.SCALARS}
+        for n in self.STATE.VECTORS:
+            stacks[n] = bump(np.array([c.values for c in getattr(slice_state, n).components]))
+        return replace(self, **stacks)._marked(True)
+
+    def _sampled(self, rows: slice, dt: float):
+        """The section on its rows `rows` (a slice with a step) at time
+        step dt, every stack copied.  The rows [::2] of a build at dt / 2
+        are the build at dt bit for bit."""
+        stacks = {n: getattr(self, n)[rows] for n in self.STATE.SCALARS + self.STATE.VECTORS}
+        out = replace(self, dt=dt, t0=self.t0 + rows.start * self.dt, **stacks)
+        return out._marked(self._exact)
+
+    def _marked(self, exact: bool):
+        object.__setattr__(self, "_exact", exact)
+        return self
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(getattr(self, self.STATE.SCALARS[0])))
@@ -564,64 +573,6 @@ class _Section:
             )
             for i, t in enumerate(self.times())
         )
-
-
-def _bump_stack(count: int, dt: float, field: np.ndarray) -> np.ndarray:
-    """`field` under a sin^2 time bump over `count` nodes of spacing dt,
-    exactly zero on the first and last node: shape (count, *field.shape)."""
-    times = np.arange(count) * dt
-    bump = np.sin(np.pi * times / times[-1]) ** 2
-    out = bump.reshape((-1,) + (1,) * field.ndim) * field
-    out[[0, -1]] = 0.0
-    return out
-
-
-def _table_op(op: str, section, name: str) -> np.ndarray:
-    """op of a Lagrangian table applied to the section's stack `name`:
-    "id", "dt" (second order in time, one-sided at the ends) or "grad"
-    (stack_gradient).  A derived stack is built at most once per section
-    and kept read-only in its memo."""
-    stack = getattr(section, name)
-    if op == "id":
-        return stack
-    memo = section._derived
-    if (op, name) not in memo:
-        if op == "dt":
-            out = np.gradient(stack, section.dt, axis=0, edge_order=2)
-        else:
-            out = stack_gradient(section.lattice, stack)
-        _seed_derived(section, op, name, out)
-    return memo[(op, name)]
-
-
-def _seed_derived(section, op: str, name: str, stack: np.ndarray) -> None:
-    """Store `stack` as the section's derived stack (op, name), locked in
-    place: a builder that already holds op(name) saves the transform."""
-    stack.setflags(write=False)
-    section._derived[(op, name)] = stack
-
-
-def _even_slices(section):
-    """The section on its even nodes, at step 2 dt: every stack and every
-    derived gradient taken [::2], as contiguous read-only copies.
-
-    A builder's section at dt / 2 sliced this way is its section at dt
-    bit for bit, gradients included, so one build serves both steps and
-    an EL pass on the result still transforms nothing.  A gradient that
-    is one of the section's own stacks stays that stack; d/dt stacks
-    depend on the step and are not carried.
-    """
-    stacks = {
-        f.name: getattr(section, f.name)
-        for f in fields(section)
-        if isinstance(getattr(section, f.name), np.ndarray)
-    }
-    out = replace(section, dt=2 * section.dt, **{n: a[::2] for n, a in stacks.items()})
-    for (op, name), stack in section._derived.items():
-        if op == "grad":
-            own = next((n for n, a in stacks.items() if a is stack), None)
-            _seed_derived(out, op, name, stack[::2].copy() if own is None else getattr(out, own))
-    return out
 
 
 def _by_distinct(keys: np.ndarray, s, fn) -> tuple[np.ndarray, ...]:
@@ -651,10 +602,55 @@ def _node_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ti,ti->t", u.reshape(len(u), -1), v.reshape(len(v), -1))
 
 
+def _el_densities(table, section, variation) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node slice sums of the EL pairing of a bilinear Lagrangian
+    table on a section along a variation, and of its cancellation scale
+    (see _lagrangian_form).  d/dt is second order in time, one-sided at
+    the ends of the rows; grad(b) is read off b's constraint stack on an
+    exact section (negation is exact) and transformed on any other.  A
+    node's values read only its rows and its neighbours', so a chunk with
+    a halo gives the whole section's values on its inner nodes bit for
+    bit.
+    """
+    gradients = {n: (v, sign) for v, n, sign in section.STATE.CONSTRAINTS}
+
+    def apply(op, s, name):
+        if op == "dt":
+            return np.gradient(getattr(s, name), s.dt, axis=0, edge_order=2)
+        if op == "id":
+            return getattr(s, name)
+        if not s._exact:
+            return stack_gradient(s.lattice, getattr(s, name))
+        vector, sign = gradients[name]
+        return getattr(s, vector) if sign > 0 else -getattr(s, vector)
+
+    # magnitudes are taken as each sum needs them, so no more than two
+    # stack-sized temporaries are alive beside a term's op(b) and op(db)
+    pairing = scale = 0.0
+    for c, a, op, b in table:
+        x, dx = getattr(section, a), getattr(variation, a)
+        if (op, a) == ("id", b):
+            pairing = pairing + c * (2.0 * _node_sums(dx, x))
+            scale = scale + abs(c) * (2.0 * _node_sums(np.abs(dx), np.abs(x)))
+            continue
+        y, dy = apply(op, section, b), apply(op, variation, b)
+        pairing = pairing + c * (_node_sums(dx, y) + _node_sums(x, dy))
+        scale = scale + abs(c) * (
+            _node_sums(np.abs(dx), np.abs(y)) + _node_sums(np.abs(x), np.abs(dy))
+        )
+    return pairing, scale
+
+
+def _time_integral(lat: Lattice, dt: float, density: np.ndarray) -> float:
+    """Trapezoidal time integral of per-node slice sums, exact in space."""
+    return float(np.trapezoid(lat.spacing**lat.dim * density, dx=dt))
+
+
 def _lagrangian_form(table, section, variation=None, magnitude=False) -> float:
     """Integral of a bilinear Lagrangian table over a section, trapezoidal
-    in time and exact in space.  A term (c, a, op, b) adds c a . op(b) to
-    the density, with a and b names of section stacks.
+    in time and exact in space (_el_densities on every row).  A term
+    (c, a, op, b) adds c a . op(b) to the density, with a and b names of
+    section stacks.
 
     Without a variation: the action, half the pairing of the section with
     itself.  With one: the EL pairing sum c int (da . op(b) + a . op(db)),
@@ -663,10 +659,6 @@ def _lagrangian_form(table, section, variation=None, magnitude=False) -> float:
     sum |c| int (|da| . |op(b)| + |a| . |op(db)|), the L1 mass of the same
     products, against which the pairing's cancellation on solution
     sections is measured independently of the amplitude.
-
-    Every op(b) comes from the memo of the section or variation it is
-    taken on (_table_op), so the pairing and the scale on one pair, and
-    the two halves of the action, transform each stack once between them.
     """
     if variation is None:
         variation, half = section, 0.5
@@ -678,21 +670,8 @@ def _lagrangian_form(table, section, variation=None, magnitude=False) -> float:
                 raise ValueError("one variation per time slice required")
             if not magnitude and np.any(dstack[[0, -1]] != 0.0):
                 raise ValueError("variation must vanish at the temporal endpoints")
-    lat = section.lattice
-    # magnitudes are taken as each sum needs them, so no more than two
-    # stack-sized temporaries are alive at once
-    mag = np.abs if magnitude else (lambda stack: stack)
-    dens = 0.0
-    for c, a, op, b in table:
-        c = abs(c) if magnitude else c
-        x, dx = getattr(section, a), getattr(variation, a)
-        if (op, a) == ("id", b):
-            # da . a and a . da are one sum
-            dens = dens + c * (2.0 * _node_sums(mag(dx), mag(x)))
-            continue
-        y, dy = (_table_op(op, s, b) for s in (section, variation))
-        dens = dens + c * (_node_sums(mag(dx), mag(y)) + _node_sums(mag(x), mag(dy)))
-    return half * float(np.trapezoid(lat.spacing**lat.dim * dens, dx=section.dt))
+    density = _el_densities(table, section, variation)[1 if magnitude else 0]
+    return half * _time_integral(section.lattice, section.dt, density)
 
 
 # op -> -op^T for the derivatives of a table: d/dt is skew-adjoint, and

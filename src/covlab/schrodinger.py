@@ -23,7 +23,7 @@ which is nonpositive; it is conserved by the flow either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class SchrSpacetimeSection(_Section):
     dt: float
     lattice: Lattice
     t0: float = 0.0
-    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    lagrangian = property(lambda self: _SCHR_LAGRANGIAN)
 
     @classmethod
     def from_states(cls, states, dt: float) -> SchrSpacetimeSection:
@@ -172,13 +172,15 @@ def _schr_propagator(lat: Lattice, sign: float = 1.0):
     return propagate
 
 
-def schr_solution_section(state: SchrState, dt: float, steps: int) -> SchrSpacetimeSection:
-    """Sample the exact flow on a uniform time grid of `steps` intervals
-    (lattice._Section._solution); the gradients of phiR and phiI are also
-    the section's derived gradients, and betaR, betaI their negatives."""
+def schr_solution_section(
+    state: SchrState, dt: float, steps: int, first: int = 0
+) -> SchrSpacetimeSection:
+    """Sample the exact flow on `steps` intervals of the uniform time grid
+    of spacing dt from state.time, from its node `first` on
+    (lattice._Section._solution)."""
     lat = state.lattice
     return SchrSpacetimeSection._solution(
-        state, dt, steps, _schr_propagator(lat), lat, lattice=lat
+        state, dt, steps, _schr_propagator(lat), lat, first, lattice=lat
     )
 
 
@@ -193,7 +195,7 @@ def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
     The factor 2 is the table's: phiI d_t phiR - phiR d_t phiI varies
     to 2 d_t.
     """
-    return _first_order_residual(_SCHR_LAGRANGIAN, section)
+    return _first_order_residual(section.lagrangian, section)
 
 
 # phiI d_t phiR - phiR d_t phiI + P^j_a d_j phi^a - H with covariant
@@ -210,7 +212,7 @@ _SCHR_LAGRANGIAN = (
 
 
 def schr_action(section: SchrSpacetimeSection) -> float:
-    return _lagrangian_form(_SCHR_LAGRANGIAN, section)
+    return _lagrangian_form(section.lagrangian, section)
 
 
 def schr_el_pairing(
@@ -218,7 +220,7 @@ def schr_el_pairing(
 ) -> float:
     """Exact directional derivative of the (quadratic) discrete action
     along a variation that vanishes on the first and last slices."""
-    return _lagrangian_form(_SCHR_LAGRANGIAN, section, variation)
+    return _lagrangian_form(section.lagrangian, section, variation)
 
 
 def schr_el_cancellation_scale(
@@ -226,7 +228,7 @@ def schr_el_cancellation_scale(
 ) -> float:
     """Normalization for the EL residual: L1 mass of the first-order terms
     of the directional derivative (see kg_el_cancellation_scale)."""
-    return _lagrangian_form(_SCHR_LAGRANGIAN, section, variation, magnitude=True)
+    return _lagrangian_form(section.lagrangian, section, variation, magnitude=True)
 
 
 def to_wavefunction(state: SchrState) -> np.ndarray:

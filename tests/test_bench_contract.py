@@ -4,10 +4,12 @@ bench/spans.py wraps the public functions of each layer module and the
 methods it lists, and its per-layer metrics look spans up by name: a
 renamed entry point, or one aliased to a function another module
 defines, makes it raise instead of reading 0.  This runs one small
-config of every experiment for both theories under its wrappers.  A
-count that reads 0 means the entry point is no longer on the call path:
-for instance a theory record that keeps the function objects it calls,
-taken at import, instead of calling them by module-level name.
+config of every experiment for both theories under its wrappers, and
+the whole-section EL pairing and scale that the streamed action-residual
+pass no longer reaches.  A count that reads 0 means the entry point is
+no longer on the call path: for instance a theory record that keeps the
+function objects it calls, taken at import, instead of calling them by
+module-level name.
 """
 
 import importlib.util
@@ -17,8 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covlab import darboux, harness
+from covlab import darboux, harness, kg, schrodinger
 from covlab.harness import EXPERIMENTS, THEORIES, ExperimentConfig
+from covlab.lattice import Lattice, ScalarField
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -48,18 +51,49 @@ def bindings(spans):
     return out
 
 
-def test_every_keyed_entry_point_records_a_traced_pass(spans):
+def whole_section_el(theory: str) -> None:
+    """The public whole-section EL pairing and cancellation scale, which
+    the streamed action-residual pass no longer calls, looked up by name in
+    their modules as a caller outside covlab would."""
+    module = {"kg": kg, "schrodinger": schrodinger}[theory]
+    short = "kg" if theory == "kg" else "schr"
+    th = darboux.Theory.of(theory, Lattice(dim=1, n=8, length=2 * np.pi), 1.0)
+    fields = [ScalarField(th.lattice, np.cos(k * th.lattice.coordinates()[0])) for k in (1, 2)]
+    section = th.section(th.enforce(*fields), 1e-2, 8)
+    var = th.profile(section, th.enforce(*fields))
+    getattr(module, f"{short}_el_pairing")(section, var)
+    getattr(module, f"{short}_el_cancellation_scale")(section, var)
+
+
+def streamed_slices(cfg, steps_at) -> int:
+    """Slices the two-level streamed pass of action-residual builds at
+    dt / 2: every fine node once, plus a halo of two coarse nodes (4 fine
+    ones) on each side of each chunk of STREAM_SLICE_SITES // sites nodes
+    (8 halos at least), cut at the ends of the grid."""
+    count, halo = steps_at(cfg, cfg.dt / 2) + 1, 4
+    rows = max(8 * halo, harness.STREAM_SLICE_SITES // cfg.lattice.site_count)
+    assert steps_at(cfg, cfg.dt / 2) == 2 * steps_at(cfg, cfg.dt)
+    return sum(
+        min(count, g0 + rows + halo) - max(0, g0 - halo) for g0 in range(0, count, rows)
+    )
+
+
+def test_every_keyed_entry_point_records_a_traced_pass(spans, monkeypatch):
     configs = [
         ExperimentConfig(theory=theory, experiment=experiment, n=8)
         for experiment in EXPERIMENTS
         for theory in THEORIES
     ]
+    # 500 fine nodes per chunk, so the EL pass has interior chunk boundaries
+    monkeypatch.setattr(harness, "STREAM_SLICE_SITES", 500 * 8)
     before = bindings(spans)
     rec = spans.Recorder()
     with spans.installed(rec):
-        assert darboux.kg_el_pairing is not before[("covlab.darboux", "kg_el_pairing")]
+        assert darboux.kg_solution_section is not before[("covlab.darboux", "kg_solution_section")]
         with rec.traced_pass() as pass_no:
             reports = [harness.run_experiment(cfg) for cfg in configs]
+            for theory in THEORIES:
+                whole_section_el(theory)
     assert bindings(spans) == before
 
     assert [r.errors for r in reports] == [()] * len(configs)
@@ -81,12 +115,14 @@ def test_every_keyed_entry_point_records_a_traced_pass(spans):
     )
     for name in counted:
         assert metrics[name] > 0, name
-    # each action-residual run builds one section per quantity, at dt / 2:
+    # each action-residual run streams one pass per quantity at dt / 2:
     # the EL window over _el_steps and the de Donder-Weyl window capped at
-    # DDW_WINDOW_STEPS, doubled; the sections at dt are their even slices
+    # DDW_WINDOW_STEPS, doubled; the levels at dt are their even nodes.
+    # whole_section_el adds one 9-slice section per theory
     cfg = configs[-1]
     assert cfg.experiment == "action-residual" and cfg.steps > harness.DDW_WINDOW_STEPS
-    el = harness._el_steps(cfg, cfg.dt / 2) + 1
-    ddw = 2 * harness.DDW_WINDOW_STEPS + 1
+    el = streamed_slices(cfg, harness._el_steps)
+    ddw = streamed_slices(cfg, harness._ddw_steps)
+    assert (el, ddw) == (2001 + 3 * 8 + 5, 401)
     for theory in THEORIES:
-        assert metrics[f"{theory}.section_slices"] == el + ddw, theory
+        assert metrics[f"{theory}.section_slices"] == el + ddw + 9, theory

@@ -153,9 +153,33 @@ class TestConfig:
             ExperimentConfig(theory="schrodinger", experiment="omega-check", **{field: value})
 
     def test_oversized_section_rejected(self):
-        # the dt/2 run would hold 2001 slices of 64^3 sites, 5 fields each
-        with pytest.raises(ValueError, match="'steps', 'n', 'dim'.*GiB"):
+        # the dt/2 pass would transform 2001 slices of 64^3 sites, 5 floats each
+        with pytest.raises(ValueError, match="'steps', 'n', 'dim'.*2001 slices x 262144 sites"):
             ExperimentConfig(theory="kg", experiment="action-residual", dim=3, n=64, steps=1000)
+
+    # the largest steps whose dt/2 Euler-Lagrange pass, 2 steps + 1 slices of
+    # n^dim sites with 2 + dim floats (kg) or 2 + 2 dim (schrodinger) each,
+    # fits the 2**27 budget; steps + 1 is rejected
+    @pytest.mark.parametrize(
+        "theory,dim,n,steps",
+        [
+            ("kg", 1, 64, 349524),
+            ("kg", 2, 64, 4095),
+            ("kg", 3, 64, 50),
+            ("schrodinger", 1, 64, 262143),
+            ("schrodinger", 2, 64, 2730),
+            ("schrodinger", 3, 64, 31),
+        ],
+    )
+    def test_section_budget_limit_on_both_sides(self, theory, dim, n, steps):
+        floats = 2 + dim if theory == "kg" else 2 + 2 * dim
+        assert (2 * steps + 1) * n**dim * floats <= harness.SECTION_BUDGET_SITE_FLOATS
+        assert (2 * steps + 3) * n**dim * floats > harness.SECTION_BUDGET_SITE_FLOATS
+        ExperimentConfig(theory=theory, experiment="action-residual", dim=dim, n=n, steps=steps)
+        with pytest.raises(ValueError, match="'steps', 'n', 'dim'"):
+            ExperimentConfig(
+                theory=theory, experiment="action-residual", dim=dim, n=n, steps=steps + 1
+            )
 
     def test_section_guard_only_applies_to_action_residual(self):
         ExperimentConfig(theory="kg", experiment="evolve", dim=3, n=64, steps=1000)
@@ -475,13 +499,15 @@ def test_el_pairing_extrapolated_sees_a_wrong_sign(theory, monkeypatch):
 
 
 def fresh_residuals(cfg, levels):
-    """el_residuals and ddw_residuals with a fresh section built at every
-    step, the reference for the ladder's even slices."""
+    """el_residuals and ddw_residuals with a whole section built at every
+    step and evaluated by the public whole-section functions, the
+    reference for the streamed pass."""
     from covlab import kg, schrodinger
 
     el_state = harness._banded_state(cfg, cfg.seed, band=1)
     ddw_state = harness._banded_state(cfg, cfg.seed + 8, band=2)
-    d1, d2 = harness._seeded_fields(cfg, cfg.seed + 7, band=1)
+    th = harness._theory(cfg)
+    variation = th.enforce(*harness._seeded_fields(cfg, cfg.seed + 7, band=1))
     ddw_window = min(cfg.steps if cfg.steps > 0 else 100, harness.DDW_WINDOW_STEPS)
     el, ddw = [], []
     for j in range(levels):
@@ -491,13 +517,13 @@ def fresh_residuals(cfg, levels):
         if cfg.theory == "kg":
             kcfg = cfg.kg_config()
             sec = kg.kg_solution_section(el_state, dt, el_steps, kcfg)
-            var = harness._theory(cfg).profile(sec, d1, d2)
+            var = th.profile(sec, variation)
             el.append(kg.kg_el_pairing(sec, var) / kg.kg_el_cancellation_scale(sec, var))
             sec = kg.kg_solution_section(ddw_state, dt, ddw_steps, kcfg)
             ddw.append(kg.kg_dedonder_weyl_residual(sec))
         else:
             sec = schrodinger.schr_solution_section(el_state, dt, el_steps)
-            var = harness._theory(cfg).profile(sec, d1, d2)
+            var = th.profile(sec, variation)
             pairing = schrodinger.schr_el_pairing(sec, var)
             el.append(pairing / schrodinger.schr_el_cancellation_scale(sec, var))
             sec = schrodinger.schr_solution_section(ddw_state, dt, ddw_steps)
@@ -511,8 +537,9 @@ def fresh_residuals(cfg, levels):
 )
 @pytest.mark.parametrize("theory", THEORIES)
 def test_ladder_matches_a_fresh_build_at_every_step(theory, dim, steps, levels):
-    # steps=1 clamps both EL levels to 2 intervals, so no level is the
-    # even slices of another and each gets its own build
+    # at n=8 one chunk holds each pass; steps=1 clamps both EL levels to 2
+    # intervals, so no level is the even nodes of another and each gets a
+    # pass of its own
     cfg = ExperimentConfig(
         theory=theory, experiment="action-residual", dim=dim, n=8, steps=steps, seed=5
     )
@@ -520,26 +547,97 @@ def test_ladder_matches_a_fresh_build_at_every_step(theory, dim, steps, levels):
     assert got == fresh_residuals(cfg, levels)
 
 
-@pytest.mark.parametrize("steps,builds", [(1000, 2), (2, 2), (1, 4)])
+# (steps, levels, fine nodes per chunk, at least 8 halos): chunk
+# boundaries on odd and even nodes, with tails of 2 nodes and of 1 node,
+# in two-level nests (101 and 97 fine nodes, halo 4) and three-level nests
+# (197 and 129, halo 8); clamped levels (steps=1: 2 intervals at every
+# level, of which the finer two still nest at levels=3)
+STREAM_CASES = [
+    (50, 2, 33),  # 101 = 3 x 33 + 2
+    (48, 2, 32),  # 97 = 3 x 32 + 1
+    (49, 3, 65),  # 197 = 3 x 65 + 2
+    (32, 3, 64),  # 129 = 2 x 64 + 1
+    (1, 2, 16),
+    (1, 3, 16),
+    (2, 3, 64),
+]
+
+
+@pytest.mark.parametrize("steps,levels,rows", STREAM_CASES)
+@pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("theory", THEORIES)
-def test_action_residual_builds_each_section_once(theory, steps, builds, monkeypatch):
+def test_stream_matches_a_fresh_build_across_chunk_boundaries(
+    theory, dim, steps, levels, rows, monkeypatch
+):
+    cfg = ExperimentConfig(
+        theory=theory, experiment="action-residual", dim=dim, n=8, steps=steps, seed=5
+    )
+    monkeypatch.setattr(harness, "STREAM_SLICE_SITES", rows * cfg.lattice.site_count)
+    name = "kg_solution_section" if theory == "kg" else "schr_solution_section"
+    builder, builds = getattr(dx, name), []
+    monkeypatch.setattr(dx, name, lambda *args: builds.append(args) or builder(*args))
+    el = harness.el_residuals(cfg, levels)
+    if steps > 2:
+        # one pass over the finest grid, in chunks of `rows` fine nodes
+        count = harness._el_steps(cfg, cfg.dt / 2 ** (levels - 1)) + 1
+        assert len(builds) == -(-count // rows)
+    assert (el, harness.ddw_residuals(cfg, levels)) == fresh_residuals(cfg, levels)
+
+
+def streamed_slices(counts, rows):
+    """Slices a pass over each (fine nodes, halo) builds in chunks owning
+    `rows` nodes: every node once, and each chunk's halos inside the grid."""
+    total = 0
+    for count, halo in counts:
+        for g0 in range(0, count, rows):
+            total += min(count, g0 + rows + halo) - max(0, g0 - halo)
+    return total
+
+
+# (steps, fine nodes per chunk, slices built): the EL pass over 2 steps + 1
+# nodes at dt / 2 and the de Donder-Weyl pass over 2 min(steps, 200) + 1,
+# each chunk with a halo of 4 nodes (two coarse nodes) on each side, cut
+# at the ends of the grid: at 500 nodes per chunk the EL pass builds
+# 2001 + 3 x 8 + (4 + 1), its last chunk holding node 2000 alone.  A chunk
+# owns 8 halos at least, so 2 nodes per chunk build as 32 do.  At steps=1
+# every level is clamped to 2 intervals and gets a pass of its own
+@pytest.mark.parametrize(
+    "steps,rows,slices",
+    [
+        (1000, 4096, 2001 + 401),
+        (1000, 500, 2030 + 401),
+        (1000, 64, 2698),
+        (1000, 32, 2497 + 497),
+        (1000, 2, 2497 + 497),
+        (2, 4096, 5 + 5),
+        (1, 4096, 3 + 3 + 3 + 3),
+    ],
+)
+@pytest.mark.parametrize("theory", THEORIES)
+def test_action_residual_builds_each_fine_node_once_plus_halos(
+    theory, steps, rows, slices, monkeypatch
+):
     name = "kg_solution_section" if theory == "kg" else "schr_solution_section"
     # the theory record calls the builder by its name in darboux
     builder = getattr(dx, name)
     calls = []
 
-    def counted(state, dt, steps, *args):
-        calls.append((dt, steps))
-        return builder(state, dt, steps, *args)
+    def counted(state, dt, steps, *args, **kwargs):
+        calls.append((dt, steps + 1))
+        return builder(state, dt, steps, *args, **kwargs)
 
     monkeypatch.setattr(dx, name, counted)
     cfg = ExperimentConfig(theory=theory, experiment="action-residual", n=8, steps=steps)
+    monkeypatch.setattr(harness, "STREAM_SLICE_SITES", rows * cfg.lattice.site_count)
     report = run_experiment(cfg)
     assert report.errors == ()
-    # one EL and one de Donder-Weyl section, each at the finer step
-    assert len(calls) == builds
-    if builds == 2:
-        assert [dt for dt, _ in calls] == [cfg.dt / 2] * 2
+    assert sum(count for _, count in calls) == slices
+    window = min(steps, harness.DDW_WINDOW_STEPS)
+    if steps > 1:
+        counts = [(2 * steps + 1, 4), (2 * window + 1, 4)]
+        assert streamed_slices(counts, max(rows, 8 * 4)) == slices
+        # every chunk is built at the finer step
+        assert {dt for dt, _ in calls} == {cfg.dt / 2}
 
 
 class TestRunner:

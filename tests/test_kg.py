@@ -38,8 +38,10 @@ CFG = KGConfig(mass=1.0, lattice=LAT)
 
 
 def profile(section, d0, d1):
-    """The time-bump variation through the theory record."""
-    return Theory.of("kg", section.lattice).profile(section, d0, d1)
+    """The time-bump variation of the slice fields (d0, d1) through the
+    theory record."""
+    th = Theory.of("kg", section.lattice)
+    return th.profile(section, th.enforce(d0, d1))
 
 
 def seeded(seed):

@@ -39,8 +39,10 @@ LAT = Lattice(dim=1, n=64, length=2 * np.pi)
 
 
 def profile(section, d0, d1):
-    """The time-bump variation through the theory record."""
-    return Theory.of("schrodinger", section.lattice).profile(section, d0, d1)
+    """The time-bump variation of the slice fields (d0, d1) through the
+    theory record."""
+    th = Theory.of("schrodinger", section.lattice)
+    return th.profile(section, th.enforce(d0, d1))
 
 
 def seeded(seed):

@@ -1,7 +1,9 @@
 """Spacetime sections stored as stacked arrays: the batched build against
 the slice-by-slice flow, hand-built sections, the batched checks, the
-de Donder-Weyl residual read off each Lagrangian table, the memo of
-derived stacks, and the even slices of a finer build."""
+de Donder-Weyl residual read off each Lagrangian table, the gradients
+exact sections read off their constraint stacks, and the rows of a build
+(a chunk from a node on, the even rows of a finer build) that a streamed
+pass evaluates."""
 
 from dataclasses import fields, replace
 from functools import partial
@@ -24,9 +26,8 @@ from covlab.darboux import Theory, random_hermitian_modes
 from covlab.lattice import (
     Lattice,
     ModeVector,
-    _even_slices,
+    _el_densities,
     _first_order_residual,
-    _table_op,
     hermitize,
     idft,
     stack_divergence,
@@ -296,40 +297,42 @@ def test_omega_is_cached_and_read_only():
 
 
 # ---------------------------------------------------------------------------
-# derived stacks: built once per section, seeded where a builder holds them
+# exact sections: the builder's and the profile's, whose gradients are read
+# off their constraint stacks
 
 
-def kg_pair(dim, nested=False):
-    """A builder section and its profile variation; with `nested`, the
-    section is the even slices of the build at DT / 2."""
+def kg_pair(dim, sampled=False):
+    """A builder section and its profile variation; with `sampled`, the
+    section is the even rows of the build at DT / 2."""
     st0, cfg = kg_setup(dim)
-    if nested:
-        section = _even_slices(kg_solution_section(st0, DT / 2, 2 * STEPS, cfg))
+    if sampled:
+        fine = kg_solution_section(st0, DT / 2, 2 * STEPS, cfg)
+        section = fine._sampled(slice(0, None, 2), DT)
     else:
         section = kg_solution_section(st0, DT, STEPS, cfg)
-    d1, d2 = random_fields(cfg.lattice, 20 + dim)
-    return section, Theory.of("kg", cfg.lattice).profile(section, d1, d2)
+    th = Theory.of("kg", cfg.lattice)
+    return section, th.profile(section, th.enforce(*random_fields(cfg.lattice, 20 + dim)))
 
 
-def schr_pair(dim, nested=False):
+def schr_pair(dim, sampled=False):
     st0 = schr_setup(dim)
-    if nested:
-        section = _even_slices(schr_solution_section(st0, DT / 2, 2 * STEPS))
+    if sampled:
+        section = schr_solution_section(st0, DT / 2, 2 * STEPS)._sampled(slice(0, None, 2), DT)
     else:
         section = schr_solution_section(st0, DT, STEPS)
-    d1, d2 = random_fields(section.lattice, 30 + dim)
-    return section, Theory.of("schrodinger", section.lattice).profile(section, d1, d2)
+    th = Theory.of("schrodinger", section.lattice)
+    return section, th.profile(section, th.enforce(*random_fields(section.lattice, 30 + dim)))
 
 
 PAIRS = {
     "kg": (kg_pair, ("phi",), kg_el_pairing, kg_el_cancellation_scale),
     "schrodinger": (schr_pair, ("phiR", "phiI"), schr_el_pairing, schr_el_cancellation_scale),
 }
-# the same pairs with the section taken as the even slices of the build
-# at DT / 2
+# the same pairs with the section taken as the even rows of the build at
+# DT / 2
 PAIRS.update(
     {
-        f"{theory}-even-slices": (partial(build, nested=True), *rest)
+        f"{theory}-even-rows": (partial(build, sampled=True), *rest)
         for theory, (build, *rest) in list(PAIRS.items())
     }
 )
@@ -337,69 +340,44 @@ PAIRS.update(
 
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("theory", PAIRS)
-def test_seeded_gradients_match_fresh_ones(theory, dim):
-    build, names, _, _ = PAIRS[theory]
+def test_constraint_stacks_of_exact_sections_are_their_gradients(theory, dim):
+    # what the EL densities read in place of a transform: the builder's
+    # constraint stacks are sign * grad(scalar) bit for bit, the profile's
+    # the bumped slice gradient, to rounding
+    build = PAIRS[theory][0]
     section, var = build(dim)
-    for name in names:
+    assert section._exact and var._exact
+    for vector, name, sign in section.STATE.CONSTRAINTS:
         fresh = stack_gradient(section.lattice, getattr(section, name))
-        assert np.array_equal(section._derived[("grad", name)], fresh)
+        assert np.array_equal(sign * getattr(section, vector), fresh)
         fresh = stack_gradient(var.lattice, getattr(var, name))
-        seeded = var._derived[("grad", name)]
-        assert np.max(np.abs(seeded - fresh)) <= 1e-15 * np.max(np.abs(fresh))
+        read = sign * getattr(var, vector)
+        assert np.max(np.abs(read - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
 
 @pytest.mark.parametrize("theory", ("kg", "schrodinger"))
-def test_profile_rejects_fields_on_another_lattice(theory):
-    # the slice gradient would be taken with the section's wavenumbers
+def test_profile_rejects_a_variation_on_another_lattice(theory):
+    # its gradients were taken with other wavenumbers
     section, _ = PAIRS[theory][0](1)
     other = Lattice(dim=1, n=8, length=4 * np.pi)
-    profile = Theory.of(theory, section.lattice).profile
-    good = random_fields(section.lattice, 70)
-    for d0, d1 in ((random_fields(other, 71)[0], good[1]), (good[0], random_fields(other, 72)[1])):
-        with pytest.raises(ValueError, match="lattice"):
-            profile(section, d0, d1)
+    variation = Theory.of(theory, other).enforce(*random_fields(other, 71))
+    with pytest.raises(ValueError, match="lattice"):
+        Theory.of(theory, section.lattice).profile(section, variation)
 
 
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("theory", PAIRS)
 def test_builder_and_profile_stacks_are_contiguous_owned_and_read_only(theory, dim):
     # a section copies its stacks on purpose: a strided view of a transform's
-    # complex buffer would round the EL sums differently; the even slices
-    # of a finer build are copied the same way, seeded gradients included
+    # complex buffer would round the EL sums differently; the even rows of a
+    # finer build are copied the same way
     build = PAIRS[theory][0]
     for owner in build(dim):
         stacks = [(f.name, getattr(owner, f.name)) for f in fields(owner)]
         stacks = [(name, a) for name, a in stacks if isinstance(a, np.ndarray)]
-        stacks += [(key, stack) for key, stack in owner._derived.items()]
         for name, stack in stacks:
             assert stack.flags.c_contiguous and stack.flags.owndata, name
             assert not stack.flags.writeable, name
-
-
-@pytest.mark.parametrize("theory", PAIRS)
-def test_derived_stacks_are_read_only_and_built_once(theory):
-    build, names, pairing, _ = PAIRS[theory]
-    section, var = build(2)
-    pairing(section, var)
-    assert {("dt", name) for name in names} <= set(var._derived)
-    for owner in (section, var):
-        for (op, name), stack in owner._derived.items():
-            assert _table_op(op, owner, name) is stack
-            with pytest.raises(ValueError):
-                stack[(0,) * stack.ndim] = 1.0
-
-
-@pytest.mark.parametrize("theory", PAIRS)
-def test_replace_starts_an_empty_memo(theory):
-    build, names, pairing, _ = PAIRS[theory]
-    section, var = build(1)
-    pairing(section, var)
-    moved = replace(section, **{n: 2 * getattr(section, n) for n in names})
-    assert moved._derived == {} and section._derived
-    for name in names:
-        doubled = _table_op("grad", moved, name)
-        assert np.array_equal(doubled, stack_gradient(moved.lattice, getattr(moved, name)))
-        assert not np.array_equal(doubled, section._derived[("grad", name)])
 
 
 def count_ffts(monkeypatch):
@@ -415,29 +393,44 @@ def count_ffts(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("theory", PAIRS)
+def test_replace_gives_a_section_whose_gradients_are_transformed(theory, monkeypatch):
+    # nothing is kept on a section, so nothing goes stale: a replaced
+    # section is not exact, and its table gradients come from its scalars,
+    # not from constraint stacks that no longer match them
+    build, names, pairing, _ = PAIRS[theory]
+    section, var = build(1)
+    moved = replace(section, **{n: 2 * getattr(section, n) for n in names})
+    assert not moved._exact
+    calls = count_ffts(monkeypatch)
+    pairing(section, var)
+    assert calls == []
+    got = pairing(moved, var)
+    assert len(calls) > 0
+    stale = replace(section, **{n: 2 * getattr(section, n) for n in names})._marked(True)
+    assert got != pairing(stale, var)
+
+
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("theory", PAIRS)
-def test_el_pairing_and_scale_transform_nothing_twice(theory, dim, monkeypatch):
+def test_el_pairing_and_scale_transform_nothing_on_exact_sections(theory, dim, monkeypatch):
     build, names, pairing, scale = PAIRS[theory]
     section, var = build(dim)
     calls = count_ffts(monkeypatch)
-    # a builder section, its even slices and a profile variation hold
-    # every gradient
     first = (pairing(section, var), scale(section, var))
     assert calls == []
-    # a hand-built variation transforms its stacks once
+    # a hand-built variation is not exact: its stacks are transformed on
+    # each call, which agrees with the bumped slice gradients to rounding
     hand = replace(var, **{n: getattr(var, n).copy() for n in names})
-    pairing(section, hand)
-    built = len(calls)
-    assert built > 0
-    assert (pairing(section, var), scale(section, var)) == first
-    scale(section, hand)
-    pairing(section, hand)
-    assert len(calls) == built
+    again = (pairing(section, hand), scale(section, hand))
+    assert len(calls) > 0
+    assert abs(again[0] - first[0]) <= 1e-13 * first[1]
+    assert again[1] == pytest.approx(first[1], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
-# even slices: the section at dt served by the build at dt / 2
+# rows of a build: a chunk built from a node on, and the even rows of the
+# build at dt / 2
 
 
 def banded_fields(lat, seed, band):
@@ -450,16 +443,17 @@ def kg_build(dim, band):
     lat = Lattice(dim=dim, n=8, length=2 * np.pi)
     cfg = KGConfig(mass=0.15, lattice=lat)
     st0 = kg_enforce_constraints(*banded_fields(lat, 40 + dim, band), time=0.25)
-    return lambda dt, steps: kg_solution_section(st0, dt, steps, cfg)
+    return lambda dt, steps, first=0: kg_solution_section(st0, dt, steps, cfg, first)
 
 
 def schr_build(dim, band):
     lat = Lattice(dim=dim, n=8, length=2 * np.pi)
     st0 = schr_enforce_constraints(*banded_fields(lat, 50 + dim, band), time=0.25)
-    return lambda dt, steps: schr_solution_section(st0, dt, steps)
+    return lambda dt, steps, first=0: schr_solution_section(st0, dt, steps, first)
 
 
 BUILDS = {"kg": kg_build, "schrodinger": schr_build}
+NAMES = {"kg": ("phi", "p", "beta"), "schrodinger": ("phiR", "phiI", "betaR", "betaI")}
 
 
 # (band, dt, steps): the band-1 EL data over a long window and the
@@ -467,59 +461,71 @@ BUILDS = {"kg": kg_build, "schrodinger": schr_build}
 @pytest.mark.parametrize("band,dt,steps", [(1, 1e-3, 600), (2, 1e-3, 200), (2, 0.05, 3)])
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("theory", BUILDS)
-def test_even_slices_are_the_coarse_build_bit_for_bit(theory, dim, band, dt, steps):
+def test_even_rows_are_the_coarse_build_bit_for_bit(theory, dim, band, dt, steps):
     build = BUILDS[theory](dim, band)
     coarse = build(dt, steps)
     fine = build(dt / 2, 2 * steps)
-    sliced = _even_slices(fine)
-    assert type(sliced) is type(coarse)
+    sliced = fine._sampled(slice(0, None, 2), dt)
+    assert type(sliced) is type(coarse) and sliced._exact
     assert (sliced.dt, sliced.t0) == (coarse.dt, coarse.t0)
     assert np.array_equal(sliced.times(), coarse.times())
-    names = ("phi", "p", "beta") if theory == "kg" else ("phiR", "phiI", "betaR", "betaI")
-    for name in names:
+    for name in NAMES[theory]:
         assert np.array_equal(getattr(sliced, name), getattr(coarse, name)), name
-    # every builder-seeded gradient comes along, equal to the coarse one
-    assert sliced._derived.keys() == coarse._derived.keys() == fine._derived.keys()
-    for key, stack in coarse._derived.items():
-        assert np.array_equal(sliced._derived[key], stack), key
-    if theory == "kg":
-        assert sliced._derived[("grad", "phi")] is sliced.beta
+    # and so are their EL densities, d/dt at the coarse step included
+    th = Theory.of(theory, coarse.lattice)
+    variation = th.enforce(*banded_fields(coarse.lattice, 60 + dim, band))
+    got = _el_densities(sliced.lagrangian, sliced, th.profile(sliced, variation))
+    want = _el_densities(coarse.lagrangian, coarse, th.profile(coarse, variation))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
     # the finer section is left as it was
     assert len(fine.times()) == 2 * steps + 1 and fine.dt == dt / 2
 
 
-def test_even_slices_drop_time_derivatives():
-    build = kg_build(1, 1)
-    fine = build(DT / 2, 2 * STEPS)
-    _table_op("dt", fine, "phi")
-    sliced = _even_slices(fine)
-    assert set(sliced._derived) == {("grad", "phi")}
-    expected = np.gradient(sliced.phi, sliced.dt, axis=0, edge_order=2)
-    assert np.array_equal(_table_op("dt", sliced, "phi"), expected)
-
-
+@pytest.mark.parametrize("first,steps", [(0, 3), (5, 1), (7, 10), (20, 4)])
+@pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("theory", BUILDS)
-def test_cancellation_scale_holds_two_magnitude_stacks_at_most(theory):
-    # the scale takes each |stack| just before its sum: the live memory it
-    # adds stays within two of the largest stacks, not the four factors of
-    # a term's two products
+def test_a_chunk_is_the_rows_of_the_whole_build_bit_for_bit(theory, dim, first, steps):
+    # a node's slice and its variation row do not depend on which nodes
+    # are built beside it
+    build = BUILDS[theory](dim, 1)
+    whole = build(1e-3, 24)
+    chunk = build(1e-3, steps, first=first)
+    rows = slice(first, first + steps + 1)
+    assert chunk._exact and chunk.t0 == whole.t0 + first * 1e-3
+    for name in NAMES[theory]:
+        assert np.array_equal(getattr(chunk, name), getattr(whole, name)[rows]), name
+    th = Theory.of(theory, whole.lattice)
+    variation = th.enforce(*banded_fields(whole.lattice, 61, 1))
+    var, part = th.profile(whole, variation), th.profile(chunk, variation, first, 25)
+    for name in NAMES[theory]:
+        assert np.array_equal(getattr(part, name), getattr(var, name)[rows]), name
+
+
+# vector stacks the EL densities hold at once on an exact section: the
+# magnitudes of one product at a time, and for schrodinger, whose
+# constraint stacks are minus the gradients, the negated pair op(b), op(db)
+DENSITY_STACKS = {"kg": 2, "schrodinger": 4}
+
+
+def test_el_densities_hold_two_magnitude_stacks_beside_a_terms_gradients():
     import tracemalloc
 
-    _, _, pairing, scale = PAIRS[theory]
-    section = BUILDS[theory](2, 2)(1e-3, 400)
-    profile = Theory.of(theory, section.lattice).profile
-    var = profile(section, *random_fields(section.lattice, 60))
-    pairing(section, var)  # fills the memos the scale reads
-    # the gradients, (T, dim, *shape), are the largest stacks
-    largest = max(stack.nbytes for stack in section._derived.values())
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        scale(section, var)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base <= 2 * largest + 2**16
+    for theory in BUILDS:
+        section = BUILDS[theory](2, 2)(1e-3, 400)
+        th = Theory.of(theory, section.lattice)
+        var = th.profile(section, th.enforce(*random_fields(section.lattice, 60)))
+        table = section.lagrangian
+        _el_densities(table, section, var)
+        # the vector stacks, (T, dim, *shape), are the largest
+        largest = max(getattr(section, n).nbytes for n in section.STATE.VECTORS)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _el_densities(table, section, var)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= DENSITY_STACKS[theory] * largest + 2**16, theory
 
 
 def test_the_slice_layer_is_written_once():
@@ -531,15 +537,16 @@ def test_the_slice_layer_is_written_once():
 
     for module in (kg, schrodinger):
         bound = vars(module)
-        for name in ("stack_idft", "stack_gradient", "_bump_stack", "_seed_derived"):
+        for name in ("stack_idft", "stack_gradient", "_el_densities"):
             assert name not in bound, (module.__name__, name)
         assert dataclasses.replace not in bound.values(), module.__name__
 
 
 # tracemalloc peaks of the suite's action-residual runs at steps=2000
 # (numpy 2.4, x86-64 Linux), when this bound was set: the live memory of
-# the section builds, the profiles and the EL and dDW passes
-ACTION_RESIDUAL_PEAK_MIB = {"kg": 27.39, "schrodinger": 35.27}
+# the streamed EL and dDW passes, one chunk of sections, profiles and
+# densities at a time beside the per-node densities of each level
+ACTION_RESIDUAL_PEAK_MIB = {"kg": 5.19, "schrodinger": 6.21}
 
 
 @pytest.mark.parametrize("theory", ("kg", "schrodinger"))
