@@ -74,7 +74,9 @@ LEDGERS = ("resolved", "paper-printed")
 SECTION_BUDGET_SITE_FLOATS = 2**27
 
 # fine slices x sites a chunk of a streamed action-residual pass owns,
-# besides its halo: 512 slices of the suite's 1D n=64 lattice
+# besides its halo: 512 slices of the suite's 1D n=64 lattice.  2**14 to
+# 2**17 timed alike on the suite's configs (2 cores); the live peak grows
+# with it
 STREAM_SLICE_SITES = 2**15
 
 # steps x sites a stepped evolve run may take.  kg takes 1/dt leapfrog
