@@ -47,8 +47,10 @@ block entry is bit-identical to evaluating it alone, and the
 quadratures accumulate in node order, so no sum depends on the block
 size.  Each mode sum scatters its compact values into zeros on the
 full lattice and sums that, so every value is the one a full-lattice
-evaluation gives.  Tangents are drawn as compact rows on the band, at
-most BLOCK_COEFFS // N full-lattice rows of normals per draw.
+evaluation gives.  The pullback's tangents are drawn straight onto the
+band: one draw of 4 M + 1 normals per tangent of a block, none for the
+N - M modes off it.  The closedness check draws its points and tangents
+as sequential full-lattice ``random_hermitian_modes`` draws instead.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
 with the pairing weight w and the flow Hamiltonian of the resolved
@@ -63,6 +65,7 @@ with it the oracle's closedness precondition fails.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -106,12 +109,11 @@ __all__ = [
 # tangents, on the modes their data occupy
 
 # compact mode coefficients per stacked (block, M) array on a support of
-# M modes, 64 KB of complex numbers, and full-lattice rows of 4 N + 1
-# normals per tangent draw, BLOCK_COEFFS // N of them: it bounds the memory
-# a block's compact temporaries and a draw take, whatever the lattice (each
-# mode sum still scatters its block onto the full lattice).  On the n/4
-# band a block holds 124 nodes or tangents at 1D n=64 and 5 at 3D n=16,
-# drawn 64 rows and 1 row at a time
+# M modes, 64 KB of complex numbers: it bounds the memory a block's compact
+# temporaries take, whatever the lattice (each mode sum still scatters its
+# block onto the full lattice), and a block's tangent draw, 4 M + 1
+# normals a tangent, to 4 BLOCK_COEFFS plus one per tangent.  On the n/4
+# band a block holds 124 nodes or tangents at 1D n=64 and 5 at 3D n=16
 BLOCK_COEFFS = 4096
 
 
@@ -225,11 +227,12 @@ def random_hermitian_modes(
     lattice: Lattice, rng: np.random.Generator, band: int | None = None
 ) -> np.ndarray:
     """Standard-normal mode coefficients on |m_j| <= band per axis,
-    reality-symmetrized (so self-conjugate modes come out real)."""
+    reality-symmetrized (so self-conjugate modes come out real): 2 N
+    normals, the real parts of every mode then the imaginary ones."""
+    index, pair = _band_pairs(lattice, band)
     re = rng.standard_normal(lattice.site_count)
     im = rng.standard_normal(lattice.site_count)
-    index, pair = _band_pairs(lattice, band)
-    return _on_lattice(lattice, index, _band_rows(index, pair, re, im))
+    return _on_lattice(lattice, index, _symmetrized(pair, re[index] + 1j * im[index]))
 
 
 @lru_cache(maxsize=32)
@@ -239,6 +242,8 @@ def _band_pairs(lattice: Lattice, band: int | None) -> tuple[np.ndarray, np.ndar
     the band too); read-only and cached per (lattice, band)."""
     if band is None:
         band = lattice.n // 4
+    if band < 0:
+        raise ValueError(f"band must be at least 0, got {band!r}")
     m1 = np.abs(np.fft.fftfreq(lattice.n, 1.0 / lattice.n).astype(int))
     mask = np.ones(lattice.shape, dtype=bool)
     for axis in range(lattice.dim):
@@ -251,34 +256,24 @@ def _band_pairs(lattice: Lattice, band: int | None) -> tuple[np.ndarray, np.ndar
     return index, pair
 
 
-def _band_rows(index: np.ndarray, pair: np.ndarray, re: np.ndarray, im: np.ndarray):
-    """Mode arrays z = re + i im, given flat as (..., N), as compact
-    (..., M) rows on the band of _band_pairs' (index, pair),
-    reality-symmetrized: each band mode m gets (z[m] + conj(z[-m])) / 2;
-    every other mode is 0."""
-    z = re.take(index, axis=-1) + 1j * im.take(index, axis=-1)
+def _symmetrized(pair: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Compact rows z (..., M) on a band of _band_pairs, with each mode m
+    set to (z[m] + conj(z[-m])) / 2, -m at the position pair[m]."""
     return 0.5 * (z + np.conj(z.take(pair, axis=-1)))
 
 
 def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_scale: float):
     """count tangents as compact rows on the n/4 band: (index, d0, d1,
     ds), with d0 and d1 of shape (count, M) on the M flat mode indices
-    index and ds of shape (count,).  The normals come in draws of at most
-    BLOCK_COEFFS // N rows of 4 N + 1, the same stream as count
-    sequential (random_hermitian_modes, random_hermitian_modes,
-    standard_normal()) triples."""
-    n = lattice.site_count
-    per_draw = max(1, BLOCK_COEFFS // n)
+    index and ds of shape (count,).  One (count, 4 M + 1) draw of normals
+    holds them: per row, the real then the imaginary parts of d0 and of
+    d1, each reality-symmetrized, then ds / s_scale."""
     index, pair = _band_pairs(lattice, None)
-    d0, d1 = (np.empty((count, len(index)), dtype=complex) for _ in range(2))
-    ds = np.empty(count)
-    for start in range(0, count, per_draw):
-        raw = rng.standard_normal((min(per_draw, count - start), 4 * n + 1))
-        rows = slice(start, start + len(raw))
-        d0[rows] = _band_rows(index, pair, raw[:, :n], raw[:, n : 2 * n])
-        d1[rows] = _band_rows(index, pair, raw[:, 2 * n : 3 * n], raw[:, 3 * n : 4 * n])
-        ds[rows] = raw[:, 4 * n] * s_scale
-    return index, d0, d1, ds
+    m = len(index)
+    raw = rng.standard_normal((count, 4 * m + 1))
+    d0 = _symmetrized(pair, raw[:, :m] + 1j * raw[:, m : 2 * m])
+    d1 = _symmetrized(pair, raw[:, 2 * m : 3 * m] + 1j * raw[:, 3 * m : 4 * m])
+    return index, d0, d1, raw[:, 4 * m] * s_scale
 
 
 # ---------------------------------------------------------------------------
@@ -813,14 +808,13 @@ class WOracle:
     def _closedness_sweep(self, seed: int, count: int) -> float:
         rng = np.random.Generator(np.random.Philox(key=seed))
         lat = self.lattice
+        modes = lambda: (random_hermitian_modes(lat, rng), random_hermitian_modes(lat, rng))
         residuals = []
         for _ in range(count):
             # a point and two (d0, d1, ds) tangents, drawn in that order
             s0 = float(rng.uniform(-2.0, 2.0))
-            a0, a1 = random_hermitian_modes(lat, rng), random_hermitian_modes(lat, rng)
-            point = self._point(a0, a1, s0)
-            index, d0, d1, ds = _tangent_block(lat, rng, 2, self._s_scale)
-            tx, ty = zip(_on_lattice(lat, index, d0), _on_lattice(lat, index, d1), ds)
+            point = self._point(*modes(), s0)
+            tx, ty = ((*modes(), float(rng.standard_normal()) * self._s_scale) for _ in range(2))
             scale = 1.0 + max(float(np.max(np.abs(a))) for a in point.arrays) ** 2
             residuals.append(self.closedness_residual(point, tx, ty) / scale)
         return nan_max(residuals)
@@ -891,13 +885,16 @@ def theta_pullback_residual(
     oracle's potential), and with the printed W hypothesis, whose sup
     mismatch is ``printed_residual``.  The printed Schrodinger W is known
     not to satisfy the identity; its residual is a measurement, not a
-    failure.  tangent_count must be at least 1.  Everything runs on one
-    support, the point's united with the band the tangents are drawn
-    on; the tangents are drawn as compact band rows and evaluated in
-    blocks of _block_size on it.
+    failure.  tangent_count must be an integer, at least 1.  Everything
+    runs on one support, the point's united with the band the tangents
+    are drawn on.  The tangents come in blocks of _block_size on it, each
+    block one draw of only the band's normals (_tangent_block).  Tangent
+    k takes the k-th run of 4 M + 1 normals of the seed's stream, so the
+    residuals do not depend on the block size.
     """
-    if tangent_count < 1:
-        raise ValueError(f"tangent_count must be at least 1, got {tangent_count!r}")
+    count = tangent_count
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"tangent_count must be an integer at least 1, got {tangent_count!r}")
     lat = point.lattice
     rng = np.random.Generator(np.random.Philox(key=seed))
     oracle = WOracle(theory, check_points=0)
@@ -909,10 +906,8 @@ def theta_pullback_residual(
     size = _block_size(sup)
     derived_gaps = []
     printed_gaps = []
-    for start in range(0, tangent_count, size):
-        index, d0, d1, ds = _tangent_block(
-            lat, rng, min(size, tangent_count - start), oracle._s_scale
-        )
+    for start in range(0, count, size):
+        index, d0, d1, ds = _tangent_block(lat, rng, min(size, count - start), oracle._s_scale)
         t = sup.place(index, d0), sup.place(index, d1), ds
         gap = form(*t)
         # np.max keeps a NaN, so each block's worst does

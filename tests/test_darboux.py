@@ -337,6 +337,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="tangent_count"):
             theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=count)
 
+    @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
+    def test_pullback_needs_an_integer_tangent_count(self, count):
+        with pytest.raises(ValueError, match="tangent_count"):
+            theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=count)
+        theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=np.int64(3))
+
+    def test_negative_band_rejected(self):
+        # a negative band would leave no mode on it: all-zero coefficients
+        with pytest.raises(ValueError, match="band"):
+            random_hermitian_modes(LAT, seeded(3), band=-1)
+
     def test_negative_check_points_rejected(self):
         with pytest.raises(ValueError, match="check_points"):
             WOracle(KG, check_points=-1)
@@ -349,18 +360,46 @@ class TestValidation:
 # evaluation must match bit for bit
 
 
-def ref_sampler(lat, rng):
-    arr = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+def band_mask(lat):
+    """The modes with |m_j| <= n/4 on every axis."""
     m1 = np.fft.fftfreq(lat.n, 1.0 / lat.n).astype(int)
     mask = np.ones(lat.shape, dtype=bool)
     for axis in range(lat.dim):
         mg = np.moveaxis(np.broadcast_to(m1, lat.shape), lat.dim - 1, axis)
         mask &= np.abs(mg) <= lat.n // 4
-    arr = np.where(mask, arr, 0.0)
-    reflected = np.conj(arr)
-    for axis in range(lat.dim):
-        reflected = np.roll(np.flip(reflected, axis=axis), 1, axis=axis)
-    return 0.5 * (arr + reflected)
+    return mask
+
+
+def reflected(arr):
+    """arr[-m] at every mode m."""
+    for axis in range(arr.ndim):
+        arr = np.roll(np.flip(arr, axis=axis), 1, axis=axis)
+    return arr
+
+
+def ref_sampler(lat, rng):
+    """random_hermitian_modes on the n/4 band: 2 N normals on the lattice."""
+    arr = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+    arr = np.where(band_mask(lat), arr, 0.0)
+    return 0.5 * (arr + np.conj(reflected(arr)))
+
+
+def ref_band_tangent(lat, rng, s_scale):
+    """One pullback tangent (d0, d1, ds) from 4 M + 1 normals: the real
+    then the imaginary parts of d0 and of d1 on the M band modes, in
+    flat order, then ds / s_scale."""
+    mask = band_mask(lat)
+    m = int(mask.sum())
+    raw = rng.standard_normal(4 * m + 1)
+
+    def field(re, im):
+        arr = np.zeros(lat.shape, dtype=complex)
+        arr[mask] = re + 1j * im
+        return 0.5 * (arr + np.conj(reflected(arr)))
+
+    d0 = field(raw[:m], raw[m : 2 * m])
+    d1 = field(raw[2 * m : 3 * m], raw[3 * m : 4 * m])
+    return d0, d1, raw[4 * m] * s_scale
 
 
 def ref_pairing(lat, x, dy):
@@ -480,7 +519,7 @@ def ref_pullback(theory, cfg, a0, a1, s, tangent_count, seed):
     rng = seeded(seed)
     derived, printed = [], []
     for _ in range(tangent_count):
-        t = (ref_sampler(lat, rng), ref_sampler(lat, rng), float(rng.standard_normal()) * s_scale)
+        t = ref_band_tangent(lat, rng, s_scale)
         gap = ref_form(theory, cfg, a0, a1, s, *t)
         if theory == "kg":
             dw_derived = ref_kg_dw(cfg, a0, a1, s, *t, 1.0)
@@ -576,21 +615,39 @@ class TestBlocks:
         assert want[0] <= 1e-9 < want[1]
 
     @pytest.mark.parametrize("dim,n", SHAPES)
-    def test_block_sampler_reproduces_sequential_draws(self, monkeypatch, dim, n):
+    def test_block_sampler_reproduces_per_tangent_band_draws(self, dim, n):
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-        # the module's draw size, then draws of 2 rows: 7 tangents in 4 draws
-        for coeffs in (BLOCK_COEFFS, 2 * lat.site_count):
-            monkeypatch.setattr(darboux, "BLOCK_COEFFS", coeffs)
-            index, d0, d1, ds = darboux._tangent_block(lat, seeded(5), 7, 0.25)
+        # 7 tangents in one draw, then in draws of 2 rows: 7 tangents in 4 draws
+        for sizes in ((7,), (2, 2, 2, 1)):
+            rng = seeded(5)
+            draws = [darboux._tangent_block(lat, rng, size, 0.25) for size in sizes]
+            index = draws[0][0]
+            d0, d1, ds = (np.concatenate([draw[j] for draw in draws]) for j in (1, 2, 3))
             assert d0.shape == d1.shape == (7, band_modes(lat)) and ds.shape == (7,)
             d0, d1 = on_lattice(lat, index, d0), on_lattice(lat, index, d1)
             rng = seeded(5)
             for k in range(7):
-                assert np.array_equal(d0[k], random_hermitian_modes(lat, rng))
-                assert np.array_equal(d1[k], random_hermitian_modes(lat, rng))
-                assert ds[k] == float(rng.standard_normal()) * 0.25
+                r0, r1, rs = ref_band_tangent(lat, rng, 0.25)
+                assert np.array_equal(d0[k], r0)
+                assert np.array_equal(d1[k], r1)
+                assert ds[k] == rs
         rng = seeded(6)
         assert np.array_equal(random_hermitian_modes(lat, rng), ref_sampler(lat, seeded(6)))
+
+    @given(
+        shape=st.sampled_from(SHAPES),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        count=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_drawn_tangents_are_reality_symmetric(self, shape, seed, count):
+        lat = Lattice(dim=shape[0], n=shape[1], length=2 * np.pi)
+        index, d0, d1, _ = darboux._tangent_block(lat, seeded(seed), count, 1.0)
+        zero_mode = (0,) * lat.dim
+        for d in (*on_lattice(lat, index, d0), *on_lattice(lat, index, d1)):
+            assert np.array_equal(reflected(d), np.conj(d))
+            # the self-conjugate mode m = 0 comes out real
+            assert d[zero_mode].imag == 0.0 and d[zero_mode].real != 0.0
 
     def test_nan_in_one_block_gives_nan_residuals(self, monkeypatch):
         calls = []
@@ -608,6 +665,56 @@ class TestBlocks:
         # blocks of 4096 // 33 tangents on the band at 1D n=64
         assert calls == [124, 124, 52]
         assert np.isnan(rep.oracle_residual) and np.isnan(rep.printed_residual)
+
+
+# ---------------------------------------------------------------------------
+# the closedness sweep: its points and tangents are sequential
+# full-lattice draws, whatever the pullback draws, so the seeds at which
+# the 3D oracle refuses to build (defect (f)) stay put
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (3, 8)])
+def test_closedness_sweep_draws_sequential_modes(monkeypatch, theory, dim, n):
+    lat, cfg, _ = block_setup(theory, dim, n)
+    oracle = WOracle(theory, cfg, check_points=0)
+    seen = []
+    residual = oracle.closedness_residual
+
+    def recorded(point, tx, ty):
+        seen.append((point, tx, ty))
+        return residual(point, tx, ty)
+
+    monkeypatch.setattr(oracle, "closedness_residual", recorded)
+    oracle._closedness_sweep(46, 3)
+    assert len(seen) == 3
+    rng = seeded(46)
+    for point, tx, ty in seen:
+        assert point.time == float(rng.uniform(-2.0, 2.0))
+        for got in (*point.arrays, *tx[:2]):
+            assert np.array_equal(got, random_hermitian_modes(lat, rng))
+        assert tx[2] == float(rng.standard_normal()) * oracle._s_scale
+        for got in ty[:2]:
+            assert np.array_equal(got, random_hermitian_modes(lat, rng))
+        assert ty[2] == float(rng.standard_normal()) * oracle._s_scale
+
+
+# sweep values at 3D n=16 over 4 points: Philox keys 20 (KG) and 8
+# (Schrodinger) are the darboux-check seeds 16 and 4, over the 1e-8
+# tolerance; 46 is the acceptance seed 42
+SWEEP_3D = {
+    ("kg", 20): 1.2139036814569311e-08,
+    ("kg", 46): 2.9734342791780445e-09,
+    ("schrodinger", 8): 1.1054649702624094e-08,
+    ("schrodinger", 46): 3.0142499560334393e-09,
+}
+
+
+@pytest.mark.parametrize("theory,key", SWEEP_3D)
+def test_closedness_sweep_values_at_3d(theory, key):
+    _, cfg, _ = block_setup(theory, 3, 16)
+    oracle = WOracle(theory, cfg, check_points=0)
+    assert oracle._closedness_sweep(key, 4) == SWEEP_3D[theory, key]
 
 
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
@@ -812,11 +919,11 @@ def test_loop_integral_refuses_an_edge_over_the_panel_budget(theory, monkeypatch
 
 
 # the tracemalloc peak of a warm call at 3D n=16, where the lattice holds
-# 4096 modes and the band 729: 0.65, 0.73 and 0.85 MiB for value,
-# loop_integral and the pullback with compact band tangents.  The
-# pullback reads 1.66 MiB when its blocks of 5 tangents are held as
-# full-lattice (5, N) stacks, and 1.36 MiB when a block is one
-# (5, 4 N + 1) draw of normals
+# 4096 modes and the band 729: 0.65, 0.73 and 0.83 (KG) or 0.85
+# (Schrodinger) MiB for value, loop_integral and the pullback, whose
+# blocks of 5 tangents are each one (5, 4 M + 1) draw of band normals.
+# The pullback reads 1.31 and 1.32 MiB when a block is drawn as
+# (5, 4 N + 1) full-lattice normals instead
 LIVE_PEAK_BOUND = 1.25 * 2**20
 
 
