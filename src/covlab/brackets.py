@@ -35,10 +35,13 @@ two-form Omega, and the smeared linear observables realize that
 identification exactly.
 
 Equivalently [F, G] = dG(X_F) - G * dF/dW with the contact Hamiltonian
-vector field X_F = Lambda#(dF) + F R (R = d/dW, the Reeb field).  When
-G has no analytic gradient (a nested bracket, say), dG(X_F) is one
-directional derivative of G along X_F: a fixed number of evaluations
-of G instead of a finite-difference gradient over every mode.
+vector field X_F = Lambda#(dF) + F R (R = d/dW, the Reeb field).  An
+observable carries analytic derivatives or none.  The first slot F must
+carry them; a G without them (a nested bracket, say) is evaluated
+along X_F, and dG(X_F) is one directional derivative: a fixed number of
+evaluations of G at any lattice size.  The finite-difference gradients
+that the tests compare the analytic ones against live with the tests,
+in tests/bracket_references.py.
 """
 
 from __future__ import annotations
@@ -48,17 +51,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .darboux import DarbouxState, ModeState, SchrTheory, Theory
-from .lattice import Lattice, ModeVector, dft, inner, mode_index_table, nan_max
+from .darboux import DarbouxState, ModeState, Theory
+from .lattice import ModeVector, dft, inner, mode_index_table, nan_max
 
 __all__ = [
     "Observable",
     "TangentPair",
     "omega",
-    "omega_schr_expansion_check",
     "SliceReport",
     "omega_slice_report",
-    "lambda_pairing",
     "hamiltonian_vector_field",
     "jacobi_bracket",
     "poisson_bracket",
@@ -72,7 +73,6 @@ __all__ = [
     "w_coordinate",
     "quadratic_power",
     "quadratic_cross",
-    "fd_richardson_check",
 ]
 
 
@@ -97,116 +97,35 @@ def _w_slope(evaluate, point: DarbouxState, step: float) -> float:
 class Observable:
     """A real-valued functional of a Darboux point of the theory record.
 
-    ``gradient``, when given, returns the pair of hermitian g-arrays
-    (one per coordinate array of the point); ``w_derivative`` returns
-    dF/dW.  Missing callbacks fall back to central finite differences
-    with relative step ``fd_step``.  Supplying ``check_point`` runs a
-    sampled analytic-vs-finite-difference cross-check at construction.
+    ``gradient`` returns the pair of hermitian g-arrays (one per
+    coordinate array of the point); ``w_derivative`` returns dF/dW.  An
+    observable carries these analytic derivatives or none: without one,
+    ``gradient_at`` or ``w_derivative_at`` raises TypeError.  An
+    observable without derivatives (a nested bracket, say) can only be
+    the second slot of a bracket, which takes one directional derivative
+    of it.
     """
 
     theory: Theory
     evaluate: Callable
     gradient: Optional[Callable] = None
     w_derivative: Optional[Callable] = None
-    fd_step: float = 1e-6
-    check_point: object = None
     name: str = ""
 
     def __post_init__(self):
         if not isinstance(self.theory, Theory):
             raise TypeError(f"theory must be a Theory record, got {self.theory!r}")
-        if self.check_point is not None:
-            self._construction_crosscheck(self.check_point)
-
-    # -- derivatives ---------------------------------------------------
 
     def gradient_at(self, point):
-        if self.gradient is not None:
-            g0, g1 = self.gradient(point)
-            return np.asarray(g0, dtype=complex), np.asarray(g1, dtype=complex)
-        return self._fd_gradient(point)
+        if self.gradient is None:
+            raise TypeError(f"observable {self.name!r} has no analytic gradient")
+        g0, g1 = self.gradient(point)
+        return np.asarray(g0, dtype=complex), np.asarray(g1, dtype=complex)
 
     def w_derivative_at(self, point) -> float:
-        if self.w_derivative is not None:
-            return float(self.w_derivative(point))
-        return _w_slope(self.evaluate, point, self.fd_step)
-
-    def _fd_gradient(self, point):
-        h = self.fd_step * _point_scale(point)
-        conj_map, self_conj, rep = mode_index_table(point.lattice)
-        out = []
-        for slot, base in zip(("a0", "a1"), point.arrays):
-            g = np.zeros(base.size, dtype=complex)
-
-            def probe(idx, unit):
-                plus, minus = base.ravel().copy(), base.ravel().copy()
-                for j, v in unit:
-                    plus[j] += h * v
-                    minus[j] -= h * v
-                pp, mm = (
-                    replace(point, **{slot: ModeVector(point.lattice, x.reshape(base.shape))})
-                    for x in (plus, minus)
-                )
-                return (self.evaluate(pp) - self.evaluate(mm)) / (2 * h)
-
-            for idx in np.nonzero(rep)[0]:
-                if self_conj[idx]:
-                    g[idx] = probe(idx, [(idx, 1.0)])
-                else:
-                    jdx = conj_map[idx]
-                    fa = probe(idx, [(idx, 1.0), (jdx, 1.0)])
-                    fb = probe(idx, [(idx, 1.0j), (jdx, -1.0j)])
-                    g[idx] = 0.5 * (fa - 1.0j * fb)
-                    g[jdx] = np.conj(g[idx])
-            out.append(g.reshape(base.shape))
-        return out[0], out[1]
-
-    def _construction_crosscheck(self, point, tol=1e-6, sample=6, seed=99):
-        if self.gradient is not None:
-            ana = self.gradient_at(point)
-            fd = self._fd_gradient(point)
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            conj_map, self_conj, rep = mode_index_table(point.lattice)
-            reps = np.nonzero(rep)[0]
-            picks = rng.choice(reps, size=min(sample, reps.size), replace=False)
-            for slot in (0, 1):
-                a = np.asarray(ana[slot]).ravel()
-                f = fd[slot].ravel()
-                for idx in picks:
-                    scale = max(1.0, abs(a[idx]), abs(f[idx]))
-                    if abs(a[idx] - f[idx]) > tol * scale:
-                        raise ValueError(
-                            f"analytic and finite-difference gradients disagree "
-                            f"(slot {slot}, flat mode {idx}): "
-                            f"{a[idx]} vs {f[idx]}"
-                        )
-        if self.w_derivative is not None:
-            ana_w = float(self.w_derivative(point))
-            fd_w = _w_slope(self.evaluate, point, self.fd_step)
-            if abs(ana_w - fd_w) > 1e-6 * max(1.0, abs(ana_w), abs(fd_w)):
-                raise ValueError(
-                    f"analytic and finite-difference W-derivatives disagree: "
-                    f"{ana_w} vs {fd_w}"
-                )
-
-
-def fd_richardson_check(obs: Observable, point, coords: int = 20, seed: int = 17) -> float:
-    """Confirm the finite-difference machinery is in its convergent regime:
-    compare steps h and h/2 at random coordinates, return the worst
-    Richardson discrepancy (should be orders below the h-step error)."""
-    half = replace(obs, fd_step=obs.fd_step / 2, check_point=None)
-    g_h = obs._fd_gradient(point)
-    g_h2 = half._fd_gradient(point)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    _, _, rep = mode_index_table(point.lattice)
-    reps = np.nonzero(rep)[0]
-    picks = rng.choice(reps, size=min(coords, reps.size), replace=False)
-    gaps = []
-    for slot in (0, 1):
-        a = g_h[slot].ravel()
-        b = g_h2[slot].ravel()
-        gaps += [abs(a[idx] - b[idx]) / max(1.0, abs(b[idx])) for idx in picks]
-    return nan_max(gaps)
+        if self.w_derivative is None:
+            raise TypeError(f"observable {self.name!r} has no analytic W-derivative")
+        return float(self.w_derivative(point))
 
 
 @dataclass(frozen=True)
@@ -241,21 +160,6 @@ def omega(theory: Theory, U, V) -> float:
     if u0.lattice != theory.lattice or v0.lattice != theory.lattice:
         raise ValueError("variation lattice does not match")
     return theory.weight * (inner(u1, v0) - inner(u0, v1))
-
-
-def omega_schr_expansion_check(U, V, lattice: Lattice) -> float:
-    """Direct per-site evaluation of the contraction i_V i_U dtheta on the
-    constrained sub-bundle coordinates, against the closed form.
-
-    dtheta restricted to the slice is 2 sum_x h^d dphiI(x) wedge dphiR(x);
-    contracting two variations gives the site sum below.  Returns the
-    absolute difference from omega.
-    """
-    h_cell = lattice.volume / lattice.site_count
-    direct = 2.0 * h_cell * float(
-        np.sum(U.phiI.values * V.phiR.values - U.phiR.values * V.phiI.values)
-    )
-    return abs(direct - omega(SchrTheory(lattice), U, V))
 
 
 @dataclass(frozen=True)
@@ -302,8 +206,19 @@ def omega_slice_report(
 
 
 def _check_pair(F: Observable, G: Observable):
-    if F.theory.name != G.theory.name:
+    """Both observables live on one record: the same object, or records
+    of one theory with the same lattice and frequencies (so Schrodinger
+    records that differ only in the mass, which they do not read, pair)."""
+    a, b = F.theory, G.theory
+    if a is b:
+        return
+    if a.name != b.name:
         raise ValueError("observables belong to different theories")
+    if a.lattice != b.lattice or not np.array_equal(a.freq, b.freq):
+        raise ValueError(
+            f"observables belong to different {a.name} records: {a.lattice} with "
+            f"mass {a.mass} and {b.lattice} with mass {b.mass}"
+        )
 
 
 def _bivector_weights(theory: Theory, point: DarbouxState):
@@ -315,6 +230,7 @@ def _bivector_weights(theory: Theory, point: DarbouxState):
 
 def _lambda_terms(F: Observable, G: Observable, point):
     _check_pair(F, G)
+    F.theory.check_lattice(point)
     g0_F, g1_F = F.gradient_at(point)
     g0_G, g1_G = G.gradient_at(point)
     FW = F.w_derivative_at(point)
@@ -325,20 +241,16 @@ def _lambda_terms(F: Observable, G: Observable, point):
     return float(np.real(pair)), float(np.real(corr)), FW, GW
 
 
-def lambda_pairing(F: Observable, G: Observable, point) -> float:
-    """The bivector contraction Lambda(dF, dG) at the point."""
-    pair, corr, _, _ = _lambda_terms(F, G, point)
-    return pair + corr
-
-
 def hamiltonian_vector_field(F: Observable, point):
     """X_F = Lambda#(dF) + F R at the point, as the chart tangent
     (d0, d1, dW): hermitian arrays for the two coordinate arrays and a
     scalar for W.  Contracting any dG with it gives Lambda(dF, dG) + F G_W.
 
     d0 = conj(g1_F)/(w vol), d1 = -conj(g0_F)/(w vol) + F_W A1,
-    dW = F - Re sum A1 g1_F, with A1 = P-hat (KG) or PhiI-hat.
+    dW = F - Re sum A1 g1_F, with A1 = P-hat (KG) or PhiI-hat.  F must
+    carry analytic derivatives.
     """
+    F.theory.check_lattice(point)
     g0, g1 = F.gradient_at(point)
     measure, momentum = _bivector_weights(F.theory, point)
     d0 = measure * np.conj(g1)
@@ -373,8 +285,9 @@ def _directional_derivative(G: Observable, point, tangent) -> float:
 def jacobi_bracket(F: Observable, G: Observable, point) -> float:
     """[F, G] = Lambda(dF, dG) + F G_W - G F_W = dG(X_F) - G F_W.
 
-    With an analytic gradient of G the bivector is contracted directly;
-    otherwise dG(X_F) is one directional derivative of G along X_F.
+    F must carry analytic derivatives.  With an analytic gradient of G
+    the bivector is contracted directly; otherwise dG(X_F) is one
+    directional derivative of G along X_F.
     """
     if G.gradient is not None:
         pair, corr, FW, GW = _lambda_terms(F, G, point)
@@ -469,7 +382,6 @@ def smeared_observable(
     theory: Theory,
     U,
     time: float = 0.0,
-    check_point=None,
 ) -> Observable:
     """The linear observable F_U = Omega(U, .) in the Darboux chart.
 
@@ -494,7 +406,6 @@ def smeared_observable(
         evaluate=evaluate,
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
-        check_point=check_point,
         name="smeared",
     )
 
@@ -616,8 +527,7 @@ def quadratic_cross(theory: Theory) -> Observable:
 def product_observable(F: Observable, G: Observable) -> Observable:
     """Pointwise product, with product-rule derivatives when both factors
     carry analytic ones."""
-    if F.theory.name != G.theory.name:
-        raise ValueError("product factors live on different theories")
+    _check_pair(F, G)
 
     def evaluate(pt):
         return F.evaluate(pt) * G.evaluate(pt)

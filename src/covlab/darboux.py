@@ -414,6 +414,13 @@ class Theory:
 
     fields = property(lambda self: self.state.SCALARS)
 
+    def check_lattice(self, point) -> None:
+        """Refuse a point (or mode state) that lives on another lattice."""
+        if point.lattice != self.lattice:
+            raise ValueError(
+                f"the {self.name} record is on {self.lattice}, the point on {point.lattice}"
+            )
+
     # the slice layer's shared bodies (lattice._Slice, lattice._Section)
     def enforce(self, a0, a1, time: float = 0.0):
         return self.state._enforced(a0, a1, time)
@@ -458,11 +465,14 @@ class KGTheory(Theory):
         return 2.0 * om_max, om_max
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
+        self.check_lattice(m)
         return kg_to_darboux(m, self.cfg)
     def from_darboux(self, d: DarbouxState) -> ModeState:
+        self.check_lattice(d)
         return kg_from_darboux(d, self.cfg)
 
     def w(self, m: ModeState, printed: bool = False) -> float:
+        self.check_lattice(m)
         return _kg_w(m, self.cfg, 2.0 if printed else 1.0)
 
     def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
@@ -472,6 +482,7 @@ class KGTheory(Theory):
         default), which must hold every mode where m or a tangent is
         nonzero.  The factors that depend on m alone are computed here,
         once."""
+        self.check_lattice(m)
         cross_coeff = 2.0 if printed else 1.0
         sup = _Support(m.lattice) if support is None else support
         om = sup.take(self.freq)
@@ -533,13 +544,16 @@ class SchrTheory(Theory):
         return top, float(np.sqrt(top))
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
+        self.check_lattice(m)
         return schr_to_darboux(m)
     def from_darboux(self, d: DarbouxState) -> ModeState:
+        self.check_lattice(d)
         return schr_from_darboux(d)
 
     def w(self, m: ModeState, printed: bool = False) -> float:
         """The derived W, or the printed hypothesis, which is stated in
         the chart's coordinates."""
+        self.check_lattice(m)
         if not printed:
             return _schr_w(m)
         d = schr_to_darboux(m)
@@ -559,6 +573,7 @@ class SchrTheory(Theory):
         q = |a|^2 - |b|^2 per mode, the derived one is
         d(sin^2 r - sin cos q) = k^2 sin cos r ds + sin^2 dr
         - (k^2/2)(cos^2 - sin^2) q ds - sin cos dq."""
+        self.check_lattice(m)
         sup = _Support(m.lattice) if support is None else support
         ksq = sup.take(self.freq)
         s = m.time
@@ -749,6 +764,7 @@ class WOracle:
 
     def differential(self, point: ModeState, tangent) -> float:
         """(Theta - canonical) contracted with the tangent (d0, d1, ds)."""
+        self.theory.check_lattice(point)
         a0, a1 = point.arrays
         d0, d1, ds = tangent
         sup = self._support((a0, a1, d0, d1), (point.time, ds))
@@ -763,6 +779,7 @@ class WOracle:
         at the target time.  Quadrature nodes are evaluated in blocks, on
         the point's support.
         """
+        self.theory.check_lattice(point)
         nodes, weights = np.polynomial.legendre.leggauss(order)
         u = 0.5 * (nodes + 1.0)
         w = 0.5 * weights
@@ -829,8 +846,10 @@ class WOracle:
 
         A time that is not finite gives NaN, as it does for ``value``; an
         edge that would need more than LOOP_PANEL_BUDGET panels raises
-        ValueError.
+        ValueError, as does a point on another lattice.
         """
+        for p in (p1, p2, p3):
+            self.theory.check_lattice(p)
         nodes, weights = np.polynomial.legendre.leggauss(order)
         om_max = self._om_max
         if not all(np.isfinite(p.time) for p in (p1, p2, p3)):
@@ -895,6 +914,7 @@ def theta_pullback_residual(
     count = tangent_count
     if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
         raise ValueError(f"tangent_count must be an integer at least 1, got {tangent_count!r}")
+    theory.check_lattice(point)
     lat = point.lattice
     rng = np.random.Generator(np.random.Philox(key=seed))
     oracle = WOracle(theory, check_points=0)

@@ -126,3 +126,24 @@ def test_every_keyed_entry_point_records_a_traced_pass(spans, monkeypatch):
     assert (el, ddw) == (2001 + 3 * 8 + 5, 401)
     for theory in THEORIES:
         assert metrics[f"{theory}.section_slices"] == el + ddw + 9, theory
+
+
+@pytest.mark.parametrize(
+    "layer", ["lattice", "kg", "schrodinger", "darboux", "brackets", "harness"]
+)
+def test_exports_are_the_traced_callables(spans, layer):
+    # bench/spans.py wraps every public function a layer module defines,
+    # read off the module; __all__ names exactly those and the public
+    # classes, so a deleted function cannot leave a stale export behind,
+    # and the exports list every entry point the benchmark traces
+    assert layer in spans.LAYERS
+    mod = importlib.import_module(f"covlab.{layer}")
+    defined = {
+        attr
+        for attr, obj in vars(mod).items()
+        if not attr.startswith("_")
+        and callable(obj)
+        and getattr(obj, "__module__", None) == mod.__name__
+    }
+    assert len(mod.__all__) == len(set(mod.__all__))
+    assert set(mod.__all__) == defined

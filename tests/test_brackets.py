@@ -1,5 +1,6 @@
 """The two-form on solutions, the bivector, and the bracket algebra."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,17 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracket_references import (
+    construction_crosscheck,
+    fd_gradient,
+    fd_richardson_check,
+    lambda_pairing,
+    omega_schr_expansion_check,
+)
 from covlab.brackets import (
     Observable,
     TangentPair,
+    _w_slope,
     bracket_equivalence_check,
-    fd_richardson_check,
     hamiltonian_vector_field,
     jacobi_bracket,
-    lambda_pairing,
     mode_real_part,
     omega,
-    omega_schr_expansion_check,
     omega_slice_report,
     poisson_bracket,
     product_observable,
@@ -429,7 +435,7 @@ class TestHamiltonianVectorField:
         for A, B, C in ((lin1, lin2, quad2), (quad1, quad2, w), (wquad, quad1, lin2)):
             nested = TestJacobiAndLeibniz.nested(B, C, th)
             X_A = hamiltonian_vector_field(A, pt)
-            dG = contract(*nested._fd_gradient(pt), nested.w_derivative_at(pt), X_A)
+            dG = contract(*fd_gradient(nested, pt), _w_slope(nested.evaluate, pt, 1e-6), X_A)
             fd = dG - nested.evaluate(pt) * A.w_derivative_at(pt)
             value = jacobi_bracket(A, nested, pt)
             # the mode-by-mode central differences carry the rounding
@@ -528,7 +534,8 @@ class TestEquivalence:
 
     def test_smeared_observable_passes_construction_check(self):
         pt = kg_point(54)
-        obs = smeared_observable(KG, kg_variation(53), time=0.3, check_point=pt)
+        obs = smeared_observable(KG, kg_variation(53), time=0.3)
+        construction_crosscheck(obs, pt)
         assert obs.w_derivative_at(pt) == 0.0
 
 
@@ -538,7 +545,7 @@ class TestDerivativeMachinery:
         analytic = quadratic_cross(KG)
         probe = Observable(KG, analytic.evaluate, name="fd probe")
         ga = analytic.gradient_at(pt)
-        gf = probe.gradient_at(pt)
+        gf = fd_gradient(probe, pt)
         for slot in (0, 1):
             diff = float(np.max(np.abs(ga[slot] - gf[slot])))
             assert diff <= 1e-7 * max(1.0, float(np.max(np.abs(ga[slot]))))
@@ -557,23 +564,14 @@ class TestDerivativeMachinery:
             g0, g1 = base.gradient(pt)
             return 1.5 * g0, g1
 
+        wrong = Observable(KG, base.evaluate, gradient=inflated, w_derivative=lambda pt: 0.0)
         with pytest.raises(ValueError, match="gradients disagree"):
-            Observable(
-                KG,
-                base.evaluate,
-                gradient=inflated,
-                w_derivative=lambda pt: 0.0,
-                check_point=kg_point(63),
-            )
+            construction_crosscheck(wrong, kg_point(63))
 
     def test_construction_check_catches_wrong_w_slope(self):
+        wrong = Observable(KG, lambda pt: float(pt.W) ** 2, w_derivative=lambda pt: 3.0)
         with pytest.raises(ValueError, match="W-derivatives disagree"):
-            Observable(
-                KG,
-                lambda pt: float(pt.W) ** 2,
-                w_derivative=lambda pt: 3.0,
-                check_point=kg_point(64, W=0.8),
-            )
+            construction_crosscheck(wrong, kg_point(64, W=0.8))
 
     def test_product_rule_derivatives(self):
         pt = kg_point(65)
@@ -598,6 +596,78 @@ class TestDerivativeMachinery:
     def test_theory_mismatch_rejected_in_products(self):
         with pytest.raises(ValueError, match="different theories"):
             product_observable(quadratic_power(KG, 0), quadratic_power(SCHR, 0))
+
+    def test_records_of_another_mass_rejected(self):
+        # smeared observables on the KG records of mass 1 and mass 2 used
+        # to pair, since only the theory names were compared
+        heavy = Theory.of("kg", LAT, 2.0)
+        F = smeared_observable(KG, kg_variation(1))
+        G = smeared_observable(heavy, kg_variation(2))
+        for pairing in (poisson_bracket, jacobi_bracket):
+            with pytest.raises(ValueError, match="different kg records"):
+                pairing(F, G, kg_point(69))
+        with pytest.raises(ValueError, match="different kg records"):
+            product_observable(F, G)
+
+    def test_records_of_another_lattice_rejected(self):
+        wide = Theory.of("kg", Lattice(dim=1, n=64, length=4 * np.pi), 1.0)
+        F = mode_real_part(KG, "Phi", 1)
+        G = mode_real_part(wide, "P", 1)
+        with pytest.raises(ValueError, match="different kg records"):
+            jacobi_bracket(F, G, kg_point(70))
+        with pytest.raises(ValueError, match="different kg records"):
+            jacobi_bracket(F, TestJacobiAndLeibniz.nested(G, G, wide), kg_point(70))
+
+    def test_schr_records_pair_whatever_the_mass(self):
+        # the Schrodinger record does not read its mass: records that
+        # differ only there are one theory on one lattice
+        massive = Theory.of("schrodinger", LAT, 1.0)
+        assert massive is not SCHR
+        pt = schr_point(71)
+        F = quadratic_power(SCHR, 0)
+        G = quadratic_cross(massive)
+        assert poisson_bracket(F, G, pt) == poisson_bracket(F, quadratic_cross(SCHR), pt)
+
+    @pytest.mark.parametrize("entry", ["jacobi", "jacobi-nested", "poisson", "field"])
+    def test_point_on_another_lattice_rejected(self, entry):
+        # a KG record on the 2 pi box and a point of the 4 pi box, 1D n=16
+        lat, wide = (Lattice(dim=1, n=16, length=L) for L in (2 * np.pi, 4 * np.pi))
+        th = Theory.of("kg", lat, 1.0)
+        pt = darboux_point(wide, 72)
+        F, G = quadratic_power(th, 0), quadratic_cross(th)
+        calls = {
+            "jacobi": lambda: jacobi_bracket(F, G, pt),
+            "jacobi-nested": lambda: jacobi_bracket(F, TestJacobiAndLeibniz.nested(G, F, th), pt),
+            "poisson": lambda: poisson_bracket(F, G, pt),
+            "field": lambda: hamiltonian_vector_field(F, pt),
+        }
+        with pytest.raises(ValueError, match=re.escape(repr(wide))):
+            calls[entry]()
+
+
+class TestAnalyticDerivativesOnly:
+    """An observable carries analytic derivatives or none."""
+
+    def test_missing_derivatives_raise(self):
+        bare = Observable(KG, lambda pt: float(pt.W), name="bare W")
+        pt = kg_point(73)
+        with pytest.raises(TypeError, match="'bare W' has no analytic gradient"):
+            bare.gradient_at(pt)
+        with pytest.raises(TypeError, match="'bare W' has no analytic W-derivative"):
+            bare.w_derivative_at(pt)
+
+    def test_first_slot_needs_a_gradient(self):
+        # a nested bracket has no gradient: it can only be a second slot
+        lat = Lattice(dim=1, n=16, length=2 * np.pi)
+        th = Theory.of("kg", lat, 1.0)
+        pt = darboux_point(lat, 74)
+        lin1, lin2, quad1, quad2, w, wquad = bracket_families(th)
+        nested = TestJacobiAndLeibniz.nested(quad2, lin1, th)
+        with pytest.raises(TypeError, match="'nested' has no analytic gradient"):
+            jacobi_bracket(nested, quad1, pt)
+        with pytest.raises(TypeError, match="'nested' has no analytic gradient"):
+            hamiltonian_vector_field(nested, pt)
+        assert np.isfinite(jacobi_bracket(quad1, nested, pt))
 
     def test_unknown_labels_rejected(self):
         with pytest.raises(ValueError):

@@ -353,6 +353,39 @@ class TestValidation:
             WOracle(KG, check_points=-1)
         WOracle(KG, check_points=0)
 
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "to_darboux", "from_darboux", "w", "dw",
+            "value", "differential", "loop_integral", "pullback",
+        ],
+    )
+    def test_point_on_another_lattice_rejected(self, theory, entry):
+        # a record on the 2 pi box given a point of the 4 pi box: before,
+        # the oracle's value read half the record's W and the pullback an
+        # oracle residual of 24.8 (KG, 1D n=16)
+        lat, wide = (Lattice(dim=1, n=16, length=L) for L in (2 * np.pi, 4 * np.pi))
+        th = Theory.of(theory, lat, 1.0)
+        rng = seeded(7)
+        m = ModeState(
+            *(ModeVector(wide, random_hermitian_modes(wide, rng)) for _ in range(2)), time=0.6
+        )
+        tangent = (m.a0.coefficients, m.a1.coefficients, 0.3)
+        oracle = WOracle(th, check_points=0)
+        calls = {
+            "to_darboux": lambda: th.to_darboux(m),
+            "from_darboux": lambda: th.from_darboux(darboux.DarbouxState(m.a0, m.a1, W=0.0)),
+            "w": lambda: th.w(m),
+            "dw": lambda: th.dw(m),
+            "value": lambda: oracle.value(m),
+            "differential": lambda: oracle.differential(m, tangent),
+            "loop_integral": lambda: oracle.loop_integral(m, m, m),
+            "pullback": lambda: theta_pullback_residual(th, m, tangent_count=3),
+        }
+        with pytest.raises(ValueError, match=re.escape(repr(wide))):
+            calls[entry]()
+
 
 # ---------------------------------------------------------------------------
 # blocks: the oracle evaluated per point and per tangent, as it was before
