@@ -36,8 +36,8 @@ identification exactly.
 
 Equivalently [F, G] = dG(X_F) - G * dF/dW with the contact Hamiltonian
 vector field X_F = Lambda#(dF) + F R (R = d/dW, the Reeb field).  An
-observable carries analytic derivatives or none.  The first slot F must
-carry them; a G without them (a nested bracket, say) is evaluated
+observable's derivatives are analytic or absent.  The first slot F must
+carry both; a G without both (a nested bracket, say) is evaluated
 along X_F, and dG(X_F) is one directional derivative: a fixed number of
 evaluations of G at any lattice size.  The finite-difference gradients
 that the tests compare the analytic ones against live with the tests,
@@ -98,12 +98,12 @@ class Observable:
     """A real-valued functional of a Darboux point of the theory record.
 
     ``gradient`` returns the pair of hermitian g-arrays (one per
-    coordinate array of the point); ``w_derivative`` returns dF/dW.  An
-    observable carries these analytic derivatives or none: without one,
+    coordinate array of the point); ``w_derivative`` returns dF/dW.  Each
+    derivative is analytic or absent: without its callback,
     ``gradient_at`` or ``w_derivative_at`` raises TypeError.  An
-    observable without derivatives (a nested bracket, say) can only be
-    the second slot of a bracket, which takes one directional derivative
-    of it.
+    observable without both (a nested bracket, say) can only be the
+    second slot of a bracket, which takes one directional derivative of
+    it.
     """
 
     theory: Theory
@@ -285,11 +285,11 @@ def _directional_derivative(G: Observable, point, tangent) -> float:
 def jacobi_bracket(F: Observable, G: Observable, point) -> float:
     """[F, G] = Lambda(dF, dG) + F G_W - G F_W = dG(X_F) - G F_W.
 
-    F must carry analytic derivatives.  With an analytic gradient of G
-    the bivector is contracted directly; otherwise dG(X_F) is one
+    F must carry analytic derivatives.  When G carries both, the
+    bivector is contracted directly; otherwise dG(X_F) is one
     directional derivative of G along X_F.
     """
-    if G.gradient is not None:
+    if G.gradient is not None and G.w_derivative is not None:
         pair, corr, FW, GW = _lambda_terms(F, G, point)
         return pair + corr + F.evaluate(point) * GW - G.evaluate(point) * FW
     _check_pair(F, G)

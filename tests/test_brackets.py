@@ -266,16 +266,24 @@ class TestStructureConstants:
             want = G.evaluate(pt)
             assert lambda_pairing(w, G, pt) == pytest.approx(want, rel=1e-12)
             assert lambda_pairing(G, w, pt) == pytest.approx(-want, rel=1e-12)
+            # the bracket's own contraction: [W, G] = Lambda(dW, dG) - G
+            assert jacobi_bracket(w, G, pt) + want == pytest.approx(want, rel=1e-12)
+            assert jacobi_bracket(G, w, pt) - want == pytest.approx(-want, rel=1e-12)
             H = mode_real_part(KG, "Phi", k0)
             assert abs(lambda_pairing(w, H, pt)) <= 1e-15
+            assert abs(jacobi_bracket(w, H, pt) + H.evaluate(pt)) <= 1e-15
 
     def test_bivector_against_w_schr(self):
         pt = schr_point(28)
         w = w_coordinate(SCHR)
         G = mode_real_part(SCHR, "PhiI", 2)
         assert lambda_pairing(w, G, pt) == pytest.approx(G.evaluate(pt), rel=1e-12)
+        assert jacobi_bracket(w, G, pt) + G.evaluate(pt) == pytest.approx(
+            G.evaluate(pt), rel=1e-12
+        )
         H = mode_real_part(SCHR, "PhiR", 2)
         assert abs(lambda_pairing(w, H, pt)) <= 1e-15
+        assert abs(jacobi_bracket(w, H, pt) + H.evaluate(pt)) <= 1e-15
 
 
 class TestJacobiAndLeibniz:
@@ -411,6 +419,9 @@ class TestHamiltonianVectorField:
             lhs = contract(*G.gradient_at(pt), GW, X) - Gv * FW
             rhs = lambda_pairing(F, G, pt) + Fv * GW - Gv * FW
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (F.name, G.name)
+            # and the bracket's own bivector contraction
+            value = jacobi_bracket(F, G, pt)
+            assert abs(value - rhs) <= 1e-12 * max(1.0, abs(rhs)), (F.name, G.name)
 
     @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
     def test_w_coordinate_field(self, theory):
@@ -668,6 +679,19 @@ class TestAnalyticDerivativesOnly:
         with pytest.raises(TypeError, match="'nested' has no analytic gradient"):
             hamiltonian_vector_field(nested, pt)
         assert np.isfinite(jacobi_bracket(quad1, nested, pt))
+
+    def test_second_slot_with_gradient_only(self):
+        # a G with a gradient but no W-derivative is evaluated along X_F,
+        # like any second slot without both derivatives
+        lat = Lattice(dim=1, n=16, length=2 * np.pi)
+        th = Theory.of("kg", lat, 1.0)
+        pt = darboux_point(lat, 76)
+        lin1, lin2, quad1, quad2, w, wquad = bracket_families(th)
+        for F, G in ((quad1, quad2), (wquad, lin2), (quad2, wquad)):
+            bare = replace(G, w_derivative=None, name="gradient only")
+            want = jacobi_bracket(F, G, pt)
+            got = jacobi_bracket(F, bare, pt)
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (F.name, G.name)
 
     def test_unknown_labels_rejected(self):
         with pytest.raises(ValueError):
