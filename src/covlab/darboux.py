@@ -45,11 +45,11 @@ points (the quadrature nodes of ``WOracle.value`` and
 most BLOCK_COEFFS compact mode coefficients per stacked array.  Each
 block entry is bit-identical to evaluating it alone, and the
 quadratures accumulate in node order, so no sum depends on the block
-size.  Each mode sum scatters its compact values into zeros on the
-full lattice and sums that, so every value is the one a full-lattice
-evaluation gives.  The pullback's tangents are drawn straight onto the
-band: one draw of 4 M + 1 normals per tangent of a block, none for the
-N - M modes off it.  The closedness check draws its points and tangents
+size.  Each mode sum writes its compact values into a zeroed
+full-lattice buffer the support keeps and sums that, so every value is
+the one a full-lattice evaluation gives.  The pullback's tangents are
+drawn straight onto the band: one draw of 4 M + 1 normals per tangent
+of a block, none for the N - M modes off it.  The closedness check draws its points and tangents
 as sequential full-lattice ``random_hermitian_modes`` draws instead.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
@@ -65,6 +65,7 @@ with it the oracle's closedness precondition fails.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -110,10 +111,11 @@ __all__ = [
 
 # compact mode coefficients per stacked (block, M) array on a support of
 # M modes, 64 KB of complex numbers: it bounds the memory a block's compact
-# temporaries take, whatever the lattice (each mode sum still scatters its
-# block onto the full lattice), and a block's tangent draw, 4 M + 1
-# normals a tangent, to 4 BLOCK_COEFFS plus one per tangent.  On the n/4
-# band a block holds 124 nodes or tangents at 1D n=64 and 5 at 3D n=16
+# temporaries take, whatever the lattice (each mode sum writes a block into
+# the support's (block, N) full-lattice buffer, kept across its sums), and
+# a block's tangent draw, 4 M + 1 normals a tangent, to 4 BLOCK_COEFFS
+# plus one per tangent.  On the n/4 band a block holds 124 nodes or
+# tangents at 1D n=64 and 5 at 3D n=16
 BLOCK_COEFFS = 4096
 
 
@@ -132,12 +134,16 @@ class _Support:
     """The flat mode indices one evaluation works on (every mode by default).
 
     Per-mode arithmetic runs on compact (..., M) arrays, the columns
-    ``index`` of (..., *shape) ones.  Sums go through ``_mode_sum``.
+    ``index`` of (..., *shape) ones.  Sums go through ``_mode_sum``, on
+    full-lattice buffers the support keeps: one zeroed (rows, N) array
+    per dtype, with the flat positions of the support's modes in it, row
+    by row, grown when a sum needs more rows than it has.
     """
 
     def __init__(self, lattice: Lattice, index: np.ndarray | None = None):
         self.lattice = lattice
         self.index = np.arange(lattice.site_count) if index is None else index
+        self._buffers = {}
 
     def take(self, x: np.ndarray) -> np.ndarray:
         """(..., *shape) restricted to the support: (..., M)."""
@@ -145,11 +151,25 @@ class _Support:
         return x.reshape(lead + (self.lattice.site_count,)).take(self.index, axis=-1)
 
     def sum(self, x: np.ndarray):
-        return _mode_sum(self.lattice, self.index, x)
+        return _mode_sum(self, x)
+
+    def buffer(self, dtype, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The flat zeroed buffer of dtype, at least rows * N long, and the
+        flat positions of the support's modes in it, row after row."""
+        n = self.lattice.site_count
+        kept = self._buffers.get(dtype)
+        if kept is None or len(kept[0]) < rows * n:
+            at = (np.arange(rows)[:, np.newaxis] * n + self.index).ravel()
+            kept = self._buffers[dtype] = np.zeros(rows * n, dtype=dtype), at
+        return kept
 
     def place(self, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Compact rows (..., K) on the flat mode indices index, all of
-        them in the support, as compact (..., M) rows on the support."""
+        them in the support, as compact (..., M) rows on the support: the
+        rows themselves when index is the support's own (K = M), else
+        scattered into zeros."""
+        if len(index) == len(self.index):
+            return rows
         return _scatter(rows, np.searchsorted(self.index, index), len(self.index))
 
 
@@ -167,13 +187,21 @@ def _on_lattice(lattice: Lattice, index: np.ndarray, rows: np.ndarray) -> np.nda
     return full.reshape(rows.shape[:-1] + lattice.shape)
 
 
-def _mode_sum(lattice: Lattice, index: np.ndarray, x: np.ndarray):
-    """Sum of compact per-mode values x (..., M) over the whole lattice,
-    one value per leading block index.  x is scattered into zeros of
-    shape (..., *shape), which np.sum reduces over the mode axes: off the
-    support a full-lattice evaluation multiplies exact zeros, so this is
-    the array it would sum, and the sum rounds alike."""
-    return np.sum(_on_lattice(lattice, index, x), axis=tuple(range(-lattice.dim, 0)))
+def _mode_sum(sup: _Support, x: np.ndarray):
+    """Sum of compact per-mode values x (..., M) on the support over the
+    whole lattice, one value per leading block index.  x's B rows are
+    written at their modes' positions in the support's buffer of x's
+    dtype, whose C-contiguous prefix of B rows np.sum reduces over the
+    mode axes.  Off the support the buffer holds exact zeros, the values
+    a full-lattice evaluation multiplies there, so this is the array it
+    would sum, and the sum rounds alike.  The rows summed are written
+    first, so nothing (a NaN, say) carries over from an earlier sum."""
+    lead, lat = x.shape[:-1], sup.lattice
+    rows = math.prod(lead)
+    buf, at = sup.buffer(x.dtype, rows)
+    buf[at[: rows * len(sup.index)]] = x.reshape(-1)
+    full = buf[: rows * lat.site_count].reshape(lead + lat.shape)
+    return np.sum(full, axis=tuple(range(-lat.dim, 0)))
 
 
 def _col(x):

@@ -892,9 +892,9 @@ def test_mode_sums_run_on_the_support(monkeypatch, theory):
     lengths = []
     mode_sum = darboux._mode_sum
 
-    def recorded(lattice, index, x):
+    def recorded(sup, x):
         lengths.append(x.shape[-1])
-        return mode_sum(lattice, index, x)
+        return mode_sum(sup, x)
 
     monkeypatch.setattr(darboux, "_mode_sum", recorded)
     m, (a0, a1, _) = point(11, 1.7)
@@ -917,6 +917,54 @@ def test_mode_sums_run_on_the_support(monkeypatch, theory):
     lengths.clear()
     oracle.differential(narrow, (random_hermitian_modes(lat, rng, band=2), np.zeros_like(a0), 0.1))
     assert set(lengths) == {125}
+
+
+def scatter_and_sum(lat, index, x):
+    """The mode sum as it was before the support kept a buffer: x (..., M)
+    scattered into fresh zeros of shape (..., *shape) and summed over the
+    mode axes."""
+    full = np.zeros(x.shape[:-1] + (lat.site_count,), dtype=x.dtype)
+    full[..., index] = x
+    return np.sum(full.reshape(x.shape[:-1] + lat.shape), axis=tuple(range(-lat.dim, 0)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (3, 16)])
+def test_buffered_mode_sum_is_the_scatter_and_sum(dim, n, dtype):
+    lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+    rng = seeded(9)
+    for index in (darboux._band_pairs(lat, None)[0], None):
+        sup = darboux._Support(lat, index)
+        size, m = darboux._block_size(sup), len(sup.index)
+
+        def rows(*shape):
+            # magnitudes over sixteen decades, so that any other order of
+            # the additions rounds differently
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+            return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+        # a full block, a short tail, one row, then a full block again
+        for shape in ((size, m), (max(1, size // 3), m), (m,), (size, m)):
+            x = rows(*shape)
+            got = sup.sum(x)
+            assert got.dtype == x.dtype and got.shape == shape[:-1]
+            assert np.array_equal(got, scatter_and_sum(lat, sup.index, x))
+        # a block holding NaNs, in its first and its last row, then finite
+        # blocks on the same support: a short one, which leaves the last row
+        # of the buffer as it was, and a full one
+        bad = rows(size, m)
+        bad[0, m // 2] = bad[-1, 0] = np.nan
+        assert np.isnan(sup.sum(bad)[[0, -1]]).all()
+        for count in (max(1, size // 3), size):
+            x = rows(count, m)
+            got = sup.sum(x)
+            assert np.isfinite(got).all()
+            assert np.array_equal(got, scatter_and_sum(lat, sup.index, x))
+        # off the support, every buffer entry is still zero
+        buf, _ = sup.buffer(np.dtype(dtype), size)
+        off = np.ones(lat.site_count, dtype=bool)
+        off[sup.index] = False
+        assert not buf.reshape(-1, lat.site_count)[:, off].any()
 
 
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
