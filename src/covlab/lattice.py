@@ -27,7 +27,7 @@ kernels act per node, so a pass can stream a long section chunk by chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -278,6 +278,22 @@ def stack_gradient(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     return np.stack(comps, axis=1)
 
 
+class _Gradient(VectorField):
+    """sign * grad(scalar) as a VectorField whose components are
+    transformed the first time they are read, then kept: the arrays
+    spectral_gradient gives, negated for a negative sign."""
+
+    def __init__(self, scalar: ScalarField, sign: int):
+        object.__setattr__(self, "lattice", scalar.lattice)
+        object.__setattr__(self, "_source", (scalar, sign))
+
+    @cached_property
+    def components(self) -> tuple[ScalarField, ...]:
+        scalar, sign = self._source
+        comps = spectral_gradient(scalar).components
+        return comps if sign > 0 else tuple(ScalarField(c.lattice, -c.values) for c in comps)
+
+
 def spectral_divergence(v: VectorField) -> ScalarField:
     stack = np.stack([c.values for c in v.components])[np.newaxis]
     return ScalarField(v.lattice, stack_divergence(v.lattice, stack)[0])
@@ -368,9 +384,13 @@ class _Slice:
     field per constraint and ``time``, declared once: ``SCALARS`` names
     the scalars behind the mode data (a0, a1); ``CONSTRAINTS`` holds
     triples (vector, scalar, sign), vector = sign * grad(scalar), and
-    gives ``VECTORS``.  The physics comes as ``propagate(a0_hat, a1_hat,
-    s)``, built for one lattice: the mode data rotated by time s, or by
-    each time of an array shaped (T, 1, ..., 1) ahead of the mode axes.
+    gives ``VECTORS``.  A state that _enforced builds (enforcement,
+    evolution) holds each constrained field as a _Gradient, transformed
+    when its components are first read; every reader sees the arrays an
+    eager spectral_gradient gives.  The physics comes as
+    ``propagate(a0_hat, a1_hat, s)``, built for one lattice: the mode
+    data rotated by time s, or by each time of an array shaped
+    (T, 1, ..., 1) ahead of the mode axes.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -390,13 +410,12 @@ class _Slice:
     @classmethod
     def _enforced(cls, a0: ScalarField, a1: ScalarField, time: float = 0.0):
         """The state of the scalar fields (a0, a1) with every constrained
-        field set to sign * grad(scalar)."""
-        data, lat = dict(zip(cls.SCALARS, (a0, a1))), a0.lattice
+        field set to sign * grad(scalar), a _Gradient: transformed when
+        its components are first read, so a state whose constraint
+        fields nobody reads costs no gradient transform."""
+        data = dict(zip(cls.SCALARS, (a0, a1)))
         for vector, scalar, sign in cls.CONSTRAINTS:
-            grad = spectral_gradient(data[scalar])
-            if sign < 0:
-                grad = VectorField(lat, tuple(ScalarField(lat, -c.values) for c in grad.components))
-            data[vector] = grad
+            data[vector] = _Gradient(data[scalar], sign)
         return cls(**data, time=time)
 
     def _evolved(self, s: float, propagate, lat: Lattice):

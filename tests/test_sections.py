@@ -1,9 +1,10 @@
 """Spacetime sections stored as stacked arrays: the batched build against
 the slice-by-slice flow, hand-built sections, the batched checks, the
 de Donder-Weyl residual read off each Lagrangian table, the gradients
-exact sections read off their constraint stacks, and the rows of a build
+exact sections read off their constraint stacks, the rows of a build
 (a chunk from a node on, the even rows of a finer build) that a streamed
-pass evaluates."""
+pass evaluates, and the constraint fields of slice states, derived when
+first read."""
 
 from dataclasses import fields, replace
 from functools import partial
@@ -30,6 +31,7 @@ from covlab.lattice import (
     _first_order_residual,
     hermitize,
     idft,
+    spectral_gradient,
     stack_divergence,
     stack_gradient,
     stack_idft,
@@ -570,3 +572,50 @@ def test_action_residual_live_peak(theory):
         tracemalloc.stop()
     assert not report.errors
     assert peak <= (ACTION_RESIDUAL_PEAK_MIB[theory] + 1.0) * 2**20, peak / 2**20
+
+
+# ---------------------------------------------------------------------------
+# the constraint fields of enforced and evolved slice states, derived the
+# first time they are read
+
+
+def enforced_and_evolved(theory, dim):
+    """A state from enforcement and the state it evolves to."""
+    if theory == "kg":
+        state, cfg = kg_setup(dim)
+        return state, kg_evolve_spectral(state, 0.3, cfg)
+    state = schr_setup(dim)
+    return state, schr_evolve_spectral(state, 0.3)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("theory", ("kg", "schrodinger"))
+def test_constraint_fields_are_the_signed_gradients_bit_for_bit(theory, dim):
+    for state in enforced_and_evolved(theory, dim):
+        for vector, scalar, sign in state.CONSTRAINTS:
+            want = spectral_gradient(getattr(state, scalar)).components
+            got = getattr(state, vector).components
+            assert len(got) == dim
+            for g, w in zip(got, want):
+                assert g.lattice == state.lattice
+                assert g.values.tobytes() == (sign * w.values).tobytes()
+        assert state.constraint_residual() == 0.0
+
+
+@pytest.mark.parametrize("theory", ("kg", "schrodinger"))
+def test_evolve_transforms_no_gradient_until_a_constraint_field_is_read(theory, monkeypatch):
+    # 3D n=8: a gradient is one forward and three inverse transforms
+    state, _ = enforced_and_evolved(theory, 3)
+    calls = count_ffts(monkeypatch)
+    if theory == "kg":
+        out = kg_evolve_spectral(state, 0.3, KGConfig(mass=0.7, lattice=state.lattice))
+    else:
+        out = schr_evolve_spectral(state, 0.3)
+    # the two scalars, there and back
+    assert len(calls) == 4
+    for vector, _, _ in out.CONSTRAINTS:
+        before = len(calls)
+        first = getattr(out, vector).components
+        assert len(calls) == before + 4
+        assert getattr(out, vector).components is first
+        assert len(calls) == before + 4
