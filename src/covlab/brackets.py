@@ -93,6 +93,16 @@ def _w_slope(evaluate, point: DarbouxState, step: float) -> float:
     return (evaluate(up) - evaluate(dn)) / (2 * h)
 
 
+def _checked(theory: Theory, evaluate):
+    """evaluate refusing a point on another lattice than the record's."""
+
+    def checked(pt) -> float:
+        theory.check_lattice(pt)
+        return evaluate(pt)
+
+    return checked
+
+
 @dataclass(frozen=True)
 class Observable:
     """A real-valued functional of a Darboux point of the theory record.
@@ -103,7 +113,8 @@ class Observable:
     ``gradient_at`` or ``w_derivative_at`` raises TypeError.  An
     observable without both (a nested bracket, say) can only be the
     second slot of a bracket, which takes one directional derivative of
-    it.
+    it.  The factories below give observables whose ``evaluate`` refuses
+    a point on another lattice than the record's.
     """
 
     theory: Theory
@@ -403,7 +414,7 @@ def smeared_observable(
 
     return Observable(
         theory=theory,
-        evaluate=evaluate,
+        evaluate=_checked(theory, evaluate),
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
         name="smeared",
@@ -462,7 +473,7 @@ def mode_real_part(theory: Theory, slot: str, multi_index) -> Observable:
 
     return Observable(
         theory=theory,
-        evaluate=evaluate,
+        evaluate=_checked(theory, evaluate),
         gradient=lambda pt: (g[0], g[1]),
         w_derivative=lambda pt: 0.0,
         name=f"Re {slot}({idx})",
@@ -476,7 +487,7 @@ def w_coordinate(theory: Theory) -> Observable:
 
     return Observable(
         theory=theory,
-        evaluate=lambda pt: float(pt.W),
+        evaluate=_checked(theory, lambda pt: float(pt.W)),
         gradient=gradient,
         w_derivative=lambda pt: 1.0,
         name="W",
@@ -496,7 +507,7 @@ def quadratic_power(theory: Theory, which: int = 0) -> Observable:
 
     return Observable(
         theory=theory,
-        evaluate=evaluate,
+        evaluate=_checked(theory, evaluate),
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
         name=f"|slot{which}|^2",
@@ -517,7 +528,7 @@ def quadratic_cross(theory: Theory) -> Observable:
 
     return Observable(
         theory=theory,
-        evaluate=evaluate,
+        evaluate=_checked(theory, evaluate),
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
         name="Re<slot0, slot1>",
@@ -552,7 +563,7 @@ def product_observable(F: Observable, G: Observable) -> Observable:
 
     return Observable(
         theory=F.theory,
-        evaluate=evaluate,
+        evaluate=_checked(F.theory, evaluate),
         gradient=gradient,
         w_derivative=w_derivative,
         name=f"({F.name})*({G.name})",

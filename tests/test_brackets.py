@@ -655,6 +655,28 @@ class TestDerivativeMachinery:
         with pytest.raises(ValueError, match=re.escape(repr(wide))):
             calls[entry]()
 
+    @pytest.mark.parametrize(
+        "factory", ["mode", "power", "cross", "smeared", "w", "product"]
+    )
+    def test_observable_refuses_a_point_on_another_lattice(self, factory):
+        # evaluated directly, a KG record's observables on the 2 pi box
+        # read a point of the 4 pi box (1D n=16) as their own
+        lat, wide = (Lattice(dim=1, n=16, length=L) for L in (2 * np.pi, 4 * np.pi))
+        th = Theory.of("kg", lat, 1.0)
+        # the product's factors check nothing themselves
+        bare = Observable(th, lambda pt: float(pt.W)), Observable(th, lambda pt: 2.0)
+        F = {
+            "mode": lambda: mode_real_part(th, "Phi", 1),
+            "power": lambda: quadratic_power(th, 0),
+            "cross": lambda: quadratic_cross(th),
+            "smeared": lambda: smeared_observable(th, kg_variation(1, lat)),
+            "w": lambda: w_coordinate(th),
+            "product": lambda: product_observable(*bare),
+        }[factory]()
+        assert np.isfinite(F.evaluate(darboux_point(lat, 72)))
+        with pytest.raises(ValueError, match=re.escape(repr(wide))):
+            F.evaluate(darboux_point(wide, 72))
+
 
 class TestAnalyticDerivativesOnly:
     """An observable carries analytic derivatives or none."""
