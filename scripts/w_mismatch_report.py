@@ -2,10 +2,11 @@
 """Tabulate the printed W formulas against the line-integral oracle.
 
 The oracle integrates the difference form Theta - canonical along a
-path from the zero section, so it is independent of any closed-form
-guess.  For seeded band-limited mode states this prints, per state, the
-derived closed form, the printed formula, the oracle value, and the
-gaps of both to the oracle.
+path from the zero section, so it is independent of any formula for W.
+For seeded band-limited mode states this prints, per state, the derived
+W that both theories share, (w/2)(<a0, a1> - <A0, A1>) with the pairing
+weight w and the chart coordinates (A0, A1), the printed formula, the
+oracle value, and the gaps of both to the oracle.
 
 For Klein-Gordon the table also shows that the printed formula's signed
 gap, printed - oracle, equals the extra momentum cross term

@@ -194,8 +194,11 @@ def omega_slice_report(
     ``freeze`` ("u" or "v") deliberately leaves one variation at its
     initial data, the documented negative control: the resulting spread
     is O(1) instead of conservation-limited.  The spread is 0 only when
-    every value is exactly 0; a NaN value gives a NaN spread.
+    every value is exactly 0; a NaN value gives a NaN spread.  Any other
+    ``freeze`` raises ValueError.
     """
+    if freeze not in (None, "u", "v"):
+        raise ValueError(f"freeze must be None, 'u' or 'v', got {freeze!r}")
     values = []
     for t in times:
         span = t - solution.time

@@ -13,16 +13,18 @@ carried by the scalar W.  W itself is treated as a derived function of
 (a0, a1, s), not an independent coordinate; that is the only reading
 under which the transform is invertible.
 
-Two W expressions are carried side by side:
-
-* the derived closed form (default, used by the transforms), validated
-  against the line-integral oracle below;
-* the printed hypothesis formulas (``Theory.w(m, printed=True)``), kept
-  verbatim so the harness can measure how far they fall from
-  satisfying the pullback identity.  Acceptance criterion 5 pins the
-  printed KG density's gap to the oracle as exactly one extra momentum
-  cross term; ``scripts/w_mismatch_report.py`` tabulates the measured
-  gaps of both printed formulas.
+W is stated once for both theories: the derived W = (w/2)(<a0, a1> -
+<A0, A1>), with the record's pairing weight w, is what the transforms
+store and ``Theory.w`` returns, and ``Theory.dw`` is its gradient, the
+part in (a0, a1) plus the part in the chart's (A0, A1, s) pulled back
+through the chart's Jacobian.  The oracle below validates it.  The
+printed hypothesis formulas (``Theory.w(m, printed=True)``) are kept
+verbatim, each a per-theory change to that gradient, so the harness can
+measure how far they fall from satisfying the pullback identity.
+Acceptance criterion 5 pins the printed KG density's gap to the oracle
+as exactly one extra momentum cross term;
+``scripts/w_mismatch_report.py`` tabulates the measured gaps of both
+printed formulas.
 
 The oracle recovers W from its defining property: the difference between
 the contact one-form Theta and the transformed canonical one-form must
@@ -124,6 +126,15 @@ BLOCK_COEFFS = 4096
 # 1D n=64; the budget stops a huge finite time from asking for a number of
 # panels no run could finish
 LOOP_PANEL_BUDGET = 2**16
+
+
+# the oracle's fixed numerics: the Gauss-Legendre nodes per segment of
+# WOracle.value and per panel of WOracle.loop_integral; the largest scaled
+# closedness residual the construction sweep accepts; and the step of the
+# closedness check's fourth-order stencil
+GAUSS_ORDER = 8
+CLOSEDNESS_TOL = 1e-8
+CLOSEDNESS_EPS = 1e-3
 
 
 def _block_size(sup: _Support) -> int:
@@ -328,14 +339,15 @@ def _schr_rotation(ksq: np.ndarray, s):
     return np.cos(theta), sg, sg
 
 
-def _to_darboux(m: ModeState, rotation, W: float) -> DarbouxState:
-    """A0 = c a0 - r a1, A1 = c a1 + q a0 for the rotation (c, r, q)."""
+def _to_darboux(m: ModeState, rotation, weight: float) -> DarbouxState:
+    """A0 = c a0 - r a1, A1 = c a1 + q a0 for the rotation (c, r, q), and
+    the derived W = (w/2)(<a0, a1> - <A0, A1>) for the pairing weight w."""
     c, r, q = rotation
     a0, a1 = m.arrays
+    A0, A1 = c * a0 - r * a1, c * a1 + q * a0
     lat = m.lattice
-    return DarbouxState(
-        ModeVector(lat, c * a0 - r * a1), ModeVector(lat, c * a1 + q * a0), W=W, time=m.time
-    )
+    W = 0.5 * weight * lat.volume * float(np.sum(np.real(a0 * np.conj(a1) - A0 * np.conj(A1))))
+    return DarbouxState(ModeVector(lat, A0), ModeVector(lat, A1), W=W, time=m.time)
 
 
 def _from_darboux(d: DarbouxState, rotation) -> ModeState:
@@ -351,8 +363,8 @@ def _from_darboux(d: DarbouxState, rotation) -> ModeState:
 def kg_to_darboux(m: ModeState, cfg: KGConfig) -> DarbouxState:
     """Phi-hat = cos phi-hat - (sin/omega) p-hat, P-hat = cos p-hat
     + omega sin phi-hat; the massless zero mode uses the shear limit
-    Phi0 = phi0 - s p0, P0 = p0.  W from the derived closed form."""
-    return _to_darboux(m, _kg_rotation(cfg.omega(), m.time), _kg_w(m, cfg, 1.0))
+    Phi0 = phi0 - s p0, P0 = p0.  W is the derived one."""
+    return _to_darboux(m, _kg_rotation(cfg.omega(), m.time), KGTheory.weight)
 
 
 def kg_from_darboux(d: DarbouxState, cfg: KGConfig) -> ModeState:
@@ -360,52 +372,12 @@ def kg_from_darboux(d: DarbouxState, cfg: KGConfig) -> ModeState:
 
 
 def schr_to_darboux(m: ModeState) -> DarbouxState:
-    """The rotation by k^2 s / 2; W from the derived closed form."""
-    return _to_darboux(m, _schr_rotation(m.lattice.ksq(), m.time), _schr_w(m))
+    """The rotation by k^2 s / 2; W is the derived one."""
+    return _to_darboux(m, _schr_rotation(m.lattice.ksq(), m.time), SchrTheory.weight)
 
 
 def schr_from_darboux(d: DarbouxState) -> ModeState:
     return _from_darboux(d, _schr_rotation(d.lattice.ksq(), d.time))
-
-
-# ---------------------------------------------------------------------------
-# W: derived closed forms and printed hypotheses
-
-
-def _kg_w_terms(om: np.ndarray, s: float, phi: np.ndarray, p: np.ndarray):
-    """Per-mode pieces of the KG W closed forms at the time s, for the
-    frequencies om and fields on the lattice or a support: cos(omega s),
-    sin(omega s), sin cos / (2 omega) (s/2 at omega = 0),
-    |p|^2 - omega^2 |phi|^2 and Re(p conj(phi))."""
-    zero = om == 0.0
-    om_safe = np.where(zero, 1.0, om)
-    c = np.cos(om * s)
-    sg = np.sin(om * s)
-    half_sc_over_om = np.where(zero, 0.5 * s, 0.5 * sg * c / om_safe)
-    quad = np.abs(p) ** 2 - om**2 * np.abs(phi) ** 2
-    cross = np.real(p * np.conj(phi))
-    return c, sg, half_sc_over_om, quad, cross
-
-
-def _kg_w(m: ModeState, cfg: KGConfig, cross_coeff: float) -> float:
-    """The KG W closed form with the given cross coefficient: 1 gives the
-    derived W, (1/2)(<p, phi> - <P-hat, Phi-hat>) with the real Parseval
-    pairing (the omega -> 0 mode contributes (s/2)|p0|^2); 2 gives the
-    printed hypothesis, the same quadratic term with a doubled cross
-    term."""
-    _, sg, half_sc_over_om, quad, cross = _kg_w_terms(cfg.omega(), m.time, *m.arrays)
-    per_mode = quad * half_sc_over_om + cross_coeff * cross * sg**2
-    return m.lattice.volume * float(np.sum(per_mode))
-
-
-def _schr_w(m: ModeState) -> float:
-    """Closed-form W = <phiR, phiI> - <PhiR, PhiI> (real Parseval pairing)."""
-    c, sg, _ = _schr_rotation(m.lattice.ksq(), m.time)
-    a, b = m.arrays
-    per_mode = sg**2 * 2.0 * np.real(a * np.conj(b)) - sg * c * (
-        np.abs(a) ** 2 - np.abs(b) ** 2
-    )
-    return m.lattice.volume * float(np.sum(per_mode))
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +393,11 @@ class Theory:
     state class, whose ``SCALARS`` are the record's ``fields`` behind
     (a0, a1) (a variation, being a slice state too, carries them under
     the same names); and ``slots``, the names of the chart coordinates.
-    ``freq`` is the per-mode array the rotation reads (omega; k^2).  The
-    methods that reach kg.py, schrodinger.py or the four chart functions
+    ``freq`` is the per-mode array the rotation reads (omega; k^2).  Each
+    subclass gives the s-rates of the chart's coordinates (``rate``,
+    ``rate1``) and its printed W hypothesis (``printed_w``,
+    ``printed_gradient``); the derived W and the differential of either
+    are written once here (``w``, ``dw``).  The methods that reach kg.py, schrodinger.py or the four chart functions
     call them by module-level name at call time; constraint enforcement
     and the variation profile are the shared bodies of lattice.py.
     """
@@ -455,6 +430,51 @@ class Theory:
     def profile(self, section, variation, first: int = 0, count: int | None = None):
         return section._bumped(variation, first, count)
 
+    def w(self, m: ModeState, printed: bool = False) -> float:
+        """W at m: the derived (w/2)(<a0, a1> - <A0, A1>), the one the
+        chart stores, or the subclass's printed hypothesis."""
+        self.check_lattice(m)
+        d = _to_darboux(m, self.rotation(self.freq, m.time), self.weight)
+        return self.printed_w(m, d) if printed else d.W
+
+    def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
+        """The differential at m of W, derived or printed, as a function
+        of tangents (d0, d1, ds), single or stacked, compact on the
+        support (every mode by default), which must hold every mode where
+        m or a tangent is nonzero.
+
+        W's gradient has a direct part (g0, g1, gs) in the point's
+        coordinates, (w/2)(conj a1, conj a0, 0) for the derived W, and a
+        chart part (G0, G1, Gs) in (A0, A1, s), -(w/2)(conj A1, conj A0,
+        0), pulled back here through dA0 = c d0 - r d1 + rate ds and
+        dA1 = q d0 + c d1 + rate1 ds.  It depends on m alone, so it is
+        computed once, and a tangent costs
+        L^d (Re sum(g0 d0 + g1 d1) + sum(gs) ds).
+        """
+        self.check_lattice(m)
+        sup = _Support(m.lattice) if support is None else support
+        f = sup.take(self.freq)
+        a0, a1 = (sup.take(x) for x in m.arrays)
+        s = m.time
+        c, r, q = self.rotation(f, s)
+        A0, A1 = c * a0 - r * a1, c * a1 + q * a0
+        half = 0.5 * self.weight
+        direct = half * np.conj(a1), half * np.conj(a0), 0.0
+        chart = -half * np.conj(A1), -half * np.conj(A0), 0.0
+        if printed:
+            direct, chart = self.printed_gradient(f, s, a0, a1, A0, A1, direct, chart)
+        (g0, g1, gs), (G0, G1, Gs) = direct, chart
+        g0 = g0 + c * G0 + q * G1
+        g1 = g1 - r * G0 + c * G1
+        rates = G0 * self.rate(f, c, q, a0, a1) + G1 * self.rate1(f, c, q, a0, a1)
+        gs = sup.sum(gs + Gs + np.real(rates))
+        vol = m.lattice.volume
+
+        def dw(d0, d1, ds):
+            return vol * (sup.sum(np.real(g0 * d0 + g1 * d1)) + gs * ds)
+
+        return dw
+
     def slice_fields(self, state) -> tuple:
         """The fields of a slice state (or variation) behind (a0, a1)."""
         return tuple(getattr(state, f) for f in self.fields)
@@ -480,6 +500,10 @@ class KGTheory(Theory):
         """d/ds of the chart's A0, from its rotation (c, r, q)."""
         return -q * a0 - c * a1
 
+    def rate1(self, om, c, q, a0, a1):
+        """d/ds of the chart's A1."""
+        return om**2 * c * a0 - q * a1
+
     def hflow(self, sup: _Support, om, a0, a1, sign_ledger: str):
         om2 = om**2
         if sign_ledger == "paper-printed":
@@ -499,44 +523,24 @@ class KGTheory(Theory):
         self.check_lattice(d)
         return kg_from_darboux(d, self.cfg)
 
-    def w(self, m: ModeState, printed: bool = False) -> float:
-        self.check_lattice(m)
-        return _kg_w(m, self.cfg, 2.0 if printed else 1.0)
+    def printed_w(self, m: ModeState, d: DarbouxState) -> float:
+        """The printed hypothesis: the derived W plus the cross term
+        L^d sum Re(p conj(phi)) sin^2(omega s)."""
+        phi, p = m.arrays
+        cross = np.real(p * np.conj(phi)) * np.sin(self.freq * m.time) ** 2
+        return d.W + m.lattice.volume * float(np.sum(cross))
 
-    def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
-        """The differential at m of the W closed form (cross coefficient
-        1 derived, 2 printed), as a function of tangents (d0, d1, ds),
-        single or stacked, compact on the support (every mode by
-        default), which must hold every mode where m or a tangent is
-        nonzero.  The factors that depend on m alone are computed here,
-        once."""
-        self.check_lattice(m)
-        cross_coeff = 2.0 if printed else 1.0
-        sup = _Support(m.lattice) if support is None else support
-        om = sup.take(self.freq)
-        phi, p = (sup.take(a) for a in m.arrays)
-        c, sg, half_sc_over_om, quad, cross = _kg_w_terms(om, m.time, phi, p)
-        conj_phi, conj_p = np.conj(phi), np.conj(p)
-        two_om2 = om**2 * 2.0
-        sg2 = sg**2
-        # s-derivatives: d(sin cos / (2 omega)) = (cos^2 - sin^2)/2 ds;
-        # d(sin^2) = 2 sin cos omega ds
-        quad_rate = quad * 0.5 * (c**2 - sg**2)
-        cross_rate = cross_coeff * cross * 2.0 * sg * c * om
-
-        def dw(dphi, dp, ds):
-            d_quad = 2.0 * np.real(conj_p * dp) - two_om2 * np.real(conj_phi * dphi)
-            d_cross = np.real(dp * conj_phi) + np.real(p * np.conj(dphi))
-            ds = _col(ds)
-            d_per = (
-                d_quad * half_sc_over_om
-                + quad_rate * ds
-                + cross_coeff * d_cross * sg2
-                + cross_rate * ds
-            )
-            return m.lattice.volume * sup.sum(d_per)
-
-        return dw
+    def printed_gradient(self, om, s, a0, a1, A0, A1, direct, chart):
+        """The gradients of the printed W: the derived ones, with the
+        cross term's added to the direct part."""
+        sg, cs = np.sin(om * s), np.cos(om * s)
+        g0, g1, gs = direct
+        direct = (
+            g0 + sg**2 * np.conj(a1),
+            g1 + sg**2 * np.conj(a0),
+            gs + np.real(a1 * np.conj(a0)) * 2.0 * sg * cs * om,
+        )
+        return direct, chart
 
     # the slice-level entry points of kg.py
     def evolve(self, state, s: float, ledger: str = "resolved"):
@@ -560,6 +564,10 @@ class SchrTheory(Theory):
         """d/ds of the chart's A0, from its rotation (c, r, q)."""
         return 0.5 * ksq * (-q * a0 - c * a1)
 
+    def rate1(self, ksq, c, q, a0, a1):
+        """d/ds of the chart's A1."""
+        return 0.5 * ksq * (c * a0 - q * a1)
+
     def hflow(self, sup: _Support, ksq, a0, a1, sign_ledger: str):
         val = 0.5 * sup.lattice.volume * sup.sum(ksq * (np.abs(a0) ** 2 + np.abs(a1) ** 2))
         return -val if sign_ledger == "paper-printed" else val
@@ -578,13 +586,8 @@ class SchrTheory(Theory):
         self.check_lattice(d)
         return schr_from_darboux(d)
 
-    def w(self, m: ModeState, printed: bool = False) -> float:
-        """The derived W, or the printed hypothesis, which is stated in
-        the chart's coordinates."""
-        self.check_lattice(m)
-        if not printed:
-            return _schr_w(m)
-        d = schr_to_darboux(m)
+    def printed_w(self, m: ModeState, d: DarbouxState) -> float:
+        """The printed hypothesis, stated in the chart's coordinates."""
         ksq = d.lattice.ksq()
         s = d.time
         A, B = d.arrays
@@ -593,56 +596,18 @@ class SchrTheory(Theory):
         ) * np.sin(0.5 * ksq * s)
         return d.lattice.volume * float(np.sum(per_mode))
 
-    def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
-        """The differential at m of the derived W or of the printed one
-        (chain-ruled through the chart), as a function of tangents
-        (dphiR, dphiI, ds), single or stacked, compact on the support as
-        in KGTheory.dw.  With r = 2 Re(a conj b) and
-        q = |a|^2 - |b|^2 per mode, the derived one is
-        d(sin^2 r - sin cos q) = k^2 sin cos r ds + sin^2 dr
-        - (k^2/2)(cos^2 - sin^2) q ds - sin cos dq."""
-        self.check_lattice(m)
-        sup = _Support(m.lattice) if support is None else support
-        ksq = sup.take(self.freq)
-        s = m.time
-        a, b = (sup.take(x) for x in m.arrays)
-        c, sg, _ = _schr_rotation(ksq, s)
-        vol = m.lattice.volume
-        if not printed:
-            conj_a, conj_b = np.conj(a), np.conj(b)
-            sg2, sc = sg**2, sg * c
-            rate = ksq * sc * 2.0 * np.real(a * conj_b) - 0.5 * ksq * (c**2 - sg2) * (
-                np.abs(a) ** 2 - np.abs(b) ** 2
-            )
-
-            def dw(da, db, ds):
-                dr = 2.0 * np.real(da * conj_b + a * np.conj(db))
-                dq = 2.0 * np.real(conj_a * da) - 2.0 * np.real(conj_b * db)
-                return vol * sup.sum(rate * _col(ds) + sg2 * dr - sc * dq)
-
-            return dw
-
-        A, B = c * a - sg * b, c * b + sg * a
-        rate_A, rate_B = self.rate(ksq, c, sg, a, b), 0.5 * ksq * (-sg * b + c * a)
+    def printed_gradient(self, ksq, s, a0, a1, A, B, direct, chart):
+        """The gradients of the printed W, all in the chart's coordinates:
+        no direct part."""
+        sin_full, sin_half = np.sin(ksq * s), np.sin(0.5 * ksq * s)
         conj_A, conj_B = np.conj(A), np.conj(B)
-        cos_rate = 0.5 * ksq * np.cos(ksq * s)
-        quad = np.abs(A) ** 2 - np.abs(B) ** 2
-        half_sin = 0.5 * np.sin(ksq * s)
-        cross_rate = 2.0 * np.real(A * conj_B) * 0.5 * ksq * c
-
-        def dw_printed(da, db, ds):
-            ds = _col(ds)
-            dA = c * da - sg * db + rate_A * ds
-            dB = c * db + sg * da + rate_B * ds
-            d_per = (
-                cos_rate * ds * quad
-                + half_sin * (2.0 * np.real(conj_A * dA) - 2.0 * np.real(conj_B * dB))
-                + 2.0 * np.real(dA * conj_B + A * np.conj(dB)) * sg
-                + cross_rate * ds
-            )
-            return vol * sup.sum(d_per)
-
-        return dw_printed
+        chart = (
+            sin_full * conj_A + 2.0 * sin_half * conj_B,
+            -sin_full * conj_B + 2.0 * sin_half * conj_A,
+            0.5 * ksq * np.cos(ksq * s) * (np.abs(A) ** 2 - np.abs(B) ** 2)
+            + np.real(A * conj_B) * ksq * np.cos(0.5 * ksq * s),
+        )
+        return (0.0, 0.0, 0.0), chart
 
     # the slice-level entry points of schrodinger.py
     def evolve(self, state, s: float, ledger: str = "resolved"):
@@ -732,7 +697,6 @@ class WOracle:
         sign_ledger: str = "resolved",
         seed: int = 1337,
         check_points: int = 4,
-        tol: float = 1e-8,
     ):
         if not isinstance(theory, Theory):
             theory = Theory.of(theory, getattr(cfg, "lattice", cfg), getattr(cfg, "mass", 0.0))
@@ -751,10 +715,10 @@ class WOracle:
         self._s_scale = 1.0 / self._top
         if check_points > 0:
             worst = self._closedness_sweep(seed, check_points)
-            if not worst <= tol:
+            if not worst <= CLOSEDNESS_TOL:
                 raise WOracleClosednessError(
                     f"difference form is not closed (residual {worst:.3e} > "
-                    f"{tol:.1e}); the sign ledger upstream is inconsistent "
+                    f"{CLOSEDNESS_TOL:.1e}); the sign ledger upstream is inconsistent "
                     f"(theory={theory.name}, sign_ledger={sign_ledger})"
                 )
 
@@ -799,7 +763,7 @@ class WOracle:
         form = self._form(sup, sup.take(a0), sup.take(a1), point.time)
         return float(form(sup.take(d0), sup.take(d1), ds))
 
-    def value(self, point: ModeState, order: int = 8) -> float:
+    def value(self, point: ModeState) -> float:
         """Line integral of the difference form from (0 fields, s = 0).
 
         Segment one raises s at zero fields (the integrand vanishes there
@@ -808,7 +772,7 @@ class WOracle:
         the point's support.
         """
         self.theory.check_lattice(point)
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
         u = 0.5 * (nodes + 1.0)
         w = 0.5 * weights
         (a0, a1), s_target = point.arrays, point.time
@@ -832,7 +796,7 @@ class WOracle:
 
     # -- checks ----------------------------------------------------------
 
-    def closedness_residual(self, point, tx, ty, eps: float = 1e-3) -> float:
+    def closedness_residual(self, point, tx, ty) -> float:
         """Finite-difference antisymmetrized derivative d(Theta - T)(X, Y).
 
         The difference form is linear in the field coordinates, so the
@@ -842,6 +806,7 @@ class WOracle:
         the form's oscillation frequency (see _s_scale).
         """
         (a0, a1), s = point.arrays, point.time
+        eps = CLOSEDNESS_EPS
 
         def deriv(ta, tb):
             d0, d1, ds = ta
@@ -864,7 +829,7 @@ class WOracle:
             residuals.append(self.closedness_residual(point, tx, ty) / scale)
         return nan_max(residuals)
 
-    def loop_integral(self, p1: ModeState, p2: ModeState, p3: ModeState, order: int = 8) -> float:
+    def loop_integral(self, p1: ModeState, p2: ModeState, p3: ModeState) -> float:
         """Circulation of the difference form around the triangle
         p1 -> p2 -> p3 -> p1 (straight segments); closedness makes it
         vanish.  Panel count grows with the oscillation scale along each
@@ -878,7 +843,7 @@ class WOracle:
         """
         for p in (p1, p2, p3):
             self.theory.check_lattice(p)
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
         om_max = self._om_max
         if not all(np.isfinite(p.time) for p in (p1, p2, p3)):
             return float("nan")
@@ -926,8 +891,8 @@ def theta_pullback_residual(
     """Check Theta = canonical + dW at one point over sampled tangents.
 
     Theta - canonical comes from the contact form and the chart Jacobian
-    (the oracle's difference form); dW is the analytic differential of a
-    W closed form.  Runs twice: with the chart's derived W, whose sup
+    (the oracle's difference form); dW is the analytic differential
+    ``Theory.dw``.  Runs twice: with the chart's derived W, whose sup
     mismatch is ``oracle_residual`` (a gate: the derived W must be the
     oracle's potential), and with the printed W hypothesis, whose sup
     mismatch is ``printed_residual``.  The printed Schrodinger W is known

@@ -134,10 +134,14 @@ class ExperimentConfig:
             raise ValueError(f"invalid field 'theory': {self.theory!r}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"invalid field 'experiment': {self.experiment!r}")
+        # numbers are stored as Python int and float, times as a tuple of
+        # floats, whatever numpy scalars or sequences were given: the config
+        # hashes, and equal configs build equal lattices
         for name in _INT_KEYS:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"invalid field '{name}': {value!r} (integer required)")
+            object.__setattr__(self, name, int(value))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"invalid field 'dim': {self.dim}")
         n = self.n
@@ -149,6 +153,7 @@ class ExperimentConfig:
                 raise ValueError(f"invalid field '{name}': {value!r} (real number required)")
             if not math.isfinite(value):
                 raise ValueError(f"invalid field '{name}': {value} (finite required)")
+            object.__setattr__(self, name, float(value))
         times = self.times.tolist() if isinstance(self.times, np.ndarray) else self.times
         if (
             isinstance(times, (str, bytes))
@@ -160,6 +165,7 @@ class ExperimentConfig:
             )
         if not all(math.isfinite(t) for t in times):
             raise ValueError(f"invalid field 'times': {self.times} (finite required)")
+        object.__setattr__(self, "times", tuple(float(t) for t in times))
         if self.experiment in ("omega-check", "darboux-check") and len(set(self.times)) == 1:
             raise ValueError(f"invalid field 'times': {self.times} (two distinct required)")
         if self.length <= 0:
@@ -520,7 +526,7 @@ def _evolve_rows(cfg: ExperimentConfig):
 
 def _omega_rows(cfg: ExperimentConfig):
     th = _theory(cfg)
-    times = list(cfg.times) if cfg.times else [float(t) for t in range(11)]
+    times = cfg.times or tuple(float(t) for t in range(11))
     sol = random_state(cfg)
     U = _banded_state(cfg, cfg.seed + 1)
     V = _banded_state(cfg, cfg.seed + 2)
@@ -537,7 +543,7 @@ def _darboux_mode_point(cfg: ExperimentConfig, seed: int, s: float):
 def _darboux_rows(cfg: ExperimentConfig):
     lat = cfg.lattice
     th = _theory(cfg)
-    times = list(cfg.times) if cfg.times else [float(t) for t in range(11)]
+    times = cfg.times or tuple(float(t) for t in range(11))
 
     def chart_coordinates(state):
         return np.concatenate([a.ravel() for a in th.to_darboux(th.mode_state(state)).arrays])

@@ -26,6 +26,7 @@ kernels act per node, so a pass can stream a long section chunk by chunk.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -69,6 +70,11 @@ class Lattice:
     dim : spatial dimension, 1 to 3
     n : sites per axis, a power of two
     length : physical box size per axis
+
+    The fields are stored as Python int, int and float, whatever numpy
+    scalar was given: a lattice equals and hashes like every lattice of
+    the same values, so the caches keyed on it (``ksq``, the gradient
+    multipliers, ``Theory.of``) must hold the arrays they would build.
     """
 
     dim: int
@@ -82,6 +88,9 @@ class Lattice:
             raise ValueError(f"n must be a power of two >= 4, got {self.n}")
         if not (self.length > 0):
             raise ValueError(f"length must be positive, got {self.length}")
+        object.__setattr__(self, "dim", operator.index(self.dim))
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "length", float(self.length))
 
     @property
     def spacing(self) -> float:

@@ -179,6 +179,15 @@ class TestOmega:
         )
         assert rep.max_rel_spread > 0.1
 
+    @pytest.mark.parametrize("freeze", ["V", "U", "", "both", 1])
+    def test_unknown_freeze_rejected(self, freeze):
+        # "V" used to run the positive check, a spread of 9.5e-16 where
+        # "v" reads 1.43
+        rng = seeded(5)
+        sol = kg_enforce_constraints(banded_field(rng), banded_field(rng))
+        with pytest.raises(ValueError, match=f"freeze must be .*got {freeze!r}"):
+            omega_slice_report(KG, sol, kg_variation(6), kg_variation(7), (0.0, 1.0), freeze)
+
     def test_lattice_mismatch_rejected(self):
         other = Lattice(dim=1, n=32, length=2 * np.pi)
         with pytest.raises(ValueError):

@@ -499,6 +499,42 @@ def ref_loop(theory, cfg, points, om_max, order=8):
     return total
 
 
+# per-theory closed forms of W and dW, independent of the shared
+# gradient: test_w_matches_the_closed_forms compares the record's with them
+
+def ref_kg_w(cfg, a0, a1, s, cross_coeff):
+    """(1/2)(<p, phi> - <P, Phi>) as sin cos / (2 omega) (|p|^2 -
+    omega^2 |phi|^2) + sin^2 Re(p conj phi) per mode; cross_coeff 2 gives
+    the printed W."""
+    om = cfg.omega()
+    zero = om == 0.0
+    c, sg = np.cos(om * s), np.sin(om * s)
+    half_sc_over_om = np.where(zero, 0.5 * s, 0.5 * sg * c / np.where(zero, 1.0, om))
+    quad = np.abs(a1) ** 2 - om**2 * np.abs(a0) ** 2
+    cross = np.real(a1 * np.conj(a0))
+    return cfg.lattice.volume * float(np.sum(quad * half_sc_over_om + cross_coeff * cross * sg**2))
+
+
+def ref_schr_w(lat, a, b, s):
+    """<phiR, phiI> - <PhiR, PhiI> as sin^2 2 Re(a conj b) - sin cos
+    (|a|^2 - |b|^2) per mode."""
+    ksq = lat.ksq()
+    c, sg = np.cos(0.5 * ksq * s), np.sin(0.5 * ksq * s)
+    per_mode = sg**2 * 2.0 * np.real(a * np.conj(b)) - sg * c * (np.abs(a) ** 2 - np.abs(b) ** 2)
+    return lat.volume * float(np.sum(per_mode))
+
+
+def ref_schr_w_printed(lat, a, b, s):
+    """The printed W, in the chart's (A, B) = (PhiR, PhiI)."""
+    ksq = lat.ksq()
+    c, sg = np.cos(0.5 * ksq * s), np.sin(0.5 * ksq * s)
+    A, B = c * a - sg * b, c * b + sg * a
+    per_mode = 0.5 * np.sin(ksq * s) * (np.abs(A) ** 2 - np.abs(B) ** 2) + 2.0 * np.real(
+        A * np.conj(B)
+    ) * np.sin(0.5 * ksq * s)
+    return lat.volume * float(np.sum(per_mode))
+
+
 def ref_kg_dw(cfg, a0, a1, s, d0, d1, ds, cross_coeff):
     om = cfg.omega()
     zero = om == 0.0
@@ -543,6 +579,44 @@ def ref_schr_dw_printed(lat, a, b, s, da, db, ds):
     return lat.volume * float(np.sum(d_per))
 
 
+def ref_dw(theory, cfg, a0, a1, s, d0, d1, ds, printed):
+    """dW along one tangent as the record computes it, on the whole
+    lattice: the direct gradient plus the chart gradient pulled back
+    through the chart's Jacobian, summed with the tangent."""
+    if theory == "kg":
+        lat, f, half = cfg.lattice, cfg.omega(), 0.5
+        zero = f == 0.0
+        c = np.cos(f * s)
+        r = np.where(zero, s, np.sin(f * s) / np.where(zero, 1.0, f))
+        q = f * np.sin(f * s)
+        rate0, rate1 = -q * a0 - c * a1, f**2 * c * a0 - q * a1
+    else:
+        lat, f, half = cfg, cfg.ksq(), 1.0
+        c, r = np.cos(0.5 * f * s), np.sin(0.5 * f * s)
+        q = r
+        rate0, rate1 = 0.5 * f * (-q * a0 - c * a1), 0.5 * f * (c * a0 - q * a1)
+    A0, A1 = c * a0 - r * a1, c * a1 + q * a0
+    g0, g1, gs = half * np.conj(a1), half * np.conj(a0), 0.0
+    G0, G1, Gs = -half * np.conj(A1), -half * np.conj(A0), 0.0
+    if printed and theory == "kg":
+        sg, cs = np.sin(f * s), np.cos(f * s)
+        g0 = g0 + sg**2 * np.conj(a1)
+        g1 = g1 + sg**2 * np.conj(a0)
+        gs = gs + np.real(a1 * np.conj(a0)) * 2.0 * sg * cs * f
+    elif printed:
+        full, hlf = np.sin(f * s), np.sin(0.5 * f * s)
+        g0, g1, gs = 0.0, 0.0, 0.0
+        G0 = full * np.conj(A0) + 2.0 * hlf * np.conj(A1)
+        G1 = -full * np.conj(A1) + 2.0 * hlf * np.conj(A0)
+        Gs = 0.5 * f * np.cos(f * s) * (np.abs(A0) ** 2 - np.abs(A1) ** 2) + np.real(
+            A0 * np.conj(A1)
+        ) * f * np.cos(0.5 * f * s)
+    g0 = g0 + c * G0 + q * G1
+    g1 = g1 - r * G0 + c * G1
+    gs = np.sum(gs + Gs + np.real(G0 * rate0 + G1 * rate1))
+    return lat.volume * (float(np.sum(np.real(g0 * d0 + g1 * d1))) + gs * ds)
+
+
 def ref_pullback(theory, cfg, a0, a1, s, tangent_count, seed):
     lat = cfg.lattice if theory == "kg" else cfg
     if theory == "kg":
@@ -554,14 +628,8 @@ def ref_pullback(theory, cfg, a0, a1, s, tangent_count, seed):
     for _ in range(tangent_count):
         t = ref_band_tangent(lat, rng, s_scale)
         gap = ref_form(theory, cfg, a0, a1, s, *t)
-        if theory == "kg":
-            dw_derived = ref_kg_dw(cfg, a0, a1, s, *t, 1.0)
-            dw_printed = ref_kg_dw(cfg, a0, a1, s, *t, 2.0)
-        else:
-            dw_derived = ref_schr_dw_derived(lat, a0, a1, s, *t)
-            dw_printed = ref_schr_dw_printed(lat, a0, a1, s, *t)
-        derived.append(abs(gap - dw_derived))
-        printed.append(abs(gap - dw_printed))
+        derived.append(abs(gap - ref_dw(theory, cfg, a0, a1, s, *t, False)))
+        printed.append(abs(gap - ref_dw(theory, cfg, a0, a1, s, *t, True)))
     return max(derived), max(printed)
 
 
@@ -750,24 +818,49 @@ def test_closedness_sweep_values_at_3d(theory, key):
     assert oracle._closedness_sweep(key, 4) == SWEEP_3D[theory, key]
 
 
+@pytest.mark.parametrize("printed", [False, True])
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
 @pytest.mark.parametrize("dim,n", SHAPES)
-def test_derived_w_differential_matches_five_point_difference(theory, dim, n):
+def test_derived_w_differential_matches_five_point_difference(theory, dim, n, printed):
     lat, cfg, point = block_setup(theory, dim, n)
     m, (a0, a1, s) = point(51, 0.9)
     _, (d0, d1, _) = point(52, 0.0)
     ds = 0.05
     th = record(theory, lat)
-    dw = th.dw(m)(d0.reshape(-1), d1.reshape(-1), ds)
+    dw = th.dw(m, printed)(d0.reshape(-1), d1.reshape(-1), ds)
 
     def f(h):
         moved = (ModeVector(lat, a0 + h * d0), ModeVector(lat, a1 + h * d1))
-        return th.w(ModeState(*moved, time=s + h * ds))
+        return th.w(ModeState(*moved, time=s + h * ds), printed)
 
     h = 1e-3
     fd = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
     assert abs(dw - fd) <= 1e-7 * (1.0 + abs(dw))
     assert abs(dw) > 1.0
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+@pytest.mark.parametrize("dim,n", SHAPES)
+def test_w_matches_the_closed_forms(theory, dim, n):
+    # W stated once, (w/2)(<a0, a1> - <A0, A1>), and its differential as
+    # one pulled-back gradient give what each theory's closed forms gave
+    lat, cfg, point = block_setup(theory, dim, n)
+    th = record(theory, lat)
+    for seed, s in ((61, -1.3), (62, 0.9), (63, 7.4)):
+        m, coords = point(seed, s)
+        _, (d0, d1, _) = point(seed + 10, 0.0)
+        t = (d0, d1, 0.3)
+        if theory == "kg":
+            w = [ref_kg_w(cfg, *coords, coeff) for coeff in (1.0, 2.0)]
+            dw = [ref_kg_dw(cfg, *coords, *t, coeff) for coeff in (1.0, 2.0)]
+        else:
+            w = [f(lat, *coords) for f in (ref_schr_w, ref_schr_w_printed)]
+            dw = [f(lat, *coords, *t) for f in (ref_schr_dw_derived, ref_schr_dw_printed)]
+        for printed in (False, True):
+            got_w = th.w(m, printed)
+            got_dw = th.dw(m, printed)(d0.reshape(-1), d1.reshape(-1), 0.3)
+            assert abs(got_w - w[printed]) <= 1e-12 * abs(w[printed])
+            assert abs(got_dw - dw[printed]) <= 1e-12 * abs(dw[printed])
 
 
 # ---------------------------------------------------------------------------
@@ -823,17 +916,12 @@ def test_off_band_point_entry_counts(theory, dim, n, entry):
 
 def ref_block_gaps(theory, cfg, a0, a1, s, blocks):
     """Dense (derived, printed) sup gaps over the tangents of the blocks."""
-    lat = cfg.lattice if theory == "kg" else cfg
     derived, printed = [], []
     for block in blocks:
-        for d0, d1, ds in zip(*block):
-            gap = ref_form(theory, cfg, a0, a1, s, d0, d1, ds)
-            if theory == "kg":
-                dws = [ref_kg_dw(cfg, a0, a1, s, d0, d1, ds, c) for c in (1.0, 2.0)]
-            else:
-                dws = [f(lat, a0, a1, s, d0, d1, ds) for f in (ref_schr_dw_derived, ref_schr_dw_printed)]
-            derived.append(abs(gap - dws[0]))
-            printed.append(abs(gap - dws[1]))
+        for t in zip(*block):
+            gap = ref_form(theory, cfg, a0, a1, s, *t)
+            derived.append(abs(gap - ref_dw(theory, cfg, a0, a1, s, *t, False)))
+            printed.append(abs(gap - ref_dw(theory, cfg, a0, a1, s, *t, True)))
     return max(derived), max(printed)
 
 

@@ -275,6 +275,39 @@ class TestConfig:
         assert cfg.mass == 1 and list(cfg.times) == [0.0, 0.5, 1.5]
         ExperimentConfig(theory="kg", experiment="darboux-check", times=np.array([0.0, 1.0]))
 
+    def test_numbers_are_stored_as_python_scalars(self):
+        # a float32 length equals and hashes like its float64 widening, so
+        # kept as given it built float32 wavenumbers into the lattice caches
+        # the equal float64 config reads; a uint8 n overflowed n**dim
+        cfg = ExperimentConfig(
+            theory="kg",
+            experiment="evolve",
+            dim=np.int64(3),
+            n=np.uint8(16),
+            length=np.float32(2.0),
+            mass=1,
+            dt=np.float64(1e-3),
+            seed=np.int64(7),
+        )
+        for name, kind in (("dim", int), ("n", int), ("seed", int), ("length", float),
+                           ("mass", float), ("dt", float)):
+            assert type(getattr(cfg, name)) is kind
+        assert cfg.lattice.site_count == 4096 and type(cfg.lattice.length) is float
+
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    @pytest.mark.parametrize("experiment", ["omega-check", "darboux-check"])
+    def test_array_and_list_times_run_and_the_config_hashes(self, theory, experiment):
+        # array times passed validation, then both experiments failed on
+        # the truth value of an array; list times left the config unhashable
+        want = ExperimentConfig(theory=theory, experiment=experiment, n=8, times=(0.0, 1.0, 2.0))
+        rows = [(r.metric, r.value) for r in run_experiment(want).rows]
+        for times in (np.array([0.0, 1.0, 2.0]), [0, np.float32(1.0), 2]):
+            cfg = ExperimentConfig(theory=theory, experiment=experiment, n=8, times=times)
+            assert cfg.times == (0.0, 1.0, 2.0) and all(type(t) is float for t in cfg.times)
+            assert hash(cfg) == hash(want) and cfg == want
+            rep = run_experiment(cfg)
+            assert rep.errors == () and [(r.metric, r.value) for r in rep.rows] == rows
+
     @pytest.mark.parametrize("experiment", ["omega-check", "darboux-check"])
     @pytest.mark.parametrize("times", [(5.0,), (1.0, 1.0), (0.0, -0.0)])
     def test_times_need_two_distinct_values(self, experiment, times):

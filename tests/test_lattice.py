@@ -193,6 +193,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             Lattice(dim=4, n=8, length=1.0)
 
+    def test_numpy_scalars_do_not_poison_the_caches(self):
+        # a float32 length equals and hashes like its float64 widening;
+        # kept as given, the float32 lattice built its wavenumbers in
+        # float32 into the ksq cache the float64 one reads (off by 8.9e-7)
+        narrow = Lattice(dim=1, n=8, length=np.float32(2 * np.pi))
+        wide = Lattice(dim=1, n=8, length=float(np.float32(2 * np.pi)))
+        narrow.ksq()
+        assert type(narrow.length) is float and narrow == wide
+        assert np.array_equal(wide.ksq(), wide.axis_wavenumbers() ** 2)
+        # a uint8 n overflowed n**dim
+        lat = Lattice(dim=np.int64(3), n=np.uint8(16), length=1.0)
+        assert (type(lat.dim), type(lat.n), lat.site_count) == (int, int, 4096)
+
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             Lattice(dim=1, n=8, length=0.0)

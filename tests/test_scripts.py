@@ -32,14 +32,14 @@ W_MISMATCH_N8 = """\
 theory kg: n=8 L=6.28319 m=1
      s       derived       printed        oracle  |printed-oracle|  |derived-oracle|    cross term   |(p-o)-cross|
   -1.6    1.0700e+01    2.1555e+01    1.0700e+01         1.085e+01         1.776e-15    1.0854e+01       1.776e-15
-  -1.2   -4.2477e+00   -6.9052e+00   -4.2477e+00         2.657e+00         1.776e-15   -2.6575e+00       4.441e-16
+  -1.2   -4.2477e+00   -6.9052e+00   -4.2477e+00         2.657e+00         0.000e+00   -2.6575e+00       4.441e-16
 worst |derived - oracle| over 2 states: 1.776e-15
 
 theory schrodinger: n=8 L=6.28319
      s       derived       printed        oracle  |printed-oracle|  |derived-oracle|
-  -1.6    2.6628e+00   -2.7400e+01    2.6628e+00         3.006e+01         2.665e-15
+  -1.6    2.6628e+00   -2.7400e+01    2.6628e+00         3.006e+01         4.441e-16
   -1.2   -7.8612e+00    1.2111e+01   -7.8612e+00         1.997e+01         8.882e-16
-worst |derived - oracle| over 2 states: 2.665e-15
+worst |derived - oracle| over 2 states: 8.882e-16
 
 """
 
