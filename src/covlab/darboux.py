@@ -122,8 +122,8 @@ BLOCK_COEFFS = 4096
 
 
 # Gauss panels one edge of WOracle.loop_integral may take.  An edge needs
-# about 2 om_max |ds| of them, a few hundred for the harness's times at
-# 1D n=64; the budget stops a huge finite time from asking for a number of
+# about top |ds| of them (Theory.top_frequency), a few hundred at 1D n=64;
+# the budget stops a huge finite time from asking for a number of
 # panels no run could finish
 LOOP_PANEL_BUDGET = 2**16
 
@@ -138,7 +138,8 @@ CLOSEDNESS_EPS = 1e-3
 
 
 def _block_size(sup: _Support) -> int:
-    return max(1, BLOCK_COEFFS // len(sup.index))
+    # an empty support (zero fields) counts as one mode
+    return max(1, BLOCK_COEFFS // max(1, len(sup.index)))
 
 
 class _Support:
@@ -510,11 +511,9 @@ class KGTheory(Theory):
             om2 = om2 - 2.0 * self.mass**2  # k^2 - m^2: the printed mass sign
         return 0.5 * sup.lattice.volume * sup.sum(np.abs(a1) ** 2 + om2 * np.abs(a0) ** 2)
 
-    def frequencies(self) -> tuple[float, float]:
-        """The difference form's top oscillation frequency in s, 2 omega
-        for the rotation quadratics, and the top omega."""
-        om_max = float(np.max(self.freq))
-        return 2.0 * om_max, om_max
+    def top_frequency(self, freq: np.ndarray) -> float:
+        """The form's top frequency in s on the modes of freq: 2 omega."""
+        return 2.0 * float(np.max(freq, initial=0.0))
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
         self.check_lattice(m)
@@ -572,12 +571,9 @@ class SchrTheory(Theory):
         val = 0.5 * sup.lattice.volume * sup.sum(ksq * (np.abs(a0) ** 2 + np.abs(a1) ** 2))
         return -val if sign_ledger == "paper-printed" else val
 
-    def frequencies(self) -> tuple[float, float]:
-        """The difference form's top oscillation frequency in s, k^2, and
-        the top |k| (sqrt is monotone and correctly rounded, so it is the
-        square root of the top k^2 exactly)."""
-        top = float(np.max(self.freq))
-        return top, float(np.sqrt(top))
+    def top_frequency(self, freq: np.ndarray) -> float:
+        """The form's top frequency in s on the modes of freq: k^2."""
+        return float(np.max(freq, initial=0.0))
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
         self.check_lattice(m)
@@ -708,8 +704,7 @@ class WOracle:
         self.sign_ledger = sign_ledger
         self.lattice = theory.lattice
         # one plus the form's top oscillation frequency in s
-        top, self._om_max = theory.frequencies()
-        self._top = 1.0 + top
+        self._top = 1.0 + theory.top_frequency(theory.freq)
         # the ds scale of sampled tangents: the reciprocal of one plus the
         # form's top oscillation frequency in s
         self._s_scale = 1.0 / self._top
@@ -729,8 +724,9 @@ class WOracle:
         nonzero, a NaN included, and the flat mode indices index; every
         mode when a time times the top frequency is not finite, since the
         chart's factors are then NaN where the fields vanish too."""
-        if not all(np.all(np.isfinite(np.multiply(t, self._top))) for t in times):
-            return _Support(self.lattice)
+        with np.errstate(over="ignore"):
+            if not all(np.all(np.isfinite(np.multiply(t, self._top))) for t in times):
+                return _Support(self.lattice)
         n = self.lattice.site_count
         hit = np.zeros(n, dtype=bool)
         if index is not None:
@@ -832,10 +828,10 @@ class WOracle:
     def loop_integral(self, p1: ModeState, p2: ModeState, p3: ModeState) -> float:
         """Circulation of the difference form around the triangle
         p1 -> p2 -> p3 -> p1 (straight segments); closedness makes it
-        vanish.  Panel count grows with the oscillation scale along each
-        edge so the quadrature error stays below the assertion floor.
-        Each edge's quadrature nodes are evaluated in blocks, on the
-        support of its two end points.
+        vanish.  Each edge's quadrature nodes are evaluated in blocks, on
+        the support of its two end points, and its panel count grows with
+        the form's top frequency in s on that support times the edge's
+        |ds|, so the quadrature error stays below the assertion floor.
 
         A time that is not finite gives NaN, as it does for ``value``; an
         edge that would need more than LOOP_PANEL_BUDGET panels raises
@@ -844,21 +840,21 @@ class WOracle:
         for p in (p1, p2, p3):
             self.theory.check_lattice(p)
         nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-        om_max = self._om_max
         if not all(np.isfinite(p.time) for p in (p1, p2, p3)):
             return float("nan")
         total = 0.0
         for a, b in ((p1, p2), (p2, p3), (p3, p1)):
             (a0, a1), sa = a.arrays, a.time
             (b0, b1), sb = b.arrays, b.time
-            need = np.ceil(2.0 * om_max * abs(sb - sa)) + 1
+            sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
+            top = self.theory.top_frequency(sup.take(self.theory.freq))
+            need = np.ceil(top * abs(sb - sa)) + 1
             if need > LOOP_PANEL_BUDGET:
                 raise ValueError(
                     f"loop_integral edge from s={float(sa)!r} to s={float(sb)!r} needs "
                     f"{need:.3g} panels, over the budget of {LOOP_PANEL_BUDGET}"
                 )
             panels = max(4, int(need))
-            sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
             a0, a1, b0, b1 = (sup.take(x) for x in (a0, a1, b0, b1))
             tangent = (b0 - a0, b1 - a1, sb - sa)
             j = np.arange(panels)[:, np.newaxis]

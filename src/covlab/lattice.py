@@ -458,11 +458,6 @@ class _Slice:
             )
         )
 
-    def constraint_scale(self) -> float:
-        """max(1, sup |scalar|) over the constrained scalar fields, the
-        scale a constraint residual is measured against."""
-        return max(1.0, *(sup_norm(getattr(self, s)) for _, s, _ in self.CONSTRAINTS))
-
 
 class _Section:
     """The body of a theory's spacetime section: the discrete section chi

@@ -502,11 +502,26 @@ class TestPoissonRestriction:
         with pytest.raises(ValueError, match="subalgebra"):
             poisson_bracket(w_coordinate(KG), quadratic_power(KG, 0), kg_point(41))
 
-    def test_poisson_matches_jacobi_on_subalgebra(self):
-        pt = kg_point(42)
-        F = quadratic_power(KG, 0)
-        G = quadratic_cross(KG)
-        assert abs(poisson_bracket(F, G, pt) - jacobi_bracket(F, G, pt)) <= 1e-12
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    def test_poisson_is_jacobi_on_subalgebra(self, theory):
+        th, point = (KG, kg_point) if theory == "kg" else (SCHR, schr_point)
+        lin1, lin2, quad1, quad2, _, _ = bracket_families(th)
+        smeared = smeared_observable(th, (kg_variation if theory == "kg" else schr_variation)(3))
+        pt = point(42)
+        for F, G in ((quad1, quad2), (quad2, quad1), (lin1, lin2), (smeared, quad1)):
+            assert poisson_bracket(F, G, pt) == jacobi_bracket(F, G, pt)
+
+    @pytest.mark.parametrize("slot", ["first", "second"])
+    @pytest.mark.parametrize("missing", ["gradient", "w_derivative"])
+    def test_poisson_needs_analytic_derivatives_in_both_slots(self, slot, missing):
+        # a slot without them would send jacobi_bracket along X_F
+        F, G = quadratic_power(KG, 0), quadratic_cross(KG)
+        if slot == "first":
+            F = replace(F, **{missing: None})
+        else:
+            G = replace(G, **{missing: None})
+        with pytest.raises(TypeError, match="has no analytic"):
+            poisson_bracket(F, G, kg_point(42))
 
     def test_closure_kg(self):
         pts = [

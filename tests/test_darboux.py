@@ -24,6 +24,7 @@ from covlab.darboux import (
     schr_to_darboux,
     theta_pullback_residual,
 )
+from covlab.harness import ExperimentConfig, _seeded_modes, _theory
 from covlab.kg import KGConfig, kg_evolve_spectral
 from covlab.lattice import Lattice, ModeVector, sup_norm
 from covlab.schrodinger import schr_evolve_spectral
@@ -476,11 +477,23 @@ def ref_value(theory, cfg, a0, a1, s, order=8):
     return total
 
 
-def ref_loop(theory, cfg, points, om_max, order=8):
+def ref_top(theory, cfg, fields):
+    """The difference form's top frequency in s on the modes where some
+    of the fields is nonzero: 2 omega (KG) or k^2 (Schrodinger); 0 on
+    none."""
+    hit = np.logical_or.reduce([f != 0 for f in fields])
+    freq = 2.0 * cfg.omega() if theory == "kg" else cfg.ksq()
+    return float(np.max(freq[hit], initial=0.0))
+
+
+def ref_loop(theory, cfg, points, order=8):
+    """The circulation with each edge's panels sized by the top frequency
+    in s on the modes of its two end points."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     total = 0.0
     for (a0, a1, sa), (b0, b1, sb) in zip(points, points[1:] + points[:1]):
-        panels = max(4, int(np.ceil(2.0 * om_max * abs(sb - sa))) + 1)
+        top = ref_top(theory, cfg, (a0, a1, b0, b1))
+        panels = max(4, int(np.ceil(top * abs(sb - sa))) + 1)
         for j in range(panels):
             lo, hi = j / panels, (j + 1) / panels
             for ui, wi in zip(
@@ -695,8 +708,7 @@ class TestBlocks:
         lat, cfg, point = block_setup(theory, dim, n)
         oracle = WOracle(theory, cfg, check_points=0)
         pts = [point(seed, s) for seed, s in ((21, 0.8), (22, -1.1), (23, 2.4))]
-        om_max = float(np.max(cfg.omega() if theory == "kg" else np.sqrt(lat.ksq())))
-        want = ref_loop(theory, cfg, [c for _, c in pts], om_max)
+        want = ref_loop(theory, cfg, [c for _, c in pts])
         for coeffs in block_sizes(lat):
             monkeypatch.setattr(darboux, "BLOCK_COEFFS", coeffs)
             assert oracle.loop_integral(*(m for m, _ in pts)) == want
@@ -898,7 +910,6 @@ def test_off_band_point_entry_counts(theory, dim, n, entry):
     m, coords = bad_point(11, 1.7)
     # only p2 carries the entry: the edges p1 -> p2 and p2 -> p3 see it
     pts = [point(21, 0.8), bad_point(22, -1.1), point(23, 2.4)]
-    om_max = float(np.max(cfg.omega() if theory == "kg" else np.sqrt(lat.ksq())))
     got = (
         oracle.value(m),
         oracle.loop_integral(*(p for p, _ in pts)),
@@ -909,7 +920,7 @@ def test_off_band_point_entry_counts(theory, dim, n, entry):
         assert np.isnan(got[2].oracle_residual) and np.isnan(got[2].printed_residual)
     else:
         assert got[0] == ref_value(theory, cfg, *coords)
-        assert got[1] == ref_loop(theory, cfg, [c for _, c in pts], om_max)
+        assert got[1] == ref_loop(theory, cfg, [c for _, c in pts])
         want = ref_pullback(theory, cfg, *coords, tangent_count=20, seed=41)
         assert (got[2].oracle_residual, got[2].printed_residual) == want
 
@@ -1075,16 +1086,44 @@ def test_loop_integral_refuses_an_edge_over_the_panel_budget(theory, monkeypatch
         with pytest.raises(ValueError, match=re.escape(f"s=-1.1 to s={s!r} needs ")):
             oracle.loop_integral(p1, p2, point(23, s)[0])
     # the budget is the module constant: the longest edge, from s=-1.1 to
-    # s=2.4, runs at a budget of its exact panel count and is refused one
-    # panel below it
-    om_max = float(np.max(cfg.omega() if theory == "kg" else np.sqrt(cfg.ksq())))
-    need = int(np.ceil(2.0 * om_max * 3.5)) + 1
-    p3 = point(23, 2.4)[0]
+    # s=2.4, runs at a budget of its exact panel count, sized by the top
+    # frequency on its end points' modes, and is refused one panel below it
+    p3, c3 = point(23, 2.4)
+    c2 = point(22, -1.1)[1]
+    need = int(np.ceil(ref_top(theory, cfg, c2[:2] + c3[:2]) * 3.5)) + 1
     monkeypatch.setattr(darboux, "LOOP_PANEL_BUDGET", need)
     oracle.loop_integral(p1, p2, p3)
     monkeypatch.setattr(darboux, "LOOP_PANEL_BUDGET", need - 1)
     with pytest.raises(ValueError, match="s=-1.1 to s=2.4 needs"):
         oracle.loop_integral(p1, p2, p3)
+
+
+@pytest.mark.parametrize("band", [16, 24, 31])
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_loop_integral_resolves_points_beyond_the_sampling_band(theory, band):
+    # the harness's triangle at 1D n=64, seed 42, drawn on wider bands:
+    # the Schrodinger form oscillates in s at up to k^2, so panels sized
+    # by the top |k| left 3.3e-7 at band 24 and 3.1e-4 at band 31
+    cfg = ExperimentConfig(theory=theory, experiment="darboux-check", n=64, seed=42)
+    oracle = WOracle(_theory(cfg), seed=46)
+    pts = [
+        ModeState(*_seeded_modes(cfg, 62 + i, band=band), time=s)
+        for i, s in enumerate((0.8, -1.1, 2.4))
+    ]
+    assert abs(oracle.loop_integral(*pts)) <= 1e-9
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_oracle_at_zero_fields_is_zero(theory):
+    # the base point and zero fields at another time have an empty
+    # support, where W is 0 by definition
+    lat = Lattice(dim=1, n=16, length=2 * np.pi)
+    oracle = WOracle(record(theory, lat))
+    zeros = ModeVector(lat, np.zeros(lat.shape, dtype=complex))
+    for s in (0.0, 0.7):
+        assert oracle.value(ModeState(zeros, zeros, time=s)) == 0.0
+    tri = [ModeState(zeros, zeros, time=s) for s in (0.8, -1.1, 2.4)]
+    assert oracle.loop_integral(*tri) == 0.0
 
 
 # the tracemalloc peak of a warm call at 3D n=16, where the lattice holds

@@ -744,7 +744,7 @@ class TestRunner:
         report = run_experiment(ExperimentConfig(theory="kg", experiment="evolve"))
         assert report.all_pass
         metrics = [r.metric for r in report.rows]
-        assert metrics == ["energy-drift-spectral", "constraint-residual-scaled"]
+        assert metrics == ["energy-drift-spectral"]
 
     @pytest.mark.parametrize(
         "cfg",
@@ -844,6 +844,8 @@ def assert_row_fails(report, metric):
         (("W", "Re<slot0, slot1>"), "bracket-antisymmetry"),
         # the third term of the second Jacobi triple
         (("W", "nested"), "jacobi-identity-scaled"),
+        # the second order's derivative along X_F of the restriction row
+        (("Re<slot0, slot1>", "values"), "restriction-consistency-scaled"),
     ],
 )
 def test_nan_in_a_later_bracket_term_fails_its_row(monkeypatch, poisoned, metric):
@@ -855,6 +857,43 @@ def test_nan_in_a_later_bracket_term_fails_its_row(monkeypatch, poisoned, metric
     monkeypatch.setattr(br, "jacobi_bracket", jacobi)
     report = run_experiment(ExperimentConfig(theory="kg", experiment="bracket-check", n=16))
     assert_row_fails(report, metric)
+
+
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("theory", THEORIES)
+def test_a_vector_field_off_the_bivector_fails_the_restriction_row(monkeypatch, theory, component):
+    # X_F's d0 or d1 scaled by 1.1: the contraction does not read X_F, the
+    # derivative along it does, so the row reads about 0.1
+    real = br.hamiltonian_vector_field
+
+    def scaled(F, point):
+        field = list(real(F, point))
+        field[component] = 1.1 * field[component]
+        return tuple(field)
+
+    cfg = ExperimentConfig(theory=theory, experiment="bracket-check", n=16)
+    row = next(r for r in run_experiment(cfg).rows if r.metric == "restriction-consistency-scaled")
+    assert row.passed
+    monkeypatch.setattr(br, "hamiltonian_vector_field", scaled)
+    row = next(r for r in run_experiment(cfg).rows if r.metric == "restriction-consistency-scaled")
+    assert row.value > 0.05 and row.passed is False
+
+
+@pytest.mark.parametrize("ledger", ["resolved", "paper-printed"])
+def test_printed_invariance_spread_is_computed_once_under_the_paper_ledger(monkeypatch, ledger):
+    # each invariance spread draws the one random state it evolves
+    draws = []
+
+    def counted(cfg):
+        draws.append(cfg)
+        return random_state(cfg)
+
+    monkeypatch.setattr(harness, "random_state", counted)
+    cfg = ExperimentConfig(theory="kg", experiment="darboux-check", n=16, sign_ledger=ledger)
+    rows = {r.metric: r.value for r in run_experiment(cfg).rows}
+    assert len(draws) == (1 if ledger == "paper-printed" else 2)
+    printed = rows["darboux-invariance-printed-ledger-exceeds"]
+    assert (printed == rows["darboux-invariance-rel-spread"]) == (ledger == "paper-printed")
 
 
 def test_nan_in_a_later_equivalence_pair_fails_the_row(monkeypatch):
@@ -895,12 +934,11 @@ def test_nan_in_a_later_closedness_probe_refuses_the_oracle(monkeypatch):
 TINY_BOX = {"n": 8, "length": 1e-160}
 
 
-def test_nan_state_fails_the_constraint_residual():
+def test_nan_state_fails_the_norm_drift():
     cfg = ExperimentConfig(theory="schrodinger", experiment="evolve", **TINY_BOX)
     with np.errstate(all="ignore"):
         report = run_experiment(cfg)
     assert_row_fails(report, "norm-drift")
-    assert_row_fails(report, "constraint-residual-scaled")
 
 
 @pytest.mark.parametrize("theory", THEORIES)
