@@ -43,7 +43,8 @@ def mode_point(lat, seed, s):
 def kg_cross_term(m, th) -> float:
     phi, p = m.arrays
     cross = np.real(p * np.conj(phi))
-    return m.lattice.volume * float(np.sum(cross * np.sin(th.freq * m.time) ** 2))
+    _, _, omega = th.flow().on()
+    return m.lattice.volume * float(np.sum(cross * np.sin(omega * m.time) ** 2))
 
 
 def report(theory: str, lat: Lattice, mass: float, seed: int, count: int) -> None:

@@ -222,14 +222,15 @@ def omega_slice_report(
 
 def _check_pair(F: Observable, G: Observable):
     """Both observables live on one record: the same object, or records
-    of one theory with the same lattice and frequencies (so Schrodinger
-    records that differ only in the mass, which they do not read, pair)."""
+    of one theory with the same lattice and mode flow (so Schrodinger
+    records that differ only in the mass, which they do not read,
+    pair)."""
     a, b = F.theory, G.theory
     if a is b:
         return
     if a.name != b.name:
         raise ValueError("observables belong to different theories")
-    if a.lattice != b.lattice or not np.array_equal(a.freq, b.freq):
+    if a.lattice != b.lattice or not np.array_equal(a.flow().table, b.flow().table):
         raise ValueError(
             f"observables belong to different {a.name} records: {a.lattice} with "
             f"mass {a.mass} and {b.lattice} with mass {b.mass}"

@@ -1,15 +1,18 @@
 """Generalized Darboux coordinates on mode space, and the W coordinate.
 
-Both theories are linear flows, a rotation per mode.  One ``Theory``
-record per theory, ``Theory.of(name, lattice, mass)``, holds what
-differs between them; the chart, the oracle and the pullback check are
-written once against it.  A point ``ModeState(a0, a1, time)`` holds
-(phi-hat, p-hat) for Klein-Gordon, (phiR-hat, phiI-hat) for
-Schrodinger.  The chart applies the inverse-flow rotation (c, r, q) per
-mode, A0 = c a0 - r a1 and A1 = c a1 + q a0, so that along solutions
-the coordinates (A0, A1) of a ``DarbouxState(A0, A1, W, time)`` are
-constant ("the chart rectifies the flow") and the leftover motion is
-carried by the scalar W.  W itself is treated as a derived function of
+Both theories are linear flows, a rotation per mode, each stated once
+as its theory module's generator (kappa, lam) of d(a0, a1)/ds =
+(kappa a1, -lam a0) and turned into the rotation (c, r, q) by
+lattice._ModeFlow.  One ``Theory`` record per theory,
+``Theory.of(name, lattice, mass)``, holds what differs between them;
+the chart, the oracle and the pullback check are written once against
+it.  A point ``ModeState(a0, a1, time)`` holds (phi-hat, p-hat) for
+Klein-Gordon, (phiR-hat, phiI-hat) for Schrodinger.  The chart is the
+flow back to s = 0, A0 = c a0 - r a1 and A1 = c a1 + q a0 with the
+flow's rotation by s, so that along solutions the coordinates (A0, A1)
+of a ``DarbouxState(A0, A1, W, time)`` are constant ("the chart
+rectifies the flow") and the leftover motion is carried by the scalar
+W.  W itself is treated as a derived function of
 (a0, a1, s), not an independent coordinate; that is the only reading
 under which the transform is invertible.
 
@@ -55,14 +58,21 @@ of a block, none for the N - M modes off it.  The closedness check draws its poi
 as sequential full-lattice ``random_hermitian_modes`` draws instead.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
-with the pairing weight w and the flow Hamiltonian of the resolved
-ledger.  For Klein-Gordon, w = 1 and Hflow = (1/2) L^d sum (|p-hat|^2 +
-omega^2 |phi-hat|^2), the positive slice energy.  For Schrodinger,
-w = 2 and Hflow = +(1/2) integral |grad psi|^2; this positive sign is
-the one whose contact flow is the propagator exp(-i k^2 s / 2), and the
-only one for which Theta - T is closed.  The printed (negative) sign is
-kept behind the ``sign_ledger`` flag as a documented negative control:
-with it the oracle's closedness precondition fails.
+with the pairing weight w and Hflow = (w/2) L^d sum(kappa |a1|^2 + lam
+|a0|^2) of the ledger's generator: for Klein-Gordon (w = 1) the
+positive slice energy, for Schrodinger (w = 2) +(1/2) integral |grad
+psi|^2, the sign whose contact flow is the propagator exp(-i k^2 s / 2)
+and the only one for which Theta - T is closed.  The printed ledgers'
+generators are kept behind the ``sign_ledger`` flag as documented
+negative controls: with them the oracle's closedness precondition
+fails.  The chart's s-rates are (-kappa A1, lam A0).
+
+The chart and the slice propagator read one generator, so
+``darboux-invariance-rel-spread`` and the oracle no longer compare two
+statements of the flow: a wrong generator moves both alike.  The rows
+that do not read it catch one (``energy-drift-spectral``,
+``propagator-phase-error``, every ``action-residual`` row), as
+tests/test_darboux.py pins.
 """
 
 from __future__ import annotations
@@ -77,13 +87,15 @@ import numpy as np
 from .kg import (
     KGConfig,
     KGState,
+    _kg_generator,
     kg_dedonder_weyl_residual,
     kg_evolve_spectral,
     kg_solution_section,
 )
-from .lattice import Lattice, ModeVector, dft, idft, mode_index_table, nan_max
+from .lattice import Lattice, ModeVector, _mode_flow, dft, idft, mode_index_table, nan_max
 from .schrodinger import (
     SchrState,
+    _schr_generator,
     schr_dedonder_weyl_residual,
     schr_evolve_spectral,
     schr_solution_section,
@@ -122,7 +134,7 @@ BLOCK_COEFFS = 4096
 
 
 # Gauss panels one edge of WOracle.loop_integral may take.  An edge needs
-# about top |ds| of them (Theory.top_frequency), a few hundred at 1D n=64;
+# about top |ds| of them (_top_frequency), a few hundred at 1D n=64;
 # the budget stops a huge finite time from asking for a number of
 # panels no run could finish
 LOOP_PANEL_BUDGET = 2**16
@@ -320,30 +332,11 @@ def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_sca
 # the chart: one rotation, four traced entry points
 
 
-def _kg_rotation(om: np.ndarray, s):
-    """(cos(omega s), sin(omega s)/omega, omega sin(omega s)) with the
-    omega -> 0 limits (1, s, 0), for the frequencies om (on the lattice
-    or a support); s is a time or a (B,) block of times."""
-    s = _col(s)
-    zero = om == 0.0
-    om_safe = np.where(zero, 1.0, om)
-    phase = om * s
-    sn = np.sin(phase)
-    return np.cos(phase), np.where(zero, s, sn / om_safe), om * sn
-
-
-def _schr_rotation(ksq: np.ndarray, s):
-    """(cos, sin, sin) of the angle k^2 s / 2, for the k^2 on the lattice
-    or a support; s is a time or a (B,) block of times."""
-    theta = 0.5 * ksq * _col(s)
-    sg = np.sin(theta)
-    return np.cos(theta), sg, sg
-
-
-def _to_darboux(m: ModeState, rotation, weight: float) -> DarbouxState:
-    """A0 = c a0 - r a1, A1 = c a1 + q a0 for the rotation (c, r, q), and
-    the derived W = (w/2)(<a0, a1> - <A0, A1>) for the pairing weight w."""
-    c, r, q = rotation
+def _to_darboux(m: ModeState, generator, weight: float) -> DarbouxState:
+    """A0 = c a0 - r a1, A1 = c a1 + q a0, the mode flow of generator
+    back to s = 0 with (c, r, q) its rotation by s, and the derived
+    W = (w/2)(<a0, a1> - <A0, A1>) for the pairing weight w."""
+    c, r, q = _mode_flow(m.lattice, generator).rotation(m.time)
     a0, a1 = m.arrays
     A0, A1 = c * a0 - r * a1, c * a1 + q * a0
     lat = m.lattice
@@ -351,9 +344,9 @@ def _to_darboux(m: ModeState, rotation, weight: float) -> DarbouxState:
     return DarbouxState(ModeVector(lat, A0), ModeVector(lat, A1), W=W, time=m.time)
 
 
-def _from_darboux(d: DarbouxState, rotation) -> ModeState:
-    """The inverse rotation; W is discarded (it is a function of the rest)."""
-    c, r, q = rotation
+def _from_darboux(d: DarbouxState, generator) -> ModeState:
+    """The flow by s; W is discarded (it is a function of the rest)."""
+    c, r, q = _mode_flow(d.lattice, generator).rotation(d.time)
     A0, A1 = d.arrays
     lat = d.lattice
     return ModeState(
@@ -365,20 +358,20 @@ def kg_to_darboux(m: ModeState, cfg: KGConfig) -> DarbouxState:
     """Phi-hat = cos phi-hat - (sin/omega) p-hat, P-hat = cos p-hat
     + omega sin phi-hat; the massless zero mode uses the shear limit
     Phi0 = phi0 - s p0, P0 = p0.  W is the derived one."""
-    return _to_darboux(m, _kg_rotation(cfg.omega(), m.time), KGTheory.weight)
+    return _to_darboux(m, _kg_generator(cfg.mass, "resolved"), KGTheory.weight)
 
 
 def kg_from_darboux(d: DarbouxState, cfg: KGConfig) -> ModeState:
-    return _from_darboux(d, _kg_rotation(cfg.omega(), d.time))
+    return _from_darboux(d, _kg_generator(cfg.mass, "resolved"))
 
 
 def schr_to_darboux(m: ModeState) -> DarbouxState:
     """The rotation by k^2 s / 2; W is the derived one."""
-    return _to_darboux(m, _schr_rotation(m.lattice.ksq(), m.time), SchrTheory.weight)
+    return _to_darboux(m, _schr_generator("resolved"), SchrTheory.weight)
 
 
 def schr_from_darboux(d: DarbouxState) -> ModeState:
-    return _from_darboux(d, _schr_rotation(d.lattice.ksq(), d.time))
+    return _from_darboux(d, _schr_generator("resolved"))
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +387,12 @@ class Theory:
     state class, whose ``SCALARS`` are the record's ``fields`` behind
     (a0, a1) (a variation, being a slice state too, carries them under
     the same names); and ``slots``, the names of the chart coordinates.
-    ``freq`` is the per-mode array the rotation reads (omega; k^2).  Each
-    subclass gives the s-rates of the chart's coordinates (``rate``,
-    ``rate1``) and its printed W hypothesis (``printed_w``,
-    ``printed_gradient``); the derived W and the differential of either
-    are written once here (``w``, ``dw``).  The methods that reach kg.py, schrodinger.py or the four chart functions
+    Each gives ``generator(ledger)``, its theory module's mode-flow
+    generator, and its printed W hypothesis (``printed_w``,
+    ``printed_gradient``).  The chart, its s-rates, Hflow and the top
+    frequency are read off ``flow(ledger)``, and the derived W and the
+    differential of either W are written once here (``w``, ``dw``).  The
+    methods that reach kg.py, schrodinger.py or the four chart functions
     call them by module-level name at call time; constraint enforcement
     and the variation profile are the shared bodies of lattice.py.
     """
@@ -418,6 +412,10 @@ class Theory:
 
     fields = property(lambda self: self.state.SCALARS)
 
+    def flow(self, ledger: str = "resolved"):
+        """The lattice._ModeFlow of the ledger's generator."""
+        return _mode_flow(self.lattice, self.generator(ledger))
+
     def check_lattice(self, point) -> None:
         """Refuse a point (or mode state) that lives on another lattice."""
         if point.lattice != self.lattice:
@@ -435,7 +433,7 @@ class Theory:
         """W at m: the derived (w/2)(<a0, a1> - <A0, A1>), the one the
         chart stores, or the subclass's printed hypothesis."""
         self.check_lattice(m)
-        d = _to_darboux(m, self.rotation(self.freq, m.time), self.weight)
+        d = _to_darboux(m, self.generator("resolved"), self.weight)
         return self.printed_w(m, d) if printed else d.W
 
     def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
@@ -447,27 +445,28 @@ class Theory:
         W's gradient has a direct part (g0, g1, gs) in the point's
         coordinates, (w/2)(conj a1, conj a0, 0) for the derived W, and a
         chart part (G0, G1, Gs) in (A0, A1, s), -(w/2)(conj A1, conj A0,
-        0), pulled back here through dA0 = c d0 - r d1 + rate ds and
-        dA1 = q d0 + c d1 + rate1 ds.  It depends on m alone, so it is
+        0), pulled back here through dA0 = c d0 - r d1 - kappa A1 ds and
+        dA1 = q d0 + c d1 + lam A0 ds.  It depends on m alone, so it is
         computed once, and a tangent costs
         L^d (Re sum(g0 d0 + g1 d1) + sum(gs) ds).
         """
         self.check_lattice(m)
         sup = _Support(m.lattice) if support is None else support
-        f = sup.take(self.freq)
+        flow = self.flow()
+        kappa, lam, nu = flow.on(sup.index)
         a0, a1 = (sup.take(x) for x in m.arrays)
         s = m.time
-        c, r, q = self.rotation(f, s)
+        c, r, q = flow.rotation(s, sup.index)
         A0, A1 = c * a0 - r * a1, c * a1 + q * a0
         half = 0.5 * self.weight
         direct = half * np.conj(a1), half * np.conj(a0), 0.0
         chart = -half * np.conj(A1), -half * np.conj(A0), 0.0
         if printed:
-            direct, chart = self.printed_gradient(f, s, a0, a1, A0, A1, direct, chart)
+            direct, chart = self.printed_gradient(nu, s, a0, a1, A0, A1, direct, chart)
         (g0, g1, gs), (G0, G1, Gs) = direct, chart
         g0 = g0 + c * G0 + q * G1
         g1 = g1 - r * G0 + c * G1
-        rates = G0 * self.rate(f, c, q, a0, a1) + G1 * self.rate1(f, c, q, a0, a1)
+        rates = G0 * (-kappa * A1) + G1 * (lam * A0)
         gs = sup.sum(gs + Gs + np.real(rates))
         vol = m.lattice.volume
 
@@ -493,27 +492,9 @@ class KGTheory(Theory):
     def __init__(self, lattice: Lattice, mass: float = 0.0):
         super().__init__(lattice, mass)
         self.cfg = KGConfig(mass=mass, lattice=lattice)
-        self.freq = self.cfg.omega()
 
-    rotation = staticmethod(_kg_rotation)
-
-    def rate(self, om, c, q, a0, a1):
-        """d/ds of the chart's A0, from its rotation (c, r, q)."""
-        return -q * a0 - c * a1
-
-    def rate1(self, om, c, q, a0, a1):
-        """d/ds of the chart's A1."""
-        return om**2 * c * a0 - q * a1
-
-    def hflow(self, sup: _Support, om, a0, a1, sign_ledger: str):
-        om2 = om**2
-        if sign_ledger == "paper-printed":
-            om2 = om2 - 2.0 * self.mass**2  # k^2 - m^2: the printed mass sign
-        return 0.5 * sup.lattice.volume * sup.sum(np.abs(a1) ** 2 + om2 * np.abs(a0) ** 2)
-
-    def top_frequency(self, freq: np.ndarray) -> float:
-        """The form's top frequency in s on the modes of freq: 2 omega."""
-        return 2.0 * float(np.max(freq, initial=0.0))
+    def generator(self, ledger: str):
+        return _kg_generator(self.mass, ledger)
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
         self.check_lattice(m)
@@ -524,14 +505,15 @@ class KGTheory(Theory):
 
     def printed_w(self, m: ModeState, d: DarbouxState) -> float:
         """The printed hypothesis: the derived W plus the cross term
-        L^d sum Re(p conj(phi)) sin^2(omega s)."""
+        L^d sum Re(p conj(phi)) sin^2(omega s), omega the flow's nu."""
         phi, p = m.arrays
-        cross = np.real(p * np.conj(phi)) * np.sin(self.freq * m.time) ** 2
+        _, _, omega = self.flow().on()
+        cross = np.real(p * np.conj(phi)) * np.sin(omega * m.time) ** 2
         return d.W + m.lattice.volume * float(np.sum(cross))
 
     def printed_gradient(self, om, s, a0, a1, A0, A1, direct, chart):
         """The gradients of the printed W: the derived ones, with the
-        cross term's added to the direct part."""
+        cross term's added to the direct part (om: the flow's nu)."""
         sg, cs = np.sin(om * s), np.cos(om * s)
         g0, g1, gs = direct
         direct = (
@@ -553,27 +535,8 @@ class KGTheory(Theory):
 class SchrTheory(Theory):
     name, weight, state, slots = "schrodinger", 2.0, SchrState, ("PhiR", "PhiI")
 
-    def __init__(self, lattice: Lattice, mass: float = 0.0):
-        super().__init__(lattice, mass)
-        self.freq = lattice.ksq()
-
-    rotation = staticmethod(_schr_rotation)
-
-    def rate(self, ksq, c, q, a0, a1):
-        """d/ds of the chart's A0, from its rotation (c, r, q)."""
-        return 0.5 * ksq * (-q * a0 - c * a1)
-
-    def rate1(self, ksq, c, q, a0, a1):
-        """d/ds of the chart's A1."""
-        return 0.5 * ksq * (c * a0 - q * a1)
-
-    def hflow(self, sup: _Support, ksq, a0, a1, sign_ledger: str):
-        val = 0.5 * sup.lattice.volume * sup.sum(ksq * (np.abs(a0) ** 2 + np.abs(a1) ** 2))
-        return -val if sign_ledger == "paper-printed" else val
-
-    def top_frequency(self, freq: np.ndarray) -> float:
-        """The form's top frequency in s on the modes of freq: k^2."""
-        return float(np.max(freq, initial=0.0))
+    def generator(self, ledger: str):
+        return _schr_generator(ledger)
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
         self.check_lattice(m)
@@ -584,7 +547,8 @@ class SchrTheory(Theory):
 
     def printed_w(self, m: ModeState, d: DarbouxState) -> float:
         """The printed hypothesis, stated in the chart's coordinates."""
-        ksq = d.lattice.ksq()
+        _, _, nu = self.flow().on()
+        ksq = 2.0 * nu
         s = d.time
         A, B = d.arrays
         per_mode = 0.5 * np.sin(ksq * s) * (np.abs(A) ** 2 - np.abs(B) ** 2) + 2.0 * np.real(
@@ -592,9 +556,10 @@ class SchrTheory(Theory):
         ) * np.sin(0.5 * ksq * s)
         return d.lattice.volume * float(np.sum(per_mode))
 
-    def printed_gradient(self, ksq, s, a0, a1, A, B, direct, chart):
+    def printed_gradient(self, nu, s, a0, a1, A, B, direct, chart):
         """The gradients of the printed W, all in the chart's coordinates:
-        no direct part."""
+        no direct part (k^2 = 2 nu, nu the flow's)."""
+        ksq = 2.0 * nu
         sin_full, sin_half = np.sin(ksq * s), np.sin(0.5 * ksq * s)
         conj_A, conj_B = np.conj(A), np.conj(B)
         chart = (
@@ -627,10 +592,25 @@ _RECORDS = {cls.name: cls for cls in (KGTheory, SchrTheory)}
 # support.
 
 
+def _top_frequency(theory: Theory, index=None) -> float:
+    """The difference form's top frequency in s on the modes (all, or the
+    flat indices index): 2 max nu of the record's flow."""
+    _, _, nu = theory.flow().on(index)
+    return 2.0 * float(np.max(nu, initial=0.0))
+
+
 def _pairing(sup: _Support, x: np.ndarray, dy: np.ndarray):
     """<x, dy> = L^d Re sum_k x[k] conj(dy[k]), the real Parseval pairing
     of compact fields."""
     return sup.lattice.volume * np.real(sup.sum(x * np.conj(dy)))
+
+
+def _hflow(theory: Theory, sup: _Support, a0, a1, sign_ledger: str):
+    """Hflow = (w/2) L^d sum(kappa |a1|^2 + lam |a0|^2) of the ledger's
+    generator at the points (a0, a1), compact on sup."""
+    kappa, lam, _ = theory.flow(sign_ledger).on(sup.index)
+    energy = sup.sum(kappa * np.abs(a1) ** 2 + lam * np.abs(a0) ** 2)
+    return 0.5 * theory.weight * sup.lattice.volume * energy
 
 
 def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str):
@@ -639,17 +619,17 @@ def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str)
     mode where a point or a tangent is nonzero.
 
     Both theories share one contraction: Theta = w <a1, d0> - Hflow ds
-    and canonical = w <A1, c d0 - r d1 + v ds>, with the record's
-    pairing weight w, its rotation (c, r, q), the chart's second
-    coordinate A1 = c a1 + q a0 and v the s-rate of its first.  The
-    factors that depend on the points alone are computed here, once.
+    and canonical = w <A1, c d0 - r d1 - kappa A1 ds>, with the record's
+    pairing weight w, its flow's rotation (c, r, q) and kappa, and the
+    chart's second coordinate A1 = c a1 + q a0.  The factors that depend
+    on the points alone are computed here, once.
     """
-    weight = theory.weight
-    f = sup.take(theory.freq)
-    c, r, q = theory.rotation(f, s)
+    weight, flow = theory.weight, theory.flow()
+    c, r, q = flow.rotation(_col(s), sup.index)
+    kappa, _, _ = flow.on(sup.index)
     moment = c * a1 + q * a0
-    rate = theory.rate(f, c, q, a0, a1)
-    hflow = theory.hflow(sup, f, a0, a1, sign_ledger)
+    rate = -kappa * moment
+    hflow = _hflow(theory, sup, a0, a1, sign_ledger)
 
     def form(d0, d1, ds):
         theta = weight * _pairing(sup, a1, d0) - hflow * ds
@@ -660,6 +640,11 @@ def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str)
 
 # ---------------------------------------------------------------------------
 # the oracle
+
+
+def _in_order(terms) -> float:
+    """0.0 plus the values of the arrays terms, one at a time in order."""
+    return np.add.accumulate(np.concatenate(([0.0], *terms)))[-1]
 
 
 class WOracleClosednessError(RuntimeError):
@@ -704,7 +689,7 @@ class WOracle:
         self.sign_ledger = sign_ledger
         self.lattice = theory.lattice
         # one plus the form's top oscillation frequency in s
-        self._top = 1.0 + theory.top_frequency(theory.freq)
+        self._top = 1.0 + _top_frequency(theory)
         # the ds scale of sampled tangents: the reciprocal of one plus the
         # form's top oscillation frequency in s
         self._s_scale = 1.0 / self._top
@@ -743,12 +728,11 @@ class WOracle:
     def _point(self, a0, a1, time: float) -> ModeState:
         return ModeState(ModeVector(self.lattice, a0), ModeVector(self.lattice, a1), time=time)
 
-    def _blocks(self, sup: _Support, u: np.ndarray, evaluate):
+    def _blocks(self, sup: _Support, u: np.ndarray, evaluate) -> np.ndarray:
         """evaluate(u_block) over the nodes u in blocks of _block_size on
-        sup, yielding one value per node, in order."""
+        sup: one value per node, in order."""
         size = _block_size(sup)
-        for i in range(0, len(u), size):
-            yield from evaluate(u[i : i + size])
+        return np.concatenate([evaluate(u[i : i + size]) for i in range(0, len(u), size)])
 
     def differential(self, point: ModeState, tangent) -> float:
         """(Theta - canonical) contracted with the tangent (d0, d1, ds)."""
@@ -783,12 +767,7 @@ class WOracle:
             u,
             lambda ub: self._form(sup, _col(ub) * c0, _col(ub) * c1, s_target)(c0, c1, 0.0),
         )
-        total = 0.0
-        for wi, v in zip(w, rise):
-            total += wi * s_target * v
-        for wi, v in zip(w, radial):
-            total += wi * v
-        return total
+        return _in_order((w * s_target * rise, w * radial))
 
     # -- checks ----------------------------------------------------------
 
@@ -842,12 +821,12 @@ class WOracle:
         nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
         if not all(np.isfinite(p.time) for p in (p1, p2, p3)):
             return float("nan")
-        total = 0.0
+        terms = []
         for a, b in ((p1, p2), (p2, p3), (p3, p1)):
             (a0, a1), sa = a.arrays, a.time
             (b0, b1), sb = b.arrays, b.time
             sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
-            top = self.theory.top_frequency(sup.take(self.theory.freq))
+            top = _top_frequency(self.theory, sup.index)
             need = np.ceil(top * abs(sb - sa)) + 1
             if need > LOOP_PANEL_BUDGET:
                 raise ValueError(
@@ -869,9 +848,8 @@ class WOracle:
                 )
                 return form(*tangent)
 
-            for wi, v in zip(w, self._blocks(sup, u, on_edge)):
-                total += wi * v
-        return total
+            terms.append(w * self._blocks(sup, u, on_edge))
+        return _in_order(terms)
 
 
 # ---------------------------------------------------------------------------

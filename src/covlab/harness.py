@@ -290,10 +290,13 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    """The flat text form of a config; load_config inverts it."""
+    """The flat text form of a config; load_config inverts it, so a string
+    holding a '#', a line break or surrounding whitespace is refused."""
     lines = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
+        if isinstance(v, str) and ("#" in v or v != v.strip() or len(v.splitlines()) > 1):
+            raise ValueError(f"invalid field '{f.name}': {v!r} does not survive a config file")
         if f.name == "times":
             v = ",".join(format_float(t) for t in v)
         elif isinstance(v, float):

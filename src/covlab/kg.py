@@ -3,14 +3,16 @@
 Cauchy data lives on the slice as (phi, p, beta) with the constraint
 beta = grad(phi), which KGState declares; the bodies of lattice.py
 (_Slice, _Section) enforce and measure it, evolve a state, build a
-section and its variations from those declarations and the propagator
+section and its variations from those declarations and the generator
 here.  The flow is linear, so a variation of a solution is a solution:
 a slice variation is a KGState, a section variation a
 KGSpacetimeSection.  The dynamical conventions follow the resolved sign
 ledger (see README):
 
 * dphi/ds = p, dp/ds = laplacian(phi) - mass^2 phi, so each Fourier mode
-  is a harmonic oscillator with omega_k = sqrt(k^2 + mass^2);
+  is a harmonic oscillator with omega_k = sqrt(k^2 + mass^2): the
+  generator _kg_generator, stated once, from which lattice._ModeFlow
+  builds the rotation of the slice propagator and the Darboux chart;
 * the slice Hamiltonian is the conserved positive energy
   (1/2) integral (p^2 + |grad phi|^2 + mass^2 phi^2); the flow of the
   printed variant, with the opposite mass-term sign, is available behind
@@ -37,7 +39,6 @@ from .lattice import (
     Lattice,
     ScalarField,
     VectorField,
-    _by_distinct,
     _first_order_residual,
     _lagrangian_form,
     _Section,
@@ -70,18 +71,6 @@ class KGConfig:
     def __post_init__(self):
         if self.mass < 0:
             raise ValueError(f"mass must be nonnegative, got {self.mass}")
-
-    def omega(self) -> np.ndarray:
-        """Per-mode oscillator frequency sqrt(k^2 + mass^2), FFT layout;
-        read-only and cached per (lattice, mass)."""
-        return _omega(self.lattice, self.mass)
-
-
-@lru_cache(maxsize=32)
-def _omega(lattice: Lattice, mass: float) -> np.ndarray:
-    out = np.sqrt(lattice.ksq() + mass**2)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -138,50 +127,17 @@ def kg_enforce_constraints(phi: ScalarField, p: ScalarField, time: float = 0.0) 
     return KGState._enforced(phi, p, time)
 
 
-def _general_rotation(om2: np.ndarray, s):
-    """Propagator entries for d2x/ds2 = -om2 x, valid for any sign of om2.
-    ``s`` is a time, or an array of times shaped (T, 1, ..., 1) to lead
-    om2's axes, giving one pair of entries per time.
-
-    Returns (C, S) with x(s) = C x + S v, v(s) = C v - om2 S x:
-    trigonometric for om2 > 0, polynomial drift at om2 = 0, hyperbolic
-    for om2 < 0 (the tachyonic branch reachable through the printed
-    mass-sign ledger flag).  Each branch is evaluated only on its own
-    entries, once per distinct om2.
-    """
-
-    def entries(om2, s):
-        C = np.ones(np.broadcast_shapes(om2.shape, s.shape))
-        S = np.empty_like(C)
-        pos, neg = om2 > 0, om2 < 0
-        om, mu = np.sqrt(om2[pos]), np.sqrt(-om2[neg])
-        x, y = om * s, mu * s
-        C[..., pos], S[..., pos] = np.cos(x), np.sin(x) / om
-        C[..., neg], S[..., neg] = np.cosh(y), np.sinh(y) / mu
-        S[..., ~(pos | neg)] = s
-        return C, S
-
-    return _by_distinct(np.asarray(om2, dtype=float), s, entries)
-
-
-def _kg_om2(cfg: KGConfig, mass_sign: str = "resolved") -> np.ndarray:
-    if mass_sign == "resolved":
-        return cfg.lattice.ksq() + cfg.mass**2
-    if mass_sign == "paper-printed":
-        return cfg.lattice.ksq() - cfg.mass**2
-    raise ValueError(f"unknown mass_sign {mass_sign!r}")
-
-
-def _kg_propagator(cfg: KGConfig, mass_sign: str = "resolved"):
-    """propagate(phihat, phat, s) for lattice._Slice on cfg's lattice: the
-    mode data rotated by time s, or by each time of an array of them."""
-    om2 = _kg_om2(cfg, mass_sign)
-
-    def propagate(phihat, phat, s):
-        C, S = _general_rotation(om2, s)
-        return phihat * C + phat * S, phat * C - phihat * om2 * S
-
-    return propagate
+@lru_cache(maxsize=32)
+def _kg_generator(mass: float, mass_sign: str):
+    """The mode flow's generator k^2 -> (kappa, lam), d(phi-hat, p-hat)/ds
+    = (kappa p-hat, -lam phi-hat): (1, omega^2), omega = sqrt(k^2 +
+    mass^2), squared so that the flow's nu is omega to the bit; (1,
+    omega^2 - 2 mass^2) under the printed mass sign.  The one place that
+    knows the KG ledger; cached, so its flows are shared."""
+    if mass_sign not in ("resolved", "paper-printed"):
+        raise ValueError(f"unknown mass_sign {mass_sign!r}")
+    shift = 2.0 * mass**2 if mass_sign == "paper-printed" else 0.0
+    return lambda ksq: (1.0, np.sqrt(ksq + mass**2) ** 2 - shift)
 
 
 def kg_evolve_spectral(
@@ -195,7 +151,7 @@ def kg_evolve_spectral(
     printed mass sign, k^2 - m^2, whose low modes grow hyperbolically.
     The flag exists for the documented negative controls only.
     """
-    return state._evolved(s, _kg_propagator(cfg, mass_sign), cfg.lattice)
+    return state._evolved(s, _kg_generator(cfg.mass, mass_sign), cfg.lattice)
 
 
 def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, cfg: KGConfig) -> KGState:
@@ -226,7 +182,7 @@ def kg_solution_section(
     of spacing dt from state.time, from its node `first` on
     (lattice._Section._solution)."""
     return KGSpacetimeSection._solution(
-        state, dt, steps, _kg_propagator(cfg), cfg.lattice, first, cfg=cfg
+        state, dt, steps, _kg_generator(cfg.mass, "resolved"), cfg.lattice, first, cfg=cfg
     )
 
 

@@ -19,9 +19,11 @@ The slice layer of both theories is written here once: _Slice (constraint
 enforcement and residual, spectral evolution) and _Section (the section
 builder, the variation profile, the stacks' checks) read what a theory's
 state declares, its two scalar fields and its constraints, and take the
-theory's propagator; the kernels below read its Lagrangian table.  The
-builder and the profile also give any chunk of a section's rows, and the
-kernels act per node, so a pass can stream a long section chunk by chunk.
+generator of its mode flow, which _ModeFlow turns into the rotation the
+Darboux chart reads too; the kernels below read its Lagrangian table.
+The builder and the profile also give any chunk of a section's rows, and
+the kernels act per node, so a pass can stream a long section chunk by
+chunk.
 """
 
 from __future__ import annotations
@@ -396,10 +398,8 @@ class _Slice:
     gives ``VECTORS``.  A state that _enforced builds (enforcement,
     evolution) holds each constrained field as a _Gradient, transformed
     when its components are first read; every reader sees the arrays an
-    eager spectral_gradient gives.  The physics comes as
-    ``propagate(a0_hat, a1_hat, s)``, built for one lattice: the mode
-    data rotated by time s, or by each time of an array shaped
-    (T, 1, ..., 1) ahead of the mode axes.
+    eager spectral_gradient gives.  The physics comes as the theory's
+    mode-flow generator (see _ModeFlow).
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -427,13 +427,10 @@ class _Slice:
             data[vector] = _Gradient(data[scalar], sign)
         return cls(**data, time=time)
 
-    def _evolved(self, s: float, propagate, lat: Lattice):
-        """The state at time + s under propagate, which is built for the
-        lattice lat; constraints re-enforced."""
-        if self.lattice != lat:
-            raise ValueError("state lattice does not match the propagator's")
-        hats = propagate(*(dft(getattr(self, n)).coefficients for n in self.SCALARS), s)
-        return self._enforced(*(idft(ModeVector(lat, h)) for h in hats), time=self.time + s)
+    def _evolved(self, s: float, generator, lat: Lattice):
+        """The state at time + s under the mode flow of generator on lat."""
+        flow = _mode_flow(lat, generator)
+        return self._advanced(s, lambda a0, a1: flow.propagate(a0, a1, s), lat)
 
     def _stepped(self, dt: float, steps: int, advance):
         """The state after `steps` steps of dt of a stepper, advance(a0_hat,
@@ -444,7 +441,15 @@ class _Slice:
             raise ValueError(f"steps must be nonnegative, got {steps}")
         if steps == 0:
             return self
-        return self._evolved(dt * steps, lambda a0, a1, _: advance(a0, a1), self.lattice)
+        return self._advanced(dt * steps, advance, self.lattice)
+
+    def _advanced(self, s: float, advance, lat: Lattice):
+        """The state at time + s of mode data advance(a0_hat, a1_hat) on
+        the lattice lat; constraints re-enforced."""
+        if self.lattice != lat:
+            raise ValueError("state lattice does not match the propagator's")
+        hats = advance(*(dft(getattr(self, n)).coefficients for n in self.SCALARS))
+        return self._enforced(*(idft(ModeVector(lat, h)) for h in hats), time=self.time + s)
 
     def constraint_residual(self) -> float:
         """Sup-norm of vector - sign * grad(scalar) over every constraint
@@ -522,18 +527,19 @@ class _Section:
         return cls(**scalars, **vectors, dt=dt, t0=t0, **source)
 
     @classmethod
-    def _solution(cls, state, dt: float, steps: int, propagate, lat: Lattice, first, **source):
+    def _solution(cls, state, dt: float, steps: int, generator, lat: Lattice, first, **source):
         """The flow of state on the nodes first .. first + steps of the
-        grid of spacing dt from state.time: propagate (see _Slice), built
-        for lat, broadcast over those times, one batched inverse transform
-        per scalar and one batched gradient per constraint, none of which
+        grid of spacing dt from state.time: the mode flow of generator on
+        lat, over those times at once, one batched inverse transform per
+        scalar and one batched gradient per constraint, none of which
         mixes nodes.  `source` gives the section its lattice (_stacked)."""
         if steps < 1:
             raise ValueError("need at least one time interval")
         if state.lattice != lat:
             raise ValueError("section slice lattice mismatch")
         s = (np.arange(first, first + steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
-        hats = propagate(*(dft(getattr(state, n)).coefficients for n in cls.STATE.SCALARS), s)
+        hats = (dft(getattr(state, n)).coefficients for n in cls.STATE.SCALARS)
+        hats = _mode_flow(lat, generator).propagate(*hats, s)
         scalars = {n: stack_idft(lat, h) for n, h in zip(cls.STATE.SCALARS, hats)}
         grads = {n: stack_gradient(lat, scalars[n]) for _, n, _ in cls.STATE.CONSTRAINTS}
         vectors = {v: grads[n] if sign > 0 else -grads[n] for v, n, sign in cls.STATE.CONSTRAINTS}
@@ -598,26 +604,85 @@ class _Section:
         )
 
 
-def _by_distinct(keys: np.ndarray, s, fn) -> tuple[np.ndarray, ...]:
-    """fn(key, s) for every element of the mode array `keys`, evaluated
-    once per distinct key (keys that compare equal share one evaluation)
-    and gathered back onto the modes.
+# ---------------------------------------------------------------------------
+# the mode flow: one linear Hamiltonian flow per Fourier mode
 
-    ``s`` is a time, or an array of times shaped (..., 1, ..., 1) with one
-    trailing 1 per axis of keys; fn receives the distinct keys as a 1-D
-    array and s as (..., 1), must act elementwise, and returns a tuple of
-    arrays shaped (..., distinct).  Each result has shape
-    (..., *keys.shape) and is C-ordered: np.take keeps the layout, where
-    fancy indexing on the last axis would give an F-ordered array whose
-    sums round differently.
-    """
-    s = np.asarray(s, dtype=float)
-    lead = s.shape[: max(0, s.ndim - keys.ndim)]
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    inverse = inverse.reshape(keys.shape)
-    return tuple(
-        np.take(out, inverse, axis=-1) for out in fn(distinct, s.reshape(lead + (1,)))
-    )
+
+@lru_cache(maxsize=32)
+def _mode_flow(lattice: Lattice, generator) -> _ModeFlow:
+    """The _ModeFlow of a generator on a lattice, one per pair: the
+    theories cache their generators, so their callers share flows."""
+    return _ModeFlow(lattice, generator)
+
+
+class _ModeFlow:
+    """The flow d(a0, a1)/ds = (kappa a1, -lam a0) of every mode of a
+    lattice, for a generator k^2 -> (kappa, lam) evaluated once per class
+    of equal k^2.  With nu = sqrt|kappa lam| and mu = nu / kappa, the flow
+    by time s is a0(s) = c a0 + r a1, a1(s) = c a1 - q a0, with (c, r, q)
+    = (cos, sin / mu, mu sin) of nu s where kappa lam > 0, (cosh, sinh /
+    mu, -mu sinh) of nu s where it is < 0 and (1, kappa s, lam s) where it
+    is 0.  ``index`` picks the modes a value is gathered onto: every mode
+    (in the lattice's shape) for None, else the flat indices index."""
+
+    def __init__(self, lattice: Lattice, generator):
+        # the classes of equal k^2: np.unique keys on the float k^2, never
+        # on integer mode indices, on which it can import numpy.ma
+        distinct, classes = np.unique(lattice.ksq(), return_inverse=True)
+        kappa, lam = (np.broadcast_to(x, distinct.shape) for x in generator(distinct))
+        # the table holds the classes in branch order, so each branch is a slice
+        branch = np.where(kappa * lam > 0, 0, np.where(kappa * lam < 0, 1, 2))
+        order = np.argsort(branch, kind="stable")
+        self.classes = np.argsort(order)[classes.reshape(lattice.shape)]
+        self.ends = rot, hyp = np.searchsorted(branch[order], (1, 2))
+        kappa, lam = kappa[order], lam[order]
+        nu = np.sqrt(np.abs(kappa * lam))
+        mu = np.ones_like(nu)  # 1 on the drift, where it is not read
+        mu[:hyp] = nu[:hyp] / kappa[:hyp]
+        signed_mu = np.concatenate((mu[:rot], -mu[rot:hyp], mu[hyp:]))
+        self.table = np.stack((nu, kappa, lam, mu, signed_mu))
+        for shared in (self.classes, self.table):
+            shared.setflags(write=False)
+
+    def on(self, index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(kappa, lam, nu) on the modes."""
+        keys = self.classes if index is None else self.classes.reshape(-1)[index]
+        nu, kappa, lam = np.take(self.table[:3], keys, axis=-1)
+        return kappa, lam, nu
+
+    def rotation(self, s, index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c, r, q) by the time s on the modes, evaluated on the classes
+        they use; s is a time, or times with a trailing unit axis per mode
+        axis.  np.take gives C-ordered entries: fancy indexing on the last
+        axis would give F-ordered ones, whose sums round otherwise."""
+        keys, table, (rot, hyp) = self.classes, self.table, self.ends
+        if index is not None:
+            keys = self.classes.reshape(-1)[index]
+            used = np.zeros(table.shape[1], dtype=bool)
+            used[keys] = True
+            rows = np.flatnonzero(used)
+            keys, table = (np.cumsum(used) - 1)[keys], table[:, rows]
+            rot, hyp = np.searchsorted(rows, self.ends)
+        nu, kappa, lam, mu, signed_mu = table
+        s = np.asarray(s, dtype=float)
+        s = s.reshape(s.shape[: max(0, s.ndim - keys.ndim)] + (1,))
+        crq = np.empty((3,) + s.shape[:-1] + nu.shape)
+        c, r, q = crq
+        branches = (slice(0, rot), np.cos, np.sin), (slice(rot, hyp), np.cosh, np.sinh)
+        for part, cos, sin in branches:
+            if part.stop > part.start:
+                x = nu[part] * s
+                c[..., part], sn = cos(x), sin(x)
+                r[..., part], q[..., part] = sn / mu[part], signed_mu[part] * sn
+        c[..., hyp:] = 1.0
+        r[..., hyp:], q[..., hyp:] = kappa[hyp:] * s, lam[hyp:] * s
+        return tuple(np.take(crq, keys, axis=-1))
+
+    def propagate(self, a0, a1, s):
+        """The mode data (a0_hat, a1_hat) on the whole lattice moved by the
+        time s, or by each of an array of times."""
+        c, r, q = self.rotation(s)
+        return a0 * c + a1 * r, a1 * c - a0 * q
 
 
 def _node_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ together with the spatial momenta (betaR, betaI), constrained by
 beta_a = -grad(phi^a), which SchrState declares; the bodies of
 lattice.py (_Slice, _Section) enforce and measure the constraints,
 evolve a state, build a section and its variations from those
-declarations and the propagator here.  The covariant temporal momenta
+declarations and the generator here.  The covariant temporal momenta
 are not stored: the sub-bundle constraints fix them as P0_R = phi^I,
 P0_I = -phi^R and they are computed on demand where the action needs
 them.  The flow is linear, so a slice variation is a SchrState and a
@@ -13,8 +13,10 @@ section variation a SchrSpacetimeSection.
 
 Mode dynamics: each Fourier mode rotates by the angle k^2 s / 2,
 equivalently psi-hat -> exp(-i k^2 s / 2) psi-hat for psi = phiR + i phiI.
-The covariant Lagrangian is stated once, as the bilinear table
-_SCHR_LAGRANGIAN; the action, the EL pairing and the de Donder-Weyl
+That flow is stated once, as the generator _schr_generator, from which
+lattice._ModeFlow builds the rotation of the slice propagator and the
+Darboux chart.  The covariant Lagrangian is stated once, as the bilinear
+table _SCHR_LAGRANGIAN; the action, the EL pairing and the de Donder-Weyl
 equations are all read off it by the kernels of lattice.py.
 
 The slice Hamiltonian keeps its printed sign, -1/2 integral |grad psi|^2,
@@ -24,6 +26,7 @@ which is nonpositive; it is conserved by the flow either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .lattice import (
     Lattice,
     ScalarField,
     VectorField,
-    _by_distinct,
     _first_order_residual,
     _lagrangian_form,
     _Section,
@@ -124,6 +126,19 @@ def _schr_rotate(a, b, c, sg, steps: int = 1):
     return a, b
 
 
+@lru_cache(maxsize=4)
+def _schr_generator(hamiltonian_sign: str):
+    """The mode flow's generator k^2 -> (kappa, lam), d(phiR-hat,
+    phiI-hat)/ds = (kappa phiI-hat, -lam phiR-hat): (k^2/2, k^2/2), the
+    rotation by k^2 s / 2; (-k^2/2, -k^2/2), the time-reversed flow, under
+    the printed Hamiltonian sign.  The one place that knows the
+    Schrodinger ledger; cached, so its flows are shared."""
+    if hamiltonian_sign not in ("resolved", "paper-printed"):
+        raise ValueError(f"unknown hamiltonian_sign {hamiltonian_sign!r}")
+    half = -0.5 if hamiltonian_sign == "paper-printed" else 0.5
+    return lambda ksq: (half * ksq,) * 2
+
+
 def schr_evolve_spectral(
     state: SchrState, s: float, hamiltonian_sign: str = "resolved"
 ) -> SchrState:
@@ -133,11 +148,7 @@ def schr_evolve_spectral(
     printed (negative) Hamiltonian instead, which is the time-reversed
     propagator; it exists for the documented negative controls only.
     """
-    if hamiltonian_sign not in ("resolved", "paper-printed"):
-        raise ValueError(f"unknown hamiltonian_sign {hamiltonian_sign!r}")
-    lat = state.lattice
-    sign = -1.0 if hamiltonian_sign == "paper-printed" else 1.0
-    return state._evolved(s, _schr_propagator(lat, sign), lat)
+    return state._evolved(s, _schr_generator(hamiltonian_sign), state.lattice)
 
 
 def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
@@ -153,25 +164,6 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
     return state._stepped(dt, steps, lambda a, b: _schr_rotate(a, b, c, sg, steps))
 
 
-def _half_angle_trig(ksq, s):
-    """cos and sin of the rotation angle k^2 s / 2."""
-    theta = 0.5 * ksq * s
-    return np.cos(theta), np.sin(theta)
-
-
-def _schr_propagator(lat: Lattice, sign: float = 1.0):
-    """propagate(a, b, s) for lattice._Slice on lat: the mode data of
-    (phiR, phiI) rotated by the angle k^2 (sign s) / 2, or by that of
-    each time of an array of them, the cosine and sine evaluated once
-    per distinct k^2."""
-    ksq = lat.ksq()
-
-    def propagate(a, b, s):
-        return _schr_rotate(a, b, *_by_distinct(ksq, sign * s, _half_angle_trig))
-
-    return propagate
-
-
 def schr_solution_section(
     state: SchrState, dt: float, steps: int, first: int = 0
 ) -> SchrSpacetimeSection:
@@ -180,7 +172,7 @@ def schr_solution_section(
     (lattice._Section._solution)."""
     lat = state.lattice
     return SchrSpacetimeSection._solution(
-        state, dt, steps, _schr_propagator(lat), lat, first, lattice=lat
+        state, dt, steps, _schr_generator("resolved"), lat, first, lattice=lat
     )
 
 

@@ -227,7 +227,7 @@ def kg_cross_term(m):
     printed KG W density counts twice and the derived closed form once."""
     phi, p = m.arrays
     cross = np.real(p * np.conj(phi))
-    return m.lattice.volume * float(np.sum(cross * np.sin(KCFG.omega() * m.time) ** 2))
+    return m.lattice.volume * float(np.sum(cross * np.sin(np.sqrt(KCFG.lattice.ksq() + KCFG.mass**2) * m.time) ** 2))
 
 
 def test_criterion_05_theta_pullback_identity():

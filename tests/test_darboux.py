@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from covlab.darboux import (
     schr_to_darboux,
     theta_pullback_residual,
 )
-from covlab.harness import ExperimentConfig, _seeded_modes, _theory
+from covlab.harness import (
+    ExperimentConfig,
+    _seeded_modes,
+    _theory,
+    run_experiment,
+    suite_configs,
+)
 from covlab.kg import KGConfig, kg_evolve_spectral
 from covlab.lattice import Lattice, ModeVector, sup_norm
 from covlab.schrodinger import schr_evolve_spectral
@@ -37,6 +44,11 @@ SCHR = Theory.of("schrodinger", LAT)
 
 def seeded(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def omega(cfg):
+    """The KG frequencies sqrt(k^2 + mass^2), FFT layout."""
+    return np.sqrt(cfg.lattice.ksq() + cfg.mass**2)
 
 
 def kg_point(seed, time=0.0, band=None):
@@ -269,7 +281,9 @@ class TestTheoryRecord:
             "schrodinger", 2.0, ("phiR", "phiI"), ("PhiR", "PhiI")
         )
         assert KG.cfg == CFG
-        assert KG.freq is CFG.omega()
+        # the flow's nu is omega bit for bit, and each ledger's flow is shared
+        assert np.array_equal(KG.flow().on()[2], omega(CFG))
+        assert KG.flow() is KG.flow() and KG.flow("paper-printed") is not KG.flow()
 
     @pytest.mark.parametrize(
         "th, to, back",
@@ -444,7 +458,7 @@ def ref_form(theory, cfg, a0, a1, s, d0, d1, ds):
     """Theta - canonical at one point along one tangent (resolved ledger)."""
     if theory == "kg":
         lat = cfg.lattice
-        om = cfg.omega()
+        om = omega(cfg)
         hflow = 0.5 * lat.volume * float(np.sum(np.abs(a1) ** 2 + om**2 * np.abs(a0) ** 2))
         theta = ref_pairing(lat, a1, d0) - hflow * ds
         zero = om == 0.0
@@ -456,7 +470,8 @@ def ref_form(theory, cfg, a0, a1, s, d0, d1, ds):
         return theta - ref_pairing(lat, P, dPhi)
     lat = cfg
     ksq = lat.ksq()
-    hflow = 0.5 * lat.volume * float(np.sum(ksq * (np.abs(a0) ** 2 + np.abs(a1) ** 2)))
+    kappa = lam = 0.5 * ksq
+    hflow = lat.volume * float(np.sum(kappa * np.abs(a1) ** 2 + lam * np.abs(a0) ** 2))
     theta = 2.0 * ref_pairing(lat, a1, d0) - hflow * ds
     c, sg = np.cos(0.5 * ksq * s), np.sin(0.5 * ksq * s)
     B = c * a1 + sg * a0
@@ -482,7 +497,7 @@ def ref_top(theory, cfg, fields):
     of the fields is nonzero: 2 omega (KG) or k^2 (Schrodinger); 0 on
     none."""
     hit = np.logical_or.reduce([f != 0 for f in fields])
-    freq = 2.0 * cfg.omega() if theory == "kg" else cfg.ksq()
+    freq = 2.0 * omega(cfg) if theory == "kg" else cfg.ksq()
     return float(np.max(freq[hit], initial=0.0))
 
 
@@ -519,7 +534,7 @@ def ref_kg_w(cfg, a0, a1, s, cross_coeff):
     """(1/2)(<p, phi> - <P, Phi>) as sin cos / (2 omega) (|p|^2 -
     omega^2 |phi|^2) + sin^2 Re(p conj phi) per mode; cross_coeff 2 gives
     the printed W."""
-    om = cfg.omega()
+    om = omega(cfg)
     zero = om == 0.0
     c, sg = np.cos(om * s), np.sin(om * s)
     half_sc_over_om = np.where(zero, 0.5 * s, 0.5 * sg * c / np.where(zero, 1.0, om))
@@ -549,7 +564,7 @@ def ref_schr_w_printed(lat, a, b, s):
 
 
 def ref_kg_dw(cfg, a0, a1, s, d0, d1, ds, cross_coeff):
-    om = cfg.omega()
+    om = omega(cfg)
     zero = om == 0.0
     c, sg = np.cos(om * s), np.sin(om * s)
     half_sc_over_om = np.where(zero, 0.5 * s, 0.5 * sg * c / np.where(zero, 1.0, om))
@@ -597,12 +612,12 @@ def ref_dw(theory, cfg, a0, a1, s, d0, d1, ds, printed):
     lattice: the direct gradient plus the chart gradient pulled back
     through the chart's Jacobian, summed with the tangent."""
     if theory == "kg":
-        lat, f, half = cfg.lattice, cfg.omega(), 0.5
+        lat, f, half = cfg.lattice, omega(cfg), 0.5
         zero = f == 0.0
         c = np.cos(f * s)
         r = np.where(zero, s, np.sin(f * s) / np.where(zero, 1.0, f))
         q = f * np.sin(f * s)
-        rate0, rate1 = -q * a0 - c * a1, f**2 * c * a0 - q * a1
+        rate0, rate1 = -q * a0 - c * a1, f**2 * (c * a0 - r * a1)
     else:
         lat, f, half = cfg, cfg.ksq(), 1.0
         c, r = np.cos(0.5 * f * s), np.sin(0.5 * f * s)
@@ -633,7 +648,7 @@ def ref_dw(theory, cfg, a0, a1, s, d0, d1, ds, printed):
 def ref_pullback(theory, cfg, a0, a1, s, tangent_count, seed):
     lat = cfg.lattice if theory == "kg" else cfg
     if theory == "kg":
-        s_scale = 1.0 / (1.0 + 2.0 * float(np.max(cfg.omega())))
+        s_scale = 1.0 / (1.0 + 2.0 * float(np.max(omega(cfg))))
     else:
         s_scale = 1.0 / (1.0 + float(np.max(lat.ksq())))
     rng = seeded(seed)
@@ -1159,3 +1174,143 @@ def test_oracle_live_memory_at_3d(theory):
             tracemalloc.stop()
     assert max(peaks.values()) <= LIVE_PEAK_BOUND, peaks
 
+
+# ---------------------------------------------------------------------------
+# the mode flow both theories state once, as a generator (kappa, lam) of
+# d(a0, a1)/ds = (kappa a1, -lam a0): the chart's s-rates and Hflow are
+# read off it, and a wrong generator still fails the rows that do not read it
+
+# (theory, mass, ledger): massive and massless KG, and the printed flows,
+# the KG one hyperbolic below the mass
+FLOWS = [
+    ("kg", 1.0, "resolved"),
+    ("kg", 0.0, "resolved"),
+    ("kg", 1.5, "paper-printed"),
+    ("schrodinger", 1.0, "resolved"),
+    ("schrodinger", 1.0, "paper-printed"),
+]
+
+
+@pytest.mark.parametrize("theory,mass,ledger", FLOWS)
+@pytest.mark.parametrize("dim,n", [(1, 64), (3, 8)])
+def test_chart_s_rates_match_a_central_difference(theory, mass, ledger, dim, n):
+    # at fixed (a0, a1) the chart coordinates move in s at (-kappa A1, lam A0)
+    lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+    th = Theory.of(theory, lat, mass)
+    flow = th.flow(ledger)
+    rng = seeded(61)
+    a0, a1 = (random_hermitian_modes(lat, rng) for _ in range(2))
+    s, h = 0.7, 1e-4
+
+    def chart(t):
+        m = ModeState(ModeVector(lat, a0), ModeVector(lat, a1), time=t)
+        return darboux._to_darboux(m, th.generator(ledger), th.weight).arrays
+
+    A0, A1 = chart(s)
+    kappa, lam, _ = flow.on()
+    fd = [
+        (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+        for p1, m1, p2, m2 in zip(chart(s + h), chart(s - h), chart(s + 2 * h), chart(s - 2 * h))
+    ]
+    for got, want in zip(fd, (-kappa * A1, lam * A0)):
+        scale = 1.0 + np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-7 * scale
+
+
+def ref_kg_hflow(lat, mass, a0, a1, ledger):
+    """The KG flow Hamiltonian written for its theory: (1/2) L^d sum(|p|^2
+    + omega^2 |phi|^2), with omega^2 - 2 mass^2 for the printed mass sign."""
+    om2 = omega(KGConfig(mass=mass, lattice=lat)) ** 2
+    if ledger == "paper-printed":
+        om2 = om2 - 2.0 * mass**2
+    axes = tuple(range(-lat.dim, 0))
+    return 0.5 * lat.volume * np.sum(np.abs(a1) ** 2 + om2 * np.abs(a0) ** 2, axis=axes)
+
+
+def ref_schr_hflow(lat, a0, a1, ledger):
+    """The Schrodinger flow Hamiltonian written for its theory: +-(1/2)
+    L^d sum k^2 (|a0|^2 + |a1|^2), negative for the printed sign."""
+    axes = tuple(range(-lat.dim, 0))
+    total = np.sum(lat.ksq() * (np.abs(a0) ** 2 + np.abs(a1) ** 2), axis=axes)
+    val = 0.5 * lat.volume * total
+    return -val if ledger == "paper-printed" else val
+
+
+@pytest.mark.parametrize("ledger", ["resolved", "paper-printed"])
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (3, 8)])
+def test_generic_hflow_matches_the_per_theory_formulas(theory, ledger, dim, n):
+    lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+    th = Theory.of(theory, lat, 1.5)
+    rng = seeded(62)
+    # a stack of two points
+    a0, a1 = (np.stack([random_hermitian_modes(lat, rng) for _ in range(2)]) for _ in range(2))
+    sup = darboux._Support(lat)
+    got = darboux._hflow(th, sup, sup.take(a0), sup.take(a1), ledger)
+    if theory == "kg":
+        want = ref_kg_hflow(lat, 1.5, a0, a1, ledger)
+    else:
+        want = ref_schr_hflow(lat, a0, a1, ledger)
+    assert got.shape == (2,)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+# a generator off by 1 % (lam for KG, kappa and lam for Schrodinger)
+# moves the chart and the propagator together, so the rows that compare
+# them (darboux-invariance-rel-spread, the W oracle) cannot see it; these
+# rows, which read the slice energy, the analytic plane-wave phase and the
+# Lagrangian tables instead, must
+MUTATION_CATCHERS = {
+    "kg": {"evolve energy-drift-spectral"},
+    "schrodinger": {"evolve propagator-phase-error"},
+}
+ACTION_ROWS = {
+    "el-pairing-scaled",
+    "el-pairing-extrapolated",
+    "el-convergence-ratio-error",
+    "ddw-residual",
+    "ddw-convergence-ratio-error",
+}
+
+
+def mutated(generator, scale0, scale1):
+    def off(*args):
+        inner = generator(*args)
+
+        def flow(ksq):
+            kappa, lam = inner(ksq)
+            return scale0 * kappa, scale1 * lam
+
+        return flow
+
+    return off
+
+
+def failing_rows(theory):
+    """The failing rows of the theory's suite configs at n=8, by
+    experiment and metric; every experiment must run without error."""
+    out = set()
+    for cfg in suite_configs(seed=42):
+        if cfg.theory == theory:
+            report = run_experiment(replace(cfg, n=8))
+            assert report.errors == ()
+            out |= {f"{cfg.experiment} {r.metric}" for r in report.rows if r.passed is False}
+    return out
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_a_wrong_generator_fails_the_rows_that_do_not_read_it(monkeypatch, theory):
+    from covlab import kg, schrodinger
+
+    assert failing_rows(theory) == set()
+    module, name, scales = {
+        "kg": (kg, "_kg_generator", (1.0, 1.01)),
+        "schrodinger": (schrodinger, "_schr_generator", (1.01, 1.01)),
+    }[theory]
+    wrong = mutated(getattr(module, name), *scales)
+    # every binding of the generator: the theory module's and the chart's
+    for owner in (module, darboux):
+        monkeypatch.setattr(owner, name, wrong)
+    got = failing_rows(theory)
+    want = MUTATION_CATCHERS[theory] | {f"action-residual {m}" for m in ACTION_ROWS}
+    assert got == want

@@ -98,6 +98,18 @@ class TestConfig:
         path = write_config(tmp_path, dump_config(cfg))
         assert load_config(path) == cfg
 
+    @pytest.mark.parametrize("out", ["res#1.csv", "a\nb", "a\rb", " padded ", "tab\t"])
+    def test_dump_refuses_what_load_would_change(self, out):
+        # load_config cuts a comment at '#', splits lines and strips
+        # values, so these would reload as another value or not at all
+        cfg = ExperimentConfig(theory="kg", experiment="evolve", out=out)
+        with pytest.raises(ValueError, match="'out'"):
+            dump_config(cfg)
+
+    def test_out_path_round_trips(self, tmp_path):
+        cfg = ExperimentConfig(theory="kg", experiment="evolve", out="runs/res 1.csv")
+        assert load_config(write_config(tmp_path, dump_config(cfg))) == cfg
+
     def test_bad_n_names_the_field(self, tmp_path):
         path = write_config(tmp_path, "theory: kg\nexperiment: evolve\nn: 63\n")
         with pytest.raises(ValueError, match="'n'"):
@@ -1145,3 +1157,31 @@ def test_a_stepper_that_ignores_steps_fails_stepped_vs_composed(monkeypatch):
     row = {r.metric: r for r in report.rows}["stepped-vs-composed"]
     assert row.passed is False
     assert row.value > 1e-3
+
+
+# np.union1d, and np.unique on integer arrays (without return_inverse),
+# import numpy.ma on first use, about 1.25 MB of resident memory; the mode
+# flow's class table keys on the float k^2 and supports are built from
+# boolean masks, so no experiment may load it
+NUMPY_MA_PROBE = """
+import sys
+from covlab.harness import EXPERIMENTS, THEORIES, ExperimentConfig, run_experiment
+
+for dim in (1, 3):
+    for theory in THEORIES:
+        for experiment in EXPERIMENTS:
+            cfg = ExperimentConfig(theory=theory, experiment=experiment, dim=dim, n=8)
+            assert run_experiment(cfg).errors == (), cfg
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_experiment_loads_numpy_ma():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -27,6 +27,7 @@ from covlab.lattice import (
     ModeVector,
     ScalarField,
     VectorField,
+    dft,
     hermitize,
     idft,
     stack_gradient,
@@ -392,22 +393,23 @@ class TestLagrangianTable:
             assert abs(ref_pairing(section, var)) > 1e-3 * scale
 
 
-def reference_general_rotation(om2: np.ndarray, s):
-    """The propagator entries with every branch evaluated on every element
-    and picked by np.where: the reference for _general_rotation, which
-    evaluates each branch once per distinct om2 on its own entries."""
-    om2 = np.asarray(om2, dtype=float)
-    pos = om2 > 0
-    neg = om2 < 0
-    om = np.sqrt(np.where(pos, om2, 1.0))
-    mu = np.sqrt(np.where(neg, -om2, 1.0))
-    C = np.where(pos, np.cos(om * s), np.where(neg, np.cosh(mu * s), 1.0))
-    S = np.where(
-        pos,
-        np.sin(om * s) / om,
-        np.where(neg, np.sinh(mu * s) / mu, s),
-    )
-    return C, S
+def reference_rotation(kappa: np.ndarray, lam: np.ndarray, s):
+    """The rotation (c, r, q) of the flow d(a0, a1)/ds = (kappa a1,
+    -lam a0) with every branch evaluated on every mode and picked by
+    np.where: the reference for lattice._ModeFlow.rotation, which
+    evaluates each branch once per class of equal k^2 on its own
+    entries."""
+    prod = kappa * lam
+    pos, neg = prod > 0, prod < 0
+    nu = np.sqrt(np.abs(prod))
+    mu = nu / np.where(pos | neg, kappa, 1.0)
+    safe_mu = np.where(pos | neg, mu, 1.0)
+    x = nu * s
+    with np.errstate(over="ignore"):
+        c = np.where(pos, np.cos(x), np.where(neg, np.cosh(x), 1.0))
+        r = np.where(pos, np.sin(x) / safe_mu, np.where(neg, np.sinh(x) / safe_mu, kappa * s))
+        q = np.where(pos, mu * np.sin(x), np.where(neg, -mu * np.sinh(x), lam * s))
+    return c, r, q
 
 
 def same_bits(a, b):
@@ -419,27 +421,59 @@ def same_bits(a, b):
     )
 
 
-class TestRotationPerDistinctFrequency:
-    # the resolved sign, and the printed one with a mass between two
-    # lattice wavenumbers, so that om2 has positive and negative entries;
-    # mass 0 puts om2 = 0 on the zero mode
+# scalar times, a stacked (T, 1, ..., 1) grid of them, and a long one
+TIMES = (0.0, -0.0, 0.83, -1.7, "steps", "grid")
+
+
+def times(lat, which):
+    if which == "steps":
+        return 1e-3 * np.arange(7).reshape((-1,) + (1,) * lat.dim)
+    if which == "grid":
+        return np.array([0.0, -0.0, 1e-3, -0.37, 2.5, 40.0]).reshape((-1,) + (1,) * lat.dim)
+    return which
+
+
+class TestModeFlowRotation:
+    # the resolved sign, massive and massless (kappa lam = 0 on the zero
+    # mode), and the printed one with a mass between two lattice
+    # wavenumbers, so that lam has positive and negative (hyperbolic)
+    # entries, and with a mass on one
     @pytest.mark.parametrize(
         "mass_sign,mass",
         [("resolved", 0.7), ("resolved", 0.0), ("paper-printed", 1.5), ("paper-printed", 1.0)],
     )
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (3, 8)])
-    def test_matches_the_np_where_reference(self, dim, n, mass_sign, mass):
-        from covlab.kg import _general_rotation, _kg_om2
+    @pytest.mark.parametrize("which", TIMES)
+    def test_matches_the_np_where_reference(self, dim, n, mass_sign, mass, which):
+        from covlab.kg import _kg_generator
+        from covlab.lattice import _ModeFlow
 
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-        om2 = _kg_om2(KGConfig(mass=mass, lattice=lat), mass_sign)
-        grid = np.array([0.0, -0.0, 1e-3, -0.37, 2.5, 40.0]).reshape((-1,) + (1,) * dim)
-        for s in (0.0, -0.0, 0.83, -1.7, 1e-3 * np.arange(7).reshape((-1,) + (1,) * dim), grid):
-            got, want = _general_rotation(om2, s), reference_general_rotation(om2, s)
-            for g, w in zip(got, want):
-                assert same_bits(g, w)
-                assert g.flags.c_contiguous
+        generator = _kg_generator(mass, mass_sign)
+        flow = _ModeFlow(lat, generator)
+        kappa, lam = (np.broadcast_to(x, lat.shape) for x in generator(lat.ksq()))
+        s = times(lat, which)
+        want = reference_rotation(kappa, lam, s)
+        for got, ref in zip(flow.rotation(s), want):
+            assert same_bits(got, ref)
+            assert got.flags.c_contiguous
+        # compact on a support: (B, 1) times against the reference's
+        # columns of the support's modes
+        index = np.arange(0, lat.site_count, 3)
+        block = np.ravel(s)
+        lead = (len(block),) + (1,) * dim
+        want = reference_rotation(kappa, lam, block.reshape(lead))
+        for got, ref in zip(flow.rotation(block[:, np.newaxis], index), want):
+            assert same_bits(got, ref.reshape(len(block), -1)[:, index])
+            assert got.flags.c_contiguous
         if mass_sign == "paper-printed" and mass == 1.5:
-            assert np.any(om2 < 0) and np.any(om2 > 0)
+            assert np.any(lam < 0) and np.any(lam > 0)
         if mass == 0.0:
-            assert np.any(om2 == 0)
+            assert np.any(lam == 0)
+        # the slice propagator applies the same rotation
+        state = random_state(5, lat=lat)
+        phihat, phat = dft(state.phi).coefficients, dft(state.p).coefficients
+        c, r, q = reference_rotation(kappa, lam, s)
+        got = flow.propagate(phihat, phat, s)
+        for g, w in zip(got, (phihat * c + phat * r, phat * c - phihat * q)):
+            assert same_bits(g.real, w.real) and same_bits(g.imag, w.imag)

@@ -399,32 +399,51 @@ class TestLagrangianTable:
 
 def reference_schr_rotate(a, b, theta, steps: int = 1):
     """The mode rotation with its cosine and sine taken on the full angle
-    grid: the reference for the section's per-distinct-k^2 trig."""
+    grid: the reference for the flow's per-class rotation."""
     c, sg = np.cos(theta), np.sin(theta)
     for _ in range(steps):
         a, b = a * c + b * sg, b * c - a * sg
     return a, b
 
 
+def same_bits(got, want):
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+@pytest.mark.parametrize("sign", ["resolved", "paper-printed"])
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (3, 8)])
-def test_section_rotation_matches_the_full_angle_grid(dim, n):
-    from covlab.lattice import _by_distinct
-    from covlab.schrodinger import _half_angle_trig, _schr_rotate
+def test_flow_rotation_matches_the_full_angle_grid(dim, n, sign):
+    # the printed ledger's flow is the resolved one run backwards: the
+    # angle k^2 (-s) / 2
+    from covlab.lattice import _ModeFlow
+    from covlab.schrodinger import _schr_generator
 
     lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+    flow = _ModeFlow(lat, _schr_generator(sign))
     rng = seeded(dim)
     a, b = (
         hermitize(rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape))
         for _ in range(2)
     )
+    index = np.arange(0, lat.site_count, 3)
     grid = np.array([0.0, -0.0, 1e-3, -0.37, 2.5, 40.0]).reshape((-1,) + (1,) * dim)
     for s in (0.0, -0.0, 0.83, 1e-3 * np.arange(7).reshape((-1,) + (1,) * dim), grid):
-        theta = 0.5 * lat.ksq() * s
-        trig = _by_distinct(lat.ksq(), s, _half_angle_trig)
-        for got, want in zip(trig, (np.cos(theta), np.sin(theta))):
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        theta = 0.5 * lat.ksq() * (s if sign == "resolved" else -s)
+        want = np.cos(theta), np.sin(theta), np.sin(theta)
+        for got, ref in zip(flow.rotation(s), want):
+            assert same_bits(got, ref)
             assert got.flags.c_contiguous
-        for got, want in zip(_schr_rotate(a, b, *trig), reference_schr_rotate(a, b, theta)):
-            assert got.shape == want.shape and np.array_equal(got, want)
+        # compact on a support, one row per time of a (B, 1) block
+        block = np.ravel(s)
+        rows = len(block)
+        for got, ref in zip(flow.rotation(block[:, np.newaxis], index), want):
+            full = np.broadcast_to(ref, (rows,) + lat.shape).reshape(rows, -1)
+            assert same_bits(got, full[:, index])
+            assert got.flags.c_contiguous
+        for got, ref in zip(flow.propagate(a, b, s), reference_schr_rotate(a, b, theta)):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
             assert got.flags.c_contiguous

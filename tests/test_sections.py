@@ -288,14 +288,20 @@ def test_a_flipped_table_term_lifts_the_ddw_residual(theory, dim):
         assert _first_order_residual(flipped, section) > 1e-2, table[k]
 
 
-def test_omega_is_cached_and_read_only():
-    cfg = KGConfig(mass=0.7, lattice=lattice(2))
-    om = cfg.omega()
-    assert om is KGConfig(mass=0.7, lattice=Lattice(dim=2, n=8, length=2 * np.pi)).omega()
-    assert np.array_equal(om, np.sqrt(cfg.lattice.ksq() + 0.7**2))
+def test_mode_flow_is_shared_and_read_only():
+    # one flow per (lattice, generator), and the generators are cached, so
+    # every caller of a (lattice, mass) shares it; its nu is omega
+    from covlab.kg import _kg_generator
+    from covlab.lattice import _mode_flow
+
+    lat = lattice(2)
+    flow = _mode_flow(lat, _kg_generator(0.7, "resolved"))
+    assert flow is _mode_flow(Lattice(dim=2, n=8, length=2 * np.pi), _kg_generator(0.7, "resolved"))
+    assert flow is Theory.of("kg", lat, 0.7).flow()
+    assert np.array_equal(flow.on()[2], np.sqrt(lat.ksq() + 0.7**2))
     with pytest.raises(ValueError):
-        om[0, 0] = 1.0
-    assert KGConfig(mass=0.8, lattice=cfg.lattice).omega() is not om
+        flow.table[0, 0] = 1.0
+    assert _mode_flow(lat, _kg_generator(0.8, "resolved")) is not flow
 
 
 # ---------------------------------------------------------------------------
