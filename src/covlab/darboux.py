@@ -33,7 +33,7 @@ The oracle recovers W from its defining property: the difference between
 the contact one-form Theta and the transformed canonical one-form must
 be exact, Theta - T = dW.  It evaluates that difference form directly
 (via the analytic chart Jacobian), checks it is closed, and integrates
-it from the base point (zero fields, s = 0) along straight segments.
+it along paths of straight edges from the base point (zero fields, s = 0).
 The pullback check ``theta_pullback_residual`` compares the same form
 with the analytic differential of the derived W over sampled tangents,
 so its gated residual measures how far the chart's W is from the
@@ -43,19 +43,22 @@ The per-mode work runs on a support: the modes where the evaluation's
 data are nonzero (a NaN counts), read from the data of each call (a
 point, an edge's two end points, a point and a tangent), never assumed
 from a sampling band; the pullback's support is its point's united with
-the band its tangent draws write.  Points and tangents are compact
-arrays on the support.  The form is evaluated on blocks: stacks of
-points (the quadrature nodes of ``WOracle.value`` and
-``WOracle.loop_integral``) or of tangents (the pullback sweep), of at
-most BLOCK_COEFFS compact mode coefficients per stacked array.  Each
-block entry is bit-identical to evaluating it alone, and the
-quadratures accumulate in node order, so no sum depends on the block
-size.  Each mode sum writes its compact values into a zeroed
-full-lattice buffer the support keeps and sums that, so every value is
-the one a full-lattice evaluation gives.  The pullback's tangents are
-drawn straight onto the band: one draw of 4 M + 1 normals per tangent
-of a block, none for the N - M modes off it.  The closedness check draws its points and tangents
-as sequential full-lattice ``random_hermitian_modes`` draws instead.
+the band its tangent draws write.  The form vanishes off the support,
+so a path edge whose end points have no nonzero mode is skipped.
+Points and tangents are compact arrays on the support.  One block loop
+(``WOracle._blocks``) evaluates the form on stacks of points (the
+quadrature nodes of ``WOracle._path``, the one path quadrature behind
+``value`` and ``loop_integral``) or of tangents (the pullback sweep), of
+at most BLOCK_COEFFS compact mode coefficients per stacked array.  Each
+block entry is bit-identical to evaluating it alone, and the quadrature
+accumulates in node order, so no sum depends on the block size.  Each
+mode sum writes its compact values into a zeroed full-lattice buffer
+the support keeps and sums that, so every value is the one a
+full-lattice evaluation gives.  The pullback's tangents are drawn
+straight onto the band: one draw of 4 M + 1 normals per tangent of a
+block, none for the N - M modes off it.  The closedness check draws its
+points and tangents as sequential full-lattice ``random_hermitian_modes``
+draws instead.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
 with the pairing weight w and Hflow = (w/2) L^d sum(kappa |a1|^2 + lam
@@ -133,25 +136,24 @@ __all__ = [
 BLOCK_COEFFS = 4096
 
 
-# Gauss panels one edge of WOracle.loop_integral may take.  An edge needs
-# about top |ds| of them (_top_frequency), a few hundred at 1D n=64;
-# the budget stops a huge finite time from asking for a number of
-# panels no run could finish
+# Gauss panels any path edge of WOracle._path may take.  An edge needs
+# ceil(top |ds|) + 1 of them (_top_frequency): one on value's radial
+# edge, a few hundred on the harness's triangle at 1D n=64; the budget
+# stops a huge finite time from asking for more than a run could finish
 LOOP_PANEL_BUDGET = 2**16
 
 
-# the oracle's fixed numerics: the Gauss-Legendre nodes per segment of
-# WOracle.value and per panel of WOracle.loop_integral; the largest scaled
-# closedness residual the construction sweep accepts; and the step of the
-# closedness check's fourth-order stencil
+# the oracle's fixed numerics: the Gauss-Legendre nodes per panel of a
+# path edge; the largest scaled closedness residual the construction
+# sweep accepts; and the step of the closedness check's fourth-order
+# stencil
 GAUSS_ORDER = 8
 CLOSEDNESS_TOL = 1e-8
 CLOSEDNESS_EPS = 1e-3
 
 
 def _block_size(sup: _Support) -> int:
-    # an empty support (zero fields) counts as one mode
-    return max(1, BLOCK_COEFFS // max(1, len(sup.index)))
+    return max(1, BLOCK_COEFFS // len(sup.index))
 
 
 class _Support:
@@ -642,11 +644,6 @@ def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str)
 # the oracle
 
 
-def _in_order(terms) -> float:
-    """0.0 plus the values of the arrays terms, one at a time in order."""
-    return np.add.accumulate(np.concatenate(([0.0], *terms)))[-1]
-
-
 class WOracleClosednessError(RuntimeError):
     """The difference form Theta - canonical failed the closedness check,
     signalling a sign-ledger violation upstream."""
@@ -664,8 +661,9 @@ class WOracle:
 
     ``differential(point, tangent)`` evaluates Theta - canonical at the
     point (never touching any W formula); ``value(point)`` integrates it
-    from the base point (zero fields, s = 0) along two straight
-    segments.  Construction checks closedness of the difference form at
+    along the path (zero fields, s = 0) -> (zero fields, s) -> point, and
+    ``loop_integral`` around a triangle, each with ``_path``.
+    Construction checks closedness of the difference form at
     seeded random points and refuses to build an oracle for a
     non-closed form.  ``theory`` is a Theory record, or a theory name
     with the KGConfig or Lattice to build one from as ``cfg``.
@@ -730,9 +728,10 @@ class WOracle:
 
     def _blocks(self, sup: _Support, u: np.ndarray, evaluate) -> np.ndarray:
         """evaluate(u_block) over the nodes u in blocks of _block_size on
-        sup: one value per node, in order."""
+        sup: the values of every node along the last axis, in order."""
         size = _block_size(sup)
-        return np.concatenate([evaluate(u[i : i + size]) for i in range(0, len(u), size)])
+        blocks = [evaluate(u[i : i + size]) for i in range(0, len(u), size)]
+        return np.concatenate(blocks, axis=-1)
 
     def differential(self, point: ModeState, tangent) -> float:
         """(Theta - canonical) contracted with the tangent (d0, d1, ds)."""
@@ -743,31 +742,51 @@ class WOracle:
         form = self._form(sup, sup.take(a0), sup.take(a1), point.time)
         return float(form(sup.take(d0), sup.take(d1), ds))
 
-    def value(self, point: ModeState) -> float:
-        """Line integral of the difference form from (0 fields, s = 0).
-
-        Segment one raises s at zero fields (the integrand vanishes there
-        but is integrated honestly); segment two is radial in the fields
-        at the target time.  Quadrature nodes are evaluated in blocks, on
-        the point's support.
-        """
-        self.theory.check_lattice(point)
+    def _path(self, vertices) -> float:
+        """Line integral of the difference form along the straight edges
+        between consecutive vertices (a0, a1, s).  Each edge runs on its
+        end points' support, at nodes start + u (end - start) of
+        ceil(top |ds|) + 1 Gauss panels (top: _top_frequency on that
+        support); an edge with no nonzero mode is skipped.  A time that is
+        not finite gives NaN; an edge over LOOP_PANEL_BUDGET panels raises
+        ValueError."""
+        if not all(np.isfinite(s) for _, _, s in vertices):
+            return float("nan")
         nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-        u = 0.5 * (nodes + 1.0)
-        w = 0.5 * weights
-        (a0, a1), s_target = point.arrays, point.time
-        sup = self._support((a0, a1), (s_target,))
-        c0, c1 = sup.take(a0), sup.take(a1)
-        cz = np.zeros_like(c0)
-        rise = self._blocks(
-            sup, u, lambda ub: self._form(sup, cz, cz, ub * s_target)(cz, cz, 1.0)
-        )
-        radial = self._blocks(
-            sup,
-            u,
-            lambda ub: self._form(sup, _col(ub) * c0, _col(ub) * c1, s_target)(c0, c1, 0.0),
-        )
-        return _in_order((w * s_target * rise, w * radial))
+        terms = []
+        for (a0, a1, sa), (b0, b1, sb) in zip(vertices, vertices[1:]):
+            if not any(np.any(x) for x in (a0, a1, b0, b1)):
+                continue
+            sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
+            need = np.ceil(_top_frequency(self.theory, sup.index) * abs(sb - sa)) + 1
+            if need > LOOP_PANEL_BUDGET:
+                raise ValueError(
+                    f"path edge from s={float(sa)!r} to s={float(sb)!r} needs "
+                    f"{need:.3g} panels, over the budget of {LOOP_PANEL_BUDGET}"
+                )
+            panels = int(need)
+            a0, a1 = sup.take(a0), sup.take(a1)
+            d0, d1, ds = sup.take(b0) - a0, sup.take(b1) - a1, sb - sa
+            j = np.arange(panels)[:, np.newaxis]
+            lo, hi = j / panels, (j + 1) / panels
+            u = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).ravel()
+            w = (0.5 * (hi - lo) * weights).ravel()
+
+            def on_edge(ub):
+                form = self._form(sup, a0 + _col(ub) * d0, a1 + _col(ub) * d1, sa + ub * ds)
+                return form(d0, d1, ds)
+
+            terms.append(w * self._blocks(sup, u, on_edge))
+        # 0.0 plus every node's term, one at a time in order
+        return np.add.accumulate(np.concatenate(([0.0], *terms)))[-1]
+
+    def value(self, point: ModeState) -> float:
+        """Line integral of the difference form along the path
+        (0 fields, s = 0) -> (0 fields, s) -> point."""
+        self.theory.check_lattice(point)
+        (a0, a1), s = point.arrays, point.time
+        zeros = np.zeros_like(a0)
+        return self._path([(zeros, zeros, 0.0), (zeros, zeros, s), (a0, a1, s)])
 
     # -- checks ----------------------------------------------------------
 
@@ -805,51 +824,12 @@ class WOracle:
         return nan_max(residuals)
 
     def loop_integral(self, p1: ModeState, p2: ModeState, p3: ModeState) -> float:
-        """Circulation of the difference form around the triangle
-        p1 -> p2 -> p3 -> p1 (straight segments); closedness makes it
-        vanish.  Each edge's quadrature nodes are evaluated in blocks, on
-        the support of its two end points, and its panel count grows with
-        the form's top frequency in s on that support times the edge's
-        |ds|, so the quadrature error stays below the assertion floor.
-
-        A time that is not finite gives NaN, as it does for ``value``; an
-        edge that would need more than LOOP_PANEL_BUDGET panels raises
-        ValueError, as does a point on another lattice.
-        """
+        """Circulation of the difference form around the triangle, the
+        path p1 -> p2 -> p3 -> p1; closedness makes it vanish.  A point on
+        another lattice raises ValueError."""
         for p in (p1, p2, p3):
             self.theory.check_lattice(p)
-        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-        if not all(np.isfinite(p.time) for p in (p1, p2, p3)):
-            return float("nan")
-        terms = []
-        for a, b in ((p1, p2), (p2, p3), (p3, p1)):
-            (a0, a1), sa = a.arrays, a.time
-            (b0, b1), sb = b.arrays, b.time
-            sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
-            top = _top_frequency(self.theory, sup.index)
-            need = np.ceil(top * abs(sb - sa)) + 1
-            if need > LOOP_PANEL_BUDGET:
-                raise ValueError(
-                    f"loop_integral edge from s={float(sa)!r} to s={float(sb)!r} needs "
-                    f"{need:.3g} panels, over the budget of {LOOP_PANEL_BUDGET}"
-                )
-            panels = max(4, int(need))
-            a0, a1, b0, b1 = (sup.take(x) for x in (a0, a1, b0, b1))
-            tangent = (b0 - a0, b1 - a1, sb - sa)
-            j = np.arange(panels)[:, np.newaxis]
-            lo, hi = j / panels, (j + 1) / panels
-            u = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).ravel()
-            w = (0.5 * (hi - lo) * weights).ravel()
-
-            def on_edge(ub):
-                left, right = _col(1 - ub), _col(ub)
-                form = self._form(
-                    sup, left * a0 + right * b0, left * a1 + right * b1, (1 - ub) * sa + ub * sb
-                )
-                return form(*tangent)
-
-            terms.append(w * self._blocks(sup, u, on_edge))
-        return _in_order(terms)
+        return self._path([(*p.arrays, p.time) for p in (p1, p2, p3, p1)])
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +853,7 @@ def theta_pullback_residual(
     not to satisfy the identity; its residual is a measurement, not a
     failure.  tangent_count must be an integer, at least 1.  Everything
     runs on one support, the point's united with the band the tangents
-    are drawn on.  The tangents come in blocks of _block_size on it, each
+    are drawn on.  The tangents come through the oracle's block loop, each
     block one draw of only the band's normals (_tangent_block).  Tangent
     k takes the k-th run of 4 M + 1 normals of the seed's stream, so the
     residuals do not depend on the block size.
@@ -888,20 +868,16 @@ def theta_pullback_residual(
     (a0, a1), s = point.arrays, point.time
     sup = oracle._support((a0, a1), (s,), _band_pairs(lat, None)[0])
     form = oracle._form(sup, sup.take(a0), sup.take(a1), s)
-    dw_derived = theory.dw(point, False, sup)
-    dw_printed = theory.dw(point, True, sup)
-    size = _block_size(sup)
-    derived_gaps = []
-    printed_gaps = []
-    for start in range(0, count, size):
-        index, d0, d1, ds = _tangent_block(lat, rng, min(size, count - start), oracle._s_scale)
+    dws = [theory.dw(point, printed, sup) for printed in (False, True)]
+
+    def gaps(block):
+        index, d0, d1, ds = _tangent_block(lat, rng, len(block), oracle._s_scale)
         t = sup.place(index, d0), sup.place(index, d1), ds
         gap = form(*t)
-        # np.max keeps a NaN, so each block's worst does
-        derived_gaps.append(np.max(np.abs(gap - dw_derived(*t))))
-        printed_gaps.append(np.max(np.abs(gap - dw_printed(*t))))
+        return [np.abs(gap - dw(*t)) for dw in dws]
+
+    # np.max keeps a NaN
+    derived, printed = np.max(oracle._blocks(sup, np.arange(count), gaps), axis=-1)
     return ThetaPullbackReport(
-        theory=theory.name,
-        oracle_residual=nan_max(derived_gaps),
-        printed_residual=nan_max(printed_gaps),
+        theory=theory.name, oracle_residual=float(derived), printed_residual=float(printed)
     )

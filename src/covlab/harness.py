@@ -86,8 +86,10 @@ STREAM_SLICE_SITES = 2**15
 # 6 minutes at the budget
 STEPPED_BUDGET_SITE_STEPS = 2**27
 
-# tolerance of stepped-vs-composed per midpoint step, relative to the
-# largest mode coefficient: each rotation rounds by a few ulps
+# tolerance per midpoint step of midpoint-norm-drift (relative to the
+# norm) and of stepped-vs-composed (relative to the largest coefficient):
+# at seeds 0-7 and 42, dims 1-3, n=4-64 and 1-16000 steps the norm drift
+# reads at most 1.9 eps a step (at 1 step) and 0.48 eps from 1000 steps on
 STEPPED_EPS_PER_STEP = 4 * np.finfo(float).eps
 
 # the de Donder-Weyl residual is a sup over slices, so a long section
@@ -503,7 +505,7 @@ def _evolve_rows(cfg: ExperimentConfig):
         metric, tol = "energy-drift-leapfrog", 1e-6
     else:
         finals = (schr_evolve_stepped(st, cfg.dt, cfg.steps),)
-        metric, tol = "midpoint-norm-drift", 1e-13
+        metric, tol = "midpoint-norm-drift", STEPPED_EPS_PER_STEP * cfg.steps
     drifts = []
     for final in finals:
         drifts.append(abs(conserved(final) - q0) / abs(q0))
@@ -553,7 +555,7 @@ def _darboux_rows(cfg: ExperimentConfig):
         ref = chart_coordinates(st)
         scale = float(np.max(np.abs(ref)))
         spreads = []
-        for s in times[1:]:
+        for s in times:
             cur = chart_coordinates(th.evolve(st, float(s), ledger))
             spreads.append(float(np.max(np.abs(cur - ref))) / scale)
         return nan_max(spreads)

@@ -508,7 +508,7 @@ def ref_loop(theory, cfg, points, order=8):
     total = 0.0
     for (a0, a1, sa), (b0, b1, sb) in zip(points, points[1:] + points[:1]):
         top = ref_top(theory, cfg, (a0, a1, b0, b1))
-        panels = max(4, int(np.ceil(top * abs(sb - sa))) + 1)
+        panels = int(np.ceil(top * abs(sb - sa))) + 1
         for j in range(panels):
             lo, hi = j / panels, (j + 1) / panels
             for ui, wi in zip(
@@ -517,9 +517,9 @@ def ref_loop(theory, cfg, points, order=8):
                 total += wi * ref_form(
                     theory,
                     cfg,
-                    (1 - ui) * a0 + ui * b0,
-                    (1 - ui) * a1 + ui * b1,
-                    (1 - ui) * sa + ui * sb,
+                    a0 + ui * (b0 - a0),
+                    a1 + ui * (b1 - a1),
+                    sa + ui * (sb - sa),
                     b0 - a0,
                     b1 - a1,
                     sb - sa,
@@ -1093,6 +1093,68 @@ def test_loop_integral_with_a_non_finite_time_is_nan(theory):
 
 
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_value_at_a_non_finite_time_is_nan(theory):
+    _, cfg, point = block_setup(theory, 1, 16)
+    oracle = WOracle(theory, cfg, check_points=0)
+    lat = oracle.lattice
+    zeros = ModeVector(lat, np.zeros(lat.shape, dtype=complex))
+    for s in (np.nan, np.inf, -np.inf):
+        assert np.isnan(oracle.value(point(11, s)[0]))
+        assert np.isnan(oracle.value(ModeState(zeros, zeros, time=s)))
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_an_edge_of_zero_fields_is_never_evaluated(theory, monkeypatch):
+    # value's rise edge and the triangle's edge between two zero points
+    # have no nonzero mode: no stacked node of either reaches the form
+    _, cfg, point = block_setup(theory, 1, 16)
+    oracle = WOracle(theory, cfg, check_points=0)
+    lat = oracle.lattice
+    seen = []
+    form = WOracle._form
+
+    def spy(self, sup, a0, a1, s):
+        seen.append(np.any(a0 != 0, axis=-1) | np.any(a1 != 0, axis=-1))
+        return form(self, sup, a0, a1, s)
+
+    monkeypatch.setattr(WOracle, "_form", spy)
+    m, coords = point(11, 1.7)
+    assert oracle.value(m) == ref_value(theory, cfg, *coords)
+    # the radial edge alone: one panel, since its |ds| is 0
+    assert sum(len(rows) for rows in seen) == darboux.GAUSS_ORDER
+    zeros = np.zeros(lat.shape, dtype=complex)
+    pts = [(zeros, zeros, 0.8), (zeros, zeros, -1.1), point(23, 2.4)[1]]
+    tri = [ModeState(ModeVector(lat, a0), ModeVector(lat, a1), time=s) for a0, a1, s in pts]
+    assert oracle.loop_integral(*tri) == ref_loop(theory, cfg, pts)
+    assert all(rows.all() for rows in seen)
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_a_short_edge_takes_its_exact_panel_count(theory, monkeypatch):
+    # ceil(top |ds|) + 1 panels, with no floor: at 1D n=16 the short
+    # triangle's edges need 2 to 6 of them
+    _, cfg, point = block_setup(theory, 1, 16)
+    oracle = WOracle(theory, cfg, check_points=0)
+    nodes = []
+    blocks = WOracle._blocks
+
+    def spy(self, sup, u, evaluate):
+        nodes.append(len(u))
+        return blocks(self, sup, u, evaluate)
+
+    monkeypatch.setattr(WOracle, "_blocks", spy)
+    pts = [point(seed, s) for seed, s in ((21, 0.1), (22, -0.1), (23, 0.2))]
+    oracle.loop_integral(*(m for m, _ in pts))
+    coords = [c for _, c in pts]
+    want = [
+        int(np.ceil(ref_top(theory, cfg, a[:2] + b[:2]) * abs(b[2] - a[2]))) + 1
+        for a, b in zip(coords, coords[1:] + coords[:1])
+    ]
+    assert min(want) < 4
+    assert nodes == [darboux.GAUSS_ORDER * p for p in want]
+
+
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
 def test_loop_integral_refuses_an_edge_over_the_panel_budget(theory, monkeypatch):
     _, cfg, point = block_setup(theory, 1, 16)
     oracle = WOracle(theory, cfg, check_points=0)
@@ -1142,11 +1204,11 @@ def test_oracle_at_zero_fields_is_zero(theory):
 
 
 # the tracemalloc peak of a warm call at 3D n=16, where the lattice holds
-# 4096 modes and the band 729: 0.65, 0.73 and 0.83 (KG) or 0.85
-# (Schrodinger) MiB for value, loop_integral and the pullback, whose
-# blocks of 5 tangents are each one (5, 4 M + 1) draw of band normals.
-# The pullback reads 1.31 and 1.32 MiB when a block is drawn as
-# (5, 4 N + 1) full-lattice normals instead
+# 4096 modes and the band 729: 1.12, 1.06 and 0.97 MiB, both theories,
+# for value, loop_integral and the pullback, whose blocks of 5 tangents
+# are each one (5, 4 M + 1) draw of band normals.  The pullback reads
+# 1.54 MiB when a block is drawn as (5, 4 N + 1) full-lattice normals
+# instead
 LIVE_PEAK_BOUND = 1.25 * 2**20
 
 

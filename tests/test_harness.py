@@ -18,6 +18,7 @@ import covlab
 from covlab import brackets as br
 from covlab import darboux as dx
 from covlab import harness
+from covlab import schrodinger as schr
 from covlab.harness import (
     CSV_HEADER,
     EVOLUTIONS,
@@ -332,6 +333,25 @@ class TestConfig:
         ExperimentConfig(theory="kg", experiment="omega-check", times=())
         ExperimentConfig(theory="kg", experiment="darboux-check", times=(0.0, 0.0, 1.0))
         ExperimentConfig(theory="kg", experiment="evolve", times=(5.0,))
+
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    def test_darboux_check_evolves_to_every_time(self, theory, monkeypatch):
+        # the invariance spread skipped the first time: with times (5.0,
+        # 0.0) it compared only the evolution by 0, and the printed-ledger
+        # control read rounding (9.1e-17) and failed
+        cfg = ExperimentConfig(theory=theory, experiment="darboux-check", n=16, times=(5.0, 0.0))
+        cls, reached = type(harness._theory(cfg)), []
+        evolve = cls.evolve
+
+        def spy(self, state, s, ledger="resolved"):
+            reached.append((s, ledger))
+            return evolve(self, state, s, ledger)
+
+        monkeypatch.setattr(cls, "evolve", spy)
+        rows = {r.metric: r for r in run_experiment(cfg).rows}
+        assert (5.0, "resolved") in reached and (5.0, "paper-printed") in reached
+        control = rows["darboux-invariance-printed-ledger-exceeds"]
+        assert control.value > 1.0 and control.passed
 
     @pytest.mark.parametrize(
         "first, second",
@@ -1148,6 +1168,28 @@ def test_stepped_rows_pass_with_a_tolerance_per_step():
     row = {r.metric: r for r in report.rows}["stepped-vs-composed"]
     assert row.tolerance == harness.STEPPED_EPS_PER_STEP * STEPPED.steps
     assert 0.0 < row.value <= row.tolerance
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_midpoint_norm_drift_has_a_tolerance_per_step(dim):
+    # the drift grows linearly in steps: at n=4, seed 42 its 1000 steps
+    # read 1.03e-13 (1D) and 1.02e-13 (2D), over the fixed 1e-13 the row
+    # had
+    cfg = dataclasses.replace(STEPPED, dim=dim, n=4)
+    row = {r.metric: r for r in run_experiment(cfg).rows}["midpoint-norm-drift"]
+    assert row.tolerance == harness.STEPPED_EPS_PER_STEP * cfg.steps
+    assert row.value > 1e-13 and row.passed
+
+
+@pytest.mark.parametrize("steps", [1, 1000])
+def test_a_step_off_unitarity_fails_midpoint_norm_drift(monkeypatch, steps):
+    real, off = schr._schr_rotate, 1.0 + 1e-12
+    monkeypatch.setattr(
+        schr, "_schr_rotate", lambda a, b, c, sg, n=1: real(a, b, c * off, sg * off, n)
+    )
+    cfg = dataclasses.replace(STEPPED, steps=steps)
+    row = {r.metric: r for r in run_experiment(cfg).rows}["midpoint-norm-drift"]
+    assert row.passed is False
 
 
 def test_a_stepper_that_ignores_steps_fails_stepped_vs_composed(monkeypatch):

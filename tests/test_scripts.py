@@ -85,3 +85,29 @@ theory kg: n=64 L=64 T_el=8 T_ddw=0.2
 def test_convergence_study_output(argv, expected, capsys):
     assert load("convergence_study").main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+
+def test_criterion11_records_and_diffs(tmp_path, capsys):
+    # every config of the set at n=8, one seed: one line per report row,
+    # the value and tolerance as repr of the float, no seconds
+    script = load("criterion11")
+    assert script.main(["--n", "8", "--seeds", "42"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the suite in both ledgers, the suite workload, chart-3d,
+    # brackets-wide and the four configs of the 3D darboux-check goldens
+    assert len({line.split(",")[0] for line in lines}) == 2 * 12 + 12 + 6 + 2 + 4
+    at = next(i for i, line in enumerate(lines) if ",w-loop-integral," in line)
+    label, metric, value, tol, ok = lines[at].split(",")
+    assert value == repr(float(value)) and ok == "true"
+    changed = lines.copy()
+    changed[at] = ",".join((label, metric, "0.5", tol, ok))
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    new.write_text("\n".join(changed) + "\n", encoding="utf-8")
+    assert script.main(["--diff", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == f"0 of {len(lines)} rows moved\n"
+    assert script.main(["--diff", str(old), str(new)]) == 0
+    assert capsys.readouterr().out == (
+        f"{label} w-loop-integral value: {value} -> 0.5\n1 of {len(lines)} rows moved\n"
+    )
