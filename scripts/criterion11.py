@@ -7,7 +7,7 @@ that moves.  This script runs, in one process:
 
 - ``suite_configs`` at each ``--seeds`` seed in both sign ledgers;
 - every config of the benchmark's workloads (``bench/workloads.py``,
-  read and left as it is) at ``--bench-seed``;
+  read and left as it is) at seed 0;
 - 3D n=8 ``darboux-check`` at seed 42, both theories and both ledgers
   (the configs of ``tests/data/darboux3d_n8_*.csv``).
 
@@ -30,6 +30,8 @@ from dataclasses import replace
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+# the seed of the benchmark's workloads
+BENCH_SEED = 0
 
 
 def _workloads():
@@ -39,7 +41,7 @@ def _workloads():
     return module
 
 
-def labelled_configs(seeds, bench_seed: int):
+def labelled_configs(seeds):
     """(label, config) for every config of the set, labels unique."""
     from covlab.harness import LEDGERS, ExperimentConfig, suite_configs
 
@@ -50,7 +52,7 @@ def labelled_configs(seeds, bench_seed: int):
     ]
     workloads = _workloads()
     groups += [
-        (f"{name}-{bench_seed}", workloads.configs(name, bench_seed)) for name in workloads.NAMES
+        (f"{name}-{BENCH_SEED}", workloads.configs(name, BENCH_SEED)) for name in workloads.NAMES
     ]
     groups.append(
         (
@@ -74,11 +76,11 @@ def labelled_configs(seeds, bench_seed: int):
             yield f"{group}:{i:02d}:{cfg.theory}/{cfg.experiment}", cfg
 
 
-def record(seeds, bench_seed: int, n: int | None):
+def record(seeds, n: int | None):
     """The record's lines, one per report row."""
     from covlab.harness import run_experiment
 
-    for label, cfg in labelled_configs(seeds, bench_seed):
+    for label, cfg in labelled_configs(seeds):
         if n is not None:
             cfg = replace(cfg, n=n)
         report = run_experiment(cfg)
@@ -121,14 +123,13 @@ def diff(old_path: str, new_path: str) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[42, 0])
-    parser.add_argument("--bench-seed", type=int, default=0)
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.diff:
         diff(*args.diff)
         return 0
-    for line in record(args.seeds, args.bench_seed, args.n):
+    for line in record(args.seeds, args.n):
         print(line)
     return 0
 

@@ -747,9 +747,9 @@ class WOracle:
         between consecutive vertices (a0, a1, s).  Each edge runs on its
         end points' support, at nodes start + u (end - start) of
         ceil(top |ds|) + 1 Gauss panels (top: _top_frequency on that
-        support); an edge with no nonzero mode is skipped.  A time that is
-        not finite gives NaN; an edge over LOOP_PANEL_BUDGET panels raises
-        ValueError."""
+        support), all at one time where ds = 0; an edge with no nonzero
+        mode is skipped.  A time that is not finite gives NaN; an edge
+        over LOOP_PANEL_BUDGET panels raises ValueError."""
         if not all(np.isfinite(s) for _, _, s in vertices):
             return float("nan")
         nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -773,7 +773,8 @@ class WOracle:
             w = (0.5 * (hi - lo) * weights).ravel()
 
             def on_edge(ub):
-                form = self._form(sup, a0 + _col(ub) * d0, a1 + _col(ub) * d1, sa + ub * ds)
+                s = sa + ub * ds if ds else sa
+                form = self._form(sup, a0 + _col(ub) * d0, a1 + _col(ub) * d1, s)
                 return form(d0, d1, ds)
 
             terms.append(w * self._blocks(sup, u, on_edge))

@@ -1204,7 +1204,7 @@ def test_oracle_at_zero_fields_is_zero(theory):
 
 
 # the tracemalloc peak of a warm call at 3D n=16, where the lattice holds
-# 4096 modes and the band 729: 1.12, 1.06 and 0.97 MiB, both theories,
+# 4096 modes and the band 729: 1.01, 1.06 and 0.97 MiB, both theories,
 # for value, loop_integral and the pullback, whose blocks of 5 tangents
 # are each one (5, 4 M + 1) draw of band normals.  The pullback reads
 # 1.54 MiB when a block is drawn as (5, 4 N + 1) full-lattice normals

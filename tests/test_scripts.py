@@ -87,7 +87,6 @@ def test_convergence_study_output(argv, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
-
 def test_criterion11_records_and_diffs(tmp_path, capsys):
     # every config of the set at n=8, one seed: one line per report row,
     # the value and tolerance as repr of the float, no seconds
