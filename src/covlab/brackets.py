@@ -40,14 +40,15 @@ vector field X_F = Lambda#(dF) + F R (R = d/dW, the Reeb field).  An
 observable's derivatives are analytic or absent.  The first slot F must
 carry both; a G without both (a nested bracket, say) is evaluated
 along X_F, and dG(X_F) is one directional derivative: a fixed number of
-evaluations of G at any lattice size.  The finite-difference gradients
-that the tests compare the analytic ones against live with the tests,
-in tests/bracket_references.py.
+evaluations of G at any lattice size; along R it is the closure check's
+Reeb residual.  The finite-difference references that the tests compare
+against live in tests/bracket_references.py.  Every observable refuses
+a point on another lattice than its record's, so no bracket checks one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -86,24 +87,6 @@ def _point_scale(point: DarbouxState) -> float:
     return max(1.0, float(np.max(np.abs(a0))), float(np.max(np.abs(a1))))
 
 
-def _w_slope(evaluate, point: DarbouxState, step: float) -> float:
-    """d evaluate / dW at the point, by a central difference of relative
-    step `step`."""
-    h = step * max(1.0, abs(point.W))
-    up, dn = replace(point, W=point.W + h), replace(point, W=point.W - h)
-    return (evaluate(up) - evaluate(dn)) / (2 * h)
-
-
-def _checked(theory: Theory, evaluate):
-    """evaluate refusing a point on another lattice than the record's."""
-
-    def checked(pt) -> float:
-        theory.check_lattice(pt)
-        return evaluate(pt)
-
-    return checked
-
-
 @dataclass(frozen=True)
 class Observable:
     """A real-valued functional of a Darboux point of the theory record.
@@ -114,8 +97,8 @@ class Observable:
     ``gradient_at`` or ``w_derivative_at`` raises TypeError.  An
     observable without both (a nested bracket, say) can only be the
     second slot of a bracket, which takes one directional derivative of
-    it.  The factories below give observables whose ``evaluate`` refuses
-    a point on another lattice than the record's.
+    it.  ``evaluate`` (wrapped at construction), ``gradient_at`` and
+    ``w_derivative_at`` refuse a point on another lattice than the record's.
     """
 
     theory: Theory
@@ -127,14 +110,23 @@ class Observable:
     def __post_init__(self):
         if not isinstance(self.theory, Theory):
             raise TypeError(f"theory must be a Theory record, got {self.theory!r}")
+        evaluate, check = self.evaluate, self.theory.check_lattice
+
+        def checked(point) -> float:
+            check(point)
+            return evaluate(point)
+
+        object.__setattr__(self, "evaluate", checked)
 
     def gradient_at(self, point):
+        self.theory.check_lattice(point)
         if self.gradient is None:
             raise TypeError(f"observable {self.name!r} has no analytic gradient")
         g0, g1 = self.gradient(point)
         return np.asarray(g0, dtype=complex), np.asarray(g1, dtype=complex)
 
     def w_derivative_at(self, point) -> float:
+        self.theory.check_lattice(point)
         if self.w_derivative is None:
             raise TypeError(f"observable {self.name!r} has no analytic W-derivative")
         return float(self.w_derivative(point))
@@ -253,7 +245,6 @@ def hamiltonian_vector_field(F: Observable, point):
     dW = F - Re sum A1 g1_F, with A1 = P-hat (KG) or PhiI-hat.  F must
     carry analytic derivatives.
     """
-    F.theory.check_lattice(point)
     g0, g1 = F.gradient_at(point)
     measure, momentum = _bivector_weights(F.theory, point)
     d0 = measure * np.conj(g1)
@@ -296,7 +287,6 @@ def jacobi_bracket(F: Observable, G: Observable, point) -> float:
     if G.gradient is None or G.w_derivative is None:
         X_F = hamiltonian_vector_field(F, point)
         return _directional_derivative(G, point, X_F) - G.evaluate(point) * F.w_derivative_at(point)
-    F.theory.check_lattice(point)
     g0_F, g1_F = F.gradient_at(point)
     g0_G, g1_G = G.gradient_at(point)
     FW = F.w_derivative_at(point)
@@ -352,18 +342,18 @@ def subalgebra_closure_check(F: Observable, G: Observable, points: Sequence) -> 
 
     The bracket is poisson_bracket, so F and G must be in the subalgebra
     at every point it is taken.  At each sample point: the bracket's own
-    Reeb derivative vanishes (finite-differenced in W).  Along the flow
-    through the first point, at CLOSURE_TIMES: the bracket value is
-    s-independent.
+    Reeb derivative, its directional derivative along R = (0, 0, 1),
+    vanishes.  Along the flow through the first point, at CLOSURE_TIMES:
+    the bracket value is s-independent.
     """
-    bracket_value = lambda pt: poisson_bracket(F, G, pt)
-    reeb_residuals = [abs(_w_slope(bracket_value, pt, 1e-6)) for pt in points]
+    bracket = Observable(F.theory, lambda pt: poisson_bracket(F, G, pt), name="bracket")
+    reeb_residuals = [abs(_directional_derivative(bracket, pt, (0.0, 0.0, 1.0))) for pt in points]
     th = F.theory
     state0 = th.slice_state(th.from_darboux(points[0]))
     flow_values = []
     for t in CLOSURE_TIMES:
         st = th.evolve(state0, t - state0.time)
-        flow_values.append(bracket_value(th.to_darboux(th.mode_state(st))))
+        flow_values.append(bracket.evaluate(th.to_darboux(th.mode_state(st))))
     arr = np.array(flow_values)
     scale = max(1.0, float(np.max(np.abs(arr))))
     spread = float(arr.max() - arr.min()) / scale
@@ -406,7 +396,7 @@ def smeared_observable(
 
     return Observable(
         theory=theory,
-        evaluate=_checked(theory, evaluate),
+        evaluate=evaluate,
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
         name="smeared",
@@ -465,7 +455,7 @@ def mode_real_part(theory: Theory, slot: str, multi_index) -> Observable:
 
     return Observable(
         theory=theory,
-        evaluate=_checked(theory, evaluate),
+        evaluate=evaluate,
         gradient=lambda pt: (g[0], g[1]),
         w_derivative=lambda pt: 0.0,
         name=f"Re {slot}({idx})",
@@ -479,7 +469,7 @@ def w_coordinate(theory: Theory) -> Observable:
 
     return Observable(
         theory=theory,
-        evaluate=_checked(theory, lambda pt: float(pt.W)),
+        evaluate=lambda pt: float(pt.W),
         gradient=gradient,
         w_derivative=lambda pt: 1.0,
         name="W",
@@ -499,7 +489,7 @@ def quadratic_power(theory: Theory, which: int = 0) -> Observable:
 
     return Observable(
         theory=theory,
-        evaluate=_checked(theory, evaluate),
+        evaluate=evaluate,
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
         name=f"|slot{which}|^2",
@@ -520,7 +510,7 @@ def quadratic_cross(theory: Theory) -> Observable:
 
     return Observable(
         theory=theory,
-        evaluate=_checked(theory, evaluate),
+        evaluate=evaluate,
         gradient=gradient,
         w_derivative=lambda pt: 0.0,
         name="Re<slot0, slot1>",
@@ -555,7 +545,7 @@ def product_observable(F: Observable, G: Observable) -> Observable:
 
     return Observable(
         theory=F.theory,
-        evaluate=_checked(F.theory, evaluate),
+        evaluate=evaluate,
         gradient=gradient,
         w_derivative=w_derivative,
         name=f"({F.name})*({G.name})",

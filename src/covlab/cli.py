@@ -12,13 +12,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .harness import (
-    Report,
-    emit_report,
-    load_config,
-    run_experiment,
-    run_suite,
-)
+from .harness import emit_report, load_config, run_experiment, run_suite
 
 _LEDGER_ALIASES = {
     "resolved": "resolved",
@@ -75,34 +69,12 @@ def _cmd_run(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _combined_csv(reports) -> str:
-    from .harness import CSV_HEADER, _csv_lines
-
-    lines = [CSV_HEADER]
-    for rep in reports:
-        body = _csv_lines(rep)[1:]
-        prefix = f"{rep.config.theory}/"
-        lines.extend(
-            f"{prefix}{line}" for line in body
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_suite(args) -> int:
     if not args.all:
         sys.stderr.write("suite requires --all (the full acceptance matrix)\n")
         return 2
     reports = run_suite(seed=args.seed, sign_ledger=_LEDGER_ALIASES[args.ledger])
-    if args.format == "csv":
-        text = _combined_csv(reports)
-    else:
-        from .harness import _json_doc, _json_text
-
-        text = _json_text([_json_doc(r) for r in reports])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(emit_report(reports, args.out, args.format))
     return 0 if all(r.all_pass for r in reports) else 1
 
 

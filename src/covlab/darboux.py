@@ -335,12 +335,10 @@ def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_sca
 
 
 def _to_darboux(m: ModeState, generator, weight: float) -> DarbouxState:
-    """A0 = c a0 - r a1, A1 = c a1 + q a0, the mode flow of generator
-    back to s = 0 with (c, r, q) its rotation by s, and the derived
-    W = (w/2)(<a0, a1> - <A0, A1>) for the pairing weight w."""
-    c, r, q = _mode_flow(m.lattice, generator).rotation(m.time)
+    """(A0, A1), the mode flow of generator by -s, back to s = 0, and the
+    derived W = (w/2)(<a0, a1> - <A0, A1>) for the pairing weight w."""
     a0, a1 = m.arrays
-    A0, A1 = c * a0 - r * a1, c * a1 + q * a0
+    A0, A1 = _mode_flow(m.lattice, generator).propagate(a0, a1, -m.time)
     lat = m.lattice
     W = 0.5 * weight * lat.volume * float(np.sum(np.real(a0 * np.conj(a1) - A0 * np.conj(A1))))
     return DarbouxState(ModeVector(lat, A0), ModeVector(lat, A1), W=W, time=m.time)
@@ -348,12 +346,8 @@ def _to_darboux(m: ModeState, generator, weight: float) -> DarbouxState:
 
 def _from_darboux(d: DarbouxState, generator) -> ModeState:
     """The flow by s; W is discarded (it is a function of the rest)."""
-    c, r, q = _mode_flow(d.lattice, generator).rotation(d.time)
-    A0, A1 = d.arrays
-    lat = d.lattice
-    return ModeState(
-        ModeVector(lat, c * A0 + r * A1), ModeVector(lat, c * A1 - q * A0), time=d.time
-    )
+    a0, a1 = _mode_flow(d.lattice, generator).propagate(*d.arrays, d.time)
+    return ModeState(ModeVector(d.lattice, a0), ModeVector(d.lattice, a1), time=d.time)
 
 
 def kg_to_darboux(m: ModeState, cfg: KGConfig) -> DarbouxState:

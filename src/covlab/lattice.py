@@ -219,32 +219,36 @@ def dft(f: ScalarField) -> ModeVector:
     return ModeVector(f.lattice, coeff)
 
 
-def idft(m: ModeVector, tol: float = 1e-12) -> ScalarField:
+# the largest relative reality symmetry defect idft and stack_idft accept
+REALITY_TOL = 1e-12
+
+
+def idft(m: ModeVector) -> ScalarField:
     """Inverse transform back to a real field.
 
-    Rejects mode data whose reality symmetry defect exceeds ``tol`` relative
-    to the coefficient scale, rather than silently discarding an imaginary
-    part.
+    Rejects mode data whose reality symmetry defect exceeds REALITY_TOL
+    relative to the coefficient scale, rather than silently discarding an
+    imaginary part.
     """
-    return ScalarField(m.lattice, stack_idft(m.lattice, m.coefficients, tol))
+    return ScalarField(m.lattice, stack_idft(m.lattice, m.coefficients))
 
 
-def stack_idft(lattice: Lattice, coeffs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def stack_idft(lattice: Lattice, coeffs: np.ndarray) -> np.ndarray:
     """Inverse transform of mode arrays of shape (..., *lattice.shape) to
     real sample arrays, one batched transform over the spatial axes.
 
     Each mode array is checked on its own, as idft checks one: its
-    reality symmetry defect must not exceed ``tol * max(1, max|coeff|)``.
+    reality symmetry defect must not exceed REALITY_TOL * max(1, max|coeff|).
     """
     axes = tuple(range(coeffs.ndim - lattice.dim, coeffs.ndim))
     defect = np.max(np.abs(coeffs - conjugate_reflection(coeffs, axes)), axis=axes)
     scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=axes))
-    bad = np.flatnonzero(defect > tol * scale)
+    bad = np.flatnonzero(defect > REALITY_TOL * scale)
     if bad.size:
         where = "" if coeffs.ndim == lattice.dim else f" in slice {int(bad[0])}"
         raise ValueError(
             f"mode vector violates reality symmetry{where}: defect "
-            f"{float(np.ravel(defect)[bad[0]]):.3e} exceeds {tol:.1e} * scale"
+            f"{float(np.ravel(defect)[bad[0]]):.3e} exceeds {REALITY_TOL:.1e} * scale"
         )
     return (np.fft.ifftn(coeffs, axes=axes) * lattice.site_count).real
 
@@ -264,21 +268,18 @@ def _gradient_multipliers(lattice: Lattice) -> tuple[np.ndarray, ...]:
 
 
 def spectral_gradient(f: ScalarField) -> VectorField:
-    """Exact lattice gradient of a band-limited field, axis by axis."""
-    fhat = np.fft.fftn(f.values)
-    comps = []
-    for kg in _gradient_multipliers(f.lattice):
-        comp = np.fft.ifftn(1j * kg * fhat).real
-        comps.append(ScalarField(f.lattice, comp))
-    return VectorField(f.lattice, tuple(comps))
+    """Exact lattice gradient of a band-limited field: stack_gradient of
+    a one-field stack."""
+    comps = stack_gradient(f.lattice, f.values[np.newaxis])[0]
+    return VectorField(f.lattice, tuple(ScalarField(f.lattice, c) for c in comps))
 
 
 def stack_gradient(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     """Spectral gradient of a stack of fields in one batched transform.
 
     `stack` has shape (count, *lattice.shape); the result has shape
-    (count, dim, *lattice.shape) and matches spectral_gradient applied
-    slice by slice (same Nyquist rule).
+    (count, dim, *lattice.shape), each slice's gradient with the Nyquist
+    mode zeroed (see the module docstring).
     """
     axes = tuple(range(1, lattice.dim + 1))
     fhat = np.fft.fftn(stack, axes=axes)

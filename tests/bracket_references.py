@@ -8,6 +8,7 @@ ones against them:
 
 * ``fd_gradient``: the g-arrays by central differences, one conjugate
   pair of modes at a time;
+* ``fd_w_slope``: dF/dW by a central difference;
 * ``construction_crosscheck``: sampled analytic-vs-finite-difference
   agreement of both derivatives;
 * ``fd_richardson_check``: the finite differences at steps h and h/2;
@@ -20,9 +21,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from covlab.brackets import Observable, _point_scale, _w_slope, omega
+from covlab.brackets import Observable, _point_scale, omega
 from covlab.darboux import DarbouxState, Theory
 from covlab.lattice import Lattice, ModeVector, mode_index_table, nan_max
+
+
+def fd_w_slope(evaluate, point: DarbouxState, step: float) -> float:
+    """d evaluate / dW at the point, by a central difference of relative
+    step `step`."""
+    h = step * max(1.0, abs(point.W))
+    up, dn = replace(point, W=point.W + h), replace(point, W=point.W - h)
+    return (evaluate(up) - evaluate(dn)) / (2 * h)
 
 
 def fd_gradient(obs: Observable, point: DarbouxState, step: float = 1e-6):
@@ -87,7 +96,7 @@ def construction_crosscheck(
                     )
     if obs.w_derivative is not None:
         ana_w = float(obs.w_derivative(point))
-        fd_w = _w_slope(obs.evaluate, point, step)
+        fd_w = fd_w_slope(obs.evaluate, point, step)
         if abs(ana_w - fd_w) > 1e-6 * max(1.0, abs(ana_w), abs(fd_w)):
             raise ValueError(
                 f"analytic and finite-difference W-derivatives disagree: "

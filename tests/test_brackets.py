@@ -12,13 +12,13 @@ from bracket_references import (
     construction_crosscheck,
     fd_gradient,
     fd_richardson_check,
+    fd_w_slope,
     lambda_pairing,
     omega_schr_expansion_check,
 )
 from covlab.brackets import (
     Observable,
     TangentPair,
-    _w_slope,
     bracket_equivalence_check,
     hamiltonian_vector_field,
     jacobi_bracket,
@@ -455,7 +455,7 @@ class TestHamiltonianVectorField:
         for A, B, C in ((lin1, lin2, quad2), (quad1, quad2, w), (wquad, quad1, lin2)):
             nested = TestJacobiAndLeibniz.nested(B, C, th)
             X_A = hamiltonian_vector_field(A, pt)
-            dG = contract(*fd_gradient(nested, pt), _w_slope(nested.evaluate, pt, 1e-6), X_A)
+            dG = contract(*fd_gradient(nested, pt), fd_w_slope(nested.evaluate, pt, 1e-6), X_A)
             fd = dG - nested.evaluate(pt) * A.w_derivative_at(pt)
             value = jacobi_bracket(A, nested, pt)
             # the mode-by-mode central differences carry the rounding
@@ -687,7 +687,6 @@ class TestDerivativeMachinery:
         # read a point of the 4 pi box (1D n=16) as their own
         lat, wide = (Lattice(dim=1, n=16, length=L) for L in (2 * np.pi, 4 * np.pi))
         th = Theory.of("kg", lat, 1.0)
-        # the product's factors check nothing themselves
         bare = Observable(th, lambda pt: float(pt.W)), Observable(th, lambda pt: 2.0)
         F = {
             "mode": lambda: mode_real_part(th, "Phi", 1),
@@ -700,6 +699,22 @@ class TestDerivativeMachinery:
         assert np.isfinite(F.evaluate(darboux_point(lat, 72)))
         with pytest.raises(ValueError, match=re.escape(repr(wide))):
             F.evaluate(darboux_point(wide, 72))
+
+    def test_a_bare_function_observable_refuses_a_point_on_another_lattice(self):
+        # the check is the Observable's, not its factory's: an observable
+        # built from plain functions refuses the point in every entry point
+        lat, wide = (Lattice(dim=1, n=16, length=L) for L in (2 * np.pi, 4 * np.pi))
+        th = Theory.of("kg", lat, 1.0)
+        zero = np.zeros(lat.shape, dtype=complex)
+        F = Observable(
+            th, lambda pt: float(pt.W), lambda pt: (zero, zero), lambda pt: 1.0, name="bare"
+        )
+        here, there = darboux_point(lat, 72), darboux_point(wide, 72)
+        assert F.evaluate(here) == here.W and F.w_derivative_at(here) == 1.0
+        assert [np.array_equal(g, zero) for g in F.gradient_at(here)] == [True, True]
+        for entry in (F.evaluate, F.gradient_at, F.w_derivative_at):
+            with pytest.raises(ValueError, match=re.escape(repr(wide))):
+                entry(there)
 
 
 class TestAnalyticDerivativesOnly:

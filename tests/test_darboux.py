@@ -182,6 +182,36 @@ class TestChart:
         assert sup_norm(back.phi.values - st0.phi.values) < 1e-13
         assert sup_norm(back.p.values - st0.p.values) < 1e-13
 
+    @pytest.mark.parametrize("ledger", ["resolved", "paper-printed"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_chart_is_the_written_out_rotation_to_the_bit(self, dim, ledger):
+        # the chart moves the point by the flow's propagate at -s and +s.
+        # The rotation by -s is (c, -r, -q) to the bit, and the written-out
+        # rotation by s is the chart's reference to the bit but for the
+        # sign of a zero (x + 0.0 makes every zero +0): on the rotating,
+        # hyperbolic (printed KG at mass 1) and drift (massless KG zero
+        # mode) classes, at s = +-0 and at times of either sign
+        lat = Lattice(dim=dim, n=4, length=2 * np.pi)
+        rng = seeded(80 + dim)
+
+        def bits(*arrays):
+            return [(x + 0.0).tobytes() for x in arrays]
+
+        records = (Theory.of("kg", lat, 1.0), Theory.of("kg", lat, 0.0), Theory.of("schrodinger", lat))
+        for th in records:
+            gen, flow = th.generator(ledger), th.flow(ledger)
+            for s in (0.0, -0.0, 0.3, -1.7, 12.5, -np.pi):
+                c, r, q = flow.rotation(s)
+                back = [x.tobytes() for x in flow.rotation(-s)]
+                assert back == [c.tobytes(), (-r).tobytes(), (-q).tobytes()]
+                a0, a1 = (random_hermitian_modes(lat, rng) for _ in range(2))
+                m = ModeState(ModeVector(lat, a0), ModeVector(lat, a1), s)
+                d = darboux._to_darboux(m, gen, th.weight)
+                A0, A1 = c * a0 - r * a1, c * a1 + q * a0
+                assert bits(*d.arrays) == bits(A0, A1)
+                m = darboux._from_darboux(d, gen)
+                assert bits(*m.arrays) == bits(c * A0 + r * A1, c * A1 - q * A0)
+
     def test_random_modes_hermitian_and_banded(self):
         from covlab.lattice import hermitian_defect
 

@@ -530,6 +530,28 @@ class TestEmission:
         text = emit_report(report, str(path), "csv")
         assert path.read_text(encoding="utf-8") == text
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_writes_and_returns_a_suite(self, tmp_path, fmt):
+        # a suite's reports render as covlab suite prints them: each CSV
+        # row led by its report's theory under one header, and the JSON
+        # the list of the reports' documents
+        schr = dataclasses.replace(self.CFG, theory="schrodinger")
+        reports = [
+            Report(config=self.CFG, rows=self.rows()),
+            Report(config=schr, rows=self.rows(), errors=("boom, with a comma",)),
+        ]
+        path = tmp_path / f"suite.{fmt}"
+        text = emit_report(reports, str(path), fmt)
+        assert path.read_text(encoding="utf-8") == text
+        if fmt == "csv":
+            lines = [CSV_HEADER]
+            for r in reports:
+                lines += [f"{r.config.theory}/{ln}" for ln in emit_report(r, None).splitlines()[1:]]
+            assert text == "\n".join(lines) + "\n"
+            assert text.count("schrodinger/evolve,") == 3
+        else:
+            assert json.loads(text) == [json.loads(emit_report(r, None, "json")) for r in reports]
+
     def test_emit_rejects_unknown_format(self):
         report = Report(config=self.CFG, rows=())
         with pytest.raises(ValueError):
@@ -573,12 +595,13 @@ def fresh_residuals(cfg, levels):
     ddw_state = harness._banded_state(cfg, cfg.seed + 8, band=2)
     th = harness._theory(cfg)
     variation = th.enforce(*harness._seeded_fields(cfg, cfg.seed + 7, band=1))
-    ddw_window = min(cfg.steps if cfg.steps > 0 else 100, harness.DDW_WINDOW_STEPS)
+    # each window 2 intervals of cfg.dt at least, at every level
+    el_window = max(2, cfg.steps if cfg.steps > 0 else 100)
+    ddw_window = max(2, min(cfg.steps if cfg.steps > 0 else 100, harness.DDW_WINDOW_STEPS))
     el, ddw = [], []
     for j in range(levels):
         dt = cfg.dt / 2**j
-        el_steps = harness._el_steps(cfg, dt)
-        ddw_steps = max(2, round(ddw_window * cfg.dt / dt))
+        el_steps, ddw_steps = el_window * 2**j, ddw_window * 2**j
         if cfg.theory == "kg":
             kcfg = cfg.kg_config()
             sec = kg.kg_solution_section(el_state, dt, el_steps, kcfg)
@@ -602,9 +625,8 @@ def fresh_residuals(cfg, levels):
 )
 @pytest.mark.parametrize("theory", THEORIES)
 def test_ladder_matches_a_fresh_build_at_every_step(theory, dim, steps, levels):
-    # at n=8 one chunk holds each pass; steps=1 clamps both EL levels to 2
-    # intervals, so no level is the even nodes of another and each gets a
-    # pass of its own
+    # at n=8 one chunk holds each pass; steps=1 clamps the window to 2
+    # intervals of cfg.dt, so it runs as steps=2
     cfg = ExperimentConfig(
         theory=theory, experiment="action-residual", dim=dim, n=8, steps=steps, seed=5
     )
@@ -615,8 +637,8 @@ def test_ladder_matches_a_fresh_build_at_every_step(theory, dim, steps, levels):
 # (steps, levels, fine nodes per chunk, at least 8 halos): chunk
 # boundaries on odd and even nodes, with tails of 2 nodes and of 1 node,
 # in two-level nests (101 and 97 fine nodes, halo 4) and three-level nests
-# (197 and 129, halo 8); clamped levels (steps=1: 2 intervals at every
-# level, of which the finer two still nest at levels=3)
+# (197 and 129, halo 8); a clamped window (steps=1: 2 intervals of dt,
+# as steps=2)
 STREAM_CASES = [
     (50, 2, 33),  # 101 = 3 x 33 + 2
     (48, 2, 32),  # 97 = 3 x 32 + 1
@@ -642,10 +664,10 @@ def test_stream_matches_a_fresh_build_across_chunk_boundaries(
     builder, builds = getattr(dx, name), []
     monkeypatch.setattr(dx, name, lambda *args: builds.append(args) or builder(*args))
     el = harness.el_residuals(cfg, levels)
-    if steps > 2:
-        # one pass over the finest grid, in chunks of `rows` fine nodes
-        count = harness._el_steps(cfg, cfg.dt / 2 ** (levels - 1)) + 1
-        assert len(builds) == -(-count // rows)
+    # one pass over the finest grid, in chunks of `rows` fine nodes
+    count = max(2, steps) * 2 ** (levels - 1) + 1
+    assert harness._el_steps(cfg, cfg.dt / 2 ** (levels - 1)) + 1 == count
+    assert len(builds) == -(-count // rows)
     assert (el, harness.ddw_residuals(cfg, levels)) == fresh_residuals(cfg, levels)
 
 
@@ -665,7 +687,7 @@ def streamed_slices(counts, rows):
 # at the ends of the grid: at 500 nodes per chunk the EL pass builds
 # 2001 + 3 x 8 + (4 + 1), its last chunk holding node 2000 alone.  A chunk
 # owns 8 halos at least, so 2 nodes per chunk build as 32 do.  At steps=1
-# every level is clamped to 2 intervals and gets a pass of its own
+# the window is clamped to 2 intervals of dt and builds as steps=2
 @pytest.mark.parametrize(
     "steps,rows,slices",
     [
@@ -675,7 +697,7 @@ def streamed_slices(counts, rows):
         (1000, 32, 2497 + 497),
         (1000, 2, 2497 + 497),
         (2, 4096, 5 + 5),
-        (1, 4096, 3 + 3 + 3 + 3),
+        (1, 4096, 5 + 5),
     ],
 )
 @pytest.mark.parametrize("theory", THEORIES)
@@ -697,12 +719,11 @@ def test_action_residual_builds_each_fine_node_once_plus_halos(
     report = run_experiment(cfg)
     assert report.errors == ()
     assert sum(count for _, count in calls) == slices
-    window = min(steps, harness.DDW_WINDOW_STEPS)
-    if steps > 1:
-        counts = [(2 * steps + 1, 4), (2 * window + 1, 4)]
-        assert streamed_slices(counts, max(rows, 8 * 4)) == slices
-        # every chunk is built at the finer step
-        assert {dt for dt, _ in calls} == {cfg.dt / 2}
+    windows = max(2, steps), max(2, min(steps, harness.DDW_WINDOW_STEPS))
+    counts = [(2 * window + 1, 4) for window in windows]
+    assert streamed_slices(counts, max(rows, 8 * 4)) == slices
+    # every chunk is built at the finer step
+    assert {dt for dt, _ in calls} == {cfg.dt / 2}
 
 
 class TestRunner:
@@ -926,6 +947,56 @@ def test_printed_invariance_spread_is_computed_once_under_the_paper_ledger(monke
     assert len(draws) == (1 if ledger == "paper-printed" else 2)
     printed = rows["darboux-invariance-printed-ledger-exceeds"]
     assert (printed == rows["darboux-invariance-rel-spread"]) == (ledger == "paper-printed")
+
+
+@pytest.mark.parametrize("ledger", ["resolved", "paper-printed"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_massless_kg_darboux_check_passes(dim, ledger):
+    # at mass 0 the printed KG ledger's mass shift is 0: its flow is the
+    # resolved one, so the printed-ledger controls have nothing to catch
+    # and carry no verdict
+    cfg = ExperimentConfig(
+        theory="kg", experiment="darboux-check", dim=dim, n=4, mass=0.0, sign_ledger=ledger
+    )
+    report = run_experiment(cfg)
+    assert report.errors == () and report.all_pass
+    rows = {r.metric: r for r in report.rows}
+    controls = ["darboux-invariance-printed-ledger-exceeds"]
+    if ledger == "paper-printed":
+        controls.append("printed-ledger-closedness-residual-exceeds")
+    assert [rows[m].tolerance for m in controls] == [None] * len(controls)
+    assert rows[controls[0]].value < 1e-12
+
+
+@pytest.mark.parametrize("ledger", ["resolved", "paper-printed"])
+@pytest.mark.parametrize("theory", THEORIES)
+def test_printed_ledger_controls_stay_gated_where_the_ledgers_differ(theory, ledger):
+    cfg = ExperimentConfig(
+        theory=theory, experiment="darboux-check", n=8, mass=1.0, sign_ledger=ledger
+    )
+    rows = {r.metric: r for r in run_experiment(cfg).rows}
+    controls = {"darboux-invariance-printed-ledger-exceeds": 1e-12}
+    if ledger == "paper-printed":
+        controls["printed-ledger-closedness-residual-exceeds"] = 1e-8
+    assert {m: (rows[m].tolerance, rows[m].passed) for m in controls} == {
+        m: (tol, True) for m, tol in controls.items()
+    }
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_a_clamped_window_is_one_window_at_every_level(theory):
+    # steps=1 clamps the window to 2 intervals of dt at every level of
+    # both ladders, so the convergence ratios compare one window and the
+    # run reports what steps=2 does
+    cfg = ExperimentConfig(theory=theory, experiment="action-residual", n=8, steps=1)
+    for steps_at in (harness._el_steps, harness._ddw_steps):
+        spans = [steps_at(cfg, cfg.dt / 2**j) * (cfg.dt / 2**j) for j in range(3)]
+        assert spans == [2 * cfg.dt] * 3
+    rows = [(r.metric, r.value, r.tolerance) for r in run_experiment(cfg).rows]
+    assert rows == [
+        (r.metric, r.value, r.tolerance)
+        for r in run_experiment(dataclasses.replace(cfg, steps=2)).rows
+    ]
 
 
 def test_nan_in_a_later_equivalence_pair_fails_the_row(monkeypatch):
