@@ -111,11 +111,15 @@ class Observable:
         if not isinstance(self.theory, Theory):
             raise TypeError(f"theory must be a Theory record, got {self.theory!r}")
         evaluate, check = self.evaluate, self.theory.check_lattice
+        # a copy's evaluate, or another observable's on this lattice, is checked
+        if getattr(evaluate, "checked_lattice", None) == self.theory.lattice:
+            return
 
         def checked(point) -> float:
             check(point)
             return evaluate(point)
 
+        checked.checked_lattice = self.theory.lattice
         object.__setattr__(self, "evaluate", checked)
 
     def gradient_at(self, point):

@@ -44,21 +44,17 @@ data are nonzero (a NaN counts), read from the data of each call (a
 point, an edge's two end points, a point and a tangent), never assumed
 from a sampling band; the pullback's support is its point's united with
 the band its tangent draws write.  The form vanishes off the support,
-so a path edge whose end points have no nonzero mode is skipped.
-Points and tangents are compact arrays on the support.  One block loop
-(``WOracle._blocks``) evaluates the form on stacks of points (the
-quadrature nodes of ``WOracle._path``, the one path quadrature behind
-``value`` and ``loop_integral``) or of tangents (the pullback sweep), of
-at most BLOCK_COEFFS compact mode coefficients per stacked array.  Each
-block entry is bit-identical to evaluating it alone, and the quadrature
-accumulates in node order, so no sum depends on the block size.  Each
-mode sum writes its compact values into a zeroed full-lattice buffer
-the support keeps and sums that, so every value is the one a
-full-lattice evaluation gives.  The pullback's tangents are drawn
-straight onto the band: one draw of 4 M + 1 normals per tangent of a
-block, none for the N - M modes off it.  The closedness check draws its
-points and tangents as sequential full-lattice ``random_hermitian_modes``
-draws instead.
+so a path edge whose end points have no nonzero mode is skipped.  The
+form's per-mode factors are constant on a class of equal k^2 (32
+classes hold the 729 band modes at 3D n=16).  ``WOracle._path``, the
+quadrature behind ``value`` and ``loop_integral``, reads an edge a + u d
+through per-class Gram sums of (a0, a1, d0, d1), a node costing one term
+per class (_edge_form); the pullback contracts the form's and dW's
+covectors with the normals its tangents are drawn from.  Both agree
+with the mode-by-mode form to rounding.  ``differential``, and the
+closedness check with it, sums that form mode by mode over the whole
+lattice (_difference_form) until an exact closedness derivative
+replaces the check, which draws full-lattice ``random_hermitian_modes``.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
 with the pairing weight w and Hflow = (w/2) L^d sum(kappa |a1|^2 + lam
@@ -80,7 +76,6 @@ tests/test_darboux.py pins.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,17 +118,14 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# blocks and supports: the oracle's form evaluated on stacks of points or
+# blocks and supports: the oracle's work on stacks of quadrature nodes or
 # tangents, on the modes their data occupy
 
-# compact mode coefficients per stacked (block, M) array on a support of
-# M modes, 64 KB of complex numbers: it bounds the memory a block's compact
-# temporaries take, whatever the lattice (each mode sum writes a block into
-# the support's (block, N) full-lattice buffer, kept across its sums), and
-# a block's tangent draw, 4 M + 1 normals a tangent, to 4 BLOCK_COEFFS
-# plus one per tangent.  On the n/4 band a block holds 124 nodes or
-# tangents at 1D n=64 and 5 at 3D n=16
-BLOCK_COEFFS = 4096
+# entries per block: the four stacked pairings of a path edge's node block
+# (32 nodes on 32 classes at 3D n=16), or tangent-mode pairs of a pullback
+# draw (5 tangents of 4 M + 1 normals on the M = 729 band modes); it bounds
+# a block's temporaries whatever the lattice
+BLOCK_ENTRIES = 4096
 
 
 # Gauss panels any path edge of WOracle._path may take.  An edge needs
@@ -152,24 +144,16 @@ CLOSEDNESS_TOL = 1e-8
 CLOSEDNESS_EPS = 1e-3
 
 
-def _block_size(sup: _Support) -> int:
-    return max(1, BLOCK_COEFFS // len(sup.index))
-
-
 class _Support:
     """The flat mode indices one evaluation works on (every mode by default).
 
     Per-mode arithmetic runs on compact (..., M) arrays, the columns
-    ``index`` of (..., *shape) ones.  Sums go through ``_mode_sum``, on
-    full-lattice buffers the support keeps: one zeroed (rows, N) array
-    per dtype, with the flat positions of the support's modes in it, row
-    by row, grown when a sum needs more rows than it has.
+    ``index`` of (..., *shape) ones.
     """
 
     def __init__(self, lattice: Lattice, index: np.ndarray | None = None):
         self.lattice = lattice
         self.index = np.arange(lattice.site_count) if index is None else index
-        self._buffers = {}
 
     def take(self, x: np.ndarray) -> np.ndarray:
         """(..., *shape) restricted to the support: (..., M)."""
@@ -177,64 +161,19 @@ class _Support:
         return x.reshape(lead + (self.lattice.site_count,)).take(self.index, axis=-1)
 
     def sum(self, x: np.ndarray):
-        return _mode_sum(self, x)
-
-    def buffer(self, dtype, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """The flat zeroed buffer of dtype, at least rows * N long, and the
-        flat positions of the support's modes in it, row after row."""
-        n = self.lattice.site_count
-        kept = self._buffers.get(dtype)
-        if kept is None or len(kept[0]) < rows * n:
-            at = (np.arange(rows)[:, np.newaxis] * n + self.index).ravel()
-            kept = self._buffers[dtype] = np.zeros(rows * n, dtype=dtype), at
-        return kept
-
-    def place(self, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Compact rows (..., K) on the flat mode indices index, all of
-        them in the support, as compact (..., M) rows on the support: the
-        rows themselves when index is the support's own (K = M), else
-        scattered into zeros."""
-        if len(index) == len(self.index):
-            return rows
-        return _scatter(rows, np.searchsorted(self.index, index), len(self.index))
-
-
-def _scatter(rows: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
-    """rows (..., K) written at the positions at of zeros (..., size)."""
-    out = np.zeros(rows.shape[:-1] + (size,), dtype=rows.dtype)
-    out[..., at] = rows
-    return out
+        """Sum of compact per-mode values x (..., M) over the lattice, one
+        per leading index, of x scattered into zeros: the array a
+        full-lattice evaluation sums, so the sum rounds alike."""
+        lat = self.lattice
+        return np.sum(_on_lattice(lat, self.index, x), axis=tuple(range(-lat.dim, 0)))
 
 
 def _on_lattice(lattice: Lattice, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Compact rows (..., M) on the flat mode indices index, scattered
     into zeros of shape (..., *shape)."""
-    full = _scatter(rows, index, lattice.site_count)
+    full = np.zeros(rows.shape[:-1] + (lattice.site_count,), dtype=rows.dtype)
+    full[..., index] = rows
     return full.reshape(rows.shape[:-1] + lattice.shape)
-
-
-def _mode_sum(sup: _Support, x: np.ndarray):
-    """Sum of compact per-mode values x (..., M) on the support over the
-    whole lattice, one value per leading block index.  x's B rows are
-    written at their modes' positions in the support's buffer of x's
-    dtype, whose C-contiguous prefix of B rows np.sum reduces over the
-    mode axes.  Off the support the buffer holds exact zeros, the values
-    a full-lattice evaluation multiplies there, so this is the array it
-    would sum, and the sum rounds alike.  The rows summed are written
-    first, so nothing (a NaN, say) carries over from an earlier sum."""
-    lead, lat = x.shape[:-1], sup.lattice
-    rows = math.prod(lead)
-    buf, at = sup.buffer(x.dtype, rows)
-    buf[at[: rows * len(sup.index)]] = x.reshape(-1)
-    full = buf[: rows * lat.site_count].reshape(lead + lat.shape)
-    return np.sum(full, axis=tuple(range(-lat.dim, 0)))
-
-
-def _col(x):
-    """A per-block scalar of shape (B,) with a unit mode axis appended, so
-    it broadcasts against compact (B, M) arrays; a plain scalar passes
-    through."""
-    return x if np.ndim(x) == 0 else np.reshape(x, np.shape(x) + (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +255,12 @@ def _symmetrized(pair: np.ndarray, z: np.ndarray) -> np.ndarray:
     return 0.5 * (z + np.conj(z.take(pair, axis=-1)))
 
 
-def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int, s_scale: float):
-    """count tangents as compact rows on the n/4 band: (index, d0, d1,
-    ds), with d0 and d1 of shape (count, M) on the M flat mode indices
-    index and ds of shape (count,).  One (count, 4 M + 1) draw of normals
-    holds them: per row, the real then the imaginary parts of d0 and of
-    d1, each reality-symmetrized, then ds / s_scale."""
-    index, pair = _band_pairs(lattice, None)
-    m = len(index)
-    raw = rng.standard_normal((count, 4 * m + 1))
-    d0 = _symmetrized(pair, raw[:, :m] + 1j * raw[:, m : 2 * m])
-    d1 = _symmetrized(pair, raw[:, 2 * m : 3 * m] + 1j * raw[:, 3 * m : 4 * m])
-    return index, d0, d1, raw[:, 4 * m] * s_scale
+def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The normals of count pullback tangents on the n/4 band of M modes,
+    (count, 4 M + 1): per row the real then the imaginary parts of d0 and
+    of d1 on the band, each field reality-symmetrized (_symmetrized),
+    then ds in units of the sampled ds scale."""
+    return rng.standard_normal((count, 4 * len(_band_pairs(lattice, None)[0]) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -436,40 +369,40 @@ class Theory:
         """The differential at m of W, derived or printed, as a function
         of tangents (d0, d1, ds), single or stacked, compact on the
         support (every mode by default), which must hold every mode where
-        m or a tangent is nonzero.
-
-        W's gradient has a direct part (g0, g1, gs) in the point's
-        coordinates, (w/2)(conj a1, conj a0, 0) for the derived W, and a
-        chart part (G0, G1, Gs) in (A0, A1, s), -(w/2)(conj A1, conj A0,
-        0), pulled back here through dA0 = c d0 - r d1 - kappa A1 ds and
-        dA1 = q d0 + c d1 + lam A0 ds.  It depends on m alone, so it is
-        computed once, and a tangent costs
-        L^d (Re sum(g0 d0 + g1 d1) + sum(gs) ds).
-        """
-        self.check_lattice(m)
+        m or a tangent is nonzero."""
         sup = _Support(m.lattice) if support is None else support
-        flow = self.flow()
-        kappa, lam, nu = flow.on(sup.index)
-        a0, a1 = (sup.take(x) for x in m.arrays)
-        s = m.time
-        c, r, q = flow.rotation(s, sup.index)
-        A0, A1 = c * a0 - r * a1, c * a1 + q * a0
-        half = 0.5 * self.weight
-        direct = half * np.conj(a1), half * np.conj(a0), 0.0
-        chart = -half * np.conj(A1), -half * np.conj(A0), 0.0
-        if printed:
-            direct, chart = self.printed_gradient(nu, s, a0, a1, A0, A1, direct, chart)
-        (g0, g1, gs), (G0, G1, Gs) = direct, chart
-        g0 = g0 + c * G0 + q * G1
-        g1 = g1 - r * G0 + c * G1
-        rates = G0 * (-kappa * A1) + G1 * (lam * A0)
-        gs = sup.sum(gs + Gs + np.real(rates))
-        vol = m.lattice.volume
+        h0, h1, hs = self.dw_covector(m, printed, sup)
 
         def dw(d0, d1, ds):
-            return vol * (sup.sum(np.real(g0 * d0 + g1 * d1)) + gs * ds)
+            pairing = np.real(h0 * np.conj(d0) + h1 * np.conj(d1))
+            return m.lattice.volume * sup.sum(pairing) + hs * ds
 
         return dw
+
+    def dw_covector(self, m: ModeState, printed: bool, sup: _Support):
+        """The differential at m of W, derived or printed, as the covector
+        (h0, h1, hs), h0 and h1 compact on sup: dW(d0, d1, ds) = L^d Re
+        sum(h0 conj d0 + h1 conj d1) + hs ds.  W's gradient has a direct
+        part (g0, g1, gs) in the point's coordinates, (w/2)(a1, a0, 0) for
+        the derived W, and a chart part (G0, G1, Gs) in (A0, A1, s),
+        -(w/2)(A1, A0, 0), pulled back here through dA0 = c d0 - r d1 -
+        kappa A1 ds and dA1 = q d0 + c d1 + lam A0 ds.
+        """
+        self.check_lattice(m)
+        flow = self.flow().restricted(sup.index)
+        kappa, lam, nu = flow.on()
+        c, r, q = flow.rotation(m.time)
+        a0, a1 = (sup.take(x) for x in m.arrays)
+        A0, A1 = c * a0 - r * a1, c * a1 + q * a0
+        half = 0.5 * self.weight
+        direct = half * a1, half * a0, 0.0
+        chart = -half * A1, -half * A0, 0.0
+        if printed:
+            direct, chart = self.printed_gradient(nu, m.time, a0, a1, A0, A1, direct, chart)
+        (g0, g1, gs), (G0, G1, Gs) = direct, chart
+        rates = np.real(G0 * np.conj(-kappa * A1) + G1 * np.conj(lam * A0))
+        hs = m.lattice.volume * sup.sum(gs + Gs + rates)
+        return g0 + c * G0 + q * G1, g1 - r * G0 + c * G1, hs
 
     def slice_fields(self, state) -> tuple:
         """The fields of a slice state (or variation) behind (a0, a1)."""
@@ -513,8 +446,8 @@ class KGTheory(Theory):
         sg, cs = np.sin(om * s), np.cos(om * s)
         g0, g1, gs = direct
         direct = (
-            g0 + sg**2 * np.conj(a1),
-            g1 + sg**2 * np.conj(a0),
+            g0 + sg**2 * a1,
+            g1 + sg**2 * a0,
             gs + np.real(a1 * np.conj(a0)) * 2.0 * sg * cs * om,
         )
         return direct, chart
@@ -557,12 +490,11 @@ class SchrTheory(Theory):
         no direct part (k^2 = 2 nu, nu the flow's)."""
         ksq = 2.0 * nu
         sin_full, sin_half = np.sin(ksq * s), np.sin(0.5 * ksq * s)
-        conj_A, conj_B = np.conj(A), np.conj(B)
         chart = (
-            sin_full * conj_A + 2.0 * sin_half * conj_B,
-            -sin_full * conj_B + 2.0 * sin_half * conj_A,
+            sin_full * A + 2.0 * sin_half * B,
+            -sin_full * B + 2.0 * sin_half * A,
             0.5 * ksq * np.cos(ksq * s) * (np.abs(A) ** 2 - np.abs(B) ** 2)
-            + np.real(A * conj_B) * ksq * np.cos(0.5 * ksq * s),
+            + np.real(A * np.conj(B)) * ksq * np.cos(0.5 * ksq * s),
         )
         return (0.0, 0.0, 0.0), chart
 
@@ -579,13 +511,10 @@ _RECORDS = {cls.name: cls for cls in (KGTheory, SchrTheory)}
 
 
 # ---------------------------------------------------------------------------
-# one-forms: Theta, the transformed canonical form, and their difference
-#
-# Points (a0, a1, s) and tangents (d0, d1, ds) may be stacked: fields
-# (B, ...) with times (B,); every sum runs over the mode axis only, so a
-# stack gives one value per block index, each bit-identical to evaluating
-# that index alone.  Points and tangents come as compact fields on a
-# support.
+# one-forms: Theta, the transformed canonical form, and their difference,
+# mode by mode at a point, as a covector at a point, and along a path edge
+# from per-class Gram sums.  Points and tangents come as compact fields on
+# a support.
 
 
 def _top_frequency(theory: Theory, index=None) -> float:
@@ -610,18 +539,19 @@ def _hflow(theory: Theory, sup: _Support, a0, a1, sign_ledger: str):
 
 
 def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str):
-    """Theta - canonical at the points (a0, a1, s) as a function of the
-    tangents (d0, d1, ds), both compact on sup, which must hold every
-    mode where a point or a tangent is nonzero.
+    """Theta - canonical at the point (a0, a1, s) as a function of a
+    tangent (d0, d1, ds), both compact on sup, which must hold every mode
+    where the point or the tangent is nonzero; each sum runs mode by mode
+    (_Support.sum).
 
     Both theories share one contraction: Theta = w <a1, d0> - Hflow ds
     and canonical = w <A1, c d0 - r d1 - kappa A1 ds>, with the record's
     pairing weight w, its flow's rotation (c, r, q) and kappa, and the
     chart's second coordinate A1 = c a1 + q a0.  The factors that depend
-    on the points alone are computed here, once.
+    on the point alone are computed here, once.
     """
     weight, flow = theory.weight, theory.flow()
-    c, r, q = flow.rotation(_col(s), sup.index)
+    c, r, q = flow.rotation(s, sup.index)
     kappa, _, _ = flow.on(sup.index)
     moment = c * a1 + q * a0
     rate = -kappa * moment
@@ -629,9 +559,64 @@ def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str)
 
     def form(d0, d1, ds):
         theta = weight * _pairing(sup, a1, d0) - hflow * ds
-        return theta - weight * _pairing(sup, moment, c * d0 - r * d1 + rate * _col(ds))
+        return theta - weight * _pairing(sup, moment, c * d0 - r * d1 + rate * ds)
 
     return form
+
+
+def _form_covector(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str):
+    """The difference form at the point (a0, a1, s), compact on sup, as
+    the covector (f0, f1, fs) of form(d0, d1, ds) = L^d Re sum(f0 conj d0
+    + f1 conj d1) + fs ds: (w (a1 - c M), w r M, w L^d sum kappa |M|^2 -
+    Hflow), with M = c a1 + q a0 as in _difference_form."""
+    weight, flow = theory.weight, theory.flow().restricted(sup.index)
+    c, r, q = flow.rotation(s)
+    kappa, _, _ = flow.on()
+    moment = c * a1 + q * a0
+    rate = weight * sup.lattice.volume * np.sum(kappa * np.abs(moment) ** 2)
+    fs = rate - _hflow(theory, sup, a0, a1, sign_ledger)
+    return weight * (a1 - c * moment), weight * r * moment, fs
+
+
+def _edge_form(theory: Theory, sup: _Support, a0, a1, d0, d1, sa, ds, sign_ledger: str, u):
+    """The difference form along the edge x(u) = (a0 + u d0, a1 + u d1,
+    sa + u ds), contracted with its direction (d0, d1, ds), at the nodes
+    u; a0 ... d1 compact on sup.  The form's per-mode factors are
+    constant on a class of equal k^2, so each pairing it takes (x1d0 = Re
+    sum x1 conj d0 and so on) is, per class, a quadratic in u built from
+    the sums Re sum v_i conj v_j of v = (a0, a1, d0, d1), and a node is
+
+        L^d sum_cls [w x1d0 - w (c^2 x1d0 + c q x0d0 - c r x1d1 - q r x0d1)
+                     + w kappa ds (c^2 x1x1 + 2 c q x1x0 + q^2 x0x0)
+                     - ds (w/2) (kappa_l x1x1 + lam_l x0x0)],
+
+    the last line the ledger's Hflow.  Nodes go in blocks of at most
+    BLOCK_ENTRIES // 4 node-class pairs; no value depends on the block.
+    """
+    weight, flow = theory.weight, theory.flow().restricted(sup.index)
+    kappa, count = flow.table[1], len(flow.modes)
+    kappa_l, lam_l, _ = theory.flow(sign_ledger).on(flow.modes)
+    v = np.stack((a0, a1, d0, d1))
+    i, j = np.triu_indices(4)
+    g = np.empty((4, 4, 1, count))
+    pairs = np.real(v[i] * np.conj(v[j]))
+    g[i, j, 0] = g[j, i, 0] = [np.bincount(flow.classes, x, count) for x in pairs]
+    # the coefficients of 1, u and u^2 of the pairings x_i d_j and x_i x_j
+    xd = g[:2, 2:], g[2:, 2:], np.zeros_like(g[2:, 2:])
+    xx = g[:2, :2], g[:2, 2:] + g[2:, :2], g[2:, 2:]
+
+    values, size = [], max(1, BLOCK_ENTRIES // (4 * count))
+    for first in range(0, len(u), size):
+        ub = u[first : first + size, np.newaxis]
+        c, r, q = flow.class_rotation(sa + ub * ds if ds else sa)
+        (x0d0, x0d1), (x1d0, x1d1) = xd[0] + ub * (xd[1] + ub * xd[2])
+        (x0x0, _), (x1x0, x1x1) = xx[0] + ub * (xx[1] + ub * xx[2])
+        canonical = c * c * x1d0 + c * q * x0d0 - c * r * x1d1 - q * r * x0d1
+        moment = kappa * (c * c * x1x1 + 2.0 * c * q * x1x0 + q * q * x0x0)
+        hflow = 0.5 * (kappa_l * x1x1 + lam_l * x0x0)
+        per_class = weight * (x1d0 - canonical + ds * (moment - hflow))
+        values.append(sup.lattice.volume * np.sum(per_class, axis=-1))
+    return np.concatenate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -712,20 +697,8 @@ class WOracle:
             hit |= np.logical_or.reduce(np.reshape(a, (-1, n)), axis=0)
         return _Support(self.lattice, np.flatnonzero(hit))
 
-    def _form(self, sup: _Support, a0, a1, s):
-        """The difference form at points (a0, a1, s), compact on sup,
-        single or stacked."""
-        return _difference_form(self.theory, sup, a0, a1, s, self.sign_ledger)
-
     def _point(self, a0, a1, time: float) -> ModeState:
         return ModeState(ModeVector(self.lattice, a0), ModeVector(self.lattice, a1), time=time)
-
-    def _blocks(self, sup: _Support, u: np.ndarray, evaluate) -> np.ndarray:
-        """evaluate(u_block) over the nodes u in blocks of _block_size on
-        sup: the values of every node along the last axis, in order."""
-        size = _block_size(sup)
-        blocks = [evaluate(u[i : i + size]) for i in range(0, len(u), size)]
-        return np.concatenate(blocks, axis=-1)
 
     def differential(self, point: ModeState, tangent) -> float:
         """(Theta - canonical) contracted with the tangent (d0, d1, ds)."""
@@ -733,7 +706,9 @@ class WOracle:
         a0, a1 = point.arrays
         d0, d1, ds = tangent
         sup = self._support((a0, a1, d0, d1), (point.time, ds))
-        form = self._form(sup, sup.take(a0), sup.take(a1), point.time)
+        form = _difference_form(
+            self.theory, sup, sup.take(a0), sup.take(a1), point.time, self.sign_ledger
+        )
         return float(form(sup.take(d0), sup.take(d1), ds))
 
     def _path(self, vertices) -> float:
@@ -759,19 +734,14 @@ class WOracle:
                     f"{need:.3g} panels, over the budget of {LOOP_PANEL_BUDGET}"
                 )
             panels = int(need)
-            a0, a1 = sup.take(a0), sup.take(a1)
-            d0, d1, ds = sup.take(b0) - a0, sup.take(b1) - a1, sb - sa
             j = np.arange(panels)[:, np.newaxis]
             lo, hi = j / panels, (j + 1) / panels
             u = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).ravel()
             w = (0.5 * (hi - lo) * weights).ravel()
-
-            def on_edge(ub):
-                s = sa + ub * ds if ds else sa
-                form = self._form(sup, a0 + _col(ub) * d0, a1 + _col(ub) * d1, s)
-                return form(d0, d1, ds)
-
-            terms.append(w * self._blocks(sup, u, on_edge))
+            a0, a1 = sup.take(a0), sup.take(a1)
+            d0, d1 = sup.take(b0) - a0, sup.take(b1) - a1
+            ledger = self.sign_ledger
+            terms.append(w * _edge_form(self.theory, sup, a0, a1, d0, d1, sa, sb - sa, ledger, u))
         # 0.0 plus every node's term, one at a time in order
         return np.add.accumulate(np.concatenate(([0.0], *terms)))[-1]
 
@@ -841,17 +811,19 @@ def theta_pullback_residual(
 
     Theta - canonical comes from the contact form and the chart Jacobian
     (the oracle's difference form); dW is the analytic differential
-    ``Theory.dw``.  Runs twice: with the chart's derived W, whose sup
+    (``Theory.dw_covector``).  Runs twice: with the chart's derived W, whose sup
     mismatch is ``oracle_residual`` (a gate: the derived W must be the
     oracle's potential), and with the printed W hypothesis, whose sup
     mismatch is ``printed_residual``.  The printed Schrodinger W is known
     not to satisfy the identity; its residual is a measurement, not a
-    failure.  tangent_count must be an integer, at least 1.  Everything
-    runs on one support, the point's united with the band the tangents
-    are drawn on.  The tangents come through the oracle's block loop, each
-    block one draw of only the band's normals (_tangent_block).  Tangent
-    k takes the k-th run of 4 M + 1 normals of the seed's stream, so the
-    residuals do not depend on the block size.
+    failure.  tangent_count must be an integer, at least 1.
+
+    Both sides are covectors on one support, the point's united with the
+    n/4 band.  Tangent k is the k-th run of 4 M + 1 normals of the seed's
+    stream (_tangent_block); symmetrization is self-adjoint under the real
+    pairing, so each gap covector is symmetrized once and contracted with
+    the normals, in blocks of BLOCK_ENTRIES // M tangents, and no tangent
+    is built.
     """
     count = tangent_count
     if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
@@ -860,19 +832,27 @@ def theta_pullback_residual(
     lat = point.lattice
     rng = np.random.Generator(np.random.Philox(key=seed))
     oracle = WOracle(theory, check_points=0)
-    (a0, a1), s = point.arrays, point.time
-    sup = oracle._support((a0, a1), (s,), _band_pairs(lat, None)[0])
-    form = oracle._form(sup, sup.take(a0), sup.take(a1), s)
-    dws = [theory.dw(point, printed, sup) for printed in (False, True)]
+    band, pair = _band_pairs(lat, None)
+    sup = oracle._support(point.arrays, (point.time,), band)
+    a0, a1 = (sup.take(x) for x in point.arrays)
+    f0, f1, fs = _form_covector(theory, sup, a0, a1, point.time, oracle.sign_ledger)
+    on_band = np.searchsorted(sup.index, band)
 
-    def gaps(block):
-        index, d0, d1, ds = _tangent_block(lat, rng, len(block), oracle._s_scale)
-        t = sup.place(index, d0), sup.place(index, d1), ds
-        gap = form(*t)
-        return [np.abs(gap - dw(*t)) for dw in dws]
+    def gap_normals(printed):
+        # form - dW on a tangent's normals (see _tangent_block)
+        h0, h1, hs = theory.dw_covector(point, printed, sup)
+        e = _symmetrized(pair, np.stack((f0 - h0, f1 - h1))[:, on_band])
+        parts = lat.volume * np.stack((e.real, e.imag), axis=1).ravel()
+        return np.concatenate((parts, [(fs - hs) * oracle._s_scale]))
 
+    vectors = [gap_normals(printed) for printed in (False, True)]
+    size = max(1, BLOCK_ENTRIES // len(band))
+    worst = []
+    for first in range(0, count, size):
+        raw = _tangent_block(lat, rng, min(size, count - first))
+        worst.append([np.max(np.abs(np.sum(raw * v, axis=1))) for v in vectors])
     # np.max keeps a NaN
-    derived, printed = np.max(oracle._blocks(sup, np.arange(count), gaps), axis=-1)
+    derived, printed = np.max(worst, axis=0)
     return ThetaPullbackReport(
         theory=theory.name, oracle_residual=float(derived), printed_residual=float(printed)
     )

@@ -651,22 +651,28 @@ class _ModeFlow:
         nu, kappa, lam = np.take(self.table[:3], keys, axis=-1)
         return kappa, lam, nu
 
-    def rotation(self, s, index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c, r, q) by the time s on the modes, evaluated on the classes
-        they use; s is a time, or times with a trailing unit axis per mode
-        axis.  np.take gives C-ordered entries: fancy indexing on the last
-        axis would give F-ordered ones, whose sums round otherwise."""
-        keys, table, (rot, hyp) = self.classes, self.table, self.ends
-        if index is not None:
-            keys = self.classes.reshape(-1)[index]
-            used = np.zeros(table.shape[1], dtype=bool)
-            used[keys] = True
-            rows = np.flatnonzero(used)
-            keys, table = (np.cumsum(used) - 1)[keys], table[:, rows]
-            rot, hyp = np.searchsorted(rows, self.ends)
-        nu, kappa, lam, mu, signed_mu = table
+    def restricted(self, index) -> _ModeFlow:
+        """The flow of the flat mode indices index alone, on the table
+        columns of the classes they use: ``classes`` is each index's
+        column, ``modes`` the flat index of one mode per column."""
+        keys = self.classes.reshape(-1)[index]
+        used = np.zeros(self.table.shape[1], dtype=bool)
+        used[keys] = True
+        rows = np.flatnonzero(used)
+        part = _ModeFlow.__new__(_ModeFlow)
+        part.classes, part.table = (np.cumsum(used) - 1)[keys], self.table[:, rows]
+        part.ends = np.searchsorted(rows, self.ends)
+        # any mode of a class stands for it: its k^2 is the class's
+        part.modes = np.empty(len(rows), dtype=index.dtype)
+        part.modes[part.classes] = index
+        return part
+
+    def class_rotation(self, s) -> np.ndarray:
+        """(c, r, q) by the time s per class, stacked: (3, ..., K) for
+        times s of shape (..., 1), (3, K) for one time."""
+        nu, kappa, lam, mu, signed_mu = self.table
+        rot, hyp = self.ends
         s = np.asarray(s, dtype=float)
-        s = s.reshape(s.shape[: max(0, s.ndim - keys.ndim)] + (1,))
         crq = np.empty((3,) + s.shape[:-1] + nu.shape)
         c, r, q = crq
         branches = (slice(0, rot), np.cos, np.sin), (slice(rot, hyp), np.cosh, np.sinh)
@@ -677,7 +683,17 @@ class _ModeFlow:
                 r[..., part], q[..., part] = sn / mu[part], signed_mu[part] * sn
         c[..., hyp:] = 1.0
         r[..., hyp:], q[..., hyp:] = kappa[hyp:] * s, lam[hyp:] * s
-        return tuple(np.take(crq, keys, axis=-1))
+        return crq
+
+    def rotation(self, s, index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c, r, q) by the time s on the modes, evaluated on the classes
+        they use; s is a time, or times with a trailing unit axis per mode
+        axis.  np.take gives C-ordered entries: fancy indexing on the last
+        axis would give F-ordered ones, whose sums round otherwise."""
+        flow = self if index is None else self.restricted(index)
+        s = np.asarray(s, dtype=float)
+        s = s.reshape(s.shape[: max(0, s.ndim - flow.classes.ndim)] + (1,))
+        return tuple(np.take(flow.class_rotation(s), flow.classes, axis=-1))
 
     def propagate(self, a0, a1, s):
         """The mode data (a0_hat, a1_hat) on the whole lattice moved by the

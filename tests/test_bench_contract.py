@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covlab import darboux, harness, kg, schrodinger
+from covlab import darboux, harness, kg, lattice, schrodinger
 from covlab.harness import EXPERIMENTS, THEORIES, ExperimentConfig
 from covlab.lattice import Lattice, ScalarField
 
@@ -86,6 +86,9 @@ def test_every_keyed_entry_point_records_a_traced_pass(spans, monkeypatch):
     ]
     # 500 fine nodes per chunk, so the EL pass has interior chunk boundaries
     monkeypatch.setattr(harness, "STREAM_SLICE_SITES", 500 * 8)
+    # Lattice.ksq runs when a mode flow is built: flows an earlier test
+    # left in the cache would keep lattice.ksq_builds at 0
+    lattice._mode_flow.cache_clear()
     before = bindings(spans)
     rec = spans.Recorder()
     with spans.installed(rec):

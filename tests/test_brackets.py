@@ -716,6 +716,28 @@ class TestDerivativeMachinery:
             with pytest.raises(ValueError, match=re.escape(repr(wide))):
                 entry(there)
 
+    def test_a_rebuilt_observable_checks_the_lattice_once(self, monkeypatch):
+        # Observable(th, G.evaluate) and a replace() copy keep G's checked
+        # evaluate: wrapped again, one evaluation checked the point twice
+        lat, wide = (Lattice(dim=1, n=16, length=L) for L in (2 * np.pi, 4 * np.pi))
+        th = Theory.of("kg", lat, 1.0)
+        calls = []
+        check = Theory.check_lattice
+
+        def counted(self, point):
+            calls.append(point)
+            return check(self, point)
+
+        monkeypatch.setattr(Theory, "check_lattice", counted)
+        G = quadratic_power(th, 0)
+        here = darboux_point(lat, 72)
+        want = G.evaluate(here)
+        for F in (G, Observable(th, G.evaluate, name="values"), replace(G, name="copy")):
+            calls.clear()
+            assert F.evaluate(here) == want and len(calls) == 1
+            with pytest.raises(ValueError, match=re.escape(repr(wide))):
+                F.evaluate(darboux_point(wide, 72))
+
 
 class TestAnalyticDerivativesOnly:
     """An observable carries analytic derivatives or none."""

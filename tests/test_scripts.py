@@ -37,9 +37,9 @@ worst |derived - oracle| over 2 states: 1.776e-15
 
 theory schrodinger: n=8 L=6.28319
      s       derived       printed        oracle  |printed-oracle|  |derived-oracle|
-  -1.6    2.6628e+00   -2.7400e+01    2.6628e+00         3.006e+01         4.441e-16
-  -1.2   -7.8612e+00    1.2111e+01   -7.8612e+00         1.997e+01         8.882e-16
-worst |derived - oracle| over 2 states: 8.882e-16
+  -1.6    2.6628e+00   -2.7400e+01    2.6628e+00         3.006e+01         1.776e-15
+  -1.2   -7.8612e+00    1.2111e+01   -7.8612e+00         1.997e+01         0.000e+00
+worst |derived - oracle| over 2 states: 1.776e-15
 
 """
 
