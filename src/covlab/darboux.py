@@ -34,27 +34,27 @@ the contact one-form Theta and the transformed canonical one-form must
 be exact, Theta - T = dW.  It evaluates that difference form directly
 (via the analytic chart Jacobian), checks it is closed, and integrates
 it along paths of straight edges from the base point (zero fields, s = 0).
-The pullback check ``theta_pullback_residual`` compares the same form
-with the analytic differential of the derived W over sampled tangents,
-so its gated residual measures how far the chart's W is from the
-oracle's potential, to rounding.
+The pullback check ``theta_pullback_residual`` compares the same form,
+as a covector at the point, with the analytic differential of the
+derived W, and gates the dual norm of their gap: the largest mismatch
+over every tangent of unit length, so its residual measures how far the
+chart's W is from the oracle's potential, to rounding.
 
 The per-mode work runs on a support: the modes where the evaluation's
 data are nonzero (a NaN counts), read from the data of each call (a
 point, an edge's two end points, a point and a tangent), never assumed
-from a sampling band; the pullback's support is its point's united with
-the band its tangent draws write.  The form vanishes off the support,
-so a path edge whose end points have no nonzero mode is skipped.  The
-form's per-mode factors are constant on a class of equal k^2 (32
-classes hold the 729 band modes at 3D n=16).  ``WOracle._path``, the
-quadrature behind ``value`` and ``loop_integral``, reads an edge a + u d
-through per-class Gram sums of (a0, a1, d0, d1), a node costing one term
-per class (_edge_form); the pullback contracts the form's and dW's
-covectors with the normals its tangents are drawn from.  Both agree
-with the mode-by-mode form to rounding.  ``differential``, and the
-closedness check with it, sums that form mode by mode over the whole
-lattice (_difference_form) until an exact closedness derivative
-replaces the check, which draws full-lattice ``random_hermitian_modes``.
+from a sampling band; the pullback's support is its point's closed
+under m -> -m.  The form vanishes off the support, so a path edge whose
+end points have no nonzero mode is skipped.  The form's per-mode
+factors are constant on a class of equal k^2 (32 classes hold the 729
+band modes at 3D n=16).  ``WOracle._path``, the quadrature behind
+``value`` and ``loop_integral``, reads an edge a + u d through
+per-class Gram sums of (a0, a1, d0, d1), a node costing one term per
+class (_edge_form), and agrees with the mode-by-mode form to rounding.
+``differential``, and the closedness check with it, sums that form mode
+by mode over the whole lattice (_difference_form) until an exact
+closedness derivative replaces the check, which draws full-lattice
+``random_hermitian_modes``.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
 with the pairing weight w and Hflow = (w/2) L^d sum(kappa |a1|^2 + lam
@@ -76,7 +76,6 @@ tests/test_darboux.py pins.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,13 +117,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# blocks and supports: the oracle's work on stacks of quadrature nodes or
-# tangents, on the modes their data occupy
+# blocks and supports: the oracle's work on stacks of quadrature nodes, on
+# the modes their data occupy
 
 # entries per block: the four stacked pairings of a path edge's node block
-# (32 nodes on 32 classes at 3D n=16), or tangent-mode pairs of a pullback
-# draw (5 tangents of 4 M + 1 normals on the M = 729 band modes); it bounds
-# a block's temporaries whatever the lattice
+# (32 nodes on 32 classes at 3D n=16); it bounds a block's temporaries
+# whatever the lattice
 BLOCK_ENTRIES = 4096
 
 
@@ -250,17 +248,9 @@ def _band_pairs(lattice: Lattice, band: int | None) -> tuple[np.ndarray, np.ndar
 
 
 def _symmetrized(pair: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Compact rows z (..., M) on a band of _band_pairs, with each mode m
-    set to (z[m] + conj(z[-m])) / 2, -m at the position pair[m]."""
+    """Compact rows z (..., M) on modes closed under m -> -m, with each
+    mode m set to (z[m] + conj(z[-m])) / 2, -m at the position pair[m]."""
     return 0.5 * (z + np.conj(z.take(pair, axis=-1)))
-
-
-def _tangent_block(lattice: Lattice, rng: np.random.Generator, count: int) -> np.ndarray:
-    """The normals of count pullback tangents on the n/4 band of M modes,
-    (count, 4 M + 1): per row the real then the imaginary parts of d0 and
-    of d1 on the band, each field reality-symmetrized (_symmetrized),
-    then ds in units of the sampled ds scale."""
-    return rng.standard_normal((count, 4 * len(_band_pairs(lattice, None)[0]) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +657,9 @@ class WOracle:
         self.lattice = theory.lattice
         # one plus the form's top oscillation frequency in s
         self._top = 1.0 + _top_frequency(theory)
-        # the ds scale of sampled tangents: the reciprocal of one plus the
-        # form's top oscillation frequency in s
+        # the ds scale of the closedness check's tangents and the pullback
+        # norm's unit of ds: the reciprocal of one plus the form's top
+        # oscillation frequency in s
         self._s_scale = 1.0 / self._top
         if check_points > 0:
             worst = self._closedness_sweep(seed, check_points)
@@ -681,18 +672,16 @@ class WOracle:
 
     # -- evaluation ------------------------------------------------------
 
-    def _support(self, fields, times, index=None) -> _Support:
+    def _support(self, fields, times) -> _Support:
         """The modes where some of the fields (single or stacked) is
-        nonzero, a NaN included, and the flat mode indices index; every
-        mode when a time times the top frequency is not finite, since the
-        chart's factors are then NaN where the fields vanish too."""
+        nonzero, a NaN included; every mode when a time times the top
+        frequency is not finite, since the chart's factors are then NaN
+        where the fields vanish too."""
         with np.errstate(over="ignore"):
             if not all(np.all(np.isfinite(np.multiply(t, self._top))) for t in times):
                 return _Support(self.lattice)
         n = self.lattice.site_count
         hit = np.zeros(n, dtype=bool)
-        if index is not None:
-            hit[index] = True
         for a in fields:
             hit |= np.logical_or.reduce(np.reshape(a, (-1, n)), axis=0)
         return _Support(self.lattice, np.flatnonzero(hit))
@@ -801,58 +790,44 @@ class WOracle:
 # the pullback identity
 
 
-def theta_pullback_residual(
-    theory: Theory,
-    point: ModeState,
-    tangent_count: int = 100,
-    seed: int = 2024,
-) -> ThetaPullbackReport:
-    """Check Theta = canonical + dW at one point over sampled tangents.
+def theta_pullback_residual(theory: Theory, point: ModeState) -> ThetaPullbackReport:
+    """Check Theta = canonical + dW at one point, on every tangent.
 
     Theta - canonical comes from the contact form and the chart Jacobian
-    (the oracle's difference form); dW is the analytic differential
-    (``Theory.dw_covector``).  Runs twice: with the chart's derived W, whose sup
-    mismatch is ``oracle_residual`` (a gate: the derived W must be the
-    oracle's potential), and with the printed W hypothesis, whose sup
-    mismatch is ``printed_residual``.  The printed Schrodinger W is known
-    not to satisfy the identity; its residual is a measurement, not a
-    failure.  tangent_count must be an integer, at least 1.
+    (the oracle's difference form, as the covector of _form_covector);
+    dW is the analytic differential (``Theory.dw_covector``).  Runs
+    twice: with the chart's derived W, whose gap is ``oracle_residual``
+    (a gate: the derived W must be the oracle's potential), and with the
+    printed W hypothesis, whose gap is ``printed_residual``.  The printed
+    Schrodinger W is known not to satisfy the identity; its residual is
+    a measurement, not a failure.
 
-    Both sides are covectors on one support, the point's united with the
-    n/4 band.  Tangent k is the k-th run of 4 M + 1 normals of the seed's
-    stream (_tangent_block); symmetrization is self-adjoint under the real
-    pairing, so each gap covector is symmetrized once and contracted with
-    the normals, in blocks of BLOCK_ENTRIES // M tangents, and no tangent
-    is built.
+    A residual is the dual norm of the gap covector (e0, e1, es): the
+    largest |Theta - canonical - dW|(X) over the tangents X whose normals
+    have unit length.  A tangent's normals are the real then the
+    imaginary parts of d0 and of d1, each field reality-symmetrized
+    (_symmetrized), then ds in units of the oracle's _s_scale.
+    Symmetrization is self-adjoint under the real pairing, so the norm is
+    sqrt(L^2d sum(|sym e0|^2 + |sym e1|^2) + (es _s_scale)^2), summed on
+    the point's support closed under m -> -m: the gap vanishes off it.
+    A NaN in the point gives NaN residuals.
     """
-    count = tangent_count
-    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"tangent_count must be an integer at least 1, got {tangent_count!r}")
     theory.check_lattice(point)
-    lat = point.lattice
-    rng = np.random.Generator(np.random.Philox(key=seed))
     oracle = WOracle(theory, check_points=0)
-    band, pair = _band_pairs(lat, None)
-    sup = oracle._support(point.arrays, (point.time,), band)
+    conj = mode_index_table(point.lattice)[0]
+    # the point and its reflection a[-m]: the support closed under m -> -m
+    reflected = (x.reshape(-1)[conj] for x in point.arrays)
+    sup = oracle._support((*point.arrays, *reflected), (point.time,))
+    pair = np.searchsorted(sup.index, conj[sup.index])
     a0, a1 = (sup.take(x) for x in point.arrays)
     f0, f1, fs = _form_covector(theory, sup, a0, a1, point.time, oracle.sign_ledger)
-    on_band = np.searchsorted(sup.index, band)
 
-    def gap_normals(printed):
-        # form - dW on a tangent's normals (see _tangent_block)
+    def gap_norm(printed):
         h0, h1, hs = theory.dw_covector(point, printed, sup)
-        e = _symmetrized(pair, np.stack((f0 - h0, f1 - h1))[:, on_band])
-        parts = lat.volume * np.stack((e.real, e.imag), axis=1).ravel()
-        return np.concatenate((parts, [(fs - hs) * oracle._s_scale]))
+        e = _symmetrized(pair, np.stack((f0 - h0, f1 - h1)))
+        fields = point.lattice.volume * np.linalg.norm(e)
+        return float(np.hypot(fields, (fs - hs) * oracle._s_scale))
 
-    vectors = [gap_normals(printed) for printed in (False, True)]
-    size = max(1, BLOCK_ENTRIES // len(band))
-    worst = []
-    for first in range(0, count, size):
-        raw = _tangent_block(lat, rng, min(size, count - first))
-        worst.append([np.max(np.abs(np.sum(raw * v, axis=1))) for v in vectors])
-    # np.max keeps a NaN
-    derived, printed = np.max(worst, axis=0)
     return ThetaPullbackReport(
-        theory=theory.name, oracle_residual=float(derived), printed_residual=float(printed)
+        theory=theory.name, oracle_residual=gap_norm(False), printed_residual=gap_norm(True)
     )

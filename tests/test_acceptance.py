@@ -231,17 +231,16 @@ def kg_cross_term(m):
 
 
 def test_criterion_05_theta_pullback_identity():
-    # the pullback residual compares Theta - canonical, from the contact
-    # form and the chart Jacobian, with the analytic differential of the
-    # chart's derived W; the form's closedness (construction sweep plus
-    # the loop circulations below) and the match of its potential to the
-    # derived W that the chart stores complete the identity
-    worst_oracle = 0.0
-    for th in TH.values():
-        for k in range(10):
-            m = mode_point(SEED + 30 + k, s=0.5 * k - 2.0)
-            rep = dx.theta_pullback_residual(th, m, tangent_count=100, seed=SEED + 40 + k)
-            worst_oracle = max(worst_oracle, rep.oracle_residual)
+    # the pullback residual is the norm of the gap between Theta -
+    # canonical, from the contact form and the chart Jacobian, and the
+    # analytic differential of the chart's derived W, over every tangent;
+    # the form's closedness (construction sweep plus the loop circulations
+    # below) and the match of its potential to the derived W that the
+    # chart stores complete the identity.  np.max keeps a NaN
+    points = [mode_point(SEED + 30 + k, s=0.5 * k - 2.0) for k in range(10)]
+    worst_oracle = np.max(
+        [dx.theta_pullback_residual(th, m).oracle_residual for th in TH.values() for m in points]
+    )
 
     kg_oracle = dx.WOracle(TH["kg"], seed=SEED + 4)
     schr_oracle = dx.WOracle(TH["schrodinger"], seed=SEED + 4)
@@ -268,7 +267,7 @@ def test_criterion_05_theta_pullback_identity():
     schr_gap = np.max(np.abs(schr_printed - schr_values))
 
     ok = (
-        worst_oracle <= 1e-9
+        worst_oracle <= 2e-10
         and loop <= 1e-9
         and derived <= 1e-9
         and cross_residual <= 1e-9
@@ -277,9 +276,9 @@ def test_criterion_05_theta_pullback_identity():
     assert verdict(
         5,
         ok,
-        f"pullback residual with oracle W {worst_oracle:.1e} over 10 states x 100 "
-        f"tangents per theory, closedness loop {loop:.2e}, derived W vs oracle "
-        f"{derived:.2e} over 2 x 10 states (all tol 1e-9); KG printed-W gap minus "
+        f"pullback gap norm with oracle W {worst_oracle:.1e} over 10 states per "
+        f"theory (tol 2e-10), closedness loop {loop:.2e}, derived W vs oracle "
+        f"{derived:.2e} over 2 x 10 states (tol 1e-9); KG printed-W gap minus "
         f"cross term {cross_residual:.1e} relative (tol 1e-9), gap itself "
         f"{printed_gap:.3g} (must exceed 1e-9); "
         f"schr printed-W gap {schr_gap:.3g} (reported, no verdict)",
@@ -492,7 +491,7 @@ def test_criterion_11_suite_determinism():
 def test_darboux_check_3d_matches_golden(theory, ledger):
     # the 3D oracle path, which the 1D suite does not reach: at n=8 the
     # support is 125 of 512 modes, so the W oracle's blocks hold many
-    # nodes and tangents; no value may move, as in criterion 11
+    # nodes; no value may move, as in criterion 11
     cfg = ExperimentConfig(
         theory=theory,
         experiment="darboux-check",

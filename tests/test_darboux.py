@@ -255,17 +255,17 @@ class TestW:
 
     def test_theta_pullback_oracle_identity(self):
         m = kg_point(4, time=1.3)
-        rep = theta_pullback_residual(KG, m, tangent_count=50)
+        rep = theta_pullback_residual(KG, m)
         assert rep.oracle_residual <= 1e-9
         sm = schr_point(5, time=0.8)
-        rep_s = theta_pullback_residual(SCHR, sm, tangent_count=50)
+        rep_s = theta_pullback_residual(SCHR, sm)
         assert rep_s.oracle_residual <= 1e-9
 
     def test_kg_printed_w_departs_at_generic_points(self):
         # the doubled cross term shows up in the differential: keep the
         # measured departure pinned so a silent "fix" cannot creep in
         m = kg_point(4, time=1.3)
-        rep = theta_pullback_residual(KG, m, tangent_count=50)
+        rep = theta_pullback_residual(KG, m)
         assert rep.printed_residual > 1e-3
 
     def test_kg_printed_w_agrees_without_cross_term(self):
@@ -377,19 +377,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown theory 'dirac'"):
             WOracle("dirac", CFG)
 
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_pullback_needs_a_tangent(self, count):
-        # with no tangent the residuals would read 0.0, and pass the gate
-        # without a comparison
-        with pytest.raises(ValueError, match="tangent_count"):
-            theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=count)
-
-    @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
-    def test_pullback_needs_an_integer_tangent_count(self, count):
-        with pytest.raises(ValueError, match="tangent_count"):
-            theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=count)
-        theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=np.int64(3))
-
     def test_negative_band_rejected(self):
         # a negative band would leave no mode on it: all-zero coefficients
         with pytest.raises(ValueError, match="band"):
@@ -428,7 +415,7 @@ class TestValidation:
             "value": lambda: oracle.value(m),
             "differential": lambda: oracle.differential(m, tangent),
             "loop_integral": lambda: oracle.loop_integral(m, m, m),
-            "pullback": lambda: theta_pullback_residual(th, m, tangent_count=3),
+            "pullback": lambda: theta_pullback_residual(th, m),
         }
         with pytest.raises(ValueError, match=re.escape(repr(wide))):
             calls[entry]()
@@ -436,8 +423,8 @@ class TestValidation:
 
 # ---------------------------------------------------------------------------
 # blocks: the oracle evaluated mode by mode, per point and per tangent, is
-# the reference the per-class path quadrature and the covector pullback
-# must meet to rounding; no value may depend on the block size
+# the reference the per-class path quadrature and the pullback's gap norm
+# must meet to rounding; no quadrature value may depend on the block size
 
 
 def band_mask(lat):
@@ -462,24 +449,6 @@ def ref_sampler(lat, rng):
     arr = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
     arr = np.where(band_mask(lat), arr, 0.0)
     return 0.5 * (arr + np.conj(reflected(arr)))
-
-
-def ref_band_tangent(lat, rng, s_scale):
-    """One pullback tangent (d0, d1, ds) from 4 M + 1 normals: the real
-    then the imaginary parts of d0 and of d1 on the M band modes, in
-    flat order, then ds / s_scale."""
-    mask = band_mask(lat)
-    m = int(mask.sum())
-    raw = rng.standard_normal(4 * m + 1)
-
-    def field(re, im):
-        arr = np.zeros(lat.shape, dtype=complex)
-        arr[mask] = re + 1j * im
-        return 0.5 * (arr + np.conj(reflected(arr)))
-
-    d0 = field(raw[:m], raw[m : 2 * m])
-    d1 = field(raw[2 * m : 3 * m], raw[3 * m : 4 * m])
-    return d0, d1, raw[4 * m] * s_scale
 
 
 def ref_pairing(lat, x, dy):
@@ -677,20 +646,44 @@ def ref_dw(theory, cfg, a0, a1, s, d0, d1, ds, printed):
     return lat.volume * (float(np.sum(np.real(g0 * d0 + g1 * d1))) + gs * ds)
 
 
-def ref_pullback(theory, cfg, a0, a1, s, tangent_count, seed):
+def drawn_tangents(lat, raw, s_scale, mask):
+    """The tangents (d0, d1, ds) that rows of normals (B, 4 M + 1) stand
+    for, one at a time: the real then the imaginary parts of d0 and of d1
+    on the M modes of the mask, in flat order, each field
+    reality-symmetrized, then ds / s_scale."""
+    m = int(mask.sum())
+
+    def field(re, im):
+        arr = np.zeros(lat.shape, dtype=complex)
+        arr[mask] = re + 1j * im
+        return 0.5 * (arr + np.conj(reflected(arr)))
+
+    for row in raw:
+        parts = row[: 4 * m].reshape(4, m)
+        yield field(*parts[:2]), field(*parts[2:]), row[4 * m] * s_scale
+
+
+def ref_pullback(theory, cfg, a0, a1, s, raw, mask):
+    """The gaps Theta - canonical - dW, for the derived and the printed W,
+    along the tangents that rows of normals on the mask stand for: (2, B).
+    The ds scale is the reciprocal of one plus the form's top frequency
+    in s."""
     lat = cfg.lattice if theory == "kg" else cfg
-    if theory == "kg":
-        s_scale = 1.0 / (1.0 + 2.0 * float(np.max(omega(cfg))))
-    else:
-        s_scale = 1.0 / (1.0 + float(np.max(lat.ksq())))
-    rng = seeded(seed)
-    derived, printed = [], []
-    for _ in range(tangent_count):
-        t = ref_band_tangent(lat, rng, s_scale)
+    s_scale = 1.0 / (1.0 + ref_top(theory, cfg, [np.ones(lat.shape)]))
+    gaps = []
+    for t in drawn_tangents(lat, raw, s_scale, mask):
         gap = ref_form(theory, cfg, a0, a1, s, *t)
-        derived.append(abs(gap - ref_dw(theory, cfg, a0, a1, s, *t, False)))
-        printed.append(abs(gap - ref_dw(theory, cfg, a0, a1, s, *t, True)))
-    return max(derived), max(printed)
+        gaps.append([gap - ref_dw(theory, cfg, a0, a1, s, *t, p) for p in (False, True)])
+    return np.transpose(gaps)
+
+
+def ref_norms(theory, cfg, coords, mask):
+    """The (derived, printed) gaps along each gap's maximizing tangent,
+    whose normals are v / |v|, v the gap's values on the unit normals."""
+    count = 4 * int(mask.sum()) + 1
+    v = ref_pullback(theory, cfg, *coords, np.eye(count), mask)
+    tops = [ref_pullback(theory, cfg, *coords, [u / np.linalg.norm(u)], mask) for u in v]
+    return np.array([top[k, 0] for k, top in enumerate(tops)])
 
 
 # 3D n=8 evaluates on the band, 125 of 512 modes
@@ -716,40 +709,21 @@ def record(theory, lat):
 
 
 def band_modes(lat):
-    """The modes on |m_j| <= n/4, the support of block_setup's points and
-    of the sampled tangents."""
+    """The modes on |m_j| <= n/4, the support of block_setup's points."""
     return len(darboux._band_pairs(lat, None)[0])
 
 
 def block_sizes(lat):
-    """The module's block, one node or tangent per block, and three band
-    tangents per block, which leaves the nodes of a panel split across
-    blocks."""
+    """The module's block, one node per block, and 3 M entries on the M
+    band modes, which splits a panel's nodes across blocks at 3D."""
     return (BLOCK_ENTRIES, 1, 3 * band_modes(lat))
 
 
-def on_lattice(lat, index, rows):
-    """Compact rows (B, M) on the flat mode indices index as (B, *shape)."""
-    full = np.zeros((len(rows), lat.site_count), dtype=rows.dtype)
-    full[:, index] = rows
-    return full.reshape((len(rows),) + lat.shape)
-
-
-def drawn_tangents(lat, raw, s_scale):
-    """The tangents (d0, d1, ds) that rows of band normals (B, 4 M + 1)
-    stand for, as full-lattice (B, *shape) fields."""
-    index, pair = darboux._band_pairs(lat, None)
-    m = len(index)
-    parts = [raw[:, k * m : (k + 1) * m] for k in range(4)]
-    d0, d1 = (darboux._symmetrized(pair, re + 1j * im) for re, im in (parts[:2], parts[2:]))
-    return on_lattice(lat, index, d0), on_lattice(lat, index, d1), raw[:, 4 * m] * s_scale
-
-
-# the agreement of the per-class path quadrature and of the covector
-# pullback with the mode-by-mode references, measured over 6 points and
+# the agreement of the per-class path quadrature and of the pullback's
+# gap norm with the mode-by-mode references, measured over 6 points and
 # triangles at dims 1-3 (SHAPES and 3D n=16), both theories: value to
 # 1.9e-14 relative, the loop to 9.7e-15 of the largest |W| of its
-# corners, and the pullback's residuals to 2.3e-15 of its printed one
+# corners, and the pullback's gap norms to 2.9e-15 of its printed one
 VALUE_REL, LOOP_REL, PULLBACK_REL = 1e-13, 5e-14, 2e-14
 
 
@@ -788,72 +762,26 @@ class TestBlocks:
 
     @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
     @pytest.mark.parametrize("dim,n", SHAPES)
-    def test_pullback_matches_per_tangent_reference(self, monkeypatch, theory, dim, n):
+    def test_pullback_is_the_norm_of_the_reference_gap(self, theory, dim, n):
         lat, cfg, point = block_setup(theory, dim, n)
         m, coords = point(31, -1.3)
-        want = ref_pullback(theory, cfg, *coords, tangent_count=100, seed=41)
-        got = []
-        for entries in block_sizes(lat):
-            monkeypatch.setattr(darboux, "BLOCK_ENTRIES", entries)
-            rep = theta_pullback_residual(record(theory, lat), m, tangent_count=100, seed=41)
-            got.append((rep.oracle_residual, rep.printed_residual))
-        assert got == [got[0]] * len(got)
-        assert want[0] <= 1e-9 < want[1] and got[0][0] <= 1e-9
-        for g, w in zip(got[0], want):
-            assert abs(g - w) <= PULLBACK_REL * want[1]
+        rep = theta_pullback_residual(record(theory, lat), m)
+        got = np.array([rep.oracle_residual, rep.printed_residual])
+        assert got[0] <= 2e-10 < got[1]
+        # the reference gap along each maximizing tangent is the norm
+        mask = band_mask(lat)
+        slack = PULLBACK_REL * got[1]
+        assert np.all(np.abs(ref_norms(theory, cfg, coords, mask) - got) <= slack)
+        # and bounds the gap along any tangent, by the length of its normals
+        raw = seeded(41).standard_normal((100, 4 * band_modes(lat) + 1))
+        gaps = ref_pullback(theory, cfg, *coords, raw, mask)
+        lengths = np.linalg.norm(raw, axis=1)
+        assert np.all(np.abs(gaps) <= (got[:, np.newaxis] + slack) * lengths)
 
     @pytest.mark.parametrize("dim,n", SHAPES)
-    def test_block_sampler_reproduces_per_tangent_band_draws(self, dim, n):
+    def test_random_hermitian_modes_is_the_band_sampler(self, dim, n):
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-        # 7 tangents in one draw, then in draws of 2 rows: 7 tangents in 4 draws
-        for sizes in ((7,), (2, 2, 2, 1)):
-            rng = seeded(5)
-            raw = np.concatenate([darboux._tangent_block(lat, rng, size) for size in sizes])
-            assert raw.shape == (7, 4 * band_modes(lat) + 1)
-            d0, d1, ds = drawn_tangents(lat, raw, 0.25)
-            rng = seeded(5)
-            for k in range(7):
-                r0, r1, rs = ref_band_tangent(lat, rng, 0.25)
-                assert np.array_equal(d0[k], r0)
-                assert np.array_equal(d1[k], r1)
-                assert ds[k] == rs
-        rng = seeded(6)
-        assert np.array_equal(random_hermitian_modes(lat, rng), ref_sampler(lat, seeded(6)))
-
-    @given(
-        shape=st.sampled_from(SHAPES),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        count=st.integers(min_value=1, max_value=6),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_drawn_tangents_are_reality_symmetric(self, shape, seed, count):
-        lat = Lattice(dim=shape[0], n=shape[1], length=2 * np.pi)
-        d0, d1, _ = drawn_tangents(lat, darboux._tangent_block(lat, seeded(seed), count), 1.0)
-        zero_mode = (0,) * lat.dim
-        for d in (*d0, *d1):
-            assert np.array_equal(reflected(d), np.conj(d))
-            # the self-conjugate mode m = 0 comes out real
-            assert d[zero_mode].imag == 0.0 and d[zero_mode].real != 0.0
-
-    @pytest.mark.parametrize("part", ["field", "ds"])
-    def test_nan_in_one_block_gives_nan_residuals(self, monkeypatch, part):
-        calls = []
-        sample = darboux._tangent_block
-
-        def poisoned(*args):
-            raw = sample(*args)
-            calls.append(len(raw))
-            if len(calls) == 2:
-                # the last tangent of the block: the imaginary part of its
-                # d1 on the first band mode, or its ds
-                raw[-1, 3 * band_modes(LAT) if part == "field" else -1] = np.nan
-            return raw
-
-        monkeypatch.setattr(darboux, "_tangent_block", poisoned)
-        rep = theta_pullback_residual(KG, kg_point(4, time=1.3), tangent_count=300)
-        # blocks of 4096 // 33 tangents on the band at 1D n=64
-        assert calls == [124, 124, 52]
-        assert np.isnan(rep.oracle_residual) and np.isnan(rep.printed_residual)
+        assert np.array_equal(random_hermitian_modes(lat, seeded(6)), ref_sampler(lat, seeded(6)))
 
 
 # the per-class edge form and the covector at a point against the
@@ -907,9 +835,16 @@ EDGE_MUTATIONS = {
     "hflow-dropped": ("ds * (moment - hflow)", "ds * moment"),
 }
 
+# the same two breaks in the covector of the form at a point
+COVECTOR_MUTATIONS = {
+    "cq-flipped": ("moment = c * a1 + q * a0", "moment = c * a1 - q * a0"),
+    "hflow-dropped": ("fs = rate - _hflow(theory, sup, a0, a1, sign_ledger)", "fs = rate"),
+}
 
-def mutated_edge_form(old, new):
-    source = inspect.getsource(darboux._edge_form)
+
+def recompiled(name, old, new):
+    """The darboux function name, compiled with old replaced by new."""
+    source = inspect.getsource(getattr(darboux, name))
     assert source.count(old) == 1
     code = compile(
         source.replace(old, new), darboux.__file__, "exec",
@@ -917,26 +852,37 @@ def mutated_edge_form(old, new):
     )
     namespace = dict(vars(darboux))
     exec(code, namespace)
-    return namespace["_edge_form"]
+    return namespace[name]
+
+
+def darboux_check_failures(theory):
+    """The rows that fail darboux-check at 1D n=16, seed 42."""
+    cfg = ExperimentConfig(theory=theory, experiment="darboux-check", n=16, seed=42)
+    report = run_experiment(cfg)
+    assert report.errors == ()
+    return {r.metric for r in report.rows if r.passed is False}
 
 
 @pytest.mark.parametrize("mutation", EDGE_MUTATIONS)
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
 def test_a_broken_edge_term_fails_an_oracle_row(monkeypatch, theory, mutation):
-    cfg = ExperimentConfig(theory=theory, experiment="darboux-check", n=16, seed=42)
-
-    def failing():
-        report = run_experiment(cfg)
-        assert report.errors == ()
-        return {r.metric for r in report.rows if r.passed is False}
-
-    assert failing() == set()
-    monkeypatch.setattr(darboux, "_edge_form", mutated_edge_form(*EDGE_MUTATIONS[mutation]))
+    assert darboux_check_failures(theory) == set()
+    monkeypatch.setattr(darboux, "_edge_form", recompiled("_edge_form", *EDGE_MUTATIONS[mutation]))
     # value's radial edge has ds = 0, so only the loop sees Hflow
     rows = {"w-loop-integral"}
     if mutation == "cq-flipped":
         rows.add("w-oracle-vs-derived")
-    assert rows <= failing()
+    assert rows <= darboux_check_failures(theory)
+
+
+@pytest.mark.parametrize("mutation", COVECTOR_MUTATIONS)
+@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+def test_a_broken_covector_term_fails_the_pullback_row(monkeypatch, theory, mutation):
+    assert darboux_check_failures(theory) == set()
+    broken = recompiled("_form_covector", *COVECTOR_MUTATIONS[mutation])
+    monkeypatch.setattr(darboux, "_form_covector", broken)
+    # the pullback alone reads the covector
+    assert darboux_check_failures(theory) == {"theta-pullback-oracle"}
 
 
 # ---------------------------------------------------------------------------
@@ -1072,7 +1018,7 @@ def test_off_band_point_entry_counts(theory, dim, n, entry):
     got = (
         oracle.value(m),
         oracle.loop_integral(*(p for p, _ in pts)),
-        theta_pullback_residual(record(theory, lat), m, tangent_count=20, seed=41),
+        theta_pullback_residual(record(theory, lat), m),
     )
     if entry == "nan":
         assert np.isnan(got[0]) and np.isnan(got[1])
@@ -1082,57 +1028,12 @@ def test_off_band_point_entry_counts(theory, dim, n, entry):
         assert abs(got[0] - want) <= VALUE_REL * abs(want)
         scale = max(abs(record(theory, lat).w(p)) for p, _ in pts)
         assert abs(got[1] - ref_loop(theory, cfg, [c for _, c in pts])) <= LOOP_REL * scale
-        want = ref_pullback(theory, cfg, *coords, tangent_count=20, seed=41)
-        for g, w in zip((got[2].oracle_residual, got[2].printed_residual), want):
-            assert abs(g - w) <= PULLBACK_REL * want[1]
-
-
-def ref_block_gaps(theory, cfg, a0, a1, s, blocks):
-    """Dense (derived, printed) sup gaps over the tangents of the blocks."""
-    derived, printed = [], []
-    for block in blocks:
-        for t in zip(*block):
-            gap = ref_form(theory, cfg, a0, a1, s, *t)
-            derived.append(abs(gap - ref_dw(theory, cfg, a0, a1, s, *t, False)))
-            printed.append(abs(gap - ref_dw(theory, cfg, a0, a1, s, *t, True)))
-    return max(derived), max(printed)
-
-
-@pytest.mark.parametrize("entry", ENTRIES)
-@pytest.mark.parametrize("theory", ["kg", "schrodinger"])
-@pytest.mark.parametrize("dim,n", [(1, 64), (3, 8)])
-def test_off_band_tangent_entry_counts(monkeypatch, theory, dim, n, entry):
-    # tangents drawn on |m_j| <= n/2, every mode: the pullback's support
-    # is its point's united with the modes the draw writes, so an entry
-    # off the n/4 band of the point counts like any other
-    lat, cfg, point = block_setup(theory, dim, n)
-    m, coords = point(31, -1.3)
-    blocks = []
-    sample, band_pairs = darboux._tangent_block, darboux._band_pairs
-    oracle = WOracle(theory, cfg, check_points=0)
-
-    def drawn(*args):
-        raw = sample(*args)
-        if len(blocks) == 1:
-            # the real part of the first tangent's d1 at the off-band mode
-            raw[0, 2 * lat.site_count + off_band(lat)] = ENTRIES[entry].real
-        blocks.append(drawn_tangents(lat, raw, oracle._s_scale))
-        return raw
-
-    monkeypatch.setattr(darboux, "_band_pairs", lambda lattice, band: band_pairs(lattice, n // 2))
-    # blocks of 4 tangents on the full lattice, each one draw of 4 rows
-    monkeypatch.setattr(darboux, "BLOCK_ENTRIES", 4 * lat.site_count)
-    monkeypatch.setattr(darboux, "_tangent_block", drawn)
-    rep = theta_pullback_residual(record(theory, lat), m, tangent_count=10, seed=41)
-    assert [len(ds) for _, _, ds in blocks] == [4, 4, 2]
-    got = (rep.oracle_residual, rep.printed_residual)
-    if entry == "nan":
-        assert np.isnan(got[0]) and np.isnan(got[1])
-    else:
-        assert blocks[1][1][0].reshape(-1)[off_band(lat)] == ENTRIES[entry].real
-        want = ref_block_gaps(theory, cfg, *coords, blocks)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= PULLBACK_REL * want[1]
+        # the pullback's norm takes the off-band mode with the band
+        mask = band_mask(lat)
+        mask.reshape(-1)[off_band(lat)] = True
+        want = ref_norms(theory, cfg, coords, mask)
+        got = np.array([got[2].oracle_residual, got[2].printed_residual])
+        assert np.all(np.abs(got - want) <= PULLBACK_REL * want[1])
 
 
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
@@ -1182,7 +1083,7 @@ def test_the_forms_run_on_the_support(monkeypatch, theory):
     oracle.value(m)
     oracle.loop_integral(*pts)
     oracle.differential(m, (a1, a0, 0.3))
-    theta_pullback_residual(record(theory, lat), m, tangent_count=3)
+    theta_pullback_residual(record(theory, lat), m)
     # one edge form for value, three for the loop, then the differential,
     # and the pullback's covector and two gradients
     assert lengths == [729] * 8
@@ -1199,6 +1100,16 @@ def test_the_forms_run_on_the_support(monkeypatch, theory):
     lengths.clear()
     oracle.differential(narrow, (random_hermitian_modes(lat, rng, band=2), np.zeros_like(a0), 0.1))
     assert lengths == [125]
+    lengths.clear()
+    theta_pullback_residual(record(theory, lat), narrow)
+    assert lengths == [27] * 3
+    # the pullback's support is closed under m -> -m: a mode without its
+    # conjugate brings the conjugate in
+    lone = np.zeros(lat.shape, dtype=complex)
+    lone[1, 2, 0] = 0.4 - 0.1j
+    lengths.clear()
+    theta_pullback_residual(record(theory, lat), type(m)(*(ModeVector(lat, lone),) * 2, time=0.4))
+    assert lengths == [2] * 3
 
 
 def scatter_and_sum(lat, index, x):
@@ -1364,10 +1275,8 @@ def test_oracle_at_zero_fields_is_zero(theory):
 
 # the tracemalloc peak of a warm call at 3D n=16, where the lattice holds
 # 4096 modes and the band 729 in 32 classes of equal k^2: 0.51, 0.45 and
-# 0.37 MiB, both theories, for value, loop_integral and the pullback,
-# whose blocks of 5 tangents are each one (5, 4 M + 1) draw of band
-# normals.  The pullback read 1.54 MiB when a block was drawn as
-# (5, 4 N + 1) full-lattice normals instead
+# 0.26 MiB, both theories, for value, loop_integral and the pullback, whose
+# gap covectors are a few (2, 729) arrays on the band
 LIVE_PEAK_BOUND = 1.25 * 2**20
 
 
@@ -1382,7 +1291,7 @@ def test_oracle_live_memory_at_3d(theory):
     calls = {
         "value": lambda: oracle.value(m),
         "loop_integral": lambda: oracle.loop_integral(*tri),
-        "pullback": lambda: theta_pullback_residual(th, m, tangent_count=20, seed=41),
+        "pullback": lambda: theta_pullback_residual(th, m),
     }
     peaks = {}
     for name, call in calls.items():
