@@ -778,6 +778,33 @@ class TestBlocks:
         lengths = np.linalg.norm(raw, axis=1)
         assert np.all(np.abs(gaps) <= (got[:, np.newaxis] + slack) * lengths)
 
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    def test_pullback_gap_vanishes_off_the_support(self, monkeypatch, theory):
+        # the norm on the point's support closed under m -> -m is the
+        # norm on every mode of the lattice
+        lat, cfg, point = block_setup(theory, 3, 8)
+        m, _ = point(31, -1.3)
+        rep = theta_pullback_residual(record(theory, lat), m)
+        monkeypatch.setattr(WOracle, "_support", lambda self, fields, times: darboux._Support(lat))
+        full = theta_pullback_residual(record(theory, lat), m)
+        slack = PULLBACK_REL * rep.printed_residual
+        assert rep.oracle_residual <= 2e-10 and full.oracle_residual <= 2e-10
+        assert abs(rep.oracle_residual - full.oracle_residual) <= slack
+        assert abs(rep.printed_residual - full.printed_residual) <= slack
+
+    @pytest.mark.parametrize("part", ["a1", "time"])
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    def test_nan_in_the_point_gives_nan_residuals(self, theory, part):
+        th, m = (KG, kg_point(4, time=1.3)) if theory == "kg" else (SCHR, schr_point(5, time=0.8))
+        a0, a1 = m.arrays
+        if part == "a1":
+            a1 = a1.copy()
+            a1.reshape(-1)[3] = np.nan
+        time = np.nan if part == "time" else m.time
+        bad = ModeState(ModeVector(LAT, a0), ModeVector(LAT, a1), time=time)
+        rep = theta_pullback_residual(th, bad)
+        assert np.isnan(rep.oracle_residual) and np.isnan(rep.printed_residual)
+
     @pytest.mark.parametrize("dim,n", SHAPES)
     def test_random_hermitian_modes_is_the_band_sampler(self, dim, n):
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
@@ -855,9 +882,9 @@ def recompiled(name, old, new):
     return namespace[name]
 
 
-def darboux_check_failures(theory):
-    """The rows that fail darboux-check at 1D n=16, seed 42."""
-    cfg = ExperimentConfig(theory=theory, experiment="darboux-check", n=16, seed=42)
+def darboux_check_failures(theory, dim=1, n=16):
+    """The rows that fail darboux-check on the lattice, seed 42."""
+    cfg = ExperimentConfig(theory=theory, experiment="darboux-check", dim=dim, n=n, seed=42)
     report = run_experiment(cfg)
     assert report.errors == ()
     return {r.metric for r in report.rows if r.passed is False}
@@ -877,12 +904,13 @@ def test_a_broken_edge_term_fails_an_oracle_row(monkeypatch, theory, mutation):
 
 @pytest.mark.parametrize("mutation", COVECTOR_MUTATIONS)
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
-def test_a_broken_covector_term_fails_the_pullback_row(monkeypatch, theory, mutation):
-    assert darboux_check_failures(theory) == set()
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (3, 16)])
+def test_a_broken_covector_term_fails_the_pullback_row(monkeypatch, dim, n, theory, mutation):
+    assert darboux_check_failures(theory, dim, n) == set()
     broken = recompiled("_form_covector", *COVECTOR_MUTATIONS[mutation])
     monkeypatch.setattr(darboux, "_form_covector", broken)
     # the pullback alone reads the covector
-    assert darboux_check_failures(theory) == {"theta-pullback-oracle"}
+    assert darboux_check_failures(theory, dim, n) == {"theta-pullback-oracle"}
 
 
 # ---------------------------------------------------------------------------
