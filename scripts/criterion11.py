@@ -20,7 +20,8 @@ another n, for a quick run.
     PYTHONPATH=src python scripts/criterion11.py --diff before.txt after.txt
 
 ``--diff A B`` prints each row whose value, tolerance or verdict moved
-from record A to record B, old -> new, and the rows only one holds.
+from record A to record B, old -> new, and the rows only one holds; its
+last line counts the rows that moved and the verdicts that changed.
 """
 
 import argparse
@@ -101,10 +102,11 @@ def _read(path: str) -> dict:
 
 
 def diff(old_path: str, new_path: str) -> None:
-    """Print each row that moved from old to new, and their count."""
+    """Print each row that moved from old to new, then their count and the
+    count of rows on both sides whose verdict changed."""
     old, new = _read(old_path), _read(new_path)
     keys = list(old) + [key for key in new if key not in old]
-    moved = 0
+    moved = flipped = 0
     for key in keys:
         before, after = old.get(key), new.get(key)
         if before == after:
@@ -114,10 +116,11 @@ def diff(old_path: str, new_path: str) -> None:
         if before is None or after is None:
             print(f"{label} {metric}: only in {old_path if after is None else new_path}")
             continue
+        flipped += before[-1] != after[-1]
         for name, a, b in zip(("value", "tolerance", "pass"), before, after):
             if a != b:
                 print(f"{label} {metric} {name}: {a} -> {b}")
-    print(f"{moved} of {len(keys)} rows moved")
+    print(f"{moved} of {len(keys)} rows moved, {flipped} verdicts changed")
 
 
 def main(argv=None) -> int:

@@ -882,8 +882,9 @@ def suite_configs(seed: int = 42, sign_ledger: str = "resolved"):
 def run_suite(seed: int = 42, sign_ledger: str = "resolved"):
     """Run the acceptance matrix on a thread pool, one worker per CPU this
     process may use and at most one per config; reports come back in
-    matrix order.  On 2 cores the pool takes the suite from 0.58 s (one
-    worker) to 0.51 s; more workers than cores gain nothing."""
+    matrix order.  On 2 cores (Python 3.11.7, numpy 2.4.6) the suite at
+    seed 42 takes a median 0.234 s serial and 0.228 s on the pool; more
+    workers than cores gain nothing."""
     configs = suite_configs(seed=seed, sign_ledger=sign_ledger)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # imported here, where it is used: at module level it would add about

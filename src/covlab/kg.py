@@ -162,7 +162,7 @@ def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, cfg: KGConfig) -> 
     position-space leapfrog with spectral Laplacian force, without the
     per-step transform round trips.
     """
-    om2 = state.lattice.ksq() + cfg.mass**2
+    om2 = state.lattice.half_ksq() + cfg.mass**2
 
     def kick_drift_kick(phihat, phat):
         phihat, phat = phihat.copy(), phat.copy()

@@ -24,6 +24,15 @@ Darboux chart reads too; the kernels below read its Lagrangian table.
 The builder and the profile also give any chunk of a section's rows, and
 the kernels act per node, so a pass can stream a long section chunk by
 chunk.
+
+Its fields are real, so the slice layer and the spectral derivatives go
+into mode space and back on rfftn's half spectrum, the modes of last-axis
+index 0 .. n/2 (_half_dft, _half_idft; the flow rotates it on the
+_half_modes, the steppers read half_ksq).  The one part of a half
+spectrum that irfftn drops silently, the defect of the two planes of
+last-axis index 0 and n/2, is checked with stack_idft's rule.  dft, idft,
+stack_idft and ModeVector keep the full spectrum, which the chart, the W
+oracle and the brackets read.
 """
 
 from __future__ import annotations
@@ -128,6 +137,10 @@ class Lattice:
     def ksq(self) -> np.ndarray:
         """|k|^2 per mode, FFT layout; read-only and cached per lattice."""
         return _ksq(self)
+
+    def half_ksq(self) -> np.ndarray:
+        """|k|^2 on the half spectrum rfftn keeps (last-axis index 0 .. n/2)."""
+        return _ksq(self)[..., : self.n // 2 + 1]
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         x1 = self.spacing * np.arange(self.n)
@@ -241,24 +254,63 @@ def stack_idft(lattice: Lattice, coeffs: np.ndarray) -> np.ndarray:
     reality symmetry defect must not exceed REALITY_TOL * max(1, max|coeff|).
     """
     axes = tuple(range(coeffs.ndim - lattice.dim, coeffs.ndim))
-    defect = np.max(np.abs(coeffs - conjugate_reflection(coeffs, axes)), axis=axes)
+    _require_real(coeffs, coeffs, axes, axes)
+    return (np.fft.ifftn(coeffs, axes=axes) * lattice.site_count).real
+
+
+def _require_real(coeffs: np.ndarray, part: np.ndarray, axes: tuple, reflected: tuple):
+    """Reject mode arrays (mode axes `axes`) whose part `part`, closed
+    under k -> -k by reflecting the axes `reflected`, has a reality
+    symmetry defect above REALITY_TOL * max(1, max|coeff|), each array of
+    a stack on its own."""
+    defect = np.max(np.abs(part - conjugate_reflection(part, reflected)), axis=axes)
+    if np.max(defect, initial=0.0) <= REALITY_TOL:  # every scale is at least 1
+        return
     scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=axes))
     bad = np.flatnonzero(defect > REALITY_TOL * scale)
     if bad.size:
-        where = "" if coeffs.ndim == lattice.dim else f" in slice {int(bad[0])}"
+        where = "" if coeffs.ndim == len(axes) else f" in slice {int(bad[0])}"
         raise ValueError(
             f"mode vector violates reality symmetry{where}: defect "
             f"{float(np.ravel(defect)[bad[0]]):.3e} exceeds {REALITY_TOL:.1e} * scale"
         )
-    return (np.fft.ifftn(coeffs, axes=axes) * lattice.site_count).real
+
+
+def _half_dft(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
+    """The half spectrum of real sample arrays of shape (..., *lattice.shape),
+    rfftn over the spatial axes with dft's 1/n^dim: the modes of last-axis
+    index 0 .. n/2 (_half_modes), of which the rest are the conjugates."""
+    axes = tuple(range(stack.ndim - lattice.dim, stack.ndim))
+    return np.fft.rfftn(stack, axes=axes, norm="forward")
+
+
+def _half_idft(lattice: Lattice, coeffs: np.ndarray) -> np.ndarray:
+    """Real sample arrays of half spectra (_half_dft's layout), one batched
+    irfftn.  A half spectrum is any real field's but on the planes of
+    last-axis index 0 and n/2, which hold their own conjugates: irfftn
+    drops their defect silently, so they are checked with stack_idft's
+    rule, per array."""
+    axes = tuple(range(coeffs.ndim - lattice.dim, coeffs.ndim))
+    _require_real(coeffs, coeffs[..., :: lattice.n // 2], axes, axes[:-1])
+    return np.fft.irfftn(coeffs, s=lattice.shape, axes=axes, norm="forward")
+
+
+@lru_cache(maxsize=32)
+def _half_modes(lattice: Lattice) -> np.ndarray:
+    """The flat FFT-layout indices of the half spectrum's modes, in its
+    shape: last-axis index 0 .. n/2."""
+    flat = np.arange(lattice.site_count).reshape(lattice.shape)
+    return _locked(flat[..., : lattice.n // 2 + 1])
 
 
 @lru_cache(maxsize=32)
 def _gradient_multipliers(lattice: Lattice) -> tuple[np.ndarray, ...]:
+    """k_axis per axis on the half spectrum, zero on the axis's Nyquist
+    plane."""
     grids = []
     ny = lattice.n // 2
     for axis, kg in enumerate(lattice.wavenumber_grids()):
-        kg = kg.copy()
+        kg = kg[..., : ny + 1].copy()
         sl = [slice(None)] * lattice.dim
         sl[axis] = ny
         kg[tuple(sl)] = 0.0
@@ -282,9 +334,9 @@ def stack_gradient(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     mode zeroed (see the module docstring).
     """
     axes = tuple(range(1, lattice.dim + 1))
-    fhat = np.fft.fftn(stack, axes=axes)
+    fhat = np.fft.rfftn(stack, axes=axes)
     comps = [
-        np.fft.ifftn(1j * kg[np.newaxis] * fhat, axes=axes).real
+        np.fft.irfftn(1j * kg * fhat, s=lattice.shape, axes=axes)
         for kg in _gradient_multipliers(lattice)
     ]
     return np.stack(comps, axis=1)
@@ -318,17 +370,17 @@ def stack_divergence(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     (count, *lattice.shape), with the Nyquist rule of stack_gradient.
     """
     axes = tuple(range(1, lattice.dim + 1))
-    out = np.zeros((stack.shape[0],) + lattice.shape)
+    out = 0.0
     for axis, kg in enumerate(_gradient_multipliers(lattice)):
-        chat = np.fft.fftn(stack[:, axis], axes=axes)
-        out = out + np.fft.ifftn(1j * kg[np.newaxis] * chat, axes=axes).real
-    return out
+        out = out + 1j * kg * np.fft.rfftn(stack[:, axis], axes=axes)
+    return np.fft.irfftn(out, s=lattice.shape, axes=axes)
 
 
 def spectral_laplacian(f: ScalarField) -> ScalarField:
     """Analyst's Laplacian: eigenvalue -k^2 on the plane wave exp(i k.x)."""
-    fhat = np.fft.fftn(f.values)
-    return ScalarField(f.lattice, np.fft.ifftn(-f.lattice.ksq() * fhat).real)
+    lat = f.lattice
+    lap = -lat.half_ksq() * np.fft.rfftn(f.values)
+    return ScalarField(lat, np.fft.irfftn(lap, s=lat.shape, axes=range(lat.dim)))
 
 
 def conjugate_reflection(arr: np.ndarray, axes=None) -> np.ndarray:
@@ -430,12 +482,13 @@ class _Slice:
 
     def _evolved(self, s: float, generator, lat: Lattice):
         """The state at time + s under the mode flow of generator on lat."""
-        flow = _mode_flow(lat, generator)
-        return self._advanced(s, lambda a0, a1: flow.propagate(a0, a1, s), lat)
+        flow, index = _mode_flow(lat, generator), _half_modes(lat)
+        return self._advanced(s, lambda a0, a1: flow.propagate(a0, a1, s, index), lat)
 
     def _stepped(self, dt: float, steps: int, advance):
         """The state after `steps` steps of dt of a stepper, advance(a0_hat,
-        a1_hat) taking the mode data through all of them."""
+        a1_hat) taking the half spectra through all of them (k^2 there is
+        the lattice's half_ksq)."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if steps < 0:
@@ -445,12 +498,14 @@ class _Slice:
         return self._advanced(dt * steps, advance, self.lattice)
 
     def _advanced(self, s: float, advance, lat: Lattice):
-        """The state at time + s of mode data advance(a0_hat, a1_hat) on
-        the lattice lat; constraints re-enforced."""
+        """The state at time + s of half spectra advance(a0_hat, a1_hat)
+        on the lattice lat (_half_dft, _half_idft); constraints
+        re-enforced."""
         if self.lattice != lat:
             raise ValueError("state lattice does not match the propagator's")
-        hats = advance(*(dft(getattr(self, n)).coefficients for n in self.SCALARS))
-        return self._enforced(*(idft(ModeVector(lat, h)) for h in hats), time=self.time + s)
+        hats = advance(*(_half_dft(lat, getattr(self, n).values) for n in self.SCALARS))
+        scalars = (ScalarField(lat, _half_idft(lat, h)) for h in hats)
+        return self._enforced(*scalars, time=self.time + s)
 
     def constraint_residual(self) -> float:
         """Sup-norm of vector - sign * grad(scalar) over every constraint
@@ -486,11 +541,10 @@ class _Section:
     def __post_init__(self):
         """Replace the stacks by read-only float copies, shape-checked: one
         T >= 2 shared by all of them."""
-        # The copy stays, though the builders never reuse what they pass in.
-        # Without it a stack_idft result stays a strided .real view of its
-        # complex buffer, and the sums over it round differently: the KG
-        # el-pairing-scaled row at seed 42 moves from 4.5120079787548944e-09
-        # to 4.5120079851279934e-09.
+        # The copy lets a section freeze its stacks without freezing a
+        # caller's arrays, and makes every stack C-contiguous and owned, the
+        # strided rows _sampled takes too.  No report value rests on it: the
+        # builders' irfftn results are owned arrays already.
         names = self.STATE.SCALARS + self.STATE.VECTORS
         out = [_locked(np.asarray(getattr(self, n), dtype=float)) for n in names]
         count = out[0].shape[0] if out[0].ndim else 0
@@ -531,17 +585,18 @@ class _Section:
     def _solution(cls, state, dt: float, steps: int, generator, lat: Lattice, first, **source):
         """The flow of state on the nodes first .. first + steps of the
         grid of spacing dt from state.time: the mode flow of generator on
-        lat, over those times at once, one batched inverse transform per
-        scalar and one batched gradient per constraint, none of which
-        mixes nodes.  `source` gives the section its lattice (_stacked)."""
+        lat's half spectrum, over those times at once, one batched inverse
+        transform per scalar and one batched gradient per constraint, none
+        of which mixes nodes, so each row is the state _evolved gives.
+        `source` gives the section its lattice (_stacked)."""
         if steps < 1:
             raise ValueError("need at least one time interval")
         if state.lattice != lat:
             raise ValueError("section slice lattice mismatch")
         s = (np.arange(first, first + steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
-        hats = (dft(getattr(state, n)).coefficients for n in cls.STATE.SCALARS)
-        hats = _mode_flow(lat, generator).propagate(*hats, s)
-        scalars = {n: stack_idft(lat, h) for n, h in zip(cls.STATE.SCALARS, hats)}
+        hats = (_half_dft(lat, getattr(state, n).values) for n in cls.STATE.SCALARS)
+        hats = _mode_flow(lat, generator).propagate(*hats, s, _half_modes(lat))
+        scalars = {n: _half_idft(lat, h) for n, h in zip(cls.STATE.SCALARS, hats)}
         grads = {n: stack_gradient(lat, scalars[n]) for _, n, _ in cls.STATE.CONSTRAINTS}
         vectors = {v: grads[n] if sign > 0 else -grads[n] for v, n, sign in cls.STATE.CONSTRAINTS}
         t0 = state.time + first * dt
@@ -695,10 +750,10 @@ class _ModeFlow:
         s = s.reshape(s.shape[: max(0, s.ndim - flow.classes.ndim)] + (1,))
         return tuple(np.take(flow.class_rotation(s), flow.classes, axis=-1))
 
-    def propagate(self, a0, a1, s):
-        """The mode data (a0_hat, a1_hat) on the whole lattice moved by the
-        time s, or by each of an array of times."""
-        c, r, q = self.rotation(s)
+    def propagate(self, a0, a1, s, index=None):
+        """The mode data (a0_hat, a1_hat) on the modes (see rotation)
+        moved by the time s, or by each of an array of times."""
+        c, r, q = self.rotation(s, index)
         return a0 * c + a1 * r, a1 * c - a0 * q
 
 

@@ -159,7 +159,7 @@ def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
     2*atan(k^2 dt / 4) per step.  The steps are taken one at a time, so
     the norm drift shows their accumulated rounding.
     """
-    angle = 2.0 * np.arctan(0.25 * state.lattice.ksq() * dt)
+    angle = 2.0 * np.arctan(0.25 * state.lattice.half_ksq() * dt)
     c, sg = np.cos(angle), np.sin(angle)
     return state._stepped(dt, steps, lambda a, b: _schr_rotate(a, b, c, sg, steps))
 

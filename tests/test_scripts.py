@@ -61,7 +61,7 @@ theory kg: n=64 L=64 T_el=8 T_ddw=0.2
 
 theory schrodinger: n=64 L=12.5664 T_el=6 T_ddw=0.2
         dt   el-pairing-scaled   order   ddw-residual   order
-  1.00e-03           1.959e-09       -      9.333e-08       -
+  1.00e-03           1.959e-09       -      9.332e-08       -
   5.00e-04           4.897e-10    2.00      2.333e-08    2.00
   2.50e-04           1.224e-10    2.00      5.836e-09    2.00
 
@@ -105,8 +105,38 @@ def test_criterion11_records_and_diffs(tmp_path, capsys):
     old.write_text("\n".join(lines) + "\n", encoding="utf-8")
     new.write_text("\n".join(changed) + "\n", encoding="utf-8")
     assert script.main(["--diff", str(old), str(old)]) == 0
-    assert capsys.readouterr().out == f"0 of {len(lines)} rows moved\n"
+    assert capsys.readouterr().out == f"0 of {len(lines)} rows moved, 0 verdicts changed\n"
     assert script.main(["--diff", str(old), str(new)]) == 0
     assert capsys.readouterr().out == (
-        f"{label} w-loop-integral value: {value} -> 0.5\n1 of {len(lines)} rows moved\n"
+        f"{label} w-loop-integral value: {value} -> 0.5\n"
+        f"1 of {len(lines)} rows moved, 0 verdicts changed\n"
+    )
+
+
+def test_criterion11_diff_counts_changed_verdicts(tmp_path, capsys):
+    # three rows move: one value at rounding, one verdict flipped with its
+    # value, one row only in the new record; an informational row (no
+    # verdict) stays
+    old = tmp_path / "old.txt"
+    old.write_text(
+        "a:00:kg/evolve,drift,1e-16,1e-12,true\n"
+        "a:01:kg/omega-check,spread,2e-15,1e-10,true\n"
+        "a:02:kg/evolve,info,0.5,,\n",
+        encoding="utf-8",
+    )
+    new = tmp_path / "new.txt"
+    new.write_text(
+        "a:00:kg/evolve,drift,1.5e-16,1e-12,true\n"
+        "a:01:kg/omega-check,spread,2e-09,1e-10,false\n"
+        "a:02:kg/evolve,info,0.5,,\n"
+        "a:03:kg/evolve,extra,0.0,1e-12,true\n",
+        encoding="utf-8",
+    )
+    assert load("criterion11").main(["--diff", str(old), str(new)]) == 0
+    assert capsys.readouterr().out == (
+        "a:00:kg/evolve drift value: 1e-16 -> 1.5e-16\n"
+        "a:01:kg/omega-check spread value: 2e-15 -> 2e-09\n"
+        "a:01:kg/omega-check spread pass: true -> false\n"
+        f"a:03:kg/evolve extra: only in {new}\n"
+        "3 of 4 rows moved, 1 verdicts changed\n"
     )

@@ -390,7 +390,7 @@ def test_builder_and_profile_stacks_are_contiguous_owned_and_read_only(theory, d
 
 def count_ffts(monkeypatch):
     calls = []
-    for fname in ("fftn", "ifftn"):
+    for fname in ("fftn", "ifftn", "rfftn", "irfftn"):
         raw = getattr(np.fft, fname)
 
         def counted(*args, _raw=raw, **kwargs):
