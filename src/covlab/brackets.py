@@ -188,18 +188,18 @@ def omega_slice_report(
     """Evaluate Omega on each listed slice, evolving both variations,
     slice states like the solution, there by the exact flow.
 
-    ``freeze`` ("u" or "v") deliberately leaves one variation at its
-    initial data, the documented negative control: the resulting spread
-    is O(1) instead of conservation-limited.  The spread is 0 only when
-    every value is exactly 0; a NaN value gives a NaN spread.  Any other
-    ``freeze`` raises ValueError.
+    ``freeze="v"`` deliberately leaves V at its initial data, the
+    documented negative control: the resulting spread is O(1) instead of
+    conservation-limited.  The spread is 0 only when every value is
+    exactly 0; a NaN value gives a NaN spread.  Any other ``freeze``
+    raises ValueError.
     """
-    if freeze not in (None, "u", "v"):
-        raise ValueError(f"freeze must be None, 'u' or 'v', got {freeze!r}")
+    if freeze not in (None, "v"):
+        raise ValueError(f"freeze must be None or 'v', got {freeze!r}")
     values = []
     for t in times:
         span = t - solution.time
-        u = theory.evolve(U0, span) if freeze != "u" else U0
+        u = theory.evolve(U0, span)
         v = theory.evolve(V0, span) if freeze != "v" else V0
         values.append(omega(theory, u, v))
     arr = np.array(values)

@@ -18,12 +18,12 @@ under which the transform is invertible.
 
 W is stated once for both theories: the derived W = (w/2)(<a0, a1> -
 <A0, A1>), with the record's pairing weight w, is what the transforms
-store and ``Theory.w`` returns, and ``Theory.dw`` is its gradient, the
-part in (a0, a1) plus the part in the chart's (A0, A1, s) pulled back
-through the chart's Jacobian.  The oracle below validates it.  The
-printed hypothesis formulas (``Theory.w(m, printed=True)``) are kept
-verbatim, each a per-theory change to that gradient, so the harness can
-measure how far they fall from satisfying the pullback identity.
+store and ``Theory.w`` returns, and ``Theory.dw_covector`` is its
+gradient, the part in (a0, a1) plus the part in the chart's (A0, A1, s)
+pulled back through the chart's Jacobian.  The oracle below validates
+it.  The printed hypothesis formulas (``Theory.w(m, printed=True)``) are
+kept verbatim, each a per-theory change to that gradient, so the harness
+can measure how far they fall from satisfying the pullback identity.
 Acceptance criterion 5 pins the printed KG density's gap to the oracle
 as exactly one extra momentum cross term;
 ``scripts/w_mismatch_report.py`` tabulates the measured gaps of both
@@ -32,13 +32,14 @@ printed formulas.
 The oracle recovers W from its defining property: the difference between
 the contact one-form Theta and the transformed canonical one-form must
 be exact, Theta - T = dW.  It evaluates that difference form directly
-(via the analytic chart Jacobian), checks it is closed, and integrates
-it along paths of straight edges from the base point (zero fields, s = 0).
-The pullback check ``theta_pullback_residual`` compares the same form,
-as a covector at the point, with the analytic differential of the
-derived W, and gates the dual norm of their gap: the largest mismatch
-over every tangent of unit length, so its residual measures how far the
-chart's W is from the oracle's potential, to rounding.
+(via the analytic chart Jacobian), as a covector at a point
+(_form_covector), checks it is closed, and integrates it along paths of
+straight edges from the base point (zero fields, s = 0).  The pullback
+check ``theta_pullback_residual`` compares the same covector with the
+analytic differential of the derived W, and gates the dual norm of
+their gap: the largest mismatch over every tangent of unit length, so
+its residual measures how far the chart's W is from the oracle's
+potential, to rounding.
 
 The per-mode work runs on a support: the modes where the evaluation's
 data are nonzero (a NaN counts), read from the data of each call (a
@@ -47,14 +48,14 @@ from a sampling band; the pullback's support is its point's closed
 under m -> -m.  The form vanishes off the support, so a path edge whose
 end points have no nonzero mode is skipped.  The form's per-mode
 factors are constant on a class of equal k^2 (32 classes hold the 729
-band modes at 3D n=16).  ``WOracle._path``, the quadrature behind
-``value`` and ``loop_integral``, reads an edge a + u d through
-per-class Gram sums of (a0, a1, d0, d1), a node costing one term per
-class (_edge_form), and agrees with the mode-by-mode form to rounding.
-``differential``, and the closedness check with it, sums that form mode
-by mode over the whole lattice (_difference_form) until an exact
-closedness derivative replaces the check, which draws full-lattice
-``random_hermitian_modes``.
+band modes at 3D n=16); each evaluation restricts the record's flow to
+its support once (lattice._ModeFlow.restricted).  ``WOracle._path``,
+the quadrature behind ``value`` and ``loop_integral``, reads an edge a
++ u d through per-class Gram sums of (a0, a1, d0, d1), a node costing
+one term per class (_edge_form), and agrees with the mode-by-mode form
+to rounding.  ``differential``, and the finite-difference closedness
+check with it, contracts the covector at the point with the tangent;
+the check draws full-lattice ``random_hermitian_modes``.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
 with the pairing weight w and Hflow = (w/2) L^d sum(kappa |a1|^2 + lam
@@ -310,10 +311,11 @@ class Theory:
     generator, and its printed W hypothesis (``printed_w``,
     ``printed_gradient``).  The chart, its s-rates, Hflow and the top
     frequency are read off ``flow(ledger)``, and the derived W and the
-    differential of either W are written once here (``w``, ``dw``).  The
-    methods that reach kg.py, schrodinger.py or the four chart functions
-    call them by module-level name at call time; constraint enforcement
-    and the variation profile are the shared bodies of lattice.py.
+    differential of either W are written once here (``w``,
+    ``dw_covector``).  The methods that reach kg.py, schrodinger.py or
+    the four chart functions call them by module-level name at call
+    time; constraint enforcement and the variation profile are the
+    shared bodies of lattice.py.
     """
 
     def __init__(self, lattice: Lattice, mass: float = 0.0):
@@ -354,20 +356,6 @@ class Theory:
         self.check_lattice(m)
         d = _to_darboux(m, self.generator("resolved"), self.weight)
         return self.printed_w(m, d) if printed else d.W
-
-    def dw(self, m: ModeState, printed: bool = False, support: _Support | None = None):
-        """The differential at m of W, derived or printed, as a function
-        of tangents (d0, d1, ds), single or stacked, compact on the
-        support (every mode by default), which must hold every mode where
-        m or a tangent is nonzero."""
-        sup = _Support(m.lattice) if support is None else support
-        h0, h1, hs = self.dw_covector(m, printed, sup)
-
-        def dw(d0, d1, ds):
-            pairing = np.real(h0 * np.conj(d0) + h1 * np.conj(d1))
-            return m.lattice.volume * sup.sum(pairing) + hs * ds
-
-        return dw
 
     def dw_covector(self, m: ModeState, printed: bool, sup: _Support):
         """The differential at m of W, derived or printed, as the covector
@@ -502,63 +490,34 @@ _RECORDS = {cls.name: cls for cls in (KGTheory, SchrTheory)}
 
 # ---------------------------------------------------------------------------
 # one-forms: Theta, the transformed canonical form, and their difference,
-# mode by mode at a point, as a covector at a point, and along a path edge
-# from per-class Gram sums.  Points and tangents come as compact fields on
-# a support.
+# as a covector at a point and along a path edge from per-class Gram sums.
+# Points and tangents come as compact fields on a support.
 
 
-def _top_frequency(theory: Theory, index=None) -> float:
-    """The difference form's top frequency in s on the modes (all, or the
-    flat indices index): 2 max nu of the record's flow."""
-    _, _, nu = theory.flow().on(index)
-    return 2.0 * float(np.max(nu, initial=0.0))
-
-
-def _pairing(sup: _Support, x: np.ndarray, dy: np.ndarray):
-    """<x, dy> = L^d Re sum_k x[k] conj(dy[k]), the real Parseval pairing
-    of compact fields."""
-    return sup.lattice.volume * np.real(sup.sum(x * np.conj(dy)))
+def _top_frequency(flow) -> float:
+    """The difference form's top frequency in s on a flow's modes: 2 max
+    nu of its table."""
+    return 2.0 * float(np.max(flow.table[0], initial=0.0))
 
 
 def _hflow(theory: Theory, sup: _Support, a0, a1, sign_ledger: str):
     """Hflow = (w/2) L^d sum(kappa |a1|^2 + lam |a0|^2) of the ledger's
     generator at the points (a0, a1), compact on sup."""
-    kappa, lam, _ = theory.flow(sign_ledger).on(sup.index)
+    kappa, lam, _ = theory.flow(sign_ledger).restricted(sup.index).on()
     energy = sup.sum(kappa * np.abs(a1) ** 2 + lam * np.abs(a0) ** 2)
     return 0.5 * theory.weight * sup.lattice.volume * energy
-
-
-def _difference_form(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str):
-    """Theta - canonical at the point (a0, a1, s) as a function of a
-    tangent (d0, d1, ds), both compact on sup, which must hold every mode
-    where the point or the tangent is nonzero; each sum runs mode by mode
-    (_Support.sum).
-
-    Both theories share one contraction: Theta = w <a1, d0> - Hflow ds
-    and canonical = w <A1, c d0 - r d1 - kappa A1 ds>, with the record's
-    pairing weight w, its flow's rotation (c, r, q) and kappa, and the
-    chart's second coordinate A1 = c a1 + q a0.  The factors that depend
-    on the point alone are computed here, once.
-    """
-    weight, flow = theory.weight, theory.flow()
-    c, r, q = flow.rotation(s, sup.index)
-    kappa, _, _ = flow.on(sup.index)
-    moment = c * a1 + q * a0
-    rate = -kappa * moment
-    hflow = _hflow(theory, sup, a0, a1, sign_ledger)
-
-    def form(d0, d1, ds):
-        theta = weight * _pairing(sup, a1, d0) - hflow * ds
-        return theta - weight * _pairing(sup, moment, c * d0 - r * d1 + rate * ds)
-
-    return form
 
 
 def _form_covector(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str):
     """The difference form at the point (a0, a1, s), compact on sup, as
     the covector (f0, f1, fs) of form(d0, d1, ds) = L^d Re sum(f0 conj d0
-    + f1 conj d1) + fs ds: (w (a1 - c M), w r M, w L^d sum kappa |M|^2 -
-    Hflow), with M = c a1 + q a0 as in _difference_form."""
+    + f1 conj d1) + fs ds, for tangents compact on sup too.
+
+    Both theories share one contraction: Theta = w <a1, d0> - Hflow ds
+    and canonical = w <M, c d0 - r d1 - kappa M ds>, with the record's
+    pairing weight w, its flow's rotation (c, r, q) and kappa, and the
+    chart's second coordinate M = A1 = c a1 + q a0, so the covector is
+    (w (a1 - c M), w r M, w L^d sum kappa |M|^2 - Hflow)."""
     weight, flow = theory.weight, theory.flow().restricted(sup.index)
     c, r, q = flow.rotation(s)
     kappa, _, _ = flow.on()
@@ -568,13 +527,14 @@ def _form_covector(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str):
     return weight * (a1 - c * moment), weight * r * moment, fs
 
 
-def _edge_form(theory: Theory, sup: _Support, a0, a1, d0, d1, sa, ds, sign_ledger: str, u):
+def _edge_form(theory: Theory, flow, a0, a1, d0, d1, sa, ds, sign_ledger: str, u):
     """The difference form along the edge x(u) = (a0 + u d0, a1 + u d1,
     sa + u ds), contracted with its direction (d0, d1, ds), at the nodes
-    u; a0 ... d1 compact on sup.  The form's per-mode factors are
-    constant on a class of equal k^2, so each pairing it takes (x1d0 = Re
-    sum x1 conj d0 and so on) is, per class, a quadratic in u built from
-    the sums Re sum v_i conj v_j of v = (a0, a1, d0, d1), and a node is
+    u; a0 ... d1 compact on the modes of flow, the record's flow
+    restricted to them.  The form's per-mode factors are constant on a
+    class of equal k^2, so each pairing it takes (x1d0 = Re sum x1 conj
+    d0 and so on) is, per class, a quadratic in u built from the sums Re
+    sum v_i conj v_j of v = (a0, a1, d0, d1), and a node is
 
         L^d sum_cls [w x1d0 - w (c^2 x1d0 + c q x0d0 - c r x1d1 - q r x0d1)
                      + w kappa ds (c^2 x1x1 + 2 c q x1x0 + q^2 x0x0)
@@ -583,9 +543,8 @@ def _edge_form(theory: Theory, sup: _Support, a0, a1, d0, d1, sa, ds, sign_ledge
     the last line the ledger's Hflow.  Nodes go in blocks of at most
     BLOCK_ENTRIES // 4 node-class pairs; no value depends on the block.
     """
-    weight, flow = theory.weight, theory.flow().restricted(sup.index)
-    kappa, count = flow.table[1], len(flow.modes)
-    kappa_l, lam_l, _ = theory.flow(sign_ledger).on(flow.modes)
+    weight, kappa, count = theory.weight, flow.table[1], len(flow.modes)
+    kappa_l, lam_l, _ = theory.flow(sign_ledger).restricted(flow.modes).on()
     v = np.stack((a0, a1, d0, d1))
     i, j = np.triu_indices(4)
     g = np.empty((4, 4, 1, count))
@@ -605,7 +564,7 @@ def _edge_form(theory: Theory, sup: _Support, a0, a1, d0, d1, sa, ds, sign_ledge
         moment = kappa * (c * c * x1x1 + 2.0 * c * q * x1x0 + q * q * x0x0)
         hflow = 0.5 * (kappa_l * x1x1 + lam_l * x0x0)
         per_class = weight * (x1d0 - canonical + ds * (moment - hflow))
-        values.append(sup.lattice.volume * np.sum(per_class, axis=-1))
+        values.append(theory.lattice.volume * np.sum(per_class, axis=-1))
     return np.concatenate(values)
 
 
@@ -614,8 +573,12 @@ def _edge_form(theory: Theory, sup: _Support, a0, a1, d0, d1, sa, ds, sign_ledge
 
 
 class WOracleClosednessError(RuntimeError):
-    """The difference form Theta - canonical failed the closedness check,
-    signalling a sign-ledger violation upstream."""
+    """The closedness sweep's largest scaled residual of the difference
+    form Theta - canonical exceeded CLOSEDNESS_TOL.  The printed ledgers'
+    forms are not closed; under the resolved ledger the finite-difference
+    residual's rounding crosses the absolute tolerance at a few 3D seeds
+    too.  The message names the residual, the tolerance, the theory, the
+    ledger and the sweep's Philox key."""
 
 
 @dataclass(frozen=True)
@@ -656,7 +619,7 @@ class WOracle:
         self.sign_ledger = sign_ledger
         self.lattice = theory.lattice
         # one plus the form's top oscillation frequency in s
-        self._top = 1.0 + _top_frequency(theory)
+        self._top = 1.0 + _top_frequency(theory.flow())
         # the ds scale of the closedness check's tangents and the pullback
         # norm's unit of ds: the reciprocal of one plus the form's top
         # oscillation frequency in s
@@ -665,9 +628,9 @@ class WOracle:
             worst = self._closedness_sweep(seed, check_points)
             if not worst <= CLOSEDNESS_TOL:
                 raise WOracleClosednessError(
-                    f"difference form is not closed (residual {worst:.3e} > "
-                    f"{CLOSEDNESS_TOL:.1e}); the sign ledger upstream is inconsistent "
-                    f"(theory={theory.name}, sign_ledger={sign_ledger})"
+                    f"closedness sweep residual {worst:.3e} exceeds {CLOSEDNESS_TOL:.1e} "
+                    f"(theory={theory.name}, sign_ledger={sign_ledger}, Philox key={seed}, "
+                    f"{check_points} points)"
                 )
 
     # -- evaluation ------------------------------------------------------
@@ -690,15 +653,19 @@ class WOracle:
         return ModeState(ModeVector(self.lattice, a0), ModeVector(self.lattice, a1), time=time)
 
     def differential(self, point: ModeState, tangent) -> float:
-        """(Theta - canonical) contracted with the tangent (d0, d1, ds)."""
+        """(Theta - canonical) contracted with the tangent (d0, d1, ds):
+        the covector (f0, f1, fs) of _form_covector at the point, L^d Re
+        sum(f0 conj d0 + f1 conj d1) + fs ds over the support."""
         self.theory.check_lattice(point)
         a0, a1 = point.arrays
         d0, d1, ds = tangent
         sup = self._support((a0, a1, d0, d1), (point.time, ds))
-        form = _difference_form(
-            self.theory, sup, sup.take(a0), sup.take(a1), point.time, self.sign_ledger
+        take = sup.take
+        f0, f1, fs = _form_covector(
+            self.theory, sup, take(a0), take(a1), point.time, self.sign_ledger
         )
-        return float(form(sup.take(d0), sup.take(d1), ds))
+        pairing = np.sum(np.real(f0 * np.conj(take(d0)) + f1 * np.conj(take(d1))))
+        return float(self.lattice.volume * pairing + fs * ds)
 
     def _path(self, vertices) -> float:
         """Line integral of the difference form along the straight edges
@@ -716,7 +683,8 @@ class WOracle:
             if not any(np.any(x) for x in (a0, a1, b0, b1)):
                 continue
             sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
-            need = np.ceil(_top_frequency(self.theory, sup.index) * abs(sb - sa)) + 1
+            flow = self.theory.flow().restricted(sup.index)
+            need = np.ceil(_top_frequency(flow) * abs(sb - sa)) + 1
             if need > LOOP_PANEL_BUDGET:
                 raise ValueError(
                     f"path edge from s={float(sa)!r} to s={float(sb)!r} needs "
@@ -730,7 +698,7 @@ class WOracle:
             a0, a1 = sup.take(a0), sup.take(a1)
             d0, d1 = sup.take(b0) - a0, sup.take(b1) - a1
             ledger = self.sign_ledger
-            terms.append(w * _edge_form(self.theory, sup, a0, a1, d0, d1, sa, sb - sa, ledger, u))
+            terms.append(w * _edge_form(self.theory, flow, a0, a1, d0, d1, sa, sb - sa, ledger, u))
         # 0.0 plus every node's term, one at a time in order
         return np.add.accumulate(np.concatenate(([0.0], *terms)))[-1]
 

@@ -27,10 +27,10 @@ chunk.
 
 Its fields are real, so the slice layer and the spectral derivatives go
 into mode space and back on rfftn's half spectrum, the modes of last-axis
-index 0 .. n/2 (_half_dft, _half_idft; the flow rotates it on the
-_half_modes, the steppers read half_ksq).  The one part of a half
-spectrum that irfftn drops silently, the defect of the two planes of
-last-axis index 0 and n/2, is checked with stack_idft's rule.  dft, idft,
+index 0 .. n/2 (_half_dft, _half_idft; the mode flow restricted to it,
+_half_flow, rotates it, and the steppers read half_ksq).  The one part of
+a half spectrum that irfftn drops silently, the defect of the two planes
+of last-axis index 0 and n/2, is checked with stack_idft's rule.  dft, idft,
 stack_idft and ModeVector keep the full spectrum, which the chart, the W
 oracle and the brackets read.
 """
@@ -279,7 +279,7 @@ def _require_real(coeffs: np.ndarray, part: np.ndarray, axes: tuple, reflected: 
 def _half_dft(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     """The half spectrum of real sample arrays of shape (..., *lattice.shape),
     rfftn over the spatial axes with dft's 1/n^dim: the modes of last-axis
-    index 0 .. n/2 (_half_modes), of which the rest are the conjugates."""
+    index 0 .. n/2, of which the rest are the conjugates."""
     axes = tuple(range(stack.ndim - lattice.dim, stack.ndim))
     return np.fft.rfftn(stack, axes=axes, norm="forward")
 
@@ -293,14 +293,6 @@ def _half_idft(lattice: Lattice, coeffs: np.ndarray) -> np.ndarray:
     axes = tuple(range(coeffs.ndim - lattice.dim, coeffs.ndim))
     _require_real(coeffs, coeffs[..., :: lattice.n // 2], axes, axes[:-1])
     return np.fft.irfftn(coeffs, s=lattice.shape, axes=axes, norm="forward")
-
-
-@lru_cache(maxsize=32)
-def _half_modes(lattice: Lattice) -> np.ndarray:
-    """The flat FFT-layout indices of the half spectrum's modes, in its
-    shape: last-axis index 0 .. n/2."""
-    flat = np.arange(lattice.site_count).reshape(lattice.shape)
-    return _locked(flat[..., : lattice.n // 2 + 1])
 
 
 @lru_cache(maxsize=32)
@@ -482,8 +474,8 @@ class _Slice:
 
     def _evolved(self, s: float, generator, lat: Lattice):
         """The state at time + s under the mode flow of generator on lat."""
-        flow, index = _mode_flow(lat, generator), _half_modes(lat)
-        return self._advanced(s, lambda a0, a1: flow.propagate(a0, a1, s, index), lat)
+        flow = _half_flow(lat, generator)
+        return self._advanced(s, lambda a0, a1: flow.propagate(a0, a1, s), lat)
 
     def _stepped(self, dt: float, steps: int, advance):
         """The state after `steps` steps of dt of a stepper, advance(a0_hat,
@@ -595,7 +587,7 @@ class _Section:
             raise ValueError("section slice lattice mismatch")
         s = (np.arange(first, first + steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
         hats = (_half_dft(lat, getattr(state, n).values) for n in cls.STATE.SCALARS)
-        hats = _mode_flow(lat, generator).propagate(*hats, s, _half_modes(lat))
+        hats = _half_flow(lat, generator).propagate(*hats, s)
         scalars = {n: _half_idft(lat, h) for n, h in zip(cls.STATE.SCALARS, hats)}
         grads = {n: stack_gradient(lat, scalars[n]) for _, n, _ in cls.STATE.CONSTRAINTS}
         vectors = {v: grads[n] if sign > 0 else -grads[n] for v, n, sign in cls.STATE.CONSTRAINTS}
@@ -671,6 +663,14 @@ def _mode_flow(lattice: Lattice, generator) -> _ModeFlow:
     return _ModeFlow(lattice, generator)
 
 
+@lru_cache(maxsize=32)
+def _half_flow(lattice: Lattice, generator) -> _ModeFlow:
+    """_mode_flow restricted to the half spectrum, in its shape (last-axis
+    index 0 .. n/2), one per pair: the flow the slice layer reads."""
+    flat = np.arange(lattice.site_count).reshape(lattice.shape)
+    return _mode_flow(lattice, generator).restricted(flat[..., : lattice.n // 2 + 1])
+
+
 class _ModeFlow:
     """The flow d(a0, a1)/ds = (kappa a1, -lam a0) of every mode of a
     lattice, for a generator k^2 -> (kappa, lam) evaluated once per class
@@ -678,8 +678,8 @@ class _ModeFlow:
     by time s is a0(s) = c a0 + r a1, a1(s) = c a1 - q a0, with (c, r, q)
     = (cos, sin / mu, mu sin) of nu s where kappa lam > 0, (cosh, sinh /
     mu, -mu sinh) of nu s where it is < 0 and (1, kappa s, lam s) where it
-    is 0.  ``index`` picks the modes a value is gathered onto: every mode
-    (in the lattice's shape) for None, else the flat indices index."""
+    is 0.  Values are gathered onto the flow's modes: every mode of the
+    lattice, in its shape; ``restricted`` gives the flow of some modes."""
 
     def __init__(self, lattice: Lattice, generator):
         # the classes of equal k^2: np.unique keys on the float k^2, never
@@ -700,16 +700,15 @@ class _ModeFlow:
         for shared in (self.classes, self.table):
             shared.setflags(write=False)
 
-    def on(self, index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def on(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(kappa, lam, nu) on the modes."""
-        keys = self.classes if index is None else self.classes.reshape(-1)[index]
-        nu, kappa, lam = np.take(self.table[:3], keys, axis=-1)
+        nu, kappa, lam = np.take(self.table[:3], self.classes, axis=-1)
         return kappa, lam, nu
 
     def restricted(self, index) -> _ModeFlow:
-        """The flow of the flat mode indices index alone, on the table
-        columns of the classes they use: ``classes`` is each index's
-        column, ``modes`` the flat index of one mode per column."""
+        """The flow of the flat mode indices index alone, in index's shape,
+        on the table columns of the classes they use: ``classes`` is each
+        index's column, ``modes`` the flat index of one mode per column."""
         keys = self.classes.reshape(-1)[index]
         used = np.zeros(self.table.shape[1], dtype=bool)
         used[keys] = True
@@ -720,6 +719,8 @@ class _ModeFlow:
         # any mode of a class stands for it: its k^2 is the class's
         part.modes = np.empty(len(rows), dtype=index.dtype)
         part.modes[part.classes] = index
+        for shared in (part.classes, part.table, part.modes):
+            shared.setflags(write=False)
         return part
 
     def class_rotation(self, s) -> np.ndarray:
@@ -740,20 +741,19 @@ class _ModeFlow:
         r[..., hyp:], q[..., hyp:] = kappa[hyp:] * s, lam[hyp:] * s
         return crq
 
-    def rotation(self, s, index=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c, r, q) by the time s on the modes, evaluated on the classes
-        they use; s is a time, or times with a trailing unit axis per mode
-        axis.  np.take gives C-ordered entries: fancy indexing on the last
-        axis would give F-ordered ones, whose sums round otherwise."""
-        flow = self if index is None else self.restricted(index)
+    def rotation(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c, r, q) by the time s on the modes, evaluated per class; s is
+        a time, or times with a trailing unit axis per mode axis.  np.take
+        gives C-ordered entries: fancy indexing on the last axis would
+        give F-ordered ones, whose sums round otherwise."""
         s = np.asarray(s, dtype=float)
-        s = s.reshape(s.shape[: max(0, s.ndim - flow.classes.ndim)] + (1,))
-        return tuple(np.take(flow.class_rotation(s), flow.classes, axis=-1))
+        s = s.reshape(s.shape[: max(0, s.ndim - self.classes.ndim)] + (1,))
+        return tuple(np.take(self.class_rotation(s), self.classes, axis=-1))
 
-    def propagate(self, a0, a1, s, index=None):
-        """The mode data (a0_hat, a1_hat) on the modes (see rotation)
-        moved by the time s, or by each of an array of times."""
-        c, r, q = self.rotation(s, index)
+    def propagate(self, a0, a1, s):
+        """The mode data (a0_hat, a1_hat) on the modes moved by the time
+        s, or by each of an array of times."""
+        c, r, q = self.rotation(s)
         return a0 * c + a1 * r, a1 * c - a0 * q
 
 

@@ -179,7 +179,7 @@ class TestOmega:
         )
         assert rep.max_rel_spread > 0.1
 
-    @pytest.mark.parametrize("freeze", ["V", "U", "", "both", 1])
+    @pytest.mark.parametrize("freeze", ["V", "U", "u", "", "both", 1])
     def test_unknown_freeze_rejected(self, freeze):
         # "V" used to run the positive check, a spread of 9.5e-16 where
         # "v" reads 1.43

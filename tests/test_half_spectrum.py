@@ -19,7 +19,6 @@ from covlab.lattice import (
     ModeVector,
     _half_dft,
     _half_idft,
-    _half_modes,
     _mode_flow,
     dft,
     hermitize,
@@ -75,7 +74,7 @@ def test_half_spectrum_is_the_full_one_on_the_half_lattice_and_round_trips(dim, 
     values = np.stack([f.values for f in fields])
     half = _half_dft(lat, values)
     assert half.shape == (2, *lat.shape[:-1], lat.n // 2 + 1)
-    full = dft(fields[0]).coefficients.reshape(-1)[_half_modes(lat)]
+    full = dft(fields[0]).coefficients[..., : lat.n // 2 + 1]
     assert relative_gap(half[0], full) <= REFERENCE_REL
     # amplitudes far above 1 pass too: the check is relative to the
     # largest mode

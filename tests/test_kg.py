@@ -463,7 +463,7 @@ class TestModeFlowRotation:
         block = np.ravel(s)
         lead = (len(block),) + (1,) * dim
         want = reference_rotation(kappa, lam, block.reshape(lead))
-        for got, ref in zip(flow.rotation(block[:, np.newaxis], index), want):
+        for got, ref in zip(flow.restricted(index).rotation(block[:, np.newaxis]), want):
             assert same_bits(got, ref.reshape(len(block), -1)[:, index])
             assert got.flags.c_contiguous
         if mass_sign == "paper-printed" and mass == 1.5:

@@ -440,7 +440,7 @@ def test_flow_rotation_matches_the_full_angle_grid(dim, n, sign):
         # compact on a support, one row per time of a (B, 1) block
         block = np.ravel(s)
         rows = len(block)
-        for got, ref in zip(flow.rotation(block[:, np.newaxis], index), want):
+        for got, ref in zip(flow.restricted(index).rotation(block[:, np.newaxis]), want):
             full = np.broadcast_to(ref, (rows,) + lat.shape).reshape(rows, -1)
             assert same_bits(got, full[:, index])
             assert got.flags.c_contiguous

@@ -140,3 +140,31 @@ def test_criterion11_diff_counts_changed_verdicts(tmp_path, capsys):
         f"a:03:kg/evolve extra: only in {new}\n"
         "3 of 4 rows moved, 1 verdicts changed\n"
     )
+
+
+# the construction sweep of darboux-check's oracle per seed: none refuses
+# at 1D n=16, and KG seed 16 refuses at 3D n=16 (the bench's known defect)
+CLOSEDNESS_1D_N16 = """\
+theory kg: dim=1 n=16, key seed + 4, 4 points, tolerance 1e-08
+  seed                residual
+     0   8.032642899391193e-12
+     1  6.4280441479119515e-12
+refusing seeds: - (0 of 2)
+
+theory schrodinger: dim=1 n=16, key seed + 4, 4 points, tolerance 1e-08
+  seed                residual
+     0  7.0283072666254975e-12
+     1  1.3165503934224792e-11
+refusing seeds: - (0 of 2)
+
+"""
+
+
+def test_closedness_seeds_output(capsys):
+    script = load("closedness_seeds")
+    assert script.main(["--dim", "1", "--n", "16", "--seeds", "0-1"]) == 0
+    assert capsys.readouterr().out == CLOSEDNESS_1D_N16
+    assert script.main(["--theory", "kg", "--seeds", "15-16"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("theory kg: dim=3 n=16")
+    assert out[-2] == "refusing seeds: 16 (1 of 2)"

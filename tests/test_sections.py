@@ -290,18 +290,31 @@ def test_a_flipped_table_term_lifts_the_ddw_residual(theory, dim):
 
 def test_mode_flow_is_shared_and_read_only():
     # one flow per (lattice, generator), and the generators are cached, so
-    # every caller of a (lattice, mass) shares it; its nu is omega
+    # every caller of a (lattice, mass) shares it; its nu is omega.  The
+    # half-spectrum flow the slice layer reads is shared the same way, and
+    # rotates the half modes as the full flow does, bit for bit
     from covlab.kg import _kg_generator
-    from covlab.lattice import _mode_flow
+    from covlab.lattice import _half_flow, _mode_flow
 
     lat = lattice(2)
+    same = Lattice(dim=2, n=8, length=2 * np.pi)
     flow = _mode_flow(lat, _kg_generator(0.7, "resolved"))
-    assert flow is _mode_flow(Lattice(dim=2, n=8, length=2 * np.pi), _kg_generator(0.7, "resolved"))
+    assert flow is _mode_flow(same, _kg_generator(0.7, "resolved"))
     assert flow is Theory.of("kg", lat, 0.7).flow()
     assert np.array_equal(flow.on()[2], np.sqrt(lat.ksq() + 0.7**2))
-    with pytest.raises(ValueError):
-        flow.table[0, 0] = 1.0
+    half = _half_flow(lat, _kg_generator(0.7, "resolved"))
+    assert half is _half_flow(same, _kg_generator(0.7, "resolved"))
+    for shared in (flow, half):
+        for table in (shared.table, shared.classes):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
     assert _mode_flow(lat, _kg_generator(0.8, "resolved")) is not flow
+    assert _half_flow(lat, _kg_generator(0.8, "resolved")) is not half
+    cut = (..., slice(0, lat.n // 2 + 1))
+    assert np.array_equal(half.on()[2], flow.on()[2][cut])
+    for s in (0.83, np.array([0.0, -1.7, 40.0]).reshape(3, 1, 1)):
+        for got, want in zip(half.rotation(s), flow.rotation(s)):
+            assert got.shape == want[cut].shape and np.array_equal(got, want[cut])
 
 
 # ---------------------------------------------------------------------------
