@@ -314,8 +314,7 @@ class Theory:
     differential of either W are written once here (``w``,
     ``dw_covector``).  The methods that reach kg.py, schrodinger.py or
     the four chart functions call them by module-level name at call
-    time; constraint enforcement and the variation profile are the
-    shared bodies of lattice.py.
+    time; constraint enforcement is the shared body of lattice.py.
     """
 
     def __init__(self, lattice: Lattice, mass: float = 0.0):
@@ -344,11 +343,9 @@ class Theory:
                 f"the {self.name} record is on {self.lattice}, the point on {point.lattice}"
             )
 
-    # the slice layer's shared bodies (lattice._Slice, lattice._Section)
+    # the slice layer's shared body (lattice._Slice)
     def enforce(self, a0, a1, time: float = 0.0):
         return self.state._enforced(a0, a1, time)
-    def profile(self, section, variation, first: int = 0, count: int | None = None):
-        return section._bumped(variation, first, count)
 
     def w(self, m: ModeState, printed: bool = False) -> float:
         """W at m: the derived (w/2)(<a0, a1> - <A0, A1>), the one the

@@ -2,12 +2,12 @@
 
 Cauchy data lives on the slice as (phi, p, beta) with the constraint
 beta = grad(phi), which KGState declares; the bodies of lattice.py
-(_Slice, _Section) enforce and measure it, evolve a state, build a
-section and its variations from those declarations and the generator
-here.  The flow is linear, so a variation of a solution is a solution:
-a slice variation is a KGState, a section variation a
-KGSpacetimeSection.  The dynamical conventions follow the resolved sign
-ledger (see README):
+(_Slice, _Section) enforce and measure it, evolve a state and build a
+section from those declarations and the generator here.  The flow is
+linear, so a variation of a solution is a solution: a slice variation
+is a KGState, and a section variation that KGState under the time bump
+of lattice._el_densities.  The dynamical conventions follow the
+resolved sign ledger (see README):
 
 * dphi/ds = p, dp/ds = laplacian(phi) - mass^2 phi, so each Fourier mode
   is a harmonic oscillator with omega_k = sqrt(k^2 + mass^2): the
@@ -39,8 +39,9 @@ from .lattice import (
     Lattice,
     ScalarField,
     VectorField,
+    _action,
+    _el_integrals,
     _first_order_residual,
-    _lagrangian_form,
     _Section,
     _Slice,
     inner,
@@ -197,8 +198,7 @@ def kg_dedonder_weyl_residual(section: KGSpacetimeSection) -> float:
 def _kg_lagrangian(mass: float) -> tuple:
     """P^mu d_mu phi - H with P^0 = -p and covariant H = (1/2)(eta_mn P^m P^n
     - mass^2 phi^2) = (1/2)(-p^2 + |beta|^2 - mass^2 phi^2), as bilinear
-    terms (coeff, a, op, b) for lattice._lagrangian_form and
-    lattice._first_order_residual."""
+    terms (coeff, a, op, b) for the kernels of lattice.py."""
     return (
         (-1.0, "p", "dt", "phi"),
         (1.0, "beta", "grad", "phi"),
@@ -210,22 +210,19 @@ def _kg_lagrangian(mass: float) -> tuple:
 
 def kg_action(section: KGSpacetimeSection) -> float:
     """Discrete covariant action: trapezoidal in time, exact in space."""
-    return _lagrangian_form(section.lagrangian, section)
+    return _action(section.lagrangian, section)
 
 
-def kg_el_pairing(
-    section: KGSpacetimeSection, variation: KGSpacetimeSection
-) -> float:
-    """Directional derivative of the action along a variation of the
-    section, which must vanish on the first and last slices."""
-    return _lagrangian_form(section.lagrangian, section, variation)
+def kg_el_pairing(section: KGSpacetimeSection, variation: KGState) -> float:
+    """Directional derivative of the action along the slice state
+    `variation` under a time bump over the section, zero on its first and
+    last slices (lattice._el_densities)."""
+    return _el_integrals(section.lagrangian, section, variation)[0]
 
 
-def kg_el_cancellation_scale(
-    section: KGSpacetimeSection, variation: KGSpacetimeSection
-) -> float:
+def kg_el_cancellation_scale(section: KGSpacetimeSection, variation: KGState) -> float:
     """Normalization for the EL residual: the L1 mass of the terms of the
     pairing (p against d_t dphi, dp against d_t phi, beta against grad
     dphi, ...), which cancel on solution sections."""
-    return _lagrangian_form(section.lagrangian, section, variation, magnitude=True)
+    return _el_integrals(section.lagrangian, section, variation)[1]
 

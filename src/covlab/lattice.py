@@ -17,12 +17,13 @@ full k^2 multiplier.  Band-limited data never meets the difference.
 
 The slice layer of both theories is written here once: _Slice (constraint
 enforcement and residual, spectral evolution) and _Section (the section
-builder, the variation profile, the stacks' checks) read what a theory's
-state declares, its two scalar fields and its constraints, and take the
-generator of its mode flow, which _ModeFlow turns into the rotation the
-Darboux chart reads too; the kernels below read its Lagrangian table.
-The builder and the profile also give any chunk of a section's rows, and
-the kernels act per node, so a pass can stream a long section chunk by
+builder, the stacks' checks) read what a theory's state declares, its two
+scalar fields and its constraints, and take the generator of its mode
+flow, which _ModeFlow turns into the rotation the Darboux chart reads
+too; the kernels below read its Lagrangian table.  A variation of a
+section is a slice state under a time bump, which the EL kernel reads
+directly.  The builder also gives any chunk of a section's rows, and the
+kernels act per node, so a pass can stream a long section chunk by
 chunk.
 
 Its fields are real, so the slice layer and the spectral derivatives go
@@ -521,13 +522,11 @@ class _Section:
     slice state (a ``_Slice``) in ``STATE`` and its bilinear Lagrangian
     table as the property ``lagrangian``: one stack per state field, the
     scalars of shape (T, *lattice.shape) and the vectors of shape
-    (T, dim, *lattice.shape).  A variation of a section, a tangent vector
-    to the space of sections, has the same layout and is stored in the
-    same class.  Nothing derived is kept.
+    (T, dim, *lattice.shape).  Nothing derived is kept.
     """
 
     # True where each constraint stack is sign * grad(scalar) by construction
-    # (builder, profile, their rows); dataclasses.replace gives a section without
+    # (the builder and its rows); dataclasses.replace gives a section without
     _exact = False
 
     def __post_init__(self):
@@ -593,32 +592,6 @@ class _Section:
         vectors = {v: grads[n] if sign > 0 else -grads[n] for v, n, sign in cls.STATE.CONSTRAINTS}
         t0 = state.time + first * dt
         return cls(**scalars, **vectors, dt=dt, t0=t0, **source)._marked(True)
-
-    def _bumped(self, slice_state, first: int = 0, count: int | None = None):
-        """Admissible variation: the fields of a slice state whose
-        constraints hold (_enforced) under a sin^2 time bump over a grid of
-        `count` nodes (the section's by default), zero on its end nodes;
-        the section's rows are the grid's nodes from `first` on.  The
-        constrained stacks, bumped slice gradients, equal the gradients of
-        the bumped fields up to rounding."""
-        lat = self.lattice
-        if slice_state.lattice != lat:
-            raise ValueError("variation field lattice mismatch")
-        rows = len(self.times())
-        count = rows if count is None else count
-        times = np.arange(first, first + rows) * self.dt
-        profile = np.sin(np.pi * times / ((count - 1) * self.dt)) ** 2
-        ends = [i - first for i in (0, count - 1) if first <= i < first + rows]
-
-        def bump(field: np.ndarray) -> np.ndarray:
-            out = profile.reshape((-1,) + (1,) * field.ndim) * field
-            out[ends] = 0.0
-            return out
-
-        stacks = {n: bump(getattr(slice_state, n).values) for n in self.STATE.SCALARS}
-        for n in self.STATE.VECTORS:
-            stacks[n] = bump(np.array([c.values for c in getattr(slice_state, n).components]))
-        return replace(self, **stacks)._marked(True)
 
     def _sampled(self, rows: slice, dt: float):
         """The section on its rows `rows` (a slice with a step) at time
@@ -757,48 +730,76 @@ class _ModeFlow:
         return a0 * c + a1 * r, a1 * c - a0 * q
 
 
-def _node_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sum of u * v over every axis but the leading time axis."""
-    return np.einsum("ti,ti->t", u.reshape(len(u), -1), v.reshape(len(v), -1))
+def _node_sums(stack: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Sum of stack * other over every axis but stack's leading time axis;
+    other is a stack of the same shape or one slice of it."""
+    flat = stack.reshape(len(stack), -1)
+    if other.ndim == stack.ndim:
+        return np.einsum("ti,ti->t", flat, other.reshape(flat.shape))
+    return np.einsum("ti,i->t", flat, other.reshape(-1))
 
 
-def _el_densities(table, section, variation) -> tuple[np.ndarray, np.ndarray]:
+def _op(section, op: str, b: str) -> tuple[int, str, np.ndarray]:
+    """op(b) on the section's stacks as (sign, name, y), op(b) = sign * y
+    with name the state field that op reads of b.  d/dt is second order
+    in time, one-sided at the ends of the rows.  grad(b) is taken in its
+    constraint's convention, y = sign * grad(b), the field `name`: read
+    off the constraint stack on an exact section, transformed on any
+    other.  A sign on a sum is exact."""
+    if op != "grad":
+        y = getattr(section, b)
+        return 1, b, np.gradient(y, section.dt, axis=0, edge_order=2) if op == "dt" else y
+    vector, sign = next((v, sg) for v, n, sg in section.STATE.CONSTRAINTS if n == b)
+    if section._exact:
+        return sign, vector, getattr(section, vector)
+    return sign, vector, sign * stack_gradient(section.lattice, getattr(section, b))
+
+
+def _el_densities(
+    table, section, variation, first: int = 0, count: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-node slice sums of the EL pairing of a bilinear Lagrangian
-    table on a section along a variation, and of its cancellation scale
-    (see _lagrangian_form).  d/dt is second order in time, one-sided at
-    the ends of the rows; grad(b) is read off b's constraint stack on an
-    exact section (negation is exact) and transformed on any other.  A
-    node's values read only its rows and its neighbours', so a chunk with
-    a halo gives the whole section's values on its inner nodes bit for
-    bit.
+    table on a section, sum c (da . op(b) + a . op(db)), the exact
+    directional derivative of the quadratic action, and of its
+    cancellation scale, sum |c| (|da| . |op(b)| + |a| . |op(db)|).
+
+    The variation is a slice state v on the section's lattice under a
+    sin^2 time bump w over a grid of `count` nodes (the section's by
+    default), zero on its end nodes, the section's rows being the grid's
+    nodes from `first` on: its field a is w v_a, d/dt of it w' v_a (w'
+    as np.gradient takes d/dt of a stack) and grad of it w times v's
+    constraint field, so each sum is a weight per node times the node
+    sums of the section's stacks against v's fixed fields.  A node's
+    values read only its rows and its neighbours', so a chunk with a
+    halo gives the whole section's values on its inner nodes bit for bit.
     """
-    gradients = {n: (v, sign) for v, n, sign in section.STATE.CONSTRAINTS}
+    if variation.lattice != section.lattice:
+        raise ValueError("variation field lattice mismatch")
+    rows = len(section.times())
+    count = rows if count is None else count
+    times = np.arange(first, first + rows) * section.dt
+    bump = np.sin(np.pi * times / ((count - 1) * section.dt)) ** 2
+    bump[[i - first for i in (0, count - 1) if first <= i < first + rows]] = 0.0
+    rate = np.gradient(bump, section.dt, edge_order=2)
+    fields = {n: getattr(variation, n).values for n in variation.SCALARS}
+    for n in variation.VECTORS:
+        fields[n] = np.array([comp.values for comp in getattr(variation, n).components])
 
-    def apply(op, s, name):
-        if op == "dt":
-            return np.gradient(getattr(s, name), s.dt, axis=0, edge_order=2)
-        if op == "id":
-            return getattr(s, name)
-        if not s._exact:
-            return stack_gradient(s.lattice, getattr(s, name))
-        vector, sign = gradients[name]
-        return getattr(s, vector) if sign > 0 else -getattr(s, vector)
-
-    # magnitudes are taken as each sum needs them, so no more than two
-    # stack-sized temporaries are alive beside a term's op(b) and op(db)
-    pairing = scale = 0.0
-    for c, a, op, b in table:
-        x, dx = getattr(section, a), getattr(variation, a)
-        if (op, a) == ("id", b):
-            pairing = pairing + c * (2.0 * _node_sums(dx, x))
-            scale = scale + abs(c) * (2.0 * _node_sums(np.abs(dx), np.abs(x)))
-            continue
-        y, dy = apply(op, section, b), apply(op, variation, b)
-        pairing = pairing + c * (_node_sums(dx, y) + _node_sums(x, dy))
-        scale = scale + abs(c) * (
-            _node_sums(np.abs(dx), np.abs(y)) + _node_sums(np.abs(x), np.abs(dy))
+    def term(c, a, op, b):
+        sign, name, y = _op(section, op, b)
+        x, u, v = getattr(section, a), fields[a], fields[name]
+        weight = rate if op == "dt" else bump
+        pairing = sign * c * (bump * _node_sums(y, u) + weight * _node_sums(x, v))
+        # magnitudes are taken as each sum needs them, so one stack-sized
+        # temporary is alive beside a term's op(b), which goes on return
+        scale = abs(c) * (
+            bump * _node_sums(np.abs(y), np.abs(u))
+            + np.abs(weight) * _node_sums(np.abs(x), np.abs(v))
         )
-    return pairing, scale
+        return pairing, scale
+
+    parts = [term(*t) for t in table]
+    return sum(p for p, _ in parts), sum(s for _, s in parts)
 
 
 def _time_integral(lat: Lattice, dt: float, density: np.ndarray) -> float:
@@ -806,32 +807,26 @@ def _time_integral(lat: Lattice, dt: float, density: np.ndarray) -> float:
     return float(np.trapezoid(lat.spacing**lat.dim * density, dx=dt))
 
 
-def _lagrangian_form(table, section, variation=None, magnitude=False) -> float:
-    """Integral of a bilinear Lagrangian table over a section, trapezoidal
-    in time and exact in space (_el_densities on every row).  A term
-    (c, a, op, b) adds c a . op(b) to the density, with a and b names of
-    section stacks.
+def _el_integrals(table, section, variation) -> tuple[float, float]:
+    """The EL pairing and cancellation scale of a table on a whole section
+    along a slice state under the time bump: a trapezoid of each of
+    _el_densities."""
+    return tuple(
+        _time_integral(section.lattice, section.dt, density)
+        for density in _el_densities(table, section, variation)
+    )
 
-    Without a variation: the action, half the pairing of the section with
-    itself.  With one: the EL pairing sum c int (da . op(b) + a . op(db)),
-    the exact directional derivative, for a variation that vanishes on the
-    end slices.  With `magnitude`: the cancellation scale
-    sum |c| int (|da| . |op(b)| + |a| . |op(db)|), the L1 mass of the same
-    products, against which the pairing's cancellation on solution
-    sections is measured independently of the amplitude.
-    """
-    if variation is None:
-        variation, half = section, 0.5
-    else:
-        half = 1.0
-        for name in {name for _, a, _, b in table for name in (a, b)}:
-            stack, dstack = getattr(section, name), getattr(variation, name)
-            if stack.shape != dstack.shape:
-                raise ValueError("one variation per time slice required")
-            if not magnitude and np.any(dstack[[0, -1]] != 0.0):
-                raise ValueError("variation must vanish at the temporal endpoints")
-    density = _el_densities(table, section, variation)[1 if magnitude else 0]
-    return half * _time_integral(section.lattice, section.dt, density)
+
+def _action(table, section) -> float:
+    """The action of a bilinear Lagrangian table on a section: the
+    trapezoid of sum c <a, op(b)> per node, exact in space."""
+
+    def term(c, a, op, b):
+        sign, _, y = _op(section, op, b)
+        return sign * c * _node_sums(getattr(section, a), y)
+
+    density = sum(term(*t) for t in table)
+    return _time_integral(section.lattice, section.dt, density)
 
 
 # op -> -op^T for the derivatives of a table: d/dt is skew-adjoint, and

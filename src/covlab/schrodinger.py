@@ -4,12 +4,12 @@ The wavefunction is carried as its real and imaginary parts (phiR, phiI)
 together with the spatial momenta (betaR, betaI), constrained by
 beta_a = -grad(phi^a), which SchrState declares; the bodies of
 lattice.py (_Slice, _Section) enforce and measure the constraints,
-evolve a state, build a section and its variations from those
-declarations and the generator here.  The covariant temporal momenta
-are not stored: the sub-bundle constraints fix them as P0_R = phi^I,
-P0_I = -phi^R and they are computed on demand where the action needs
-them.  The flow is linear, so a slice variation is a SchrState and a
-section variation a SchrSpacetimeSection.
+evolve a state and build a section from those declarations and the
+generator here.  The covariant temporal momenta are not stored: the
+sub-bundle constraints fix them as P0_R = phi^I, P0_I = -phi^R and they
+are computed on demand where the action needs them.  The flow is
+linear, so a slice variation is a SchrState, and a section variation
+that SchrState under the time bump of lattice._el_densities.
 
 Mode dynamics: each Fourier mode rotates by the angle k^2 s / 2,
 equivalently psi-hat -> exp(-i k^2 s / 2) psi-hat for psi = phiR + i phiI.
@@ -34,8 +34,9 @@ from .lattice import (
     Lattice,
     ScalarField,
     VectorField,
+    _action,
+    _el_integrals,
     _first_order_residual,
-    _lagrangian_form,
     _Section,
     _Slice,
     inner,
@@ -192,7 +193,7 @@ def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
 
 # phiI d_t phiR - phiR d_t phiI + P^j_a d_j phi^a - H with covariant
 # H = -1/2 (|P_R|^2 + |P_I|^2), as bilinear terms (coeff, a, op, b) for
-# lattice._lagrangian_form and lattice._first_order_residual
+# the kernels of lattice.py
 _SCHR_LAGRANGIAN = (
     (1.0, "phiI", "dt", "phiR"),
     (-1.0, "phiR", "dt", "phiI"),
@@ -204,23 +205,20 @@ _SCHR_LAGRANGIAN = (
 
 
 def schr_action(section: SchrSpacetimeSection) -> float:
-    return _lagrangian_form(section.lagrangian, section)
+    return _action(section.lagrangian, section)
 
 
-def schr_el_pairing(
-    section: SchrSpacetimeSection, variation: SchrSpacetimeSection
-) -> float:
+def schr_el_pairing(section: SchrSpacetimeSection, variation: SchrState) -> float:
     """Exact directional derivative of the (quadratic) discrete action
-    along a variation that vanishes on the first and last slices."""
-    return _lagrangian_form(section.lagrangian, section, variation)
+    along the slice state `variation` under a time bump over the section,
+    zero on its first and last slices (lattice._el_densities)."""
+    return _el_integrals(section.lagrangian, section, variation)[0]
 
 
-def schr_el_cancellation_scale(
-    section: SchrSpacetimeSection, variation: SchrSpacetimeSection
-) -> float:
+def schr_el_cancellation_scale(section: SchrSpacetimeSection, variation: SchrState) -> float:
     """Normalization for the EL residual: L1 mass of the first-order terms
     of the directional derivative (see kg_el_cancellation_scale)."""
-    return _lagrangian_form(section.lagrangian, section, variation, magnitude=True)
+    return _el_integrals(section.lagrangian, section, variation)[1]
 
 
 def to_wavefunction(state: SchrState) -> np.ndarray:

@@ -60,9 +60,9 @@ def whole_section_el(theory: str) -> None:
     th = darboux.Theory.of(theory, Lattice(dim=1, n=8, length=2 * np.pi), 1.0)
     fields = [ScalarField(th.lattice, np.cos(k * th.lattice.coordinates()[0])) for k in (1, 2)]
     section = th.section(th.enforce(*fields), 1e-2, 8)
-    var = th.profile(section, th.enforce(*fields))
-    getattr(module, f"{short}_el_pairing")(section, var)
-    getattr(module, f"{short}_el_cancellation_scale")(section, var)
+    variation = th.enforce(*fields)
+    getattr(module, f"{short}_el_pairing")(section, variation)
+    getattr(module, f"{short}_el_cancellation_scale")(section, variation)
 
 
 def streamed_slices(cfg, steps_at) -> int:

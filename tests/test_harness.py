@@ -605,15 +605,14 @@ def fresh_residuals(cfg, levels):
         if cfg.theory == "kg":
             kcfg = cfg.kg_config()
             sec = kg.kg_solution_section(el_state, dt, el_steps, kcfg)
-            var = th.profile(sec, variation)
-            el.append(kg.kg_el_pairing(sec, var) / kg.kg_el_cancellation_scale(sec, var))
+            pairing = kg.kg_el_pairing(sec, variation)
+            el.append(pairing / kg.kg_el_cancellation_scale(sec, variation))
             sec = kg.kg_solution_section(ddw_state, dt, ddw_steps, kcfg)
             ddw.append(kg.kg_dedonder_weyl_residual(sec))
         else:
             sec = schrodinger.schr_solution_section(el_state, dt, el_steps)
-            var = th.profile(sec, variation)
-            pairing = schrodinger.schr_el_pairing(sec, var)
-            el.append(pairing / schrodinger.schr_el_cancellation_scale(sec, var))
+            pairing = schrodinger.schr_el_pairing(sec, variation)
+            el.append(pairing / schrodinger.schr_el_cancellation_scale(sec, variation))
             sec = schrodinger.schr_solution_section(ddw_state, dt, ddw_steps)
             ddw.append(schrodinger.schr_dedonder_weyl_residual(sec))
     return el, ddw
