@@ -252,6 +252,26 @@ class TestAction:
         quotient = (kg_action(shifted(eps)) - kg_action(shifted(-eps))) / (2 * eps)
         assert abs(pairing - quotient) <= 1e-9 * max(abs(pairing), 1.0)
 
+    def test_pairing_is_linear_in_the_variation(self):
+        # off shell, so that the pairing does not cancel: the kernel reads
+        # the variation as a slice state under a fixed bump, and the
+        # pairing is linear in that state
+        section = kg_solution_section(random_state(9, band=1), 1e-2, 30, CFG)
+        section = replace(section, p=section.p + 0.3 * section.phi)
+        u = vary(random_state(11, band=1).phi, random_state(12, band=1).p)
+        w = vary(random_state(13, band=1).phi, random_state(14, band=1).p)
+        a, b = 0.7, -2.3
+        both = vary(
+            ScalarField(LAT, a * u.phi.values + b * w.phi.values),
+            ScalarField(LAT, a * u.p.values + b * w.p.values),
+        )
+        scale = abs(a) * kg_el_cancellation_scale(section, u) + abs(
+            b
+        ) * kg_el_cancellation_scale(section, w)
+        expect = a * kg_el_pairing(section, u) + b * kg_el_pairing(section, w)
+        assert abs(expect) > 1e-3 * scale
+        assert abs(kg_el_pairing(section, both) - expect) <= 1e-13 * scale
+
     def test_cancellation_scale_amplitude_invariance(self):
         st0 = random_state(9, band=1)
         section = kg_solution_section(st0, 1e-2, 40, CFG)

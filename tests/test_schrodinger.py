@@ -278,6 +278,26 @@ class TestAction:
         quotient = (schr_action(shifted(eps)) - schr_action(shifted(-eps))) / (2 * eps)
         assert abs(pairing - quotient) <= 1e-9 * max(abs(pairing), 1.0)
 
+    def test_pairing_is_linear_in_the_variation(self):
+        # off shell, so that the pairing does not cancel: the kernel reads
+        # the variation as a slice state under a fixed bump, and the
+        # pairing is linear in that state
+        section = schr_solution_section(random_state(9, band=1), 1e-2, 30)
+        section = replace(section, phiI=section.phiI + 0.3 * section.phiR)
+        u = vary(random_state(11, band=1).phiR, random_state(12, band=1).phiI)
+        w = vary(random_state(13, band=1).phiR, random_state(14, band=1).phiI)
+        a, b = 0.7, -2.3
+        both = vary(
+            ScalarField(LAT, a * u.phiR.values + b * w.phiR.values),
+            ScalarField(LAT, a * u.phiI.values + b * w.phiI.values),
+        )
+        scale = abs(a) * schr_el_cancellation_scale(section, u) + abs(
+            b
+        ) * schr_el_cancellation_scale(section, w)
+        expect = a * schr_el_pairing(section, u) + b * schr_el_pairing(section, w)
+        assert abs(expect) > 1e-3 * scale
+        assert abs(schr_el_pairing(section, both) - expect) <= 1e-13 * scale
+
     def test_cancellation_scale_positive(self):
         st0 = random_state(9, band=1)
         section = schr_solution_section(st0, 1e-2, 20)
