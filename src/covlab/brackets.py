@@ -14,7 +14,9 @@ observable the g-array is itself hermitian, so the sum is real.  On the
 independent half-lattice this is the usual Wirtinger pair; carrying the
 redundant conjugate half keeps the bookkeeping to plain array sums.
 
-The bivector implemented here is
+The Jacobi bracket is [F, G] = dG(X_F) - G * dF/dW, where X_F =
+Lambda#(dF) + F R is the contact Hamiltonian vector field (R = d/dW,
+the Reeb field) of the bivector
 
     Lambda(dF, dG) = (1/(w vol)) sum_k [g1_F conj(g0_G) - g0_F conj(g1_G)]
                      + F_W sum_k A1[k] g1_G[k] - G_W sum_k A1[k] g1_F[k]
@@ -27,23 +29,24 @@ printed orientation the cyclic sum fails at O(1).  A consequence is
 that the canonical pair constant {Re Phi(k0), Re P(k0)} comes out
 negative here.  See the repository notes for the derivation.
 
-The Jacobi bracket is [F, G] = Lambda(dF, dG) + F * dG/dW - G * dF/dW,
-a first-order differential operator in each slot: it obeys the
-generalized Leibniz rule [f, gh] = [f, g] h + g [f, h] + g h dF/dW(f).
-On W-independent observables it restricts to the Poisson bracket of the
-two-form Omega, and the smeared linear observables realize that
-identification exactly.  ``poisson_bracket`` is that restriction: the
-Jacobi bracket behind one check that both Reeb derivatives vanish.
+So [F, G] = Lambda(dF, dG) + F * dG/dW - G * dF/dW, a first-order
+differential operator in each slot: it obeys the generalized Leibniz
+rule [f, gh] = [f, g] h + g [f, h] + g h dF/dW(f).  On W-independent
+observables it restricts to the Poisson bracket of the two-form Omega,
+and the smeared linear observables realize that identification
+exactly.  ``poisson_bracket`` is that restriction: the Jacobi bracket
+behind one check that both Reeb derivatives vanish.
 
-Equivalently [F, G] = dG(X_F) - G * dF/dW with the contact Hamiltonian
-vector field X_F = Lambda#(dF) + F R (R = d/dW, the Reeb field).  An
+``hamiltonian_vector_field`` is the one statement of Lambda: no bracket
+contracts it, so [F, G] + [G, F] is not 0 by construction.  An
 observable's derivatives are analytic or absent.  The first slot F must
-carry both; a G without both (a nested bracket, say) is evaluated
-along X_F, and dG(X_F) is one directional derivative: a fixed number of
-evaluations of G at any lattice size; along R it is the closure check's
-Reeb residual.  The finite-difference references that the tests compare
-against live in tests/bracket_references.py.  Every observable refuses
-a point on another lattice than its record's, so no bracket checks one.
+carry both; a G with both is contracted with X_F, and a G without both
+(a nested bracket, say) is evaluated along X_F: dG(X_F) is then one
+directional derivative, a fixed number of evaluations of G at any
+lattice size; along R it is the closure check's Reeb residual.  The
+finite-difference references that the tests compare against live in
+tests/bracket_references.py.  Every observable refuses a point on
+another lattice than its record's, so no bracket checks one.
 """
 
 from __future__ import annotations
@@ -233,28 +236,28 @@ def _check_pair(F: Observable, G: Observable):
         )
 
 
-def _bivector_weights(theory: Theory, point: DarbouxState):
-    """(measure, momentum) of the bivector: 1/(w vol) with the pairing
-    weight w, and the chart's second coordinate (P-hat; PhiI-hat).  The
-    Reeb field is d/dW in the chart, an observable's w_derivative_at."""
-    return 1.0 / (theory.weight * point.lattice.volume), point.a1.coefficients
+def _field(F: Observable, point):
+    """(X_F, F_W) at the point: hamiltonian_vector_field's tangent, and
+    the Reeb derivative it reads, which the bracket reads again."""
+    g0, g1 = F.gradient_at(point)
+    FW = F.w_derivative_at(point)
+    measure, A1 = 1.0 / (F.theory.weight * point.lattice.volume), point.a1.coefficients
+    d0 = measure * np.conj(g1)
+    d1 = -measure * np.conj(g0) + FW * A1
+    dW = F.evaluate(point) - float(np.real(np.sum(A1 * g1)))
+    return (d0, d1, dW), FW
 
 
 def hamiltonian_vector_field(F: Observable, point):
     """X_F = Lambda#(dF) + F R at the point, as the chart tangent
     (d0, d1, dW): hermitian arrays for the two coordinate arrays and a
-    scalar for W.  Contracting any dG with it gives Lambda(dF, dG) + F G_W.
+    scalar for W.  dG(X_F) = Lambda(dF, dG) + F G_W for any G.
 
     d0 = conj(g1_F)/(w vol), d1 = -conj(g0_F)/(w vol) + F_W A1,
-    dW = F - Re sum A1 g1_F, with A1 = P-hat (KG) or PhiI-hat.  F must
-    carry analytic derivatives.
+    dW = F - Re sum A1 g1_F, with A1 = P-hat (KG) or PhiI-hat: every
+    bracket reads the bivector here.  F must carry analytic derivatives.
     """
-    g0, g1 = F.gradient_at(point)
-    measure, momentum = _bivector_weights(F.theory, point)
-    d0 = measure * np.conj(g1)
-    d1 = -measure * np.conj(g0) + F.w_derivative_at(point) * momentum
-    dW = F.evaluate(point) - float(np.real(np.sum(momentum * g1)))
-    return d0, d1, dW
+    return _field(F, point)[0]
 
 
 def _directional_derivative(G: Observable, point, tangent) -> float:
@@ -281,25 +284,20 @@ def _directional_derivative(G: Observable, point, tangent) -> float:
 
 
 def jacobi_bracket(F: Observable, G: Observable, point) -> float:
-    """[F, G] = Lambda(dF, dG) + F G_W - G F_W = dG(X_F) - G F_W.
+    """[F, G] = dG(X_F) - G F_W, with X_F from hamiltonian_vector_field.
 
-    F must carry analytic derivatives.  When G carries both, the
-    bivector is contracted directly, term by term antisymmetric in F and
-    G; otherwise dG(X_F) is one directional derivative of G along X_F.
+    F must carry analytic derivatives.  When G carries both, dG(X_F) is
+    Re sum (g0_G d0 + g1_G d1) + G_W dW; otherwise it is one directional
+    derivative of G along X_F.
     """
     _check_pair(F, G)
+    X_F, FW = _field(F, point)
     if G.gradient is None or G.w_derivative is None:
-        X_F = hamiltonian_vector_field(F, point)
-        return _directional_derivative(G, point, X_F) - G.evaluate(point) * F.w_derivative_at(point)
-    g0_F, g1_F = F.gradient_at(point)
-    g0_G, g1_G = G.gradient_at(point)
-    FW = F.w_derivative_at(point)
-    GW = G.w_derivative_at(point)
-    measure, momentum = _bivector_weights(F.theory, point)
-    pair = measure * np.sum(g1_F * np.conj(g0_G) - g0_F * np.conj(g1_G))
-    corr = FW * np.sum(momentum * g1_G) - GW * np.sum(momentum * g1_F)
-    pair, corr = float(np.real(pair)), float(np.real(corr))
-    return pair + corr + F.evaluate(point) * GW - G.evaluate(point) * FW
+        dG = _directional_derivative(G, point, X_F)
+    else:
+        (g0, g1), (d0, d1, dW) = G.gradient_at(point), X_F
+        dG = float(np.real(np.sum(g0 * d0 + g1 * d1))) + G.w_derivative_at(point) * dW
+    return dG - G.evaluate(point) * FW
 
 
 # the largest |dF/dW| of an observable of the W-independent subalgebra
@@ -310,7 +308,7 @@ def poisson_bracket(F: Observable, G: Observable, point) -> float:
     """The bracket of the W-independent subalgebra: the Jacobi bracket
     behind one Reeb check, ValueError if |F_W| or |G_W| exceeds REEB_TOL
     at the point.  Both slots must carry analytic derivatives (TypeError
-    otherwise), so the bracket is always the bivector contraction."""
+    otherwise), so G's are always contracted with X_F."""
     FW, GW = F.w_derivative_at(point), G.w_derivative_at(point)
     if abs(FW) > REEB_TOL or abs(GW) > REEB_TOL:
         raise ValueError(

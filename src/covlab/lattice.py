@@ -755,6 +755,14 @@ def _op(section, op: str, b: str) -> tuple[int, str, np.ndarray]:
     return sign, vector, sign * stack_gradient(section.lattice, getattr(section, b))
 
 
+def _time_rows(section) -> int:
+    """The section's time slices, at least the three its d/dt reads."""
+    rows = len(getattr(section, section.STATE.SCALARS[0]))
+    if rows < 3:
+        raise ValueError("need at least three time slices for central differences")
+    return rows
+
+
 def _el_densities(
     table, section, variation, first: int = 0, count: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -775,7 +783,7 @@ def _el_densities(
     """
     if variation.lattice != section.lattice:
         raise ValueError("variation field lattice mismatch")
-    rows = len(section.times())
+    rows = _time_rows(section)
     count = rows if count is None else count
     times = np.arange(first, first + rows) * section.dt
     bump = np.sin(np.pi * times / ((count - 1) * section.dt)) ** 2
@@ -820,6 +828,7 @@ def _el_integrals(table, section, variation) -> tuple[float, float]:
 def _action(table, section) -> float:
     """The action of a bilinear Lagrangian table on a section: the
     trapezoid of sum c <a, op(b)> per node, exact in space."""
+    _time_rows(section)
 
     def term(c, a, op, b):
         sign, _, y = _op(section, op, b)
@@ -846,8 +855,7 @@ def _first_order_residual(table, section) -> float:
     term (c, x, "id", x) adds 2 c x.  A NaN anywhere makes the residual
     NaN.
     """
-    if len(getattr(section, table[0][1])) < 3:
-        raise ValueError("need at least three time slices for central differences")
+    _time_rows(section)
     lat, mid = section.lattice, slice(1, -1)
 
     def apply(op, name):

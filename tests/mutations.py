@@ -1,0 +1,20 @@
+"""Single-site source mutations for the tests that pin which report rows
+catch a fault."""
+
+import __future__
+import inspect
+
+
+def recompiled(module, name, old, new):
+    """The function `name` of `module`, compiled with the one occurrence of
+    old replaced by new into a copy of the module's namespace; the caller
+    patches it in (monkeypatch) where the module's code looks it up."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    code = compile(
+        source.replace(old, new), module.__file__, "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    namespace = dict(vars(module))
+    exec(code, namespace)
+    return namespace[name]

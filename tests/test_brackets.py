@@ -275,7 +275,7 @@ class TestStructureConstants:
             want = G.evaluate(pt)
             assert lambda_pairing(w, G, pt) == pytest.approx(want, rel=1e-12)
             assert lambda_pairing(G, w, pt) == pytest.approx(-want, rel=1e-12)
-            # the bracket's own contraction: [W, G] = Lambda(dW, dG) - G
+            # the bracket along X_W: [W, G] = Lambda(dW, dG) - G
             assert jacobi_bracket(w, G, pt) + want == pytest.approx(want, rel=1e-12)
             assert jacobi_bracket(G, w, pt) - want == pytest.approx(-want, rel=1e-12)
             H = mode_real_part(KG, "Phi", k0)
@@ -428,7 +428,7 @@ class TestHamiltonianVectorField:
             lhs = contract(*G.gradient_at(pt), GW, X) - Gv * FW
             rhs = lambda_pairing(F, G, pt) + Fv * GW - Gv * FW
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (F.name, G.name)
-            # and the bracket's own bivector contraction
+            # and the bracket, dG(X_F) - G F_W, against the bivector written out
             value = jacobi_bracket(F, G, pt)
             assert abs(value - rhs) <= 1e-12 * max(1.0, abs(rhs)), (F.name, G.name)
 

@@ -1,7 +1,5 @@
 """Rectifying mode transforms and the W bookkeeping coordinate."""
 
-import __future__
-import inspect
 import re
 import tracemalloc
 from dataclasses import replace
@@ -37,6 +35,7 @@ from covlab.harness import (
 from covlab.kg import KGConfig, kg_evolve_spectral
 from covlab.lattice import Lattice, ModeVector, sup_norm
 from covlab.schrodinger import schr_evolve_spectral
+from mutations import recompiled
 
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
 CFG = KGConfig(mass=1.0, lattice=LAT)
@@ -887,19 +886,6 @@ COVECTOR_MUTATIONS = {
 }
 
 
-def recompiled(name, old, new):
-    """The darboux function name, compiled with old replaced by new."""
-    source = inspect.getsource(getattr(darboux, name))
-    assert source.count(old) == 1
-    code = compile(
-        source.replace(old, new), darboux.__file__, "exec",
-        flags=__future__.annotations.compiler_flag, dont_inherit=True,
-    )
-    namespace = dict(vars(darboux))
-    exec(code, namespace)
-    return namespace[name]
-
-
 def darboux_check_failures(theory, dim=1, n=16):
     """The rows that fail darboux-check on the lattice, seed 42."""
     cfg = ExperimentConfig(theory=theory, experiment="darboux-check", dim=dim, n=n, seed=42)
@@ -912,7 +898,8 @@ def darboux_check_failures(theory, dim=1, n=16):
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
 def test_a_broken_edge_term_fails_an_oracle_row(monkeypatch, theory, mutation):
     assert darboux_check_failures(theory) == set()
-    monkeypatch.setattr(darboux, "_edge_form", recompiled("_edge_form", *EDGE_MUTATIONS[mutation]))
+    broken = recompiled(darboux, "_edge_form", *EDGE_MUTATIONS[mutation])
+    monkeypatch.setattr(darboux, "_edge_form", broken)
     # value's radial edge has ds = 0, so only the loop sees Hflow
     rows = {"w-loop-integral"}
     if mutation == "cq-flipped":
@@ -929,7 +916,7 @@ def test_a_broken_covector_term_fails_the_pullback_row(monkeypatch, dim, n, theo
     point = ModeState(*_seeded_modes(cfg, cfg.seed + 30), time=-2.0)
     assert darboux_check_failures(theory, dim, n) == set()
     assert theta_pullback_residual(_theory(cfg), point).oracle_residual <= 2e-10
-    broken = recompiled("_form_covector", *COVECTOR_MUTATIONS[mutation])
+    broken = recompiled(darboux, "_form_covector", *COVECTOR_MUTATIONS[mutation])
     monkeypatch.setattr(darboux, "_form_covector", broken)
     # the closedness sweep reads the covector through differential, so the
     # oracle refuses to build ...

@@ -39,6 +39,7 @@ from covlab.harness import (
 from covlab.kg import kg_enforce_constraints
 from covlab.lattice import Lattice, ModeVector, ScalarField, VectorField, dft, idft, nan_max
 from covlab.schrodinger import schr_enforce_constraints
+from mutations import recompiled
 
 
 def line_of(fn, text):
@@ -893,7 +894,7 @@ def assert_row_fails(report, metric):
     "poisoned, metric",
     [
         # the fourth pair's (W, quad2) term of the antisymmetry row
-        (("W", "Re<slot0, slot1>"), "bracket-antisymmetry"),
+        (("W", "Re<slot0, slot1>"), "bracket-antisymmetry-scaled"),
         # the third term of the second Jacobi triple
         (("W", "nested"), "jacobi-identity-scaled"),
         # the second order's derivative along X_F of the restriction row
@@ -911,24 +912,54 @@ def test_nan_in_a_later_bracket_term_fails_its_row(monkeypatch, poisoned, metric
     assert_row_fails(report, metric)
 
 
-@pytest.mark.parametrize("component", [0, 1])
-@pytest.mark.parametrize("theory", THEORIES)
-def test_a_vector_field_off_the_bivector_fails_the_restriction_row(monkeypatch, theory, component):
-    # X_F's d0 or d1 scaled by 1.1: the contraction does not read X_F, the
-    # derivative along it does, so the row reads about 0.1
-    real = br.hamiltonian_vector_field
+EQ, ANTI, JAC, RESTRICT = (
+    "bracket-equivalence",
+    "bracket-antisymmetry-scaled",
+    "jacobi-identity-scaled",
+    "restriction-consistency-scaled",
+)
 
-    def scaled(F, point):
-        field = list(real(F, point))
-        field[component] = 1.1 * field[component]
-        return tuple(field)
+# single-site faults in X_F, the one statement of the bivector that every
+# bracket reads, and in quadratic_power's gradient, with the gated
+# bracket-check rows each fails at n=16, seed 42 (the values are KG's,
+# Schrodinger's in parentheses where they differ)
+BRACKET_MUTATIONS = {
+    # EQ 4.3 (6.8), ANTI 0.047, JAC 0.047
+    "d0-scaled": ("_field", "d0 = measure", "d0 = 1.1 * measure", {EQ, ANTI, JAC}),
+    # EQ 6.6 (9.6), ANTI 0.083, JAC 0.047
+    "d1-scaled": ("_field", "d1 = -measure", "d1 = 1.1 * -measure", {EQ, ANTI, JAC}),
+    # EQ 1.3e2 (1.9e2), ANTI 0.99 (0.98), JAC 0.99 (0.98)
+    "d1-bivector-flipped": ("_field", "d1 = -measure", "d1 = measure", {EQ, ANTI, JAC}),
+    # ANTI 0.81
+    "dW-plus-one": ("_field", "dW = F.evaluate", "dW = 1.0 + F.evaluate", {ANTI}),
+    # ANTI 0.48
+    "d1-without-reeb": ("_field", "np.conj(g0) + FW * A1", "np.conj(g0)", {ANTI}),
+    # ANTI 0.48, JAC 0.33
+    "dW-without-momentum": (
+        "_field",
+        "dW = F.evaluate(point) - float(np.real(np.sum(A1 * g1)))",
+        "dW = F.evaluate(point)",
+        {ANTI, JAC},
+    ),
+    # RESTRICT 0.091 (G's derivative against its values along X_F), JAC 0.047
+    "quadratic-gradient-scaled": ("quadratic_power", "g = 2.0 *", "g = 2.2 *", {RESTRICT, JAC}),
+}
 
+
+def bracket_check_failures(theory):
     cfg = ExperimentConfig(theory=theory, experiment="bracket-check", n=16)
-    row = next(r for r in run_experiment(cfg).rows if r.metric == "restriction-consistency-scaled")
-    assert row.passed
-    monkeypatch.setattr(br, "hamiltonian_vector_field", scaled)
-    row = next(r for r in run_experiment(cfg).rows if r.metric == "restriction-consistency-scaled")
-    assert row.value > 0.05 and row.passed is False
+    report = run_experiment(cfg)
+    assert report.errors == ()
+    return {r.metric for r in report.rows if r.passed is False}
+
+
+@pytest.mark.parametrize("mutation", BRACKET_MUTATIONS)
+@pytest.mark.parametrize("theory", THEORIES)
+def test_a_bracket_mutation_fails_its_rows(monkeypatch, theory, mutation):
+    name, old, new, rows = BRACKET_MUTATIONS[mutation]
+    assert bracket_check_failures(theory) == set()
+    monkeypatch.setattr(br, name, recompiled(br, name, old, new))
+    assert bracket_check_failures(theory) == rows
 
 
 @pytest.mark.parametrize("ledger", ["resolved", "paper-printed"])

@@ -16,6 +16,7 @@ from covlab.kg import (
     KGConfig,
     KGSpacetimeSection,
     _kg_lagrangian,
+    kg_action,
     kg_dedonder_weyl_residual,
     kg_el_cancellation_scale,
     kg_el_pairing,
@@ -39,6 +40,7 @@ from covlab.lattice import (
 from covlab.schrodinger import (
     _SCHR_LAGRANGIAN,
     SchrSpacetimeSection,
+    schr_action,
     schr_dedonder_weyl_residual,
     schr_el_cancellation_scale,
     schr_el_pairing,
@@ -390,6 +392,27 @@ def test_el_pairing_rejects_a_variation_on_another_lattice(theory):
     for form in (pairing, scale):
         with pytest.raises(ValueError, match="lattice"):
             form(section, variation)
+
+
+@pytest.mark.parametrize("theory", ("kg", "schrodinger"))
+def test_a_two_slice_section_is_refused_by_every_time_derivative(theory):
+    # a section may hold two slices, but each kernel's second-order d/dt
+    # reads three: one covlab refusal, not numpy's from np.gradient
+    build, _, pairing, scale = PAIRS[theory]
+    section, variation = build(1)
+    th = Theory.of(theory, section.lattice)
+    short = th.section(section.states[0], DT, 1)
+    assert len(short.times()) == 2
+    action = {"kg": kg_action, "schrodinger": schr_action}[theory]
+    kernels = (
+        lambda: action(short),
+        lambda: pairing(short, variation),
+        lambda: scale(short, variation),
+        lambda: th.ddw(short),
+    )
+    for kernel in kernels:
+        with pytest.raises(ValueError, match="need at least three time slices"):
+            kernel()
 
 
 @pytest.mark.parametrize("dim", DIMS)
