@@ -50,12 +50,14 @@ end points have no nonzero mode is skipped.  The form's per-mode
 factors are constant on a class of equal k^2 (32 classes hold the 729
 band modes at 3D n=16); each evaluation restricts the record's flow to
 its support once (lattice._ModeFlow.restricted).  ``WOracle._path``,
-the quadrature behind ``value`` and ``loop_integral``, reads an edge a
-+ u d through per-class Gram sums of (a0, a1, d0, d1), a node costing
-one term per class (_edge_form), and agrees with the mode-by-mode form
-to rounding.  ``differential``, and the finite-difference closedness
-check with it, contracts the covector at the point with the tangent;
-the check draws full-lattice ``random_hermitian_modes``.
+behind ``value`` and ``loop_integral``, integrates each straight edge
+in closed form, one term per class whatever its length
+(_edge_integral): the form's rotation factors are linear in the flow's
+rotation at twice the time, whose u^j moments along the edge
+(lattice._ModeFlow.moments) are exact.  ``differential``, and the
+finite-difference closedness check with it, contracts the covector at
+the point with the tangent; the check draws full-lattice
+``random_hermitian_modes``.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
 with the pairing weight w and Hflow = (w/2) L^d sum(kappa |a1|^2 + lam
@@ -118,27 +120,11 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# blocks and supports: the oracle's work on stacks of quadrature nodes, on
-# the modes their data occupy
+# supports: the oracle's work on the modes its data occupy
 
-# entries per block: the four stacked pairings of a path edge's node block
-# (32 nodes on 32 classes at 3D n=16); it bounds a block's temporaries
-# whatever the lattice
-BLOCK_ENTRIES = 4096
-
-
-# Gauss panels any path edge of WOracle._path may take.  An edge needs
-# ceil(top |ds|) + 1 of them (_top_frequency): one on value's radial
-# edge, a few hundred on the harness's triangle at 1D n=64; the budget
-# stops a huge finite time from asking for more than a run could finish
-LOOP_PANEL_BUDGET = 2**16
-
-
-# the oracle's fixed numerics: the Gauss-Legendre nodes per panel of a
-# path edge; the largest scaled closedness residual the construction
-# sweep accepts; and the step of the closedness check's fourth-order
-# stencil
-GAUSS_ORDER = 8
+# the oracle's fixed numerics: the largest scaled closedness residual the
+# construction sweep accepts, and the step of the closedness check's
+# fourth-order stencil
 CLOSEDNESS_TOL = 1e-8
 CLOSEDNESS_EPS = 1e-3
 
@@ -524,45 +510,33 @@ def _form_covector(theory: Theory, sup: _Support, a0, a1, s, sign_ledger: str):
     return weight * (a1 - c * moment), weight * r * moment, fs
 
 
-def _edge_form(theory: Theory, flow, a0, a1, d0, d1, sa, ds, sign_ledger: str, u):
-    """The difference form along the edge x(u) = (a0 + u d0, a1 + u d1,
-    sa + u ds), contracted with its direction (d0, d1, ds), at the nodes
-    u; a0 ... d1 compact on the modes of flow, the record's flow
-    restricted to them.  The form's per-mode factors are constant on a
-    class of equal k^2, so each pairing it takes (x1d0 = Re sum x1 conj
-    d0 and so on) is, per class, a quadratic in u built from the sums Re
-    sum v_i conj v_j of v = (a0, a1, d0, d1), and a node is
-
-        L^d sum_cls [w x1d0 - w (c^2 x1d0 + c q x0d0 - c r x1d1 - q r x0d1)
-                     + w kappa ds (c^2 x1x1 + 2 c q x1x0 + q^2 x0x0)
-                     - ds (w/2) (kappa_l x1x1 + lam_l x0x0)],
-
-    the last line the ledger's Hflow.  Nodes go in blocks of at most
-    BLOCK_ENTRIES // 4 node-class pairs; no value depends on the block.
-    """
-    weight, kappa, count = theory.weight, flow.table[1], len(flow.modes)
+def _edge_integral(theory: Theory, flow, a0, a1, d0, d1, sa, sb, sign_ledger: str) -> float:
+    """The difference form's exact integral along the edge (a0 + u d0, a1 +
+    u d1, sa + u (sb - sa)), u in [0, 1], with a0 ... d1 compact on the
+    modes of flow, the record's flow restricted to them (README, "W
+    oracle"): per class, each pairing (x1d0 = Re sum x1 conj d0, ...) is a
+    quadratic in u of Gram sums, against the u^j moments of the rotation
+    (C, R, Q) at twice the time.  The ledger's Hflow (kappa_l, lam_l) meets
+    the form's constant part per class, so under the resolved ledger the
+    two cancel exactly."""
+    weight, (_, kappa, lam, _, _), count = theory.weight, flow.table, len(flow.modes)
     kappa_l, lam_l, _ = theory.flow(sign_ledger).restricted(flow.modes).on()
     v = np.stack((a0, a1, d0, d1))
     i, j = np.triu_indices(4)
-    g = np.empty((4, 4, 1, count))
+    g = np.empty((4, 4, count))
     pairs = np.real(v[i] * np.conj(v[j]))
-    g[i, j, 0] = g[j, i, 0] = [np.bincount(flow.classes, x, count) for x in pairs]
+    g[i, j] = g[j, i] = [np.bincount(flow.classes, x, count) for x in pairs]
     # the coefficients of 1, u and u^2 of the pairings x_i d_j and x_i x_j
-    xd = g[:2, 2:], g[2:, 2:], np.zeros_like(g[2:, 2:])
-    xx = g[:2, :2], g[:2, 2:] + g[2:, :2], g[2:, 2:]
-
-    values, size = [], max(1, BLOCK_ENTRIES // (4 * count))
-    for first in range(0, len(u), size):
-        ub = u[first : first + size, np.newaxis]
-        c, r, q = flow.class_rotation(sa + ub * ds if ds else sa)
-        (x0d0, x0d1), (x1d0, x1d1) = xd[0] + ub * (xd[1] + ub * xd[2])
-        (x0x0, _), (x1x0, x1x1) = xx[0] + ub * (xx[1] + ub * xx[2])
-        canonical = c * c * x1d0 + c * q * x0d0 - c * r * x1d1 - q * r * x0d1
-        moment = kappa * (c * c * x1x1 + 2.0 * c * q * x1x0 + q * q * x0x0)
-        hflow = 0.5 * (kappa_l * x1x1 + lam_l * x0x0)
-        per_class = weight * (x1d0 - canonical + ds * (moment - hflow))
-        values.append(theory.lattice.volume * np.sum(per_class, axis=-1))
-    return np.concatenate(values)
+    (x0d0, x0d1), (x1d0, x1d1) = np.stack((g[:2, 2:], g[2:, 2:], np.zeros_like(g[2:, 2:])), 2)
+    (x0x0, _), (x1x0, x1x1) = np.stack((g[:2, :2], g[:2, 2:] + g[2:, :2], g[2:, 2:]), 2)
+    C, R, Q = flow.moments(2.0 * sa, 2.0 * sb)
+    unit = 1.0 / np.arange(1.0, 4.0)[:, np.newaxis]  # int_0^1 u^j du
+    on = lambda pairing, factor: np.sum(pairing * factor, axis=0)
+    ds = sb - sa
+    fields = on(x1d0 + x0d1, unit - C) - on(x0d0, Q) + on(x1d1, R)
+    rate = (kappa - kappa_l) * on(x1x1, unit) + (lam - lam_l) * on(x0x0, unit)
+    rate += kappa * on(x1x1, C) + 2.0 * kappa * on(x1x0, Q) - lam * on(x0x0, C)
+    return 0.5 * weight * theory.lattice.volume * float(np.sum(fields + ds * rate))
 
 
 # ---------------------------------------------------------------------------
@@ -666,38 +640,23 @@ class WOracle:
 
     def _path(self, vertices) -> float:
         """Line integral of the difference form along the straight edges
-        between consecutive vertices (a0, a1, s).  Each edge runs on its
-        end points' support, at nodes start + u (end - start) of
-        ceil(top |ds|) + 1 Gauss panels (top: _top_frequency on that
-        support), all at one time where ds = 0; an edge with no nonzero
-        mode is skipped.  A time that is not finite gives NaN; an edge
-        over LOOP_PANEL_BUDGET panels raises ValueError."""
-        if not all(np.isfinite(s) for _, _, s in vertices):
-            return float("nan")
-        nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-        terms = []
+        between consecutive vertices (a0, a1, s): one _edge_integral per
+        edge, on its end points' support; an edge with no nonzero mode is
+        skipped.  A time at which 4 top s is not finite (top: one plus the
+        form's top frequency) gives NaN: the edges' end phases overflow."""
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(np.multiply([s for *_, s in vertices], 4.0 * self._top))):
+                return float("nan")
+        total = 0.0
         for (a0, a1, sa), (b0, b1, sb) in zip(vertices, vertices[1:]):
             if not any(np.any(x) for x in (a0, a1, b0, b1)):
                 continue
-            sup = self._support((a0, a1, b0, b1), (sa, sb, sb - sa))
+            sup = self._support((a0, a1, b0, b1), ())
             flow = self.theory.flow().restricted(sup.index)
-            need = np.ceil(_top_frequency(flow) * abs(sb - sa)) + 1
-            if need > LOOP_PANEL_BUDGET:
-                raise ValueError(
-                    f"path edge from s={float(sa)!r} to s={float(sb)!r} needs "
-                    f"{need:.3g} panels, over the budget of {LOOP_PANEL_BUDGET}"
-                )
-            panels = int(need)
-            j = np.arange(panels)[:, np.newaxis]
-            lo, hi = j / panels, (j + 1) / panels
-            u = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).ravel()
-            w = (0.5 * (hi - lo) * weights).ravel()
             a0, a1 = sup.take(a0), sup.take(a1)
             d0, d1 = sup.take(b0) - a0, sup.take(b1) - a1
-            ledger = self.sign_ledger
-            terms.append(w * _edge_form(self.theory, flow, a0, a1, d0, d1, sa, sb - sa, ledger, u))
-        # 0.0 plus every node's term, one at a time in order
-        return np.add.accumulate(np.concatenate(([0.0], *terms)))[-1]
+            total += _edge_integral(self.theory, flow, a0, a1, d0, d1, sa, sb, self.sign_ledger)
+        return total
 
     def value(self, point: ModeState) -> float:
         """Line integral of the difference form along the path

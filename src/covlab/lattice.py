@@ -714,6 +714,40 @@ class _ModeFlow:
         r[..., hyp:], q[..., hyp:] = kappa[hyp:] * s, lam[hyp:] * s
         return crq
 
+    def moments(self, ta: float, tb: float) -> np.ndarray:
+        """int_0^1 u^j (c, r, q)(ta + u (tb - ta)) du per class for j = 0, 1,
+        2, as (3, 3, K): on the rotation branch from E_j = int u^j e^{i nu
+        t} du, by a recurrence from the end phases where |nu (tb - ta)| >=
+        1 and by its power series below; polynomials on the drift.  A
+        hyperbolic class raises ValueError."""
+        nu, kappa, lam, mu, signed_mu = self.table
+        rot, hyp = self.ends
+        if hyp > rot:
+            raise ValueError(f"no moments on the {hyp - rot} hyperbolic classes")
+        j = np.arange(3)[:, np.newaxis]
+        out = np.empty((3, 3, nu.size))
+        start, end = (np.exp(1j * nu[:rot] * t) for t in (ta, tb))
+        a = nu[:rot] * (tb - ta)
+        E = np.empty((3, rot), dtype=complex)
+        far = np.abs(a) >= 1.0
+        ia = 1j * a[far]
+        E[0, far] = (end[far] - start[far]) / ia
+        for k in (1, 2):
+            E[k, far] = (end[far] - k * E[k - 1, far]) / ia
+        # E_j = e^{i nu ta} sum_k (i a)^k / (k! (j + k + 1)), to 1/20!
+        term, series = np.ones(rot - far.sum(), dtype=complex), 0.0
+        for k in range(20):
+            series = series + term / (j + k + 1)
+            term = term * 1j * a[~far] / (k + 1)
+        E[:, ~far] = start[~far] * series
+        sn = E.imag
+        out[:, :, :rot] = E.real, sn / mu[:rot], signed_mu[:rot] * sn
+        # the drift, (1, kappa t, lam t), with drift = int_0^1 u^j t du
+        drift = ta / (j + 1) + (tb - ta) / (j + 2)
+        out[0, :, hyp:] = 1.0 / (j + 1)
+        out[1, :, hyp:], out[2, :, hyp:] = kappa[hyp:] * drift, lam[hyp:] * drift
+        return out
+
     def rotation(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, r, q) by the time s on the modes, evaluated per class; s is
         a time, or times with a trailing unit axis per mode axis.  np.take
