@@ -85,7 +85,6 @@ from functools import lru_cache
 import numpy as np
 
 from .kg import (
-    KGConfig,
     KGState,
     _kg_generator,
     kg_dedonder_weyl_residual,
@@ -244,31 +243,39 @@ def _symmetrized(pair: np.ndarray, z: np.ndarray) -> np.ndarray:
 # the chart: one rotation, four traced entry points
 
 
+# A time whose phase nu s overflows gives NaN coordinates and a NaN W,
+# quietly, as WOracle.value does: the chart silences the overflow around
+# its bodies, not in _ModeFlow, which every evolve reads.
+
+
 def _to_darboux(m: ModeState, generator, weight: float) -> DarbouxState:
     """(A0, A1), the mode flow of generator by -s, back to s = 0, and the
     derived W = (w/2)(<a0, a1> - <A0, A1>) for the pairing weight w."""
     a0, a1 = m.arrays
-    A0, A1 = _mode_flow(m.lattice, generator).propagate(a0, a1, -m.time)
     lat = m.lattice
-    W = 0.5 * weight * lat.volume * float(np.sum(np.real(a0 * np.conj(a1) - A0 * np.conj(A1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        A0, A1 = _mode_flow(lat, generator).propagate(a0, a1, -m.time)
+        pairing = np.real(a0 * np.conj(a1) - A0 * np.conj(A1))
+        W = 0.5 * weight * lat.volume * float(np.sum(pairing))
     return DarbouxState(ModeVector(lat, A0), ModeVector(lat, A1), W=W, time=m.time)
 
 
 def _from_darboux(d: DarbouxState, generator) -> ModeState:
     """The flow by s; W is discarded (it is a function of the rest)."""
-    a0, a1 = _mode_flow(d.lattice, generator).propagate(*d.arrays, d.time)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a0, a1 = _mode_flow(d.lattice, generator).propagate(*d.arrays, d.time)
     return ModeState(ModeVector(d.lattice, a0), ModeVector(d.lattice, a1), time=d.time)
 
 
-def kg_to_darboux(m: ModeState, cfg: KGConfig) -> DarbouxState:
+def kg_to_darboux(m: ModeState, mass: float) -> DarbouxState:
     """Phi-hat = cos phi-hat - (sin/omega) p-hat, P-hat = cos p-hat
     + omega sin phi-hat; the massless zero mode uses the shear limit
     Phi0 = phi0 - s p0, P0 = p0.  W is the derived one."""
-    return _to_darboux(m, _kg_generator(cfg.mass, "resolved"), KGTheory.weight)
+    return _to_darboux(m, _kg_generator(mass, "resolved"), KGTheory.weight)
 
 
-def kg_from_darboux(d: DarbouxState, cfg: KGConfig) -> ModeState:
-    return _from_darboux(d, _kg_generator(cfg.mass, "resolved"))
+def kg_from_darboux(d: DarbouxState, mass: float) -> ModeState:
+    return _from_darboux(d, _kg_generator(mass, "resolved"))
 
 
 def schr_to_darboux(m: ModeState) -> DarbouxState:
@@ -304,6 +311,8 @@ class Theory:
     """
 
     def __init__(self, lattice: Lattice, mass: float = 0.0):
+        if mass < 0:
+            raise ValueError(f"mass must be nonnegative, got {mass}")
         self.lattice = lattice
         self.mass = mass
 
@@ -323,7 +332,7 @@ class Theory:
         return _mode_flow(self.lattice, self.generator(ledger))
 
     def check_lattice(self, point) -> None:
-        """Refuse a point (or mode state) that lives on another lattice."""
+        """Refuse a point, or a slice state, that lives on another lattice."""
         if point.lattice != self.lattice:
             raise ValueError(
                 f"the {self.name} record is on {self.lattice}, the point on {point.lattice}"
@@ -379,19 +388,15 @@ class Theory:
 class KGTheory(Theory):
     name, weight, state, slots = "kg", 1.0, KGState, ("Phi", "P")
 
-    def __init__(self, lattice: Lattice, mass: float = 0.0):
-        super().__init__(lattice, mass)
-        self.cfg = KGConfig(mass=mass, lattice=lattice)
-
     def generator(self, ledger: str):
         return _kg_generator(self.mass, ledger)
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
         self.check_lattice(m)
-        return kg_to_darboux(m, self.cfg)
+        return kg_to_darboux(m, self.mass)
     def from_darboux(self, d: DarbouxState) -> ModeState:
         self.check_lattice(d)
-        return kg_from_darboux(d, self.cfg)
+        return kg_from_darboux(d, self.mass)
 
     def printed_w(self, m: ModeState, d: DarbouxState) -> float:
         """The printed hypothesis: the derived W plus the cross term
@@ -415,9 +420,11 @@ class KGTheory(Theory):
 
     # the slice-level entry points of kg.py
     def evolve(self, state, s: float, ledger: str = "resolved"):
-        return kg_evolve_spectral(state, s, self.cfg, mass_sign=ledger)
+        self.check_lattice(state)
+        return kg_evolve_spectral(state, s, self.mass, ledger)
     def section(self, state, dt: float, steps: int, first: int = 0):
-        return kg_solution_section(state, dt, steps, self.cfg, first)
+        self.check_lattice(state)
+        return kg_solution_section(state, dt, steps, self.mass, first)
     def ddw(self, section) -> float:
         return kg_dedonder_weyl_residual(section)
 
@@ -461,8 +468,10 @@ class SchrTheory(Theory):
 
     # the slice-level entry points of schrodinger.py
     def evolve(self, state, s: float, ledger: str = "resolved"):
-        return schr_evolve_spectral(state, s, hamiltonian_sign=ledger)
+        self.check_lattice(state)
+        return schr_evolve_spectral(state, s, ledger)
     def section(self, state, dt: float, steps: int, first: int = 0):
+        self.check_lattice(state)
         return schr_solution_section(state, dt, steps, first)
     def ddw(self, section) -> float:
         return schr_dedonder_weyl_residual(section)
@@ -569,7 +578,7 @@ class WOracle:
     Construction checks closedness of the difference form at
     seeded random points and refuses to build an oracle for a
     non-closed form.  ``theory`` is a Theory record, or a theory name
-    with the KGConfig or Lattice to build one from as ``cfg``.
+    with a record or a Lattice to build one from as ``cfg``.
     """
 
     def __init__(

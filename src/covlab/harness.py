@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from . import brackets as br
 from . import darboux as dx
-from .kg import KGConfig, kg_evolve_leapfrog, kg_hamiltonian
+from .kg import kg_evolve_leapfrog, kg_hamiltonian
 from .lattice import Lattice, ModeVector, ScalarField, _el_densities, _time_integral, idft, nan_max
 from .schrodinger import schr_evolve_stepped, schr_norm_squared, to_wavefunction
 
@@ -231,8 +231,9 @@ class ExperimentConfig:
     def lattice(self) -> Lattice:
         return Lattice(dim=self.dim, n=self.n, length=self.length)
 
-    def kg_config(self) -> KGConfig:
-        return KGConfig(mass=self.mass, lattice=self.lattice)
+    def kg_config(self) -> dx.Theory:
+        """The Klein-Gordon record on the config's lattice and mass."""
+        return dx.Theory.of("kg", self.lattice, self.mass)
 
 
 def _is_real(value) -> bool:
@@ -504,7 +505,7 @@ def _evolve_rows(cfg: ExperimentConfig):
     Schrodinger's propagator and stepper."""
     th = _theory(cfg)
     kg = cfg.theory == "kg"
-    conserved = (lambda st: kg_hamiltonian(st, th.cfg)) if kg else schr_norm_squared
+    conserved = (lambda st: kg_hamiltonian(st, th.mass)) if kg else schr_norm_squared
     spectral = cfg.evolution == "spectral"
     st = _banded_state(cfg, cfg.seed, band=1) if kg and not spectral else random_state(cfg)
     q0 = conserved(st)
@@ -512,7 +513,7 @@ def _evolve_rows(cfg: ExperimentConfig):
         finals = (th.evolve(st, float(s)) for s in range(1, 11))
         metric, tol = ("energy-drift-spectral" if kg else "norm-drift"), 1e-12
     elif kg:
-        finals = (kg_evolve_leapfrog(st, cfg.dt, max(1, round(1.0 / cfg.dt)), th.cfg),)
+        finals = (kg_evolve_leapfrog(st, cfg.dt, max(1, round(1.0 / cfg.dt)), th.mass),)
         metric, tol = "energy-drift-leapfrog", 1e-6
     else:
         finals = (schr_evolve_stepped(st, cfg.dt, cfg.steps),)

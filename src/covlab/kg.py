@@ -3,8 +3,10 @@
 Cauchy data lives on the slice as (phi, p, beta) with the constraint
 beta = grad(phi), which KGState declares; the bodies of lattice.py
 (_Slice, _Section) enforce and measure it, evolve a state and build a
-section from those declarations and the generator here.  The flow is
-linear, so a variation of a solution is a solution: a slice variation
+section from those declarations and the generator here.  The functions
+here read the lattice off the state and take the mass as a float; the
+theory's one record, its lattice and mass, is darboux.Theory.  The flow
+is linear, so a variation of a solution is a solution: a slice variation
 is a KGState, and a section variation that KGState under the time bump
 of lattice._el_densities.  The dynamical conventions follow the
 resolved sign ledger (see README):
@@ -16,13 +18,13 @@ resolved sign ledger (see README):
 * the slice Hamiltonian is the conserved positive energy
   (1/2) integral (p^2 + |grad phi|^2 + mass^2 phi^2); the flow of the
   printed variant, with the opposite mass-term sign, is available behind
-  ``kg_evolve_spectral``'s ``mass_sign`` for the negative controls;
+  ``kg_evolve_spectral``'s ``ledger`` for the negative controls;
 * the covariant temporal momentum is P^0 = -p (index lowering with
   eta = diag(-1, +1, ...)), which is what makes the action integrand
   P^mu d_mu phi - H stationary exactly on solution sections.  That
-  integrand is stated once, as the bilinear table _kg_lagrangian; the
-  action, the EL pairing and the de Donder-Weyl equations are all read
-  off it by the kernels of lattice.py.
+  integrand is stated once, as the bilinear table _kg_lagrangian; the EL
+  pairing and the de Donder-Weyl equations are read off it by the
+  kernels of lattice.py.
 
 The massless zero mode (omega = 0) is a free particle and is evolved by
 its exact drift rather than the degenerate rotation formulas.
@@ -39,7 +41,6 @@ from .lattice import (
     Lattice,
     ScalarField,
     VectorField,
-    _action,
     _el_integrals,
     _first_order_residual,
     _Section,
@@ -49,29 +50,16 @@ from .lattice import (
 )
 
 __all__ = [
-    "KGConfig",
     "KGState",
     "KGSpacetimeSection",
     "kg_hamiltonian",
-    "kg_enforce_constraints",
     "kg_evolve_spectral",
     "kg_evolve_leapfrog",
     "kg_solution_section",
     "kg_dedonder_weyl_residual",
-    "kg_action",
     "kg_el_pairing",
     "kg_el_cancellation_scale",
 ]
-
-
-@dataclass(frozen=True)
-class KGConfig:
-    mass: float
-    lattice: Lattice
-
-    def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError(f"mass must be nonnegative, got {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +78,8 @@ class KGState(_Slice):
 @dataclass(frozen=True)
 class KGSpacetimeSection(_Section):
     """The Klein-Gordon section (see lattice._Section): phi and p of shape
-    (T, *lattice.shape), beta of shape (T, dim, *lattice.shape), on the
-    lattice of cfg, which also carries the mass."""
+    (T, *lattice.shape), beta of shape (T, dim, *lattice.shape), of the
+    theory of the given mass."""
 
     STATE = KGState
 
@@ -99,63 +87,49 @@ class KGSpacetimeSection(_Section):
     p: np.ndarray
     beta: np.ndarray
     dt: float
-    cfg: KGConfig
+    lattice: Lattice
+    mass: float
     t0: float = 0.0
-    lagrangian = property(lambda self: _kg_lagrangian(self.cfg.mass))
-
-    @classmethod
-    def from_states(cls, states, dt: float, cfg: KGConfig) -> KGSpacetimeSection:
-        """Stack slice states that sit on cfg's lattice at uniform steps of dt."""
-        return cls._stacked(states, dt, cfg.lattice, cfg=cfg)
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.cfg.lattice
+    lagrangian = property(lambda self: _kg_lagrangian(self.mass))
 
 
-def kg_hamiltonian(state: KGState, cfg: KGConfig) -> float:
+def kg_hamiltonian(state: KGState, mass: float) -> float:
     """Slice energy (1/2) integral (p^2 + |grad phi|^2 + mass^2 phi^2)."""
     grad = spectral_gradient(state.phi)
     total = inner(state.p, state.p)
     for comp in grad.components:
         total += inner(comp, comp)
-    total += cfg.mass**2 * inner(state.phi, state.phi)
+    total += mass**2 * inner(state.phi, state.phi)
     return 0.5 * total
 
 
-def kg_enforce_constraints(phi: ScalarField, p: ScalarField, time: float = 0.0) -> KGState:
-    """Build a state with beta := grad(phi)."""
-    return KGState._enforced(phi, p, time)
-
-
 @lru_cache(maxsize=32)
-def _kg_generator(mass: float, mass_sign: str):
+def _kg_generator(mass: float, ledger: str):
     """The mode flow's generator k^2 -> (kappa, lam), d(phi-hat, p-hat)/ds
     = (kappa p-hat, -lam phi-hat): (1, omega^2), omega = sqrt(k^2 +
     mass^2), squared so that the flow's nu is omega to the bit; (1,
     omega^2 - 2 mass^2) under the printed mass sign.  The one place that
     knows the KG ledger; cached, so its flows are shared."""
-    if mass_sign not in ("resolved", "paper-printed"):
-        raise ValueError(f"unknown mass_sign {mass_sign!r}")
-    shift = 2.0 * mass**2 if mass_sign == "paper-printed" else 0.0
+    if ledger not in ("resolved", "paper-printed"):
+        raise ValueError(f"unknown ledger {ledger!r}")
+    shift = 2.0 * mass**2 if ledger == "paper-printed" else 0.0
     return lambda ksq: (1.0, np.sqrt(ksq + mass**2) ** 2 - shift)
 
 
 def kg_evolve_spectral(
-    state: KGState, s: float, cfg: KGConfig, mass_sign: str = "resolved"
+    state: KGState, s: float, mass: float, ledger: str = "resolved"
 ) -> KGState:
-    """Exact per-mode rotation by time s; constraints re-enforced.  The
-    state must sit on cfg's lattice.
+    """Exact per-mode rotation by time s; constraints re-enforced.
 
-    ``mass_sign`` selects the Hamiltonian whose flow is integrated:
+    ``ledger`` selects the Hamiltonian whose flow is integrated:
     "resolved" uses omega_k^2 = k^2 + m^2; "paper-printed" uses the
     printed mass sign, k^2 - m^2, whose low modes grow hyperbolically.
     The flag exists for the documented negative controls only.
     """
-    return state._evolved(s, _kg_generator(cfg.mass, mass_sign), cfg.lattice)
+    return state._evolved(s, _kg_generator(mass, ledger))
 
 
-def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, cfg: KGConfig) -> KGState:
+def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, mass: float) -> KGState:
     """Kick-drift-kick stepper for the same linear flow.
 
     The force is diagonal in mode space (-omega_k^2 phi-hat), so the
@@ -163,7 +137,7 @@ def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, cfg: KGConfig) -> 
     position-space leapfrog with spectral Laplacian force, without the
     per-step transform round trips.
     """
-    om2 = state.lattice.half_ksq() + cfg.mass**2
+    om2 = state.lattice.half_ksq() + mass**2
 
     def kick_drift_kick(phihat, phat):
         phihat, phat = phihat.copy(), phat.copy()
@@ -177,13 +151,13 @@ def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, cfg: KGConfig) -> 
 
 
 def kg_solution_section(
-    state: KGState, dt: float, steps: int, cfg: KGConfig, first: int = 0
+    state: KGState, dt: float, steps: int, mass: float, first: int = 0
 ) -> KGSpacetimeSection:
     """Sample the exact flow on `steps` intervals of the uniform time grid
     of spacing dt from state.time, from its node `first` on
     (lattice._Section._solution)."""
     return KGSpacetimeSection._solution(
-        state, dt, steps, _kg_generator(cfg.mass, "resolved"), cfg.lattice, first, cfg=cfg
+        state, dt, steps, _kg_generator(mass, "resolved"), first, mass=mass
     )
 
 
@@ -206,11 +180,6 @@ def _kg_lagrangian(mass: float) -> tuple:
         (-0.5, "beta", "id", "beta"),
         (0.5 * mass**2, "phi", "id", "phi"),
     )
-
-
-def kg_action(section: KGSpacetimeSection) -> float:
-    """Discrete covariant action: trapezoidal in time, exact in space."""
-    return _action(section.lagrangian, section)
 
 
 def kg_el_pairing(section: KGSpacetimeSection, variation: KGState) -> float:

@@ -55,12 +55,9 @@ __all__ = [
     "stack_idft",
     "spectral_gradient",
     "stack_gradient",
-    "spectral_divergence",
     "stack_divergence",
     "spectral_laplacian",
     "conjugate_reflection",
-    "hermitian_defect",
-    "hermitize",
     "mode_index_table",
     "sup_norm",
     "nan_max",
@@ -351,11 +348,6 @@ class _Gradient(VectorField):
         return comps if sign > 0 else tuple(ScalarField(c.lattice, -c.values) for c in comps)
 
 
-def spectral_divergence(v: VectorField) -> ScalarField:
-    stack = np.stack([c.values for c in v.components])[np.newaxis]
-    return ScalarField(v.lattice, stack_divergence(v.lattice, stack)[0])
-
-
 def stack_divergence(lattice: Lattice, stack: np.ndarray) -> np.ndarray:
     """Spectral divergence of a stack of vector fields.
 
@@ -384,16 +376,6 @@ def conjugate_reflection(arr: np.ndarray, axes=None) -> np.ndarray:
         out = np.flip(out, axis=axis)
         out = np.roll(out, 1, axis=axis)
     return out
-
-
-def hermitian_defect(arr: np.ndarray) -> float:
-    """Sup deviation from the reality symmetry fhat(-k) == conj(fhat(k))."""
-    return float(np.max(np.abs(arr - conjugate_reflection(arr))))
-
-
-def hermitize(arr: np.ndarray) -> np.ndarray:
-    """Project onto the reality-symmetric subspace."""
-    return 0.5 * (arr + conjugate_reflection(arr))
 
 
 @lru_cache(maxsize=32)
@@ -473,10 +455,10 @@ class _Slice:
             data[vector] = _Gradient(data[scalar], sign)
         return cls(**data, time=time)
 
-    def _evolved(self, s: float, generator, lat: Lattice):
-        """The state at time + s under the mode flow of generator on lat."""
-        flow = _half_flow(lat, generator)
-        return self._advanced(s, lambda a0, a1: flow.propagate(a0, a1, s), lat)
+    def _evolved(self, s: float, generator):
+        """The state at time + s under the mode flow of generator."""
+        flow = _half_flow(self.lattice, generator)
+        return self._advanced(s, lambda a0, a1: flow.propagate(a0, a1, s))
 
     def _stepped(self, dt: float, steps: int, advance):
         """The state after `steps` steps of dt of a stepper, advance(a0_hat,
@@ -488,14 +470,12 @@ class _Slice:
             raise ValueError(f"steps must be nonnegative, got {steps}")
         if steps == 0:
             return self
-        return self._advanced(dt * steps, advance, self.lattice)
+        return self._advanced(dt * steps, advance)
 
-    def _advanced(self, s: float, advance, lat: Lattice):
+    def _advanced(self, s: float, advance):
         """The state at time + s of half spectra advance(a0_hat, a1_hat)
-        on the lattice lat (_half_dft, _half_idft); constraints
-        re-enforced."""
-        if self.lattice != lat:
-            raise ValueError("state lattice does not match the propagator's")
+        (_half_dft, _half_idft); constraints re-enforced."""
+        lat = self.lattice
         hats = advance(*(_half_dft(lat, getattr(self, n).values) for n in self.SCALARS))
         scalars = (ScalarField(lat, _half_idft(lat, h)) for h in hats)
         return self._enforced(*scalars, time=self.time + s)
@@ -518,11 +498,11 @@ class _Section:
     on the uniform time grid t0 + i dt, stored as read-only stacks.
 
     A subclass is a frozen dataclass that declares its stacks, ``dt``,
-    ``t0`` and its lattice (as a ``lattice`` field or property), names its
-    slice state (a ``_Slice``) in ``STATE`` and its bilinear Lagrangian
-    table as the property ``lagrangian``: one stack per state field, the
-    scalars of shape (T, *lattice.shape) and the vectors of shape
-    (T, dim, *lattice.shape).  Nothing derived is kept.
+    ``lattice``, ``t0`` and its theory's parameters, names its slice state
+    (a ``_Slice``) in ``STATE`` and its bilinear Lagrangian table as the
+    property ``lagrangian``: one stack per state field, the scalars of
+    shape (T, *lattice.shape) and the vectors of shape (T, dim,
+    *lattice.shape).  Nothing derived is kept.
     """
 
     # True where each constraint stack is sign * grad(scalar) by construction
@@ -550,40 +530,16 @@ class _Section:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def _stacked(cls, states, dt: float, lat: Lattice, **source):
-        """The section of slice states that sit on the lattice lat at
-        uniform steps of dt, built with the fields `source` that give the
-        section its lattice; rejects anything else."""
-        states = tuple(states)
-        if len(states) < 2:
-            raise ValueError("a section needs at least two time slices")
-        t0 = states[0].time
-        for i, st in enumerate(states):
-            if st.lattice != lat:
-                raise ValueError("section slice lattice mismatch")
-            if abs(st.time - (t0 + i * dt)) > 1e-9 * max(1.0, abs(dt)):
-                raise ValueError("section time nodes are not uniform in dt")
-        scalars = {
-            n: np.stack([getattr(st, n).values for st in states]) for n in cls.STATE.SCALARS
-        }
-        vectors = {
-            n: np.array([[c.values for c in getattr(st, n).components] for st in states])
-            for n in cls.STATE.VECTORS
-        }
-        return cls(**scalars, **vectors, dt=dt, t0=t0, **source)
-
-    @classmethod
-    def _solution(cls, state, dt: float, steps: int, generator, lat: Lattice, first, **source):
+    def _solution(cls, state, dt: float, steps: int, generator, first, **params):
         """The flow of state on the nodes first .. first + steps of the
         grid of spacing dt from state.time: the mode flow of generator on
-        lat's half spectrum, over those times at once, one batched inverse
-        transform per scalar and one batched gradient per constraint, none
-        of which mixes nodes, so each row is the state _evolved gives.
-        `source` gives the section its lattice (_stacked)."""
+        the half spectrum of state's lattice, over those times at once, one
+        batched inverse transform per scalar and one batched gradient per
+        constraint, none of which mixes nodes, so each row is the state
+        _evolved gives.  `params` are the theory's section fields."""
         if steps < 1:
             raise ValueError("need at least one time interval")
-        if state.lattice != lat:
-            raise ValueError("section slice lattice mismatch")
+        lat = state.lattice
         s = (np.arange(first, first + steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
         hats = (_half_dft(lat, getattr(state, n).values) for n in cls.STATE.SCALARS)
         hats = _half_flow(lat, generator).propagate(*hats, s)
@@ -591,7 +547,7 @@ class _Section:
         grads = {n: stack_gradient(lat, scalars[n]) for _, n, _ in cls.STATE.CONSTRAINTS}
         vectors = {v: grads[n] if sign > 0 else -grads[n] for v, n, sign in cls.STATE.CONSTRAINTS}
         t0 = state.time + first * dt
-        return cls(**scalars, **vectors, dt=dt, t0=t0, **source)._marked(True)
+        return cls(**scalars, **vectors, dt=dt, lattice=lat, t0=t0, **params)._marked(True)
 
     def _sampled(self, rows: slice, dt: float):
         """The section on its rows `rows` (a slice with a step) at time
@@ -607,22 +563,6 @@ class _Section:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(getattr(self, self.STATE.SCALARS[0])))
-
-    @property
-    def states(self) -> tuple:
-        """Per-slice view of the stacks, built on each access."""
-        lat = self.lattice
-        return tuple(
-            self.STATE(
-                **{n: ScalarField(lat, getattr(self, n)[i]) for n in self.STATE.SCALARS},
-                **{
-                    n: VectorField(lat, tuple(ScalarField(lat, c) for c in getattr(self, n)[i]))
-                    for n in self.STATE.VECTORS
-                },
-                time=float(t),
-            )
-            for i, t in enumerate(self.times())
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -857,19 +797,6 @@ def _el_integrals(table, section, variation) -> tuple[float, float]:
         _time_integral(section.lattice, section.dt, density)
         for density in _el_densities(table, section, variation)
     )
-
-
-def _action(table, section) -> float:
-    """The action of a bilinear Lagrangian table on a section: the
-    trapezoid of sum c <a, op(b)> per node, exact in space."""
-    _time_rows(section)
-
-    def term(c, a, op, b):
-        sign, _, y = _op(section, op, b)
-        return sign * c * _node_sums(getattr(section, a), y)
-
-    density = sum(term(*t) for t in table)
-    return _time_integral(section.lattice, section.dt, density)
 
 
 # op -> -op^T for the derivatives of a table: d/dt is skew-adjoint, and

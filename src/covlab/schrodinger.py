@@ -16,11 +16,8 @@ equivalently psi-hat -> exp(-i k^2 s / 2) psi-hat for psi = phiR + i phiI.
 That flow is stated once, as the generator _schr_generator, from which
 lattice._ModeFlow builds the rotation of the slice propagator and the
 Darboux chart.  The covariant Lagrangian is stated once, as the bilinear
-table _SCHR_LAGRANGIAN; the action, the EL pairing and the de Donder-Weyl
-equations are all read off it by the kernels of lattice.py.
-
-The slice Hamiltonian keeps its printed sign, -1/2 integral |grad psi|^2,
-which is nonpositive; it is conserved by the flow either way.
+table _SCHR_LAGRANGIAN; the EL pairing and the de Donder-Weyl equations
+are read off it by the kernels of lattice.py.
 """
 
 from __future__ import annotations
@@ -34,25 +31,20 @@ from .lattice import (
     Lattice,
     ScalarField,
     VectorField,
-    _action,
     _el_integrals,
     _first_order_residual,
     _Section,
     _Slice,
     inner,
-    spectral_gradient,
 )
 
 __all__ = [
     "SchrState",
     "SchrSpacetimeSection",
-    "schr_hamiltonian",
-    "schr_enforce_constraints",
     "schr_evolve_spectral",
     "schr_evolve_stepped",
     "schr_solution_section",
     "schr_dedonder_weyl_residual",
-    "schr_action",
     "schr_el_pairing",
     "schr_el_cancellation_scale",
     "to_wavefunction",
@@ -92,31 +84,6 @@ class SchrSpacetimeSection(_Section):
     t0: float = 0.0
     lagrangian = property(lambda self: _SCHR_LAGRANGIAN)
 
-    @classmethod
-    def from_states(cls, states, dt: float) -> SchrSpacetimeSection:
-        """Stack slice states that share one lattice and sit at uniform
-        steps of dt."""
-        states = tuple(states)
-        lat = states[0].lattice if states else None
-        return cls._stacked(states, dt, lat, lattice=lat)
-
-
-def schr_hamiltonian(state: SchrState) -> float:
-    """-1/2 integral (|grad phiR|^2 + |grad phiI|^2); printed sign, <= 0."""
-    total = 0.0
-    for phi in (state.phiR, state.phiI):
-        grad = spectral_gradient(phi)
-        for comp in grad.components:
-            total += inner(comp, comp)
-    return -0.5 * total
-
-
-def schr_enforce_constraints(
-    phiR: ScalarField, phiI: ScalarField, time: float = 0.0
-) -> SchrState:
-    """Build a state with beta_a := -grad(phi^a)."""
-    return SchrState._enforced(phiR, phiI, time)
-
 
 def _schr_rotate(a, b, c, sg, steps: int = 1):
     """Mode data of (phiR, phiI) rotated `steps` times by the per-mode
@@ -128,28 +95,26 @@ def _schr_rotate(a, b, c, sg, steps: int = 1):
 
 
 @lru_cache(maxsize=4)
-def _schr_generator(hamiltonian_sign: str):
+def _schr_generator(ledger: str):
     """The mode flow's generator k^2 -> (kappa, lam), d(phiR-hat,
     phiI-hat)/ds = (kappa phiI-hat, -lam phiR-hat): (k^2/2, k^2/2), the
     rotation by k^2 s / 2; (-k^2/2, -k^2/2), the time-reversed flow, under
     the printed Hamiltonian sign.  The one place that knows the
     Schrodinger ledger; cached, so its flows are shared."""
-    if hamiltonian_sign not in ("resolved", "paper-printed"):
-        raise ValueError(f"unknown hamiltonian_sign {hamiltonian_sign!r}")
-    half = -0.5 if hamiltonian_sign == "paper-printed" else 0.5
+    if ledger not in ("resolved", "paper-printed"):
+        raise ValueError(f"unknown ledger {ledger!r}")
+    half = -0.5 if ledger == "paper-printed" else 0.5
     return lambda ksq: (half * ksq,) * 2
 
 
-def schr_evolve_spectral(
-    state: SchrState, s: float, hamiltonian_sign: str = "resolved"
-) -> SchrState:
+def schr_evolve_spectral(state: SchrState, s: float, ledger: str = "resolved") -> SchrState:
     """Exact free propagator: per-mode rotation by angle k^2 s / 2.
 
-    ``hamiltonian_sign`` "paper-printed" integrates the flow of the
-    printed (negative) Hamiltonian instead, which is the time-reversed
+    ``ledger`` "paper-printed" integrates the flow of the printed
+    (negative) Hamiltonian instead, which is the time-reversed
     propagator; it exists for the documented negative controls only.
     """
-    return state._evolved(s, _schr_generator(hamiltonian_sign), state.lattice)
+    return state._evolved(s, _schr_generator(ledger))
 
 
 def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
@@ -171,10 +136,7 @@ def schr_solution_section(
     """Sample the exact flow on `steps` intervals of the uniform time grid
     of spacing dt from state.time, from its node `first` on
     (lattice._Section._solution)."""
-    lat = state.lattice
-    return SchrSpacetimeSection._solution(
-        state, dt, steps, _schr_generator("resolved"), lat, first, lattice=lat
-    )
+    return SchrSpacetimeSection._solution(state, dt, steps, _schr_generator("resolved"), first)
 
 
 def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
@@ -202,10 +164,6 @@ _SCHR_LAGRANGIAN = (
     (0.5, "betaR", "id", "betaR"),
     (0.5, "betaI", "id", "betaI"),
 )
-
-
-def schr_action(section: SchrSpacetimeSection) -> float:
-    return _action(section.lagrangian, section)
 
 
 def schr_el_pairing(section: SchrSpacetimeSection, variation: SchrState) -> float:

@@ -1,16 +1,30 @@
-"""The variation of a section written out as stacks, for the action tests.
+"""Test-side references for the slice layer.
 
 covlab's EL kernel reads a variation as a slice state under a sin^2 time
 bump and never forms its spacetime stacks.  ``bumped`` builds them, as
 the section builder once did: the state's fields, its constraint fields
 included, times the bump on every row, in the section's own class, so
 the real-space references and the finite-difference quotients of the
-action can read them like any section.
+action can read them like any section.  ``hermitize`` makes the tests'
+random mode draws those of real fields, and ``hermitian_defect``
+measures how far mode data is from that symmetry.
 """
 
 from dataclasses import replace
 
 import numpy as np
+
+from covlab.lattice import conjugate_reflection
+
+
+def hermitize(arr):
+    """The reality-symmetric part of mode data, fhat(-k) == conj(fhat(k))."""
+    return 0.5 * (arr + conjugate_reflection(arr))
+
+
+def hermitian_defect(arr):
+    """Sup deviation from the reality symmetry fhat(-k) == conj(fhat(k))."""
+    return float(np.max(np.abs(arr - conjugate_reflection(arr))))
 
 
 def bumped(section, state, first=0, count=None):

@@ -40,15 +40,9 @@ from covlab.harness import (
     run_experiment,
     suite_configs,
 )
-from covlab.kg import (
-    kg_enforce_constraints,
-    kg_evolve_leapfrog,
-    kg_evolve_spectral,
-    kg_hamiltonian,
-)
-from covlab.lattice import Lattice, ModeVector, ScalarField, hermitize, idft, sup_norm
+from covlab.kg import kg_evolve_leapfrog, kg_evolve_spectral, kg_hamiltonian
+from covlab.lattice import ModeVector, ScalarField, idft, sup_norm
 from covlab.schrodinger import (
-    schr_enforce_constraints,
     schr_evolve_spectral,
     schr_evolve_stepped,
     schr_norm_squared,
@@ -59,8 +53,8 @@ SEED = 42
 KG_CFG = ExperimentConfig(theory="kg", experiment="evolve", seed=SEED)
 SCHR_CFG = ExperimentConfig(theory="schrodinger", experiment="evolve", seed=SEED)
 LAT = KG_CFG.lattice
-KCFG = KG_CFG.kg_config()
 TH = {t: dx.Theory.of(t, LAT, KG_CFG.mass) for t in ("kg", "schrodinger")}
+MASS = TH["kg"].mass
 
 
 def verdict(num: int, ok: bool, detail: str) -> bool:
@@ -79,12 +73,12 @@ def banded_field(seed_or_rng, band, lat=LAT):
 
 def banded_kg_state(seed, band):
     rng = seeded(seed)
-    return kg_enforce_constraints(banded_field(rng, band), banded_field(rng, band))
+    return TH["kg"].enforce(banded_field(rng, band), banded_field(rng, band))
 
 
 def banded_schr_state(seed, band):
     rng = seeded(seed)
-    return schr_enforce_constraints(banded_field(rng, band), banded_field(rng, band))
+    return TH["schrodinger"].enforce(banded_field(rng, band), banded_field(rng, band))
 
 
 def mode_pair(seed):
@@ -107,8 +101,7 @@ def variation(theory, seed):
     band = LAT.n // 4
     f1 = banded_field(rng, band)
     f2 = banded_field(rng, band)
-    enforce = kg_enforce_constraints if theory == "kg" else schr_enforce_constraints
-    return enforce(f1, f2)
+    return TH[theory].enforce(f1, f2)
 
 
 @pytest.fixture(scope="module")
@@ -126,18 +119,18 @@ def metric(report, name):
 
 def test_criterion_01_kg_energy_conservation():
     st = random_state(KG_CFG)
-    h0 = kg_hamiltonian(st, KCFG)
+    h0 = kg_hamiltonian(st, MASS)
     drift = max(
-        abs(kg_hamiltonian(kg_evolve_spectral(st, float(s), KCFG), KCFG) - h0)
+        abs(kg_hamiltonian(kg_evolve_spectral(st, float(s), MASS), MASS) - h0)
         / abs(h0)
         for s in range(1, 11)
     )
     # the leapfrog clause runs on |m| <= 1 data: the truncation constant
     # scales with omega^2 and full-band data cannot meet 1e-6 at dt=1e-3
     low = banded_kg_state(SEED, band=1)
-    h1 = kg_hamiltonian(low, KCFG)
-    lf = kg_evolve_leapfrog(low, 1e-3, 1000, KCFG)
-    drift_lf = abs(kg_hamiltonian(lf, KCFG) - h1) / abs(h1)
+    h1 = kg_hamiltonian(low, MASS)
+    lf = kg_evolve_leapfrog(low, 1e-3, 1000, MASS)
+    drift_lf = abs(kg_hamiltonian(lf, MASS) - h1) / abs(h1)
     ok = drift <= 1e-12 and drift_lf <= 1e-6
     assert verdict(
         1,
@@ -150,9 +143,9 @@ def test_criterion_01_kg_energy_conservation():
 def test_criterion_02_constraint_preservation():
     worst = 0.0
     st = random_state(KG_CFG)
-    ev = kg_evolve_spectral(st, 10.0, KCFG)
+    ev = kg_evolve_spectral(st, 10.0, MASS)
     worst = max(worst, ev.constraint_residual() / sup_norm(ev.phi))
-    lf = kg_evolve_leapfrog(banded_kg_state(SEED, band=1), 1e-3, 1000, KCFG)
+    lf = kg_evolve_leapfrog(banded_kg_state(SEED, band=1), 1e-3, 1000, MASS)
     worst = max(worst, lf.constraint_residual() / sup_norm(lf.phi))
     ss = random_state(SCHR_CFG)
     ev_s = schr_evolve_spectral(ss, 10.0)
@@ -201,9 +194,9 @@ def _invariance_spread(theory, ledger):
     worst = 0.0
     for s in range(1, 11):
         if theory == "kg":
-            ev = kg_evolve_spectral(st, float(s), KCFG, mass_sign=ledger)
+            ev = kg_evolve_spectral(st, float(s), MASS, ledger=ledger)
         else:
-            ev = schr_evolve_spectral(st, float(s), hamiltonian_sign=ledger)
+            ev = schr_evolve_spectral(st, float(s), ledger=ledger)
         cur = np.concatenate(th.to_darboux(th.mode_state(ev)).arrays)
         worst = max(worst, float(np.max(np.abs(cur - ref))) / scale)
     return worst
@@ -227,7 +220,7 @@ def kg_cross_term(m):
     printed KG W density counts twice and the derived closed form once."""
     phi, p = m.arrays
     cross = np.real(p * np.conj(phi))
-    return m.lattice.volume * float(np.sum(cross * np.sin(np.sqrt(KCFG.lattice.ksq() + KCFG.mass**2) * m.time) ** 2))
+    return m.lattice.volume * float(np.sum(cross * np.sin(np.sqrt(LAT.ksq() + MASS**2) * m.time) ** 2))
 
 
 def test_criterion_05_theta_pullback_identity():
@@ -373,7 +366,7 @@ def test_criterion_08_schrodinger_unitarity():
         for s in range(1, 11)
     )
     x = LAT.coordinates()[0]
-    plane = schr_enforce_constraints(
+    plane = TH["schrodinger"].enforce(
         ScalarField(LAT, np.cos(x)), ScalarField(LAT, np.sin(x))
     )
     evolved = schr_evolve_spectral(plane, math.pi)

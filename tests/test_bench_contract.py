@@ -150,3 +150,17 @@ def test_exports_are_the_traced_callables(spans, layer):
     }
     assert len(mod.__all__) == len(set(mod.__all__))
     assert set(mod.__all__) == defined
+
+
+def test_the_oracle_builds_from_a_name_and_the_configs_kg_record_or_lattice():
+    # the call shape of bench/tests/test_known_defects.py: a theory name
+    # with ExperimentConfig.kg_config() for Klein-Gordon, the lattice for
+    # Schrodinger.  The Schrodinger record built there has mass 0, the
+    # config's mass 1, so the records are compared by their flow tables
+    for theory in THEORIES:
+        cfg = ExperimentConfig(theory=theory, experiment="darboux-check", n=16, seed=42)
+        source = cfg.kg_config() if theory == "kg" else cfg.lattice
+        oracle = darboux.WOracle(theory, source, seed=cfg.seed + 4)
+        want = harness._theory(cfg)
+        assert (oracle.theory.name, oracle.theory.lattice) == (cfg.theory, cfg.lattice)
+        assert np.array_equal(oracle.theory.flow().table, want.flow().table)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from section_references import hermitize
 
 from bracket_references import (
     construction_crosscheck,
@@ -34,9 +35,7 @@ from covlab.brackets import (
     w_coordinate,
 )
 from covlab.darboux import DarbouxState, Theory, random_hermitian_modes
-from covlab.kg import kg_enforce_constraints
-from covlab.lattice import Lattice, ModeVector, ScalarField, hermitize, idft
-from covlab.schrodinger import schr_enforce_constraints
+from covlab.lattice import Lattice, ModeVector, ScalarField, idft
 
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
 KG = Theory.of("kg", LAT, 1.0)
@@ -60,20 +59,22 @@ def banded_field(rng, band=8, lat=LAT):
 
 def kg_variation(seed, lat=LAT):
     rng = seeded(seed)
-    return kg_enforce_constraints(banded_field(rng, lat=lat), banded_field(rng, lat=lat))
+    return Theory.of("kg", lat).enforce(banded_field(rng, lat=lat), banded_field(rng, lat=lat))
 
 
 def schr_variation(seed, lat=LAT):
     rng = seeded(seed)
-    return schr_enforce_constraints(banded_field(rng, lat=lat), banded_field(rng, lat=lat))
+    return Theory.of("schrodinger", lat).enforce(
+        banded_field(rng, lat=lat), banded_field(rng, lat=lat)
+    )
 
 
 def kg_slice_variation(dphi, dp):
-    return kg_enforce_constraints(ScalarField(LAT, dphi), ScalarField(LAT, dp))
+    return KG.enforce(ScalarField(LAT, dphi), ScalarField(LAT, dp))
 
 
 def schr_slice_variation(dphiR, dphiI):
-    return schr_enforce_constraints(ScalarField(LAT, dphiR), ScalarField(LAT, dphiI))
+    return SCHR.enforce(ScalarField(LAT, dphiR), ScalarField(LAT, dphiI))
 
 
 def kg_point(seed, time=1.3, W=0.5, band=None):
@@ -143,7 +144,7 @@ class TestOmega:
 
     def test_slice_independence(self):
         rng = seeded(5)
-        sol = kg_enforce_constraints(banded_field(rng), banded_field(rng))
+        sol = KG.enforce(banded_field(rng), banded_field(rng))
         rep = omega_slice_report(
             KG,
             sol,
@@ -155,7 +156,7 @@ class TestOmega:
         assert len(rep.values) == 6
 
     def test_slice_independence_schr(self):
-        sol = schr_enforce_constraints(banded_field(seeded(8)), banded_field(seeded(9)))
+        sol = SCHR.enforce(banded_field(seeded(8)), banded_field(seeded(9)))
         rep = omega_slice_report(
             SCHR,
             sol,
@@ -168,7 +169,7 @@ class TestOmega:
     def test_frozen_variation_control(self):
         # leaving V at its initial data breaks conservation at O(1)
         rng = seeded(5)
-        sol = kg_enforce_constraints(banded_field(rng), banded_field(rng))
+        sol = KG.enforce(banded_field(rng), banded_field(rng))
         rep = omega_slice_report(
             KG,
             sol,
@@ -184,7 +185,7 @@ class TestOmega:
         # "V" used to run the positive check, a spread of 9.5e-16 where
         # "v" reads 1.43
         rng = seeded(5)
-        sol = kg_enforce_constraints(banded_field(rng), banded_field(rng))
+        sol = KG.enforce(banded_field(rng), banded_field(rng))
         with pytest.raises(ValueError, match=f"freeze must be .*got {freeze!r}"):
             omega_slice_report(KG, sol, kg_variation(6), kg_variation(7), (0.0, 1.0), freeze)
 

@@ -33,13 +33,13 @@ from covlab.harness import (
     run_experiment,
     suite_configs,
 )
-from covlab.kg import KGConfig, kg_evolve_spectral
+from covlab.kg import kg_evolve_spectral
 from covlab.lattice import Lattice, ModeVector, sup_norm
 from covlab.schrodinger import schr_evolve_spectral
 from mutations import recompiled
+from section_references import hermitian_defect
 
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
-CFG = KGConfig(mass=1.0, lattice=LAT)
 KG = Theory.of("kg", LAT, 1.0)
 SCHR = Theory.of("schrodinger", LAT)
 
@@ -48,9 +48,9 @@ def seeded(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def omega(cfg):
-    """The KG frequencies sqrt(k^2 + mass^2), FFT layout."""
-    return np.sqrt(cfg.lattice.ksq() + cfg.mass**2)
+def omega(th):
+    """The KG frequencies sqrt(k^2 + mass^2) of a record, FFT layout."""
+    return np.sqrt(th.lattice.ksq() + th.mass**2)
 
 
 def kg_point(seed, time=0.0, band=None):
@@ -76,7 +76,7 @@ class TestChart:
     @settings(max_examples=30, deadline=None)
     def test_kg_round_trip(self, s):
         m = kg_point(5, time=s)
-        back = kg_from_darboux(kg_to_darboux(m, CFG), CFG)
+        back = kg_from_darboux(kg_to_darboux(m, KG.mass), KG.mass)
         err = max(
             np.max(np.abs(back.a0.coefficients - m.a0.coefficients)),
             np.max(np.abs(back.a1.coefficients - m.a1.coefficients)),
@@ -103,14 +103,14 @@ class TestChart:
 
         hc = ExperimentConfig(theory="kg", experiment="darboux-check")
         st0 = random_state(hc)
-        d0 = kg_to_darboux(KG.mode_state(st0), CFG)
+        d0 = kg_to_darboux(KG.mode_state(st0), KG.mass)
         worst = 0.0
         scale = max(
             np.max(np.abs(d0.a0.coefficients)),
             np.max(np.abs(d0.a1.coefficients)),
         )
         for s in np.linspace(0.0, 10.0, 9):
-            ds = kg_to_darboux(KG.mode_state(kg_evolve_spectral(st0, s, CFG)), CFG)
+            ds = kg_to_darboux(KG.mode_state(kg_evolve_spectral(st0, s, KG.mass)), KG.mass)
             worst = max(
                 worst,
                 np.max(np.abs(ds.a0.coefficients - d0.a0.coefficients)),
@@ -137,7 +137,7 @@ class TestChart:
     def test_kg_quarter_period_single_mode(self):
         # at s = pi/(2 omega) the chart sends (phi, p) to (-p/omega, omega phi)
         k = 3
-        om = float(np.sqrt(k * k + CFG.mass**2))
+        om = float(np.sqrt(k * k + KG.mass**2))
         coeff_phi = np.zeros(LAT.shape, dtype=complex)
         coeff_p = np.zeros(LAT.shape, dtype=complex)
         coeff_phi[k] = coeff_phi[-k] = 0.4
@@ -146,12 +146,11 @@ class TestChart:
             ModeVector(LAT, coeff_phi), ModeVector(LAT, coeff_p),
             time=np.pi / (2 * om),
         )
-        d = kg_to_darboux(m, CFG)
+        d = kg_to_darboux(m, KG.mass)
         assert abs(d.a0.coefficients[k] - (-(-0.7) / om)) < 1e-13
         assert abs(d.a1.coefficients[k] - om * 0.4) < 1e-13
 
     def test_kg_massless_zero_mode_shear(self):
-        cfg0 = KGConfig(mass=0.0, lattice=LAT)
         coeff_phi = np.zeros(LAT.shape, dtype=complex)
         coeff_p = np.zeros(LAT.shape, dtype=complex)
         coeff_phi[0] = 0.3
@@ -159,7 +158,7 @@ class TestChart:
         m = ModeState(
             ModeVector(LAT, coeff_phi), ModeVector(LAT, coeff_p), time=2.0
         )
-        d = kg_to_darboux(m, cfg0)
+        d = kg_to_darboux(m, 0.0)
         assert abs(d.a0.coefficients[0] - (0.3 - 2.0 * 0.9)) < 1e-13
         assert abs(d.a1.coefficients[0] - 0.9) < 1e-13
 
@@ -215,8 +214,6 @@ class TestChart:
                 assert bits(*m.arrays) == bits(c * A0 + r * A1, c * A1 - q * A0)
 
     def test_random_modes_hermitian_and_banded(self):
-        from covlab.lattice import hermitian_defect
-
         arr = random_hermitian_modes(LAT, seeded(3), band=4)
         assert hermitian_defect(arr) < 1e-14
         idx = np.abs(np.fft.fftfreq(LAT.n, d=1.0 / LAT.n))
@@ -249,15 +246,15 @@ class TestW:
 
     def test_oracle_rejects_printed_ledger(self):
         with pytest.raises(WOracleClosednessError):
-            WOracle("kg", CFG, sign_ledger="paper-printed")
+            WOracle(KG, sign_ledger="paper-printed")
         with pytest.raises(WOracleClosednessError):
             WOracle("schrodinger", LAT, sign_ledger="paper-printed")
 
     def test_closedness_error_names_what_was_measured(self):
-        probe = WOracle("kg", CFG, sign_ledger="paper-printed", check_points=0)
+        probe = WOracle(KG, sign_ledger="paper-printed", check_points=0)
         worst = probe._closedness_sweep(7, 4)
         with pytest.raises(WOracleClosednessError) as info:
-            WOracle("kg", CFG, sign_ledger="paper-printed", seed=7)
+            WOracle(KG, sign_ledger="paper-printed", seed=7)
         message = str(info.value)
         for part in (f"residual {worst:.3e} exceeds 1.0e-08", "theory=kg",
                      "sign_ledger=paper-printed", "Philox key=7", "4 points"):
@@ -296,7 +293,7 @@ class TestW:
     def test_chart_w_consistency(self):
         # kg_to_darboux stores exactly the derived W
         m = kg_point(10, time=3.1)
-        assert kg_to_darboux(m, CFG).W == pytest.approx(KG.w(m), abs=1e-15)
+        assert kg_to_darboux(m, KG.mass).W == pytest.approx(KG.w(m), abs=1e-15)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -323,15 +320,14 @@ class TestTheoryRecord:
         assert (SCHR.name, SCHR.weight, SCHR.fields, SCHR.slots) == (
             "schrodinger", 2.0, ("phiR", "phiI"), ("PhiR", "PhiI")
         )
-        assert KG.cfg == CFG
         # the flow's nu is omega bit for bit, and each ledger's flow is shared
-        assert np.array_equal(KG.flow().on()[2], omega(CFG))
+        assert np.array_equal(KG.flow().on()[2], omega(KG))
         assert KG.flow() is KG.flow() and KG.flow("paper-printed") is not KG.flow()
 
     @pytest.mark.parametrize(
         "th, to, back",
         [
-            (KG, lambda m: kg_to_darboux(m, CFG), lambda d: kg_from_darboux(d, CFG)),
+            (KG, lambda m: kg_to_darboux(m, KG.mass), lambda d: kg_from_darboux(d, KG.mass)),
             (SCHR, schr_to_darboux, schr_from_darboux),
         ],
     )
@@ -382,11 +378,16 @@ class TestValidation:
                 ModeVector(other, np.zeros(other.shape, dtype=complex)),
             )
 
+    @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
+    def test_negative_mass_rejected(self, theory):
+        with pytest.raises(ValueError, match="mass must be nonnegative, got -0.5"):
+            Theory.of(theory, LAT, -0.5)
+
     def test_unknown_theory_rejected(self):
         with pytest.raises(ValueError, match="unknown theory 'dirac'"):
             Theory.of("dirac", LAT)
         with pytest.raises(ValueError, match="unknown theory 'dirac'"):
-            WOracle("dirac", CFG)
+            WOracle("dirac", LAT)
 
     def test_negative_band_rejected(self):
         # a negative band would leave no mode on it: all-zero coefficients
@@ -703,7 +704,7 @@ SHAPES = [(1, 64), (2, 8), (3, 4), (3, 8)]
 
 def block_setup(theory, dim, n):
     lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-    cfg = KGConfig(mass=1.0, lattice=lat) if theory == "kg" else lat
+    cfg = Theory.of("kg", lat, 1.0) if theory == "kg" else lat
 
     def point(seed, s):
         rng = seeded(seed)
@@ -832,7 +833,7 @@ FORMS = [
 def test_per_class_forms_match_the_mode_by_mode_form(theory, mass, ledger, dim, n):
     lat = Lattice(dim=dim, n=n, length=2 * np.pi)
     th = Theory.of(theory, lat, mass)
-    cfg = KGConfig(mass=mass, lattice=lat) if theory == "kg" else lat
+    cfg = th if theory == "kg" else lat
     rng = seeded(81)
     sup = darboux._Support(lat, darboux._band_pairs(lat, None)[0])
     draw = lambda: sup.take(random_hermitian_modes(lat, rng))
@@ -1323,6 +1324,26 @@ def test_huge_times_read_rounding_or_nan(theory):
         assert np.isnan(oracle.value(beyond))
 
 
+@pytest.mark.parametrize("theory,mass", [("kg", 1.0), ("kg", 0.0), ("schrodinger", 0.0)])
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (3, 4)])
+def test_the_chart_reads_huge_times_quietly(theory, mass, dim, n):
+    # where a phase nu s overflows, the chart's coordinates and W are NaN,
+    # with no warning, as the oracle's value is; the massless zero mode's
+    # drift overflows in the chart too
+    lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+    th = Theory.of(theory, lat, mass)
+    rng = seeded(24)
+    a0, a1 = (ModeVector(lat, random_hermitian_modes(lat, rng)) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (-1.7e308, 1e300, 1.7e308):
+            m = ModeState(a0, a1, time=s)
+            d = th.to_darboux(m)
+            th.from_darboux(d)
+            assert np.array_equal(d.W, th.w(m), equal_nan=True)
+        assert np.isnan(th.w(ModeState(a0, a1, time=-1.7e308)))
+
+
 @pytest.mark.parametrize("band", [16, 24, 31])
 @pytest.mark.parametrize("theory", ["kg", "schrodinger"])
 def test_loop_integral_resolves_points_beyond_the_sampling_band(theory, band):
@@ -1484,7 +1505,7 @@ def test_moments_refuse_a_hyperbolic_class():
 def ref_kg_hflow(lat, mass, a0, a1, ledger):
     """The KG flow Hamiltonian written for its theory: (1/2) L^d sum(|p|^2
     + omega^2 |phi|^2), with omega^2 - 2 mass^2 for the printed mass sign."""
-    om2 = omega(KGConfig(mass=mass, lattice=lat)) ** 2
+    om2 = omega(Theory.of("kg", lat, mass)) ** 2
     if ledger == "paper-printed":
         om2 = om2 - 2.0 * mass**2
     axes = tuple(range(-lat.dim, 0))

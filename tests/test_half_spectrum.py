@@ -6,14 +6,10 @@ _ModeFlow.propagate -> stack_idft, complex fftn/ifftn derivatives)."""
 
 import numpy as np
 import pytest
+from section_references import hermitize
 
-from covlab.kg import (
-    KGConfig,
-    KGSpacetimeSection,
-    _kg_generator,
-    kg_enforce_constraints,
-    kg_evolve_spectral,
-)
+from covlab.darboux import Theory
+from covlab.kg import KGSpacetimeSection, _kg_generator, kg_evolve_spectral
 from covlab.lattice import (
     Lattice,
     ModeVector,
@@ -21,7 +17,6 @@ from covlab.lattice import (
     _half_idft,
     _mode_flow,
     dft,
-    hermitize,
     idft,
     spectral_laplacian,
     stack_divergence,
@@ -31,7 +26,6 @@ from covlab.lattice import (
 from covlab.schrodinger import (
     SchrSpacetimeSection,
     _schr_generator,
-    schr_enforce_constraints,
     schr_evolve_spectral,
 )
 
@@ -199,14 +193,13 @@ DT, STEPS, EVOLVE_S = 0.3, 6, 0.9
 def flowed(theory, ledger, lat, seed):
     """(state, generator, the state's section on STEPS intervals of DT,
     the state evolved by EVOLVE_S) of a theory in a ledger."""
-    a0, a1 = random_fields(lat, seed)
+    state = Theory.of(theory, lat).enforce(*random_fields(lat, seed))
     if theory == "kg":
-        cfg = KGConfig(mass=0.7, lattice=lat)
-        state, generator = kg_enforce_constraints(a0, a1), _kg_generator(cfg.mass, ledger)
-        section = KGSpacetimeSection._solution(state, DT, STEPS, generator, lat, 0, cfg=cfg)
-        return state, generator, section, kg_evolve_spectral(state, EVOLVE_S, cfg, ledger)
-    state, generator = schr_enforce_constraints(a0, a1), _schr_generator(ledger)
-    section = SchrSpacetimeSection._solution(state, DT, STEPS, generator, lat, 0, lattice=lat)
+        generator = _kg_generator(0.7, ledger)
+        section = KGSpacetimeSection._solution(state, DT, STEPS, generator, 0, mass=0.7)
+        return state, generator, section, kg_evolve_spectral(state, EVOLVE_S, 0.7, ledger)
+    generator = _schr_generator(ledger)
+    section = SchrSpacetimeSection._solution(state, DT, STEPS, generator, 0)
     return state, generator, section, schr_evolve_spectral(state, EVOLVE_S, ledger)
 
 

@@ -36,9 +36,7 @@ from covlab.harness import (
     run_experiment,
     suite_configs,
 )
-from covlab.kg import kg_enforce_constraints
 from covlab.lattice import Lattice, ModeVector, ScalarField, VectorField, dft, idft, nan_max
-from covlab.schrodinger import schr_enforce_constraints
 from mutations import recompiled
 
 
@@ -604,11 +602,10 @@ def fresh_residuals(cfg, levels):
         dt = cfg.dt / 2**j
         el_steps, ddw_steps = el_window * 2**j, ddw_window * 2**j
         if cfg.theory == "kg":
-            kcfg = cfg.kg_config()
-            sec = kg.kg_solution_section(el_state, dt, el_steps, kcfg)
+            sec = kg.kg_solution_section(el_state, dt, el_steps, cfg.mass)
             pairing = kg.kg_el_pairing(sec, variation)
             el.append(pairing / kg.kg_el_cancellation_scale(sec, variation))
-            sec = kg.kg_solution_section(ddw_state, dt, ddw_steps, kcfg)
+            sec = kg.kg_solution_section(ddw_state, dt, ddw_steps, cfg.mass)
             ddw.append(kg.kg_dedonder_weyl_residual(sec))
         else:
             sec = schrodinger.schr_solution_section(el_state, dt, el_steps)
@@ -1165,9 +1162,7 @@ def old_random_state(cfg, seed=None):
     band = lat.n // 4
     f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
     f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
-    if cfg.theory == "kg":
-        return kg_enforce_constraints(f1, f2)
-    return schr_enforce_constraints(f1, f2)
+    return harness._theory(cfg).enforce(f1, f2)
 
 
 def old_banded_state(cfg, seed, band):
@@ -1175,9 +1170,7 @@ def old_banded_state(cfg, seed, band):
     rng = np.random.Generator(np.random.Philox(key=seed))
     f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
     f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
-    if cfg.theory == "kg":
-        return kg_enforce_constraints(f1, f2)
-    return schr_enforce_constraints(f1, f2)
+    return harness._theory(cfg).enforce(f1, f2)
 
 
 def old_random_variation(cfg, seed):
@@ -1188,9 +1181,7 @@ def old_random_variation(cfg, seed):
     band = lat.n // 4
     f1 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
     f2 = idft(ModeVector(lat, dx.random_hermitian_modes(lat, rng, band=band)))
-    if cfg.theory == "kg":
-        return kg_enforce_constraints(f1, f2)
-    return schr_enforce_constraints(f1, f2)
+    return harness._theory(cfg).enforce(f1, f2)
 
 
 def old_darboux_mode_point(cfg, seed, s):

@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from section_references import bumped
+from section_references import bumped, hermitize
 
 from covlab.kg import (
-    KGConfig,
     KGSpacetimeSection,
-    KGState,
-    kg_action,
     kg_dedonder_weyl_residual,
     kg_el_cancellation_scale,
     kg_el_pairing,
-    kg_enforce_constraints,
     kg_evolve_leapfrog,
     kg_evolve_spectral,
     kg_hamiltonian,
@@ -29,20 +25,19 @@ from covlab.lattice import (
     ScalarField,
     VectorField,
     dft,
-    hermitize,
     idft,
     stack_gradient,
     sup_norm,
 )
 
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
-CFG = KGConfig(mass=1.0, lattice=LAT)
+MASS = 1.0
 
 
-def vary(d0, d1):
-    """The slice state of the fields (d0, d1), which the EL pairing takes
-    under its time bump, through the theory record."""
-    return Theory.of("kg", d0.lattice).enforce(d0, d1)
+def enforce(phi, p):
+    """The slice state of the fields (phi, p), through the theory record:
+    a variation, which the EL pairing takes under its time bump, too."""
+    return Theory.of("kg", phi.lattice).enforce(phi, p)
 
 
 def seeded(seed):
@@ -59,14 +54,14 @@ def random_state(seed, lat=LAT, band=None):
         coeff[np.max(np.abs(m[np.indices(lat.shape)]), axis=0) > band] = 0.0
         return idft(ModeVector(lat, hermitize(coeff)))
 
-    return kg_enforce_constraints(field(), field())
+    return enforce(field(), field())
 
 
 def single_mode_state(k=1, amp_phi=0.8, amp_p=-0.3, lat=LAT):
     x = lat.coordinates()[0]
     phi = ScalarField(lat, amp_phi * np.cos(k * x))
     p = ScalarField(lat, amp_p * np.sin(k * x))
-    return kg_enforce_constraints(phi, p)
+    return enforce(phi, p)
 
 
 class TestEnergyAndConstraints:
@@ -77,23 +72,23 @@ class TestEnergyAndConstraints:
     @settings(max_examples=25, deadline=None)
     def test_spectral_energy_invariant(self, seed, s):
         st0 = random_state(seed)
-        e0 = kg_hamiltonian(st0, CFG)
-        e1 = kg_hamiltonian(kg_evolve_spectral(st0, s, CFG), CFG)
+        e0 = kg_hamiltonian(st0, MASS)
+        e1 = kg_hamiltonian(kg_evolve_spectral(st0, s, MASS), MASS)
         assert abs(e1 - e0) <= 1e-12 * max(abs(e0), 1.0)
 
     def test_leapfrog_energy_drift_single_mode(self):
         st0 = single_mode_state()
-        e0 = kg_hamiltonian(st0, CFG)
-        out = kg_evolve_leapfrog(st0, 1e-3, 1000, CFG)
-        e1 = kg_hamiltonian(out, CFG)
+        e0 = kg_hamiltonian(st0, MASS)
+        out = kg_evolve_leapfrog(st0, 1e-3, 1000, MASS)
+        e1 = kg_hamiltonian(out, MASS)
         assert abs(e1 - e0) <= 1e-6 * abs(e0)
 
     def test_leapfrog_converges_to_spectral(self):
         st0 = single_mode_state()
-        exact = kg_evolve_spectral(st0, 1.0, CFG)
+        exact = kg_evolve_spectral(st0, 1.0, MASS)
         errs = []
         for steps in (1000, 2000):
-            out = kg_evolve_leapfrog(st0, 1.0 / steps, steps, CFG)
+            out = kg_evolve_leapfrog(st0, 1.0 / steps, steps, MASS)
             errs.append(sup_norm(out.phi.values - exact.phi.values))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
@@ -101,7 +96,7 @@ class TestEnergyAndConstraints:
     @settings(max_examples=20, deadline=None)
     def test_constraints_preserved(self, seed):
         st0 = random_state(seed)
-        out = kg_evolve_spectral(st0, 2.7, CFG)
+        out = kg_evolve_spectral(st0, 2.7, MASS)
         assert out.constraint_residual() <= 1e-10 * max(sup_norm(out.phi), 1e-30)
 
     def test_enforce_constraints_residual(self):
@@ -120,7 +115,7 @@ class TestEnergyAndConstraints:
 
     def test_evolve_zero_steps_is_identity(self):
         st0 = random_state(8)
-        out = kg_evolve_leapfrog(st0, 1e-3, 0, CFG)
+        out = kg_evolve_leapfrog(st0, 1e-3, 0, MASS)
         assert np.array_equal(out.phi.values, st0.phi.values)
         assert np.array_equal(out.p.values, st0.p.values)
 
@@ -128,140 +123,121 @@ class TestEnergyAndConstraints:
 class TestEvolution:
     def test_single_mode_closed_form(self):
         k, a, b = 2, 0.7, 0.4
-        om = np.sqrt(k * k + CFG.mass**2)
+        om = np.sqrt(k * k + MASS**2)
         x = LAT.coordinates()[0]
-        st0 = kg_enforce_constraints(
+        st0 = enforce(
             ScalarField(LAT, a * np.cos(k * x)), ScalarField(LAT, b * np.cos(k * x))
         )
         s = 1.3
-        out = kg_evolve_spectral(st0, s, CFG)
+        out = kg_evolve_spectral(st0, s, MASS)
         expect_phi = (a * np.cos(om * s) + b * np.sin(om * s) / om) * np.cos(k * x)
         expect_p = (b * np.cos(om * s) - a * om * np.sin(om * s)) * np.cos(k * x)
         assert sup_norm(out.phi.values - expect_phi) < 1e-12
         assert sup_norm(out.p.values - expect_p) < 1e-12
 
     def test_massless_zero_mode_drifts(self):
-        cfg0 = KGConfig(mass=0.0, lattice=LAT)
         phi = ScalarField(LAT, np.full(LAT.shape, 0.2))
         p = ScalarField(LAT, np.full(LAT.shape, 0.5))
-        out = kg_evolve_spectral(kg_enforce_constraints(phi, p), 3.0, cfg0)
+        out = kg_evolve_spectral(enforce(phi, p), 3.0, 0.0)
         assert sup_norm(out.phi.values - (0.2 + 3.0 * 0.5)) < 1e-13
         assert sup_norm(out.p.values - 0.5) < 1e-13
 
     def test_printed_mass_sign_is_tachyonic(self):
         # the printed slice Hamiltonian generates growth where k^2 < m^2:
         # keep it available, demonstrably wrong, and clearly labeled
-        cfg = KGConfig(mass=2.0, lattice=LAT)
         st0 = single_mode_state(k=1, amp_phi=1.0, amp_p=0.0)
-        out = kg_evolve_spectral(st0, 4.0, cfg, mass_sign="paper-printed")
+        out = kg_evolve_spectral(st0, 4.0, 2.0, ledger="paper-printed")
         assert sup_norm(out.phi) > 10.0
-        ok = kg_evolve_spectral(st0, 4.0, cfg)
+        ok = kg_evolve_spectral(st0, 4.0, 2.0)
         assert sup_norm(ok.phi) <= 1.0 + 1e-12
 
-    def test_unknown_mass_sign_rejected(self):
-        with pytest.raises(ValueError):
-            kg_evolve_spectral(random_state(1), 1.0, CFG, mass_sign="wat")
+    def test_unknown_ledger_rejected(self):
+        with pytest.raises(ValueError, match="unknown ledger 'wat'"):
+            kg_evolve_spectral(random_state(1), 1.0, MASS, ledger="wat")
 
-    def test_config_on_another_lattice_rejected(self):
-        # the frequencies come from cfg's lattice: on the box of length
-        # 4 pi the mode cos x would rotate as cos(s / 2)
+    def test_record_on_another_lattice_rejected(self):
+        # the frequencies come from the state's lattice; a record on the
+        # box of length 4 pi, where the mode cos x would rotate as
+        # cos(s / 2), refuses the state
         lat = Lattice(dim=1, n=8, length=2 * np.pi)
         x = lat.coordinates()[0]
-        st0 = kg_enforce_constraints(ScalarField(lat, np.cos(x)), ScalarField(lat, 0 * x))
-        out = kg_evolve_spectral(st0, 1.0, KGConfig(mass=0.0, lattice=lat))
+        st0 = enforce(ScalarField(lat, np.cos(x)), ScalarField(lat, 0 * x))
+        out = Theory.of("kg", lat).evolve(st0, 1.0)
         assert out.phi.values[0] == pytest.approx(np.cos(1.0), abs=1e-14)
-        other = KGConfig(mass=0.0, lattice=Lattice(dim=1, n=8, length=4 * np.pi))
-        with pytest.raises(ValueError, match="lattice"):
-            kg_evolve_spectral(st0, 1.0, other)
+        other = Theory.of("kg", Lattice(dim=1, n=8, length=4 * np.pi))
+        for build in (lambda: other.evolve(st0, 1.0), lambda: other.section(st0, 1e-3, 2)):
+            with pytest.raises(ValueError, match="record is on"):
+                build()
 
 
 class TestSectionResiduals:
     def test_dedonder_weyl_residual_small(self):
         st0 = random_state(4, band=2)
-        section = kg_solution_section(st0, 1e-3, 80, CFG)
+        section = kg_solution_section(st0, 1e-3, 80, MASS)
         assert kg_dedonder_weyl_residual(section) <= 1e-5
 
     def test_dedonder_weyl_ratio(self):
         st0 = random_state(4, band=2)
         r = []
         for dt in (1e-3, 5e-4):
-            section = kg_solution_section(st0, dt, int(0.08 / dt), CFG)
+            section = kg_solution_section(st0, dt, int(0.08 / dt), MASS)
             r.append(kg_dedonder_weyl_residual(section))
         assert r[0] / r[1] == pytest.approx(4.0, rel=0.2)
 
     def test_corrupted_momentum_detected(self):
         st0 = random_state(4, band=2)
-        section = kg_solution_section(st0, 1e-3, 10, CFG)
-        bad = list(section.states)
-        mid = len(bad) // 2
-        bad[mid] = KGState(
-            phi=bad[mid].phi,
-            p=ScalarField(LAT, bad[mid].p.values + 1.0),
-            beta=bad[mid].beta,
-            time=bad[mid].time,
-        )
-        worse = type(section).from_states(bad, section.dt, section.cfg)
+        section = kg_solution_section(st0, 1e-3, 10, MASS)
+        p = section.p.copy()
+        p[len(p) // 2] += 1.0
+        worse = replace(section, p=p)
         assert kg_dedonder_weyl_residual(worse) >= 1.0
 
     def test_too_few_slices_rejected(self):
         st0 = random_state(4)
-        section = kg_solution_section(st0, 1e-3, 1, CFG)
+        section = kg_solution_section(st0, 1e-3, 1, MASS)
         with pytest.raises(ValueError):
             kg_dedonder_weyl_residual(section)
 
 
 class TestAction:
-    def test_zero_section_zero_action(self):
-        zero = kg_enforce_constraints(
+    def test_zero_section_zero_pairing(self):
+        zero = enforce(
             ScalarField(LAT, np.zeros(LAT.shape)), ScalarField(LAT, np.zeros(LAT.shape))
         )
-        section = kg_solution_section(zero, 1e-2, 5, CFG)
-        assert kg_action(section) == 0.0
+        section = kg_solution_section(zero, 1e-2, 5, MASS)
+        var = random_state(11, band=1)
+        assert kg_el_pairing(section, var) == 0.0
+        assert kg_el_cancellation_scale(section, var) == 0.0
 
     def test_pairing_equals_difference_quotient(self):
         st0 = random_state(9, band=1)
-        section = kg_solution_section(st0, 1e-2, 30, CFG)
+        section = kg_solution_section(st0, 1e-2, 30, MASS)
         rng = seeded(10)
         d1 = random_state(11, band=1).phi
         d2 = random_state(12, band=1).p
-        var = vary(d1, d2)
+        var = enforce(d1, d2)
         pairing = kg_el_pairing(section, var)
+        v = bumped(section, var)
 
         def shifted(eps):
-            states = []
-            for stt, v in zip(section.states, bumped(section, var).states):
-                states.append(
-                    KGState(
-                        phi=ScalarField(LAT, stt.phi.values + eps * v.phi.values),
-                        p=ScalarField(LAT, stt.p.values + eps * v.p.values),
-                        beta=VectorField(
-                            LAT,
-                            tuple(
-                                ScalarField(LAT, b.values + eps * db.values)
-                                for b, db in zip(
-                                    stt.beta.components, v.beta.components
-                                )
-                            ),
-                        ),
-                        time=stt.time,
-                    )
-                )
-            return type(section).from_states(states, section.dt, section.cfg)
+            return replace(
+                section, **{n: getattr(section, n) + eps * getattr(v, n) for n in _FIELDS}
+            )
 
         eps = 0.37
-        quotient = (kg_action(shifted(eps)) - kg_action(shifted(-eps))) / (2 * eps)
+        quotient = (ref_action(shifted(eps)) - ref_action(shifted(-eps))) / (2 * eps)
         assert abs(pairing - quotient) <= 1e-9 * max(abs(pairing), 1.0)
 
     def test_pairing_is_linear_in_the_variation(self):
         # off shell, so that the pairing does not cancel: the kernel reads
         # the variation as a slice state under a fixed bump, and the
         # pairing is linear in that state
-        section = kg_solution_section(random_state(9, band=1), 1e-2, 30, CFG)
+        section = kg_solution_section(random_state(9, band=1), 1e-2, 30, MASS)
         section = replace(section, p=section.p + 0.3 * section.phi)
-        u = vary(random_state(11, band=1).phi, random_state(12, band=1).p)
-        w = vary(random_state(13, band=1).phi, random_state(14, band=1).p)
+        u = enforce(random_state(11, band=1).phi, random_state(12, band=1).p)
+        w = enforce(random_state(13, band=1).phi, random_state(14, band=1).p)
         a, b = 0.7, -2.3
-        both = vary(
+        both = enforce(
             ScalarField(LAT, a * u.phi.values + b * w.phi.values),
             ScalarField(LAT, a * u.p.values + b * w.p.values),
         )
@@ -274,21 +250,21 @@ class TestAction:
 
     def test_cancellation_scale_amplitude_invariance(self):
         st0 = random_state(9, band=1)
-        section = kg_solution_section(st0, 1e-2, 40, CFG)
+        section = kg_solution_section(st0, 1e-2, 40, MASS)
         d1, d2 = random_state(13, band=1).phi, random_state(14, band=1).p
-        var = vary(d1, d2)
+        var = enforce(d1, d2)
         r1 = abs(kg_el_pairing(section, var)) / kg_el_cancellation_scale(section, var)
 
         big = kg_solution_section(
-            kg_enforce_constraints(
+            enforce(
                 ScalarField(LAT, 10 * st0.phi.values),
                 ScalarField(LAT, 10 * st0.p.values),
             ),
             1e-2,
             40,
-            CFG,
+            MASS,
         )
-        var_big = vary(ScalarField(LAT, 10 * d1.values), ScalarField(LAT, 10 * d2.values))
+        var_big = enforce(ScalarField(LAT, 10 * d1.values), ScalarField(LAT, 10 * d2.values))
         r2 = abs(kg_el_pairing(big, var_big)) / kg_el_cancellation_scale(big, var_big)
         assert r1 == pytest.approx(r2, rel=1e-9)
 
@@ -316,7 +292,7 @@ def _covariant_lagrangian_density(
     - mass^2 phi^2).
     """
     lat = section.lattice
-    msq = section.cfg.mass**2
+    msq = section.mass**2
     h_d = lat.spacing**lat.dim
     dphi_dt = _time_derivative(phis, section.dt)
     grads = stack_gradient(lat, phis)
@@ -328,8 +304,11 @@ def _covariant_lagrangian_density(
     return h_d * dens.reshape(len(phis), -1).sum(axis=1)
 
 
+_FIELDS = ("phi", "p", "beta")
+
+
 def _stacks(section: KGSpacetimeSection):
-    return section.phi, section.p, section.beta
+    return tuple(getattr(section, n) for n in _FIELDS)
 
 
 def ref_action(section):
@@ -351,7 +330,7 @@ def ref_pairing(section, variation):
 
 def ref_scale(section, variation):
     lat = section.lattice
-    msq = section.cfg.mass**2
+    msq = section.mass**2
     h_d = lat.spacing**lat.dim
     phis, ps, betas = _stacks(section)
     dphis, dps, dbetas = _stacks(variation)
@@ -377,15 +356,13 @@ class TestLagrangianTable:
     @pytest.mark.parametrize("solution", [True, False])
     def test_matches_real_space_reference(self, dim, n, solution):
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-        cfg = KGConfig(mass=0.7, lattice=lat)
-        section = kg_solution_section(random_state(31, lat=lat), 1e-2, 24, cfg)
+        section = kg_solution_section(random_state(31, lat=lat), 1e-2, 24, 0.7)
         if not solution:
             # off shell: the pairing no longer cancels
             section = replace(section, p=section.p + 0.3 * section.phi)
-        var = vary(random_state(32, lat=lat).phi, random_state(33, lat=lat).p)
+        var = enforce(random_state(32, lat=lat).phi, random_state(33, lat=lat).p)
         stacks = bumped(section, var)
         scale = kg_el_cancellation_scale(section, var)
-        assert kg_action(section) == pytest.approx(ref_action(section), rel=1e-12)
         assert scale == pytest.approx(ref_scale(section, stacks), rel=1e-12)
         assert abs(kg_el_pairing(section, var) - ref_pairing(section, stacks)) <= 1e-13 * scale
         if not solution:
@@ -438,17 +415,17 @@ class TestModeFlowRotation:
     # wavenumbers, so that lam has positive and negative (hyperbolic)
     # entries, and with a mass on one
     @pytest.mark.parametrize(
-        "mass_sign,mass",
+        "ledger,mass",
         [("resolved", 0.7), ("resolved", 0.0), ("paper-printed", 1.5), ("paper-printed", 1.0)],
     )
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (3, 8)])
     @pytest.mark.parametrize("which", TIMES)
-    def test_matches_the_np_where_reference(self, dim, n, mass_sign, mass, which):
+    def test_matches_the_np_where_reference(self, dim, n, ledger, mass, which):
         from covlab.kg import _kg_generator
         from covlab.lattice import _ModeFlow
 
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-        generator = _kg_generator(mass, mass_sign)
+        generator = _kg_generator(mass, ledger)
         flow = _ModeFlow(lat, generator)
         kappa, lam = (np.broadcast_to(x, lat.shape) for x in generator(lat.ksq()))
         s = times(lat, which)
@@ -465,7 +442,7 @@ class TestModeFlowRotation:
         for got, ref in zip(flow.restricted(index).rotation(block[:, np.newaxis]), want):
             assert same_bits(got, ref.reshape(len(block), -1)[:, index])
             assert got.flags.c_contiguous
-        if mass_sign == "paper-printed" and mass == 1.5:
+        if ledger == "paper-printed" and mass == 1.5:
             assert np.any(lam < 0) and np.any(lam > 0)
         if mass == 0.0:
             assert np.any(lam == 0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from section_references import bumped
+from section_references import bumped, hermitize
 
 from covlab.darboux import Theory
 from covlab.lattice import (
@@ -14,7 +14,6 @@ from covlab.lattice import (
     ModeVector,
     ScalarField,
     VectorField,
-    hermitize,
     idft,
     inner,
     stack_gradient,
@@ -22,15 +21,11 @@ from covlab.lattice import (
 )
 from covlab.schrodinger import (
     SchrSpacetimeSection,
-    SchrState,
-    schr_action,
     schr_dedonder_weyl_residual,
     schr_el_cancellation_scale,
     schr_el_pairing,
-    schr_enforce_constraints,
     schr_evolve_spectral,
     schr_evolve_stepped,
-    schr_hamiltonian,
     schr_norm_squared,
     schr_solution_section,
     to_wavefunction,
@@ -39,10 +34,11 @@ from covlab.schrodinger import (
 LAT = Lattice(dim=1, n=64, length=2 * np.pi)
 
 
-def vary(d0, d1):
-    """The slice state of the fields (d0, d1), which the EL pairing takes
-    under its time bump, through the theory record."""
-    return Theory.of("schrodinger", d0.lattice).enforce(d0, d1)
+def enforce(phiR, phiI):
+    """The slice state of the fields (phiR, phiI), through the theory
+    record: a variation, which the EL pairing takes under its time bump,
+    too."""
+    return Theory.of("schrodinger", phiR.lattice).enforce(phiR, phiI)
 
 
 def seeded(seed):
@@ -59,7 +55,7 @@ def random_state(seed, lat=LAT, band=None):
         coeff[np.max(np.abs(m[np.indices(lat.shape)]), axis=0) > band] = 0.0
         return idft(ModeVector(lat, hermitize(coeff)))
 
-    return schr_enforce_constraints(field(), field())
+    return enforce(field(), field())
 
 
 class TestUnitarity:
@@ -83,7 +79,7 @@ class TestUnitarity:
     def test_propagator_phase_k1(self):
         # exp(-i k^2 s / 2) at k = 1, s = pi is exactly -i
         x = LAT.coordinates()[0]
-        st0 = schr_enforce_constraints(
+        st0 = enforce(
             ScalarField(LAT, np.cos(x)), ScalarField(LAT, np.sin(x))
         )
         out = schr_evolve_spectral(st0, np.pi)
@@ -93,10 +89,10 @@ class TestUnitarity:
 
     def test_printed_hamiltonian_sign_reverses_propagator(self):
         x = LAT.coordinates()[0]
-        st0 = schr_enforce_constraints(
+        st0 = enforce(
             ScalarField(LAT, np.cos(x)), ScalarField(LAT, np.sin(x))
         )
-        out = schr_evolve_spectral(st0, np.pi, hamiltonian_sign="paper-printed")
+        out = schr_evolve_spectral(st0, np.pi, ledger="paper-printed")
         expect = +1j * to_wavefunction(st0)
         assert np.max(np.abs(to_wavefunction(out) - expect)) < 1e-12
 
@@ -135,14 +131,10 @@ class TestConstraints:
         bad = replace(st0, **{part: VectorField(lat, tuple(ScalarField(lat, c) for c in comps))})
         assert np.isnan(bad.constraint_residual())
 
-    def test_hamiltonian_printed_sign_nonpositive(self):
-        st0 = random_state(5)
-        assert schr_hamiltonian(st0) <= 0.0
-
 
 class TestWavefunctionBridge:
     def test_unit_wavefunction(self):
-        st0 = schr_enforce_constraints(
+        st0 = enforce(
             ScalarField(LAT, np.ones(LAT.shape)), ScalarField(LAT, np.zeros(LAT.shape))
         )
         assert np.array_equal(to_wavefunction(st0), np.ones(LAT.shape, dtype=complex))
@@ -150,7 +142,7 @@ class TestWavefunctionBridge:
     def test_bijection(self):
         st0 = random_state(6)
         psi = to_wavefunction(st0)
-        back = schr_enforce_constraints(ScalarField(LAT, psi.real), ScalarField(LAT, psi.imag))
+        back = enforce(ScalarField(LAT, psi.real), ScalarField(LAT, psi.imag))
         assert sup_norm(back.phiR.values - st0.phiR.values) == 0.0
         assert sup_norm(back.phiI.values - st0.phiI.values) == 0.0
 
@@ -172,110 +164,56 @@ class TestSectionResiduals:
     def test_corrupted_beta_detected(self):
         st0 = random_state(4, band=2)
         section = schr_solution_section(st0, 1e-3, 10)
-        bad = list(section.states)
-        mid = len(bad) // 2
-        comps = tuple(
-            ScalarField(LAT, c.values + 1.0) for c in bad[mid].betaR.components
-        )
-        from covlab.lattice import VectorField
-
-        bad[mid] = SchrState(
-            phiR=bad[mid].phiR,
-            phiI=bad[mid].phiI,
-            betaR=VectorField(LAT, comps),
-            betaI=bad[mid].betaI,
-            time=bad[mid].time,
-        )
-        worse = type(section).from_states(bad, section.dt)
+        betaR = section.betaR.copy()
+        betaR[len(betaR) // 2] += 1.0
+        worse = replace(section, betaR=betaR)
         assert schr_dedonder_weyl_residual(worse) >= 0.9
 
 
 class TestAction:
-    def test_zero_section_zero_action(self):
-        zero = schr_enforce_constraints(
+    def test_zero_section_zero_pairing(self):
+        zero = enforce(
             ScalarField(LAT, np.zeros(LAT.shape)), ScalarField(LAT, np.zeros(LAT.shape))
         )
         section = schr_solution_section(zero, 1e-2, 5)
-        assert schr_action(section) == 0.0
+        var = random_state(11, band=1)
+        assert schr_el_pairing(section, var) == 0.0
+        assert schr_el_cancellation_scale(section, var) == 0.0
 
     def test_temporal_term_antisymmetric_under_swap(self):
-        # with the momenta zeroed the action reduces to its temporal term
-        # integral (phiI d_t phiR - phiR d_t phiI); swapping the real and
-        # imaginary parts flips its sign, and a static section gives zero
-        rng = seeded(11)
-        from covlab.lattice import VectorField
-
-        zero_vec = VectorField(
-            LAT, tuple(ScalarField(LAT, np.zeros(LAT.shape)) for _ in range(LAT.dim))
-        )
-
-        def bare_state(fR, fI, t):
-            return SchrState(
-                phiR=fR, phiI=fI, betaR=zero_vec, betaI=zero_vec, time=t,
-            )
-
+        # the reference action the difference quotient below reads: with
+        # the momenta zeroed it reduces to its temporal term integral
+        # (phiI d_t phiR - phiR d_t phiI); swapping the real and imaginary
+        # parts flips its sign, and a static section gives zero
         base = random_state(11)
-        slices = [schr_evolve_spectral(base, 0.01 * i) for i in range(6)]
-        sec = type(schr_solution_section(base, 0.01, 5)).from_states(
-            [bare_state(s.phiR, s.phiI, s.time) for s in slices],
-            0.01,
-        )
-        swapped = type(sec).from_states(
-            [bare_state(s.phiI, s.phiR, s.time) for s in slices],
-            0.01,
-        )
-        assert schr_action(swapped) == pytest.approx(-schr_action(sec), rel=1e-12)
+        sec = schr_solution_section(base, 0.01, 5)
+        zero = np.zeros_like(sec.betaR)
+        sec = replace(sec, betaR=zero, betaI=zero)
+        swapped = replace(sec, phiR=sec.phiI, phiI=sec.phiR)
+        assert ref_action(swapped) == pytest.approx(-ref_action(sec), rel=1e-12)
 
-        static = type(sec).from_states(
-            [bare_state(base.phiR, base.phiI, 0.01 * i) for i in range(6)],
-            0.01,
-        )
+        still = lambda phi: np.broadcast_to(phi.values, sec.phiR.shape)
+        static = replace(sec, phiR=still(base.phiR), phiI=still(base.phiI))
         # the one-sided difference stencils leave 3*f rounding residue
         norm = inner(base.phiR, base.phiR) + inner(base.phiI, base.phiI)
-        assert abs(schr_action(static)) <= 1e-13 * norm
+        assert abs(ref_action(static)) <= 1e-13 * norm
 
     def test_pairing_equals_difference_quotient(self):
         st0 = random_state(9, band=1)
         section = schr_solution_section(st0, 1e-2, 30)
         d1 = random_state(12, band=1).phiR
         d2 = random_state(13, band=1).phiI
-        var = vary(d1, d2)
+        var = enforce(d1, d2)
         pairing = schr_el_pairing(section, var)
+        v = bumped(section, var)
 
         def shifted(eps):
-            from covlab.lattice import VectorField
-
-            states = []
-            for stt, v in zip(section.states, bumped(section, var).states):
-                states.append(
-                    SchrState(
-                        phiR=ScalarField(LAT, stt.phiR.values + eps * v.phiR.values),
-                        phiI=ScalarField(LAT, stt.phiI.values + eps * v.phiI.values),
-                        betaR=VectorField(
-                            LAT,
-                            tuple(
-                                ScalarField(LAT, b.values + eps * db.values)
-                                for b, db in zip(
-                                    stt.betaR.components, v.betaR.components
-                                )
-                            ),
-                        ),
-                        betaI=VectorField(
-                            LAT,
-                            tuple(
-                                ScalarField(LAT, b.values + eps * db.values)
-                                for b, db in zip(
-                                    stt.betaI.components, v.betaI.components
-                                )
-                            ),
-                        ),
-                        time=stt.time,
-                    )
-                )
-            return type(section).from_states(states, section.dt)
+            return replace(
+                section, **{n: getattr(section, n) + eps * getattr(v, n) for n in _FIELDS}
+            )
 
         eps = 0.61
-        quotient = (schr_action(shifted(eps)) - schr_action(shifted(-eps))) / (2 * eps)
+        quotient = (ref_action(shifted(eps)) - ref_action(shifted(-eps))) / (2 * eps)
         assert abs(pairing - quotient) <= 1e-9 * max(abs(pairing), 1.0)
 
     def test_pairing_is_linear_in_the_variation(self):
@@ -284,10 +222,10 @@ class TestAction:
         # pairing is linear in that state
         section = schr_solution_section(random_state(9, band=1), 1e-2, 30)
         section = replace(section, phiI=section.phiI + 0.3 * section.phiR)
-        u = vary(random_state(11, band=1).phiR, random_state(12, band=1).phiI)
-        w = vary(random_state(13, band=1).phiR, random_state(14, band=1).phiI)
+        u = enforce(random_state(11, band=1).phiR, random_state(12, band=1).phiI)
+        w = enforce(random_state(13, band=1).phiR, random_state(14, band=1).phiI)
         a, b = 0.7, -2.3
-        both = vary(
+        both = enforce(
             ScalarField(LAT, a * u.phiR.values + b * w.phiR.values),
             ScalarField(LAT, a * u.phiI.values + b * w.phiI.values),
         )
@@ -301,7 +239,7 @@ class TestAction:
     def test_cancellation_scale_positive(self):
         st0 = random_state(9, band=1)
         section = schr_solution_section(st0, 1e-2, 20)
-        var = vary(st0.phiR, st0.phiI)
+        var = enforce(st0.phiR, st0.phiI)
         assert schr_el_cancellation_scale(section, var) > 0.0
 
 
@@ -311,8 +249,11 @@ class TestAction:
 # by section_references.bumped.
 
 
+_FIELDS = ("phiR", "phiI", "betaR", "betaI")
+
+
 def _stacks(section: SchrSpacetimeSection):
-    return section.phiR, section.phiI, section.betaR, section.betaI
+    return tuple(getattr(section, n) for n in _FIELDS)
 
 
 def _schr_lagrangian(section, aR, aI, bR, bI) -> np.ndarray:
@@ -387,10 +328,9 @@ class TestLagrangianTable:
         if not solution:
             # off shell: the pairing no longer cancels
             section = replace(section, phiI=section.phiI + 0.3 * section.phiR)
-        var = vary(random_state(32, lat=lat).phiR, random_state(33, lat=lat).phiI)
+        var = enforce(random_state(32, lat=lat).phiR, random_state(33, lat=lat).phiI)
         stacks = bumped(section, var)
         scale = schr_el_cancellation_scale(section, var)
-        assert schr_action(section) == pytest.approx(ref_action(section), rel=1e-12)
         assert scale == pytest.approx(ref_scale(section, stacks), rel=1e-12)
         assert abs(schr_el_pairing(section, var) - ref_pairing(section, stacks)) <= 1e-13 * scale
         if not solution:

@@ -11,16 +11,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from section_references import hermitize
 
 from covlab.kg import (
-    KGConfig,
     KGSpacetimeSection,
     _kg_lagrangian,
-    kg_action,
     kg_dedonder_weyl_residual,
     kg_el_cancellation_scale,
     kg_el_pairing,
-    kg_enforce_constraints,
     kg_evolve_spectral,
     kg_solution_section,
 )
@@ -30,7 +28,6 @@ from covlab.lattice import (
     ModeVector,
     _el_densities,
     _first_order_residual,
-    hermitize,
     idft,
     spectral_gradient,
     stack_divergence,
@@ -40,11 +37,9 @@ from covlab.lattice import (
 from covlab.schrodinger import (
     _SCHR_LAGRANGIAN,
     SchrSpacetimeSection,
-    schr_action,
     schr_dedonder_weyl_residual,
     schr_el_cancellation_scale,
     schr_el_pairing,
-    schr_enforce_constraints,
     schr_evolve_spectral,
     schr_solution_section,
 )
@@ -69,26 +64,26 @@ def random_fields(lat, seed):
 
 def kg_setup(dim):
     lat = lattice(dim)
-    cfg = KGConfig(mass=0.7, lattice=lat)
-    return kg_enforce_constraints(*random_fields(lat, dim)), cfg
+    return Theory.of("kg", lat).enforce(*random_fields(lat, dim)), 0.7
 
 
 def schr_setup(dim):
-    return schr_enforce_constraints(*random_fields(lattice(dim), 10 + dim))
+    lat = lattice(dim)
+    return Theory.of("schrodinger", lat).enforce(*random_fields(lat, 10 + dim))
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_kg_batched_section_matches_slice_by_slice(dim):
-    st0, cfg = kg_setup(dim)
-    section = kg_solution_section(st0, DT, STEPS, cfg)
-    slices = [kg_evolve_spectral(st0, i * DT, cfg) for i in range(STEPS + 1)]
+    st0, mass = kg_setup(dim)
+    section = kg_solution_section(st0, DT, STEPS, mass)
+    slices = [kg_evolve_spectral(st0, i * DT, mass) for i in range(STEPS + 1)]
     assert np.array_equal(section.phi, np.stack([s.phi.values for s in slices]))
     assert np.array_equal(section.p, np.stack([s.p.values for s in slices]))
     assert np.array_equal(
         section.beta,
         np.array([[c.values for c in s.beta.components] for s in slices]),
     )
-    assert section.beta.shape == (STEPS + 1, dim) + cfg.lattice.shape
+    assert section.beta.shape == (STEPS + 1, dim) + st0.lattice.shape
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -105,41 +100,13 @@ def test_schr_batched_section_matches_slice_by_slice(dim):
 
 
 def test_section_stacks_are_read_only():
-    st0, cfg = kg_setup(1)
-    section = kg_solution_section(st0, DT, STEPS, cfg)
+    st0, mass = kg_setup(1)
+    section = kg_solution_section(st0, DT, STEPS, mass)
     with pytest.raises(ValueError):
         section.phi[0, 0] = 1.0
     schr = schr_solution_section(schr_setup(1), DT, STEPS)
     with pytest.raises(ValueError):
         schr.betaI[0, 0, 0] = 1.0
-
-
-@pytest.mark.parametrize("dim", (1, 2))
-def test_from_states_round_trips(dim):
-    st0, cfg = kg_setup(dim)
-    section = kg_solution_section(st0, DT, STEPS, cfg)
-    again = KGSpacetimeSection.from_states(section.states, section.dt, cfg)
-    for name in ("phi", "p", "beta"):
-        assert np.array_equal(getattr(again, name), getattr(section, name))
-    assert np.array_equal(again.times(), section.times())
-
-    schr = schr_solution_section(schr_setup(dim), DT, STEPS)
-    back = SchrSpacetimeSection.from_states(schr.states, schr.dt)
-    for name in ("phiR", "phiI", "betaR", "betaI"):
-        assert np.array_equal(getattr(back, name), getattr(schr, name))
-    assert back.lattice == schr.lattice
-
-
-def test_from_states_keeps_validation():
-    st0, cfg = kg_setup(1)
-    states = kg_solution_section(st0, DT, STEPS, cfg).states
-    with pytest.raises(ValueError, match="uniform"):
-        KGSpacetimeSection.from_states(states, 2 * DT, cfg)
-    with pytest.raises(ValueError, match="two time slices"):
-        KGSpacetimeSection.from_states(states[:1], DT, cfg)
-    other = KGConfig(mass=0.7, lattice=Lattice(dim=1, n=8, length=1.0))
-    with pytest.raises(ValueError, match="lattice"):
-        KGSpacetimeSection.from_states(states, DT, other)
 
 
 def test_batched_reality_check_rejects_one_bad_slice():
@@ -176,12 +143,12 @@ def test_ksq_is_cached_and_read_only():
 
 
 def test_dedonder_weyl_residuals_keep_nan():
-    st0, cfg = kg_setup(1)
-    section = kg_solution_section(st0, DT, STEPS, cfg)
+    st0, mass = kg_setup(1)
+    section = kg_solution_section(st0, DT, STEPS, mass)
     p = section.p.copy()
     p[2, 3] = np.nan
     bad = KGSpacetimeSection(
-        phi=section.phi, p=p, beta=section.beta, dt=section.dt, cfg=cfg
+        phi=section.phi, p=p, beta=section.beta, dt=section.dt, lattice=section.lattice, mass=mass
     )
     assert np.isnan(kg_dedonder_weyl_residual(bad))
 
@@ -203,7 +170,7 @@ def test_dedonder_weyl_residuals_keep_nan():
 def kg_ddw_reference(section):
     """With P^0 = -p: d phi/dt - p, beta - grad phi and
     -dp/dt + div beta - mass^2 phi on the interior time nodes."""
-    dt, lat, msq = section.dt, section.lattice, section.cfg.mass**2
+    dt, lat, msq = section.dt, section.lattice, section.mass**2
     phis, ps, betas = section.phi, section.p, section.beta
     dphi_dt = (phis[2:] - phis[:-2]) / (2 * dt)
     dp_dt = (ps[2:] - ps[:-2]) / (2 * dt)
@@ -251,8 +218,8 @@ def perturbed(section, name, seed):
 @pytest.mark.parametrize("name", [None, "phi", "p", "beta"])
 def test_kg_ddw_residual_is_the_hand_written_one_bit_for_bit(dim, name):
     # the table's equations are exactly minus the hand-written ones
-    st0, cfg = kg_setup(dim)
-    section = perturbed(kg_solution_section(st0, DT, STEPS, cfg), name, dim)
+    st0, mass = kg_setup(dim)
+    section = perturbed(kg_solution_section(st0, DT, STEPS, mass), name, dim)
     assert kg_dedonder_weyl_residual(section) == sup_of(kg_ddw_reference(section))
 
 
@@ -267,7 +234,7 @@ def test_schr_ddw_residual_is_the_hand_written_one_with_doubled_time_equations(d
     assert schr_dedonder_weyl_residual(section) == sup_of((2 * i, ii, 2 * iii, iv))
 
 
-TABLES = {"kg": lambda cfg: _kg_lagrangian(cfg.mass), "schrodinger": lambda cfg: _SCHR_LAGRANGIAN}
+TABLES = {"kg": _kg_lagrangian, "schrodinger": lambda mass: _SCHR_LAGRANGIAN}
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -277,13 +244,12 @@ def test_a_flipped_table_term_lifts_the_ddw_residual(theory, dim):
     # of the central differences; with the sign of any one term flipped
     # they fail at O(1)
     lat = lattice(dim)
-    cfg = KGConfig(mass=0.7, lattice=lat)
-    fields = banded_fields(lat, 70 + dim, band=1)
+    state = Theory.of(theory, lat).enforce(*banded_fields(lat, 70 + dim, band=1))
     if theory == "kg":
-        section = kg_solution_section(kg_enforce_constraints(*fields), 5e-4, 20, cfg)
+        section = kg_solution_section(state, 5e-4, 20, 0.7)
     else:
-        section = schr_solution_section(schr_enforce_constraints(*fields), 5e-4, 20)
-    table = TABLES[theory](cfg)
+        section = schr_solution_section(state, 5e-4, 20)
+    table = TABLES[theory](0.7)
     assert _first_order_residual(table, section) <= 1e-5
     for k, (c, *rest) in enumerate(table):
         flipped = table[:k] + ((-c, *rest),) + table[k + 1 :]
@@ -336,14 +302,14 @@ def kg_pair(dim, sampled=False):
     """A builder section and a slice state to vary it along, its constraint
     fields derived; with `sampled`, the section is the even rows of the
     build at DT / 2."""
-    st0, cfg = kg_setup(dim)
+    st0, mass = kg_setup(dim)
     if sampled:
-        fine = kg_solution_section(st0, DT / 2, 2 * STEPS, cfg)
+        fine = kg_solution_section(st0, DT / 2, 2 * STEPS, mass)
         section = fine._sampled(slice(0, None, 2), DT)
     else:
-        section = kg_solution_section(st0, DT, STEPS, cfg)
-    th = Theory.of("kg", cfg.lattice)
-    return section, derived(th.enforce(*random_fields(cfg.lattice, 20 + dim)))
+        section = kg_solution_section(st0, DT, STEPS, mass)
+    th = Theory.of("kg", st0.lattice)
+    return section, derived(th.enforce(*random_fields(st0.lattice, 20 + dim)))
 
 
 def schr_pair(dim, sampled=False):
@@ -401,11 +367,9 @@ def test_a_two_slice_section_is_refused_by_every_time_derivative(theory):
     build, _, pairing, scale = PAIRS[theory]
     section, variation = build(1)
     th = Theory.of(theory, section.lattice)
-    short = th.section(section.states[0], DT, 1)
+    short = th.section(variation, DT, 1)
     assert len(short.times()) == 2
-    action = {"kg": kg_action, "schrodinger": schr_action}[theory]
     kernels = (
-        lambda: action(short),
         lambda: pairing(short, variation),
         lambda: scale(short, variation),
         lambda: th.ddw(short),
@@ -484,14 +448,13 @@ def banded_fields(lat, seed, band):
 
 def kg_build(dim, band):
     lat = Lattice(dim=dim, n=8, length=2 * np.pi)
-    cfg = KGConfig(mass=0.15, lattice=lat)
-    st0 = kg_enforce_constraints(*banded_fields(lat, 40 + dim, band), time=0.25)
-    return lambda dt, steps, first=0: kg_solution_section(st0, dt, steps, cfg, first)
+    st0 = Theory.of("kg", lat).enforce(*banded_fields(lat, 40 + dim, band), time=0.25)
+    return lambda dt, steps, first=0: kg_solution_section(st0, dt, steps, 0.15, first)
 
 
 def schr_build(dim, band):
     lat = Lattice(dim=dim, n=8, length=2 * np.pi)
-    st0 = schr_enforce_constraints(*banded_fields(lat, 50 + dim, band), time=0.25)
+    st0 = Theory.of("schrodinger", lat).enforce(*banded_fields(lat, 50 + dim, band), time=0.25)
     return lambda dt, steps, first=0: schr_solution_section(st0, dt, steps, first)
 
 
@@ -632,8 +595,8 @@ def test_action_residual_live_peak(theory):
 def enforced_and_evolved(theory, dim):
     """A state from enforcement and the state it evolves to."""
     if theory == "kg":
-        state, cfg = kg_setup(dim)
-        return state, kg_evolve_spectral(state, 0.3, cfg)
+        state, mass = kg_setup(dim)
+        return state, kg_evolve_spectral(state, 0.3, mass)
     state = schr_setup(dim)
     return state, schr_evolve_spectral(state, 0.3)
 
@@ -658,7 +621,7 @@ def test_evolve_transforms_no_gradient_until_a_constraint_field_is_read(theory, 
     state, _ = enforced_and_evolved(theory, 3)
     calls = count_ffts(monkeypatch)
     if theory == "kg":
-        out = kg_evolve_spectral(state, 0.3, KGConfig(mass=0.7, lattice=state.lattice))
+        out = kg_evolve_spectral(state, 0.3, 0.7)
     else:
         out = schr_evolve_spectral(state, 0.3)
     # the two scalars, there and back
