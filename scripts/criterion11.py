@@ -21,7 +21,8 @@ another n, for a quick run.
 
 ``--diff A B`` prints each row whose value, tolerance or verdict moved
 from record A to record B, old -> new, and the rows only one holds; its
-last line counts the rows that moved and the verdicts that changed.
+last line counts the rows that moved and the verdicts that changed.  It
+exits 1 when a verdict changed, 0 when at most values moved.
 """
 
 import argparse
@@ -101,9 +102,9 @@ def _read(path: str) -> dict:
     return rows
 
 
-def diff(old_path: str, new_path: str) -> None:
+def diff(old_path: str, new_path: str) -> int:
     """Print each row that moved from old to new, then their count and the
-    count of rows on both sides whose verdict changed."""
+    count of rows on both sides whose verdict changed; return that count."""
     old, new = _read(old_path), _read(new_path)
     keys = list(old) + [key for key in new if key not in old]
     moved = flipped = 0
@@ -121,6 +122,7 @@ def diff(old_path: str, new_path: str) -> None:
             if a != b:
                 print(f"{label} {metric} {name}: {a} -> {b}")
     print(f"{moved} of {len(keys)} rows moved, {flipped} verdicts changed")
+    return flipped
 
 
 def main(argv=None) -> int:
@@ -130,8 +132,7 @@ def main(argv=None) -> int:
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.diff:
-        diff(*args.diff)
-        return 0
+        return 1 if diff(*args.diff) else 0
     for line in record(args.seeds, args.n):
         print(line)
     return 0

@@ -383,26 +383,12 @@ def smeared_observable(
     F_U(state) = w integral (d1_U a0 - d0_U a1) with the pairing weight
     w; the per-mode rotation is symplectic, so the same pairing against
     the variation U, a slice state, pushed through the chart at the given
-    time (not U's own) evaluates it on Darboux points.  W-independent.
+    time (not U's own) gives its g-arrays (w vol conj d1, -w vol conj d0).
     """
     m = ModeState(*(dft(f) for f in theory.slice_fields(U)), time=time)
     d0, d1 = theory.to_darboux(m).arrays
     measure = theory.weight * U.lattice.volume
-
-    def evaluate(pt: DarbouxState) -> float:
-        A0, A1 = pt.arrays
-        return measure * float(np.real(np.sum(d1 * np.conj(A0) - d0 * np.conj(A1))))
-
-    def gradient(pt):
-        return measure * np.conj(d1), -measure * np.conj(d0)
-
-    return Observable(
-        theory=theory,
-        evaluate=evaluate,
-        gradient=gradient,
-        w_derivative=lambda pt: 0.0,
-        name="smeared",
-    )
+    return _linear(theory, measure * np.conj(d1), -measure * np.conj(d0), "smeared")
 
 
 @dataclass(frozen=True)
@@ -432,6 +418,43 @@ def bracket_equivalence_check(
 # observable factories (the linear and quadratic test families)
 
 
+def _linear(theory: Theory, g0, g1, name: str) -> Observable:
+    """Re sum(g0 A0 + g1 A1), W-independent, with the fixed g-arrays as its
+    read-only gradient.  The value reads each slot only on the modes where
+    its g-array is nonzero, found once: on one mode, an index read."""
+    g = np.array((g0, g1), dtype=complex)
+    g.setflags(write=False)
+    nonzero = [(i, np.flatnonzero(x)) for i, x in enumerate(g)]
+    terms = [(i, on, g[i].ravel()[on]) for i, on in nonzero if on.size]
+
+    def evaluate(pt) -> float:
+        A = pt.arrays
+        return float(sum((h * A[i].ravel()[on]).sum().real for i, on, h in terms))
+
+    return Observable(theory, evaluate, lambda pt: (g[0], g[1]), lambda pt: 0.0, name)
+
+
+def _quadratic(theory: Theory, pair, name: str) -> Observable:
+    """The quadratic form vol Re sum A_i conj(A_j) on the pair (i, j) of
+    chart coordinates, W-independent, a real sum of |A_i|^2 if i == j; its
+    gradient is vol conj(A_j) on slot i plus vol conj(A_i) on slot j."""
+    i, j = pair
+
+    def evaluate(pt) -> float:
+        a, b = pt.arrays[i], pt.arrays[j]
+        total = np.sum(np.abs(a) ** 2) if i == j else np.real(np.sum(a * np.conj(b)))
+        return pt.lattice.volume * float(total)
+
+    def gradient(pt):
+        A, vol = pt.arrays, pt.lattice.volume
+        g = [np.zeros(a.shape, dtype=complex) for a in A]
+        g[i] = vol * np.conj(A[j])
+        g[j] += vol * np.conj(A[i])
+        return tuple(g)
+
+    return Observable(theory, evaluate, gradient, lambda pt: 0.0, name)
+
+
 def mode_real_part(theory: Theory, slot: str, multi_index) -> Observable:
     """Re of one mode coefficient of the chosen coordinate array.
 
@@ -445,23 +468,10 @@ def mode_real_part(theory: Theory, slot: str, multi_index) -> Observable:
     idx = tuple(int(m) % lattice.n for m in np.atleast_1d(multi_index))
     flat = int(np.ravel_multi_index(idx, lattice.shape))
     conj_map, self_conj, _ = mode_index_table(lattice)
-    # the g-arrays do not depend on the point: half a unit on k and -k, a
-    # whole one on a self-conjugate mode
+    # half a unit on k and -k, a whole one on a self-conjugate mode
     g = np.zeros((2, lattice.site_count), dtype=complex)
     g[which, [flat, conj_map[flat]]] = 1.0 if self_conj[flat] else 0.5
-    g = g.reshape((2,) + lattice.shape)
-    g.setflags(write=False)
-
-    def evaluate(pt) -> float:
-        return float(np.real(pt.arrays[which].ravel()[flat]))
-
-    return Observable(
-        theory=theory,
-        evaluate=evaluate,
-        gradient=lambda pt: (g[0], g[1]),
-        w_derivative=lambda pt: 0.0,
-        name=f"Re {slot}({idx})",
-    )
+    return _linear(theory, *g.reshape((2,) + lattice.shape), f"Re {slot}({idx})")
 
 
 def w_coordinate(theory: Theory) -> Observable:
@@ -480,43 +490,12 @@ def w_coordinate(theory: Theory) -> Observable:
 
 def quadratic_power(theory: Theory, which: int = 0) -> Observable:
     """integral |coordinate|^2 over the dual lattice (vol per mode)."""
-
-    def evaluate(pt) -> float:
-        return pt.lattice.volume * float(np.sum(np.abs(pt.arrays[which]) ** 2))
-
-    def gradient(pt):
-        g = 2.0 * pt.lattice.volume * np.conj(pt.arrays[which])
-        zero = np.zeros_like(g)
-        return (g, zero) if which == 0 else (zero, g)
-
-    return Observable(
-        theory=theory,
-        evaluate=evaluate,
-        gradient=gradient,
-        w_derivative=lambda pt: 0.0,
-        name=f"|slot{which}|^2",
-    )
+    return _quadratic(theory, (which, which), f"|slot{which}|^2")
 
 
 def quadratic_cross(theory: Theory) -> Observable:
     """integral Re(first conj(second)) over the dual lattice."""
-
-    def evaluate(pt) -> float:
-        a0, a1 = pt.arrays
-        return pt.lattice.volume * float(np.real(np.sum(a0 * np.conj(a1))))
-
-    def gradient(pt):
-        a0, a1 = pt.arrays
-        vol = pt.lattice.volume
-        return vol * np.conj(a1), vol * np.conj(a0)
-
-    return Observable(
-        theory=theory,
-        evaluate=evaluate,
-        gradient=gradient,
-        w_derivative=lambda pt: 0.0,
-        name="Re<slot0, slot1>",
-    )
+    return _quadratic(theory, (0, 1), "Re<slot0, slot1>")
 
 
 def product_observable(F: Observable, G: Observable) -> Observable:

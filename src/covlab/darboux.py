@@ -244,8 +244,8 @@ def _symmetrized(pair: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 # A time whose phase nu s overflows gives NaN coordinates and a NaN W,
-# quietly, as WOracle.value does: the chart silences the overflow around
-# its bodies, not in _ModeFlow, which every evolve reads.
+# quietly, as WOracle.value does: the chart, Theory.w and the pullback
+# silence the overflow around their bodies, not _ModeFlow, which evolve reads.
 
 
 def _to_darboux(m: ModeState, generator, weight: float) -> DarbouxState:
@@ -346,8 +346,9 @@ class Theory:
         """W at m: the derived (w/2)(<a0, a1> - <A0, A1>), the one the
         chart stores, or the subclass's printed hypothesis."""
         self.check_lattice(m)
-        d = _to_darboux(m, self.generator("resolved"), self.weight)
-        return self.printed_w(m, d) if printed else d.W
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _to_darboux(m, self.generator("resolved"), self.weight)
+            return self.printed_w(m, d) if printed else d.W
 
     def dw_covector(self, m: ModeState, printed: bool, sup: _Support):
         """The differential at m of W, derived or printed, as the covector
@@ -577,8 +578,8 @@ class WOracle:
     ``loop_integral`` around a triangle, each with ``_path``.
     Construction checks closedness of the difference form at
     seeded random points and refuses to build an oracle for a
-    non-closed form.  ``theory`` is a Theory record, or a theory name
-    with a record or a Lattice to build one from as ``cfg``.
+    non-closed form.  ``theory`` is a Theory record, or a theory name with
+    a record of that theory (ValueError if of another) or a Lattice as ``cfg``.
     """
 
     def __init__(
@@ -590,6 +591,8 @@ class WOracle:
         check_points: int = 4,
     ):
         if not isinstance(theory, Theory):
+            if isinstance(cfg, Theory) and cfg.name != theory:
+                raise ValueError(f"a {theory!r} oracle cannot be built from a {cfg.name!r} record")
             theory = Theory.of(theory, getattr(cfg, "lattice", cfg), getattr(cfg, "mass", 0.0))
         if sign_ledger not in ("resolved", "paper-printed"):
             raise ValueError(f"unknown sign_ledger {sign_ledger!r}")
@@ -753,7 +756,6 @@ def theta_pullback_residual(theory: Theory, point: ModeState) -> ThetaPullbackRe
     sup = oracle._support((*point.arrays, *reflected), (point.time,))
     pair = np.searchsorted(sup.index, conj[sup.index])
     a0, a1 = (sup.take(x) for x in point.arrays)
-    f0, f1, fs = _form_covector(theory, sup, a0, a1, point.time, oracle.sign_ledger)
 
     def gap_norm(printed):
         h0, h1, hs = theory.dw_covector(point, printed, sup)
@@ -761,6 +763,6 @@ def theta_pullback_residual(theory: Theory, point: ModeState) -> ThetaPullbackRe
         fields = point.lattice.volume * np.linalg.norm(e)
         return float(np.hypot(fields, (fs - hs) * oracle._s_scale))
 
-    return ThetaPullbackReport(
-        theory=theory.name, oracle_residual=gap_norm(False), printed_residual=gap_norm(True)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, f1, fs = _form_covector(theory, sup, a0, a1, point.time, oracle.sign_ledger)
+        return ThetaPullbackReport(theory.name, gap_norm(False), gap_norm(True))

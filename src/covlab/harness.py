@@ -708,7 +708,7 @@ def _bracket_rows(cfg: ExperimentConfig):
 
     # G's analytic derivatives and one derivative of its values along X_F:
     # at most 5.35e-12 over seeds 0-7 and 42, 1D n=64 to 3D n=16, the
-    # stencil's rounding; quadratic_power's gradient off by 10 % reads 0.091
+    # stencil's rounding; the quadratic form's slot-i gradient x 1.1 reads 0.048
     gaps = []
     for F, G in ((quad1, quad2), (quad2, quad1)):
         poisson = br.poisson_bracket(F, G, point)
@@ -885,16 +885,5 @@ def suite_configs(seed: int = 42, sign_ledger: str = "resolved"):
 
 
 def run_suite(seed: int = 42, sign_ledger: str = "resolved"):
-    """Run the acceptance matrix on a thread pool, one worker per CPU this
-    process may use and at most one per config; reports come back in
-    matrix order.  On 2 cores (Python 3.11.7, numpy 2.4.6) the one cold
-    pass of a `covlab suite --all` takes a median 0.210 s pooled against
-    0.218 s serial (32 pairs); warm passes take 0.206 s either way."""
-    configs = suite_configs(seed=seed, sign_ledger=sign_ledger)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # imported here, where it is used: at module level it would add about
-    # 0.5 MB of resident memory and 10 ms to every import of covlab
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(cpus, len(configs))) as pool:
-        return list(pool.map(run_experiment, configs))
+    """Run the acceptance matrix serially, reports in matrix order."""
+    return [run_experiment(cfg) for cfg in suite_configs(seed=seed, sign_ledger=sign_ledger)]

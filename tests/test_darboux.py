@@ -244,6 +244,15 @@ class TestW:
         pts = [kg_point(seed, time=t) for seed, t in ((1, 0.4), (2, 1.1), (3, 2.9))]
         assert abs(oracle.loop_integral(*pts)) <= 1e-9
 
+    def test_oracle_refuses_another_theorys_record(self):
+        # a name with a record builds that record's oracle only when the
+        # record is of the named theory
+        with pytest.raises(ValueError, match="'kg' oracle .* 'schrodinger' record"):
+            WOracle("kg", Theory.of("schrodinger", LAT, 0.3), check_points=0)
+        with pytest.raises(ValueError, match="'schrodinger' oracle .* 'kg' record"):
+            WOracle("schrodinger", KG, check_points=0)
+        assert WOracle("kg", KG, check_points=0).theory is KG
+
     def test_oracle_rejects_printed_ledger(self):
         with pytest.raises(WOracleClosednessError):
             WOracle(KG, sign_ledger="paper-printed")
@@ -1327,9 +1336,10 @@ def test_huge_times_read_rounding_or_nan(theory):
 @pytest.mark.parametrize("theory,mass", [("kg", 1.0), ("kg", 0.0), ("schrodinger", 0.0)])
 @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (3, 4)])
 def test_the_chart_reads_huge_times_quietly(theory, mass, dim, n):
-    # where a phase nu s overflows, the chart's coordinates and W are NaN,
-    # with no warning, as the oracle's value is; the massless zero mode's
-    # drift overflows in the chart too
+    # where a phase nu s overflows, the chart's coordinates and W, the
+    # printed W and the pullback residuals are NaN, with no warning, as the
+    # oracle's value is; the massless zero mode's drift overflows in the
+    # chart too
     lat = Lattice(dim=dim, n=n, length=2 * np.pi)
     th = Theory.of(theory, lat, mass)
     rng = seeded(24)
@@ -1341,7 +1351,12 @@ def test_the_chart_reads_huge_times_quietly(theory, mass, dim, n):
             d = th.to_darboux(m)
             th.from_darboux(d)
             assert np.array_equal(d.W, th.w(m), equal_nan=True)
-        assert np.isnan(th.w(ModeState(a0, a1, time=-1.7e308)))
+            th.w(m, printed=True)
+            theta_pullback_residual(th, m)
+        huge = ModeState(a0, a1, time=-1.7e308)
+        assert np.isnan(th.w(huge)) and np.isnan(th.w(huge, printed=True))
+        report = theta_pullback_residual(th, huge)
+        assert np.isnan(report.oracle_residual) and np.isnan(report.printed_residual)
 
 
 @pytest.mark.parametrize("band", [16, 24, 31])

@@ -917,9 +917,9 @@ EQ, ANTI, JAC, RESTRICT = (
 )
 
 # single-site faults in X_F, the one statement of the bivector that every
-# bracket reads, and in quadratic_power's gradient, with the gated
-# bracket-check rows each fails at n=16, seed 42 (the values are KG's,
-# Schrodinger's in parentheses where they differ)
+# bracket reads, and in the quadratic and the linear form behind the test
+# observables, with the gated bracket-check rows each fails at n=16, seed
+# 42 (the values are KG's, Schrodinger's in parentheses where they differ)
 BRACKET_MUTATIONS = {
     # EQ 4.3 (6.8), ANTI 0.047, JAC 0.047
     "d0-scaled": ("_field", "d0 = measure", "d0 = 1.1 * measure", {EQ, ANTI, JAC}),
@@ -938,8 +938,13 @@ BRACKET_MUTATIONS = {
         "dW = F.evaluate(point)",
         {ANTI, JAC},
     ),
-    # RESTRICT 0.091 (G's derivative against its values along X_F), JAC 0.047
-    "quadratic-gradient-scaled": ("quadratic_power", "g = 2.0 *", "g = 2.2 *", {RESTRICT, JAC}),
+    # the slot-i term of the quadratic form's gradient: RESTRICT 0.048 (G's
+    # derivative against its values along X_F), JAC 0.024
+    "quadratic-gradient-scaled": ("_quadratic", "g[i] = vol", "g[i] = 1.1 * vol", {RESTRICT, JAC}),
+    # a known gap (ROADMAP item 11): no gated row reads the value of
+    # mode_real_part on slot 1 or of smeared_observable against its
+    # gradient, so the sign of the g1 term fails nothing; tier-1 catches it
+    "linear-g1-sign-flipped": ("_linear", "(h *", "(-1) ** i * (h *", set()),
 }
 
 

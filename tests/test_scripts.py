@@ -132,7 +132,7 @@ def test_criterion11_diff_counts_changed_verdicts(tmp_path, capsys):
         "a:03:kg/evolve,extra,0.0,1e-12,true\n",
         encoding="utf-8",
     )
-    assert load("criterion11").main(["--diff", str(old), str(new)]) == 0
+    assert load("criterion11").main(["--diff", str(old), str(new)]) == 1
     assert capsys.readouterr().out == (
         "a:00:kg/evolve drift value: 1e-16 -> 1.5e-16\n"
         "a:01:kg/omega-check spread value: 2e-15 -> 2e-09\n"
@@ -140,6 +140,10 @@ def test_criterion11_diff_counts_changed_verdicts(tmp_path, capsys):
         f"a:03:kg/evolve extra: only in {new}\n"
         "3 of 4 rows moved, 1 verdicts changed\n"
     )
+    # it exits 1 on a changed verdict and 0 when only values move
+    moved = tmp_path / "moved.txt"
+    moved.write_text(old.read_text(encoding="utf-8").replace("1e-16", "1.5e-16"), encoding="utf-8")
+    assert load("criterion11").main(["--diff", str(old), str(moved)]) == 0
 
 
 # the construction sweep of darboux-check's oracle per seed: none refuses
