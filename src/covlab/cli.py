@@ -12,13 +12,10 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .harness import emit_report, load_config, run_experiment, run_suite
+from .harness import FORMATS, LEDGERS, emit_report, load_config, run_experiment, run_suite
 
-_LEDGER_ALIASES = {
-    "resolved": "resolved",
-    "paper": "paper-printed",
-    "paper-printed": "paper-printed",
-}
+# every ledger by its name, and the printed one also as "paper"
+_LEDGER_ALIASES = {name: name for name in LEDGERS} | {"paper": "paper-printed"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment from a config file")
     run_p.add_argument("--config", required=True, help="flat key: value config file")
     run_p.add_argument("--out", default=None, help="write the report here")
-    run_p.add_argument("--format", choices=("csv", "json"), default=None)
+    run_p.add_argument("--format", choices=FORMATS, default=None)
     run_p.add_argument("--seed", type=int, default=None, help="override the seed")
     run_p.add_argument(
         "--ledger",
@@ -45,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--all", action="store_true", help="run every experiment for both theories"
     )
     suite_p.add_argument("--out", default=None, help="write the combined report here")
-    suite_p.add_argument("--format", choices=("csv", "json"), default="csv")
+    suite_p.add_argument("--format", choices=FORMATS, default="csv")
     suite_p.add_argument("--seed", type=int, default=42)
     suite_p.add_argument(
         "--ledger", choices=tuple(_LEDGER_ALIASES), default="resolved"
@@ -54,15 +51,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.ledger is not None:
-        cfg = replace(cfg, sign_ledger=_LEDGER_ALIASES[args.ledger])
-    if args.format is not None:
-        cfg = replace(cfg, format=args.format)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
+    overrides = {
+        "seed": args.seed,
+        "sign_ledger": _LEDGER_ALIASES.get(args.ledger),
+        "format": args.format,
+        "out": args.out,
+    }
+    cfg = replace(
+        load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
+    )
     report = run_experiment(cfg)
     text = emit_report(report, cfg.out or None, cfg.format)
     sys.stdout.write(text)

@@ -64,10 +64,10 @@ __all__ = [
     "run_suite",
 ]
 
-THEORIES = ("kg", "schrodinger")
-EXPERIMENTS = ("evolve", "omega-check", "darboux-check", "bracket-check", "action-residual")
+THEORIES = tuple(dx._RECORDS)
 EVOLUTIONS = ("spectral", "stepped")
 LEDGERS = ("resolved", "paper-printed")
+FORMATS = ("csv", "json")
 
 
 # slices x sites x floats per site (one per scalar, dim per constraint of
@@ -143,7 +143,7 @@ class ExperimentConfig:
         # numbers are stored as Python int and float, times as a tuple of
         # floats, whatever numpy scalars or sequences were given: the config
         # hashes, and equal configs build equal lattices
-        for name in _INT_KEYS:
+        for name in _keys("int"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"invalid field '{name}': {value!r} (integer required)")
@@ -153,7 +153,7 @@ class ExperimentConfig:
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"invalid field 'n': {n} (power of two >= 4 required)")
-        for name in _FLOAT_KEYS:
+        for name in _keys("float"):
             value = getattr(self, name)
             if not _is_real(value):
                 raise ValueError(f"invalid field '{name}': {value!r} (real number required)")
@@ -197,7 +197,7 @@ class ExperimentConfig:
                     f"invalid field 'dt': {self.dt} (positive required for action-residual)"
                 )
             self._check_section_size()
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ValueError(f"invalid field 'format': {self.format!r}")
         if self.sign_ledger not in LEDGERS:
             raise ValueError(f"invalid field 'sign_ledger': {self.sign_ledger!r}")
@@ -246,19 +246,20 @@ def _theory(cfg: ExperimentConfig) -> dx.Theory:
     return dx.Theory.of(cfg.theory, cfg.lattice, cfg.mass)
 
 
-_INT_KEYS = ("dim", "n", "steps", "seed")
-_FLOAT_KEYS = ("length", "mass", "dt")
-_STR_KEYS = {"theory", "experiment", "evolution", "out", "format", "sign_ledger"}
+def _keys(kind: str) -> list[str]:
+    """The config's fields annotated `kind`, in declaration order."""
+    return [f.name for f in fields(ExperimentConfig) if f.type == kind]
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse a flat key: value config file; unknown or malformed fields
     are rejected with the field named in the error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}")
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -271,19 +272,20 @@ def load_config(path: str) -> ExperimentConfig:
         val = val.strip()
         if key in values:
             raise ValueError(f"invalid field '{key}': given twice ({path}:{lineno})")
-        if key in _INT_KEYS:
+        kind = kinds.get(key)
+        if kind == "int":
             try:
                 values[key] = int(val)
             except ValueError:
                 raise ValueError(f"invalid field '{key}': {val!r} is not an integer")
-        elif key in _FLOAT_KEYS:
+        elif kind == "float":
             try:
                 values[key] = float(val)
             except ValueError:
                 raise ValueError(f"invalid field '{key}': {val!r} is not a number")
-        elif key in _STR_KEYS:
+        elif kind == "str":
             values[key] = val
-        elif key == "times":
+        elif kind == "tuple":
             try:
                 values[key] = tuple(float(t) for t in val.split(",") if t.strip())
             except ValueError:
@@ -324,11 +326,6 @@ def _seeded_modes(cfg: ExperimentConfig, seed: int, band: int | None = None):
     )
 
 
-def _seeded_fields(cfg: ExperimentConfig, seed: int, band: int | None = None):
-    """The two seeded mode vectors as real fields."""
-    return tuple(idft(m) for m in _seeded_modes(cfg, seed, band))
-
-
 def random_state(cfg: ExperimentConfig, seed: int | None = None):
     """Seeded band-limited Gaussian Cauchy data for the configured theory."""
     return _banded_state(cfg, cfg.seed if seed is None else seed)
@@ -337,7 +334,7 @@ def random_state(cfg: ExperimentConfig, seed: int | None = None):
 def _banded_state(cfg: ExperimentConfig, seed: int, band: int | None = None):
     """Seeded data restricted to |m_j| <= band (experiment-specific
     low-frequency data; the default is the standard n/4 band)."""
-    return _theory(cfg).enforce(*_seeded_fields(cfg, seed, band))
+    return _theory(cfg).enforce(*(idft(m) for m in _seeded_modes(cfg, seed, band)))
 
 
 # ---------------------------------------------------------------------------
@@ -706,14 +703,18 @@ def _bracket_rows(cfg: ExperimentConfig):
     worst = nan_max((*closure.reeb_residuals, closure.flow_spread))
     yield "subalgebra-closure-residual", worst, br.CLOSURE_TOL
 
-    # G's analytic derivatives and one derivative of its values along X_F:
-    # at most 5.35e-12 over seeds 0-7 and 42, 1D n=64 to 3D n=16, the
-    # stencil's rounding; the quadratic form's slot-i gradient x 1.1 reads 0.048
+    # each test observable's analytic derivatives against one derivative of
+    # its values along X_F: at most 5.35e-12 over seeds 0-7 and 42, 1D n=16
+    # to 3D n=16, the stencil's rounding.  A fault that keeps the two
+    # consistent stays unseen: mode_real_part's 0.5 -> 0.55 (another
+    # observable, not an inconsistent one), or the product's W-derivative
+    # term x 1.1, which scales quad1's zero W-derivative
     gaps = []
-    for F, G in ((quad1, quad2), (quad2, quad1)):
-        poisson = br.poisson_bracket(F, G, point)
+    pairs = [(quad1, quad2), (quad2, quad1), (lin1, lin2), (lin2, lin1)]
+    for F, G in pairs + [(quad1, wquad), (quad2, wquad), (quad2, gh)]:
+        contracted = br.jacobi_bracket(F, G, point)
         along = br.jacobi_bracket(F, br.Observable(th, G.evaluate, name="values"), point)
-        gaps.append(abs(poisson - along) / max(1.0, abs(poisson)))
+        gaps.append(abs(contracted - along) / max(1.0, abs(contracted)))
     yield "restriction-consistency-scaled", nan_max(gaps), 1e-10
 
 
@@ -758,7 +759,7 @@ def el_residuals(cfg: ExperimentConfig, levels: int = 2) -> list[float]:
     along a seeded slice state under the time bump: per-node densities
     streamed chunk by chunk (_stream), one trapezoid per level."""
     th = _theory(cfg)
-    variation = th.enforce(*_seeded_fields(cfg, cfg.seed + 7, band=1))
+    variation = _banded_state(cfg, cfg.seed + 7, band=1)
     build = partial(th.section, _banded_state(cfg, cfg.seed, band=1))
     densities = {}
     for j, count, first, section, own in _stream(cfg, levels, _el_steps, build):
@@ -806,6 +807,7 @@ _EXPERIMENT_TABLE = {
     "bracket-check": _bracket_rows,
     "action-residual": _action_rows,
 }
+EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -842,46 +844,22 @@ def _describe(exc: Exception) -> str:
 
 def suite_configs(seed: int = 42, sign_ledger: str = "resolved"):
     """The full acceptance matrix in its fixed reporting order."""
-    out = []
-    for theory in THEORIES:
-        for evolution in EVOLUTIONS:
-            out.append(
-                ExperimentConfig(
-                    theory=theory,
-                    experiment="evolve",
-                    evolution=evolution,
-                    seed=seed,
-                    sign_ledger=sign_ledger,
-                )
-            )
-    for experiment in ("omega-check", "darboux-check", "bracket-check"):
-        for theory in THEORIES:
-            out.append(
-                ExperimentConfig(
-                    theory=theory,
-                    experiment=experiment,
-                    seed=seed,
-                    sign_ledger=sign_ledger,
-                )
-            )
+    cells = [(theory, "evolve", {"evolution": e}) for theory in THEORIES for e in EVOLUTIONS]
+    cells += [
+        (theory, experiment, {})
+        for experiment in ("omega-check", "darboux-check", "bracket-check")
+        for theory in THEORIES
+    ]
     for theory in THEORIES:
         # low-frequency band-1 data and a long window keep the O(dt^2)
         # constant of the EL cancellation small; see the module docstring
         length, steps = (64.0, 8000) if theory == "kg" else (4 * math.pi, 6000)
-        out.append(
-            ExperimentConfig(
-                theory=theory,
-                experiment="action-residual",
-                n=64,
-                length=length,
-                mass=0.15,
-                dt=1e-3,
-                steps=steps,
-                seed=seed,
-                sign_ledger=sign_ledger,
-            )
-        )
-    return out
+        action = {"n": 64, "length": length, "mass": 0.15, "dt": 1e-3, "steps": steps}
+        cells.append((theory, "action-residual", action))
+    return [
+        ExperimentConfig(theory=t, experiment=x, seed=seed, sign_ledger=sign_ledger, **kw)
+        for t, x, kw in cells
+    ]
 
 
 def run_suite(seed: int = 42, sign_ledger: str = "resolved"):

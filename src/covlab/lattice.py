@@ -706,11 +706,8 @@ class _ModeFlow:
 
 def _node_sums(stack: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Sum of stack * other over every axis but stack's leading time axis;
-    other is a stack of the same shape or one slice of it."""
-    flat = stack.reshape(len(stack), -1)
-    if other.ndim == stack.ndim:
-        return np.einsum("ti,ti->t", flat, other.reshape(flat.shape))
-    return np.einsum("ti,i->t", flat, other.reshape(-1))
+    other is one slice of the stack."""
+    return np.einsum("ti,i->t", stack.reshape(len(stack), -1), other.reshape(-1))
 
 
 def _op(section, op: str, b: str) -> tuple[int, str, np.ndarray]:

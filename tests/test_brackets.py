@@ -315,6 +315,28 @@ class TestJacobiAndLeibniz:
             )
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("name", ["kg", "schrodinger"])
+    def test_bracket_antisymmetry_3d(self, name):
+        # at 3D n=8 the unscaled sum reaches 1.7e-12 (KG) over seeds 0-7 and
+        # 42; scaled as bracket-antisymmetry-scaled scales it, 1.0e-16
+        lat = Lattice(dim=3, n=8, length=2 * np.pi)
+        th = Theory.of(name, lat, 1.0)
+        lin1, lin2 = (mode_real_part(th, slot, (1, 0, 0)) for slot in th.slots)
+        quad1, quad2, w = quadratic_power(th, 0), quadratic_cross(th), w_coordinate(th)
+        wquad = product_observable(w, quad1)
+        worst = 0.0
+        for seed in [*range(8), 42]:
+            rng = seeded(seed)
+            modes = [ModeVector(lat, random_hermitian_modes(lat, rng, band=2)) for _ in range(2)]
+            pt = DarbouxState(*modes, W=0.5, time=1.3)
+            for F, G in ((lin1, quad1), (lin2, quad1), (quad1, quad2), (wquad, lin2), (w, quad2)):
+                fg, gf = jacobi_bracket(F, G, pt), jacobi_bracket(G, F, pt)
+                FGW = F.evaluate(pt) * G.w_derivative_at(pt)
+                GFW = G.evaluate(pt) * F.w_derivative_at(pt)
+                scale = 1.0 + abs(fg) + abs(gf) + abs(FGW) + abs(GFW)
+                worst = max(worst, abs(fg + gf) / scale)
+        assert worst <= 1e-12
+
     def test_jacobi_identity_quadratics(self):
         pt = kg_point(32, band=LAT.n // 4)
         F = quadratic_power(KG, 0)

@@ -87,6 +87,13 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, text))
         assert cfg.sign_ledger == "paper-printed"
 
+    def test_byte_order_mark_and_crlf(self, tmp_path):
+        # editors on Windows save UTF-8 with a byte-order mark and CRLF lines
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbftheory: kg\r\nexperiment: evolve\r\nn: 16\r\n")
+        cfg = load_config(str(path))
+        assert (cfg.theory, cfg.experiment, cfg.n) == ("kg", "evolve", 16)
+
     def test_round_trip(self, tmp_path):
         cfg = ExperimentConfig(
             theory="schrodinger",
@@ -592,8 +599,7 @@ def fresh_residuals(cfg, levels):
 
     el_state = harness._banded_state(cfg, cfg.seed, band=1)
     ddw_state = harness._banded_state(cfg, cfg.seed + 8, band=2)
-    th = harness._theory(cfg)
-    variation = th.enforce(*harness._seeded_fields(cfg, cfg.seed + 7, band=1))
+    variation = harness._banded_state(cfg, cfg.seed + 7, band=1)
     # each window 2 intervals of cfg.dt at least, at every level
     el_window = max(2, cfg.steps if cfg.steps > 0 else 100)
     ddw_window = max(2, min(cfg.steps if cfg.steps > 0 else 100, harness.DDW_WINDOW_STEPS))
@@ -941,10 +947,11 @@ BRACKET_MUTATIONS = {
     # the slot-i term of the quadratic form's gradient: RESTRICT 0.048 (G's
     # derivative against its values along X_F), JAC 0.024
     "quadratic-gradient-scaled": ("_quadratic", "g[i] = vol", "g[i] = 1.1 * vol", {RESTRICT, JAC}),
-    # a known gap (ROADMAP item 11): no gated row reads the value of
-    # mode_real_part on slot 1 or of smeared_observable against its
-    # gradient, so the sign of the g1 term fails nothing; tier-1 catches it
-    "linear-g1-sign-flipped": ("_linear", "(h *", "(-1) ** i * (h *", set()),
+    # the values of the linear form, the W coordinate and the product
+    # against their derivatives: RESTRICT 0.159 (0.0796), 0.0909 and 0.16 (0.08)
+    "linear-g1-sign-flipped": ("_linear", "+ np.sum(g[1]", "- np.sum(g[1]", {RESTRICT}),
+    "w-derivative-scaled": ("w_coordinate", "lambda pt: 1.0", "lambda pt: 1.1", {RESTRICT}),
+    "product-slot0-dropped": ("product_observable", "f * gg0 + g * gf0", "f * gg0", {RESTRICT}),
 }
 
 
