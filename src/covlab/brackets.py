@@ -221,7 +221,7 @@ def omega_slice_report(
 
 def _check_pair(F: Observable, G: Observable):
     """Both observables live on one record: the same object, or records
-    of one theory with the same lattice and mode flow (so Schrodinger
+    of one theory with the same lattice and generator (so Schrodinger
     records that differ only in the mass, which they do not read,
     pair)."""
     a, b = F.theory, G.theory
@@ -229,7 +229,7 @@ def _check_pair(F: Observable, G: Observable):
         return
     if a.name != b.name:
         raise ValueError("observables belong to different theories")
-    if a.lattice != b.lattice or not np.array_equal(a.flow().table, b.flow().table):
+    if a.lattice != b.lattice or a.generator("resolved") != b.generator("resolved"):
         raise ValueError(
             f"observables belong to different {a.name} records: {a.lattice} with "
             f"mass {a.mass} and {b.lattice} with mass {b.mass}"

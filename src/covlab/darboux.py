@@ -1,9 +1,9 @@
 """Generalized Darboux coordinates on mode space, and the W coordinate.
 
 Both theories are linear flows, a rotation per mode, each stated once
-as its theory module's generator (kappa, lam) of d(a0, a1)/ds =
-(kappa a1, -lam a0) and turned into the rotation (c, r, q) by
-lattice._ModeFlow.  One ``Theory`` record per theory,
+as its theory module's Lagrangian table, whose reading gives the pairing
+weight w and the generator of d(a0, a1)/ds = (kappa a1, -lam a0), the
+rotation (c, r, q) of lattice._ModeFlow.  One ``Theory`` record per theory,
 ``Theory.of(name, lattice, mass)``, holds what differs between them;
 the chart, the oracle and the pullback check are written once against
 it.  A point ``ModeState(a0, a1, time)`` holds (phi-hat, p-hat) for
@@ -65,15 +65,15 @@ with the pairing weight w and Hflow = (w/2) L^d sum(kappa |a1|^2 + lam
 positive slice energy, for Schrodinger (w = 2) +(1/2) integral |grad
 psi|^2, the sign whose contact flow is the propagator exp(-i k^2 s / 2)
 and the only one for which Theta - T is closed.  The printed ledgers'
-generators are kept behind the ``sign_ledger`` flag as documented
+tables are kept behind the ``sign_ledger`` flag as documented
 negative controls: with them the oracle's closedness precondition
 fails.  The chart's s-rates are (-kappa A1, lam A0).
 
-The chart and the slice propagator read one generator, so
-``darboux-invariance-rel-spread`` and the oracle no longer compare two
-statements of the flow: a wrong generator moves both alike.  The rows
-that do not read it catch one (``energy-drift-spectral``,
-``propagator-phase-error``, every ``action-residual`` row), as
+The chart and the slice propagator read one table, so
+``darboux-invariance-rel-spread`` and the oracle do not compare two
+statements of the flow: a wrong table moves both alike.  The rows with
+a hand-stated side catch one (``energy-drift-spectral``, ``norm-drift``,
+``propagator-phase-error``, the ``action-residual`` rows), as
 tests/test_darboux.py pins.
 """
 
@@ -86,15 +86,24 @@ import numpy as np
 
 from .kg import (
     KGState,
-    _kg_generator,
+    _kg_lagrangian,
     kg_dedonder_weyl_residual,
     kg_evolve_spectral,
     kg_solution_section,
 )
-from .lattice import Lattice, ModeVector, _mode_flow, dft, idft, mode_index_table, nan_max
+from .lattice import (
+    Lattice,
+    ModeVector,
+    _mode_flow,
+    _table_reading,
+    dft,
+    idft,
+    mode_index_table,
+    nan_max,
+)
 from .schrodinger import (
     SchrState,
-    _schr_generator,
+    _schr_lagrangian,
     schr_dedonder_weyl_residual,
     schr_evolve_spectral,
     schr_solution_section,
@@ -248,11 +257,12 @@ def _symmetrized(pair: np.ndarray, z: np.ndarray) -> np.ndarray:
 # silence the overflow around their bodies, not _ModeFlow, which evolve reads.
 
 
-def _to_darboux(m: ModeState, generator, weight: float) -> DarbouxState:
-    """(A0, A1), the mode flow of generator by -s, back to s = 0, and the
-    derived W = (w/2)(<a0, a1> - <A0, A1>) for the pairing weight w."""
+def _to_darboux(m: ModeState, table, state) -> DarbouxState:
+    """(A0, A1), the mode flow of a table for a state class by -s, back
+    to s = 0, and the derived W = (w/2)(<a0, a1> - <A0, A1>) for its w."""
     a0, a1 = m.arrays
     lat = m.lattice
+    weight, generator = _table_reading(table, state)
     with np.errstate(over="ignore", invalid="ignore"):
         A0, A1 = _mode_flow(lat, generator).propagate(a0, a1, -m.time)
         pairing = np.real(a0 * np.conj(a1) - A0 * np.conj(A1))
@@ -260,10 +270,11 @@ def _to_darboux(m: ModeState, generator, weight: float) -> DarbouxState:
     return DarbouxState(ModeVector(lat, A0), ModeVector(lat, A1), W=W, time=m.time)
 
 
-def _from_darboux(d: DarbouxState, generator) -> ModeState:
+def _from_darboux(d: DarbouxState, table, state) -> ModeState:
     """The flow by s; W is discarded (it is a function of the rest)."""
+    flow = _mode_flow(d.lattice, _table_reading(table, state)[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        a0, a1 = _mode_flow(d.lattice, generator).propagate(*d.arrays, d.time)
+        a0, a1 = flow.propagate(*d.arrays, d.time)
     return ModeState(ModeVector(d.lattice, a0), ModeVector(d.lattice, a1), time=d.time)
 
 
@@ -271,20 +282,20 @@ def kg_to_darboux(m: ModeState, mass: float) -> DarbouxState:
     """Phi-hat = cos phi-hat - (sin/omega) p-hat, P-hat = cos p-hat
     + omega sin phi-hat; the massless zero mode uses the shear limit
     Phi0 = phi0 - s p0, P0 = p0.  W is the derived one."""
-    return _to_darboux(m, _kg_generator(mass, "resolved"), KGTheory.weight)
+    return _to_darboux(m, _kg_lagrangian(mass, "resolved"), KGState)
 
 
 def kg_from_darboux(d: DarbouxState, mass: float) -> ModeState:
-    return _from_darboux(d, _kg_generator(mass, "resolved"))
+    return _from_darboux(d, _kg_lagrangian(mass, "resolved"), KGState)
 
 
 def schr_to_darboux(m: ModeState) -> DarbouxState:
     """The rotation by k^2 s / 2; W is the derived one."""
-    return _to_darboux(m, _schr_generator("resolved"), SchrTheory.weight)
+    return _to_darboux(m, _schr_lagrangian("resolved"), SchrState)
 
 
 def schr_from_darboux(d: DarbouxState) -> ModeState:
-    return _from_darboux(d, _schr_generator("resolved"))
+    return _from_darboux(d, _schr_lagrangian("resolved"), SchrState)
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +305,18 @@ def schr_from_darboux(d: DarbouxState) -> ModeState:
 class Theory:
     """What differs between the two theories, for one lattice and mass.
 
-    Each subclass sets ``name``, the config's theory; ``weight``, the
-    pairing weight w (1 for Klein-Gordon, 2 for Schrodinger) of Theta,
-    Omega, the bivector and the smeared observables; ``state``, the slice
-    state class, whose ``SCALARS`` are the record's ``fields`` behind
-    (a0, a1) (a variation, being a slice state too, carries them under
-    the same names); and ``slots``, the names of the chart coordinates.
-    Each gives ``generator(ledger)``, its theory module's mode-flow
-    generator, and its printed W hypothesis (``printed_w``,
-    ``printed_gradient``).  The chart, its s-rates, Hflow and the top
-    frequency are read off ``flow(ledger)``, and the derived W and the
-    differential of either W are written once here (``w``,
-    ``dw_covector``).  The methods that reach kg.py, schrodinger.py or
+    Each subclass sets ``name``, the config's theory; ``state``, the
+    slice state class, whose ``SCALARS`` are the record's ``fields``
+    behind (a0, a1) (a variation, being a slice state too, carries them
+    under the same names); and ``slots``, the names of the chart
+    coordinates.  Each gives ``table(ledger)``, its theory module's
+    Lagrangian table, whose reading gives ``weight``, the pairing weight
+    w (1 for KG, 2 for Schrodinger) of Theta, Omega, the bivector and the
+    smeared observables, and ``generator(ledger)``; and its printed W
+    hypothesis (``printed_w``, ``printed_gradient``).  The chart, its
+    s-rates, Hflow and the top frequency are read off ``flow(ledger)``,
+    and the derived W and the differential of either W are written once
+    here (``w``, ``dw_covector``).  The methods that reach kg.py, schrodinger.py or
     the four chart functions call them by module-level name at call
     time; constraint enforcement is the shared body of lattice.py.
     """
@@ -315,6 +326,7 @@ class Theory:
             raise ValueError(f"mass must be nonnegative, got {mass}")
         self.lattice = lattice
         self.mass = mass
+        self.weight = _table_reading(self.table("resolved"), self.state)[0]
 
     @staticmethod
     @lru_cache(maxsize=32)
@@ -326,6 +338,10 @@ class Theory:
         return _RECORDS[name](lattice, mass)
 
     fields = property(lambda self: self.state.SCALARS)
+
+    def generator(self, ledger: str):
+        """The ledger's mode-flow generator, read off its table."""
+        return _table_reading(self.table(ledger), self.state)[1]
 
     def flow(self, ledger: str = "resolved"):
         """The lattice._ModeFlow of the ledger's generator."""
@@ -347,7 +363,7 @@ class Theory:
         chart stores, or the subclass's printed hypothesis."""
         self.check_lattice(m)
         with np.errstate(over="ignore", invalid="ignore"):
-            d = _to_darboux(m, self.generator("resolved"), self.weight)
+            d = _to_darboux(m, self.table("resolved"), self.state)
             return self.printed_w(m, d) if printed else d.W
 
     def dw_covector(self, m: ModeState, printed: bool, sup: _Support):
@@ -387,10 +403,10 @@ class Theory:
 
 
 class KGTheory(Theory):
-    name, weight, state, slots = "kg", 1.0, KGState, ("Phi", "P")
+    name, state, slots = "kg", KGState, ("Phi", "P")
 
-    def generator(self, ledger: str):
-        return _kg_generator(self.mass, ledger)
+    def table(self, ledger: str):
+        return _kg_lagrangian(self.mass, ledger)
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
         self.check_lattice(m)
@@ -431,10 +447,10 @@ class KGTheory(Theory):
 
 
 class SchrTheory(Theory):
-    name, weight, state, slots = "schrodinger", 2.0, SchrState, ("PhiR", "PhiI")
+    name, state, slots = "schrodinger", SchrState, ("PhiR", "PhiI")
 
-    def generator(self, ledger: str):
-        return _schr_generator(ledger)
+    def table(self, ledger: str):
+        return _schr_lagrangian(ledger)
 
     def to_darboux(self, m: ModeState) -> DarbouxState:
         self.check_lattice(m)

@@ -3,7 +3,7 @@
 Cauchy data lives on the slice as (phi, p, beta) with the constraint
 beta = grad(phi), which KGState declares; the bodies of lattice.py
 (_Slice, _Section) enforce and measure it, evolve a state and build a
-section from those declarations and the generator here.  The functions
+section from those declarations and the table here.  The functions
 here read the lattice off the state and take the mass as a float; the
 theory's one record, its lattice and mass, is darboux.Theory.  The flow
 is linear, so a variation of a solution is a solution: a slice variation
@@ -11,20 +11,18 @@ is a KGState, and a section variation that KGState under the time bump
 of lattice._el_densities.  The dynamical conventions follow the
 resolved sign ledger (see README):
 
-* dphi/ds = p, dp/ds = laplacian(phi) - mass^2 phi, so each Fourier mode
-  is a harmonic oscillator with omega_k = sqrt(k^2 + mass^2): the
-  generator _kg_generator, stated once, from which lattice._ModeFlow
-  builds the rotation of the slice propagator and the Darboux chart;
-* the slice Hamiltonian is the conserved positive energy
-  (1/2) integral (p^2 + |grad phi|^2 + mass^2 phi^2); the flow of the
-  printed variant, with the opposite mass-term sign, is available behind
-  ``kg_evolve_spectral``'s ``ledger`` for the negative controls;
 * the covariant temporal momentum is P^0 = -p (index lowering with
-  eta = diag(-1, +1, ...)), which is what makes the action integrand
-  P^mu d_mu phi - H stationary exactly on solution sections.  That
-  integrand is stated once, as the bilinear table _kg_lagrangian; the EL
-  pairing and the de Donder-Weyl equations are read off it by the
-  kernels of lattice.py.
+  eta = diag(-1, +1, ...)), which makes the action integrand P^mu d_mu
+  phi - H stationary exactly on solution sections.  That integrand, the
+  bilinear table _kg_lagrangian, is the theory's one statement: the
+  kernels of lattice.py read the EL pairing, the de Donder-Weyl
+  equations, the pairing weight 1 and the mode flow off it;
+* dphi/ds = p, dp/ds = laplacian(phi) - mass^2 phi, so each Fourier mode
+  is a harmonic oscillator with omega_k = sqrt(k^2 + mass^2);
+* the slice Hamiltonian is the conserved positive energy
+  (1/2) integral (p^2 + |grad phi|^2 + mass^2 phi^2); the printed
+  table, with the opposite mass-term sign, is available behind
+  ``kg_evolve_spectral``'s ``ledger`` for the negative controls.
 
 The massless zero mode (omega = 0) is a free particle and is evolved by
 its exact drift rather than the degenerate rotation formulas.
@@ -33,7 +31,6 @@ its exact drift rather than the degenerate rotation formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,7 +87,7 @@ class KGSpacetimeSection(_Section):
     lattice: Lattice
     mass: float
     t0: float = 0.0
-    lagrangian = property(lambda self: _kg_lagrangian(self.mass))
+    lagrangian = property(lambda self: _kg_lagrangian(self.mass, "resolved"))
 
 
 def kg_hamiltonian(state: KGState, mass: float) -> float:
@@ -103,19 +100,6 @@ def kg_hamiltonian(state: KGState, mass: float) -> float:
     return 0.5 * total
 
 
-@lru_cache(maxsize=32)
-def _kg_generator(mass: float, ledger: str):
-    """The mode flow's generator k^2 -> (kappa, lam), d(phi-hat, p-hat)/ds
-    = (kappa p-hat, -lam phi-hat): (1, omega^2), omega = sqrt(k^2 +
-    mass^2), squared so that the flow's nu is omega to the bit; (1,
-    omega^2 - 2 mass^2) under the printed mass sign.  The one place that
-    knows the KG ledger; cached, so its flows are shared."""
-    if ledger not in ("resolved", "paper-printed"):
-        raise ValueError(f"unknown ledger {ledger!r}")
-    shift = 2.0 * mass**2 if ledger == "paper-printed" else 0.0
-    return lambda ksq: (1.0, np.sqrt(ksq + mass**2) ** 2 - shift)
-
-
 def kg_evolve_spectral(
     state: KGState, s: float, mass: float, ledger: str = "resolved"
 ) -> KGState:
@@ -126,7 +110,7 @@ def kg_evolve_spectral(
     printed mass sign, k^2 - m^2, whose low modes grow hyperbolically.
     The flag exists for the documented negative controls only.
     """
-    return state._evolved(s, _kg_generator(mass, ledger))
+    return state._evolved(s, _kg_lagrangian(mass, ledger))
 
 
 def kg_evolve_leapfrog(state: KGState, dt: float, steps: int, mass: float) -> KGState:
@@ -157,7 +141,7 @@ def kg_solution_section(
     of spacing dt from state.time, from its node `first` on
     (lattice._Section._solution)."""
     return KGSpacetimeSection._solution(
-        state, dt, steps, _kg_generator(mass, "resolved"), first, mass=mass
+        state, dt, steps, _kg_lagrangian(mass, "resolved"), first, mass=mass
     )
 
 
@@ -169,16 +153,20 @@ def kg_dedonder_weyl_residual(section: KGSpacetimeSection) -> float:
     return _first_order_residual(section.lagrangian, section)
 
 
-def _kg_lagrangian(mass: float) -> tuple:
+def _kg_lagrangian(mass: float, ledger: str) -> tuple:
     """P^mu d_mu phi - H with P^0 = -p and covariant H = (1/2)(eta_mn P^m P^n
     - mass^2 phi^2) = (1/2)(-p^2 + |beta|^2 - mass^2 phi^2), as bilinear
-    terms (coeff, a, op, b) for the kernels of lattice.py."""
+    terms (coeff, a, op, b) for the kernels of lattice.py; the printed
+    ledger flips the mass term, the one place that knows the KG ledger."""
+    if ledger not in ("resolved", "paper-printed"):
+        raise ValueError(f"unknown ledger {ledger!r}")
+    sign = -1.0 if ledger == "paper-printed" else 1.0
     return (
         (-1.0, "p", "dt", "phi"),
         (1.0, "beta", "grad", "phi"),
         (0.5, "p", "id", "p"),
         (-0.5, "beta", "id", "beta"),
-        (0.5 * mass**2, "phi", "id", "phi"),
+        (sign * 0.5 * mass**2, "phi", "id", "phi"),
     )
 
 

@@ -18,9 +18,10 @@ full k^2 multiplier.  Band-limited data never meets the difference.
 The slice layer of both theories is written here once: _Slice (constraint
 enforcement and residual, spectral evolution) and _Section (the section
 builder, the stacks' checks) read what a theory's state declares, its two
-scalar fields and its constraints, and take the generator of its mode
-flow, which _ModeFlow turns into the rotation the Darboux chart reads
-too; the kernels below read its Lagrangian table.  A variation of a
+scalar fields and its constraints, and take its Lagrangian table, the
+theory's one statement: _table_reading reads the pairing weight and the
+mode flow's generator off it, which _ModeFlow turns into the rotation
+the Darboux chart reads too.  A variation of a
 section is a slice state under a time bump, which the EL kernel reads
 directly.  The builder also gives any chunk of a section's rows, and the
 kernels act per node, so a pass can stream a long section chunk by
@@ -427,7 +428,7 @@ class _Slice:
     evolution) holds each constrained field as a _Gradient, transformed
     when its components are first read; every reader sees the arrays an
     eager spectral_gradient gives.  The physics comes as the theory's
-    mode-flow generator (see _ModeFlow).
+    Lagrangian table (see _table_reading).
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -455,9 +456,9 @@ class _Slice:
             data[vector] = _Gradient(data[scalar], sign)
         return cls(**data, time=time)
 
-    def _evolved(self, s: float, generator):
-        """The state at time + s under the mode flow of generator."""
-        flow = _half_flow(self.lattice, generator)
+    def _evolved(self, s: float, table):
+        """The state at time + s under the mode flow of a Lagrangian table."""
+        flow = _half_flow(self.lattice, _table_reading(table, type(self))[1])
         return self._advanced(s, lambda a0, a1: flow.propagate(a0, a1, s))
 
     def _stepped(self, dt: float, steps: int, advance):
@@ -530,9 +531,9 @@ class _Section:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def _solution(cls, state, dt: float, steps: int, generator, first, **params):
+    def _solution(cls, state, dt: float, steps: int, table, first, **params):
         """The flow of state on the nodes first .. first + steps of the
-        grid of spacing dt from state.time: the mode flow of generator on
+        grid of spacing dt from state.time: the mode flow of a table on
         the half spectrum of state's lattice, over those times at once, one
         batched inverse transform per scalar and one batched gradient per
         constraint, none of which mixes nodes, so each row is the state
@@ -542,7 +543,7 @@ class _Section:
         lat = state.lattice
         s = (np.arange(first, first + steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
         hats = (_half_dft(lat, getattr(state, n).values) for n in cls.STATE.SCALARS)
-        hats = _half_flow(lat, generator).propagate(*hats, s)
+        hats = _half_flow(lat, _table_reading(table, cls.STATE)[1]).propagate(*hats, s)
         scalars = {n: _half_idft(lat, h) for n, h in zip(cls.STATE.SCALARS, hats)}
         grads = {n: stack_gradient(lat, scalars[n]) for _, n, _ in cls.STATE.CONSTRAINTS}
         vectors = {v: grads[n] if sign > 0 else -grads[n] for v, n, sign in cls.STATE.CONSTRAINTS}
@@ -571,8 +572,8 @@ class _Section:
 
 @lru_cache(maxsize=32)
 def _mode_flow(lattice: Lattice, generator) -> _ModeFlow:
-    """The _ModeFlow of a generator on a lattice, one per pair: the
-    theories cache their generators, so their callers share flows."""
+    """The _ModeFlow of a generator on a lattice, one per pair: equal
+    generators are equal tuples, so their callers share flows."""
     return _ModeFlow(lattice, generator)
 
 
@@ -586,19 +587,21 @@ def _half_flow(lattice: Lattice, generator) -> _ModeFlow:
 
 class _ModeFlow:
     """The flow d(a0, a1)/ds = (kappa a1, -lam a0) of every mode of a
-    lattice, for a generator k^2 -> (kappa, lam) evaluated once per class
-    of equal k^2.  With nu = sqrt|kappa lam| and mu = nu / kappa, the flow
-    by time s is a0(s) = c a0 + r a1, a1(s) = c a1 - q a0, with (c, r, q)
-    = (cos, sin / mu, mu sin) of nu s where kappa lam > 0, (cosh, sinh /
-    mu, -mu sinh) of nu s where it is < 0 and (1, kappa s, lam s) where it
-    is 0.  Values are gathered onto the flow's modes: every mode of the
-    lattice, in its shape; ``restricted`` gives the flow of some modes."""
+    lattice, for a generator ((kappa0, kappa1), (lam0, lam1)), kappa =
+    kappa0 + kappa1 k^2 and lam = lam0 + lam1 k^2, evaluated once per
+    class of equal k^2.  With nu = sqrt|kappa lam| and mu = nu / kappa,
+    the flow by time s is a0(s) = c a0 + r a1, a1(s) = c a1 - q a0, with
+    (c, r, q) = (cos, sin / mu, mu sin) of nu s where kappa lam > 0,
+    (cosh, sinh / mu, -mu sinh) of nu s where it is < 0 and (1, kappa s,
+    lam s) where it is 0.  Values are gathered onto the flow's modes: every
+    mode of the lattice, in its shape; ``restricted`` gives the flow of
+    some modes."""
 
     def __init__(self, lattice: Lattice, generator):
         # the classes of equal k^2: np.unique keys on the float k^2, never
         # on integer mode indices, on which it can import numpy.ma
         distinct, classes = np.unique(lattice.ksq(), return_inverse=True)
-        kappa, lam = (np.broadcast_to(x, distinct.shape) for x in generator(distinct))
+        kappa, lam = (c0 + c1 * distinct for c0, c1 in generator)
         # the table holds the classes in branch order, so each branch is a slice
         branch = np.where(kappa * lam > 0, 0, np.where(kappa * lam < 0, 1, 2))
         order = np.argsort(branch, kind="stable")
@@ -801,31 +804,11 @@ def _el_integrals(table, section, variation) -> tuple[float, float]:
 _ADJOINT = {"dt": "dt", "grad": "div"}
 
 
-def _first_order_residual(table, section) -> float:
-    """Sup residual of the first-order (de Donder-Weyl) equations of a
-    bilinear Lagrangian table on a section: for each stack x the table
-    names, dL/dx on the interior time nodes, with central differences
-    in time and spectral derivatives in space.
-
-    A term (c, a, op, b) adds c op(b) to the equation of a and
-    c op^T(a) to that of b, where the adjoint op^T of d/dt is minus
-    the central difference and that of grad is minus the divergence; a
-    term (c, x, "id", x) adds 2 c x.  A NaN anywhere makes the residual
-    NaN.
-    """
-    _time_rows(section)
-    lat, mid = section.lattice, slice(1, -1)
-
-    def apply(op, name):
-        stack = getattr(section, name)
-        if op == "dt":
-            return (stack[2:] - stack[:-2]) / (2 * section.dt)
-        if op == "grad":
-            return stack_gradient(lat, stack[mid])
-        if op == "div":
-            return stack_divergence(lat, stack[mid])
-        return stack[mid]
-
+def _equations(table, apply) -> dict:
+    """The first-order (de Donder-Weyl) equations dL/dx of a bilinear
+    Lagrangian table, with apply(op, x) the operator op on the field x: a
+    term (c, a, op, b) adds c op(b) to a's equation and c op^T(a) to b's,
+    op^T minus the operator _ADJOINT names; (c, x, "id", x) adds 2 c x."""
     eqs = {}
     for c, a, op, b in table:
         if (op, a) == ("id", b):
@@ -833,4 +816,49 @@ def _first_order_residual(table, section) -> float:
         else:
             eqs[a] = eqs.get(a, 0.0) + c * apply(op, b)
             eqs[b] = eqs.get(b, 0.0) - c * apply(_ADJOINT[op], a)
+    return eqs
+
+
+def _first_order_residual(table, section) -> float:
+    """Sup residual of a table's _equations on a section's interior time
+    nodes, with _op's central differences and spectral derivatives and the
+    divergence transformed; a NaN anywhere makes the residual NaN."""
+    _time_rows(section)
+    mid = slice(1, -1)
+
+    def apply(op, name):
+        if op == "div":
+            return stack_divergence(section.lattice, getattr(section, name)[mid])
+        sign, _, y = _op(section, op, name)
+        return sign * y[mid]
+
+    eqs = _equations(table, apply)
     return nan_max(np.max(np.abs(eq)) for eq in eqs.values())
+
+
+# a field's columns in a mode-space equation: id, d/dt, i k (grad, div), k^2 (substituted)
+_SYMBOL = {"id": 0, "dt": 1, "grad": 2, "div": 2}
+
+
+@lru_cache(maxsize=32)
+def _table_reading(table, state) -> tuple[float, tuple]:
+    """The pairing weight w and the mode-flow generator ((kappa0, kappa1),
+    (lam0, lam1)) of a Lagrangian table for the slice state class `state`,
+    read off its _equations per mode.  A constraint field's equation has
+    no d/dt and gives it as i k times its scalar; substituted, a0's
+    equation reads t (da1/ds + lam a0) = 0 and a1's t (kappa a1 - da0/ds)
+    = 0, t the d/dt coefficient of a1 in a0's, kappa and lam each c0 + c1
+    k^2.  w = |t|, the orientation whose slice energy (w/2) L^d sum(kappa
+    |a1|^2 + lam |a0|^2) is positive.  Plain floats: no linear algebra."""
+    col = {n: i for i, n in enumerate(state.SCALARS + state.VECTORS)}
+    unit = np.eye(4 * len(col)).reshape(-1, len(col), 4)
+    eqs = _equations(table, lambda op, name: unit[4 * col[name] + _SYMBOL[op]])
+    (a0, a1), (e0, e1) = (col[n] for n in state.SCALARS), (eqs[n] for n in state.SCALARS)
+    for vector, scalar, _ in state.CONSTRAINTS:
+        # vector = -(x_ik / x_id) i k scalar, and i k . i k = -k^2
+        ratio = eqs[vector][col[scalar], 2] / eqs[vector][col[vector], 0]
+        for e in (e0, e1):
+            e[col[scalar], 3] += e[col[vector], 2] * ratio
+    t = float(e0[a1, 1])
+    kappa, lam = (tuple(float(c) / t for c in e[a, [0, 3]]) for e, a in ((e1, a1), (e0, a0)))
+    return abs(t), (kappa, lam)

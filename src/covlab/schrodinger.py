@@ -5,25 +5,22 @@ together with the spatial momenta (betaR, betaI), constrained by
 beta_a = -grad(phi^a), which SchrState declares; the bodies of
 lattice.py (_Slice, _Section) enforce and measure the constraints,
 evolve a state and build a section from those declarations and the
-generator here.  The covariant temporal momenta are not stored: the
+table here.  The covariant temporal momenta are not stored: the
 sub-bundle constraints fix them as P0_R = phi^I, P0_I = -phi^R and they
 are computed on demand where the action needs them.  The flow is
 linear, so a slice variation is a SchrState, and a section variation
 that SchrState under the time bump of lattice._el_densities.
 
-Mode dynamics: each Fourier mode rotates by the angle k^2 s / 2,
-equivalently psi-hat -> exp(-i k^2 s / 2) psi-hat for psi = phiR + i phiI.
-That flow is stated once, as the generator _schr_generator, from which
-lattice._ModeFlow builds the rotation of the slice propagator and the
-Darboux chart.  The covariant Lagrangian is stated once, as the bilinear
-table _SCHR_LAGRANGIAN; the EL pairing and the de Donder-Weyl equations
-are read off it by the kernels of lattice.py.
+The covariant Lagrangian, the bilinear table _schr_lagrangian, is the
+theory's one statement: the kernels of lattice.py read the EL pairing,
+the de Donder-Weyl equations, the pairing weight 2 and the mode flow off
+it.  Each Fourier mode rotates by the angle k^2 s / 2, equivalently
+psi-hat -> exp(-i k^2 s / 2) psi-hat for psi = phiR + i phiI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,7 +79,7 @@ class SchrSpacetimeSection(_Section):
     dt: float
     lattice: Lattice
     t0: float = 0.0
-    lagrangian = property(lambda self: _SCHR_LAGRANGIAN)
+    lagrangian = property(lambda self: _schr_lagrangian("resolved"))
 
 
 def _schr_rotate(a, b, c, sg, steps: int = 1):
@@ -94,19 +91,6 @@ def _schr_rotate(a, b, c, sg, steps: int = 1):
     return a, b
 
 
-@lru_cache(maxsize=4)
-def _schr_generator(ledger: str):
-    """The mode flow's generator k^2 -> (kappa, lam), d(phiR-hat,
-    phiI-hat)/ds = (kappa phiI-hat, -lam phiR-hat): (k^2/2, k^2/2), the
-    rotation by k^2 s / 2; (-k^2/2, -k^2/2), the time-reversed flow, under
-    the printed Hamiltonian sign.  The one place that knows the
-    Schrodinger ledger; cached, so its flows are shared."""
-    if ledger not in ("resolved", "paper-printed"):
-        raise ValueError(f"unknown ledger {ledger!r}")
-    half = -0.5 if ledger == "paper-printed" else 0.5
-    return lambda ksq: (half * ksq,) * 2
-
-
 def schr_evolve_spectral(state: SchrState, s: float, ledger: str = "resolved") -> SchrState:
     """Exact free propagator: per-mode rotation by angle k^2 s / 2.
 
@@ -114,7 +98,7 @@ def schr_evolve_spectral(state: SchrState, s: float, ledger: str = "resolved") -
     (negative) Hamiltonian instead, which is the time-reversed
     propagator; it exists for the documented negative controls only.
     """
-    return state._evolved(s, _schr_generator(ledger))
+    return state._evolved(s, _schr_lagrangian(ledger))
 
 
 def schr_evolve_stepped(state: SchrState, dt: float, steps: int) -> SchrState:
@@ -136,12 +120,12 @@ def schr_solution_section(
     """Sample the exact flow on `steps` intervals of the uniform time grid
     of spacing dt from state.time, from its node `first` on
     (lattice._Section._solution)."""
-    return SchrSpacetimeSection._solution(state, dt, steps, _schr_generator("resolved"), first)
+    return SchrSpacetimeSection._solution(state, dt, steps, _schr_lagrangian("resolved"), first)
 
 
 def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
     """Sup residual of the covariant first-order equations on the section,
-    the Euler-Lagrange equations of _SCHR_LAGRANGIAN, on the interior
+    the Euler-Lagrange equations of _schr_lagrangian, on the interior
     time nodes (lattice._first_order_residual):
 
     2 d phiR/dt = div(P_I)     grad phiR = -P_R
@@ -153,17 +137,22 @@ def schr_dedonder_weyl_residual(section: SchrSpacetimeSection) -> float:
     return _first_order_residual(section.lagrangian, section)
 
 
-# phiI d_t phiR - phiR d_t phiI + P^j_a d_j phi^a - H with covariant
-# H = -1/2 (|P_R|^2 + |P_I|^2), as bilinear terms (coeff, a, op, b) for
-# the kernels of lattice.py
-_SCHR_LAGRANGIAN = (
-    (1.0, "phiI", "dt", "phiR"),
-    (-1.0, "phiR", "dt", "phiI"),
-    (1.0, "betaR", "grad", "phiR"),
-    (1.0, "betaI", "grad", "phiI"),
-    (0.5, "betaR", "id", "betaR"),
-    (0.5, "betaI", "id", "betaI"),
-)
+def _schr_lagrangian(ledger: str) -> tuple:
+    """phiI d_t phiR - phiR d_t phiI + P^j_a d_j phi^a - H with covariant
+    H = -1/2 (|P_R|^2 + |P_I|^2), as bilinear terms (coeff, a, op, b) for
+    the kernels of lattice.py; the printed ledger, the time-reversed flow,
+    flips all but the d/dt terms: the one place that knows the ledger."""
+    if ledger not in ("resolved", "paper-printed"):
+        raise ValueError(f"unknown ledger {ledger!r}")
+    sign = -1.0 if ledger == "paper-printed" else 1.0
+    return (
+        (1.0, "phiI", "dt", "phiR"),
+        (-1.0, "phiR", "dt", "phiI"),
+        (sign, "betaR", "grad", "phiR"),
+        (sign, "betaI", "grad", "phiI"),
+        (sign * 0.5, "betaR", "id", "betaR"),
+        (sign * 0.5, "betaI", "id", "betaI"),
+    )
 
 
 def schr_el_pairing(section: SchrSpacetimeSection, variation: SchrState) -> float:

@@ -9,7 +9,7 @@ import pytest
 from section_references import hermitize
 
 from covlab.darboux import Theory
-from covlab.kg import KGSpacetimeSection, _kg_generator, kg_evolve_spectral
+from covlab.kg import KGSpacetimeSection
 from covlab.lattice import (
     Lattice,
     ModeVector,
@@ -23,11 +23,7 @@ from covlab.lattice import (
     stack_gradient,
     stack_idft,
 )
-from covlab.schrodinger import (
-    SchrSpacetimeSection,
-    _schr_generator,
-    schr_evolve_spectral,
-)
+from covlab.schrodinger import SchrSpacetimeSection
 
 DIMS = (1, 2, 3)
 SEEDS = (*range(8), 42)
@@ -193,14 +189,13 @@ DT, STEPS, EVOLVE_S = 0.3, 6, 0.9
 def flowed(theory, ledger, lat, seed):
     """(state, generator, the state's section on STEPS intervals of DT,
     the state evolved by EVOLVE_S) of a theory in a ledger."""
-    state = Theory.of(theory, lat).enforce(*random_fields(lat, seed))
+    th = Theory.of(theory, lat, 0.7)
+    state = th.enforce(*random_fields(lat, seed))
     if theory == "kg":
-        generator = _kg_generator(0.7, ledger)
-        section = KGSpacetimeSection._solution(state, DT, STEPS, generator, 0, mass=0.7)
-        return state, generator, section, kg_evolve_spectral(state, EVOLVE_S, 0.7, ledger)
-    generator = _schr_generator(ledger)
-    section = SchrSpacetimeSection._solution(state, DT, STEPS, generator, 0)
-    return state, generator, section, schr_evolve_spectral(state, EVOLVE_S, ledger)
+        section = KGSpacetimeSection._solution(state, DT, STEPS, th.table(ledger), 0, mass=0.7)
+    else:
+        section = SchrSpacetimeSection._solution(state, DT, STEPS, th.table(ledger), 0)
+    return state, th.generator(ledger), section, th.evolve(state, EVOLVE_S, ledger)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -580,12 +580,9 @@ def test_el_pairing_extrapolated_sees_a_wrong_sign(theory, monkeypatch):
     )
     rows = {r.metric: r for r in run_experiment(cfg).rows}
     assert rows["el-pairing-extrapolated"].value < harness.EL_EXTRAPOLATED_TOL
-    if theory == "kg":
-        table = kg._kg_lagrangian
-        monkeypatch.setattr(kg, "_kg_lagrangian", lambda mass: flip_first_gradient_term(table(mass)))
-    else:
-        table = schrodinger._SCHR_LAGRANGIAN
-        monkeypatch.setattr(schrodinger, "_SCHR_LAGRANGIAN", flip_first_gradient_term(table))
+    module, name = (kg, "_kg_lagrangian") if theory == "kg" else (schrodinger, "_schr_lagrangian")
+    table = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: flip_first_gradient_term(table(*args)))
     rows = {r.metric: r for r in run_experiment(cfg).rows}
     assert rows["el-pairing-extrapolated"].value > 1e-2
     assert rows["el-pairing-extrapolated"].passed is False
@@ -800,7 +797,7 @@ class TestRunner:
         report = run_experiment(ExperimentConfig(theory="kg", experiment="evolve"))
         assert report.all_pass
         metrics = [r.metric for r in report.rows]
-        assert metrics == ["energy-drift-spectral"]
+        assert metrics == ["energy-drift-spectral", "propagator-phase-error"]
 
     @pytest.mark.parametrize(
         "cfg",

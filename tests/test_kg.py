@@ -421,13 +421,12 @@ class TestModeFlowRotation:
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8), (3, 8)])
     @pytest.mark.parametrize("which", TIMES)
     def test_matches_the_np_where_reference(self, dim, n, ledger, mass, which):
-        from covlab.kg import _kg_generator
         from covlab.lattice import _ModeFlow
 
         lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-        generator = _kg_generator(mass, ledger)
+        generator = Theory.of("kg", lat, mass).generator(ledger)
         flow = _ModeFlow(lat, generator)
-        kappa, lam = (np.broadcast_to(x, lat.shape) for x in generator(lat.ksq()))
+        kappa, lam = (c0 + c1 * lat.ksq() for c0, c1 in generator)
         s = times(lat, which)
         want = reference_rotation(kappa, lam, s)
         for got, ref in zip(flow.rotation(s), want):

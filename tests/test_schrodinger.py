@@ -360,10 +360,9 @@ def test_flow_rotation_matches_the_full_angle_grid(dim, n, sign):
     # the printed ledger's flow is the resolved one run backwards: the
     # angle k^2 (-s) / 2
     from covlab.lattice import _ModeFlow
-    from covlab.schrodinger import _schr_generator
 
     lat = Lattice(dim=dim, n=n, length=2 * np.pi)
-    flow = _ModeFlow(lat, _schr_generator(sign))
+    flow = _ModeFlow(lat, Theory.of("schrodinger", lat).generator(sign))
     rng = seeded(dim)
     a, b = (
         hermitize(rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape))

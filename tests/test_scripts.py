@@ -152,7 +152,7 @@ CLOSEDNESS_1D_N16 = """\
 theory kg: dim=1 n=16, key seed + 4, 4 points, tolerance 1e-08
   seed                residual
      0   8.032642899391193e-12
-     1  6.4280441479119515e-12
+     1   6.135720874805163e-12
 refusing seeds: - (0 of 2)
 
 theory schrodinger: dim=1 n=16, key seed + 4, 4 points, tolerance 1e-08

@@ -35,8 +35,8 @@ from covlab.lattice import (
     stack_idft,
 )
 from covlab.schrodinger import (
-    _SCHR_LAGRANGIAN,
     SchrSpacetimeSection,
+    _schr_lagrangian,
     schr_dedonder_weyl_residual,
     schr_el_cancellation_scale,
     schr_el_pairing,
@@ -234,7 +234,10 @@ def test_schr_ddw_residual_is_the_hand_written_one_with_doubled_time_equations(d
     assert schr_dedonder_weyl_residual(section) == sup_of((2 * i, ii, 2 * iii, iv))
 
 
-TABLES = {"kg": _kg_lagrangian, "schrodinger": lambda mass: _SCHR_LAGRANGIAN}
+TABLES = {
+    "kg": lambda mass: _kg_lagrangian(mass, "resolved"),
+    "schrodinger": lambda mass: _schr_lagrangian("resolved"),
+}
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -257,27 +260,30 @@ def test_a_flipped_table_term_lifts_the_ddw_residual(theory, dim):
 
 
 def test_mode_flow_is_shared_and_read_only():
-    # one flow per (lattice, generator), and the generators are cached, so
-    # every caller of a (lattice, mass) shares it; its nu is omega.  The
-    # half-spectrum flow the slice layer reads is shared the same way, and
-    # rotates the half modes as the full flow does, bit for bit
-    from covlab.kg import _kg_generator
+    # one flow per (lattice, generator), and a generator is a tuple of
+    # coefficients, so every caller of a (lattice, mass) shares it, and so
+    # does an equal tuple built anew; its nu is omega.  The half-spectrum
+    # flow the slice layer reads is shared the same way, and rotates the
+    # half modes as the full flow does, bit for bit
     from covlab.lattice import _half_flow, _mode_flow
 
     lat = lattice(2)
     same = Lattice(dim=2, n=8, length=2 * np.pi)
-    flow = _mode_flow(lat, _kg_generator(0.7, "resolved"))
-    assert flow is _mode_flow(same, _kg_generator(0.7, "resolved"))
+    generator = Theory.of("kg", lat, 0.7).generator("resolved")
+    assert generator == ((1.0, 0.0), (0.7**2, 1.0))
+    flow = _mode_flow(lat, generator)
+    assert flow is _mode_flow(same, ((1.0, 0.0), (0.7**2, 1.0)))
     assert flow is Theory.of("kg", lat, 0.7).flow()
     assert np.array_equal(flow.on()[2], np.sqrt(lat.ksq() + 0.7**2))
-    half = _half_flow(lat, _kg_generator(0.7, "resolved"))
-    assert half is _half_flow(same, _kg_generator(0.7, "resolved"))
+    half = _half_flow(lat, generator)
+    assert half is _half_flow(same, ((1.0, 0.0), (0.7**2, 1.0)))
     for shared in (flow, half):
         for table in (shared.table, shared.classes):
             with pytest.raises(ValueError):
                 table[0, 0] = 1
-    assert _mode_flow(lat, _kg_generator(0.8, "resolved")) is not flow
-    assert _half_flow(lat, _kg_generator(0.8, "resolved")) is not half
+    other = Theory.of("kg", lat, 0.8).generator("resolved")
+    assert _mode_flow(lat, other) is not flow
+    assert _half_flow(lat, other) is not half
     cut = (..., slice(0, lat.n // 2 + 1))
     assert np.array_equal(half.on()[2], flow.on()[2][cut])
     for s in (0.83, np.array([0.0, -1.7, 40.0]).reshape(3, 1, 1)):
