@@ -48,8 +48,8 @@ from a sampling band; the pullback's support is its point's closed
 under m -> -m.  The form vanishes off the support, so a path edge whose
 end points have no nonzero mode is skipped.  The form's per-mode
 factors are constant on a class of equal k^2 (32 classes hold the 729
-band modes at 3D n=16); each evaluation restricts the record's flow to
-its support once (lattice._ModeFlow.restricted).  ``WOracle._path``,
+band modes at 3D n=16); the record's flow is restricted to a support
+once and keeps the part (lattice._ModeFlow.restricted).  ``WOracle._path``,
 behind ``value`` and ``loop_integral``, integrates each straight edge
 in closed form, one term per class whatever its length
 (_edge_integral): the form's rotation factors are linear in the flow's

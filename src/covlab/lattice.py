@@ -39,6 +39,7 @@ oracle and the brackets read.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -162,7 +163,13 @@ def _ksq(lattice: Lattice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real scalar sample array on a lattice."""
+    """Real scalar sample array on a lattice.
+
+    ``_half``, the half spectrum _half_dft of the values, is transformed
+    on first read and kept read-only: a field is frozen and holds a
+    locked copy of its values, so it cannot go stale, and evolving one
+    state again and again pays only the inverse transforms.
+    """
 
     lattice: Lattice
     values: np.ndarray
@@ -175,6 +182,12 @@ class ScalarField:
                 f"{self.lattice.shape}"
             )
         object.__setattr__(self, "values", _locked(arr))
+
+    @cached_property
+    def _half(self) -> np.ndarray:
+        half = _half_dft(self.lattice, self.values)
+        half.setflags(write=False)
+        return half
 
 
 @dataclass(frozen=True)
@@ -371,12 +384,27 @@ def spectral_laplacian(f: ScalarField) -> ScalarField:
 
 def conjugate_reflection(arr: np.ndarray, axes=None) -> np.ndarray:
     """conj(arr) sampled at -k, in the same FFT layout; `axes` are the
-    mode axes (all of them by default)."""
-    out = np.conj(arr)
-    for axis in range(arr.ndim) if axes is None else axes:
-        out = np.flip(out, axis=axis)
-        out = np.roll(out, 1, axis=axis)
-    return out
+    mode axes (all of them by default).  One gather over the axes from
+    the first reflected one on, through _reflection_index."""
+    axes = tuple(a % arr.ndim for a in (range(arr.ndim) if axes is None else axes))
+    first = min(axes, default=arr.ndim)
+    index = _reflection_index(arr.shape[first:], tuple(a - first for a in axes))
+    flat = arr.reshape(arr.shape[:first] + (-1,))
+    return np.conj(np.take(flat, index, axis=-1)).reshape(arr.shape)
+
+
+@lru_cache(maxsize=32)
+def _reflection_index(shape: tuple, axes: tuple) -> np.ndarray:
+    """The flat index of -k per mode of an array of shape `shape` whose
+    axes `axes` are reflected (k -> -k is m -> -m mod n on each of them,
+    a flip then a roll by one) and the rest kept; read-only and cached
+    per (shape, axes)."""
+    index = np.arange(math.prod(shape)).reshape(shape)
+    for axis in axes:
+        index = np.roll(np.flip(index, axis=axis), 1, axis=axis)
+    index = index.ravel()
+    index.setflags(write=False)
+    return index
 
 
 @lru_cache(maxsize=32)
@@ -477,7 +505,7 @@ class _Slice:
         """The state at time + s of half spectra advance(a0_hat, a1_hat)
         (_half_dft, _half_idft); constraints re-enforced."""
         lat = self.lattice
-        hats = advance(*(_half_dft(lat, getattr(self, n).values) for n in self.SCALARS))
+        hats = advance(*(getattr(self, n)._half for n in self.SCALARS))
         scalars = (ScalarField(lat, _half_idft(lat, h)) for h in hats)
         return self._enforced(*scalars, time=self.time + s)
 
@@ -542,7 +570,7 @@ class _Section:
             raise ValueError("need at least one time interval")
         lat = state.lattice
         s = (np.arange(first, first + steps + 1) * dt).reshape((-1,) + (1,) * lat.dim)
-        hats = (_half_dft(lat, getattr(state, n).values) for n in cls.STATE.SCALARS)
+        hats = (getattr(state, n)._half for n in cls.STATE.SCALARS)
         hats = _half_flow(lat, _table_reading(table, cls.STATE)[1]).propagate(*hats, s)
         scalars = {n: _half_idft(lat, h) for n, h in zip(cls.STATE.SCALARS, hats)}
         grads = {n: stack_gradient(lat, scalars[n]) for _, n, _ in cls.STATE.CONSTRAINTS}
@@ -585,6 +613,10 @@ def _half_flow(lattice: Lattice, generator) -> _ModeFlow:
     return _mode_flow(lattice, generator).restricted(flat[..., : lattice.n // 2 + 1])
 
 
+# the restrictions a _ModeFlow keeps, the oldest dropped first
+RESTRICTED_KEPT = 8
+
+
 class _ModeFlow:
     """The flow d(a0, a1)/ds = (kappa a1, -lam a0) of every mode of a
     lattice, for a generator ((kappa0, kappa1), (lam0, lam1)), kappa =
@@ -613,7 +645,8 @@ class _ModeFlow:
         mu[:hyp] = nu[:hyp] / kappa[:hyp]
         signed_mu = np.concatenate((mu[:rot], -mu[rot:hyp], mu[hyp:]))
         self.table = np.stack((nu, kappa, lam, mu, signed_mu))
-        for shared in (self.classes, self.table):
+        self._parts = {}
+        for shared in (self.classes, self.ends, self.table):
             shared.setflags(write=False)
 
     def on(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -624,7 +657,15 @@ class _ModeFlow:
     def restricted(self, index) -> _ModeFlow:
         """The flow of the flat mode indices index alone, in index's shape,
         on the table columns of the classes they use: ``classes`` is each
-        index's column, ``modes`` the flat index of one mode per column."""
+        index's column, ``modes`` the flat index of one mode per column.
+
+        Built once per index: the flow keeps its last RESTRICTED_KEPT
+        parts, keyed by the index's shape, dtype and bytes, so the
+        evaluations on one support share one part.  A part's arrays are
+        read-only and nothing writes to a part."""
+        key = (index.shape, index.dtype.str, index.tobytes())
+        if key in self._parts:
+            return self._parts[key]
         keys = self.classes.reshape(-1)[index]
         used = np.zeros(self.table.shape[1], dtype=bool)
         used[keys] = True
@@ -635,8 +676,12 @@ class _ModeFlow:
         # any mode of a class stands for it: its k^2 is the class's
         part.modes = np.empty(len(rows), dtype=index.dtype)
         part.modes[part.classes] = index
-        for shared in (part.classes, part.table, part.modes):
+        part._parts = {}
+        for shared in (part.classes, part.ends, part.table, part.modes):
             shared.setflags(write=False)
+        if len(self._parts) >= RESTRICTED_KEPT:
+            del self._parts[next(iter(self._parts))]
+        self._parts[key] = part
         return part
 
     def class_rotation(self, s) -> np.ndarray:
@@ -661,7 +706,9 @@ class _ModeFlow:
         """int_0^1 u^j (c, r, q)(ta + u (tb - ta)) du per class for j = 0, 1,
         2, as (3, 3, K): on the rotation branch from E_j = int u^j e^{i nu
         t} du, by a recurrence from the end phases where |nu (tb - ta)| >=
-        1 and by its power series below; polynomials on the drift.  A
+        1 and by its power series below, which stops at its first term
+        that is zero on every class, as every later one is (after one term
+        on a fixed-time edge, ta == tb); polynomials on the drift.  A
         hyperbolic class raises ValueError."""
         nu, kappa, lam, mu, signed_mu = self.table
         rot, hyp = self.ends
@@ -677,11 +724,14 @@ class _ModeFlow:
         E[0, far] = (end[far] - start[far]) / ia
         for k in (1, 2):
             E[k, far] = (end[far] - k * E[k - 1, far]) / ia
-        # E_j = e^{i nu ta} sum_k (i a)^k / (k! (j + k + 1)), to 1/20!
+        # E_j = e^{i nu ta} sum_k (i a)^k / (k! (j + k + 1)), to 1/20! or
+        # up to a term that is 0 on every class: the rest would add zeros
         term, series = np.ones(rot - far.sum(), dtype=complex), 0.0
         for k in range(20):
             series = series + term / (j + k + 1)
             term = term * 1j * a[~far] / (k + 1)
+            if not term.any():
+                break
         E[:, ~far] = start[~far] * series
         sn = E.imag
         out[:, :, :rot] = E.real, sn / mu[:rot], signed_mu[:rot] * sn
@@ -754,6 +804,9 @@ def _el_densities(
     sums of the section's stacks against v's fixed fields.  A node's
     values read only its rows and its neighbours', so a chunk with a
     halo gives the whole section's values on its inner nodes bit for bit.
+    Each node sum is taken once per call, keyed by the stack it reads and
+    the variation field: an ``id`` term's two halves, and an exact
+    section's ``grad`` term's, are one sum.
     """
     if variation.lattice != section.lattice:
         raise ValueError("variation field lattice mismatch")
@@ -767,16 +820,26 @@ def _el_densities(
     for n in variation.VECTORS:
         fields[n] = np.array([comp.values for comp in getattr(variation, n).components])
 
+    sums = {}
+
+    def node_sums(read, stack, field, magnitude=False):
+        key = (read, field, magnitude)
+        if key not in sums:
+            # magnitudes are taken as each sum needs them, so one stack-sized
+            # temporary is alive beside a term's op(b), which goes on return
+            u = fields[field]
+            sums[key] = _node_sums(np.abs(stack), np.abs(u)) if magnitude else _node_sums(stack, u)
+        return sums[key]
+
     def term(c, a, op, b):
         sign, name, y = _op(section, op, b)
-        x, u, v = getattr(section, a), fields[a], fields[name]
+        # the stack op(b) reads: a state field's own, or one derived from b
+        read = name if op == "id" or (op == "grad" and section._exact) else (op, b)
+        x = getattr(section, a)
         weight = rate if op == "dt" else bump
-        pairing = sign * c * (bump * _node_sums(y, u) + weight * _node_sums(x, v))
-        # magnitudes are taken as each sum needs them, so one stack-sized
-        # temporary is alive beside a term's op(b), which goes on return
+        pairing = sign * c * (bump * node_sums(read, y, a) + weight * node_sums(a, x, name))
         scale = abs(c) * (
-            bump * _node_sums(np.abs(y), np.abs(u))
-            + np.abs(weight) * _node_sums(np.abs(x), np.abs(v))
+            bump * node_sums(read, y, a, True) + np.abs(weight) * node_sums(a, x, name, True)
         )
         return pairing, scale
 

@@ -1540,6 +1540,46 @@ def test_moments_match_a_composite_gauss_integral(theory, mass, sign):
             assert np.all(np.abs(got - want) <= 1e-14 * scale), (x, k)
 
 
+def full_series_moments(flow, ta, tb):
+    """_ModeFlow.moments with every one of its power series' 20 terms
+    added, for flows without a hyperbolic class: the reference for its
+    stop at the first term that is zero on every class."""
+    nu, kappa, lam, mu, signed_mu = flow.table
+    rot, hyp = flow.ends
+    j = np.arange(3)[:, np.newaxis]
+    out = np.empty((3, 3, nu.size))
+    start, end = (np.exp(1j * nu[:rot] * t) for t in (ta, tb))
+    a = nu[:rot] * (tb - ta)
+    E = np.empty((3, rot), dtype=complex)
+    far = np.abs(a) >= 1.0
+    ia = 1j * a[far]
+    E[0, far] = (end[far] - start[far]) / ia
+    for k in (1, 2):
+        E[k, far] = (end[far] - k * E[k - 1, far]) / ia
+    term, series = np.ones(rot - far.sum(), dtype=complex), 0.0
+    for k in range(20):
+        series = series + term / (j + k + 1)
+        term = term * 1j * a[~far] / (k + 1)
+    E[:, ~far] = start[~far] * series
+    sn = E.imag
+    out[:, :, :rot] = E.real, sn / mu[:rot], signed_mu[:rot] * sn
+    drift = ta / (j + 1) + (tb - ta) / (j + 2)
+    out[0, :, hyp:] = 1.0 / (j + 1)
+    out[1, :, hyp:], out[2, :, hyp:] = kappa[hyp:] * drift, lam[hyp:] * drift
+    return out
+
+
+@pytest.mark.parametrize("theory,mass", [("kg", 1.0), ("kg", 0.0), ("schrodinger", 1.0)])
+@pytest.mark.parametrize("dim,n", [(1, 16), (3, 16)])
+def test_moments_equal_the_full_series_bit_for_bit(theory, mass, dim, n):
+    # a fixed-time edge (WOracle.value's radial one) stops after one term;
+    # edges with ta != tb, near and far classes mixed, run as before
+    flow = Theory.of(theory, Lattice(dim=dim, n=n, length=2 * np.pi), mass).flow()
+    for ta, tb in ((0.6, 0.6), (-2.2, -2.2), (0.0, 0.0), (0.37, 0.45), (0.37, 0.37 + 1e-9), (1.6, -4.8)):
+        got, want = flow.moments(ta, tb), full_series_moments(flow, ta, tb)
+        assert got.tobytes() == want.tobytes(), (ta, tb)
+
+
 def test_moments_refuse_a_hyperbolic_class():
     # the printed KG ledger's flow grows below the mass
     flow = Theory.of("kg", Lattice(dim=1, n=16, length=2 * np.pi), 1.5).flow("paper-printed")

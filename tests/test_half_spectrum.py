@@ -52,6 +52,21 @@ def relative_gap(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dim", DIMS)
+def test_a_field_transforms_its_half_spectrum_once(dim, monkeypatch):
+    # the cache the slice layer reads: _half_dft of the values, bit for bit
+    lat = lattice(dim)
+    field = random_fields(lat, 5)[0]
+    want = _half_dft(lat, field.values)
+    calls, raw = [], np.fft.rfftn
+    monkeypatch.setattr(np.fft, "rfftn", lambda *a, **k: calls.append(1) or raw(*a, **k))
+    half = field._half
+    assert field._half is half and len(calls) == 1
+    assert half.dtype == want.dtype and half.shape == want.shape
+    assert half.tobytes() == want.tobytes()
+    assert not half.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # the reality check of _half_idft
 

@@ -970,7 +970,7 @@ def test_a_bracket_mutation_fails_its_rows(monkeypatch, theory, mutation):
 
 @pytest.mark.parametrize("ledger", ["resolved", "paper-printed"])
 def test_printed_invariance_spread_is_computed_once_under_the_paper_ledger(monkeypatch, ledger):
-    # each invariance spread draws the one random state it evolves
+    # one random state is drawn, and both invariance spreads evolve it
     draws = []
 
     def counted(cfg):
@@ -980,7 +980,7 @@ def test_printed_invariance_spread_is_computed_once_under_the_paper_ledger(monke
     monkeypatch.setattr(harness, "random_state", counted)
     cfg = ExperimentConfig(theory="kg", experiment="darboux-check", n=16, sign_ledger=ledger)
     rows = {r.metric: r.value for r in run_experiment(cfg).rows}
-    assert len(draws) == (1 if ledger == "paper-printed" else 2)
+    assert len(draws) == 1
     printed = rows["darboux-invariance-printed-ledger-exceeds"]
     assert (printed == rows["darboux-invariance-rel-spread"]) == (ledger == "paper-printed")
 

@@ -1,5 +1,7 @@
 """Spectral calculus on the periodic lattice."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,12 @@ from hypothesis import strategies as st
 from section_references import hermitian_defect, hermitize
 
 from covlab.lattice import (
+    RESTRICTED_KEPT,
     Lattice,
     ModeVector,
     ScalarField,
+    _mode_flow,
+    _ModeFlow,
     conjugate_reflection,
     dft,
     idft,
@@ -40,6 +45,15 @@ def random_band_limited(lat, rng, band=None):
 
 def seeded(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def flip_and_roll(arr, axes=None):
+    """conjugate_reflection's reference: conj, then per reflected axis one
+    flip and one roll by one."""
+    out = np.conj(arr)
+    for axis in range(arr.ndim) if axes is None else axes:
+        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
+    return out
 
 
 class TestTransforms:
@@ -157,6 +171,25 @@ class TestModeBookkeeping:
         arr = rng.standard_normal(LAT.shape) + 1j * rng.standard_normal(LAT.shape)
         assert np.allclose(conjugate_reflection(conjugate_reflection(arr)), arr)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_conjugate_reflection_matches_flip_and_roll(self, dim):
+        # the gather against one flip and one roll by one per reflected
+        # axis: on one array, on a stack (every subset of its mode axes),
+        # and on the two last-axis planes _half_idft reflects
+        rng = seeded(29 + dim)
+        n = 8
+        shape = (3, *(n,) * dim)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        modes = tuple(range(1, dim + 1))
+        cases = [(stack[0], None), (stack[0], tuple(range(dim))), (stack, (-1,))]
+        cases += [(stack, axes) for k in range(dim + 1) for axes in combinations(modes, k)]
+        cases += [(stack[..., :: n // 2], modes[:-1]), (stack[0, ..., :: n // 2], modes[:-1])]
+        for arr, axes in cases:
+            got = conjugate_reflection(arr, axes)
+            want = flip_and_roll(arr, axes)
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), axes
+
     def test_mode_index_table_pairs(self):
         conj_map, self_conj, representative = mode_index_table(LAT)
         # the zero and Nyquist slots are their own partners
@@ -211,3 +244,42 @@ class TestValidation:
     def test_field_shape_mismatch(self):
         with pytest.raises(ValueError):
             ScalarField(LAT, np.zeros(7))
+
+
+class TestRestrictedFlows:
+    # KG at mass 1 on 3D n=8: kappa = 1, lam = 1 + k^2
+    LAT3 = Lattice(dim=3, n=8, length=2 * np.pi)
+    GENERATOR = ((1.0, 0.0), (1.0, 1.0))
+
+    def support(self, seed):
+        rng = seeded(seed)
+        return np.flatnonzero(rng.random(self.LAT3.site_count) < 0.3)
+
+    def test_an_equal_index_gets_the_same_part(self):
+        flow = _mode_flow(self.LAT3, self.GENERATOR)
+        index = self.support(3)
+        part = flow.restricted(index)
+        assert flow.restricted(index.copy()) is part
+        assert flow.restricted(index[::-1]) is not part
+        for arr in (part.classes, part.ends, part.table, part.modes):
+            assert not arr.flags.writeable
+
+    def test_a_kept_part_equals_a_fresh_flows(self):
+        index = self.support(4)
+        kept = _mode_flow(self.LAT3, self.GENERATOR).restricted(index)
+        fresh = _ModeFlow(self.LAT3, self.GENERATOR).restricted(index)
+        assert fresh is not kept
+        for name in ("classes", "ends", "table", "modes"):
+            assert np.array_equal(getattr(fresh, name), getattr(kept, name))
+        for got, want in zip(kept.rotation(0.7), fresh.rotation(0.7)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_the_store_stays_bounded(self):
+        flow = _ModeFlow(self.LAT3, self.GENERATOR)
+        first = flow.restricted(self.support(0))
+        for seed in range(1, RESTRICTED_KEPT + 5):
+            flow.restricted(self.support(seed))
+            assert len(flow._parts) <= RESTRICTED_KEPT
+        # the oldest part was dropped, and is built again
+        again = flow.restricted(self.support(0))
+        assert again is not first and np.array_equal(again.classes, first.classes)

@@ -172,3 +172,13 @@ def test_closedness_seeds_output(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("theory kg: dim=3 n=16")
     assert out[-2] == "refusing seeds: 16 (1 of 2)"
+
+
+def test_pair_timing_runs_one_checkout_against_itself(capsys):
+    root = SCRIPTS.parent
+    argv = [str(root), str(root), "--workload", "brackets-wide", "--rounds", "2"]
+    assert load("pair_timing").main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "workload brackets-wide, seed 0, 2 rounds"
+    assert out[1].startswith("before: median ") and out[2].startswith(" after: median ")
+    assert out[3].startswith("median paired ratio after/before ") and out[3].endswith(" of 2 rounds")

@@ -624,14 +624,19 @@ def test_constraint_fields_are_the_signed_gradients_bit_for_bit(theory, dim):
 @pytest.mark.parametrize("theory", ("kg", "schrodinger"))
 def test_evolve_transforms_no_gradient_until_a_constraint_field_is_read(theory, monkeypatch):
     # 3D n=8: a gradient is one forward and three inverse transforms
-    state, _ = enforced_and_evolved(theory, 3)
-    calls = count_ffts(monkeypatch)
     if theory == "kg":
-        out = kg_evolve_spectral(state, 0.3, 0.7)
+        state, mass = kg_setup(3)
+        evolve = lambda s: kg_evolve_spectral(state, s, mass)
     else:
-        out = schr_evolve_spectral(state, 0.3)
+        state = schr_setup(3)
+        evolve = lambda s: schr_evolve_spectral(state, s)
+    calls = count_ffts(monkeypatch)
+    out = evolve(0.3)
     # the two scalars, there and back
     assert len(calls) == 4
+    # again: each scalar keeps its half spectrum, so only back
+    evolve(0.5)
+    assert len(calls) == 6
     for vector, _, _ in out.CONSTRAINTS:
         before = len(calls)
         first = getattr(out, vector).components
