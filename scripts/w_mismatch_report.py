@@ -49,7 +49,7 @@ def kg_cross_term(m, th) -> float:
 
 def report(theory: str, lat: Lattice, mass: float, seed: int, count: int) -> None:
     th = dx.Theory.of(theory, lat, mass)
-    oracle = dx.WOracle(th, seed=seed)
+    oracle = dx.WOracle(th)
     print(f"theory {theory}: n={lat.n} L={lat.length:g}"
           + (f" m={mass:g}" if theory == "kg" else ""))
     header = f"{'s':>6}  {'derived':>12}  {'printed':>12}  {'oracle':>12}  " \

@@ -33,13 +33,14 @@ The oracle recovers W from its defining property: the difference between
 the contact one-form Theta and the transformed canonical one-form must
 be exact, Theta - T = dW.  It evaluates that difference form directly
 (via the analytic chart Jacobian), as a covector at a point
-(_form_covector), checks it is closed, and integrates it along paths of
-straight edges from the base point (zero fields, s = 0).  The pullback
-check ``theta_pullback_residual`` compares the same covector with the
-analytic differential of the derived W, and gates the dual norm of
-their gap: the largest mismatch over every tangent of unit length, so
-its residual measures how far the chart's W is from the oracle's
-potential, to rounding.
+(_form_covector), and integrates it exactly along paths of straight
+edges from the base point (zero fields, s = 0).  Closedness rests on
+three exact readings, none with a step size: the circulation around a
+triangle (``loop_integral``), which vanishes by Stokes' theorem; the
+pullback check ``theta_pullback_residual``, which compares the same
+covector with the analytic differential of the derived W and gates the
+dual norm of their gap, the largest mismatch over every tangent of unit
+length; and the match of the oracle's ``value`` to the derived W.
 
 The per-mode work runs on a support: the modes where the evaluation's
 data are nonzero (a NaN counts), read from the data of each call (a
@@ -54,10 +55,8 @@ behind ``value`` and ``loop_integral``, integrates each straight edge
 in closed form, one term per class whatever its length
 (_edge_integral): the form's rotation factors are linear in the flow's
 rotation at twice the time, whose u^j moments along the edge
-(lattice._ModeFlow.moments) are exact.  ``differential``, and the
-finite-difference closedness check with it, contracts the covector at
-the point with the tangent; the check draws full-lattice
-``random_hermitian_modes``.
+(lattice._ModeFlow.moments) are exact.  ``differential`` contracts the
+covector at the point with a tangent.
 
 Conventions: the contact one-form is Theta = w <a1, da0> - Hflow dt
 with the pairing weight w and Hflow = (w/2) L^d sum(kappa |a1|^2 + lam
@@ -66,8 +65,9 @@ positive slice energy, for Schrodinger (w = 2) +(1/2) integral |grad
 psi|^2, the sign whose contact flow is the propagator exp(-i k^2 s / 2)
 and the only one for which Theta - T is closed.  The printed ledgers'
 tables are kept behind the ``sign_ledger`` flag as documented
-negative controls: with them the oracle's closedness precondition
-fails.  The chart's s-rates are (-kappa A1, lam A0).
+negative controls: with them the difference form is not closed, and
+the oracle's circulation around a triangle does not vanish.  The
+chart's s-rates are (-kappa A1, lam A0).
 
 The chart and the slice propagator read one table, so
 ``darboux-invariance-rel-spread`` and the oracle do not compare two
@@ -99,7 +99,6 @@ from .lattice import (
     dft,
     idft,
     mode_index_table,
-    nan_max,
 )
 from .schrodinger import (
     SchrState,
@@ -120,7 +119,6 @@ __all__ = [
     "schr_to_darboux",
     "schr_from_darboux",
     "WOracle",
-    "WOracleClosednessError",
     "ThetaPullbackReport",
     "theta_pullback_residual",
     "random_hermitian_modes",
@@ -129,12 +127,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # supports: the oracle's work on the modes its data occupy
-
-# the oracle's fixed numerics: the largest scaled closedness residual the
-# construction sweep accepts, and the step of the closedness check's
-# fourth-order stencil
-CLOSEDNESS_TOL = 1e-8
-CLOSEDNESS_EPS = 1e-3
 
 
 class _Support:
@@ -569,15 +561,6 @@ def _edge_integral(theory: Theory, flow, a0, a1, d0, d1, sa, sb, sign_ledger: st
 # the oracle
 
 
-class WOracleClosednessError(RuntimeError):
-    """The closedness sweep's largest scaled residual of the difference
-    form Theta - canonical exceeded CLOSEDNESS_TOL.  The printed ledgers'
-    forms are not closed; under the resolved ledger the finite-difference
-    residual's rounding crosses the absolute tolerance at a few 3D seeds
-    too.  The message names the residual, the tolerance, the theory, the
-    ledger and the sweep's Philox key."""
-
-
 @dataclass(frozen=True)
 class ThetaPullbackReport:
     theory: str
@@ -591,46 +574,27 @@ class WOracle:
     ``differential(point, tangent)`` evaluates Theta - canonical at the
     point (never touching any W formula); ``value(point)`` integrates it
     along the path (zero fields, s = 0) -> (zero fields, s) -> point, and
-    ``loop_integral`` around a triangle, each with ``_path``.
-    Construction checks closedness of the difference form at
-    seeded random points and refuses to build an oracle for a
-    non-closed form.  ``theory`` is a Theory record, or a theory name with
-    a record of that theory (ValueError if of another) or a Lattice as ``cfg``.
+    ``loop_integral`` around a triangle, each with ``_path``.  Nothing
+    is checked at construction: the form's closedness is read by the
+    loop, by the pullback check and by ``value``'s match to the derived
+    W.  Under the printed ledger the form is not closed, so ``value``
+    depends on the path and only ``loop_integral`` is read.  ``theory``
+    is a Theory record (TypeError otherwise).
     """
 
-    def __init__(
-        self,
-        theory: Theory | str,
-        cfg=None,
-        sign_ledger: str = "resolved",
-        seed: int = 1337,
-        check_points: int = 4,
-    ):
+    def __init__(self, theory: Theory, sign_ledger: str = "resolved"):
         if not isinstance(theory, Theory):
-            if isinstance(cfg, Theory) and cfg.name != theory:
-                raise ValueError(f"a {theory!r} oracle cannot be built from a {cfg.name!r} record")
-            theory = Theory.of(theory, getattr(cfg, "lattice", cfg), getattr(cfg, "mass", 0.0))
+            raise TypeError(f"theory must be a Theory record, got {theory!r}")
         if sign_ledger not in ("resolved", "paper-printed"):
             raise ValueError(f"unknown sign_ledger {sign_ledger!r}")
-        if check_points < 0:
-            raise ValueError(f"check_points must be at least 0, got {check_points!r}")
         self.theory = theory
         self.sign_ledger = sign_ledger
         self.lattice = theory.lattice
         # one plus the form's top oscillation frequency in s
         self._top = 1.0 + _top_frequency(theory.flow())
-        # the ds scale of the closedness check's tangents and the pullback
-        # norm's unit of ds: the reciprocal of one plus the form's top
-        # oscillation frequency in s
+        # the pullback norm's unit of ds: the reciprocal of one plus the
+        # form's top oscillation frequency in s
         self._s_scale = 1.0 / self._top
-        if check_points > 0:
-            worst = self._closedness_sweep(seed, check_points)
-            if not worst <= CLOSEDNESS_TOL:
-                raise WOracleClosednessError(
-                    f"closedness sweep residual {worst:.3e} exceeds {CLOSEDNESS_TOL:.1e} "
-                    f"(theory={theory.name}, sign_ledger={sign_ledger}, Philox key={seed}, "
-                    f"{check_points} points)"
-                )
 
     # -- evaluation ------------------------------------------------------
 
@@ -648,13 +612,13 @@ class WOracle:
             hit |= np.logical_or.reduce(np.reshape(a, (-1, n)), axis=0)
         return _Support(self.lattice, np.flatnonzero(hit))
 
-    def _point(self, a0, a1, time: float) -> ModeState:
-        return ModeState(ModeVector(self.lattice, a0), ModeVector(self.lattice, a1), time=time)
-
     def differential(self, point: ModeState, tangent) -> float:
         """(Theta - canonical) contracted with the tangent (d0, d1, ds):
         the covector (f0, f1, fs) of _form_covector at the point, L^d Re
-        sum(f0 conj d0 + f1 conj d1) + fs ds over the support."""
+        sum(f0 conj d0 + f1 conj d1) + fs ds over the support.  No row
+        reads it: the pullback check takes the covector itself, and the
+        loop and ``value`` integrate it exactly.  It is kept as the form's
+        one-tangent reading, the contraction the tests compare with."""
         self.theory.check_lattice(point)
         a0, a1 = point.arrays
         d0, d1, ds = tangent
@@ -694,41 +658,6 @@ class WOracle:
         zeros = np.zeros_like(a0)
         return self._path([(zeros, zeros, 0.0), (zeros, zeros, s), (a0, a1, s)])
 
-    # -- checks ----------------------------------------------------------
-
-    def closedness_residual(self, point, tx, ty) -> float:
-        """Finite-difference antisymmetrized derivative d(Theta - T)(X, Y).
-
-        The difference form is linear in the field coordinates, so the
-        finite difference is exact there; only the s direction carries
-        truncation error.  A fourth-order stencil keeps that error near
-        the roundoff floor provided tangent ds components are scaled to
-        the form's oscillation frequency (see _s_scale).
-        """
-        (a0, a1), s = point.arrays, point.time
-        eps = CLOSEDNESS_EPS
-
-        def deriv(ta, tb):
-            d0, d1, ds = ta
-            f = lambda e: self.differential(self._point(a0 + e * d0, a1 + e * d1, s + e * ds), tb)
-            return (-f(2 * eps) + 8 * f(eps) - 8 * f(-eps) + f(-2 * eps)) / (12 * eps)
-
-        return abs(deriv(tx, ty) - deriv(ty, tx))
-
-    def _closedness_sweep(self, seed: int, count: int) -> float:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        lat = self.lattice
-        modes = lambda: (random_hermitian_modes(lat, rng), random_hermitian_modes(lat, rng))
-        residuals = []
-        for _ in range(count):
-            # a point and two (d0, d1, ds) tangents, drawn in that order
-            s0 = float(rng.uniform(-2.0, 2.0))
-            point = self._point(*modes(), s0)
-            tx, ty = ((*modes(), float(rng.standard_normal()) * self._s_scale) for _ in range(2))
-            scale = 1.0 + max(float(np.max(np.abs(a))) for a in point.arrays) ** 2
-            residuals.append(self.closedness_residual(point, tx, ty) / scale)
-        return nan_max(residuals)
-
     def loop_integral(self, p1: ModeState, p2: ModeState, p3: ModeState) -> float:
         """Circulation of the difference form around the triangle, the
         path p1 -> p2 -> p3 -> p1; closedness makes it vanish.  A point on
@@ -765,7 +694,7 @@ def theta_pullback_residual(theory: Theory, point: ModeState) -> ThetaPullbackRe
     A NaN in the point gives NaN residuals.
     """
     theory.check_lattice(point)
-    oracle = WOracle(theory, check_points=0)
+    oracle = WOracle(theory)
     conj = mode_index_table(point.lattice)[0]
     # the point and its reflection a[-m]: the support closed under m -> -m
     reflected = (x.reshape(-1)[conj] for x in point.arrays)

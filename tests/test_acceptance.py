@@ -227,16 +227,16 @@ def test_criterion_05_theta_pullback_identity():
     # the pullback residual is the norm of the gap between Theta -
     # canonical, from the contact form and the chart Jacobian, and the
     # analytic differential of the chart's derived W, over every tangent;
-    # the form's closedness (construction sweep plus the loop circulations
-    # below) and the match of its potential to the derived W that the
-    # chart stores complete the identity.  np.max keeps a NaN
+    # the form's closedness (the exact loop circulations below, no finite
+    # differences) and the match of its potential to the derived W that
+    # the chart stores complete the identity.  np.max keeps a NaN
     points = [mode_point(SEED + 30 + k, s=0.5 * k - 2.0) for k in range(10)]
     worst_oracle = np.max(
         [dx.theta_pullback_residual(th, m).oracle_residual for th in TH.values() for m in points]
     )
 
-    kg_oracle = dx.WOracle(TH["kg"], seed=SEED + 4)
-    schr_oracle = dx.WOracle(TH["schrodinger"], seed=SEED + 4)
+    kg_oracle = dx.WOracle(TH["kg"])
+    schr_oracle = dx.WOracle(TH["schrodinger"])
     p1 = mode_point(SEED + 20, s=0.8)
     p2 = mode_point(SEED + 21, s=-1.1)
     p3 = mode_point(SEED + 22, s=2.4)

@@ -4,9 +4,10 @@ bench/spans.py wraps the public functions of each layer module and the
 methods it lists, and its per-layer metrics look spans up by name: a
 renamed entry point, or one aliased to a function another module
 defines, makes it raise instead of reading 0.  This runs one small
-config of every experiment for both theories under its wrappers, and
-the whole-section EL pairing and scale that the streamed action-residual
-pass no longer reaches.  A count that reads 0 means the entry point is
+config of every experiment for both theories under its wrappers, the
+whole-section EL pairing and scale that the streamed action-residual
+pass no longer reaches, and the oracle's differential, which no row
+reads.  A count that reads 0 means the entry point is
 no longer on the call path: for instance a theory record that keeps the
 function objects it calls, taken at import, instead of calling them by
 module-level name.
@@ -21,7 +22,7 @@ import pytest
 
 from covlab import darboux, harness, kg, lattice, schrodinger
 from covlab.harness import EXPERIMENTS, THEORIES, ExperimentConfig
-from covlab.lattice import Lattice, ScalarField
+from covlab.lattice import Lattice, ModeVector, ScalarField
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -65,6 +66,15 @@ def whole_section_el(theory: str) -> None:
     getattr(module, f"{short}_el_cancellation_scale")(section, variation)
 
 
+def oracle_differential(theory: str) -> None:
+    """The oracle's contraction of the difference form with one tangent,
+    which no experiment row reads, called as a caller outside covlab would."""
+    th = darboux.Theory.of(theory, Lattice(dim=1, n=8, length=2 * np.pi), 1.0)
+    ones = np.ones(th.lattice.shape, dtype=complex)
+    point = darboux.ModeState(*(ModeVector(th.lattice, ones) for _ in range(2)), time=0.5)
+    darboux.WOracle(th).differential(point, (ones, ones, 0.3))
+
+
 def streamed_slices(cfg, steps_at) -> int:
     """Slices the two-level streamed pass of action-residual builds at
     dt / 2: every fine node once, plus a halo of two coarse nodes (4 fine
@@ -97,6 +107,7 @@ def test_every_keyed_entry_point_records_a_traced_pass(spans, monkeypatch):
             reports = [harness.run_experiment(cfg) for cfg in configs]
             for theory in THEORIES:
                 whole_section_el(theory)
+                oracle_differential(theory)
     assert bindings(spans) == before
 
     assert [r.errors for r in reports] == [()] * len(configs)
@@ -150,17 +161,3 @@ def test_exports_are_the_traced_callables(spans, layer):
     }
     assert len(mod.__all__) == len(set(mod.__all__))
     assert set(mod.__all__) == defined
-
-
-def test_the_oracle_builds_from_a_name_and_the_configs_kg_record_or_lattice():
-    # the call shape of bench/tests/test_known_defects.py: a theory name
-    # with ExperimentConfig.kg_config() for Klein-Gordon, the lattice for
-    # Schrodinger.  The Schrodinger record built there has mass 0, the
-    # config's mass 1, so the records are compared by their flow tables
-    for theory in THEORIES:
-        cfg = ExperimentConfig(theory=theory, experiment="darboux-check", n=16, seed=42)
-        source = cfg.kg_config() if theory == "kg" else cfg.lattice
-        oracle = darboux.WOracle(theory, source, seed=cfg.seed + 4)
-        want = harness._theory(cfg)
-        assert (oracle.theory.name, oracle.theory.lattice) == (cfg.theory, cfg.lattice)
-        assert np.array_equal(oracle.theory.flow().table, want.flow().table)

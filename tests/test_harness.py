@@ -999,7 +999,7 @@ def test_massless_kg_darboux_check_passes(dim, ledger):
     rows = {r.metric: r for r in report.rows}
     controls = ["darboux-invariance-printed-ledger-exceeds"]
     if ledger == "paper-printed":
-        controls.append("printed-ledger-closedness-residual-exceeds")
+        controls.append("printed-ledger-loop-integral-exceeds")
     assert [rows[m].tolerance for m in controls] == [None] * len(controls)
     assert rows[controls[0]].value < 1e-12
 
@@ -1013,10 +1013,34 @@ def test_printed_ledger_controls_stay_gated_where_the_ledgers_differ(theory, led
     rows = {r.metric: r for r in run_experiment(cfg).rows}
     controls = {"darboux-invariance-printed-ledger-exceeds": 1e-12}
     if ledger == "paper-printed":
-        controls["printed-ledger-closedness-residual-exceeds"] = 1e-8
+        controls["printed-ledger-loop-integral-exceeds"] = 1e-9
     assert {m: (rows[m].tolerance, rows[m].passed) for m in controls} == {
         m: (tol, True) for m, tol in controls.items()
     }
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_printed_ledger_loop_row_is_the_printed_oracles_circulation(theory):
+    # both ledgers read one triangle, seeds +20..22 at s = 0.8, -1.1 and
+    # 2.4: the resolved oracle's loop is rounding, the printed one's is not
+    rows = {}
+    for ledger in LEDGERS:
+        cfg = ExperimentConfig(
+            theory=theory, experiment="darboux-check", n=8, seed=42, sign_ledger=ledger
+        )
+        rows[ledger] = {r.metric: r.value for r in run_experiment(cfg).rows}
+    th = harness._theory(cfg)
+    triangle = [
+        harness._darboux_mode_point(cfg, 42 + 20 + k, s=s)
+        for k, s in enumerate((0.8, -1.1, 2.4))
+    ]
+    printed = abs(dx.WOracle(th, sign_ledger="paper-printed").loop_integral(*triangle))
+    resolved = abs(dx.WOracle(th).loop_integral(*triangle))
+    assert rows["paper-printed"]["printed-ledger-loop-integral-exceeds"] == printed
+    assert rows["resolved"]["w-loop-integral"] == resolved
+    assert resolved <= 1e-9 < printed
+    assert "printed-ledger-loop-integral-exceeds" not in rows["resolved"]
+    assert "w-loop-integral" not in rows["paper-printed"]
 
 
 @pytest.mark.parametrize("theory", THEORIES)
@@ -1058,14 +1082,6 @@ def test_nan_in_a_later_darboux_term_fails_the_row(monkeypatch):
     monkeypatch.setattr(dx.WOracle, "value", nan_on_call(dx.WOracle.value, 2))
     report = run_experiment(ExperimentConfig(theory="kg", experiment="darboux-check", n=16))
     assert_row_fails(report, "w-oracle-vs-derived")
-
-
-def test_nan_in_a_later_closedness_probe_refuses_the_oracle(monkeypatch):
-    monkeypatch.setattr(
-        dx.WOracle, "closedness_residual", nan_on_call(dx.WOracle.closedness_residual, 2)
-    )
-    with pytest.raises(dx.WOracleClosednessError, match="nan"):
-        dx.WOracle("schrodinger", Lattice(dim=1, n=8, length=2 * math.pi))
 
 
 # a finite, positive length so small that k^2 overflows: every value

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from covlab.harness import ExperimentConfig, Report, ReportRow, run_experiment
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+TABLE = Path(__file__).resolve().parent / "data" / "settings_matrix.txt"
 
 
 def load(name):
@@ -146,34 +149,6 @@ def test_criterion11_diff_counts_changed_verdicts(tmp_path, capsys):
     assert load("criterion11").main(["--diff", str(old), str(moved)]) == 0
 
 
-# the construction sweep of darboux-check's oracle per seed: none refuses
-# at 1D n=16, and KG seed 16 refuses at 3D n=16 (the bench's known defect)
-CLOSEDNESS_1D_N16 = """\
-theory kg: dim=1 n=16, key seed + 4, 4 points, tolerance 1e-08
-  seed                residual
-     0   8.032642899391193e-12
-     1   6.135720874805163e-12
-refusing seeds: - (0 of 2)
-
-theory schrodinger: dim=1 n=16, key seed + 4, 4 points, tolerance 1e-08
-  seed                residual
-     0  7.0283072666254975e-12
-     1  1.3165503934224792e-11
-refusing seeds: - (0 of 2)
-
-"""
-
-
-def test_closedness_seeds_output(capsys):
-    script = load("closedness_seeds")
-    assert script.main(["--dim", "1", "--n", "16", "--seeds", "0-1"]) == 0
-    assert capsys.readouterr().out == CLOSEDNESS_1D_N16
-    assert script.main(["--theory", "kg", "--seeds", "15-16"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("theory kg: dim=3 n=16")
-    assert out[-2] == "refusing seeds: 16 (1 of 2)"
-
-
 def test_pair_timing_runs_one_checkout_against_itself(capsys):
     root = SCRIPTS.parent
     argv = [str(root), str(root), "--workload", "brackets-wide", "--rounds", "2"]
@@ -182,3 +157,40 @@ def test_pair_timing_runs_one_checkout_against_itself(capsys):
     assert out[0] == "workload brackets-wide, seed 0, 2 rounds"
     assert out[1].startswith("before: median ") and out[2].startswith(" after: median ")
     assert out[3].startswith("median paired ratio after/before ") and out[3].endswith(" of 2 rounds")
+
+
+def test_settings_matrix_slice_matches_the_committed_table():
+    # the table lists every cell in the script's order; this checks the
+    # slice at the defaults, seed 42, but for the 3D action-residual runs
+    # (about 3 s each), and the script runs the rest
+    script = load("settings_matrix")
+    lines = TABLE.read_text(encoding="utf-8").splitlines()
+    table = dict(line.split(": ", 1) for line in lines)
+    assert list(table) == [label for label, _ in script.cells()]
+    got = {
+        label: script.verdict(run_experiment(cfg))
+        for label, cfg in script.cells(("default",), (42,))
+        if not (cfg.dim == 3 and cfg.experiment == "action-residual")
+    }
+    assert len(got) == 28
+    assert got == {label: table[label] for label in got}
+
+
+def test_settings_matrix_verdict_reads_errors_and_failing_rows():
+    # an error cell keeps its type and first line, without the location;
+    # a failing row prints the side of its tolerance it should be on
+    verdict = load("settings_matrix").verdict
+    cfg = ExperimentConfig(theory="kg", experiment="darboux-check")
+    error = "ValueError: bad point\nsecond line (at covlab/darboux.py:12)"
+    assert verdict(Report(cfg, (), (error,))) == "error ValueError: bad point"
+    rows = (
+        ReportRow("darboux-check", "theta-pullback-oracle", 2.2272e-10, 2e-10, 0.0),
+        ReportRow("darboux-check", "printed-ledger-loop-integral-exceeds", 1e-12, 1e-9, 0.0),
+        ReportRow("darboux-check", "kg-printed-w-mismatch", 5.0, None, 0.0),
+        ReportRow("darboux-check", "w-loop-integral", 1e-12, 1e-9, 0.0),
+    )
+    assert verdict(Report(cfg, rows)) == (
+        "fail theta-pullback-oracle 2.23e-10 > 2e-10; "
+        "printed-ledger-loop-integral-exceeds 1e-12 <= 1e-09"
+    )
+    assert verdict(Report(cfg, rows[2:])) == "pass"
