@@ -9,8 +9,11 @@ request: ``run_experiment`` then ``emit_report(..., None, "csv")`` for
 every config, as ``bench/run.py`` times a pass.  Each round asks both
 workers for one pass, alternating which goes first, so drift of the host
 falls on both sides of a pair alike.  It prints each side's median and
-quartiles of the pass wall time, the median of the per-round ratios
-after / before, and how many rounds the second checkout was faster.
+quartiles of the pass wall time and its median process CPU time per
+pass, the median of the per-round wall ratios after / before, and how
+many rounds the second checkout was faster.  CPU time leaves out the
+time a worker waits for a core, which on a shared host can move one
+tree's wall medians by tens of percent between runs minutes apart.
 
     python scripts/pair_timing.py BEFORE AFTER --workload chart-3d --rounds 30
 
@@ -47,9 +50,9 @@ for _ in range(int(sys.argv[5])):
     one_pass()
 print("ready", flush=True)
 for _ in sys.stdin:
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     one_pass()
-    print(repr(time.perf_counter() - t0), flush=True)
+    print(repr(time.perf_counter() - t0), repr(time.process_time() - c0), flush=True)
 """
 
 
@@ -71,10 +74,12 @@ def read_line(worker: subprocess.Popen) -> str:
     return line.strip()
 
 
-def timed_pass(worker: subprocess.Popen) -> float:
+def timed_pass(worker: subprocess.Popen) -> tuple:
+    """One pass's wall and process CPU times, in seconds."""
     worker.stdin.write("pass\n")
     worker.stdin.flush()
-    return float(read_line(worker))
+    wall, cpu = read_line(worker).split()
+    return float(wall), float(cpu)
 
 
 def stop(worker: subprocess.Popen) -> None:
@@ -97,7 +102,7 @@ def quartiles(values) -> tuple:
 
 
 def pair_times(before: Path, after: Path, workload: str, seed: int, rounds: int) -> dict:
-    """The pass wall times of both sides, one per round each."""
+    """The (wall, CPU) pass times of both sides, one per round each."""
     workers = []
     try:
         for checkout in (before, after):
@@ -119,10 +124,15 @@ def pair_times(before: Path, after: Path, workload: str, seed: int, rounds: int)
 def summary(times: dict) -> list:
     lines = []
     for side in ("before", "after"):
-        q1, median, q3 = quartiles(times[side])
-        lines.append(f"{side:>6}: median {median:.4f} s, quartiles {q1:.4f} .. {q3:.4f} s")
-    ratios = [a / b for a, b in zip(times["after"], times["before"])]
-    wins = sum(a < b for a, b in zip(times["after"], times["before"]))
+        q1, median, q3 = quartiles([wall for wall, _ in times[side]])
+        cpu = statistics.median(cpu for _, cpu in times[side])
+        lines.append(
+            f"{side:>6}: median {median:.4f} s, quartiles {q1:.4f} .. {q3:.4f} s, "
+            f"CPU median {cpu:.4f} s"
+        )
+    pairs = [(a[0], b[0]) for a, b in zip(times["after"], times["before"])]
+    ratios = [a / b for a, b in pairs]
+    wins = sum(a < b for a, b in pairs)
     lines.append(
         f"median paired ratio after/before {statistics.median(ratios):.3f}, "
         f"after faster in {wins} of {len(ratios)} rounds"

@@ -175,43 +175,39 @@ def omega(theory: Theory, U, V) -> float:
 
 @dataclass(frozen=True)
 class SliceReport:
+    """Omega(U(t), V(t)) per listed time and their relative spread, with
+    the frozen-V negative control Omega(U(t), V) read off the same
+    evolutions."""
+
     times: tuple
     values: tuple
     max_rel_spread: float
+    frozen_v_spread: float
 
 
-def omega_slice_report(
-    theory: Theory,
-    solution,
-    U0,
-    V0,
-    times: Sequence[float],
-    freeze: str | None = None,
-) -> SliceReport:
-    """Evaluate Omega on each listed slice, evolving both variations,
-    slice states like the solution, there by the exact flow.
-
-    ``freeze="v"`` deliberately leaves V at its initial data, the
-    documented negative control: the resulting spread is O(1) instead of
-    conservation-limited.  The spread is 0 only when every value is
-    exactly 0; a NaN value gives a NaN spread.  Any other ``freeze``
-    raises ValueError.
-    """
-    if freeze not in (None, "v"):
-        raise ValueError(f"freeze must be None or 'v', got {freeze!r}")
-    values = []
-    for t in times:
-        span = t - solution.time
-        u = theory.evolve(U0, span)
-        v = theory.evolve(V0, span) if freeze != "v" else V0
-        values.append(omega(theory, u, v))
+def _rel_spread(values) -> float:
+    """(max - min) / max |value|: 0 only when every value is exactly 0,
+    NaN when any value is."""
     arr = np.array(values)
     denom = float(np.max(np.abs(arr)))
-    spread = 0.0 if denom == 0.0 else float(arr.max() - arr.min()) / denom
+    return 0.0 if denom == 0.0 else float(arr.max() - arr.min()) / denom
+
+
+def omega_slice_report(theory: Theory, U, V, times: Sequence[float]) -> SliceReport:
+    """Evaluate Omega on each listed slice: U and V, slice states at time
+    0, are evolved there once each by the exact flow.  Omega(U(t), V(t))
+    gives the conservation-limited spread; Omega(U(t), V), V left at its
+    initial data, the frozen-V control, whose spread is O(1)."""
+    values, frozen = [], []
+    for t in times:
+        u = theory.evolve(U, t)
+        values.append(omega(theory, u, theory.evolve(V, t)))
+        frozen.append(omega(theory, u, V))
     return SliceReport(
         times=tuple(float(t) for t in times),
         values=tuple(float(v) for v in values),
-        max_rel_spread=spread,
+        max_rel_spread=_rel_spread(values),
+        frozen_v_spread=_rel_spread(frozen),
     )
 
 

@@ -416,13 +416,10 @@ def mode_index_table(lattice: Lattice):
     with k == -k (zero and Nyquist combinations); ``representative`` selects
     one member of each conjugate pair plus every self-conjugate mode.
     """
-    idx = np.indices(lattice.shape)
-    conj_multi = tuple((-idx[a]) % lattice.n for a in range(lattice.dim))
-    conj_map = np.ravel_multi_index(conj_multi, lattice.shape).ravel()
+    conj_map = _reflection_index(lattice.shape, tuple(range(lattice.dim)))
     flat = np.arange(lattice.site_count)
     self_conjugate = conj_map == flat
     representative = flat <= conj_map
-    conj_map.setflags(write=False)
     self_conjugate.setflags(write=False)
     representative.setflags(write=False)
     return conj_map, self_conjugate, representative
@@ -541,7 +538,7 @@ class _Section:
     def __post_init__(self):
         """Replace the stacks by read-only float copies, shape-checked: one
         T >= 2 shared by all of them."""
-        # The copy lets a section freeze its stacks without freezing a
+        # The copy lets a section lock its stacks without locking a
         # caller's arrays, and makes every stack C-contiguous and owned, the
         # strided rows _sampled takes too.  No report value rests on it: the
         # builders' irfftn results are owned arrays already.

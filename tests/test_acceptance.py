@@ -168,13 +168,12 @@ def test_criterion_03_omega_slice_independence():
     times = [float(t) for t in range(11)]
     spreads = {}
     controls = {}
-    for theory, cfg in (("kg", KG_CFG), ("schrodinger", SCHR_CFG)):
-        sol = random_state(cfg)
+    for theory in ("kg", "schrodinger"):
         U = variation(theory, SEED + 1)
         V = variation(theory, SEED + 2)
-        th = TH[theory]
-        spreads[theory] = omega_slice_report(th, sol, U, V, times).max_rel_spread
-        controls[theory] = omega_slice_report(th, sol, U, V, times, freeze="v").max_rel_spread
+        rep = omega_slice_report(TH[theory], U, V, times)
+        spreads[theory] = rep.max_rel_spread
+        controls[theory] = rep.frozen_v_spread
     ok = max(spreads.values()) <= 1e-10 and min(controls.values()) > 1e-10
     assert verdict(
         3,

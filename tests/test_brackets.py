@@ -143,51 +143,51 @@ class TestOmega:
         assert omega_schr_expansion_check(U, V, LAT) <= 1e-11
 
     def test_slice_independence(self):
-        rng = seeded(5)
-        sol = KG.enforce(banded_field(rng), banded_field(rng))
-        rep = omega_slice_report(
-            KG,
-            sol,
-            kg_variation(6),
-            kg_variation(7),
-            times=np.linspace(0.0, 5.0, 6),
-        )
+        rep = omega_slice_report(KG, kg_variation(6), kg_variation(7), np.linspace(0.0, 5.0, 6))
         assert rep.max_rel_spread <= 1e-10
         assert len(rep.values) == 6
 
     def test_slice_independence_schr(self):
-        sol = SCHR.enforce(banded_field(seeded(8)), banded_field(seeded(9)))
         rep = omega_slice_report(
-            SCHR,
-            sol,
-            schr_variation(6),
-            schr_variation(7),
-            times=np.linspace(0.0, 5.0, 6),
+            SCHR, schr_variation(6), schr_variation(7), np.linspace(0.0, 5.0, 6)
         )
         assert rep.max_rel_spread <= 1e-10
 
-    def test_frozen_variation_control(self):
+    @pytest.mark.parametrize("theory", [KG, SCHR], ids=["kg", "schrodinger"])
+    def test_frozen_variation_control(self, theory):
         # leaving V at its initial data breaks conservation at O(1)
-        rng = seeded(5)
-        sol = KG.enforce(banded_field(rng), banded_field(rng))
-        rep = omega_slice_report(
-            KG,
-            sol,
-            kg_variation(6),
-            kg_variation(7),
-            times=np.linspace(0.0, 5.0, 6),
-            freeze="v",
-        )
-        assert rep.max_rel_spread > 0.1
+        variation = kg_variation if theory is KG else schr_variation
+        rep = omega_slice_report(theory, variation(6), variation(7), np.linspace(0.0, 5.0, 6))
+        assert rep.frozen_v_spread > 0.1
 
-    @pytest.mark.parametrize("freeze", ["V", "U", "u", "", "both", 1])
-    def test_unknown_freeze_rejected(self, freeze):
-        # "V" used to run the positive check, a spread of 9.5e-16 where
-        # "v" reads 1.43
-        rng = seeded(5)
-        sol = KG.enforce(banded_field(rng), banded_field(rng))
-        with pytest.raises(ValueError, match=f"freeze must be .*got {freeze!r}"):
-            omega_slice_report(KG, sol, kg_variation(6), kg_variation(7), (0.0, 1.0), freeze)
+    @pytest.mark.parametrize("dim, n", [(1, 64), (3, 8)])
+    @pytest.mark.parametrize("name", ["kg", "schrodinger"])
+    def test_both_spreads_read_one_evolution_of_each_variation(self, monkeypatch, name, dim, n):
+        lat = Lattice(dim=dim, n=n, length=2 * np.pi)
+        th = Theory.of(name, lat, 1.0)
+        variation = kg_variation if name == "kg" else schr_variation
+        U, V = variation(6, lat), variation(7, lat)
+        times = (0.0, 0.7, 2.0, -3.5)
+        # the hand loops, before the counter goes in
+        values = [omega(th, th.evolve(U, t), th.evolve(V, t)) for t in times]
+        frozen = [omega(th, th.evolve(U, t), V) for t in times]
+        calls = []
+        evolve = type(th).evolve
+
+        def counted(self, state, s, *args):
+            calls.append(s)
+            return evolve(self, state, s, *args)
+
+        monkeypatch.setattr(type(th), "evolve", counted)
+        rep = omega_slice_report(th, U, V, times)
+        assert len(calls) == 2 * len(times)
+        assert rep.values == tuple(values)
+
+        def spread(v):
+            return (max(v) - min(v)) / max(map(abs, v))
+
+        assert rep.max_rel_spread == spread(values)
+        assert rep.frozen_v_spread == spread(frozen)
 
     def test_lattice_mismatch_rejected(self):
         other = Lattice(dim=1, n=32, length=2 * np.pi)

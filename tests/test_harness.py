@@ -1104,17 +1104,42 @@ def test_nan_omega_values_fail_the_slice_spread(theory):
     assert_row_fails(report, "slice-spread")
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["slice", "frozen-v"])
 @pytest.mark.parametrize(
     "values, spread", [((0.0, 0.0), 0.0), ((1.0, NAN), NAN), ((NAN, NAN), NAN), ((2.0, 1.0), 0.5)]
 )
-def test_slice_spread_is_zero_only_on_zero_values(monkeypatch, values, spread):
-    calls = iter(values)
-    monkeypatch.setattr(br, "omega", lambda theory, u, v: next(calls))
+def test_slice_spread_is_zero_only_on_zero_values(monkeypatch, values, spread, frozen):
+    # the spread under test reads `values`, the other constant ones
     cfg = ExperimentConfig(theory="kg", experiment="omega-check", n=8)
     th = harness._theory(cfg)
-    U = harness._banded_state(cfg, 1)
-    rep = br.omega_slice_report(th, random_state(cfg), U, U, (0.0, 1.0))
-    assert np.array_equal(rep.max_rel_spread, spread, equal_nan=True)
+    U, V = harness._banded_state(cfg, 1), harness._banded_state(cfg, 2)
+    tested, other = iter(values), iter((3.0, 3.0))
+    monkeypatch.setattr(
+        br, "omega", lambda theory, u, v: next(tested if (v is V) == frozen else other)
+    )
+    rep = br.omega_slice_report(th, U, V, (0.0, 1.0))
+    got = rep.frozen_v_spread if frozen else rep.max_rel_spread
+    rest = rep.max_rel_spread if frozen else rep.frozen_v_spread
+    assert np.array_equal(got, spread, equal_nan=True)
+    assert rest == 0.0
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_omega_check_evolves_each_variation_once_a_slice(monkeypatch, theory):
+    # both spreads read one evolution of U and one of V per default time
+    cfg = ExperimentConfig(theory=theory, experiment="omega-check")
+    record = type(harness._theory(cfg))
+    calls = []
+    evolve = record.evolve
+
+    def counted(self, state, s, *args):
+        calls.append(s)
+        return evolve(self, state, s, *args)
+
+    monkeypatch.setattr(record, "evolve", counted)
+    report = run_experiment(cfg)
+    assert not report.errors
+    assert len(calls) == 22 and sorted(calls) == sorted(2 * [float(t) for t in range(11)])
 
 
 # ---------------------------------------------------------------------------

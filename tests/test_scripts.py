@@ -156,6 +156,7 @@ def test_pair_timing_runs_one_checkout_against_itself(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "workload brackets-wide, seed 0, 2 rounds"
     assert out[1].startswith("before: median ") and out[2].startswith(" after: median ")
+    assert all(" s, CPU median " in line for line in out[1:3])
     assert out[3].startswith("median paired ratio after/before ") and out[3].endswith(" of 2 rounds")
 
 
